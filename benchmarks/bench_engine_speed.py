@@ -21,14 +21,14 @@ bit-identical before the sharded events/sec is allowed to count.
 The run records all cells to ``BENCH_engine_speed.json`` at the repo root and
 asserts the acceptance bars in-test: the calendar engine must sustain at
 least ``SPEEDUP_FLOOR``x the events/sec of the heapq reference on the
-1M-transaction cascade, and on machines with ``SHARDED_MIN_CORES`` or more
-cores the sharded 8-channel cell must sustain ``SHARDED_SPEEDUP_FLOOR``x the
-single-process 8-channel cell.
+1M-transaction cascade, and the sharded 8-channel cell must sustain
+``SHARDED_SPEEDUP_FLOOR``x the single-process 8-channel cell on machines with
+``SHARDED_MIN_CORES`` or more cores (``SHARDED_2CORE_SPEEDUP_FLOOR``x with
+two or three).
 """
 
 from __future__ import annotations
 
-import gc
 import json
 from pathlib import Path
 
@@ -73,6 +73,9 @@ SHARDED_CHANNELS = 8
 #: asserted on machines with enough cores for the fan-out to mean anything.
 SHARDED_SPEEDUP_FLOOR = 2.0
 SHARDED_MIN_CORES = 4
+#: The same pair on a 2- or 3-core machine (two workers at best): the floor
+#: the tier-1 sharded smoke used to assert as a wall-clock ratio.
+SHARDED_2CORE_SPEEDUP_FLOOR = 1.5
 
 
 # Module-level factories so the sharded configuration stays picklable.
@@ -107,10 +110,9 @@ def network_cell(channels: int) -> dict:
     * ``NETWORK_TRIALS`` profiled runs, best one recorded (every trial
       dispatches the identical schedule — asserted — so "best of" only
       strips scheduler noise);
-    * the cyclic garbage collector is paused across the trials (collected
-      before and after): after the 6M-event cascades the gen-2 heap is large
-      enough that collections triggered mid-run cost up to 30% of the cell's
-      events/sec, all of it measurement noise.
+    * no collector handling here: ``run()`` defers full collections itself
+      (:func:`repro.sim.collector.quiet_collector`), so the cell times the
+      program a user runs.
     """
     spec = uniform_workload("EHR", patients=40)
     config = NetworkConfig(
@@ -141,24 +143,16 @@ def network_cell(channels: int) -> dict:
     arrival_rate = NETWORK_ARRIVAL_RATE_PER_CHANNEL * channels
     build().run(spec.mix, arrival_rate=arrival_rate, duration=NETWORK_WARMUP_DURATION)
     trials = []
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(NETWORK_TRIALS):
-            network = build()
-            profiler = EngineProfiler(network.sim)
-            with profiler:
-                record = network.run(
-                    spec.mix, arrival_rate=arrival_rate, duration=NETWORK_DURATION
-                )
-            report = profiler.report()
-            report["transactions"] = len(record.transactions)
-            trials.append(report)
-            del network, record
-            gc.collect()
-    finally:
-        gc.enable()
-        gc.collect()
+    for _ in range(NETWORK_TRIALS):
+        network = build()
+        profiler = EngineProfiler(network.sim)
+        with profiler:
+            record = network.run(
+                spec.mix, arrival_rate=arrival_rate, duration=NETWORK_DURATION
+            )
+        report = profiler.report()
+        report["transactions"] = len(record.transactions)
+        trials.append(report)
     # Determinism: every trial dispatched the identical schedule.
     assert len({(t["events"], t["transactions"]) for t in trials}) == 1
     best = max(trials, key=lambda t: t["events_per_sec"])
@@ -281,7 +275,8 @@ def test_engine_speed_grid_and_record():
         )
     print(
         f"sharded speedup: {sharded_speedup:.2f}x on {cores} cores "
-        f"(floor {SHARDED_SPEEDUP_FLOOR}x when cores >= {SHARDED_MIN_CORES})"
+        f"(floor {SHARDED_SPEEDUP_FLOOR}x when cores >= {SHARDED_MIN_CORES}, "
+        f"{SHARDED_2CORE_SPEEDUP_FLOOR}x when cores >= 2)"
     )
 
     # Every row records the core count it was measured on, and a core-gated
@@ -289,7 +284,7 @@ def test_engine_speed_grid_and_record():
     # silently absent from the record.
     for row in rows:
         row["cores"] = cores
-    if cores < SHARDED_MIN_CORES:
+    if cores < 2:
         sharded_row["skipped_floor"] = True
 
     record = {
@@ -305,6 +300,7 @@ def test_engine_speed_grid_and_record():
             "sharded_channels": SHARDED_CHANNELS,
             "sharded_speedup_floor": SHARDED_SPEEDUP_FLOOR,
             "sharded_min_cores": SHARDED_MIN_CORES,
+            "sharded_2core_speedup_floor": SHARDED_2CORE_SPEEDUP_FLOOR,
         },
         "cascade_speedup": speedup,
         "pipeline_speedup": pipeline_speedup,
@@ -337,10 +333,11 @@ def test_engine_speed_grid_and_record():
     # Sharded acceptance: identical answers everywhere; >= 2x events/sec over
     # the shared clock wherever the fan-out has cores to land on.
     assert record_fingerprint(sharded_record) == record_fingerprint(shared_record)
-    if cores >= SHARDED_MIN_CORES:
-        assert sharded_speedup >= SHARDED_SPEEDUP_FLOOR, (
+    if cores >= 2:
+        floor = SHARDED_SPEEDUP_FLOOR if cores >= SHARDED_MIN_CORES else SHARDED_2CORE_SPEEDUP_FLOOR
+        assert sharded_speedup >= floor, (
             f"sharded execution sustained only {sharded_speedup:.2f}x the shared "
             f"clock ({sharded_row['events_per_sec']:,.0f} vs "
             f"{shared_row['events_per_sec']:,.0f} ev/s) on {cores} cores; "
-            f"floor is {SHARDED_SPEEDUP_FLOOR}x"
+            f"floor is {floor}x"
         )

@@ -68,15 +68,15 @@ def test_disabled_checker_leaves_no_report():
 
 # -------------------------------------------------------------------- measured
 def timed_cell(config: ExperimentConfig) -> tuple:
-    """One full-pipeline run, timed with the cyclic collector quiesced."""
+    """One full-pipeline run, timed as a user runs it (``run_repetition``
+    defers full collections itself — see :mod:`repro.sim.collector`)."""
+    # Start like a fresh process, with nothing owed: chained runs have the
+    # scope reclaim the previous run's cyclic garbage on entry, and a checked
+    # cell leaves more of it than an unchecked one — inside the other's timer.
     gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        analysis = run_repetition(config, 0)
-        wall = time.perf_counter() - start
-    finally:
-        gc.enable()
+    start = time.perf_counter()
+    analysis = run_repetition(config, 0)
+    wall = time.perf_counter() - start
     events = sum(analysis.record.lifecycle_counts.values())
     return events / wall, analysis.record
 

@@ -19,7 +19,6 @@ default test selection:
 
 from __future__ import annotations
 
-import gc
 import statistics
 
 from repro.bench.enginespeed import run_cascade
@@ -28,6 +27,7 @@ from repro.fabric import create_variant
 from repro.network.config import NetworkConfig
 from repro.network.network import FabricNetwork
 from repro.observability import ObservabilityConfig
+from repro.sim.collector import quiet_collector
 from repro.sim.engine import Simulator
 
 SMOKE_TRANSACTIONS = 30_000
@@ -63,19 +63,16 @@ def test_disabled_config_is_the_default_everywhere():
 
 # -------------------------------------------------------------------- measured
 def timed_cascade(sim: Simulator) -> dict:
-    """One cascade round with the cyclic collector quiesced.
+    """One cascade round under the collector policy of a real run.
 
     The disabled-path simulator belongs to a full deployment whose live heap
-    (genesis population, peers, ledger) would otherwise make collector passes
-    during the timed window slower than the bare-simulator baseline's — heap
-    size, not dispatch cost, which is the thing under test here.
+    (genesis population, peers, ledger) would otherwise make full collector
+    passes during the timed window slower than the bare-simulator baseline's
+    — heap size, not dispatch cost, which is the thing under test here.  The
+    bare cascade enters no run scope of its own, so the scope is entered here.
     """
-    gc.collect()
-    gc.disable()
-    try:
+    with quiet_collector():
         return run_cascade(sim, SMOKE_TRANSACTIONS)
-    finally:
-        gc.enable()
 
 
 def test_disabled_observability_keeps_the_engine_at_baseline_speed():

@@ -9,12 +9,13 @@ stream resolution, per-peer block revalidation) this trips inside the default
 test selection, long before the slow bench runs.
 
 Measurement protocol: one discarded warm-up run, then best-of-``SMOKE_TRIALS``
-with the cyclic garbage collector paused (collected before and after) — the
-first run of a cell in a fresh process is dominated by bytecode warm-up and
-allocator growth (~30% slower than steady state), gen-2 collections triggered
-mid-run by whatever heap the preceding test session left behind cost up to
-another 30%, and "best of" is the standard way to ask "how fast can this
-machine run it" without averaging in scheduler noise.
+— the first run of a cell in a fresh process is dominated by bytecode warm-up
+and allocator growth (~30% slower than steady state), and "best of" is the
+standard way to ask "how fast can this machine run it" without averaging in
+scheduler noise.  The collector is left alone: ``run()`` defers full
+collections itself (:func:`repro.sim.collector.quiet_collector`), so whatever
+heap the preceding test session left behind is not re-walked mid-run and the
+trials time the program a user runs.
 
 The floor (30k ev/s) sits far below the ~110k ev/s a warm idle single core
 sustains after the hot-path overhaul, leaving headroom for slow shared CI
@@ -23,8 +24,6 @@ runners; the tight regression bar is the slow bench's
 """
 
 from __future__ import annotations
-
-import gc
 
 from repro.chaincode import create_chaincode
 from repro.fabric.variant import create_variant
@@ -69,13 +68,7 @@ def _pipeline_cell() -> dict:
 
 def test_pipeline_sustains_smoke_floor():
     warmup = _pipeline_cell()
-    gc.collect()
-    gc.disable()
-    try:
-        trials = [_pipeline_cell() for _ in range(SMOKE_TRIALS)]
-    finally:
-        gc.enable()
-        gc.collect()
+    trials = [_pipeline_cell() for _ in range(SMOKE_TRIALS)]
 
     # Determinism first: every trial (and the warm-up) dispatches the exact
     # same schedule — only the wall-clock may differ.

@@ -2,19 +2,26 @@
 
 A fast version of the sharded cells in ``bench_engine_speed.py``: one
 2-channel, ~30k-transaction deployment with ``cross_channel_rate=0`` runs
-once on the shared clock and once sharded across worker processes.  Two
-assertions guard the two halves of the tentpole contract:
+once on the shared clock and once sharded across two worker processes (an
+explicit count, so the real pool runs on single-core CI runners too).  Every
+assertion is exact on every machine:
 
-* **bit identity, unconditionally** — the sharded merge reproduces the
-  shared-clock run fingerprint-for-fingerprint on every machine, including
-  single-core CI runners;
-* **speed, when cores exist** — with at least 2 physical cores the sharded
-  run must sustain ``SMOKE_SPEEDUP_FLOOR``x the shared clock's events/sec.
-  The floor (1.5x on 2 shards) sits well under the ideal 2x to absorb noisy
-  shared runners; the full bench asserts the real 2x bar on 8 channels.
+* **bit identity** — the sharded merge reproduces the shared-clock run
+  fingerprint-for-fingerprint;
+* **cost of the process boundary, as integers** — the pickled bytes the
+  workers send back per transaction stay under a pinned ceiling (one
+  read/write set per transaction crosses, not one per endorsement), and no
+  full garbage collection starts in the parent between ``run()`` entry and
+  the returned record (unpickling and merging included).
+
+The wall-clock speedup floor lives with the sharded rows of
+``bench_engine_speed.py`` (``slow``): a ratio of two timings is not a tier-1
+assertion.
 """
 
 from __future__ import annotations
+
+import gc
 
 from repro.chaincode import create_chaincode
 from repro.channels.network import MultiChannelNetwork
@@ -22,15 +29,18 @@ from repro.channels.sharded import ShardedChannelNetwork, record_fingerprint
 from repro.fabric.variant import create_variant
 from repro.ledger.block import reset_transaction_ids
 from repro.network.config import NetworkConfig
-from repro.sim.profile import EngineProfiler
-from repro.sim.shard import ExecutionConfig, available_cores
+from repro.sim.shard import ExecutionConfig
 from repro.workload.workloads import uniform_workload
 
 SMOKE_CHANNELS = 2
 SMOKE_ARRIVAL_RATE_PER_CHANNEL = 1000.0
 SMOKE_DURATION = 15.0  # ~30k transactions across the two channels
 SMOKE_SEED = 11
-SMOKE_SPEEDUP_FLOOR = 1.5
+SMOKE_WORKERS = 2
+#: Pickled result bytes per transaction the workers may send back.  Two
+#: endorsements per transaction here: sharing their read/write set with the
+#: transaction measures 415; a private copy each measured 503.
+SMOKE_TRANSPORT_BYTES_PER_TX_CEILING = 440
 
 
 # Module-level factories so the sharded configuration stays picklable.
@@ -58,49 +68,56 @@ def smoke_config(execution: ExecutionConfig) -> NetworkConfig:
 
 
 def run_smoke_cell(sharded: bool):
-    """Run the smoke deployment; returns ``(record, events_per_sec)``."""
+    """Run the smoke deployment; returns ``(network, record, full_collections)``."""
     spec = uniform_workload("EHR", patients=40)
     arrival_rate = SMOKE_ARRIVAL_RATE_PER_CHANNEL * SMOKE_CHANNELS
     reset_transaction_ids()
     if sharded:
         network = ShardedChannelNetwork(
-            smoke_config(ExecutionConfig(shard_workers=0)),
+            smoke_config(ExecutionConfig(shard_workers=SMOKE_WORKERS)),
             chaincode_factory=make_chaincode,
             variant_factory=make_variant,
             seed=SMOKE_SEED,
         )
+    else:
+        network = MultiChannelNetwork(
+            smoke_config(ExecutionConfig()),
+            chaincode_factory=make_chaincode,
+            variant_factory=make_variant,
+            seed=SMOKE_SEED,
+        )
+    full_collections = []
+
+    def count(phase, info):
+        if phase == "start" and info["generation"] == 2:
+            full_collections.append(info)
+
+    gc.collect()  # whatever earlier tests left owed is not this run's
+    gc.callbacks.append(count)
+    try:
         record = network.run(spec.mix, arrival_rate=arrival_rate, duration=SMOKE_DURATION)
-        return record, network.engine_summary["events_per_sec"]
-    network = MultiChannelNetwork(
-        smoke_config(ExecutionConfig()),
-        chaincode_factory=make_chaincode,
-        variant_factory=make_variant,
-        seed=SMOKE_SEED,
-    )
-    with EngineProfiler(network.sim) as profiler:
-        record = network.run(spec.mix, arrival_rate=arrival_rate, duration=SMOKE_DURATION)
-    return record, profiler.report()["events_per_sec"]
+    finally:
+        gc.callbacks.remove(count)
+    return network, record, len(full_collections)
 
 
 def test_sharded_execution_smoke():
-    shared_record, shared_speed = run_smoke_cell(sharded=False)
-    sharded_record, sharded_speed = run_smoke_cell(sharded=True)
+    _, shared_record, shared_collections = run_smoke_cell(sharded=False)
+    network, sharded_record, sharded_collections = run_smoke_cell(sharded=True)
 
-    # Identity first: speed means nothing if the answer changed.
+    # Identity first: cost means nothing if the answer changed.
     assert sharded_record.execution == "sharded"
     assert sharded_record.shard_count == SMOKE_CHANNELS
+    assert network.shard_workers_used == SMOKE_WORKERS
     assert record_fingerprint(sharded_record) == record_fingerprint(shared_record)
     assert len(sharded_record.transactions) == len(shared_record.transactions)
 
-    speedup = sharded_speed / shared_speed
-    cores = available_cores()
+    bytes_per_tx = network.shard_transport_bytes // len(sharded_record.transactions)
     print(
-        f"sharded smoke: {sharded_speed:,.0f} ev/s vs shared {shared_speed:,.0f} ev/s "
-        f"({speedup:.2f}x on {cores} cores, floor {SMOKE_SPEEDUP_FLOOR}x when cores >= 2)"
+        f"sharded smoke: {network.shard_transport_bytes:,} pickled bytes for "
+        f"{len(sharded_record.transactions):,} transactions ({bytes_per_tx} per transaction, "
+        f"ceiling {SMOKE_TRANSPORT_BYTES_PER_TX_CEILING}); full collections inside run(): "
+        f"{sharded_collections} sharded, {shared_collections} shared"
     )
-    if cores >= 2:
-        assert speedup >= SMOKE_SPEEDUP_FLOOR, (
-            f"sharded execution sustained only {speedup:.2f}x the shared clock "
-            f"({sharded_speed:,.0f} vs {shared_speed:,.0f} ev/s) on {cores} cores; "
-            f"smoke floor is {SMOKE_SPEEDUP_FLOOR}x"
-        )
+    assert 0 < bytes_per_tx <= SMOKE_TRANSPORT_BYTES_PER_TX_CEILING
+    assert (sharded_collections, shared_collections) == (0, 0)

@@ -2,7 +2,7 @@
 """Custom lint guarding the allocation rules of the transaction hot path.
 
 The per-transaction pipeline (endorse -> order -> validate) allocates a
-handful of objects five-plus times per transaction, so two rules keep it
+handful of objects five-plus times per transaction, so three rules keep it
 lean (see "Hot path" in docs/ARCHITECTURE.md):
 
 1. **Slots.**  Every ``@dataclass`` defined in a declared hot-path module
@@ -16,6 +16,11 @@ lean (see "Hot path" in docs/ARCHITECTURE.md):
    streams once at build time and keep the ``random.Random`` handle.  Any
    ``.stream(...)`` call outside the known build-time methods of the
    declared modules fails the lint.
+
+3. **One collector policy.**  Nothing under ``src/`` may switch the cyclic
+   collector on or off, retune or freeze it (``gc.disable`` / ``enable`` /
+   ``set_threshold`` / ``freeze``) except ``repro/sim/collector.py``, whose
+   ``quiet_collector`` scope is the policy every run path enters.
 
 Run from the repository root (CI runs it in the lint job)::
 
@@ -164,6 +169,35 @@ def check_stream_calls(path: Path) -> list[str]:
     ]
 
 
+#: The only module under ``src/`` allowed to change the collector's state, and
+#: the calls that do.
+COLLECTOR_POLICY_MODULE = "src/repro/sim/collector.py"
+COLLECTOR_STATE_CALLS = {"disable", "enable", "set_threshold", "freeze"}
+
+
+def check_collector_calls(path: Path) -> list[str]:
+    errors = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        names: list[str] = []
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "gc"
+        ):
+            names = [node.func.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            names = [alias.name for alias in node.names]
+        errors.extend(
+            f"{path.relative_to(REPO_ROOT)}:{node.lineno}: gc.{name} outside "
+            f"{COLLECTOR_POLICY_MODULE} — enter repro.sim.collector.quiet_collector() "
+            "instead (see 'Memory and the collector' in docs/ARCHITECTURE.md)"
+            for name in names
+            if name in COLLECTOR_STATE_CALLS
+        )
+    return errors
+
+
 def main() -> int:
     errors: list[str] = []
     for relative in SLOTS_MODULES:
@@ -173,6 +207,9 @@ def main() -> int:
         files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         for path in files:
             errors.extend(check_stream_calls(path))
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        if path != REPO_ROOT / COLLECTOR_POLICY_MODULE:
+            errors.extend(check_collector_calls(path))
     if errors:
         print("\n".join(errors))
         print(f"\ncheck_hot_path: {len(errors)} violation(s)")

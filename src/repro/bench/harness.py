@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
+from repro.sim.collector import quiet_collector
 from repro.sim.rng import derive_seed
 from repro.sim.shard import ExecutionConfig
 
@@ -335,6 +336,7 @@ class ExperimentResult:
         return sum(values) / len(values)
 
 
+@quiet_collector()
 def run_repetition(
     config: ExperimentConfig, repetition: int, cell_hash: Optional[str] = None
 ) -> ExperimentAnalysis:
@@ -351,6 +353,10 @@ def run_repetition(
     :class:`~repro.channels.network.MultiChannelNetwork` (one Fabric slice per
     channel on a shared clock), single-channel configurations as exactly the
     classic :class:`FabricNetwork`.
+
+    Build, run and ledger analysis share one collector scope
+    (:func:`repro.sim.collector.quiet_collector`): the analysis walks the same
+    retained, acyclic records the run produced.
     """
     seed = repetition_seed(config, repetition, cell_hash=cell_hash)
     # Transaction ids restart at tx-00000000 for every repetition: they must

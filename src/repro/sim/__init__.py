@@ -7,8 +7,9 @@ kept as a differential-testing oracle in :mod:`repro.sim.reference`), an
 opt-in engine profiler (:mod:`repro.sim.profile`), single-server FIFO service
 stations used to model peers and the ordering service
 (:mod:`repro.sim.resources`), seeded random-number streams
-(:mod:`repro.sim.rng`) and online statistics accumulators
-(:mod:`repro.sim.stats`).
+(:mod:`repro.sim.rng`), online statistics accumulators
+(:mod:`repro.sim.stats`) and the collector policy every run path enters
+(:mod:`repro.sim.collector`).
 """
 
 from repro.sim.engine import Event, Simulator

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.bench.harness import ExperimentConfig, repetition_seed, run_experiment
@@ -14,6 +16,7 @@ from repro.bench.runner import (
 )
 from repro.bench.reporting import format_progress
 from repro.chaincode.genchain import GenChainChaincode
+from repro.core.analyzer import ExperimentAnalysis
 from repro.errors import ConfigurationError
 from repro.network.config import NetworkConfig
 from repro.workload.spec import TransactionMix, WorkloadSpec
@@ -242,6 +245,62 @@ def test_corrupt_disk_entry_is_treated_as_miss(tmp_path):
     fresh.run(tiny_config())
     assert fresh.stats.cache_hits == 0
     assert fresh.stats.tasks_run == 1
+
+
+def _truncate(blob: bytes) -> bytes:
+    return blob[: len(blob) // 2]
+
+
+def _flip_frame_length(blob: bytes) -> bytes:
+    # Bytes 3..10 of a framed pickle are the first frame's length; flipping
+    # its top byte makes the unpickler raise OverflowError, not UnpicklingError.
+    return blob[:10] + bytes([blob[10] ^ 0xFF]) + blob[11:]
+
+
+def _wrong_type(blob: bytes) -> bytes:
+    return pickle.dumps({"not": "an analysis"})
+
+
+@pytest.mark.parametrize("damage", [_truncate, _flip_frame_length, _wrong_type])
+def test_damaged_disk_entry_is_recomputed_counted_and_overwritten(tmp_path, damage):
+    config = tiny_config()
+    before = ExperimentRunner(workers=1, cache=ResultCache(tmp_path)).run(config)
+    (entry,) = tmp_path.glob("*.pkl")
+    entry.write_bytes(damage(entry.read_bytes()))
+
+    runner = ExperimentRunner(workers=1, cache=ResultCache(tmp_path))
+    after = runner.run(config)
+    assert (runner.stats.cache_hits, runner.stats.tasks_run) == (0, 1)
+    assert runner.stats.cache_corrupt == 1
+    assert "0 cached, 1 corrupt, 1 executed" in runner.stats.describe()
+    assert _metric_tuples(after) == _metric_tuples(before)
+
+    healed = ExperimentRunner(workers=1, cache=ResultCache(tmp_path))
+    healed.run(config)
+    assert (healed.stats.cache_hits, healed.stats.cache_corrupt) == (1, 0)
+    assert "corrupt" not in healed.stats.describe()
+    assert [path.name for path in tmp_path.iterdir()] == [entry.name]
+
+
+def test_no_single_flipped_byte_escapes_the_cache(tmp_path):
+    config = tiny_config()
+    ExperimentRunner(workers=1, cache=ResultCache(tmp_path)).run(config)
+    (entry,) = tmp_path.glob("*.pkl")
+    blob = entry.read_bytes()
+    cell_hash = config.cell_hash()
+    outcomes = {"miss": 0, "hit": 0}
+    for offset in range(0, len(blob), max(1, len(blob) // 400)):
+        entry.write_bytes(blob[:offset] + bytes([blob[offset] ^ 0xFF]) + blob[offset + 1 :])
+        cache = ResultCache(tmp_path)
+        loaded = cache.get(cell_hash, 0)  # must never raise
+        if loaded is None:
+            assert cache.corrupt_entries == 1
+            outcomes["miss"] += 1
+        else:
+            # A flip inside a string or float payload still loads.
+            assert isinstance(loaded, ExperimentAnalysis)
+            outcomes["hit"] += 1
+    assert outcomes["miss"] > 0
 
 
 # ------------------------------------------------------------------ sweep plan
