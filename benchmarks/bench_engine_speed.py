@@ -25,14 +25,22 @@ least ``SPEEDUP_FLOOR``x the events/sec of the heapq reference on the
 ``SHARDED_SPEEDUP_FLOOR``x the single-process 8-channel cell on machines with
 ``SHARDED_MIN_CORES`` or more cores (``SHARDED_2CORE_SPEEDUP_FLOOR``x with
 two or three).
+
+A last, unrecorded guard is the wall-clock twin of
+``test_observability_overhead.py``: the engine of a deployment with
+observability disabled must sustain ``DISABLED_OBSERVABILITY_FLOOR``x the bare
+engine's events/sec on the 30k smoke cascade.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 from pathlib import Path
 
-from repro.bench.enginespeed import cascade_cell
+from test_observability_overhead import SMOKE_TRANSACTIONS, build_disabled_network
+
+from repro.bench.enginespeed import cascade_cell, run_cascade
 from repro.chaincode import create_chaincode
 from repro.channels.network import MultiChannelNetwork
 from repro.channels.sharded import ShardedChannelNetwork, record_fingerprint
@@ -40,6 +48,8 @@ from repro.fabric.variant import create_variant
 from repro.ledger.block import reset_transaction_ids
 from repro.network.config import NetworkConfig
 from repro.network.network import FabricNetwork
+from repro.sim.collector import quiet_collector
+from repro.sim.engine import Simulator
 from repro.sim.profile import EngineProfiler
 from repro.sim.shard import ExecutionConfig, available_cores
 from repro.workload.workloads import uniform_workload
@@ -76,6 +86,11 @@ SHARDED_MIN_CORES = 4
 #: The same pair on a 2- or 3-core machine (two workers at best): the floor
 #: the tier-1 sharded smoke used to assert as a wall-clock ratio.
 SHARDED_2CORE_SPEEDUP_FLOOR = 1.5
+#: The engine of a deployment with observability disabled must stay within 2%
+#: of the bare engine's events/sec (median of paired rounds): the disabled
+#: path must not grow a per-event branch or hook in the dispatch loop.
+DISABLED_OBSERVABILITY_FLOOR = 0.98
+DISABLED_OBSERVABILITY_ROUNDS = 5
 
 
 # Module-level factories so the sharded configuration stays picklable.
@@ -341,3 +356,35 @@ def test_engine_speed_grid_and_record():
             f"{shared_row['events_per_sec']:,.0f} ev/s) on {cores} cores; "
             f"floor is {floor}x"
         )
+
+
+def timed_cascade(sim: Simulator) -> float:
+    """Events/sec of one smoke cascade under the collector policy of a real run.
+
+    The disabled-path simulator belongs to a full deployment whose live heap
+    (genesis population, peers, ledger) would otherwise make full collector
+    passes during the timed window slower than the bare-simulator baseline's
+    — heap size, not dispatch cost, which is the thing under test here.  The
+    bare cascade enters no run scope of its own, so the scope is entered here.
+    """
+    with quiet_collector():
+        return run_cascade(sim, SMOKE_TRANSACTIONS)["events_per_sec"]
+
+
+def test_disabled_observability_keeps_the_engine_at_baseline_speed():
+    # Pair a baseline and a disabled-path run back to back each round, then
+    # judge the median of the per-round ratios: drift on a shared runner
+    # (thermal, noisy neighbors) hits both sides of a pair equally, and the
+    # median discards the outlier rounds that a best-of or mean would keep.
+    ratios = []
+    for _ in range(DISABLED_OBSERVABILITY_ROUNDS):
+        baseline = timed_cascade(Simulator())
+        ratios.append(timed_cascade(build_disabled_network().sim) / baseline)
+
+    ratio = statistics.median(ratios)
+    assert ratio >= DISABLED_OBSERVABILITY_FLOOR, (
+        f"engine with observability disabled sustained a median {ratio:.3f}x of the "
+        f"baseline events/sec over {DISABLED_OBSERVABILITY_ROUNDS} paired rounds "
+        f"({[f'{r:.3f}' for r in ratios]}); floor is {DISABLED_OBSERVABILITY_FLOOR}x — "
+        f"the disabled path must not touch the dispatch loop"
+    )

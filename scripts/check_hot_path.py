@@ -3,7 +3,8 @@
 
 The per-transaction pipeline (endorse -> order -> validate) allocates a
 handful of objects five-plus times per transaction, so three rules keep it
-lean (see "Hot path" in docs/ARCHITECTURE.md):
+lean and a fourth keeps its one shortcut sound (see "Hot path" in
+docs/ARCHITECTURE.md):
 
 1. **Slots.**  Every ``@dataclass`` defined in a declared hot-path module
    must either pass ``slots=True`` or define ``__slots__`` in its body —
@@ -21,6 +22,16 @@ lean (see "Hot path" in docs/ARCHITECTURE.md):
    collector on or off, retune or freeze it (``gc.disable`` / ``enable`` /
    ``set_threshold`` / ``freeze``) except ``repro/sim/collector.py``, whose
    ``quiet_collector`` scope is the policy every run path enters.
+
+4. **Pure chaincode functions.**  Endorsers that read the same state share
+   one simulation result, so a chaincode function must be a pure function of
+   ``(state, args)``: inside any ``@chaincode_function`` under
+   ``src/repro/chaincode/`` — and in the bodies the generator produces
+   (``GeneratedChaincode._make_function``'s closure and the source
+   ``ChaincodeGenerator._emit_function`` emits) — no assignment to anything
+   reached through ``self``, and no reference to ``random``, ``rng``,
+   ``time`` or ``os``.  The stub is the only thing a function may read or
+   write.
 
 Run from the repository root (CI runs it in the lint job)::
 
@@ -76,15 +87,15 @@ STREAM_ALLOWED_FUNCTIONS = {
 STREAM_ALLOWED_PREFIXES = ("_build", "_make", "make_")
 
 
-def _dataclass_decorator(node: ast.ClassDef) -> ast.expr | None:
+def _decorator_named(node, name: str) -> ast.expr | None:
     for decorator in node.decorator_list:
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = None
+        found = None
         if isinstance(target, ast.Name):
-            name = target.id
+            found = target.id
         elif isinstance(target, ast.Attribute):
-            name = target.attr
-        if name == "dataclass":
+            found = target.attr
+        if found == name:
             return decorator
     return None
 
@@ -117,7 +128,7 @@ def check_slots(path: Path) -> list[str]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef) or node.name in SLOTS_EXEMPT:
             continue
-        decorator = _dataclass_decorator(node)
+        decorator = _decorator_named(node, "dataclass")
         if decorator is None:
             continue
         if _has_slots_true(decorator) or _defines_dunder_slots(node):
@@ -198,6 +209,91 @@ def check_collector_calls(path: Path) -> list[str]:
     return errors
 
 
+#: Where chaincode functions live, and the names one may not mention: state
+#: must come from the stub alone, never from a generator, a clock or the host.
+CHAINCODE_PACKAGE = "src/repro/chaincode"
+CHAINCODE_IMPURE_NAMES = {"random", "rng", "time", "os"}
+#: Methods whose nested functions become chaincode functions at run time.
+CHAINCODE_FACTORIES = {"_make_function"}
+
+
+def _rooted_at_self(target: ast.expr) -> bool:
+    while isinstance(target, (ast.Attribute, ast.Subscript)):
+        target = target.value
+    return isinstance(target, ast.Name) and target.id == "self"
+
+
+def _impurities(function: ast.AST) -> list[tuple[int, str]]:
+    found = []
+    for node in ast.walk(function):
+        targets: list[ast.expr] = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        for target in targets:
+            elements = target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]
+            if any(_rooted_at_self(element) for element in elements):
+                found.append((node.lineno, "assigns to the chaincode object"))
+        if isinstance(node, ast.Name) and node.id in CHAINCODE_IMPURE_NAMES:
+            found.append((node.lineno, f"refers to {node.id!r}"))
+        elif isinstance(node, ast.arg) and node.arg in CHAINCODE_IMPURE_NAMES:
+            found.append((node.lineno, f"takes a parameter {node.arg!r}"))
+    return found
+
+
+def check_chaincode_purity(source: str, label: str) -> list[str]:
+    """Rule 4 over one module's source (``label`` names it in the messages)."""
+    errors = []
+    for node in ast.walk(ast.parse(source)):
+        functions: list[ast.AST] = []
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        if _decorator_named(node, "chaincode_function") is not None:
+            functions = [node]
+        elif node.name in CHAINCODE_FACTORIES:
+            functions = [
+                inner
+                for inner in ast.walk(node)
+                if isinstance(inner, ast.FunctionDef) and inner is not node
+            ]
+        for function in functions:
+            errors.extend(
+                f"{label}:{lineno}: chaincode function {function.name!r} {what} — "
+                "endorsers that read the same state share one simulation result, so "
+                "the stub is the only thing a function may read or write (see 'One "
+                "simulation per replica state' in docs/ARCHITECTURE.md)"
+                for lineno, what in _impurities(function)
+            )
+    return errors
+
+
+def emitted_chaincode_source() -> str:
+    """A module from ``ChaincodeGenerator.source_code`` using every operation."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        from repro.chaincode.generator import ChaincodeGenerator, FunctionSpec
+    finally:
+        sys.path.pop(0)
+    generator = ChaincodeGenerator(name="lint", database="couchdb", num_keys=16)
+    generator.add_function(
+        FunctionSpec(
+            name="everything",
+            reads=1,
+            updates=1,
+            inserts=1,
+            deletes=1,
+            range_reads=1,
+            range_size=2,
+            rich_queries=1,
+        )
+    )
+    generator.add_function(FunctionSpec(name="query", reads=1))  # read-only decorator form
+    return generator.source_code()
+
+
 def main() -> int:
     errors: list[str] = []
     for relative in SLOTS_MODULES:
@@ -210,6 +306,17 @@ def main() -> int:
     for path in sorted((REPO_ROOT / "src").rglob("*.py")):
         if path != REPO_ROOT / COLLECTOR_POLICY_MODULE:
             errors.extend(check_collector_calls(path))
+    for path in sorted((REPO_ROOT / CHAINCODE_PACKAGE).rglob("*.py")):
+        errors.extend(
+            check_chaincode_purity(
+                path.read_text(encoding="utf-8"), str(path.relative_to(REPO_ROOT))
+            )
+        )
+    errors.extend(
+        check_chaincode_purity(
+            emitted_chaincode_source(), "ChaincodeGenerator.source_code() output"
+        )
+    )
     if errors:
         print("\n".join(errors))
         print(f"\ncheck_hot_path: {len(errors)} violation(s)")

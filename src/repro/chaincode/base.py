@@ -26,6 +26,10 @@ def chaincode_function(read_only: bool = False) -> Callable:
     ``read_only`` marks functions that perform no writes; the client-design
     recommendation of Section 6.1 (do not submit read-only transactions for
     ordering) is implemented on top of this flag.
+
+    A chaincode function must be a pure function of the stub's state and its
+    arguments: its result is shared between endorsers that read the same state
+    (``scripts/check_hot_path.py`` rule 4 rejects the visible ways not to be).
     """
 
     def decorate(method: Callable) -> Callable:
@@ -87,7 +91,10 @@ class Chaincode:
 
         The lean path behind :meth:`invoke`: endorsing peers call this
         directly because they only need the stub's side effects (read/write
-        set, execution cost) and would discard a response wrapper.
+        set, execution cost) and would discard a response wrapper.  Those side
+        effects are shared between endorsers that read the same state, so the
+        call must depend on nothing but ``stub``'s state, ``function`` and
+        ``args`` (see :meth:`repro.network.peer.Peer.receive_proposal`).
         """
         method = self._functions.get(function)
         if method is None:

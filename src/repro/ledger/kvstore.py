@@ -178,6 +178,13 @@ class EpochCommitState:
         return self._commit_epoch
 
     @property
+    def state_token(self) -> Optional[int]:
+        """``None``: a flat store is not a replica of anything, so no other
+        state view can be known to hold the same state (overlays override
+        this — see :attr:`~repro.ledger.store.OverlayStateStore.state_token`)."""
+        return None
+
+    @property
     def frozen(self) -> bool:
         """True once the store was made immutable with :meth:`freeze`."""
         return self._frozen

@@ -236,6 +236,9 @@ class OverlayStateStore(EpochCommitState):
         self._delta_keys: List[str] = []
         self._len = len(base)
         self._init_epoch_state()
+        #: False from the first write that makes ``commit_epoch`` stop naming
+        #: this replica's state (see :attr:`state_token`).
+        self._in_sequence = True
 
     @property
     def base(self) -> VersionedKVStore:
@@ -246,6 +249,28 @@ class OverlayStateStore(EpochCommitState):
     def delta_size(self) -> int:
         """Number of keys this overlay has diverged on (incl. tombstones)."""
         return len(self._delta)
+
+    @property
+    def state_token(self) -> Optional[int]:
+        """A value two overlays of one base share only if they hold the same state.
+
+        That is ``commit_epoch`` for as long as the overlay's whole history is
+        "block 1, block 2, ... block ``commit_epoch``": every batch it applied
+        carried the block number of the epoch it produced, and nothing was
+        written around :meth:`apply_batch`.  Two such overlays over one frozen
+        base applied the same batches in the same order, so they are the same
+        database and a chaincode function reads the same answer from either —
+        endorsing peers simulate a proposal once per token instead of once per
+        endorser.  The bare epoch is *not* enough: block deliveries are
+        jittered per peer, so a replica can apply block N+1 before block N,
+        and two replicas at one epoch can then hold different writes.  From
+        the first out-of-sequence batch or direct ``put``/``delete``/
+        ``populate`` onward — and over a base that was never frozen — the
+        token is ``None``: "shares with nobody".
+        """
+        if self._in_sequence and self._base.frozen:
+            return self._commit_epoch
+        return None
 
     # ------------------------------------------------------------------ basic
     def __len__(self) -> int:
@@ -285,6 +310,7 @@ class OverlayStateStore(EpochCommitState):
         self._delete_entry(key)
 
     def _put_entry(self, key: str, entry: StateEntry) -> None:
+        self._in_sequence = False
         previous = self._delta.get(key, _MISS)
         if previous is _MISS:
             bisect.insort(self._delta_keys, key)
@@ -295,6 +321,7 @@ class OverlayStateStore(EpochCommitState):
         self._delta[key] = entry
 
     def _delete_entry(self, key: str) -> None:
+        self._in_sequence = False
         previous = self._delta.get(key, _MISS)
         if previous is _MISS:
             if self._base.get(key) is not None:
@@ -353,6 +380,8 @@ class OverlayStateStore(EpochCommitState):
         if added or dropped:
             self._delta_keys = reconcile_sorted_keys(self._delta_keys, added, dropped)
         self._record_commit(pre_images)
+        if batch.block_number != self._commit_epoch:
+            self._in_sequence = False
         return pre_images
 
     def last_writer_block(self, key: str) -> Optional[int]:
@@ -567,6 +596,25 @@ class LaggedStateView:
         epoch = max(0, self.store.commit_epoch - 1)  # type: ignore[attr-defined]
         self._snapshot = self.store.snapshot(epoch)  # type: ignore[attr-defined]
         self._visible_after = visible_after
+
+    @property
+    def state_token(self) -> Optional[int]:
+        """The token of the state this view serves *now* (see
+        :attr:`OverlayStateStore.state_token`).
+
+        While stale that is the pinned snapshot's epoch — the state an
+        in-sequence replica held one block ago is the state another holds
+        until it applies that block — and the store's own token otherwise.
+        ``None`` whenever the store's is, and while a stale view sits on a
+        store with native rich queries: :meth:`rich_query` falls through to
+        the live store, so one execution could read two epochs.
+        """
+        token = self.store.state_token  # type: ignore[attr-defined]
+        if token is None or not self._stale:
+            return token
+        if self.store.supports_rich_queries:
+            return None
+        return self._snapshot.epoch
 
     @property
     def _stale(self) -> bool:

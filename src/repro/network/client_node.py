@@ -33,7 +33,7 @@ from repro.network.config import NetworkConfig
 from repro.network.endorsement import PolicyNode
 from repro.network.latency import LatencyModel
 from repro.network.organization import Organization
-from repro.network.peer import Peer
+from repro.network.peer import Peer, SimulationResults
 from repro.sim.engine import Simulator
 from repro.workload.client import ArrivalProcess
 from repro.workload.generator import WorkloadGenerator
@@ -153,6 +153,10 @@ class ClientNode:
         endorsing_orgs = sorted(self.policy.select_orgs(rng))
         self._expected_responses[tx.tx_id] = len(endorsing_orgs)
         on_response = functools.partial(self._on_endorsement, tx)
+        # One result table per transaction, shared by all its endorsers: a
+        # peer whose replica holds a state another already simulated against
+        # reuses that result (see Peer.receive_proposal).
+        simulated: SimulationResults = {}
         organizations = self.organizations
         one_way = self.latency.one_way
         post = self.sim.post
@@ -169,7 +173,7 @@ class ClientNode:
                     continue
                 if faults.endorsement_lost():
                     continue  # vanishes in transit; the watchdog will fire
-            post(delay, peer.receive_proposal, tx, chaincode, on_response)
+            post(delay, peer.receive_proposal, tx, chaincode, on_response, simulated)
         if self.faults is not None and self.faults.arms_endorsement_watchdog:
             # Armed only for faults that can lose or stall an endorsement;
             # an outage- or crash-only profile must never reclassify a merely

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import random
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.chaincode.api import ChaincodeStub
 from repro.chaincode.base import Chaincode
@@ -27,15 +27,25 @@ from repro.errors import SimulationError
 from repro.faults.controller import FaultController
 from repro.ledger.block import Block, EndorsementResponse, Transaction, ValidationCode
 from repro.ledger.kvstore import Version
+from repro.ledger.rwset import ReadWriteSet
 from repro.ledger.store import LaggedStateView, MutableStateStore, StateStore, WriteBatch
 from repro.network.config import NetworkConfig
 from repro.sim.engine import Simulator
 from repro.sim.resources import ServiceStation
 
-__all__ = ["Peer", "LaggedStateView", "EndorsementCallback", "CommitCallback"]
+__all__ = [
+    "Peer",
+    "LaggedStateView",
+    "EndorsementCallback",
+    "CommitCallback",
+    "SimulationResults",
+]
 
 #: Callback invoked with ``(peer, response)`` once an endorsement completes.
 EndorsementCallback = Callable[["Peer", EndorsementResponse], None]
+#: One transaction's simulation results, keyed by the ``state_token`` of the
+#: state they were simulated against: ``(read/write set, execution cost)``.
+SimulationResults = Dict[int, Tuple[ReadWriteSet, float]]
 #: Callback invoked with ``(peer, block)`` once a peer has committed a block.
 CommitCallback = Callable[["Peer", Block], None]
 
@@ -89,22 +99,43 @@ class Peer:
         return self.store
 
     def receive_proposal(
-        self, tx: Transaction, chaincode: Chaincode, on_response: EndorsementCallback
+        self,
+        tx: Transaction,
+        chaincode: Chaincode,
+        on_response: EndorsementCallback,
+        simulated: Optional[SimulationResults] = None,
     ) -> None:
-        """Execution phase, steps 1-2: simulate the transaction and respond."""
+        """Execution phase, steps 1-2: simulate the transaction and respond.
+
+        ``simulated`` is the transaction's result table, shared by every
+        endorser the client sent this proposal to: a chaincode function is a
+        pure function of ``(state, args)``, so an endorser whose replica holds
+        a state another endorser already simulated against (equal
+        ``state_token``) takes that read/write set and execution cost instead
+        of running the chaincode again.  Everything that is this peer's own —
+        arrival time, fault factor, station queueing — is computed here as
+        ever.  A ``None`` token, and a caller without a table, always execute.
+        """
         if not self.is_endorser:
             raise SimulationError(f"peer {self.name} received a proposal but is not an endorser")
         state = self._endorse_state
         if state is None:
             state = self._endorse_state = self.endorsement_state()
-        stub = ChaincodeStub(state)
-        chaincode.execute(stub, tx.function, tx.args)
-        if tx._db_call_latency is None:
-            # Transfer ownership of the stub's latency dict: the stub is
-            # discarded right after, so no defensive copy is needed.
-            tx._db_call_latency = stub.db_call_latency
+        token = state.state_token if simulated is not None else None
+        result = simulated.get(token) if token is not None else None
+        if result is None:
+            stub = ChaincodeStub(state)
+            chaincode.execute(stub, tx.function, tx.args)
+            if tx._db_call_latency is None:
+                # Transfer ownership of the stub's latency dict: the stub is
+                # discarded right after, so no defensive copy is needed.
+                tx._db_call_latency = stub.db_call_latency
+            result = (stub.rwset, stub.execution_cost)
+            if token is not None:
+                simulated[token] = result
+        rwset, execution_cost = result
         service_time = (
-            stub.execution_cost + self.timing.endorsement_overhead
+            execution_cost + self.timing.endorsement_overhead
         ) * self.config.resource_factor
         if self.faults is not None:
             # A slowdown episode (repro.faults) stretches this endorsement;
@@ -113,7 +144,7 @@ class Peer:
         response = EndorsementResponse(
             peer_name=self.name,
             org_name=self.org_name,
-            rwset=stub.rwset,
+            rwset=rwset,
             completed_at=0.0,
             received_at=self.sim.now,
         )
