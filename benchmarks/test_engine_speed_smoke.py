@@ -4,13 +4,13 @@ A fast version of ``bench_engine_speed.py`` that runs inside the default test
 selection and the CI bench-smoke job.  It drives the same endorse/collect/
 submit cascade at 30k transactions through both the bucketed
 :class:`~repro.sim.engine.Simulator` and the preserved pre-overhaul
-:class:`~repro.sim.reference.ReferenceSimulator` and asserts the speed floor
-in-test: if a change ever drags the hot path back toward the O(log n)
-per-event heap churn this trips long before anyone reads a benchmark chart.
+:class:`~repro.sim.reference.ReferenceSimulator` and asserts that the two
+dispatch the identical schedule.
 
-The floor here (2.5x) sits below the slow bench's 3.0x acceptance bar to
-leave headroom for noisy shared CI runners; the measured ratio on an idle
-machine is ~3.6x.
+How much *faster* the calendar engine dispatches it is a wall-clock question,
+and wall-clock floors do not belong in tier-1: the 2.5x floor on this cascade
+is asserted by the slow bench
+(``bench_engine_speed.py::test_calendar_engine_beats_heapq_reference_on_cascade``).
 """
 
 from __future__ import annotations
@@ -18,21 +18,13 @@ from __future__ import annotations
 from repro.bench.enginespeed import cascade_cell
 
 SMOKE_TRANSACTIONS = 30_000
-SMOKE_SPEEDUP_FLOOR = 2.5
 
 
-def test_calendar_engine_beats_heapq_reference_on_cascade():
+def test_calendar_engine_dispatches_the_reference_schedule():
     reference = cascade_cell("heapq-reference", SMOKE_TRANSACTIONS)
     calendar = cascade_cell("calendar", SMOKE_TRANSACTIONS)
 
-    # Both engines dispatch the identical schedule before speed is compared.
     assert calendar["events"] == reference["events"]
     assert calendar["submitted"] == reference["submitted"] == SMOKE_TRANSACTIONS
     assert calendar["timeouts_fired"] == reference["timeouts_fired"] == 0
 
-    speedup = calendar["events_per_sec"] / reference["events_per_sec"]
-    assert speedup >= SMOKE_SPEEDUP_FLOOR, (
-        f"calendar engine sustained only {speedup:.2f}x the reference events/sec "
-        f"({calendar['events_per_sec']:,.0f} vs {reference['events_per_sec']:,.0f}); "
-        f"smoke floor is {SMOKE_SPEEDUP_FLOOR}x"
-    )

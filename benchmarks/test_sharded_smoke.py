@@ -25,7 +25,7 @@ import gc
 
 from repro.chaincode import create_chaincode
 from repro.channels.network import MultiChannelNetwork
-from repro.channels.sharded import ShardedChannelNetwork, record_fingerprint
+from repro.core.fingerprint import record_fingerprint
 from repro.fabric.variant import create_variant
 from repro.ledger.block import reset_transaction_ids
 from repro.network.config import NetworkConfig
@@ -73,7 +73,7 @@ def run_smoke_cell(sharded: bool):
     arrival_rate = SMOKE_ARRIVAL_RATE_PER_CHANNEL * SMOKE_CHANNELS
     reset_transaction_ids()
     if sharded:
-        network = ShardedChannelNetwork(
+        network = MultiChannelNetwork(
             smoke_config(ExecutionConfig(shard_workers=SMOKE_WORKERS)),
             chaincode_factory=make_chaincode,
             variant_factory=make_variant,

@@ -81,8 +81,6 @@ STREAM_ALLOWED_FUNCTIONS = {
     # Per-run setup entrypoints: resolve streams once, before any event fires.
     "run",
     "start_clients",
-    "_start_shard_clients",
-    "_run_conservative",
 }
 STREAM_ALLOWED_PREFIXES = ("_build", "_make", "make_")
 

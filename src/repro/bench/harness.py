@@ -29,20 +29,15 @@ from typing import Callable, List, Optional
 
 from repro.sim.collector import quiet_collector
 from repro.sim.rng import derive_seed
-from repro.sim.shard import ExecutionConfig
 
 from repro.chaincode import CHAINCODE_REGISTRY, create_chaincode
 from repro.chaincode.base import Chaincode
-from repro.checker.config import CheckerConfig
 from repro.core.analyzer import ExperimentAnalysis, LedgerAnalyzer
 from repro.core.metrics import ExperimentMetrics
 from repro.errors import ConfigurationError
-from repro.faults.spec import FaultConfig
 from repro.ledger.block import reset_transaction_ids
 from repro.lifecycle.pipeline import build_network
-from repro.lifecycle.retry import RetryConfig
 from repro.network.config import NetworkConfig
-from repro.observability.config import ObservabilityConfig
 from repro.workload.distributions import make_distribution
 from repro.workload.spec import WorkloadSpec
 from repro.workload.workloads import uniform_workload
@@ -116,43 +111,25 @@ class ExperimentConfig:
 def _canonical(value):
     """Reduce ``value`` to JSON-serializable data with a stable ordering.
 
-    A disabled :class:`~repro.lifecycle.retry.RetryConfig` or
-    :class:`~repro.faults.spec.FaultConfig` is omitted from the payload: with
-    the subsystem off no controller, stream or event is ever created, so every
-    disabled config — the default, an unused knob tweak — describes the same
-    experiment and must keep the cell hash (and therefore the per-repetition
-    seeds and every cached result) it had before the subsystem existed.
-
-    An :class:`~repro.observability.config.ObservabilityConfig` is omitted
-    *unconditionally* — enabled or not — and so is a
-    :class:`~repro.checker.config.CheckerConfig`.  Observation never
-    influences the simulation, so tracing or certifying a cell must keep its
-    identity, its per-repetition seeds and its results bit-identical to the
-    unobserved cell.  (Consequence: cached sweep results carry no trace data
-    or verdicts, so the sweep CLI bypasses the result cache when an export or
-    an isolation check is requested.)
-
-    An :class:`~repro.sim.shard.ExecutionConfig` is omitted unless it selects
-    *conservative* epoch execution: sharding independent channels across
-    worker processes is bit-identical to the shared-clock run (the contract
-    the golden bit-identity suite pins), so the execution strategy is not
-    part of a cell's identity — but the conservative engine has distinct
-    epoch semantics and therefore its own hash.
+    A config that declares its own identity — an ``identity()`` method, as
+    the retry, fault, observability, checker and execution configs have —
+    contributes that payload in place of its fields, and is omitted from the
+    enclosing payload altogether when it answers ``None``: a subsystem that
+    is off, or one that never influences the simulation, must not move the
+    cell hash (and with it the per-repetition seeds and every cached result).
+    Why each config answers what it does is documented on its ``identity``.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            field.name: _canonical(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-            if not isinstance(getattr(value, field.name), (ObservabilityConfig, CheckerConfig))
-            and not (
-                isinstance(getattr(value, field.name), ExecutionConfig)
-                and not getattr(value, field.name).conservative
-            )
-            and not (
-                isinstance(getattr(value, field.name), (RetryConfig, FaultConfig))
-                and not getattr(value, field.name).enabled
-            )
-        }
+        payload = {}
+        for field in dataclasses.fields(value):
+            item = getattr(value, field.name)
+            identity = getattr(item, "identity", None)
+            if identity is not None:
+                item = identity()
+                if item is None:
+                    continue
+            payload[field.name] = _canonical(item)
+        return payload
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, dict):
@@ -351,8 +328,9 @@ def run_repetition(
     (:func:`repro.lifecycle.pipeline.build_network`): configurations with
     ``network.channels > 1`` come back as a
     :class:`~repro.channels.network.MultiChannelNetwork` (one Fabric slice per
-    channel on a shared clock), single-channel configurations as exactly the
-    classic :class:`FabricNetwork`.
+    channel, executed by the plan ``network.execution`` selects),
+    single-channel configurations as exactly the classic
+    :class:`FabricNetwork`.
 
     Build, run and ledger analysis share one collector scope
     (:func:`repro.sim.collector.quiet_collector`): the analysis walks the same

@@ -9,8 +9,10 @@ itself abort (the ``CROSS_CHANNEL_ABORT`` failure class).
 
 Entry points: :class:`MultiChannelNetwork` (or simply
 ``ExperimentConfig(network=NetworkConfig(channels=4, ...))`` through the
-benchmark harness), :class:`ShardedChannelNetwork` for multi-process parallel
-execution of independent channels (``ExecutionConfig(shard_workers=0)``),
+benchmark harness) — the one deployment class, whose execution plan
+(``NetworkConfig.execution``) decides whether the channels share one clock,
+run as independent shards in worker processes
+(``ExecutionConfig(shard_workers=0)``) or advance in conservative epochs —
 :class:`ChannelTopology` for the placement policies and
 :class:`CrossChannelCoordinator` for the 2PC model.
 """
@@ -18,16 +20,12 @@ execution of independent channels (``ExecutionConfig(shard_workers=0)``),
 from repro.channels.channel import Channel, ChannelGateway
 from repro.channels.coordinator import CrossChannelCoordinator
 from repro.channels.network import MultiChannelNetwork
-from repro.channels.sharded import (
-    EpochCoordinator,
-    ShardedChannelNetwork,
-    record_fingerprint,
-)
 from repro.channels.topology import (
     ChannelRouter,
     ChannelTopology,
     ShardedKeyDistribution,
 )
+from repro.core.fingerprint import EXECUTION_METADATA_FIELDS, record_fingerprint
 
 __all__ = [
     "Channel",
@@ -35,9 +33,8 @@ __all__ = [
     "ChannelRouter",
     "ChannelTopology",
     "CrossChannelCoordinator",
-    "EpochCoordinator",
+    "EXECUTION_METADATA_FIELDS",
     "MultiChannelNetwork",
-    "ShardedChannelNetwork",
     "ShardedKeyDistribution",
     "record_fingerprint",
 ]

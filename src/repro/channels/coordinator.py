@@ -23,28 +23,53 @@ Partner-channel *reads* are deliberately control-flow only: Fabric's own
 cross-channel chaincode invocation commits writes on the home channel alone
 and treats other-channel reads as unvalidated hints, and the simulation keeps
 that semantic.
+
+The protocol is written once; what varies is how a hop between two channels is
+*sent*.  On a shared clock both channels sit on one simulator, so a hop is a
+``sim.post(delay, ...)``.  Under conservative epoch execution every channel
+has its own clock, so the coordinator is given an *outbox* instead: each hop
+is appended to it with ``deliver_at = sender's now + delay`` and the epoch
+loop (:class:`~repro.channels.network.MultiChannelNetwork`) drains it at
+every barrier, injecting the delivery into the target channel's own clock at
+``max(natural arrival, barrier time)``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.channels.channel import Channel
 from repro.errors import SimulationError
 from repro.ledger.block import Transaction, ValidationCode
-from repro.sim.engine import Simulator
+
+
+class EpochMessage(NamedTuple):
+    """One hop between two channel clocks, delivered at the next epoch barrier."""
+
+    deliver_at: float
+    target: int
+    callback: Callable[..., None]
+    args: tuple
 
 
 class CrossChannelCoordinator:
     """Coordinates the two-phase prepare/commit across channels."""
 
-    def __init__(self, sim: Simulator, channels: List[Channel], rng: random.Random) -> None:
+    def __init__(
+        self,
+        channels: List[Channel],
+        rng: random.Random,
+        outbox: Optional[List[EpochMessage]] = None,
+    ) -> None:
         if len(channels) < 2:
             raise SimulationError("a cross-channel coordinator needs at least two channels")
-        self.sim = sim
         self.channels = channels
         self.rng = rng
+        #: ``None`` on a shared clock (hops are posted on the one simulator);
+        #: otherwise the list every hop is appended to, which the epoch loop
+        #: empties at each barrier.
+        self.outbox = outbox
         #: ``(home channel index, key) -> tx_id`` of the transaction holding
         #: the prepare lock.
         self._locks: Dict[Tuple[int, str], str] = {}
@@ -65,9 +90,8 @@ class CrossChannelCoordinator:
         for key in keys:
             self._locks[(home.index, key)] = tx.tx_id
         self.prepares_started += 1
-        tx.prepare_started_at = self.sim.now
-        delay = home.network.latency.one_way(None, None)
-        self.sim.post(delay, self._prepare_on_partner, tx, home, partner)
+        tx.prepare_started_at = home.network.sim.now
+        self._send(home, partner, self._prepare_on_partner, tx, home, partner)
 
     def _prepare_on_partner(self, tx: Transaction, home: Channel, partner: Channel) -> None:
         """The prepare occupies the partner channel's ordering service."""
@@ -77,15 +101,23 @@ class CrossChannelCoordinator:
 
     def _prepared(self, tx: Transaction, home: Channel, partner: Channel) -> None:
         """The partner acked; the ack travels back to the coordinator."""
-        delay = partner.network.latency.one_way(None, None)
-        self.sim.post(delay, self._commit_on_home, tx, home)
+        self._send(partner, home, self._commit_on_home, tx, home)
 
     def _commit_on_home(self, tx: Transaction, home: Channel) -> None:
         """Phase 2: release the locks and order the transaction at home."""
         self._release(tx, home)
         self.committed += 1
-        tx.prepare_completed_at = self.sim.now
+        tx.prepare_completed_at = home.network.sim.now
         home.orderer.submit(tx)
+
+    def _send(self, sender: Channel, target: Channel, callback, *args) -> None:
+        """One network hop from ``sender`` to ``target``; ``callback`` runs there."""
+        sim = sender.network.sim
+        delay = sender.network.latency.one_way(None, None)
+        if self.outbox is None:
+            sim.post(delay, callback, *args)
+        else:
+            self.outbox.append(EpochMessage(sim.now + delay, target.index, callback, args))
 
     # -------------------------------------------------------------- internals
     def _abort(self, tx: Transaction, home: Channel, keys: List[str]) -> None:

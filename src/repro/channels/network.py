@@ -1,4 +1,4 @@
-"""A multi-channel Fabric deployment on one shared simulation clock.
+"""The multi-channel Fabric deployment: channel groups, a plan, one merge.
 
 :class:`MultiChannelNetwork` is the multi-channel counterpart of
 :class:`~repro.network.network.FabricNetwork`: it builds one complete Fabric
@@ -10,12 +10,39 @@ fraction of transactions through the
 aggregate :class:`~repro.network.network.RunRecord` carrying one
 :class:`~repro.network.network.ChannelRecord` per channel.
 
-All channels share a single :class:`~repro.sim.engine.Simulator`, so
-independent channels simulate concurrently (their events interleave in global
-virtual-time order) while the whole run stays deterministic and reproducible
-through the :mod:`repro.bench.runner` machinery.  Every channel draws from its
-own spawned :class:`~repro.sim.rng.RandomStreams` family, so adding a channel
-never perturbs the random draws of another.
+**Group, plan, merge.**  The channels are built in *channel groups*
+(:class:`~repro.channels.group.ChannelGroup`: a subset of the channels on one
+simulator clock and one bus).  The *plan* — which groups there are and who
+advances their clocks — is a pure function of ``config.execution`` and
+:func:`repro.sim.shard.plan_shards` (see :func:`plan_groups`):
+
+``shared-clock``
+    One in-process group holding every channel.  Independent channels simulate
+    concurrently (their events interleave in global virtual-time order) and
+    cross-channel hops are ordinary events on the one clock.  The default,
+    the reference semantics, and what every configuration that cannot
+    partition runs as: a coupled topology (any positive cross-channel rate
+    with ``uniform`` partners), a single-shard plan, or a *global*
+    resubmission rate cap (one token bucket cannot be split across
+    processes).
+``sharded``
+    One group per shard of the cross-channel traffic graph, each drained to
+    completion on its own clock — in a worker-process pool, or in this
+    process when one worker is allowed or the factories do not pickle.  With
+    no cross traffic a channel's event sequence is a pure function of its own
+    streams and transaction ids, so the merged record is *bit-identical* to
+    the shared clock (asserted by the golden bit-identity suite); only
+    ``RunRecord.execution`` / ``shard_count`` and wall-clock observability
+    detail differ.
+``sharded-conservative``
+    One in-process group per channel plus a barrier loop: the clocks advance
+    in lock-step epochs of width ``timing.cross_channel_prepare`` (the minimum
+    cross-channel hop service time — the classic conservative-PDES lookahead
+    bound) and two-phase prepare/commit hops cross groups only at epoch
+    boundaries.  A *distinct* simulation semantics — deterministic and
+    golden-pinned separately, never claimed identical to the shared clock.
+
+Every plan ends in :func:`repro.channels.merge.merge_group_results`.
 
 Modeling notes:
 
@@ -36,31 +63,66 @@ Modeling notes:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+import math
+import multiprocessing
+import pickle
+import time
+from contextlib import ExitStack
+from typing import Callable, List, Optional, Tuple
 
-from repro.channels.channel import Channel, ChannelGateway
+from repro.channels.channel import Channel
 from repro.channels.coordinator import CrossChannelCoordinator
-from repro.channels.topology import ChannelRouter, ChannelTopology, ShardedKeyDistribution
+from repro.channels.group import (
+    ChannelGroup,
+    GroupResult,
+    GroupSpec,
+    RunArgs,
+    simulate_group,
+    simulate_group_to_bytes,
+)
+from repro.channels.merge import merge_engine_reports, merge_group_results
+from repro.channels.topology import ChannelRouter, ChannelTopology
 from repro.chaincode.base import Chaincode
-from repro.checker.checker import merge_isolation_reports
 from repro.errors import ConfigurationError
-from repro.ledger.block import Transaction
-from repro.ledger.ledger import Ledger
 from repro.lifecycle.events import LifecycleBus
 from repro.lifecycle.retry import ResubmissionGovernor
 from repro.network.config import NetworkConfig
-from repro.network.network import FabricNetwork, RunRecord
-from repro.observability.observer import ObservabilityData, RunObserver
+from repro.network.network import RunRecord
 from repro.sim.collector import quiet_collector
-from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.stats import mean
+from repro.sim.shard import plan_shards, resolve_worker_count
 from repro.workload.distributions import KeyDistribution
 from repro.workload.spec import CrossChannelMix, TransactionMix
 
 
+def plan_groups(
+    config: NetworkConfig, partner_strategy: str = "uniform"
+) -> Tuple[str, Tuple[Tuple[int, ...], ...]]:
+    """The execution plan of ``config``: ``(execution mode, channels per group)``."""
+    if config.execution.conservative:
+        return "sharded-conservative", tuple((index,) for index in range(config.channels))
+    shards = plan_shards(config.channels, config.cross_channel_rate, partner_strategy)
+    # The resubmission rate cap is one token bucket across *all* channels;
+    # slicing it per process would change admission decisions.
+    rate_capped = config.retry.enabled and config.retry.rate_cap is not None
+    if config.execution.shard_workers != 1 and shards.is_partitioned and not rate_capped:
+        return "sharded", shards.shards
+    return "shared-clock", (tuple(range(config.channels)),)
+
+
 class MultiChannelNetwork:
-    """N Fabric channels sharded over the key space, on one simulator clock."""
+    """N Fabric channels sharded over the key space, run by one execution plan.
+
+    ``execution_mode`` names the plan from construction on.  On the
+    shared-clock plan ``sim``, ``bus`` and ``channels`` are the one group's —
+    an :class:`~repro.sim.profile.EngineProfiler` attached to ``sim`` before
+    :meth:`run` observes the whole run.  On the conservative plan ``sim`` is
+    ``None`` (there is one clock per channel), ``bus`` receives every group's
+    events and ``channels`` lists every channel; on the sharded plan the
+    groups live where they run, so ``channels`` is empty, ``bus`` stays silent
+    and ``coordinator`` is ``None`` (a topology that partitions has no cross
+    traffic) — what happened surfaces in the record.
+    """
 
     def __init__(
         self,
@@ -80,12 +142,7 @@ class MultiChannelNetwork:
             )
         self.config = config
         self.seed = seed
-        self.sim = Simulator()
         self.streams = RandomStreams(seed)
-        #: Deployment-wide lifecycle event stream: every channel's own bus is
-        #: piped into this one, so cross-channel consumers (and the aggregate
-        #: record) observe a single stream.
-        self.bus = LifecycleBus()
         self.topology = ChannelTopology(
             channels=config.channels, placement=config.placement, hot_share=hot_share
         )
@@ -93,44 +150,64 @@ class MultiChannelNetwork:
         self.cross_channel = CrossChannelMix(
             rate=config.cross_channel_rate, partner_strategy=partner_strategy
         )
-
-        shares = self.topology.arrival_shares()
-        self.channels: List[Channel] = []
-        for index in range(config.channels):
-            network = FabricNetwork(
-                config=config.copy(),
-                chaincode=chaincode_factory(),
-                variant=variant_factory(),
-                seed=seed,
-                sim=self.sim,
-                streams=self.streams.spawn(f"channel-{index}"),
-                channel_index=index,
-            )
-            network.bus.pipe_to(self.bus)
-            self.channels.append(
-                Channel(index=index, network=network, arrival_share=shares[index])
-            )
-        self.coordinator = CrossChannelCoordinator(
-            sim=self.sim, channels=self.channels, rng=self.streams.stream("coordinator")
-        )
-        #: One governor for the whole deployment: the resubmission rate cap is
-        #: global, not per channel slice.
+        #: One governor for the whole deployment, handed to every in-process
+        #: group: the resubmission rate cap is global, not per channel slice.
+        #: (Pool workers cannot share it, which is why a capped configuration
+        #: never plans a pool.)
         self.retry_governor = (
             ResubmissionGovernor(config.retry.rate_cap) if config.retry.enabled else None
         )
-        #: One observer for the whole deployment, on the piped deployment bus —
-        #: the per-channel slices share the clock, so they skip their own (see
-        #: :class:`~repro.network.network.FabricNetwork`).
-        self.observer: Optional[RunObserver] = None
-        if config.observability.enabled:
-            self.observer = RunObserver(self.sim, self.bus, config.observability)
-            for channel in self.channels:
-                self.observer.add_queue_probe(
-                    f"orderer.ch{channel.index}",
-                    lambda network=channel.network: network.orderer.pending_count,
-                )
-                if channel.network.faults is not None:
-                    self.observer.watch_faults(channel.network.faults)
+        self.execution_mode, parts = plan_groups(config, partner_strategy)
+        self._specs = [
+            GroupSpec(
+                config=config,
+                chaincode_factory=chaincode_factory,
+                variant_factory=variant_factory,
+                seed=seed,
+                topology=self.topology,
+                router=self.router,
+                cross_channel=self.cross_channel,
+                channels=part,
+            )
+            for part in parts
+        ]
+        #: The in-process groups, built here so that their simulators can be
+        #: instrumented before :meth:`run`.  Empty on the sharded plan, whose
+        #: groups are built where they run (a pool worker, or :meth:`run`).
+        self.groups: List[ChannelGroup] = (
+            []
+            if self.execution_mode == "sharded"
+            else [ChannelGroup(spec, self.retry_governor) for spec in self._specs]
+        )
+        self.channels: List[Channel] = [
+            channel for group in self.groups for channel in group.channels
+        ]
+        if len(self.groups) == 1:
+            self.sim = self.groups[0].sim
+            #: Deployment-wide lifecycle event stream.  One group: its bus.
+            self.bus = self.groups[0].bus
+        else:
+            self.sim = None
+            self.bus = LifecycleBus()
+            for group in self.groups:
+                group.bus.pipe_to(self.bus)
+        self.coordinator: Optional[CrossChannelCoordinator] = (
+            CrossChannelCoordinator(
+                channels=self.channels,
+                rng=self.streams.stream("coordinator"),
+                outbox=None if len(self.groups) == 1 else [],
+            )
+            if self.groups
+            else None
+        )
+        #: Filled by :meth:`run`: worker processes actually used, pickled
+        #: result bytes they sent back (0 when every group ran in-process) and
+        #: the merged engine profile of the plan's per-group profilers (also
+        #: embedded in the record's observability summary; ``None`` on the
+        #: shared-clock plan, which attaches none).
+        self.shard_workers_used = 0
+        self.shard_transport_bytes = 0
+        self.engine_summary: Optional[dict] = None
 
     # -------------------------------------------------------------------- run
     @quiet_collector()
@@ -147,112 +224,94 @@ class MultiChannelNetwork:
             raise ConfigurationError(f"the arrival rate must be positive, got {arrival_rate}")
         if duration <= 0:
             raise ConfigurationError(f"the duration must be positive, got {duration}")
-        if self.observer is not None:
-            self.observer.on_run_start(duration)
-        for channel in self.channels:
-            shard = ShardedKeyDistribution(
-                topology=self.topology, channel=channel.index, base=key_distribution
-            )
-            gateway = ChannelGateway(
-                channel=channel,
-                router=self.router,
-                cross_channel=self.cross_channel,
-                rng=channel.network.streams.stream("cross-channel"),
-                coordinator=self.coordinator if self.cross_channel.enabled else None,
-            )
-            channel.start(
-                mix=mix,
-                total_arrival_rate=arrival_rate,
-                duration=duration,
-                key_distribution=key_distribution,
-                shard=shard,
-                gateway=gateway,
-                retry_governor=self.retry_governor,
-            )
-        if self.observer is not None:
-            with self.observer.profile():
-                self.sim.run_until_empty()
-        else:
-            self.sim.run_until_empty()
-        return self._aggregate_record(arrival_rate, duration, workload_name)
-
-    # -------------------------------------------------------------- recording
-    def _aggregate_record(
-        self, arrival_rate: float, duration: float, workload_name: str
-    ) -> RunRecord:
-        channel_records = [
-            channel.collect(duration=duration, workload_name=workload_name)
-            for channel in self.channels
-        ]
-        transactions: List[Transaction] = []
-        early_aborted: List[Transaction] = []
-        read_only_skipped: List[Transaction] = []
-        for record in channel_records:
-            transactions.extend(record.record.transactions)
-            early_aborted.extend(record.record.early_aborted)
-            read_only_skipped.extend(record.record.read_only_skipped)
-        transactions.sort(key=lambda tx: (tx.submitted_at, tx.tx_id))
-        observability: Optional[ObservabilityData] = None
-        if self.observer is not None:
-            block_times = {
-                record.index: {
-                    block.number: block.created_at for block in record.record.ledger.blocks
-                }
-                for record in channel_records
-            }
-            observability = self.observer.collect(block_times, final_time=self.sim.now)
-        reference = self.channels[0].network
-        return RunRecord(
-            # The reference channel's config went through variant.configure()
-            # (e.g. Streamchain forces block_size=1), so the aggregate reports
-            # the *effective* parameters, same as a single-channel run.
-            config=reference.config,
-            variant_name=reference.variant.name,
-            chaincode_name=reference.chaincode.name,
-            workload_name=workload_name,
-            arrival_rate=arrival_rate,
-            duration=duration,
+        args = RunArgs(mix, arrival_rate, duration, key_distribution, workload_name)
+        drain = {
+            "shared-clock": self._drain_shared_clock,
+            "sharded": self._drain_shards,
+            "sharded-conservative": self._drain_epochs,
+        }[self.execution_mode]
+        started = time.perf_counter()
+        results = drain(args)
+        wall_seconds = time.perf_counter() - started
+        reports = [result.engine for result in results if result.engine is not None]
+        if reports:
+            self.engine_summary = merge_engine_reports(reports, wall_seconds)
+        return merge_group_results(
+            results,
+            config=self.config,
             seed=self.seed,
-            ledger=Ledger(),  # per-channel chains live in channel_records
-            transactions=transactions,
-            early_aborted=early_aborted,
-            read_only_skipped=read_only_skipped,
-            simulated_end=self.sim.now,
-            blocks_cut=sum(record.record.blocks_cut for record in channel_records),
-            orderer_utilization=mean(
-                record.record.orderer_utilization for record in channel_records
-            ),
-            mean_validation_utilization=mean(
-                record.record.mean_validation_utilization for record in channel_records
-            ),
-            mean_endorsement_utilization=mean(
-                record.record.mean_endorsement_utilization for record in channel_records
-            ),
-            channel_records=channel_records,
-            lifecycle_counts=self.bus.counts_by_name(),
-            retry_policy=self.config.retry.policy,
-            resubmissions=sum(record.record.resubmissions for record in channel_records),
-            retries_exhausted=sum(
-                record.record.retries_exhausted for record in channel_records
-            ),
-            retry_budget_denied=sum(
-                record.record.retry_budget_denied for record in channel_records
-            ),
-            retry_rate_denied=sum(
-                record.record.retry_rate_denied for record in channel_records
-            ),
-            fault_injections=self._merge_fault_stats(channel_records),
-            observability=observability,
-            isolation=merge_isolation_reports(
-                record.record.isolation for record in channel_records
-            ),
+            args=args,
+            wall_seconds=wall_seconds,
+            execution=self.execution_mode,
         )
 
-    @staticmethod
-    def _merge_fault_stats(channel_records) -> dict:
-        """Sum every channel slice's fault-injection counters."""
-        merged: dict = {}
-        for record in channel_records:
-            for key, count in record.record.fault_injections.items():
-                merged[key] = merged.get(key, 0) + count
-        return dict(sorted(merged.items()))
+    # ------------------------------------------------------------------ plans
+    def _drain_shared_clock(self, args: RunArgs) -> List[GroupResult]:
+        (group,) = self.groups
+        self.shard_workers_used = 1
+        group.start_clients(args, self.coordinator)
+        if group.observer is not None:
+            with group.observer.profile():
+                group.sim.run_until_empty()
+        else:
+            group.sim.run_until_empty()
+        return [group.collect(args)]
+
+    def _drain_shards(self, args: RunArgs) -> List[GroupResult]:
+        tasks = [(spec, args) for spec in self._specs]
+        workers = resolve_worker_count(self.config.execution.shard_workers, len(tasks))
+        if workers > 1:
+            try:
+                pickle.dumps(tasks)
+            except Exception:
+                # Unpicklable factories (lambdas, closures) run in-process —
+                # same results, no process parallelism; mirrors the runner.
+                workers = 1
+        self.shard_workers_used = workers
+        if workers == 1:
+            return [simulate_group(spec, args, self.retry_governor) for spec in self._specs]
+        with multiprocessing.Pool(processes=workers) as pool:
+            blobs = pool.map(simulate_group_to_bytes, tasks)
+        self.shard_transport_bytes = sum(len(blob) for blob in blobs)
+        return [pickle.loads(blob) for blob in blobs]
+
+    def _drain_epochs(self, args: RunArgs) -> List[GroupResult]:
+        self.shard_workers_used = 1
+        width = self.config.timing.cross_channel_prepare
+        if width <= 0:
+            raise ConfigurationError(
+                "conservative execution needs a positive cross_channel_prepare "
+                f"lookahead, got {width}"
+            )
+        # The groups only interact through the coordinator's outbox, which
+        # the barrier loop below drains once per epoch.  One group per
+        # channel, so a message's target channel index is its group's index.
+        for group in self.groups:
+            group.start_clients(args, self.coordinator)
+        outbox = self.coordinator.outbox
+        with ExitStack() as profilers:
+            # Each group's profiler stays attached across every epoch slice;
+            # its wall-clock window spans the whole barrier loop (the groups
+            # interleave on one OS thread, so per-group wall time is not
+            # separable).
+            for group in self.groups:
+                profilers.enter_context(group.attach_profiler())
+            barrier = 0.0
+            while True:
+                for message in outbox:
+                    self.groups[message.target].sim.post_at(
+                        max(message.deliver_at, barrier), message.callback, *message.args
+                    )
+                del outbox[:]
+                next_time = min(group.sim.next_event_time for group in self.groups)
+                if next_time == math.inf:
+                    break
+                # Jump straight to the epoch containing the next event — the
+                # barrier stays on the k*width grid (message delivery times
+                # are a function of that grid, so determinism requires never
+                # leaving it) but runs of provably empty epochs are skipped
+                # outright.
+                barrier = max(barrier + width, math.ceil(next_time / width) * width)
+                for group in self.groups:
+                    group.sim.run(until=barrier)
+        return [group.collect(args) for group in self.groups]

@@ -5,7 +5,7 @@ subscription, no graph, no per-transaction work — the run is bit-identical to
 a build without the :mod:`repro.checker` package.  Because checking only
 *observes* the committed history and never influences the simulation, the
 configuration is also excluded from experiment cell hashes entirely (see
-:func:`repro.bench.harness._canonical`): certifying a cell does not change
+:meth:`CheckerConfig.identity`): certifying a cell does not change
 its identity, its per-repetition seeds, or its results.
 """
 
@@ -28,6 +28,14 @@ class CheckerConfig:
 
     enabled: bool = False
     witness_limit: int = 4
+
+    def identity(self) -> None:
+        """Nothing, enabled or not: checking only observes the committed history.
+
+        (Consequence: cached sweep results carry no verdicts, so the sweep
+        CLI bypasses the result cache when an isolation check is requested.)
+        """
+        return None
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` for unusable witness limits."""

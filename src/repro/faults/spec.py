@@ -20,9 +20,10 @@ inline DSL (``peer-crash:rate=0.05,downtime=2;orderer-outage:start=5,duration=3`
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -78,6 +79,15 @@ class FaultConfig:
             or self.partitions
             or self.endorsement_loss_rate > 0
         )
+
+    def identity(self) -> Optional[dict]:
+        """What this config adds to an experiment cell's identity.
+
+        ``None`` while disabled: no controller, stream or event is ever
+        created, so a fault-free configuration keeps the cell hash it had
+        before the fault subsystem existed.
+        """
+        return dataclasses.asdict(self) if self.enabled else None
 
     @property
     def arms_endorsement_watchdog(self) -> bool:

@@ -97,7 +97,7 @@ class TransactionIdAllocator:
     channel's ids are a function of that channel's *own* submission order —
     not of how the channels' events happen to interleave on a shared clock.
     That locality is what lets the sharded execution path
-    (:mod:`repro.channels.sharded`) run independent channels in separate
+    (:mod:`repro.channels.network`) run independent channels in separate
     processes and still merge a :class:`~repro.network.network.RunRecord`
     bit-identical to the shared-clock run.
     """

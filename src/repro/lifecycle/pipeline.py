@@ -10,11 +10,10 @@ the configuration enables it) the retry subsystem, and both expose the same
 ``run(mix, arrival_rate, duration, ...) -> RunRecord`` surface, so callers
 never need to know which shape they received.
 
-Multi-channel configurations whose :class:`~repro.sim.shard.ExecutionConfig`
-opts into sharding (``shard_workers != 1`` or ``conservative=True``) build a
-:class:`~repro.channels.sharded.ShardedChannelNetwork` instead — same ``run``
-surface, bit-identical results for partitionable topologies, worker processes
-underneath.
+How a multi-channel deployment *executes* — one shared clock, independent
+shards in worker processes, conservative epochs — is not a build decision: the
+one :class:`~repro.channels.network.MultiChannelNetwork` derives its plan from
+``config.execution`` itself (see :func:`repro.channels.network.plan_groups`).
 """
 
 from __future__ import annotations
@@ -38,14 +37,11 @@ def build_network(
     ``variant_factory`` accepts either a variant name (resolved through the
     registry, a fresh behaviour per channel slice) or a zero-argument factory.
     Returns a :class:`~repro.network.network.FabricNetwork` for single-channel
-    configurations, a :class:`~repro.channels.sharded.ShardedChannelNetwork`
-    for multi-channel configurations with sharded execution enabled, and a
-    :class:`~repro.channels.network.MultiChannelNetwork` otherwise; all expose
-    the same ``run`` surface and carry a wired
+    configurations and a :class:`~repro.channels.network.MultiChannelNetwork`
+    otherwise; both expose the same ``run`` surface and carry a wired
     :class:`~repro.lifecycle.events.LifecycleBus` as ``.bus``.
     """
     from repro.channels.network import MultiChannelNetwork
-    from repro.channels.sharded import ShardedChannelNetwork
     from repro.network.network import FabricNetwork
 
     if isinstance(variant_factory, str):
@@ -54,13 +50,6 @@ def build_network(
         variant_factory = functools.partial(create_variant, variant_factory)
 
     if config.channels > 1:
-        if config.execution.sharded:
-            return ShardedChannelNetwork(
-                config=config.copy(),
-                chaincode_factory=chaincode_factory,
-                variant_factory=variant_factory,
-                seed=seed,
-            )
         return MultiChannelNetwork(
             config=config.copy(),
             chaincode_factory=chaincode_factory,

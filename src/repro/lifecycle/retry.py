@@ -22,6 +22,7 @@ pre-retry pipeline.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Type
@@ -61,6 +62,17 @@ class RetryConfig:
     def enabled(self) -> bool:
         """True when failed transactions are resubmitted at all."""
         return self.policy != "none" and self.max_retries > 0
+
+    def identity(self) -> Optional[dict]:
+        """What this config adds to an experiment cell's identity.
+
+        ``None`` while disabled: no controller, stream or event is ever
+        created, so every disabled config — the default, an unused knob tweak
+        — describes the same experiment and keeps the cell hash (hence the
+        per-repetition seeds and every cached result) it had before the retry
+        subsystem existed.
+        """
+        return dataclasses.asdict(self) if self.enabled else None
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` for inconsistent settings."""

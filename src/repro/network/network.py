@@ -8,9 +8,10 @@ for the post-experiment analysis of :mod:`repro.core`.
 
 A network normally owns its own :class:`~repro.sim.engine.Simulator` and
 :class:`~repro.sim.rng.RandomStreams`; both can also be injected, which is the
-multi-channel build path — :class:`repro.channels.network.MultiChannelNetwork`
-instantiates one :class:`FabricNetwork` per channel on a *shared* simulator
-clock, so the channels simulate concurrently yet deterministically.  For that
+multi-channel build path — a :class:`repro.channels.group.ChannelGroup` of
+:class:`repro.channels.network.MultiChannelNetwork` instantiates one
+:class:`FabricNetwork` per channel on a *shared* simulator clock, so the
+channels simulate concurrently yet deterministically.  For that
 embedding the run loop is split into :meth:`FabricNetwork.start_clients`
 (schedule the client arrivals) and :meth:`FabricNetwork.collect_record`
 (harvest the results once the shared simulation has drained);
@@ -256,8 +257,8 @@ class FabricNetwork:
         self.retry_controller: Optional[RetryController] = None
         #: Run observer (``None`` unless observability is enabled *and* this
         #: network owns its clock; multi-channel deployments observe at the
-        #: deployment level instead — see
-        #: :class:`repro.channels.network.MultiChannelNetwork`).
+        #: channel-group level instead — see
+        #: :class:`repro.channels.group.ChannelGroup`).
         self.observer: Optional[RunObserver] = None
         if sim is None and self.config.observability.enabled:
             self.observer = RunObserver(self.sim, self.bus, self.config.observability)
@@ -393,7 +394,7 @@ class FabricNetwork:
     def station_loads(self) -> dict:
         """Raw service-station accumulators of this slice, for remote merges.
 
-        A shard worker's local clock stops at its own last event, but the
+        A channel group's local clock stops at its own last event, but the
         aggregate record reports utilizations over the *deployment-wide*
         horizon.  Utilization is linear in accumulated busy time
         (``min(1, busy / (horizon * servers))`` — see

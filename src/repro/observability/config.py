@@ -4,7 +4,7 @@ The default (disabled) configuration installs nothing at all: no bus
 subscription, no sampler event, no profiler — the run is bit-identical to a
 build without the :mod:`repro.observability` package.  Because observation
 never influences the simulation, the configuration is also excluded from
-experiment cell hashes entirely (see :func:`repro.bench.harness._canonical`):
+experiment cell hashes entirely (see :meth:`ObservabilityConfig.identity`):
 tracing a cell does not change its identity, its per-repetition seeds, or its
 results.
 """
@@ -35,6 +35,16 @@ class ObservabilityConfig:
     def enabled(self) -> bool:
         """True when any observer must be installed."""
         return self.trace or self.metrics
+
+    def identity(self) -> None:
+        """Nothing, enabled or not: observation never influences the simulation.
+
+        Tracing a cell must keep its identity, its per-repetition seeds and
+        its results bit-identical to the unobserved cell.  (Consequence:
+        cached sweep results carry no trace data, so the sweep CLI bypasses
+        the result cache when an export is requested.)
+        """
+        return None
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` for unusable sampler intervals."""

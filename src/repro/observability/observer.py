@@ -1,8 +1,8 @@
 """The per-run observer: span tracer + metrics registry + sampler + markers.
 
-One :class:`RunObserver` serves one deployment (a single-channel
-:class:`~repro.network.network.FabricNetwork` or a whole
-:class:`~repro.channels.network.MultiChannelNetwork`).  It is only constructed
+One :class:`RunObserver` serves one simulator clock (a single-channel
+:class:`~repro.network.network.FabricNetwork` or one
+:class:`~repro.channels.group.ChannelGroup` of a multi-channel deployment).  It is only constructed
 when :class:`~repro.observability.config.ObservabilityConfig` is enabled;
 without it no bus listener, sampler event or profiler exists and the run is
 bit-identical to a build without this package.
@@ -137,10 +137,10 @@ class RunObserver:
     def adopt_profiler(self, profiler: EngineProfiler) -> None:
         """Use an externally managed :class:`EngineProfiler` for the summary.
 
-        The sharded execution path attaches one profiler per shard simulator
-        itself (it wants engine stats even when metrics are off); adopting it
-        lets :meth:`collect` embed the report exactly as :meth:`profile`
-        would have.
+        An execution plan of several channel groups attaches one profiler per
+        group simulator itself (it wants engine stats even when metrics are
+        off); adopting it lets :meth:`collect` embed the report exactly as
+        :meth:`profile` would have.
         """
         self._profiler = profiler
 

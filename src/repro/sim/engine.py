@@ -182,7 +182,7 @@ class Simulator:
 
         A lower bound: a cancelled-but-not-yet-evicted entry may report an
         earlier time than the first live event.  That is exactly what the
-        conservative epoch loop (:mod:`repro.channels.sharded`) needs to skip
+        conservative epoch loop (:mod:`repro.channels.network`) needs to skip
         empty barrier windows — skipping too little is safe, skipping past a
         live event would not be.  With zero live events the queue *is* empty
         (whatever cancelled husks remain will never run), so the bound must

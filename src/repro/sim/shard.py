@@ -17,7 +17,7 @@ run apart and *how many* worker processes they may occupy:
   strategy: ``shard_workers=1`` (default) keeps the classic shared-clock
   path, ``0`` sizes the worker pool automatically, ``N >= 2`` caps it, and
   ``conservative=True`` opts a fully-coupled topology into the
-  epoch-synchronized engine (see :mod:`repro.channels.sharded`).
+  epoch-synchronized engine (see :mod:`repro.channels.network`).
 * :func:`resolve_worker_count` / :func:`process_budget` implement the shared
   process budget: the experiment runner exports
   :data:`PROCESS_BUDGET_ENV` before fanning cells out, so runner workers ×
@@ -33,9 +33,10 @@ cell identity.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -72,6 +73,18 @@ class ExecutionConfig:
             raise ConfigurationError(
                 f"shard_workers must be >= 0 (0 = auto), got {self.shard_workers}"
             )
+
+    def identity(self) -> Optional[dict]:
+        """What this config adds to an experiment cell's identity.
+
+        ``None`` unless it selects *conservative* epoch execution: sharding
+        independent channels across worker processes is bit-identical to the
+        shared-clock run (the contract the golden bit-identity suite pins), so
+        where a cell executes is not part of what it is — but the
+        conservative engine has distinct epoch semantics and therefore its
+        own hash.
+        """
+        return dataclasses.asdict(self) if self.conservative else None
 
     @property
     def sharded(self) -> bool:

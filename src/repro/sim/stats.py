@@ -250,7 +250,7 @@ def mean(values: Iterable[float]) -> float:
     """Plain arithmetic mean; an empty iterable yields 0.0.
 
     The single shared definition behind the record aggregation of
-    :mod:`repro.network.network`, :mod:`repro.channels.network` and the
+    :mod:`repro.network.network`, :mod:`repro.channels.merge` and the
     experiment reports (each used to carry its own copy).
     """
     values = list(values)

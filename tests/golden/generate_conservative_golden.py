@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from repro.bench.harness import ExperimentConfig, run_repetition
-from repro.channels.sharded import record_fingerprint
+from repro.core.fingerprint import record_fingerprint
 from repro.network.config import NetworkConfig
 from repro.sim.shard import ExecutionConfig
 

@@ -114,6 +114,21 @@ def test_variant_selection_changes_behaviour():
     assert fabric.submitted_transactions > 0
 
 
+def test_harness_names_no_subsystem_config_class():
+    # Cell identity is declared by the configs themselves (``identity()``),
+    # so the harness needs to know none of them.
+    import repro.bench.harness as harness
+
+    for name in (
+        "RetryConfig",
+        "FaultConfig",
+        "ObservabilityConfig",
+        "CheckerConfig",
+        "ExecutionConfig",
+    ):
+        assert not hasattr(harness, name), f"harness imports {name}"
+
+
 # ----------------------------------------------------------------------- sweeps
 def test_block_size_sweep_returns_one_result_per_size():
     results = block_size_sweep(tiny_config(), block_sizes=(5, 20))

@@ -510,7 +510,7 @@ def test_budget_env_is_removed_after_execution_when_previously_unset(monkeypatch
 
 
 def test_sharded_repetitions_run_under_the_parallel_runner():
-    from repro.channels.sharded import record_fingerprint
+    from repro.core.fingerprint import record_fingerprint
 
     config = _sharded_config(shard_workers=0)
     parallel = ExperimentRunner(workers=2, cache=None).run(config)

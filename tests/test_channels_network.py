@@ -6,11 +6,15 @@ import pytest
 
 from repro.bench.harness import ExperimentConfig, run_experiment, run_repetition
 from repro.bench.runner import ExperimentRunner, ResultCache
+from repro.channels.group import GroupResult, RunArgs
+from repro.channels.merge import merge_group_results
 from repro.channels.network import MultiChannelNetwork
 from repro.core.failures import FailureType
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.ledger.block import ValidationCode
+from repro.ledger.ledger import Ledger
 from repro.network.config import NetworkConfig
+from repro.network.network import ChannelRecord, RunRecord
 from repro.workload.workloads import uniform_workload
 
 
@@ -233,3 +237,54 @@ def test_hot_placement_concentrates_traffic_on_channel_zero():
         for channel in analysis.channel_analyses
     }
     assert submitted[0] > max(submitted[c] for c in (1, 2, 3))
+
+
+# ---------------------------------------------------------------------- merge
+def _group_result(*indices: int):
+    """A hand-built result of one group that collected ``indices``."""
+    records = [
+        ChannelRecord(
+            index=index,
+            name=f"channel{index}",
+            record=RunRecord(
+                config=NetworkConfig(channels=2),
+                variant_name="fabric-1.4",
+                chaincode_name="EHR",
+                workload_name="custom",
+                arrival_rate=1.0,
+                duration=1.0,
+                seed=7,
+                ledger=Ledger(),
+            ),
+        )
+        for index in indices
+    ]
+    loads = {index: {"orderer": (0.0, 1), "validation": [], "endorsement": []} for index in indices}
+    return GroupResult(records=records, loads=loads, end=1.0)
+
+
+def _merge(results):
+    return merge_group_results(
+        results,
+        config=NetworkConfig(channels=2),
+        seed=7,
+        args=RunArgs(None, 1.0, 1.0, None, "custom"),
+        wall_seconds=0.0,
+        execution="sharded",
+    )
+
+
+def test_merge_accepts_exactly_one_record_per_channel():
+    record = _merge([_group_result(1), _group_result(0)])
+    assert [channel.index for channel in record.channel_records] == [0, 1]
+    assert record.shard_count == 2
+
+
+def test_merge_refuses_two_records_for_one_channel():
+    with pytest.raises(SimulationError, match="channel 1 .*more than one group"):
+        _merge([_group_result(0, 1), _group_result(1)])
+
+
+def test_merge_refuses_a_missing_channel():
+    with pytest.raises(SimulationError, match="channel 1 .*no group"):
+        _merge([_group_result(0)])

@@ -15,7 +15,7 @@ import pytest
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.bench.runner import ExperimentRunner, ResultCache
 from repro.chaincode import create_chaincode
-from repro.channels.sharded import record_fingerprint
+from repro.core.fingerprint import record_fingerprint
 from repro.checker.config import CheckerConfig
 from repro.fabric.variant import create_variant
 from repro.ledger.block import reset_transaction_ids

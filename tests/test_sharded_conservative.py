@@ -19,10 +19,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.channels.sharded import ShardedChannelNetwork, record_fingerprint
+from repro.channels.network import MultiChannelNetwork
+from repro.core.fingerprint import record_fingerprint
 from repro.errors import ConfigurationError
 from repro.ledger.block import reset_transaction_ids
 from repro.lifecycle.pipeline import build_network
+from repro.lifecycle.retry import RetryConfig
 from repro.sim.shard import ExecutionConfig
 from repro.workload.distributions import make_distribution
 
@@ -86,7 +88,7 @@ def test_conservative_runs_are_deterministic():
 # ---------------------------------------------------------------- semantics
 def test_conservative_labels_its_execution():
     network, record = run_conservative(golden_config("fabric-1.4"))
-    assert isinstance(network, ShardedChannelNetwork)
+    assert isinstance(network, MultiChannelNetwork)
     assert network.execution_mode == "sharded-conservative"
     assert record.execution == "sharded-conservative"
     assert record.shard_count == network.config.channels
@@ -147,3 +149,21 @@ def test_conservative_cell_hash_is_pinned():
     plain = golden_config("fabric-1.4")
     plain.network.execution = ExecutionConfig()
     assert plain.cell_hash() != config.cell_hash()
+
+
+# ------------------------------------------------------------ global rate cap
+@pytest.mark.parametrize(
+    "execution", [ExecutionConfig(), ExecutionConfig(conservative=True)], ids=["shared", "epochs"]
+)
+def test_retry_rate_cap_is_one_bucket_across_all_channels(execution):
+    # One deployment-wide token bucket: rate_cap tokens per simulated second
+    # plus the initial burst bound the resubmissions of the *whole* run.  A
+    # bucket per epoch cell would admit up to four times as many.
+    rate_cap = 5.0
+    config = golden_config("fabric-1.4")
+    config.arrival_rate = 400.0
+    config.network.execution = execution
+    config.network.retry = RetryConfig(policy="immediate", rate_cap=rate_cap)
+    _, record = run_conservative(config)
+    assert record.retry_rate_denied > 0
+    assert record.resubmissions <= rate_cap * record.simulated_end + max(1, rate_cap)

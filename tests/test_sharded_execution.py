@@ -12,6 +12,7 @@ cannot shard.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -21,15 +22,17 @@ import pytest
 
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.bench.runner import ExperimentRunner
-from repro.channels.sharded import ShardedChannelNetwork, record_fingerprint
+from repro.channels.network import MultiChannelNetwork
+from repro.core.fingerprint import record_fingerprint
 from repro.checker.config import CheckerConfig
 from repro.errors import ConfigurationError
+from repro.faults.spec import FaultConfig
 from repro.ledger.block import reset_transaction_ids
 from repro.lifecycle.retry import RetryConfig
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
 from repro.observability.config import ObservabilityConfig
-from repro.observability.export import write_chrome_trace
+from repro.observability.export import dumps, metrics_document, write_chrome_trace
 from repro.sim.shard import ExecutionConfig
 from repro.workload.distributions import make_distribution
 from repro.workload.workloads import uniform_workload
@@ -101,7 +104,7 @@ def test_sharded_run_is_bit_identical_to_shared_clock(channels):
     network, sharded = run_cell(
         experiment(ExecutionConfig(shard_workers=0), channels=channels)
     )
-    assert isinstance(network, ShardedChannelNetwork)
+    assert isinstance(network, MultiChannelNetwork)
     assert sharded.execution == "sharded"
     assert sharded.shard_count == channels
     assert shared.execution == "shared-clock"
@@ -161,7 +164,7 @@ def test_coupled_topology_falls_back_to_the_shared_clock():
     network, record = run_cell(
         experiment(ExecutionConfig(shard_workers=0), cross_channel_rate=0.1)
     )
-    assert isinstance(network, ShardedChannelNetwork)
+    assert isinstance(network, MultiChannelNetwork)
     assert network.execution_mode == "shared-clock"
     assert record.execution == "shared-clock"
     assert record.shard_count == 1
@@ -181,7 +184,7 @@ def test_global_retry_rate_cap_forces_the_shared_clock():
 
 def test_sharded_network_rejects_single_channel_configs():
     with pytest.raises(ConfigurationError):
-        ShardedChannelNetwork(
+        MultiChannelNetwork(
             config=NetworkConfig(channels=1),
             chaincode_factory=lambda: None,
             variant_factory=lambda: None,
@@ -200,7 +203,7 @@ def test_unpicklable_factories_degrade_to_in_process_execution():
         captured["builds"] += 1
         return config.build_chaincode()
 
-    network = ShardedChannelNetwork(
+    network = MultiChannelNetwork(
         config=config.network,
         chaincode_factory=chaincode_factory,
         variant_factory=lambda: __import__(
@@ -332,3 +335,68 @@ def test_sharded_trace_export_passes_the_schema_check(tmp_path):
     document = json.loads(trace_path.read_text())
     pids = {event["pid"] for event in document["traceEvents"]}
     assert len(pids) == 1  # one run pid, shards are threads within it
+
+
+# ------------------------------------------------- export bytes, plan by plan
+def _without_wall_clock(value):
+    """``value`` minus the wall-clock keys per-group engine reports carry."""
+    if isinstance(value, dict):
+        return {
+            key: _without_wall_clock(item)
+            for key, item in value.items()
+            if key not in ("wall_seconds", "events_per_sec")
+        }
+    if isinstance(value, list):
+        return [_without_wall_clock(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "execution, trace_sha256, metrics_sha256",
+    [
+        (
+            ExecutionConfig(),
+            "1c125717f962ee2c5961f67ef0850e9bfc2541c260cbb8bd034b8dbd228d1d25",
+            "5072744ac3aea62791deb49f0f6df6f96ed42db63b73955ac01f3eebbd898512",
+        ),
+        (
+            # Coupled, so the worker request runs the shared-clock plan.
+            ExecutionConfig(shard_workers=2),
+            "1c125717f962ee2c5961f67ef0850e9bfc2541c260cbb8bd034b8dbd228d1d25",
+            "5072744ac3aea62791deb49f0f6df6f96ed42db63b73955ac01f3eebbd898512",
+        ),
+        (
+            ExecutionConfig(conservative=True),
+            "45ef006f4fb2884c662d30bc0dcecb2938446fed8b54f702560c72b06fbda9f5",
+            "f4e0cc2cc48357dfbe09d54d1b108ae2df441174795c2e778a948fe61f9eced0",
+        ),
+    ],
+    ids=["shared", "workers-2", "epochs"],
+)
+def test_chaos_audit_cell_exports_the_pinned_bytes(
+    tmp_path, execution, trace_sha256, metrics_sha256
+):
+    # A chaos-audit-shaped cell — 4 coupled channels, faults, jittered
+    # retries, trace + metrics, checker — through every in-process plan.  The
+    # digests were taken at the commit before the deployment classes were
+    # collapsed into one: the observer wiring, the merge and the exporters
+    # must keep producing the same bytes.
+    config = experiment(
+        execution, cross_channel_rate=0.05, observability=OBSERVED, checker=CHECKED
+    )
+    config.arrival_rate = 160.0
+    config.network.faults = FaultConfig(
+        peer_crash_rate=0.05,
+        endorser_slowdown_rate=0.1,
+        orderer_outages=((0.5, 0.3),),
+        endorsement_loss_rate=0.01,
+    )
+    config.network.retry = RetryConfig(policy="jittered", max_retries=3)
+    _, record = run_cell(config)
+    assert record.fault_injections and record.resubmissions > 0
+    assert record.isolation.verdict == "CERTIFIED-SERIALIZABLE"
+    trace_path = tmp_path / "trace.json"
+    write_chrome_trace(trace_path, [record.observability])
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == trace_sha256
+    metrics = dumps(_without_wall_clock(metrics_document(record.observability)))
+    assert hashlib.sha256(metrics.encode("utf-8")).hexdigest() == metrics_sha256

@@ -26,7 +26,7 @@ from test_collector import build_cell, run_cell
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.chaincode.api import ChaincodeStub
 from repro.chaincode.base import Chaincode
-from repro.channels.sharded import record_fingerprint
+from repro.core.fingerprint import record_fingerprint
 from repro.checker.config import CheckerConfig
 from repro.faults import FaultConfig
 from repro.ledger.block import Transaction
