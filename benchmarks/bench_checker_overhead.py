@@ -14,7 +14,6 @@ import time
 from conftest import run_figure
 from test_checker_overhead_smoke import CHECKED_CELL, SMOKE_CELL
 
-from repro.bench.experiments import checker_overhead
 from repro.bench.harness import ExperimentConfig, run_repetition
 
 ROUNDS = 5
@@ -22,7 +21,7 @@ OVERHEAD_FLOOR = 0.90  # checked events/sec must stay within 10% of unchecked
 
 
 def test_checker_overhead_grid(benchmark, scale):
-    report = run_figure(benchmark, checker_overhead, scale)
+    report = run_figure(benchmark, "checker-overhead", scale)
     # Every cell of the grid must come back certified: these are conflict-free
     # ww/wr/rw histories ordered by commit, so a refutation here is a checker
     # bug, not an interesting anomaly.

@@ -12,8 +12,6 @@ from pathlib import Path
 
 from conftest import run_figure
 
-from repro.bench.experiments import fault_resilience, fault_retry_interaction
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_fault_resilience.json"
 
@@ -32,7 +30,7 @@ def _record(section: str, report) -> None:
 
 
 def test_fault_resilience_degrades_throughput(benchmark, scale):
-    report = run_figure(benchmark, fault_resilience, scale)
+    report = run_figure(benchmark, "fault-resilience", scale)
     _record("fault_resilience", report)
     rates = report.column("peer_crash_rate")
     throughput = dict(zip(rates, report.column("committed_throughput_tps")))
@@ -51,7 +49,7 @@ def test_fault_resilience_degrades_throughput(benchmark, scale):
 
 
 def test_fault_retry_interaction_recovers_goodput(benchmark, scale):
-    report = run_figure(benchmark, fault_retry_interaction, scale)
+    report = run_figure(benchmark, "fault-retry", scale)
     _record("fault_retry_interaction", report)
     policies = report.column("retry_policy")
     recovered = dict(zip(policies, report.column("recovered_request_pct")))

@@ -1,9 +1,9 @@
-"""Shared helpers for the per-figure benchmark modules.
+"""Shared helpers for the figure benchmark modules.
 
-Every benchmark regenerates one table or figure of the paper by calling the
-corresponding function in :mod:`repro.bench.experiments` exactly once
-(``benchmark.pedantic`` with a single round — the experiment functions already
-average over repetitions internally) and printing the resulting rows, so the
+Every benchmark regenerates one table or figure of the paper by running its
+entry of :data:`repro.bench.experiments.EXPERIMENTS` exactly once
+(``benchmark.pedantic`` with a single round — the executor already averages
+over repetitions internally) and printing the resulting rows, so the
 output of ``pytest benchmarks/ --benchmark-only`` doubles as the reproduction
 log recorded in EXPERIMENTS.md.
 
@@ -16,7 +16,7 @@ durations and smaller key populations); set the environment variable
 original experiments.  The fast, always-on smoke coverage of the benchmark
 layer lives in ``test_smoke_runner.py``.
 
-All experiment functions execute through the shared default
+All experiments execute through the shared default
 :class:`~repro.bench.runner.ExperimentRunner`; set ``REPRO_BENCH_WORKERS`` to
 fan the grid cells of each figure out across that many worker processes.  The
 runner's content-addressed cache also means a figure regenerated twice in one
@@ -29,7 +29,7 @@ import os
 
 import pytest
 
-from repro.bench.experiments import PAPER_SCALE, QUICK_SCALE, STANDARD_SCALE, Scale
+from repro.bench.experiments import PAPER_SCALE, QUICK_SCALE, STANDARD_SCALE, Scale, regenerate
 from repro.bench.reporting import format_table
 from repro.bench.runner import DEFAULT_CACHE_ENTRIES, ResultCache, configure_default_runner
 
@@ -74,10 +74,10 @@ def scale() -> Scale:
     return bench_scale()
 
 
-def run_figure(benchmark, experiment_function, *args, **kwargs):
-    """Run one experiment function under pytest-benchmark and print its table."""
+def run_figure(benchmark, experiment_id, scale, **axes):
+    """Regenerate one experiment under pytest-benchmark and print its table."""
     report = benchmark.pedantic(
-        experiment_function, args=args, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0
+        regenerate, args=(experiment_id, scale), kwargs=axes, rounds=1, iterations=1, warmup_rounds=0
     )
     print()
     print(format_table(report.headers, report.rows, title=report.title))

@@ -15,35 +15,42 @@ import dataclasses
 
 import pytest
 
-from repro.bench.experiments import (
-    QUICK_SCALE,
-    figure06_latency_throughput,
-    figure17_fabricpp_block_size,
-    figure20_streamchain_load,
-    figure24_fabricsharp_load,
-)
+from bench_experiments import CHECKS
+
+from repro.bench.experiments import EXPERIMENTS, QUICK_SCALE, regenerate
 from repro.bench.runner import ExperimentRunner, ResultCache
 
 #: The quick scale with the duration trimmed so each family smokes in ~a second.
 SMOKE_SCALE = dataclasses.replace(QUICK_SCALE, name="smoke", duration=2.0, block_sizes=(10, 50))
 
 _FAMILIES = [
-    ("fabric-1.4", lambda runner: figure06_latency_throughput(SMOKE_SCALE, runner=runner)),
-    ("fabric++", lambda runner: figure17_fabricpp_block_size(SMOKE_SCALE, block_sizes=(10, 50), runner=runner)),
-    ("streamchain", lambda runner: figure20_streamchain_load(SMOKE_SCALE, rates=(10, 40), runner=runner)),
-    ("fabricsharp", lambda runner: figure24_fabricsharp_load(SMOKE_SCALE, rates=(10, 40), runner=runner)),
+    ("fabric-1.4", "fig6", {}),
+    ("fabric++", "fig17", {"block_size": (10, 50)}),
+    ("streamchain", "fig20", {"arrival_rate": (10, 40)}),
+    ("fabricsharp", "fig24", {"arrival_rate": (10, 40)}),
 ]
 
 
-@pytest.mark.parametrize("family,regenerate", _FAMILIES, ids=[name for name, _ in _FAMILIES])
-def test_family_figure_smokes_under_runner(family, regenerate):
+@pytest.mark.parametrize("family,figure,axes", _FAMILIES, ids=[name for name, _, _ in _FAMILIES])
+def test_family_figure_smokes_under_runner(family, figure, axes):
     runner = ExperimentRunner(workers=1, cache=ResultCache())
-    report = regenerate(runner)
+    report = regenerate(figure, SMOKE_SCALE, runner=runner, **axes)
     assert report.rows, f"{family} figure produced no rows"
     assert runner.stats.tasks_run > 0
     assert runner.stats.cache_hits == 0
 
-    cached = regenerate(runner)
+    cached = regenerate(figure, SMOKE_SCALE, runner=runner, **axes)
     assert cached.rows == report.rows
     assert runner.stats.tasks_run == 0
     assert runner.stats.cache_hits == runner.stats.tasks_total
+
+
+def test_every_experiment_has_a_slow_check():
+    # ``bench_experiments.py`` asserts one trend per spec id; the four ids below
+    # are asserted by the modules that also record their ledgers
+    # (``bench_fault_resilience.py``, ``bench_engine_speed.py``,
+    # ``bench_checker_overhead.py``).  A spec added without a check fails here,
+    # before the slow suite runs.
+    covered_elsewhere = {"fault-resilience", "fault-retry", "engine-speed", "checker-overhead"}
+    assert set(CHECKS) | covered_elsewhere == set(EXPERIMENTS)
+    assert not set(CHECKS) & covered_elsewhere

@@ -1,12 +1,11 @@
 #!/usr/bin/env python
 """Generate ``docs/EXPERIMENTS.md`` from the experiment registry.
 
-The catalog is derived entirely from code — :data:`EXPERIMENT_INDEX` (the
-artefact-id → function mapping the CLI's ``figure`` command uses),
-:data:`EXPERIMENT_SPECS` (sweep axes, variant family, expected trend) and each
-experiment function's docstring — so it can never silently drift from the
-implementation.  CI runs ``--check``, which fails when the committed file
-differs from what the registry would generate.
+The catalog is derived entirely from code — the :data:`EXPERIMENTS` registry
+the CLI's ``figure`` command and the benchmarks run from (paper artefact and
+section, summary, sweep axes, variant family, expected trend) — so it can never
+silently drift from the implementation.  CI runs ``--check``, which fails when
+the committed file differs from what the registry would generate.
 
 Usage::
 
@@ -17,14 +16,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.bench.experiments import EXPERIMENT_INDEX, EXPERIMENT_SPECS  # noqa: E402
+from repro.bench.experiments import EXPERIMENTS  # noqa: E402
 
 OUTPUT = REPO_ROOT / "docs" / "EXPERIMENTS.md"
 
@@ -37,7 +35,7 @@ HEADER = """\
 
 Every table and figure of the paper's evaluation — plus the extension
 scenarios (channels, retries, fault injection) — is one entry of
-`repro.bench.experiments.EXPERIMENT_INDEX`. Regenerate any of them with:
+`repro.bench.experiments.EXPERIMENTS`. Regenerate any of them with:
 
 ```bash
 PYTHONPATH=src python -m repro figure <id> [--scale quick|standard|paper]
@@ -50,36 +48,26 @@ qualitative result each reproduction must show; the corresponding
 """
 
 
-def _summary(function) -> str:
-    """First line of the experiment function's docstring."""
-    doc = inspect.getdoc(function) or ""
-    return doc.splitlines()[0].rstrip(".") if doc else ""
-
-
 def render() -> str:
     """The complete catalog markdown."""
     lines = [HEADER]
-    lines.append("| id | artefact | function | sweep axes | variants | expected trend |")
-    lines.append("| --- | --- | --- | --- | --- | --- |")
-    for experiment_id, function in EXPERIMENT_INDEX.items():
-        spec = EXPERIMENT_SPECS[experiment_id]
+    lines.append("| id | artefact | sweep axes | variants | expected trend |")
+    lines.append("| --- | --- | --- | --- | --- |")
+    for experiment_id, spec in EXPERIMENTS.items():
         lines.append(
-            f"| `{experiment_id}` | {spec.artefact} | `{function.__name__}` | "
+            f"| `{experiment_id}` | {spec.artefact} | "
             f"{', '.join(f'`{axis}`' for axis in spec.sweep_axes)} | "
             f"{spec.variants} | {spec.expected_trend} |"
         )
     lines.append("")
     lines.append("## Details")
     lines.append("")
-    for experiment_id, function in EXPERIMENT_INDEX.items():
-        spec = EXPERIMENT_SPECS[experiment_id]
+    for experiment_id, spec in EXPERIMENTS.items():
         lines.append(f"### `{experiment_id}` — {spec.artefact}")
         lines.append("")
-        summary = _summary(function)
-        if summary:
-            lines.append(f"{summary}.")
-            lines.append("")
-        lines.append(f"- **Function:** `repro.bench.experiments.{function.__name__}`")
+        lines.append(f"{spec.summary}.")
+        lines.append("")
+        lines.append(f"- **Paper section:** {spec.section}")
         lines.append(f"- **Sweep axes:** {', '.join(f'`{axis}`' for axis in spec.sweep_axes)}")
         lines.append(f"- **Variant family:** {spec.variants}")
         lines.append(f"- **Expected trend:** {spec.expected_trend}")
@@ -97,14 +85,6 @@ def main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    missing = sorted(set(EXPERIMENT_INDEX) ^ set(EXPERIMENT_SPECS))
-    if missing:
-        print(
-            f"error: EXPERIMENT_INDEX and EXPERIMENT_SPECS disagree on: {', '.join(missing)}",
-            file=sys.stderr,
-        )
-        return 1
-
     content = render()
     if args.check:
         current = OUTPUT.read_text() if OUTPUT.exists() else ""
@@ -115,11 +95,11 @@ def main(argv: list[str]) -> int:
                 file=sys.stderr,
             )
             return 1
-        print(f"{OUTPUT.relative_to(REPO_ROOT)} is up to date ({len(EXPERIMENT_INDEX)} entries)")
+        print(f"{OUTPUT.relative_to(REPO_ROOT)} is up to date ({len(EXPERIMENTS)} entries)")
         return 0
     OUTPUT.parent.mkdir(parents=True, exist_ok=True)
     OUTPUT.write_text(content)
-    print(f"wrote {OUTPUT.relative_to(REPO_ROOT)} ({len(EXPERIMENT_INDEX)} entries)")
+    print(f"wrote {OUTPUT.relative_to(REPO_ROOT)} ({len(EXPERIMENTS)} entries)")
     return 0
 
 

@@ -3,8 +3,8 @@
 * :mod:`repro.bench.harness` — experiment configuration, repetition and
   averaging.
 * :mod:`repro.bench.sweeps` — parameter sweeps (block size, arrival rate, ...).
-* :mod:`repro.bench.experiments` — one function per table/figure of the paper's
-  evaluation, producing the corresponding rows/series.
+* :mod:`repro.bench.experiments` — one spec row per table/figure of the paper's
+  evaluation and the executor that turns it into the corresponding rows/series.
 * :mod:`repro.bench.reporting` — plain-text table rendering for benchmark
   output and EXPERIMENTS.md.
 * :mod:`repro.bench.paper_data` — the numbers reported in the paper, for
@@ -12,12 +12,14 @@
 """
 
 from repro.bench.experiments import (
-    EXPERIMENT_INDEX,
+    EXPERIMENTS,
     PAPER_SCALE,
     QUICK_SCALE,
     STANDARD_SCALE,
     ExperimentReport,
+    ExperimentSpec,
     Scale,
+    regenerate,
 )
 from repro.bench.harness import ExperimentConfig, ExperimentResult, run_experiment
 from repro.bench.sweeps import arrival_rate_sweep, block_size_sweep, find_best_block_size
@@ -29,8 +31,10 @@ __all__ = [
     "arrival_rate_sweep",
     "block_size_sweep",
     "find_best_block_size",
-    "EXPERIMENT_INDEX",
+    "EXPERIMENTS",
     "ExperimentReport",
+    "ExperimentSpec",
+    "regenerate",
     "Scale",
     "QUICK_SCALE",
     "STANDARD_SCALE",

@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, Union
+from typing import TYPE_CHECKING, Dict, List, Tuple, Union
 
 from repro.sim.engine import Simulator
 from repro.sim.reference import ReferenceSimulator
+
+if TYPE_CHECKING:  # experiments imports this module
+    from repro.bench.experiments import Scale
 
 #: Engines the cascade can drive, keyed by the name used in reports.
 ENGINES = {
@@ -128,3 +131,35 @@ def cascade_cell(engine: str, transactions: int, **kwargs) -> Dict[str, float]:
     metrics = run_cascade(sim, transactions, **kwargs)
     metrics["engine"] = engine
     return metrics
+
+
+def engine_speed(scale: Scale) -> List[Tuple]:
+    """Engine-speed rows: the calendar-queue scheduler vs the heapq oracle.
+
+    The body of the ``engine-speed`` entry of
+    :data:`repro.bench.experiments.EXPERIMENTS`.  Unlike every other entry this
+    experiment sweeps no network cells — it drives the synthetic transaction
+    cascade of this module (arrival -> endorsement fan-out -> collection ->
+    submission, with cancellable watchdogs) through both the production
+    calendar-queue engine and the preserved pre-overhaul heapq engine, and
+    reports events/sec for each.  Both engines dispatch the identical event
+    sequence, so the ratio isolates scheduler cost.  No runner is involved: the
+    cells are wall-clock measurements and must run in-process, uncached.
+    ``benchmarks/bench_engine_speed.py`` records the full grid (including an
+    8-channel network cell) in ``BENCH_engine_speed.json``.
+    """
+    transactions = CASCADE_TRANSACTIONS.get(scale.name, CASCADE_TRANSACTIONS["quick"])
+    reference = cascade_cell("heapq-reference", transactions)
+    calendar = cascade_cell("calendar", transactions)
+    baseline = reference["events_per_sec"]
+    return [
+        (
+            metrics["engine"],
+            transactions,
+            metrics["events"],
+            metrics["wall_seconds"],
+            metrics["events_per_sec"],
+            metrics["events_per_sec"] / baseline if baseline else 0.0,
+        )
+        for metrics in (reference, calendar)
+    ]

@@ -25,7 +25,8 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional
+from operator import attrgetter, methodcaller
+from typing import Callable, Dict, List, Optional
 
 from repro.sim.collector import quiet_collector
 from repro.sim.rng import derive_seed
@@ -301,6 +302,21 @@ class ExperimentResult:
         """Total client resubmissions across repetitions."""
         return sum(metric.resubmissions for metric in self.metrics)
 
+    @property
+    def retry_rate_denied(self) -> int:
+        """Total resubmissions the global rate cap refused across repetitions."""
+        return sum(metric.retry_rate_denied for metric in self.metrics)
+
+    @property
+    def logical_requests(self) -> float:
+        """Average number of logical client requests (retries not counted)."""
+        return self._mean(lambda metric: metric.logical_requests)
+
+    @property
+    def committed_requests(self) -> float:
+        """Average number of logical client requests that ended up committing."""
+        return self._mean(lambda metric: metric.committed_requests)
+
     def mean_function_latency_ms(self, operation: str) -> float:
         """Average per-call latency of a state-database operation (Table 4)."""
         values = [
@@ -311,6 +327,45 @@ class ExperimentResult:
         if not values:
             return 0.0
         return sum(values) / len(values)
+
+
+#: Report column header -> how its value is read off an :class:`ExperimentResult`.
+#: The one mapping behind every experiment table (:mod:`repro.bench.experiments`)
+#: and the ``repro sweep`` table (:meth:`repro.bench.runner.SweepOutcome.rows`);
+#: several headers read the same value because the figures label it differently.
+RESULT_COLUMNS: Dict[str, Callable[[ExperimentResult], object]] = {
+    "variant": attrgetter("config.variant"),
+    "block_size": attrgetter("config.network.block_size"),
+    "arrival_rate": attrgetter("config.arrival_rate"),
+    "zipf_skew": attrgetter("config.zipf_skew"),
+    "placement": attrgetter("config.network.placement"),
+    "failures_pct": attrgetter("failure_pct"),
+    "raw_failure_pct": attrgetter("failure_pct"),
+    "endorsement_pct": attrgetter("endorsement_pct"),
+    "endorsement_failures_pct": attrgetter("endorsement_pct"),
+    "mvcc_pct": attrgetter("mvcc_pct"),
+    "total_mvcc_pct": attrgetter("mvcc_pct"),
+    "inter_block_pct": attrgetter("inter_block_mvcc_pct"),
+    "intra_block_pct": attrgetter("intra_block_mvcc_pct"),
+    "phantom_read_pct": attrgetter("phantom_pct"),
+    "cross_channel_abort_pct": attrgetter("cross_channel_abort_pct"),
+    "peer_unavailable_pct": attrgetter("peer_unavailable_pct"),
+    "endorsement_timeout_pct": attrgetter("endorsement_timeout_pct"),
+    "latency_s": attrgetter("average_latency"),
+    "committed_throughput_tps": attrgetter("committed_throughput"),
+    "committed_tps": attrgetter("committed_throughput"),
+    "client_effective_failure_pct": attrgetter("client_effective_failure_pct"),
+    "goodput_tps": attrgetter("goodput"),
+    "retry_amplification": attrgetter("retry_amplification"),
+    "resubmissions": attrgetter("resubmissions"),
+    "rate_denied": attrgetter("retry_rate_denied"),
+    "logical_requests": attrgetter("logical_requests"),
+    "committed_requests": attrgetter("committed_requests"),
+    "GetState_ms": methodcaller("mean_function_latency_ms", "GetState"),
+    "PutState_ms": methodcaller("mean_function_latency_ms", "PutState"),
+    "GetRange_ms": methodcaller("mean_function_latency_ms", "GetRange"),
+    "DeleteState_ms": methodcaller("mean_function_latency_ms", "DeleteState"),
+}
 
 
 @quiet_collector()

@@ -1,16 +1,15 @@
-"""Reference numbers and qualitative expectations reported in the paper.
+"""Reference numbers reported in the paper.
 
 Only a few artefacts of the paper come with exact numbers in the text or
 tables; those are recorded here verbatim so the benchmarks and EXPERIMENTS.md
 can show paper-vs-measured side by side.  For the remaining figures the paper
-only provides plots, so the *qualitative expectations* extracted from the text
-are encoded instead; the integration tests assert these expectations against
-the simulator output.
+only provides plots; the qualitative result each of them must show is the
+``expected_trend`` of its entry in :data:`repro.bench.experiments.EXPERIMENTS`,
+and ``benchmarks/bench_experiments.py`` asserts it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 #: Table 4 — average transaction latency (seconds) per genChain workload.
@@ -69,121 +68,3 @@ FIG25_SKEW_FAILURES_PCT: Dict[float, Dict[str, float]] = {
 #: Figure 4 (read from the plots) — approximate best block size per arrival
 #: rate for the EHR chaincode on the C2 cluster.
 FIG4_EHR_C2_BEST_BLOCK_SIZE: Dict[int, int] = {10: 10, 50: 25, 100: 50, 150: 100, 200: 200}
-
-
-@dataclass(frozen=True)
-class QualitativeExpectation:
-    """One qualitative claim of the paper that the reproduction should show."""
-
-    experiment_id: str
-    claim: str
-    paper_section: str
-
-
-#: The claims the integration tests and EXPERIMENTS.md check, one per artefact.
-QUALITATIVE_EXPECTATIONS: Tuple[QualitativeExpectation, ...] = (
-    QualitativeExpectation(
-        "fig4", "The best block size grows with the transaction arrival rate.", "5.1.1 (a)"
-    ),
-    QualitativeExpectation(
-        "fig5",
-        "Choosing the best instead of the worst block size reduces failures substantially "
-        "(up to 60% in the paper).",
-        "5.1.1 (a)",
-    ),
-    QualitativeExpectation(
-        "fig6", "Latency is minimal near the best block size; throughput is largely flat.", "5.1.1 (a)"
-    ),
-    QualitativeExpectation(
-        "fig7",
-        "Intra-block MVCC conflicts increase with the block size while inter-block conflicts decrease.",
-        "5.1.1 (b)",
-    ),
-    QualitativeExpectation(
-        "fig8", "MVCC read conflicts increase with the transaction arrival rate.", "5.1.1 (b)"
-    ),
-    QualitativeExpectation(
-        "fig9", "Endorsement policy failures are largely unaffected by the block size.", "5.1.1 (c)"
-    ),
-    QualitativeExpectation(
-        "fig10", "Phantom read conflicts are largely unaffected by the block size.", "5.1.1 (c)"
-    ),
-    QualitativeExpectation(
-        "fig11",
-        "LevelDB yields lower latency and fewer failures than CouchDB.",
-        "5.1.2",
-    ),
-    QualitativeExpectation(
-        "fig12",
-        "Latency and endorsement policy failures increase with the number of organizations.",
-        "5.1.3",
-    ),
-    QualitativeExpectation(
-        "fig13",
-        "Policies requiring more signatures (P0) cause the most endorsement policy failures.",
-        "5.1.4",
-    ),
-    QualitativeExpectation(
-        "fig14",
-        "Update-heavy workloads fail most; insert- and delete-heavy workloads fail least.",
-        "5.1.5",
-    ),
-    QualitativeExpectation(
-        "fig15", "Failures increase sharply with the Zipfian key skew.", "5.1.6"
-    ),
-    QualitativeExpectation(
-        "fig16",
-        "An induced network delay increases latency, endorsement policy failures and MVCC conflicts.",
-        "5.1.7",
-    ),
-    QualitativeExpectation(
-        "fig17",
-        "Fabric++ reduces total failures relative to Fabric 1.4, and benefits from larger blocks.",
-        "5.2.1",
-    ),
-    QualitativeExpectation(
-        "fig18",
-        "Fabric++ does not help (and its latency explodes) for chaincodes with large range queries "
-        "(DV, SCM).",
-        "5.2.3",
-    ),
-    QualitativeExpectation(
-        "fig19",
-        "Fabric++ helps update-heavy workloads but not read-/delete-heavy ones.",
-        "5.2.3",
-    ),
-    QualitativeExpectation(
-        "fig20",
-        "Streamchain has lower latency and fewer failures than Fabric 1.4 at low arrival rates.",
-        "5.3.1",
-    ),
-    QualitativeExpectation(
-        "fig21",
-        "At high arrival rates Streamchain cannot sustain the load and commits fewer transactions "
-        "than Fabric 1.4.",
-        "5.3.1",
-    ),
-    QualitativeExpectation(
-        "fig22", "Streamchain reduces failures regardless of workload type or key skew.", "5.3.2"
-    ),
-    QualitativeExpectation(
-        "fig23", "Streamchain without the RAM disk performs worse than with it.", "5.3.3"
-    ),
-    QualitativeExpectation(
-        "fig24",
-        "FabricSharp eliminates MVCC read conflicts but lowers committed throughput; endorsement "
-        "failures remain.",
-        "5.4.1-5.4.2",
-    ),
-    QualitativeExpectation(
-        "fig25",
-        "FabricSharp dramatically reduces failures for update-heavy and highly skewed workloads.",
-        "5.4.3",
-    ),
-    QualitativeExpectation(
-        "fig26",
-        "All three optimizations reduce failures relative to Fabric 1.4; none eliminates endorsement "
-        "policy failures; Streamchain has the lowest latency.",
-        "5.5",
-    ),
-)

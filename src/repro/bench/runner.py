@@ -49,7 +49,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.harness import ExperimentConfig, ExperimentResult, run_repetition
+from repro.bench.harness import (
+    RESULT_COLUMNS,
+    ExperimentConfig,
+    ExperimentResult,
+    run_repetition,
+)
 from repro.core.analyzer import ExperimentAnalysis
 from repro.errors import ConfigurationError
 from repro.sim.shard import PROCESS_BUDGET_ENV, planned_shard_processes, process_budget
@@ -277,18 +282,8 @@ class SweepOutcome:
     def rows(self) -> List[Tuple]:
         """Table rows (one per cell) matching :data:`SWEEP_HEADERS`."""
         return [
-            (
-                cell.variant,
-                cell.block_size,
-                cell.arrival_rate,
-                cell.zipf_skew,
-                result.failure_pct,
-                result.endorsement_pct,
-                result.mvcc_pct,
-                result.average_latency,
-                result.committed_throughput,
-            )
-            for cell, result in zip(self.cells, self.results)
+            tuple(RESULT_COLUMNS[header](result) for header in SWEEP_HEADERS)
+            for result in self.results
         ]
 
 

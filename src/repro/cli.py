@@ -67,7 +67,13 @@ import sys
 from typing import Callable, List, Optional, Sequence
 
 from repro import __version__
-from repro.bench.experiments import EXPERIMENT_INDEX, PAPER_SCALE, QUICK_SCALE, STANDARD_SCALE
+from repro.bench.experiments import (
+    EXPERIMENTS,
+    PAPER_SCALE,
+    QUICK_SCALE,
+    STANDARD_SCALE,
+    regenerate,
+)
 from repro.bench.harness import ExperimentConfig, ExperimentResult, run_experiment
 from repro.bench.reporting import format_table
 from repro.bench.runner import SWEEP_HEADERS, ExperimentRunner, ResultCache, SweepPlan
@@ -292,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure_parser = subparsers.add_parser("figure", help="regenerate a paper table or figure")
     figure_parser.add_argument(
         "artefact",
-        type=_choice("figure id", sorted(EXPERIMENT_INDEX)),
+        type=_choice("figure id", sorted(EXPERIMENTS)),
         help="artefact id, e.g. fig7 or table4",
     )
     figure_parser.add_argument(
@@ -948,9 +954,10 @@ def _command_check(args: argparse.Namespace) -> int:
 
 
 def _command_figure(args: argparse.Namespace) -> int:
-    experiment = EXPERIMENT_INDEX[args.artefact]
-    report = experiment(_SCALES[args.scale])
+    report = regenerate(args.artefact, _SCALES[args.scale])
     print(format_table(report.headers, report.rows, title=report.title))
+    if report.notes:
+        print(report.notes)
     return 0
 
 
