@@ -50,9 +50,8 @@ from repro.chaincode import create_chaincode
 from repro.channels.network import MultiChannelNetwork
 from repro.core.fingerprint import record_fingerprint
 from repro.fabric.variant import create_variant
-from repro.ledger.block import reset_transaction_ids
+from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
-from repro.network.network import FabricNetwork
 from repro.sim.collector import quiet_collector
 from repro.sim.engine import Simulator
 from repro.sim.profile import EngineProfiler
@@ -155,17 +154,10 @@ def network_cell(channels: int) -> dict:
         cross_channel_rate=0.05 if channels > 1 else 0.0,
     )
     def build():
-        if channels == 1:
-            return FabricNetwork(
-                config,
-                create_chaincode(spec.chaincode, **spec.chaincode_kwargs),
-                create_variant("fabric-1.4"),
-                seed=NETWORK_SEED,
-            )
-        return MultiChannelNetwork(
+        return build_network(
             config,
             chaincode_factory=lambda: create_chaincode(spec.chaincode, **spec.chaincode_kwargs),
-            variant_factory=lambda: create_variant("fabric-1.4"),
+            variant_factory="fabric-1.4",
             seed=NETWORK_SEED,
         )
 
@@ -221,7 +213,6 @@ def rate0_cell(sharded: bool) -> tuple:
         cross_channel_rate=0.0,
         execution=execution,
     )
-    reset_transaction_ids()
     if sharded:
         network = MultiChannelNetwork(
             config, chaincode_factory=make_chaincode, variant_factory=make_variant,

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.checker.config import CheckerConfig
-from repro.fabric import create_variant
 from repro.lifecycle.events import LifecycleEventType
+from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
-from repro.network.network import FabricNetwork
 
 #: Dependency edges the checker inserts on ``CHECKED_CELL``, by kind, and the
 #: committed transactions they were inserted for (1.76 edges per commit).
@@ -44,13 +43,13 @@ CHECKED_CELL = SMOKE_CELL.with_overrides(
 def test_disabled_checker_installs_nothing():
     config = NetworkConfig(cluster="C1", database="leveldb", block_size=10)
     assert not config.checker.enabled
-    network = FabricNetwork(
+    network = build_network(
         config=config,
-        chaincode=ExperimentConfig().build_chaincode(),
-        variant=create_variant("fabric-1.4"),
+        chaincode_factory=ExperimentConfig().build_chaincode,
+        variant_factory="fabric-1.4",
         seed=7,
     )
-    assert network.isolation_checker is None
+    assert network.channels[0].isolation_checker is None
     assert not network.bus._listeners, "a disabled checker subscribed a bus listener"
 
 
@@ -68,13 +67,13 @@ def test_disabled_checker_leaves_no_report():
 
 # ------------------------------------------------------------------- work on
 def test_enabled_checker_is_one_listener_per_terminal_event():
-    network = FabricNetwork(
+    network = build_network(
         config=CHECKED_CELL.network,
-        chaincode=CHECKED_CELL.build_chaincode(),
-        variant=create_variant("fabric-1.4"),
+        chaincode_factory=CHECKED_CELL.build_chaincode,
+        variant_factory="fabric-1.4",
         seed=7,
     )
-    checker = network.isolation_checker
+    checker = network.channels[0].isolation_checker
     assert checker is not None
     listeners = network.bus._listeners
     assert set(listeners) == {LifecycleEventType.COMMITTED, LifecycleEventType.ABORTED}

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from repro.bench.enginespeed import run_cascade
 from repro.bench.harness import ExperimentConfig
-from repro.fabric import create_variant
+from repro.channels.network import MultiChannelNetwork
+from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
-from repro.network.network import FabricNetwork
 from repro.observability import ObservabilityConfig
 from repro.sim.engine import Simulator
 
@@ -34,13 +34,13 @@ SMOKE_TRANSACTIONS = 30_000
 SMOKE_EVENTS = 180_000
 
 
-def build_disabled_network() -> FabricNetwork:
+def build_disabled_network() -> MultiChannelNetwork:
     config = NetworkConfig(cluster="C1", database="leveldb", block_size=10)
     assert not config.observability.enabled
-    return FabricNetwork(
+    return build_network(
         config=config,
-        chaincode=ExperimentConfig().build_chaincode(),
-        variant=create_variant("fabric-1.4"),
+        chaincode_factory=ExperimentConfig().build_chaincode,
+        variant_factory="fabric-1.4",
         seed=7,
     )
 
@@ -48,7 +48,7 @@ def build_disabled_network() -> FabricNetwork:
 # ------------------------------------------------------------------ structural
 def test_disabled_observability_installs_nothing():
     network = build_disabled_network()
-    assert network.observer is None
+    assert network.groups[0].observer is None
     assert not network.bus._listeners, "a disabled config subscribed a bus listener"
     assert network.sim.pending_events == 0, "a disabled config pre-scheduled engine events"
     assert not network.sim.profiler_attached

@@ -19,9 +19,8 @@ in tier-1: the ≥30k ev/s floor on this cell is asserted by the slow bench
 from __future__ import annotations
 
 from repro.chaincode import create_chaincode
-from repro.fabric.variant import create_variant
+from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
-from repro.network.network import FabricNetwork
 from repro.sim.profile import EngineProfiler
 from repro.workload.workloads import uniform_workload
 
@@ -44,10 +43,10 @@ def pipeline_cell() -> dict:
         block_size=10,
         database="leveldb",
     )
-    network = FabricNetwork(
+    network = build_network(
         config,
-        create_chaincode(spec.chaincode, **spec.chaincode_kwargs),
-        create_variant("fabric-1.4"),
+        lambda: create_chaincode(spec.chaincode, **spec.chaincode_kwargs),
+        "fabric-1.4",
         seed=SMOKE_SEED,
     )
     profiler = EngineProfiler(network.sim)

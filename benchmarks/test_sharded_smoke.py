@@ -27,7 +27,6 @@ from repro.chaincode import create_chaincode
 from repro.channels.network import MultiChannelNetwork
 from repro.core.fingerprint import record_fingerprint
 from repro.fabric.variant import create_variant
-from repro.ledger.block import reset_transaction_ids
 from repro.network.config import NetworkConfig
 from repro.sim.shard import ExecutionConfig
 from repro.workload.workloads import uniform_workload
@@ -71,7 +70,6 @@ def run_smoke_cell(sharded: bool):
     """Run the smoke deployment; returns ``(network, record, full_collections)``."""
     spec = uniform_workload("EHR", patients=40)
     arrival_rate = SMOKE_ARRIVAL_RATE_PER_CHANNEL * SMOKE_CHANNELS
-    reset_transaction_ids()
     if sharded:
         network = MultiChannelNetwork(
             smoke_config(ExecutionConfig(shard_workers=SMOKE_WORKERS)),

@@ -14,10 +14,9 @@ import gc
 import tracemalloc
 
 from repro.chaincode.genchain import GenChainChaincode
-from repro.fabric.variant import create_variant
 from repro.ledger.factory import make_state_store
+from repro.lifecycle import pipeline
 from repro.network.config import NetworkConfig
-from repro.network.network import FabricNetwork
 
 STATE_KEYS = 20_000
 
@@ -73,10 +72,10 @@ def test_network_build_peak_rss_stays_near_one_state_copy():
             database="leveldb",
             block_size=10,
         )
-        return FabricNetwork(
+        return pipeline.build_network(
             config,
-            GenChainChaincode(num_keys=STATE_KEYS),
-            create_variant("fabric-1.4"),
+            lambda: GenChainChaincode(num_keys=STATE_KEYS),
+            "fabric-1.4",
             seed=3,
         )
 

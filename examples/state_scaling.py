@@ -24,9 +24,8 @@ import tracemalloc
 
 from repro.bench.reporting import format_table, print_report
 from repro.chaincode.genchain import GenChainChaincode
-from repro.fabric.variant import create_variant
+from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
-from repro.network.network import FabricNetwork
 from repro.workload.workloads import uniform_workload
 
 STATE_KEYS = 50_000
@@ -42,15 +41,15 @@ def build_and_run(endorsers_per_org: int):
         database="leveldb",
         block_size=20,
     )
-    network = FabricNetwork(
+    network = build_network(
         config,
-        GenChainChaincode(num_keys=STATE_KEYS),
-        create_variant("fabric-1.4"),
+        lambda: GenChainChaincode(num_keys=STATE_KEYS),
+        "fabric-1.4",
         seed=11,
     )
     spec = uniform_workload("genChain")
     record = network.run(spec.mix, arrival_rate=60.0, duration=3.0, workload_name=spec.name)
-    return network, record
+    return network.channels[0], record
 
 
 def main() -> None:

@@ -34,10 +34,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.chaincode import create_chaincode  # noqa: E402
-from repro.channels.network import MultiChannelNetwork  # noqa: E402
-from repro.fabric.variant import create_variant  # noqa: E402
+from repro.lifecycle import pipeline  # noqa: E402
 from repro.network.config import NetworkConfig  # noqa: E402
-from repro.network.network import FabricNetwork  # noqa: E402
 from repro.workload.workloads import uniform_workload  # noqa: E402
 
 #: Pipeline stage -> module substrings whose functions belong to it.  A
@@ -64,20 +62,12 @@ def build_network(channels: int, seed: int):
         channels=channels,
         cross_channel_rate=0.05 if channels > 1 else 0.0,
     )
-    if channels == 1:
-        network = FabricNetwork(
-            config,
-            create_chaincode(spec.chaincode, **spec.chaincode_kwargs),
-            create_variant("fabric-1.4"),
-            seed=seed,
-        )
-    else:
-        network = MultiChannelNetwork(
-            config,
-            chaincode_factory=lambda: create_chaincode(spec.chaincode, **spec.chaincode_kwargs),
-            variant_factory=lambda: create_variant("fabric-1.4"),
-            seed=seed,
-        )
+    network = pipeline.build_network(
+        config,
+        chaincode_factory=lambda: create_chaincode(spec.chaincode, **spec.chaincode_kwargs),
+        variant_factory="fabric-1.4",
+        seed=seed,
+    )
     return network, spec
 
 

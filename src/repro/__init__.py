@@ -58,7 +58,7 @@ from repro.lifecycle import (
 )
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import CLUSTER_PRESETS, DatabaseType, NetworkConfig, TimingProfile
-from repro.network.network import ChannelRecord, FabricNetwork, RunRecord
+from repro.network.network import ChannelRecord, RunRecord
 from repro.workload.spec import TransactionMix, WorkloadSpec
 from repro.workload.workloads import (
     delete_heavy,
@@ -125,7 +125,6 @@ __all__ = [
     "DatabaseType",
     "NetworkConfig",
     "TimingProfile",
-    "FabricNetwork",
     "RunRecord",
     "TransactionMix",
     "WorkloadSpec",

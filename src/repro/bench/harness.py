@@ -36,7 +36,6 @@ from repro.chaincode.base import Chaincode
 from repro.core.analyzer import ExperimentAnalysis, LedgerAnalyzer
 from repro.core.metrics import ExperimentMetrics
 from repro.errors import ConfigurationError
-from repro.ledger.block import reset_transaction_ids
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
 from repro.workload.distributions import make_distribution
@@ -379,23 +378,17 @@ def run_repetition(
     analysis no matter where or in which order it executes.  This is the unit
     of work the parallel runner ships to worker processes.
 
-    The deployment shape is decided by the shared build path
-    (:func:`repro.lifecycle.pipeline.build_network`): configurations with
-    ``network.channels > 1`` come back as a
-    :class:`~repro.channels.network.MultiChannelNetwork` (one Fabric slice per
-    channel, executed by the plan ``network.execution`` selects),
-    single-channel configurations as exactly the classic
-    :class:`FabricNetwork`.
+    The deployment comes from the shared build path
+    (:func:`repro.lifecycle.pipeline.build_network`): always a
+    :class:`~repro.channels.network.MultiChannelNetwork` — one Fabric slice
+    per channel, executed by the plan ``network`` selects; a single-channel
+    configuration is its one-channel shared-clock plan.
 
     Build, run and ledger analysis share one collector scope
     (:func:`repro.sim.collector.quiet_collector`): the analysis walks the same
     retained, acyclic records the run produced.
     """
     seed = repetition_seed(config, repetition, cell_hash=cell_hash)
-    # Transaction ids restart at tx-00000000 for every repetition: they must
-    # be a function of the run, not of process history, so trace exports are
-    # byte-identical across repeated runs and across runner paths.
-    reset_transaction_ids()
     network = build_network(
         config=config.network,
         chaincode_factory=config.build_chaincode,

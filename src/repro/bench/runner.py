@@ -55,9 +55,10 @@ from repro.bench.harness import (
     ExperimentResult,
     run_repetition,
 )
+from repro.channels.network import plan_groups
 from repro.core.analyzer import ExperimentAnalysis
 from repro.errors import ConfigurationError
-from repro.sim.shard import PROCESS_BUDGET_ENV, planned_shard_processes, process_budget
+from repro.sim.shard import PROCESS_BUDGET_ENV, process_budget, resolve_worker_count
 
 #: A progress hook receives a :class:`ProgressEvent` after every finished task.
 ProgressHook = Callable[["ProgressEvent"], None]
@@ -451,11 +452,10 @@ class ExperimentRunner:
     def _task_footprint(task: _Task) -> int:
         """Processes one repetition of ``task`` occupies (itself + shards)."""
         network = task.config.network
-        return planned_shard_processes(
-            channels=network.channels,
-            cross_channel_rate=network.cross_channel_rate,
-            execution=network.execution,
-        )
+        mode, groups = plan_groups(network)
+        if mode != "sharded":
+            return 1
+        return resolve_worker_count(network.execution.shard_workers, len(groups))
 
     def _budget_cap(self, misses: Sequence[_Task]) -> int:
         """Runner workers allowed under the shared process budget.

@@ -9,7 +9,8 @@ itself abort (the ``CROSS_CHANNEL_ABORT`` failure class).
 
 Entry points: :class:`MultiChannelNetwork` (or simply
 ``ExperimentConfig(network=NetworkConfig(channels=4, ...))`` through the
-benchmark harness) — the one deployment class, whose execution plan
+benchmark harness) — the one deployment class (the paper's single-channel
+network is its one-channel plan), whose execution plan
 (``NetworkConfig.execution``) decides whether the channels share one clock,
 run as independent shards in worker processes
 (``ExecutionConfig(shard_workers=0)``) or advance in conservative epochs —
@@ -17,7 +18,7 @@ run as independent shards in worker processes
 :class:`CrossChannelCoordinator` for the 2PC model.
 """
 
-from repro.channels.channel import Channel, ChannelGateway
+from repro.channels.channel import ChannelGateway
 from repro.channels.coordinator import CrossChannelCoordinator
 from repro.channels.network import MultiChannelNetwork
 from repro.channels.topology import (
@@ -26,6 +27,7 @@ from repro.channels.topology import (
     ShardedKeyDistribution,
 )
 from repro.core.fingerprint import EXECUTION_METADATA_FIELDS, record_fingerprint
+from repro.network.network import Channel
 
 __all__ = [
     "Channel",

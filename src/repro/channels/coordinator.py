@@ -39,9 +39,9 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.channels.channel import Channel
 from repro.errors import SimulationError
 from repro.ledger.block import Transaction, ValidationCode
+from repro.network.network import Channel
 
 
 class EpochMessage(NamedTuple):
@@ -90,13 +90,13 @@ class CrossChannelCoordinator:
         for key in keys:
             self._locks[(home.index, key)] = tx.tx_id
         self.prepares_started += 1
-        tx.prepare_started_at = home.network.sim.now
+        tx.prepare_started_at = home.sim.now
         self._send(home, partner, self._prepare_on_partner, tx, home, partner)
 
     def _prepare_on_partner(self, tx: Transaction, home: Channel, partner: Channel) -> None:
         """The prepare occupies the partner channel's ordering service."""
-        timing = partner.network.config.timing
-        service_time = timing.cross_channel_prepare * partner.network.config.resource_factor
+        config = partner.config
+        service_time = config.timing.cross_channel_prepare * config.resource_factor
         partner.orderer.consensus_station.submit(service_time, self._prepared, tx, home, partner)
 
     def _prepared(self, tx: Transaction, home: Channel, partner: Channel) -> None:
@@ -107,13 +107,13 @@ class CrossChannelCoordinator:
         """Phase 2: release the locks and order the transaction at home."""
         self._release(tx, home)
         self.committed += 1
-        tx.prepare_completed_at = home.network.sim.now
+        tx.prepare_completed_at = home.sim.now
         home.orderer.submit(tx)
 
     def _send(self, sender: Channel, target: Channel, callback, *args) -> None:
         """One network hop from ``sender`` to ``target``; ``callback`` runs there."""
-        sim = sender.network.sim
-        delay = sender.network.latency.one_way(None, None)
+        sim = sender.sim
+        delay = sender.latency.one_way(None, None)
         if self.outbox is None:
             sim.post(delay, callback, *args)
         else:

@@ -2,18 +2,20 @@
 
 The group is the unit every execution plan of
 :class:`~repro.channels.network.MultiChannelNetwork` is made of.  It knows
-how to *build* its channels' Fabric slices on one
-:class:`~repro.sim.engine.Simulator` (each slice's own bus piped into the
-group's bus, one :class:`~repro.observability.observer.RunObserver` on that
-bus when observability is on), how to *start* their client arrivals, and how
-to *collect* them into a picklable :class:`GroupResult`.  Who advances the
+how to *build* its channels' Fabric slices
+(:class:`~repro.network.network.Channel`) on one
+:class:`~repro.sim.engine.Simulator` and one bus — a sole channel publishes on
+the group's bus directly, several channels keep a bus each, piped into it —
+with one :class:`~repro.observability.observer.RunObserver` on that bus when
+observability is on, how to *start* their client arrivals, and how to
+*collect* them into a picklable :class:`GroupResult`.  Who advances the
 clock — one drain, a pool worker, the epoch barrier loop — is the plan's
 business, not the group's.
 
 A channel's event sequence is a pure function of its own seed-derived stream
-family (``RandomStreams(seed).spawn("channel-<k>")``) and its own
-transaction-id sequence, so which group a channel is built in never changes
-what it computes.
+family and its own transaction-id sequence (both named by the channel's
+``label``), so which group a channel is built in never changes what it
+computes.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.chaincode.base import Chaincode
-from repro.channels.channel import Channel, ChannelGateway
+from repro.channels.channel import ChannelGateway
 from repro.channels.coordinator import CrossChannelCoordinator
 from repro.channels.topology import ChannelRouter, ChannelTopology, ShardedKeyDistribution
+from repro.ledger.block import ValidationCode
 from repro.lifecycle.events import LifecycleBus
 from repro.lifecycle.retry import ResubmissionGovernor
 from repro.network.config import NetworkConfig
-from repro.network.network import ChannelRecord, FabricNetwork
+from repro.network.network import Channel, ChannelRecord
 from repro.observability.observer import ObservabilityData, RunObserver
 from repro.sim.collector import quiet_collector
 from repro.sim.engine import Simulator
@@ -70,7 +73,7 @@ class GroupResult:
 
     records: List[ChannelRecord]
     #: ``channel index -> raw station accumulators`` (see
-    #: :meth:`FabricNetwork.station_loads`) for the merge-time horizon fixup.
+    #: :meth:`Channel.station_loads`) for the merge-time horizon fixup.
     loads: Dict[int, dict]
     #: The group simulator's local end time.
     end: float
@@ -85,43 +88,47 @@ class ChannelGroup:
     def __init__(self, spec: GroupSpec, governor: Optional[ResubmissionGovernor]) -> None:
         self.spec = spec
         self.sim = Simulator()
-        #: Every channel slice's own bus is piped into this one, so the
-        #: group's observer (and a one-group deployment's consumers) see a
-        #: single stream.
+        #: The one stream the group's observer (and a one-group deployment's
+        #: consumers) see.  A sole channel publishes on it directly; several
+        #: channels keep a bus each (checker and retry controller listen per
+        #: chain) piped into it — only then, because a pipe listens to all
+        #: events, so every emission builds an event even if nobody observes.
         self.bus = LifecycleBus()
         #: The deployment's resubmission governor (``None``: every slice makes
         #: its own, which is only equivalent while there is no rate cap).
         self.governor = governor
         streams = RandomStreams(spec.seed)
         shares = spec.topology.arrival_shares()
+        piped = len(spec.channels) > 1
         self.channels: List[Channel] = []
         for index in spec.channels:
-            network = FabricNetwork(
+            channel = Channel(
                 config=spec.config.copy(),
                 chaincode=spec.chaincode_factory(),
                 variant=spec.variant_factory(),
                 seed=spec.seed,
                 sim=self.sim,
-                streams=streams.spawn(f"channel-{index}"),
-                channel_index=index,
+                streams=streams,
+                bus=LifecycleBus() if piped else self.bus,
+                # The one place the single-channel identity is decided.
+                label=None if spec.topology.channels == 1 else index,
+                arrival_share=shares[index],
             )
-            network.bus.pipe_to(self.bus)
-            self.channels.append(
-                Channel(index=index, network=network, arrival_share=shares[index])
-            )
-        #: One observer for the whole group, on the piped bus — the slices
-        #: share the clock, so they skip their own (see
-        #: :class:`~repro.network.network.FabricNetwork`).
+            if piped:
+                channel.bus.pipe_to(self.bus)
+            self.channels.append(channel)
+        self.gateways: List[ChannelGateway] = []
+        #: One observer for the whole group: its channels share the clock.
         self.observer: Optional[RunObserver] = None
         if spec.config.observability.enabled:
             self.observer = RunObserver(self.sim, self.bus, spec.config.observability)
             for channel in self.channels:
                 self.observer.add_queue_probe(
-                    f"orderer.ch{channel.index}",
-                    lambda network=channel.network: network.orderer.pending_count,
+                    channel.queue_probe,
+                    lambda orderer=channel.orderer: orderer.pending_count,
                 )
-                if channel.network.faults is not None:
-                    self.observer.watch_faults(channel.network.faults)
+                if channel.faults is not None:
+                    self.observer.watch_faults(channel.faults)
         self.profiler: Optional[EngineProfiler] = None
 
     def start_clients(
@@ -131,24 +138,26 @@ class ChannelGroup:
         spec = self.spec
         if self.observer is not None:
             self.observer.on_run_start(args.duration)
-        for channel in self.channels:
-            shard = ShardedKeyDistribution(
-                topology=spec.topology, channel=channel.index, base=args.key_distribution
-            )
-            gateway = ChannelGateway(
+        self.gateways = [
+            ChannelGateway(
                 channel=channel,
                 router=spec.router,
                 cross_channel=spec.cross_channel,
-                rng=channel.network.streams.stream("cross-channel"),
+                rng=channel.streams.stream("cross-channel"),
                 coordinator=coordinator if spec.cross_channel.enabled else None,
             )
-            channel.start(
+            for channel in self.channels
+        ]
+        for channel, gateway in zip(self.channels, self.gateways):
+            channel.start_clients(
                 mix=args.mix,
-                total_arrival_rate=args.arrival_rate,
+                arrival_rate=args.arrival_rate * channel.arrival_share,
                 duration=args.duration,
                 key_distribution=args.key_distribution,
-                shard=shard,
-                gateway=gateway,
+                primary_distribution=ShardedKeyDistribution(
+                    topology=spec.topology, channel=channel.index, base=args.key_distribution
+                ),
+                orderer=gateway,
                 retry_governor=self.governor,
             )
 
@@ -168,22 +177,38 @@ class ChannelGroup:
 
     def collect(self, args: RunArgs) -> GroupResult:
         """Harvest the drained group."""
-        records = [
-            channel.collect(duration=args.duration, workload_name=args.workload_name)
-            for channel in self.channels
-        ]
+        records: List[ChannelRecord] = []
+        for channel, gateway in zip(self.channels, self.gateways):
+            record = channel.collect_record(
+                arrival_rate=args.arrival_rate * channel.arrival_share,
+                duration=args.duration,
+                workload_name=args.workload_name,
+            )
+            records.append(
+                ChannelRecord(
+                    index=channel.index,
+                    name=channel.name,
+                    record=record,
+                    cross_channel_submitted=gateway.cross_channel_submitted,
+                    cross_channel_aborted=sum(
+                        1
+                        for tx in record.early_aborted
+                        if tx.validation_code is ValidationCode.CROSS_CHANNEL_ABORT
+                    ),
+                )
+            )
         observability: Optional[ObservabilityData] = None
         if self.observer is not None:
             block_times = {
-                record.index: {
-                    block.number: block.created_at for block in record.record.ledger.blocks
+                channel.label: {
+                    block.number: block.created_at for block in channel.ledger.blocks
                 }
-                for record in records
+                for channel in self.channels
             }
             observability = self.observer.collect(block_times, final_time=self.sim.now)
         return GroupResult(
             records=records,
-            loads={channel.index: channel.network.station_loads() for channel in self.channels},
+            loads={channel.index: channel.station_loads() for channel in self.channels},
             end=self.sim.now,
             engine=self.profiler.report() if self.profiler is not None else None,
             observability=observability,

@@ -6,10 +6,11 @@ assembled by the same arithmetic whichever plan ran: channel records in
 channel-index order, transactions re-sorted by ``(submitted_at, tx_id)``,
 ``simulated_end`` the maximum group end time, station utilizations recomputed
 bitwise from raw busy-time accumulators over the deployment-wide horizon
-(:meth:`~repro.network.network.FabricNetwork.station_loads` — a group's own
+(:meth:`~repro.network.network.Channel.station_loads` — a group's own
 clock stops at its own last event), counters summed key-wise.  For one group
 holding every channel each of those steps is the identity on what the group
-already computed.
+already computed, and the merge of a one-channel deployment is that channel's
+own record.
 """
 
 from __future__ import annotations
@@ -182,6 +183,12 @@ def merge_group_results(
 ) -> RunRecord:
     """The deployment's aggregate record from its groups' results."""
     channel_records = _records_by_channel(results, config.channels)
+    if len(channel_records) == 1:
+        # One channel *is* the deployment, so its record is the result: every
+        # consumer keeps the single-channel shape and measures the chain once.
+        record = channel_records[0].record
+        record.observability = results[0].observability
+        return record
     loads: Dict[int, dict] = {}
     for result in results:
         loads.update(result.loads)

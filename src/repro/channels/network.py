@@ -1,14 +1,17 @@
-"""The multi-channel Fabric deployment: channel groups, a plan, one merge.
+"""The Fabric deployment: channel groups, a plan, one merge.
 
-:class:`MultiChannelNetwork` is the multi-channel counterpart of
-:class:`~repro.network.network.FabricNetwork`: it builds one complete Fabric
-slice per channel (ledger, state store, ordering service, peers), partitions
-the key space across the channels with a
+:class:`MultiChannelNetwork` is the one deployment class and the one ``run``:
+it builds one complete Fabric slice per channel
+(:class:`~repro.network.network.Channel`: ledger, state store, ordering
+service, peers), partitions the key space across the channels with a
 :class:`~repro.channels.topology.ChannelTopology`, routes the configured
 fraction of transactions through the
 :class:`~repro.channels.coordinator.CrossChannelCoordinator`, and returns an
 aggregate :class:`~repro.network.network.RunRecord` carrying one
-:class:`~repro.network.network.ChannelRecord` per channel.
+:class:`~repro.network.network.ChannelRecord` per channel.  The
+single-channel network of the paper is its one-channel plan — ``shared-clock``
+with one group of one channel, no coordinator — whose merged record *is* that
+channel's record (``ledger`` populated, ``channel_records`` empty).
 
 **Group, plan, merge.**  The channels are built in *channel groups*
 (:class:`~repro.channels.group.ChannelGroup`: a subset of the channels on one
@@ -22,8 +25,8 @@ advances their clocks — is a pure function of ``config.execution`` and
     cross-channel hops are ordinary events on the one clock.  The default,
     the reference semantics, and what every configuration that cannot
     partition runs as: a coupled topology (any positive cross-channel rate
-    with ``uniform`` partners), a single-shard plan, or a *global*
-    resubmission rate cap (one token bucket cannot be split across
+    with ``uniform`` partners), a single-shard plan (one channel is one), or a
+    *global* resubmission rate cap (one token bucket cannot be split across
     processes).
 ``sharded``
     One group per shard of the cross-channel traffic graph, each drained to
@@ -70,7 +73,6 @@ import time
 from contextlib import ExitStack
 from typing import Callable, List, Optional, Tuple
 
-from repro.channels.channel import Channel
 from repro.channels.coordinator import CrossChannelCoordinator
 from repro.channels.group import (
     ChannelGroup,
@@ -87,7 +89,7 @@ from repro.errors import ConfigurationError
 from repro.lifecycle.events import LifecycleBus
 from repro.lifecycle.retry import ResubmissionGovernor
 from repro.network.config import NetworkConfig
-from repro.network.network import RunRecord
+from repro.network.network import Channel, RunRecord
 from repro.sim.collector import quiet_collector
 from repro.sim.rng import RandomStreams
 from repro.sim.shard import plan_shards, resolve_worker_count
@@ -111,7 +113,7 @@ def plan_groups(
 
 
 class MultiChannelNetwork:
-    """N Fabric channels sharded over the key space, run by one execution plan.
+    """N >= 1 Fabric channels sharded over the key space, run by one execution plan.
 
     ``execution_mode`` names the plan from construction on.  On the
     shared-clock plan ``sim``, ``bus`` and ``channels`` are the one group's —
@@ -135,11 +137,6 @@ class MultiChannelNetwork:
     ) -> None:
         config = config.copy()
         config.validate()
-        if config.channels < 2:
-            raise ConfigurationError(
-                f"MultiChannelNetwork needs at least two channels, got {config.channels}; "
-                "use FabricNetwork for single-channel runs"
-            )
         self.config = config
         self.seed = seed
         self.streams = RandomStreams(seed)
@@ -191,13 +188,15 @@ class MultiChannelNetwork:
             self.bus = LifecycleBus()
             for group in self.groups:
                 group.bus.pipe_to(self.bus)
+        #: Two-phase commit needs two channels in this process: ``None`` for a
+        #: one-channel deployment and on the sharded plan.
         self.coordinator: Optional[CrossChannelCoordinator] = (
             CrossChannelCoordinator(
                 channels=self.channels,
                 rng=self.streams.stream("coordinator"),
                 outbox=None if len(self.groups) == 1 else [],
             )
-            if self.groups
+            if len(self.channels) > 1
             else None
         )
         #: Filled by :meth:`run`: worker processes actually used, pickled

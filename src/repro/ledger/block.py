@@ -80,20 +80,13 @@ class EndorsementResponse:
     received_at: Optional[float] = None
 
 
-_tx_counter = itertools.count()
-
-
-def next_transaction_id(prefix: str = "tx") -> str:
-    """Monotonically increasing transaction identifier (unique within a run)."""
-    return "%s-%08d" % (prefix, next(_tx_counter))
-
-
 class TransactionIdAllocator:
     """An isolated transaction-id sequence (one per channel slice).
 
-    Single-channel runs label transactions from the module-global sequence
-    (:func:`next_transaction_id`).  Multi-channel runs give every channel
-    slice its own allocator with a per-channel prefix (``tx-c<k>-...``), so a
+    Every channel slice owns its allocator, so ids are a function of the run
+    — never of what the process ran before.  The sole channel of a
+    one-channel deployment uses the bare ``tx`` prefix; in a multi-channel
+    deployment every slice has a per-channel prefix (``tx-c<k>-...``), so a
     channel's ids are a function of that channel's *own* submission order —
     not of how the channels' events happen to interleave on a shared clock.
     That locality is what lets the sharded execution path
@@ -114,18 +107,6 @@ class TransactionIdAllocator:
     def __call__(self) -> str:
         """The next identifier of this sequence."""
         return self._format(next(self._counter))
-
-
-def reset_transaction_ids() -> None:
-    """Restart the identifier sequence at ``tx-00000000``.
-
-    Called once per experiment repetition so transaction ids are a
-    deterministic function of the run, not of process history — the property
-    behind byte-identical trace exports across repeated runs and across the
-    serial and parallel runner paths.
-    """
-    global _tx_counter
-    _tx_counter = itertools.count()
 
 
 class Transaction:

@@ -261,7 +261,8 @@ class ResubmissionGovernor:
 class RetryController:
     """Drives automatic client resubmission from the lifecycle event stream.
 
-    One controller serves one Fabric slice (a :class:`FabricNetwork`): it
+    One controller serves one Fabric slice (a
+    :class:`~repro.network.network.Channel`): it
     subscribes to the slice's bus, and on every ``ABORTED`` event consults the
     policy, the per-client budget and the (possibly shared) governor before
     scheduling ``client.resubmit`` on the simulator.

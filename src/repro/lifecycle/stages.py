@@ -2,7 +2,7 @@
 
 The Execute-Order-Validate pipeline is assembled from pluggable stages; these
 protocols are the seams.  :class:`~repro.network.client_node.ClientNode`
-submits to any :class:`OrderingStage` — the classic
+submits to any :class:`OrderingStage` — the
 :class:`~repro.network.orderer.OrderingService` or the per-channel
 :class:`~repro.channels.channel.ChannelGateway` that fronts it — and the
 ordering service validates through any :class:`ValidationStage`.  Variant
@@ -23,10 +23,10 @@ from repro.ledger.block import Block, Transaction, ValidationCode
 class OrderingStage(Protocol):
     """Where clients hand endorsed transactions over for ordering.
 
-    Implementations: :class:`~repro.network.orderer.OrderingService` (classic
-    single-channel path) and :class:`~repro.channels.channel.ChannelGateway`
-    (stamps the channel and routes cross-channel transactions through the
-    two-phase coordinator first).
+    Implementations: :class:`~repro.network.orderer.OrderingService` and the
+    :class:`~repro.channels.channel.ChannelGateway` a deployment puts in front
+    of it (stamps the channel and routes cross-channel transactions through
+    the two-phase coordinator first).
     """
 
     @property

@@ -21,7 +21,7 @@ from repro.network.endorsement import (
     SignedBy,
     standard_policies,
 )
-from repro.network.network import FabricNetwork, RunRecord
+from repro.network.network import Channel, RunRecord
 
 __all__ = [
     "CLUSTER_PRESETS",
@@ -33,6 +33,6 @@ __all__ = [
     "PolicyNode",
     "SignedBy",
     "standard_policies",
-    "FabricNetwork",
+    "Channel",
     "RunRecord",
 ]

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.chaincode.base import Chaincode
 from repro.faults.controller import FaultController
-from repro.ledger.block import EndorsementResponse, Transaction, ValidationCode, next_transaction_id
+from repro.ledger.block import EndorsementResponse, Transaction, ValidationCode
 from repro.ledger.rwset import read_sets_consistent
 from repro.lifecycle.events import LifecycleBus, LifecycleEventType
 from repro.lifecycle.stages import OrderingStage
@@ -55,9 +55,9 @@ class ClientNode:
         latency: LatencyModel,
         arrival: ArrivalProcess,
         rng: random.Random,
+        tx_ids: Callable[[], str],
         bus: Optional[LifecycleBus] = None,
         faults: Optional[FaultController] = None,
-        tx_ids: Optional[Callable[[], str]] = None,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -72,10 +72,9 @@ class ClientNode:
         self.rng = rng
         self.bus = bus
         self.faults = faults
-        #: Transaction-id source: the run-global sequence by default, a
-        #: per-channel :class:`~repro.ledger.block.TransactionIdAllocator`
-        #: in multi-channel deployments (see that class for why).
-        self.tx_ids = tx_ids if tx_ids is not None else next_transaction_id
+        #: Transaction-id source: the channel slice's own
+        #: :class:`~repro.ledger.block.TransactionIdAllocator`.
+        self.tx_ids = tx_ids
         self.submitted: List[Transaction] = []
         self.read_only_skipped: List[Transaction] = []
         self.resubmitted_count = 0

@@ -144,7 +144,9 @@ class NetworkConfig:
     """Control variables of one experiment (paper Table 3).
 
     Unset fields (``None``) default to the values of the selected cluster
-    preset; ``validate()`` is called by :class:`~repro.network.network.FabricNetwork`
+    preset; ``validate()`` is called by
+    :class:`~repro.channels.network.MultiChannelNetwork` (and again by every
+    :class:`~repro.network.network.Channel` on its variant-configured copy)
     before the network is built.
     """
 
@@ -313,7 +315,7 @@ class NetworkConfig:
                 f" channels={self.channels} placement={self.placement} "
                 f"cross={self.cross_channel_rate:.0%}"
             )
-        if self.execution.sharded:
+        if self.execution.conservative or self.execution.shard_workers != 1:
             mode = "conservative" if self.execution.conservative else "sharded"
             summary += f" exec={mode}(workers={self.execution.shard_workers})"
         if self.retry.enabled:

@@ -1,21 +1,17 @@
-"""The simulated Fabric network: wiring and experiment execution.
+"""One channel of a deployment: the Fabric slice and the record it produces.
 
-:class:`FabricNetwork` builds organizations, peers, the ordering service and
-client processes from a :class:`~repro.network.config.NetworkConfig`, runs one
-experiment (a workload at a given arrival rate for a given duration) and
-returns a :class:`RunRecord` containing the ledger and every transaction, ready
-for the post-experiment analysis of :mod:`repro.core`.
-
-A network normally owns its own :class:`~repro.sim.engine.Simulator` and
-:class:`~repro.sim.rng.RandomStreams`; both can also be injected, which is the
-multi-channel build path — a :class:`repro.channels.group.ChannelGroup` of
-:class:`repro.channels.network.MultiChannelNetwork` instantiates one
-:class:`FabricNetwork` per channel on a *shared* simulator clock, so the
-channels simulate concurrently yet deterministically.  For that
-embedding the run loop is split into :meth:`FabricNetwork.start_clients`
-(schedule the client arrivals) and :meth:`FabricNetwork.collect_record`
-(harvest the results once the shared simulation has drained);
-:meth:`FabricNetwork.run` composes the two for the single-channel case.
+:class:`Channel` builds organizations, peers, the ordering service and client
+processes from a :class:`~repro.network.config.NetworkConfig` — one complete
+Fabric slice with its own ledger, state and RNG stream family — on the
+simulator clock and lifecycle bus of the
+:class:`~repro.channels.group.ChannelGroup` that owns it.  The slice does not
+run itself: the group calls :meth:`Channel.start_clients` (schedule the client
+arrivals), whoever the execution plan names advances the clock, and
+:meth:`Channel.collect_record` harvests a :class:`RunRecord` containing the
+ledger and every transaction, ready for the post-experiment analysis of
+:mod:`repro.core`.  The one deployment class that drives all of this — for
+one channel or many — is
+:class:`repro.channels.network.MultiChannelNetwork`.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from repro.checker.checker import IsolationChecker, IsolationReport
 from repro.errors import ConfigurationError
 from repro.faults.controller import FaultController
 from repro.faults.schedule import FaultSchedule
-from repro.ledger.block import Transaction, TransactionIdAllocator, next_transaction_id
+from repro.ledger.block import Transaction, TransactionIdAllocator
 from repro.ledger.factory import make_state_store
 from repro.ledger.kvstore import VersionedKVStore
 from repro.ledger.ledger import Ledger
@@ -46,8 +42,7 @@ from repro.network.orderer import OrderingService
 from repro.network.organization import Organization
 from repro.network.peer import Peer
 from repro.network.validator import BlockValidator
-from repro.observability.observer import ObservabilityData, RunObserver
-from repro.sim.collector import quiet_collector
+from repro.observability.observer import ObservabilityData
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import mean
@@ -56,14 +51,7 @@ from repro.workload.distributions import KeyDistribution
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.spec import TransactionMix
 
-__all__ = [
-    "FabricNetwork",
-    "RunRecord",
-    "ChannelRecord",
-    # Re-exported for backward compatibility; the factory is a ledger concern
-    # and lives in repro.ledger.factory now.
-    "make_state_store",
-]
+__all__ = ["Channel", "RunRecord", "ChannelRecord"]
 
 
 @dataclass
@@ -170,18 +158,22 @@ class ChannelRecord:
         return self.record.ledger
 
 
-class FabricNetwork:
-    """A fully wired simulated Fabric deployment.
+class Channel:
+    """One channel of a deployment: a fully wired Fabric slice.
 
     Construction builds the whole slice from ``config``: organizations and
     peers over one frozen copy-on-write state base, the ordering service, the
-    latency model, a :class:`~repro.lifecycle.events.LifecycleBus`, and — when
-    ``config.faults`` is enabled — the
+    latency model, and — when ``config.faults`` is enabled — the
     :class:`~repro.faults.controller.FaultController` that degrades components
-    on the deterministic chaos schedule.  ``sim``/``streams``/``bus`` may be
-    injected for the multi-channel embedding (see module docstring);
-    ``channel_index`` tells the fault controller which partition windows apply
-    to this slice.
+    on the deterministic chaos schedule.  ``sim`` and ``bus`` come from the
+    owning group; ``streams`` is the deployment's root stream family.
+
+    ``label`` is the channel's identity in everything a run emits, decided by
+    the group: the channel index, or ``None`` for the sole channel of a
+    one-channel deployment, which keeps the historical single-channel bytes —
+    root stream family, ``tx-`` ids, unstamped ``tx.channel``, ``orderer``
+    queue probe, and ``channel=None`` for the fault controller (which then
+    reads the partition windows of channel 0), checker and block times.
     """
 
     def __init__(
@@ -189,30 +181,36 @@ class FabricNetwork:
         config: NetworkConfig,
         chaincode: Chaincode,
         variant,
-        seed: int = 7,
-        sim: Optional[Simulator] = None,
-        streams: Optional[RandomStreams] = None,
-        bus: Optional[LifecycleBus] = None,
-        channel_index: Optional[int] = None,
+        seed: int,
+        sim: Simulator,
+        streams: RandomStreams,
+        bus: LifecycleBus,
+        label: Optional[int],
+        arrival_share: float,
     ) -> None:
         self.variant = variant
         self.config = variant.configure(config.copy())
         self.config.validate()
         self.chaincode = chaincode
         self.seed = seed
-        #: Transaction-id source of this deployment: channel slices label
-        #: their own sequence (``tx-c<k>-...``) so ids never depend on how
-        #: sibling channels interleave; single-channel networks keep the
-        #: run-global sequence (and its byte-for-byte historical ids).
-        self.tx_ids = (
-            TransactionIdAllocator(f"tx-c{channel_index}")
-            if channel_index is not None
-            else next_transaction_id
-        )
-        self.sim = sim if sim is not None else Simulator()
-        self.streams = streams if streams is not None else RandomStreams(seed)
+        self.label = label
+        #: Position in the deployment's topology, and share of its arrival rate.
+        self.index = 0 if label is None else label
+        self.name = f"channel{self.index}"
+        self.arrival_share = arrival_share
+        # Ids come from the slice's own sequence: a function of this channel's
+        # submission order, never of process history or sibling channels.
+        if label is None:
+            self.streams = streams
+            self.tx_ids = TransactionIdAllocator("tx")
+            self.queue_probe = "orderer"
+        else:
+            self.streams = streams.spawn(f"channel-{label}")
+            self.tx_ids = TransactionIdAllocator(f"tx-c{label}")
+            self.queue_probe = f"orderer.ch{label}"
+        self.sim = sim
         self.ledger = Ledger()
-        self.bus = bus if bus is not None else LifecycleBus()
+        self.bus = bus
         #: Fault controller of this slice (``None`` keeps the no-fault path
         #: bit-identical: no stream is drawn, no event scheduled).
         self.faults: Optional[FaultController] = (
@@ -220,7 +218,7 @@ class FabricNetwork:
                 sim=self.sim,
                 config=self.config.faults,
                 loss_rng=self.streams.stream("fault-loss"),
-                channel=channel_index,
+                channel=label,
             )
             if self.config.faults.enabled
             else None
@@ -255,23 +253,13 @@ class FabricNetwork:
         )
         self.clients: List[ClientNode] = []
         self.retry_controller: Optional[RetryController] = None
-        #: Run observer (``None`` unless observability is enabled *and* this
-        #: network owns its clock; multi-channel deployments observe at the
-        #: channel-group level instead — see
-        #: :class:`repro.channels.group.ChannelGroup`).
-        self.observer: Optional[RunObserver] = None
-        if sim is None and self.config.observability.enabled:
-            self.observer = RunObserver(self.sim, self.bus, self.config.observability)
-            self.observer.add_queue_probe("orderer", lambda: self.orderer.pending_count)
-            if self.faults is not None:
-                self.observer.watch_faults(self.faults)
         #: Streaming isolation checker of this slice (``None`` unless
         #: ``config.checker`` is enabled).  Installed per slice — on the
-        #: slice's *own* bus, not the piped deployment bus — so each channel
-        #: is checked against its own chain and the verdicts are identical
-        #: across shared-clock, sharded and conservative execution.
+        #: slice's *own* bus, never a bus other channels are piped into — so
+        #: each channel is checked against its own chain and the verdicts are
+        #: identical across shared-clock, sharded and conservative execution.
         self.isolation_checker: Optional[IsolationChecker] = (
-            IsolationChecker(self.bus, self.config.checker, channel=channel_index)
+            IsolationChecker(self.bus, self.config.checker, channel=label)
             if self.config.checker.enabled
             else None
         )
@@ -315,22 +303,18 @@ class FabricNetwork:
     ) -> None:
         """Build the client processes and schedule all their arrivals.
 
-        ``orderer`` defaults to this network's own ordering service; the
-        multi-channel path passes a channel gateway that sits in front of it
-        (marking cross-channel transactions and routing them through the
-        coordinator).  ``primary_distribution`` optionally overrides the key
-        distribution used for each request's *primary* entity draw — the hook
-        the channel subsystem uses to restrict a channel's clients to its
-        shard of the key space.  ``retry_governor`` optionally injects a
-        shared resubmission-rate governor (the multi-channel path passes one
+        ``arrival_rate`` is this channel's own rate (the deployment validated
+        it and ``duration`` before splitting it by :attr:`arrival_share`).
+        ``orderer`` defaults to this slice's own ordering service; the group
+        passes a :class:`~repro.channels.channel.ChannelGateway` that sits in
+        front of it (stamping the channel and routing cross-channel
+        transactions through the coordinator).  ``primary_distribution``
+        optionally overrides the key distribution used for each request's
+        *primary* entity draw — the hook that restricts a channel's clients to
+        its shard of the key space.  ``retry_governor`` optionally injects a
+        shared resubmission-rate governor (the group passes the one
         deployment-wide instance so the cap is global across channels).
         """
-        if arrival_rate <= 0:
-            raise ConfigurationError(f"the arrival rate must be positive, got {arrival_rate}")
-        if duration <= 0:
-            raise ConfigurationError(f"the duration must be positive, got {duration}")
-        if self.observer is not None:
-            self.observer.on_run_start(duration)
         per_client_rate = arrival_rate / self.config.clients
         self.clients = []
         if self.faults is not None and not self.faults.armed:
@@ -440,12 +424,6 @@ class FabricNetwork:
             if self.retry_controller is not None
             else {"resubmissions": 0, "retries_exhausted": 0, "budget_denied": 0, "rate_denied": 0}
         )
-        observability: Optional[ObservabilityData] = None
-        if self.observer is not None:
-            block_times = {
-                None: {block.number: block.created_at for block in self.ledger.blocks}
-            }
-            observability = self.observer.collect(block_times, final_time=self.sim.now)
         return RunRecord(
             config=self.config,
             variant_name=self.variant.name,
@@ -470,34 +448,9 @@ class FabricNetwork:
             retry_budget_denied=retry_stats["budget_denied"],
             retry_rate_denied=retry_stats["rate_denied"],
             fault_injections=self.faults.stats() if self.faults is not None else {},
-            observability=observability,
             isolation=(
                 self.isolation_checker.report()
                 if self.isolation_checker is not None
                 else None
             ),
         )
-
-    @quiet_collector()
-    def run(
-        self,
-        mix: TransactionMix,
-        arrival_rate: float,
-        duration: float,
-        key_distribution: Optional[KeyDistribution] = None,
-        workload_name: str = "custom",
-    ) -> RunRecord:
-        """Run one experiment and return the collected record.
-
-        ``arrival_rate`` is the combined rate of all clients in transactions
-        per second; ``duration`` is the simulated time during which clients
-        submit transactions (the simulation afterwards runs until every pending
-        event has drained, exactly like the paper waits for the last block).
-        """
-        self.start_clients(mix, arrival_rate, duration, key_distribution)
-        if self.observer is not None:
-            with self.observer.profile():
-                self.sim.run_until_empty()
-        else:
-            self.sim.run_until_empty()
-        return self.collect_record(arrival_rate, duration, workload_name)

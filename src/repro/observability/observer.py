@@ -1,8 +1,8 @@
 """The per-run observer: span tracer + metrics registry + sampler + markers.
 
-One :class:`RunObserver` serves one simulator clock (a single-channel
-:class:`~repro.network.network.FabricNetwork` or one
-:class:`~repro.channels.group.ChannelGroup` of a multi-channel deployment).  It is only constructed
+One :class:`RunObserver` serves one simulator clock — one
+:class:`~repro.channels.group.ChannelGroup` of a deployment, which is its only
+constructor.  It is only constructed
 when :class:`~repro.observability.config.ObservabilityConfig` is enabled;
 without it no bus listener, sampler event or profiler exists and the run is
 bit-identical to a build without this package.

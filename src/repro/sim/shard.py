@@ -86,11 +86,6 @@ class ExecutionConfig:
         """
         return dataclasses.asdict(self) if self.conservative else None
 
-    @property
-    def sharded(self) -> bool:
-        """True when this config selects any non-shared-clock path."""
-        return self.conservative or self.shard_workers != 1
-
 
 @dataclass(frozen=True)
 class ShardPlan:
@@ -232,23 +227,3 @@ def resolve_worker_count(requested: int, shard_count: int) -> int:
         if env_cap:
             limit = min(limit, env_cap)
     return max(1, min(limit, shard_count))
-
-
-def planned_shard_processes(
-    channels: int,
-    cross_channel_rate: float,
-    execution: ExecutionConfig,
-    partner_strategy: str = "uniform",
-) -> int:
-    """Worker processes one run of this shape will occupy (runner budgeting).
-
-    Returns 1 for every configuration that executes in-process: shared-clock
-    runs, single-channel runs, fully-coupled topologies (which fall back or
-    run the in-process conservative engine) and single-shard plans.
-    """
-    if channels <= 1 or not execution.sharded or execution.conservative:
-        return 1
-    plan = plan_shards(channels, cross_channel_rate, partner_strategy)
-    if not plan.is_partitioned:
-        return 1
-    return resolve_worker_count(execution.shard_workers, plan.shard_count)

@@ -18,7 +18,9 @@ from repro.bench.reporting import format_progress
 from repro.chaincode.genchain import GenChainChaincode
 from repro.core.analyzer import ExperimentAnalysis
 from repro.errors import ConfigurationError
+from repro.lifecycle.retry import RetryConfig
 from repro.network.config import NetworkConfig
+from repro.sim.shard import PROCESS_BUDGET_ENV, ExecutionConfig
 from repro.workload.spec import TransactionMix, WorkloadSpec
 from repro.workload.workloads import uniform_workload
 
@@ -409,6 +411,40 @@ def _sharded_config(shard_workers: int = 4) -> ExperimentConfig:
             execution=ExecutionConfig(shard_workers=shard_workers),
         )
     )
+
+
+@pytest.mark.parametrize(
+    "budget,network,expected",
+    [
+        (None, dict(channels=1, execution=ExecutionConfig(shard_workers=0)), 1),
+        (None, dict(channels=4), 1),
+        # Coupled: shared clock, or in-process epochs.
+        (None, dict(channels=4, cross_channel_rate=0.1, execution=ExecutionConfig(0)), 1),
+        (None, dict(channels=4, cross_channel_rate=0.1, execution=ExecutionConfig(1, True)), 1),
+        (None, dict(channels=4, execution=ExecutionConfig(shard_workers=2)), 2),
+        ("2", dict(channels=8, execution=ExecutionConfig(shard_workers=0)), 2),
+        # One global resubmission bucket cannot be split across processes, so
+        # the plan is shared-clock whatever shard_workers asks for; budgeting
+        # one process per channel here would serialise the sweep for nothing.
+        (
+            "8",
+            dict(
+                channels=8,
+                execution=ExecutionConfig(shard_workers=0),
+                retry=RetryConfig(policy="jittered", rate_cap=50.0),
+            ),
+            1,
+        ),
+    ],
+    ids=["one-channel", "shared-clock", "coupled", "epochs", "two-workers", "auto", "rate-capped"],
+)
+def test_task_footprint_is_what_the_plan_occupies(budget, network, expected, monkeypatch):
+    if budget is None:
+        monkeypatch.delenv(PROCESS_BUDGET_ENV, raising=False)
+    else:
+        monkeypatch.setenv(PROCESS_BUDGET_ENV, budget)
+    task = _miss(tiny_config(network=NetworkConfig(**network)))
+    assert ExperimentRunner._task_footprint(task) == expected
 
 
 def test_worker_pool_is_capped_by_the_shard_footprint(monkeypatch):

@@ -87,16 +87,6 @@ def test_multi_channel_metrics_aggregate_across_chains():
     assert report.total_failure_pct == pytest.approx(total, abs=1e-6)
 
 
-def test_multi_channel_network_rejects_single_channel():
-    config = NetworkConfig(channels=1)
-    with pytest.raises(ConfigurationError):
-        MultiChannelNetwork(
-            config=config,
-            chaincode_factory=lambda: None,
-            variant_factory=lambda: None,
-        )
-
-
 def test_cross_channel_rate_requires_multiple_channels():
     with pytest.raises(ConfigurationError):
         NetworkConfig(channels=1, cross_channel_rate=0.5).validate()
@@ -132,7 +122,7 @@ def test_channels_one_is_bit_identical_to_the_classic_path():
     explicit = channel_config(channels=1)
     explicit.network = explicit.network.copy(channels=1)
     direct = run_repetition(explicit, 0)
-    assert not direct.record.channel_records  # classic FabricNetwork path
+    assert not direct.record.channel_records  # the merge is the channel's own record
     # Same configuration through the parallel runner: identical results.
     runner = ExperimentRunner(workers=2, cache=None)
     result = runner.run(explicit.with_overrides(repetitions=2))

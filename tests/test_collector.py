@@ -8,6 +8,7 @@ tracked-object counts and ``gc.callbacks`` counters — never wall-clock.
 from __future__ import annotations
 
 import gc
+import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -17,11 +18,8 @@ from repro.bench.runner import ExperimentRunner, ResultCache
 from repro.chaincode import create_chaincode
 from repro.core.fingerprint import record_fingerprint
 from repro.checker.config import CheckerConfig
-from repro.fabric.variant import create_variant
-from repro.ledger.block import reset_transaction_ids
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
-from repro.network.network import FabricNetwork
 from repro.observability.config import ObservabilityConfig
 from repro.sim.collector import DEFERRED_FULL_COLLECTIONS, quiet_collector
 from repro.sim.shard import ExecutionConfig
@@ -50,7 +48,6 @@ def ehr_cell(**network) -> ExperimentConfig:
 
 
 def build_cell(config: ExperimentConfig):
-    reset_transaction_ids()
     return build_network(
         config=config.network,
         chaincode_factory=config.build_chaincode,
@@ -197,6 +194,22 @@ def test_chained_runs_leave_at_most_one_run_of_cyclic_garbage_outstanding():
     assert max(tracked) < 1.1 * tracked[0]
 
 
+def test_a_dropped_deployment_frees_its_genesis_state_by_reference_counting():
+    # Full collections are deferred, so a cell's key population must not wait
+    # for one: no cycle may run through the channel slice (the gateway in front
+    # of its orderer holds the orderer, not the slice).
+    config = ehr_cell(cluster="C1").with_overrides(duration=1.0)
+    network = build_cell(config)
+    state_base = weakref.ref(network.channels[0].state_base)
+    gc.disable()
+    try:
+        record = run_cell(config, network)
+        del network
+        assert record.transactions and state_base() is None
+    finally:
+        gc.enable()
+
+
 # ------------------------------------------------------------ scope hygiene
 def test_collector_state_is_restored_after_a_run_whose_chaincode_raises(monkeypatch):
     spec = uniform_workload("EHR", patients=40)
@@ -207,8 +220,8 @@ def test_collector_state_is_restored_after_a_run_whose_chaincode_raises(monkeypa
         raise RuntimeError("chaincode failed")
 
     monkeypatch.setattr(chaincode, "execute", explode)
-    network = FabricNetwork(
-        NetworkConfig(cluster="C1", database="leveldb"), chaincode, create_variant("fabric-1.4")
+    network = build_network(
+        NetworkConfig(cluster="C1", database="leveldb"), lambda: chaincode, "fabric-1.4"
     )
     state = collector_state()
     with pytest.raises(RuntimeError, match="chaincode failed"):

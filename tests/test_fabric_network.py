@@ -1,4 +1,4 @@
-"""Unit/integration tests for the wired FabricNetwork and client nodes."""
+"""Unit/integration tests for the wired single-channel deployment and client nodes."""
 
 from __future__ import annotations
 
@@ -6,20 +6,22 @@ import pytest
 
 from repro.chaincode import create_chaincode
 from repro.errors import ConfigurationError
-from repro.fabric.variant import create_variant
-from repro.network.config import NetworkConfig
-from repro.network.network import FabricNetwork, make_state_store
 from repro.ledger.couchdb import CouchDBStore
+from repro.ledger.factory import make_state_store
 from repro.ledger.leveldb import LevelDBStore
+from repro.lifecycle import pipeline
+from repro.network.config import NetworkConfig
 from repro.workload.workloads import uniform_workload
 
 
-def build_network(**overrides):
+def build_network(seed=5, **overrides):
+    """The one-channel deployment; its Fabric slice is ``network.channels[0]``."""
     config = NetworkConfig(
         cluster="C1", clients=2, block_size=10, database="leveldb", **overrides
     )
-    chaincode = create_chaincode("EHR", patients=30)
-    return FabricNetwork(config, chaincode, create_variant("fabric-1.4"), seed=5)
+    return pipeline.build_network(
+        config, lambda: create_chaincode("EHR", patients=30), "fabric-1.4", seed=seed
+    )
 
 
 def test_make_state_store_dispatch():
@@ -28,7 +30,7 @@ def test_make_state_store_dispatch():
 
 
 def test_topology_matches_configuration():
-    network = build_network()
+    (network,) = build_network().channels
     assert len(network.organizations) == 2
     assert len(network.peers) == 4
     endorsers = [peer for peer in network.peers if peer.is_endorser]
@@ -39,7 +41,7 @@ def test_topology_matches_configuration():
 
 
 def test_endorser_stores_are_populated_with_initial_state():
-    network = build_network()
+    (network,) = build_network().channels
     endorser = next(peer for peer in network.peers if peer.is_endorser)
     assert len(endorser.store) == 60  # 30 profiles + 30 records
     assert len(network.validator.store) == 60
@@ -48,7 +50,7 @@ def test_endorser_stores_are_populated_with_initial_state():
 def test_peer_states_are_overlays_over_one_shared_frozen_base():
     from repro.ledger.store import OverlayStateStore
 
-    network = build_network()
+    (network,) = build_network().channels
     assert network.state_base.frozen
     assert isinstance(network.validator.store, OverlayStateStore)
     assert network.validator.store.base is network.state_base
@@ -62,9 +64,10 @@ def test_peer_states_are_overlays_over_one_shared_frozen_base():
 
 
 def test_peer_overlays_only_store_their_divergence_after_a_run():
-    network = build_network()
+    deployment = build_network()
     spec = uniform_workload("EHR")
-    network.run(spec.mix, arrival_rate=40, duration=2.0)
+    deployment.run(spec.mix, arrival_rate=40, duration=2.0)
+    (network,) = deployment.channels
     base_size = len(network.state_base)
     for peer in network.peers:
         if peer.store is None:
@@ -113,14 +116,10 @@ def test_same_seed_reproduces_identical_results():
 
 
 def test_different_seeds_change_the_run():
-    config = NetworkConfig(cluster="C1", clients=2, block_size=10, database="leveldb")
     spec = uniform_workload("EHR")
     counts = set()
     for seed in (1, 2, 3):
-        network = FabricNetwork(
-            config.copy(), create_chaincode("EHR", patients=30), create_variant("fabric-1.4"), seed=seed
-        )
-        record = network.run(spec.mix, arrival_rate=40, duration=2.0)
+        record = build_network(seed=seed).run(spec.mix, arrival_rate=40, duration=2.0)
         counts.add(record.submitted_count)
     assert len(counts) > 1
 
@@ -158,9 +157,10 @@ def test_read_only_skip_mode_keeps_queries_off_the_ledger():
 
 
 def test_peer_states_converge_to_canonical_state_after_run():
-    network = build_network()
+    deployment = build_network()
     spec = uniform_workload("EHR")
-    network.run(spec.mix, arrival_rate=50, duration=2.0)
+    deployment.run(spec.mix, arrival_rate=50, duration=2.0)
+    (network,) = deployment.channels
     canonical = network.validator.store
     for peer in network.peers:
         if peer.store is None:

@@ -9,16 +9,19 @@ from repro.ledger.block import (
     Block,
     BlockCutReason,
     Transaction,
+    TransactionIdAllocator,
     ValidationCode,
-    next_transaction_id,
 )
 from repro.ledger.ledger import Ledger
 from repro.ledger.rwset import KeyRead, KeyWrite, ReadWriteSet
 
 
+_test_ids = TransactionIdAllocator("test")
+
+
 def make_tx(tx_id=None, code=None, reads=1, writes=1):
     tx = Transaction(
-        tx_id=tx_id or next_transaction_id("test"),
+        tx_id=tx_id or _test_ids(),
         client_name="client0",
         chaincode_name="EHR",
         function="addEhr",
@@ -32,8 +35,9 @@ def make_tx(tx_id=None, code=None, reads=1, writes=1):
 
 
 def test_transaction_ids_are_unique_and_increasing():
-    first = next_transaction_id()
-    second = next_transaction_id()
+    ids = TransactionIdAllocator()
+    first = ids()
+    second = ids()
     assert first != second
     assert first < second
 

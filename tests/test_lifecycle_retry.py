@@ -290,12 +290,12 @@ def test_repeated_start_clients_detaches_the_previous_controller():
     from repro.workload.distributions import make_distribution
 
     experiment = retry_experiment("immediate", max_retries=2)
-    network = build_network(
+    (network,) = build_network(
         config=experiment.network,
         chaincode_factory=experiment.build_chaincode,
         variant_factory="fabric-1.4",
         seed=3,
-    )
+    ).channels
     for _ in range(2):
         network.start_clients(
             mix=experiment.workload.mix,

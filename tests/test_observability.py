@@ -25,8 +25,8 @@ from repro.faults import FaultConfig
 from repro.ledger.block import EndorsementResponse, Transaction, ValidationCode
 from repro.ledger.rwset import ReadWriteSet
 from repro.lifecycle.events import LifecycleBus, LifecycleEvent, LifecycleEventType
+from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
-from repro.network.network import FabricNetwork
 from repro.observability import (
     CATEGORY_PEER,
     CATEGORY_STAGE,
@@ -55,7 +55,6 @@ from repro.observability import (
     write_span_jsonl,
 )
 from repro.sim.engine import Simulator
-from repro.fabric import create_variant
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 sys.path.insert(0, str(GOLDEN_DIR))
@@ -365,13 +364,14 @@ def test_traced_run_metrics_expose_quantiles_and_stage_latency(traced_result):
 
 # -------------------------------------------------------- zero cost / identity
 def test_disabled_observability_creates_no_observer():
-    network = FabricNetwork(
+    network = build_network(
         config=NetworkConfig(cluster="C1", database="leveldb", block_size=10),
-        chaincode=ExperimentConfig().build_chaincode(),
-        variant=create_variant("fabric-1.4"),
+        chaincode_factory=ExperimentConfig().build_chaincode,
+        variant_factory="fabric-1.4",
         seed=7,
     )
-    assert network.observer is None
+    (group,) = network.groups
+    assert group.observer is None
     assert not network.bus._listeners
     assert network.sim.pending_events == 0
 

@@ -22,7 +22,6 @@ import pytest
 from repro.channels.network import MultiChannelNetwork
 from repro.core.fingerprint import record_fingerprint
 from repro.errors import ConfigurationError
-from repro.ledger.block import reset_transaction_ids
 from repro.lifecycle.pipeline import build_network
 from repro.lifecycle.retry import RetryConfig
 from repro.sim.shard import ExecutionConfig
@@ -44,7 +43,6 @@ GOLDEN = json.loads((GOLDEN_DIR / "conservative_golden.json").read_text())
 
 def run_conservative(config):
     """Build and run one conservative cell; returns ``(network, record)``."""
-    reset_transaction_ids()
     network = build_network(
         config=config.network,
         chaincode_factory=config.build_chaincode,

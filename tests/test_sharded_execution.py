@@ -25,9 +25,7 @@ from repro.bench.runner import ExperimentRunner
 from repro.channels.network import MultiChannelNetwork
 from repro.core.fingerprint import record_fingerprint
 from repro.checker.config import CheckerConfig
-from repro.errors import ConfigurationError
 from repro.faults.spec import FaultConfig
-from repro.ledger.block import reset_transaction_ids
 from repro.lifecycle.retry import RetryConfig
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
@@ -80,7 +78,6 @@ def experiment(
 
 def run_cell(config: ExperimentConfig):
     """Build and run one cell directly; returns ``(network, record)``."""
-    reset_transaction_ids()
     network = build_network(
         config=config.network,
         chaincode_factory=config.build_chaincode,
@@ -182,18 +179,8 @@ def test_global_retry_rate_cap_forces_the_shared_clock():
     assert record.execution == "shared-clock"
 
 
-def test_sharded_network_rejects_single_channel_configs():
-    with pytest.raises(ConfigurationError):
-        MultiChannelNetwork(
-            config=NetworkConfig(channels=1),
-            chaincode_factory=lambda: None,
-            variant_factory=lambda: None,
-        )
-
-
 def test_unpicklable_factories_degrade_to_in_process_execution():
     config = experiment(ExecutionConfig(shard_workers=4))
-    reset_transaction_ids()
     captured = {}
 
     def chaincode_factory():

@@ -294,7 +294,8 @@ def run_network(config: ExperimentConfig):
 
 
 def test_an_attempt_costs_about_one_execution_not_one_per_endorser(counters):
-    network, record = run_network(ehr_cell())
+    deployment, record = run_network(ehr_cell())
+    (network,) = deployment.channels
     attempts = len(record.transactions)
     assert attempts > 300
     # Every endorser still answers every proposal with its own response...
@@ -345,7 +346,8 @@ def test_range_scans_are_executed_once_per_attempt_not_once_per_endorser(monkeyp
     config = ehr_cell("fabric++", database="couchdb").with_overrides(
         workload=uniform_workload("SCM", units_per_lsp=[400, 400, 400, 400, 800])
     )
-    network, record = run_network(config)
+    deployment, record = run_network(config)
+    (network,) = deployment.channels
     # Replica scans only: the validator re-scans on its own overlay (phantom
     # checks) once per range read it validates, shared or not.
     replicas = {id(peer.store) for peer in network.peers if peer.store is not None}
@@ -357,7 +359,7 @@ def test_range_scans_are_executed_once_per_attempt_not_once_per_endorser(monkeyp
 
 
 def test_a_direct_caller_without_a_result_table_simply_executes(counters):
-    network = build_cell(ehr_cell(cluster="C1"))
+    (network,) = build_cell(ehr_cell(cluster="C1")).channels
     endorsers = [peer for peer in network.peers if peer.is_endorser]
     assert len(endorsers) >= 2
     assert len({peer.endorsement_state().state_token for peer in endorsers}) == 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import ExperimentConfig
+from repro.channels.network import plan_groups
 from repro.errors import ConfigurationError
 from repro.network.config import NetworkConfig
 from repro.sim.shard import (
@@ -13,7 +14,6 @@ from repro.sim.shard import (
     connected_components,
     cross_channel_edges,
     plan_shards,
-    planned_shard_processes,
     process_budget,
     resolve_worker_count,
 )
@@ -84,19 +84,27 @@ def test_shard_of_rejects_unknown_channel():
 
 
 # -------------------------------------------------------------- ExecutionConfig
+def _plan(execution: ExecutionConfig, cross_channel_rate: float = 0.0) -> str:
+    config = NetworkConfig(
+        channels=4, cross_channel_rate=cross_channel_rate, execution=execution
+    )
+    return plan_groups(config)[0]
+
+
 def test_execution_config_defaults_to_shared_clock():
     config = ExecutionConfig()
     config.validate()
-    assert not config.sharded
+    assert _plan(config) == "shared-clock"
 
 
 @pytest.mark.parametrize("workers", [0, 2, 16])
 def test_non_default_worker_counts_select_the_sharded_path(workers):
-    assert ExecutionConfig(shard_workers=workers).sharded
+    assert _plan(ExecutionConfig(shard_workers=workers)) == "sharded"
 
 
 def test_conservative_selects_the_sharded_path_even_at_one_worker():
-    assert ExecutionConfig(shard_workers=1, conservative=True).sharded
+    execution = ExecutionConfig(shard_workers=1, conservative=True)
+    assert _plan(execution, cross_channel_rate=0.1) == "sharded-conservative"
 
 
 @pytest.mark.parametrize("bad", [-1, -7, 1.5, "four", True])
@@ -156,26 +164,6 @@ def test_worker_count_never_drops_below_one(monkeypatch):
     monkeypatch.setenv(PROCESS_BUDGET_ENV, "1")
     assert resolve_worker_count(0, 8) == 1
     assert resolve_worker_count(4, 8) == 1
-
-
-@pytest.mark.parametrize(
-    "channels,rate,execution,expected",
-    [
-        (1, 0.0, ExecutionConfig(shard_workers=0), 1),  # single channel
-        (4, 0.0, ExecutionConfig(), 1),  # shared clock
-        (4, 0.1, ExecutionConfig(shard_workers=0), 1),  # coupled -> fallback
-        (4, 0.1, ExecutionConfig(conservative=True), 1),  # in-process epochs
-        (4, 0.0, ExecutionConfig(shard_workers=2), 2),
-    ],
-)
-def test_planned_shard_processes(channels, rate, execution, expected, monkeypatch):
-    monkeypatch.delenv(PROCESS_BUDGET_ENV, raising=False)
-    assert planned_shard_processes(channels, rate, execution) == expected
-
-
-def test_planned_auto_processes_respect_the_budget(monkeypatch):
-    monkeypatch.setenv(PROCESS_BUDGET_ENV, "2")
-    assert planned_shard_processes(8, 0.0, ExecutionConfig(shard_workers=0)) == 2
 
 
 # ------------------------------------------------------------- cell identity
