@@ -9,8 +9,10 @@ docs/ARCHITECTURE.md):
 1. **Slots.**  Every ``@dataclass`` defined in a declared hot-path module
    must either pass ``slots=True`` or define ``__slots__`` in its body —
    per-instance ``__dict__`` allocation on these classes is a measurable
-   regression.  Classes listed in ``SLOTS_EXEMPT`` (cold configuration
-   objects living in hot modules) are skipped.
+   regression.  In the modules of ``SLOTS_EVERY_CLASS`` the rule covers plain
+   classes too (the client's ``EndorsementRound`` is allocated once per
+   attempt and is not a dataclass).  Classes listed in ``SLOTS_EXEMPT`` (cold
+   configuration objects living in hot modules) are skipped.
 
 2. **No stream resolution per event.**  ``RandomStreams.stream()`` derives
    a stream via SHA-256 + dict lookup; components must resolve their
@@ -53,12 +55,18 @@ SLOTS_MODULES = [
     "src/repro/ledger/kvstore.py",
     "src/repro/chaincode/api.py",
     "src/repro/lifecycle/events.py",
+    "src/repro/network/client_node.py",
 ]
 
-#: Hot-module dataclasses excused from the slots rule (cold configuration or
+#: The hot-path modules in which *every* class is held to the slots rule,
+#: dataclass or not.
+SLOTS_EVERY_CLASS = {"src/repro/network/client_node.py"}
+
+#: Hot-module classes excused from the slots rule (cold configuration or
 #: registry objects that merely live in the same file).
 SLOTS_EXEMPT = {
     "DatabaseLatencyProfile",  # two module-level singletons, never re-allocated
+    "ClientNode",  # one per client process, built once per run
 }
 
 #: Modules whose per-event methods must not resolve RNG streams.
@@ -120,19 +128,19 @@ def _defines_dunder_slots(node: ast.ClassDef) -> bool:
     return False
 
 
-def check_slots(path: Path) -> list[str]:
+def check_slots(source: str, label: str, every_class: bool = False) -> list[str]:
+    """Rule 1 over one module's source (``label`` names it in the messages)."""
     errors = []
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef) or node.name in SLOTS_EXEMPT:
             continue
         decorator = _decorator_named(node, "dataclass")
-        if decorator is None:
+        if decorator is None and not every_class:
             continue
-        if _has_slots_true(decorator) or _defines_dunder_slots(node):
+        if (decorator is not None and _has_slots_true(decorator)) or _defines_dunder_slots(node):
             continue
         errors.append(
-            f"{path.relative_to(REPO_ROOT)}:{node.lineno}: hot-path dataclass "
+            f"{label}:{node.lineno}: hot-path class "
             f"{node.name!r} must pass slots=True (or define __slots__); "
             "add it to SLOTS_EXEMPT in scripts/check_hot_path.py only for "
             "cold configuration objects"
@@ -295,7 +303,8 @@ def emitted_chaincode_source() -> str:
 def main() -> int:
     errors: list[str] = []
     for relative in SLOTS_MODULES:
-        errors.extend(check_slots(REPO_ROOT / relative))
+        source = (REPO_ROOT / relative).read_text(encoding="utf-8")
+        errors.extend(check_slots(source, relative, relative in SLOTS_EVERY_CLASS))
     for relative in STREAM_MODULES:
         root = REPO_ROOT / relative
         files = sorted(root.rglob("*.py")) if root.is_dir() else [root]

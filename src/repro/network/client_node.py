@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import functools
 import random
-from typing import Callable, Dict, List, Optional
+from operator import itemgetter
+from typing import Callable, List, Optional, Tuple
 
 from repro.chaincode.base import Chaincode
 from repro.faults.controller import FaultController
@@ -37,6 +38,29 @@ from repro.network.peer import Peer, SimulationResults
 from repro.sim.engine import Simulator
 from repro.workload.client import ArrivalProcess
 from repro.workload.generator import WorkloadGenerator
+
+_arrival_time = itemgetter(0)
+
+
+class EndorsementRound:
+    """One attempt's endorsement collection (Section 2, step 3).
+
+    Responses are recorded with the time they reach the client as their
+    endorsers send them; the client wakes up once, at the last arrival, instead
+    of once per response.  ``open`` goes false when the round completes or a
+    fault path (unreachable peer, collection watchdog) aborts the attempt.
+    Nothing but the events of its own attempt refers to a round, so it is
+    freed with the last of them.
+    """
+
+    __slots__ = ("tx", "expected", "arrivals", "open")
+
+    def __init__(self, tx: Transaction, expected: int) -> None:
+        self.tx = tx
+        self.expected = expected
+        #: ``(arrival time, response)`` in send order.
+        self.arrivals: List[Tuple[float, EndorsementResponse]] = []
+        self.open = True
 
 
 class ClientNode:
@@ -78,7 +102,12 @@ class ClientNode:
         self.submitted: List[Transaction] = []
         self.read_only_skipped: List[Transaction] = []
         self.resubmitted_count = 0
-        self._expected_responses: Dict[str, int] = {}
+        # What the per-attempt fan-out draws from ``rng`` is decided here, once:
+        # ``choice`` and ``sample`` are replayed draw for draw for the stdlib
+        # generator only — a subclass may override the uniform source, a test
+        # double anything, so those keep the stdlib calls.
+        self._select_orgs = policy.org_selector(rng)
+        self._getrandbits = rng.getrandbits if type(rng) is random.Random else None
 
     # ---------------------------------------------------------------- events
     def _emit(self, event_type: LifecycleEventType, tx: Transaction) -> None:
@@ -148,65 +177,109 @@ class ClientNode:
         """
         self.submitted.append(tx)
         self._emit(LifecycleEventType.SUBMITTED, tx)
-        rng = self.rng
-        endorsing_orgs = sorted(self.policy.select_orgs(rng))
-        self._expected_responses[tx.tx_id] = len(endorsing_orgs)
-        on_response = functools.partial(self._on_endorsement, tx)
+        endorsing_orgs = self._select_orgs()
+        round_ = EndorsementRound(tx, len(endorsing_orgs))
+        on_response = functools.partial(self._on_endorsement, round_)
         # One result table per transaction, shared by all its endorsers: a
         # peer whose replica holds a state another already simulated against
         # reuses that result (see Peer.receive_proposal).
         simulated: SimulationResults = {}
         organizations = self.organizations
+        getrandbits = self._getrandbits
         one_way = self.latency.one_way
         post = self.sim.post
         faults = self.faults
         chaincode = self.chaincode
         for org_index in endorsing_orgs:
-            peer = organizations[org_index].pick_endorser(rng)
+            endorsers = organizations[org_index].endorsers
+            if getrandbits is None:
+                peer = self.rng.choice(endorsers)
+            else:
+                # ``rng.choice(endorsers)`` without its stdlib frames: CPython's
+                # ``_randbelow_with_getrandbits(n)`` draws ``n.bit_length()``
+                # bits until the value is below ``n``.
+                count = len(endorsers)
+                bits = count.bit_length()
+                index = getrandbits(bits)
+                while index >= count:
+                    index = getrandbits(bits)
+                peer = endorsers[index]
             delay = one_way(None, peer.org_index)
             if faults is not None:
                 if not faults.peer_available(peer.name):
                     # Connection refused: the client learns one network hop
                     # later and gives the transaction up immediately.
-                    post(delay, self._on_peer_unreachable, tx)
+                    post(delay, self._abort_round, round_, ValidationCode.PEER_UNAVAILABLE)
                     continue
                 if faults.endorsement_lost():
                     continue  # vanishes in transit; the watchdog will fire
             post(delay, peer.receive_proposal, tx, chaincode, on_response, simulated)
-        if self.faults is not None and self.faults.arms_endorsement_watchdog:
+        if faults is not None and faults.arms_endorsement_watchdog:
             # Armed only for faults that can lose or stall an endorsement;
             # an outage- or crash-only profile must never reclassify a merely
             # congested endorsement queue as an infrastructure timeout.
-            self.sim.post(self.faults.endorsement_timeout, self._endorsement_timeout, tx)
+            post(
+                faults.endorsement_timeout,
+                self._abort_round,
+                round_,
+                ValidationCode.ENDORSEMENT_TIMEOUT,
+            )
 
-    def _on_peer_unreachable(self, tx: Transaction) -> None:
-        """A proposal hit a down peer; fail fast unless already resolved."""
-        if self._expected_responses.pop(tx.tx_id, None) is not None:
-            self.orderer.abort_early(tx, ValidationCode.PEER_UNAVAILABLE)
+    def _abort_round(self, round_: EndorsementRound, code: ValidationCode) -> None:
+        """A proposal hit a down peer, or the collection watchdog fired.
 
-    def _endorsement_timeout(self, tx: Transaction) -> None:
-        """The endorsement-collection watchdog fired; abort if still pending."""
-        if self._expected_responses.pop(tx.tx_id, None) is not None:
-            self.orderer.abort_early(tx, ValidationCode.ENDORSEMENT_TIMEOUT)
+        Aborts the attempt unless its round is already resolved.  The attempt
+        keeps the responses that had reached the client: strictly earlier
+        arrivals only, because both fault events are posted inside
+        :meth:`submit_transaction` and so run before any response that arrives
+        at the very same instant.
+        """
+        if not round_.open:
+            return
+        round_.open = False
+        now = self.sim.now
+        arrived = [
+            response
+            for arrival, response in sorted(round_.arrivals, key=_arrival_time)
+            if arrival < now
+        ]
+        if arrived:
+            round_.tx.endorsements = arrived
+        self.orderer.abort_early(round_.tx, code)
 
     # ------------------------------------------------------------ endorsement
-    def _on_endorsement(self, tx: Transaction, peer: Peer, response: EndorsementResponse) -> None:
-        """A peer finished endorsing; account for the response network latency."""
-        delay = self.latency.one_way(peer.org_index, None)
-        self.sim.post(delay, self._collect_response, tx, response)
+    def _on_endorsement(
+        self, round_: EndorsementRound, peer: Peer, response: EndorsementResponse
+    ) -> None:
+        """A peer finished endorsing; account for the response network latency.
 
-    def _collect_response(self, tx: Transaction, response: EndorsementResponse) -> None:
+        The latency is drawn here, at the station-completion event, even for a
+        round a fault path has closed: the channel's one ``latency`` stream
+        also feeds proposal legs, the client-to-orderer leg and block delivery,
+        so a skipped or moved draw would shift every later latency of the run.
+        """
+        delay = self.latency.one_way(peer.org_index, None)
+        if not round_.open:
+            return
+        arrivals = round_.arrivals
+        arrivals.append((self.sim.now + delay, response))
+        if len(arrivals) == round_.expected:
+            # The last response is on its way: one wake-up, at the last
+            # arrival.  The stable sort by time keeps send order among equal
+            # arrival times, which is the (time, sequence) order one event per
+            # response would have been dispatched in.
+            arrivals.sort(key=_arrival_time)
+            self.sim.post_at(arrivals[-1][0], self._complete_round, round_)
+
+    def _complete_round(self, round_: EndorsementRound) -> None:
         """Execution phase, step 3: collect responses and submit for ordering."""
-        if tx.tx_id not in self._expected_responses:
-            # The transaction was already resolved — a fault path (timeout or
-            # unreachable peer) aborted it while this response was in flight.
+        if not round_.open:
+            # A fault path (timeout or unreachable peer) aborted the attempt
+            # between the last send and the last arrival.
             return
-        endorsements = tx.endorsements
-        endorsements.append(response)
-        expected = self._expected_responses.get(tx.tx_id, 0)
-        if len(endorsements) < expected:
-            return
-        self._expected_responses.pop(tx.tx_id, None)
+        round_.open = False
+        tx = round_.tx
+        endorsements = tx.endorsements = [response for _, response in round_.arrivals]
         tx.endorsement_completed_at = self.sim.now
         # Every response that simulated the same result keeps a reference to
         # the first one's read/write set instead of its own value-equal copy

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Sequence, Set, Tuple
+from typing import Callable, Dict, Sequence, Set, Tuple
 
 from repro.errors import EndorsementPolicyError
 from repro.network.config import TimingProfile
@@ -50,6 +50,14 @@ class PolicyNode:
         receive the transaction proposal.
         """
         raise NotImplementedError
+
+    def org_selector(self, rng: random.Random) -> Callable[[], Sequence[int]]:
+        """:meth:`select_orgs` bound to one stream, in ascending order.
+
+        Clients build it once and call it per attempt.
+        """
+        select_orgs = self.select_orgs
+        return lambda: sorted(select_orgs(rng))
 
     def describe(self) -> str:
         """Human-readable policy expression (Table 5 style)."""
@@ -123,6 +131,34 @@ class NOutOf(PolicyNode):
         for child in chosen_children:
             orgs |= child.select_orgs(rng)
         return orgs
+
+    def org_selector(self, rng: random.Random) -> Callable[[], Sequence[int]]:
+        count = len(self.children)
+        if (
+            type(rng) is not random.Random
+            or self.n != count
+            or not all(type(child) is SignedBy for child in self.children)
+        ):
+            return super().org_selector(rng)
+        # Every organization must sign (P0, the paper's default): with
+        # ``k == len(population)`` CPython's ``sample`` takes its pool path —
+        # ``_randbelow(count - i)`` for ``i`` in ``range(count)`` — and returns
+        # a permutation of all the leaves, so the answer is known in advance
+        # and only the draws are replayed: ``_randbelow_with_getrandbits(n)``
+        # is ``getrandbits(n.bit_length())`` until the value is below ``n``.
+        # Only the stdlib generator itself is known to draw this way (a
+        # subclass may override the uniform source, a test double anything).
+        everyone = tuple(sorted(self.organizations()))
+        draws = [(size, size.bit_length()) for size in range(count, 0, -1)]
+        getrandbits = rng.getrandbits
+
+        def select_everyone() -> Sequence[int]:
+            for size, bits in draws:
+                while getrandbits(bits) >= size:
+                    pass
+            return everyone
+
+        return select_everyone
 
     def describe(self) -> str:
         children = ", ".join(child.describe() for child in self.children)

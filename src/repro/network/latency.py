@@ -32,6 +32,8 @@ class LatencyModel:
         # ``uniform(a, b)`` is ``a + (b - a) * random()``); the timing profile
         # and the induced-delay settings are fixed for the model's lifetime.
         timing = config.timing
+        self._random = rng.random
+        self._net_one_way = timing.net_one_way
         self._net_low = -timing.net_jitter
         self._net_span = timing.net_jitter - self._net_low
         self._induced_low = -config.induced_delay_jitter
@@ -39,8 +41,8 @@ class LatencyModel:
 
     def one_way(self, src_org: Optional[int] = None, dst_org: Optional[int] = None) -> float:
         """One-way latency of a message from ``src_org`` to ``dst_org``."""
-        random_ = self.rng.random
-        latency = self.timing.net_one_way + (self._net_low + self._net_span * random_())
+        random_ = self._random
+        latency = self._net_one_way + (self._net_low + self._net_span * random_())
         delayed = self._delayed
         if delayed and (src_org in delayed or dst_org in delayed):
             latency += self.config.induced_delay + (
@@ -66,8 +68,3 @@ class LatencyModel:
             jitter = self.config.induced_delay_jitter
             latency += self.config.induced_delay + self.rng.uniform(-jitter, jitter)
         return max(0.0, latency)
-
-    def _touches_delayed_org(self, src_org: Optional[int], dst_org: Optional[int]) -> bool:
-        if not self._delayed:
-            return False
-        return (src_org in self._delayed) or (dst_org in self._delayed)

@@ -8,7 +8,7 @@ of the study (Figure 12).
 
 from __future__ import annotations
 
-import random
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List
 
@@ -25,29 +25,18 @@ class Organization:
     index: int
     name: str
     peers: List["Peer"] = field(default_factory=list)
-    #: Cached endorser list for :meth:`pick_endorser`, invalidated whenever
-    #: the peer roster changes length (peers are only ever appended during
-    #: deployment build and their roles never change afterwards).
-    _endorsers: List["Peer"] = field(default_factory=list, repr=False, compare=False)
-    _endorsers_roster_size: int = field(default=-1, repr=False, compare=False)
 
-    @property
-    def endorsing_peers(self) -> List["Peer"]:
-        """Peers of this organization that hold the endorser role."""
-        return [peer for peer in self.peers if peer.is_endorser]
+    @functools.cached_property
+    def endorsers(self) -> List["Peer"]:
+        """The peers of this organization that hold the endorser role.
 
-    def pick_endorser(self, rng: random.Random) -> "Peer":
-        """Choose one endorsing peer of this organization at random.
-
-        ``rng.choice`` draws depend only on the sequence length, so choosing
-        from the cached list is draw-identical to rebuilding it per call.
+        Listed on first use — by the first client to send a proposal here — and
+        kept: peers are only appended while the deployment is built and their
+        roles never change afterwards.
         """
-        if self._endorsers_roster_size != len(self.peers):
-            self._endorsers = [peer for peer in self.peers if peer.is_endorser]
-            self._endorsers_roster_size = len(self.peers)
-        endorsers = self._endorsers
+        endorsers = [peer for peer in self.peers if peer.is_endorser]
         if not endorsers:
             raise ConfigurationError(
                 f"organization {self.name!r} has no endorsing peers; cannot endorse"
             )
-        return rng.choice(endorsers)
+        return endorsers

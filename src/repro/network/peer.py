@@ -149,15 +149,11 @@ class Peer:
             received_at=self.sim.now,
         )
         self.endorsements_served += 1
-        self.endorsement_station.submit(
-            service_time, self._finish_endorsement, response, on_response
+        # ``submit`` returns the exact float the clock will hold when it runs
+        # the callback, so the response is complete before anyone can see it.
+        response.completed_at = self.endorsement_station.submit(
+            service_time, on_response, self, response
         )
-
-    def _finish_endorsement(
-        self, response: EndorsementResponse, on_response: EndorsementCallback
-    ) -> None:
-        response.completed_at = self.sim.now
-        on_response(self, response)
 
     # ------------------------------------------------------------- validation
     def deliver_block(

@@ -20,7 +20,6 @@ from typing import Any, Callable
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.stats import OnlineStats
 
 
 class ServiceStation:
@@ -41,8 +40,8 @@ class ServiceStation:
         heapq.heapify(self._free_at)
         self.jobs_served = 0
         self.busy_time = 0.0
-        self.waiting_time = OnlineStats()
-        self.service_time = OnlineStats()
+        #: Seconds jobs spent queued before a server took them, summed.
+        self.waiting_total = 0.0
 
     def submit(
         self,
@@ -59,21 +58,20 @@ class ServiceStation:
             raise SimulationError(f"negative service time {service_time} on {self.name}")
         now = self.sim.now
         free_at = self._free_at
+        start = free_at[0]
+        if start > now:
+            self.waiting_total += start - now
+        else:
+            start = now
+        completion = start + service_time
         if len(free_at) == 1:
             # Single-server stations (validation, consensus) skip the heap:
-            # the lone slot is read and overwritten in place.
-            start = max(now, free_at[0])
-            completion = start + service_time
+            # the lone slot is overwritten in place.
             free_at[0] = completion
         else:
-            earliest_free = heapq.heappop(free_at)
-            start = max(now, earliest_free)
-            completion = start + service_time
-            heapq.heappush(free_at, completion)
+            heapq.heapreplace(free_at, completion)
         self.jobs_served += 1
         self.busy_time += service_time
-        self.waiting_time.add(start - now)
-        self.service_time.add(service_time)
         if callback is not None:
             # Completion events are never cancelled, so the handle-free fast
             # path avoids one Event allocation per job.

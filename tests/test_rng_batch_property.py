@@ -6,6 +6,12 @@ underlying ``random.Random`` draws, same final generator state.  That promise
 is what lets the hot path batch draws without perturbing the golden lifecycle
 records, so each property below checks both the values *and*
 ``rng.getstate()`` after the batch.
+
+The same promise covers the inlined replays of ``sample`` (the everyone-signs
+selector of :meth:`NOutOf.org_selector`, below) and of ``choice`` (the client's
+endorser pick, ``tests/test_endorsement_round.py``): they mirror private
+CPython code, so they are proved against the stdlib of whichever Python runs
+the suite.
 """
 
 from __future__ import annotations
@@ -16,12 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channels.topology import ChannelTopology, ShardedKeyDistribution
+from repro.network.endorsement import NOutOf, SignedBy, policy_p1, policy_p3
 from repro.sim.rng import RandomStreams, exponential_draws
 from repro.workload.distributions import UniformDistribution, ZipfianDistribution
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 COUNTS = st.integers(min_value=0, max_value=200)
 POPULATIONS = st.integers(min_value=1, max_value=500)
+SIZES = st.integers(min_value=1, max_value=64)
 RATES = st.floats(min_value=1e-3, max_value=1e4, allow_nan=False, allow_infinity=False)
 
 
@@ -103,3 +111,43 @@ def test_sharded_sample_batch_matches_per_call(
     percall_values = [percall.sample(percall_rng, population) for _ in range(count)]
     assert batched_values == percall_values
     assert batched_rng.getstate() == percall_rng.getstate()
+
+
+# ------------------------------------------------------------ sample replay
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, size=SIZES, rounds=st.integers(min_value=1, max_value=5))
+def test_everyone_signs_selector_matches_the_general_path(seed, size, rounds):
+    policy = NOutOf(n=size, children=tuple(SignedBy(org) for org in range(size)))
+    replayed_rng, stdlib_rng = _paired_rngs(seed)
+    select = policy.org_selector(replayed_rng)
+    replayed_rng.sample = None  # the replay never calls it
+    for _ in range(rounds):
+        assert list(select()) == sorted(policy.select_orgs(stdlib_rng))
+    assert replayed_rng.getstate() == stdlib_rng.getstate()
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=SEEDS, size=st.integers(min_value=3, max_value=16))
+def test_nested_and_quorum_selectors_match_select_orgs(seed, size):
+    nested = NOutOf(n=2, children=(SignedBy(0), NOutOf(n=1, children=(SignedBy(1),))))
+    for policy in (policy_p1(size), policy_p3(size), nested):
+        bound_rng, stdlib_rng = _paired_rngs(seed)
+        select = policy.org_selector(bound_rng)
+        assert list(select()) == sorted(policy.select_orgs(stdlib_rng))
+        assert bound_rng.getstate() == stdlib_rng.getstate()
+
+
+class CountingRandom(random.Random):
+    """A subclass: the replay must leave it to the stdlib's own calls."""
+
+    calls = 0
+
+    def sample(self, population, k):
+        type(self).calls += 1
+        return super().sample(population, k)
+
+
+def test_replay_is_for_the_stdlib_generator_only():
+    policy = NOutOf(n=3, children=tuple(SignedBy(org) for org in range(3)))
+    select = policy.org_selector(CountingRandom(1))
+    assert list(select()) == [0, 1, 2] and CountingRandom.calls == 1

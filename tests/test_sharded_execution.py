@@ -12,13 +12,13 @@ cannot shard.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from export_parts import assert_export_pinned, exported_bytes
 
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.bench.runner import ExperimentRunner
@@ -30,7 +30,7 @@ from repro.lifecycle.retry import RetryConfig
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
 from repro.observability.config import ObservabilityConfig
-from repro.observability.export import dumps, metrics_document, write_chrome_trace
+from repro.observability.export import write_chrome_trace
 from repro.sim.shard import ExecutionConfig
 from repro.workload.distributions import make_distribution
 from repro.workload.workloads import uniform_workload
@@ -325,49 +325,8 @@ def test_sharded_trace_export_passes_the_schema_check(tmp_path):
 
 
 # ------------------------------------------------- export bytes, plan by plan
-def _without_wall_clock(value):
-    """``value`` minus the wall-clock keys per-group engine reports carry."""
-    if isinstance(value, dict):
-        return {
-            key: _without_wall_clock(item)
-            for key, item in value.items()
-            if key not in ("wall_seconds", "events_per_sec")
-        }
-    if isinstance(value, list):
-        return [_without_wall_clock(item) for item in value]
-    return value
-
-
-@pytest.mark.parametrize(
-    "execution, trace_sha256, metrics_sha256",
-    [
-        (
-            ExecutionConfig(),
-            "1c125717f962ee2c5961f67ef0850e9bfc2541c260cbb8bd034b8dbd228d1d25",
-            "5072744ac3aea62791deb49f0f6df6f96ed42db63b73955ac01f3eebbd898512",
-        ),
-        (
-            # Coupled, so the worker request runs the shared-clock plan.
-            ExecutionConfig(shard_workers=2),
-            "1c125717f962ee2c5961f67ef0850e9bfc2541c260cbb8bd034b8dbd228d1d25",
-            "5072744ac3aea62791deb49f0f6df6f96ed42db63b73955ac01f3eebbd898512",
-        ),
-        (
-            ExecutionConfig(conservative=True),
-            "45ef006f4fb2884c662d30bc0dcecb2938446fed8b54f702560c72b06fbda9f5",
-            "f4e0cc2cc48357dfbe09d54d1b108ae2df441174795c2e778a948fe61f9eced0",
-        ),
-    ],
-    ids=["shared", "workers-2", "epochs"],
-)
-def test_chaos_audit_cell_exports_the_pinned_bytes(
-    tmp_path, execution, trace_sha256, metrics_sha256
-):
-    # A chaos-audit-shaped cell — 4 coupled channels, faults, jittered
-    # retries, trace + metrics, checker — through every in-process plan.  The
-    # digests were taken at the commit before the deployment classes were
-    # collapsed into one: the observer wiring, the merge and the exporters
-    # must keep producing the same bytes.
+def chaos_audit_cell(execution: ExecutionConfig) -> ExperimentConfig:
+    """A chaos-audit-shaped cell: 4 coupled channels, faults, retries, exports, checker."""
     config = experiment(
         execution, cross_channel_rate=0.05, observability=OBSERVED, checker=CHECKED
     )
@@ -379,11 +338,27 @@ def test_chaos_audit_cell_exports_the_pinned_bytes(
         endorsement_loss_rate=0.01,
     )
     config.network.retry = RetryConfig(policy="jittered", max_retries=3)
-    _, record = run_cell(config)
+    return config
+
+
+#: test id -> (execution plan, pin in ``tests/golden/export_pins.json``)
+CHAOS_AUDIT_EXPORTS = {
+    "shared": (ExecutionConfig(), "chaos-audit/shared-clock"),
+    # Coupled, so the worker request runs the shared-clock plan.
+    "workers-2": (ExecutionConfig(shard_workers=2), "chaos-audit/shared-clock"),
+    "epochs": (ExecutionConfig(conservative=True), "chaos-audit/epochs"),
+}
+
+
+@pytest.mark.parametrize("plan", list(CHAOS_AUDIT_EXPORTS))
+def test_chaos_audit_cell_exports_the_pinned_bytes(tmp_path, plan):
+    # Through every in-process plan.  The simulated system's part of each pin
+    # dates from the commit before the deployment classes were collapsed into
+    # one: the observer wiring, the merge and the exporters must keep
+    # producing the same bytes.
+    execution, pin = CHAOS_AUDIT_EXPORTS[plan]
+    _, record = run_cell(chaos_audit_cell(execution))
     assert record.fault_injections and record.resubmissions > 0
     assert record.isolation.verdict == "CERTIFIED-SERIALIZABLE"
-    trace_path = tmp_path / "trace.json"
-    write_chrome_trace(trace_path, [record.observability])
-    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == trace_sha256
-    metrics = dumps(_without_wall_clock(metrics_document(record.observability)))
-    assert hashlib.sha256(metrics.encode("utf-8")).hexdigest() == metrics_sha256
+    for kind, exported in exported_bytes(record.observability, tmp_path).items():
+        assert_export_pinned(f"{pin}/{kind}", exported)

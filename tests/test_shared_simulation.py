@@ -311,24 +311,26 @@ def test_an_attempt_costs_about_one_execution_not_one_per_endorser(counters):
 def test_same_token_responses_arrive_at_the_client_already_sharing(monkeypatch):
     tokens = {}
     receive_proposal = Peer.receive_proposal
-    collect_response = ClientNode._collect_response
+    on_endorsement = ClientNode._on_endorsement
     checked = Counter()
 
     def receive(peer, tx, *rest):
         tokens[tx.tx_id, peer.name] = peer.endorsement_state().state_token
         receive_proposal(peer, tx, *rest)
 
-    def collect(client, tx, response):
-        # Before the client's equality loop has touched anything.
-        token = tokens[tx.tx_id, response.peer_name]
-        for earlier in tx.endorsements:
-            if token is not None and tokens[tx.tx_id, earlier.peer_name] == token:
+    def collect(client, round_, peer, response):
+        # Where a response first reaches the client: before the round
+        # completes, so before the equality loop has touched anything.
+        tx_id = round_.tx.tx_id
+        token = tokens[tx_id, response.peer_name]
+        for _, earlier in round_.arrivals:
+            if token is not None and tokens[tx_id, earlier.peer_name] == token:
                 assert response.rwset is earlier.rwset
                 checked["shared"] += 1
-        collect_response(client, tx, response)
+        on_endorsement(client, round_, peer, response)
 
     monkeypatch.setattr(Peer, "receive_proposal", receive)
-    monkeypatch.setattr(ClientNode, "_collect_response", collect)
+    monkeypatch.setattr(ClientNode, "_on_endorsement", collect)
     _network, record = run_network(ehr_cell())
     assert checked["shared"] > 20 * len(record.transactions)
     assert len(set(tokens.values())) > 30

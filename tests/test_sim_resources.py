@@ -67,9 +67,9 @@ def test_waiting_time_statistics(sim):
     station = ServiceStation(sim, name="peer")
     station.submit(1.0)
     station.submit(1.0)
-    assert station.waiting_time.count == 2
-    assert station.waiting_time.mean == pytest.approx(0.5)
-    assert station.service_time.mean == pytest.approx(1.0)
+    assert station.jobs_served == 2
+    assert station.waiting_total / station.jobs_served == pytest.approx(0.5)
+    assert station.busy_time / station.jobs_served == pytest.approx(1.0)
 
 
 def test_negative_service_time_rejected(sim):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from export_parts import assert_export_pinned, exported_bytes
 
 from repro.bench.harness import ExperimentConfig
 from repro.checker.config import CheckerConfig
@@ -26,7 +27,7 @@ from repro.lifecycle.pipeline import build_network
 from repro.lifecycle.retry import RetryConfig
 from repro.network.config import NetworkConfig
 from repro.observability.config import ObservabilityConfig
-from repro.observability.export import dumps, metrics_document, write_chrome_trace
+from repro.observability.export import dumps
 from repro.sim.shard import ExecutionConfig
 from repro.workload.distributions import make_distribution
 from repro.workload.workloads import synthetic_workload, uniform_workload
@@ -106,8 +107,9 @@ CELLS = {
     ),
 }
 
-CHAOS_TRACE_SHA256 = "cce8ed551d247ca7188aad8cd7220c15e77259b896b9a71a8b075b7db638bfeb"
-CHAOS_METRICS_SHA256 = "5ab26d62836e452b05af8d6e74792217ccb6e68a4e04ce319e1115859e799f3b"
+#: The chaos cell's trace and metrics exports are pinned part by part in
+#: ``tests/golden/export_pins.json`` (see ``export_parts``), under these names.
+CHAOS_EXPORT_PIN = "single-channel/chaos-C2"
 CHAOS_HISTORY_SHA256 = "867e93239050c1c338dcaf77ac753874136ec5269406a8f1e9b4e10d12164227"
 
 
@@ -154,12 +156,8 @@ def test_chaos_cell_exports_the_pinned_bytes(tmp_path):
     assert record.fault_injections and record.resubmissions > 0
     assert record.retry_rate_denied > 0
     assert record.isolation.verdict == "CERTIFIED-SERIALIZABLE"
-    trace_path = tmp_path / "trace.json"
-    write_chrome_trace(trace_path, [record.observability])
-    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == CHAOS_TRACE_SHA256
-    # One observer saw the run, so the only wall-clock keys are the engine
-    # report's, which metrics_document strips itself.
-    assert sha256(dumps(metrics_document(record.observability))) == CHAOS_METRICS_SHA256
+    for kind, exported in exported_bytes(record.observability, tmp_path).items():
+        assert_export_pinned(f"{CHAOS_EXPORT_PIN}/{kind}", exported)
     assert sha256(dumps(history_document(record))) == CHAOS_HISTORY_SHA256
 
 
