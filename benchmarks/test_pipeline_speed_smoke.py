@@ -16,6 +16,12 @@ cell has two endorsers, the paper's default cell (cluster C2, policy P0) has
 eight, and a fan-out regression that costs one event per endorser is four
 times louder there.
 
+A third cell puts the paper topology on eight channels sharing one clock, for
+the per-attempt work *outside* the fan-out (see the second table of "Hot path"):
+lifecycle events nobody reads, placement asked per shard draw, passes over the
+ledger in the analysis.  Each is pinned as a count that is the same on every
+machine.
+
 What the integers cannot see — the same events dispatched more slowly
 (``__dict__`` instances, per-call stream resolution, per-peer block
 revalidation) — is a wall-clock question, and wall-clock floors do not belong
@@ -25,10 +31,16 @@ in tier-1: the ≥30k ev/s floor on this cell is asserted by the slow bench
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.chaincode import create_chaincode
+from repro.channels.topology import ChannelTopology
+from repro.core import metrics as core_metrics
+from repro.lifecycle import events
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
 from repro.sim.profile import EngineProfiler
+from repro.workload.distributions import ZipfianDistribution
 from repro.workload.workloads import uniform_workload
 
 SMOKE_ARRIVAL_RATE = 400.0
@@ -46,6 +58,21 @@ SMOKE_EVENTS_PER_RESPONSE = 14_258
 PAPER_ARRIVAL_RATE = 100.0
 PAPER_EVENTS = 7_945
 PAPER_TRANSACTIONS = 401
+
+
+#: The same topology on eight channels of one deployment (hash placement,
+#: Zipf 1.0 over 40 patients, 100 tx/s per channel), unobserved.
+EIGHT_CHANNEL_DURATION = 2.0
+EIGHT_CHANNEL_EVENTS = 30_750
+EIGHT_CHANNEL_TRANSACTIONS = 1_553
+#: Lifecycle emissions of the run: what a listener on the group bus is handed.
+EIGHT_CHANNEL_EMISSIONS = 7_765
+#: Base-distribution draws the eight shards' rejection loops consume — and the
+#: number of ``channel_of_index`` calls they used to make.
+EIGHT_CHANNEL_BASE_DRAWS = 15_017
+#: Short digest of every workload stream's ``getstate()`` after the run, taken
+#: while every draw still paid a ``sample`` and a ``channel_of_index``.
+EIGHT_CHANNEL_STREAMS = "2da0244e7055db36"
 
 
 def smoke_config() -> NetworkConfig:
@@ -112,3 +139,124 @@ def test_paper_topology_work_is_pinned_per_attempt():
         f"{PAPER_EVENTS:,} / {PAPER_TRANSACTIONS:,} "
         f"({PAPER_EVENTS / PAPER_TRANSACTIONS:.3f} per attempt)"
     )
+
+
+# ------------------------------------------- eight channels, outside the fan-out
+class CountedZipfian(ZipfianDistribution):
+    """Zipf 1.0 that counts the draws handed out by its samplers."""
+
+    def __init__(self) -> None:
+        super().__init__(1.0)
+        self.draws = 0
+
+    def sampler(self, rng, population):
+        draw = super().sampler(rng, population)
+
+        def counted() -> int:
+            self.draws += 1
+            return draw()
+
+        return counted
+
+
+def eight_channel_cell(monkeypatch, listen: bool = False) -> dict:
+    """The paper topology on eight channels, with everything countable counted."""
+    built = []
+
+    class CountedEvent(events.LifecycleEvent):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    placements = []
+    channel_of_index = ChannelTopology.channel_of_index
+
+    def counted_placement(self, index, population):
+        placements.append(population)
+        return channel_of_index(self, index, population)
+
+    monkeypatch.setattr(events, "LifecycleEvent", CountedEvent)
+    monkeypatch.setattr(ChannelTopology, "channel_of_index", counted_placement)
+    spec = uniform_workload("EHR", patients=40)
+    network = build_network(
+        NetworkConfig(cluster="C2", database="leveldb", channels=8),
+        lambda: create_chaincode(spec.chaincode, **spec.chaincode_kwargs),
+        "fabric-1.4",
+        seed=SMOKE_SEED,
+    )
+    heard = []
+    if listen:
+        network.bus.subscribe(None, heard.append)
+    keys = CountedZipfian()
+    profiler = EngineProfiler(network.sim)
+    with profiler:
+        record = network.run(
+            spec.mix,
+            arrival_rate=8 * PAPER_ARRIVAL_RATE,
+            duration=EIGHT_CHANNEL_DURATION,
+            key_distribution=keys,
+        )
+    states = [
+        channel.streams.stream(f"workload-{client}").getstate()
+        for channel in network.channels
+        for client in range(channel.config.clients)
+    ]
+    return {
+        "record": record,
+        "events": profiler.report()["events"],
+        "transactions": len(record.transactions),
+        "emissions": sum(record.lifecycle_counts.values()),
+        "events_built": len(built),
+        "events_heard": len(heard),
+        "placements": placements,
+        "base_draws": keys.draws,
+        "streams": hashlib.sha256(repr(states).encode("ascii")).hexdigest()[:16],
+    }
+
+
+def test_eight_channel_attempt_pays_for_nothing_nobody_reads(monkeypatch):
+    cell = eight_channel_cell(monkeypatch)
+    assert (cell["events"], cell["transactions"]) == (
+        EIGHT_CHANNEL_EVENTS,
+        EIGHT_CHANNEL_TRANSACTIONS,
+    )
+    # Eight piped buses and a group bus nobody listens to: every emission is
+    # counted on both, and none builds an event (it used to be one each).
+    assert cell["emissions"] == EIGHT_CHANNEL_EMISSIONS
+    assert cell["events_built"] == 0
+    # Placement is asked once per patient and channel, when a shard's table is
+    # built, and never by a draw (it used to be once per base draw) ...
+    assert cell["placements"] == [40] * (8 * 40)
+    assert cell["base_draws"] == EIGHT_CHANNEL_BASE_DRAWS
+    # ... while the workload streams are consumed exactly as they were.
+    assert cell["streams"] == EIGHT_CHANNEL_STREAMS
+
+
+def test_one_listener_on_the_group_bus_is_handed_every_emission(monkeypatch):
+    cell = eight_channel_cell(monkeypatch, listen=True)
+    assert cell["emissions"] == EIGHT_CHANNEL_EMISSIONS
+    # Built once per emission, on the channel bus, and handed up the pipe.
+    assert cell["events_built"] == cell["events_heard"] == EIGHT_CHANNEL_EMISSIONS
+    assert (cell["events"], cell["transactions"]) == (
+        EIGHT_CHANNEL_EVENTS,
+        EIGHT_CHANNEL_TRANSACTIONS,
+    )
+
+
+class CountedTransactions(list):
+    """``record.transactions`` that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_analysis_walks_the_transactions_once(monkeypatch):
+    record = eight_channel_cell(monkeypatch)["record"]
+    for analysed in [record, *(channel.record for channel in record.channel_records)]:
+        analysed.transactions = CountedTransactions(analysed.transactions)
+        metrics = core_metrics.compute_metrics(analysed)
+        assert metrics.submitted_transactions == len(analysed.transactions) > 0
+        assert analysed.transactions.passes == 1  # it used to be six

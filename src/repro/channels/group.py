@@ -91,8 +91,8 @@ class ChannelGroup:
         #: The one stream the group's observer (and a one-group deployment's
         #: consumers) see.  A sole channel publishes on it directly; several
         #: channels keep a bus each (checker and retry controller listen per
-        #: chain) piped into it — only then, because a pipe listens to all
-        #: events, so every emission builds an event even if nobody observes.
+        #: chain) piped into it — only then: a pipe builds no event nobody
+        #: reads, but it is still one more bus to count on per emission.
         self.bus = LifecycleBus()
         #: The deployment's resubmission governor (``None``: every slice makes
         #: its own, which is only equivalent while there is no rate cap).

@@ -15,6 +15,7 @@ own record.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.channels.group import GroupResult, RunArgs
@@ -212,7 +213,7 @@ def merge_group_results(
         transactions.extend(channel_record.record.transactions)
         early_aborted.extend(channel_record.record.early_aborted)
         read_only_skipped.extend(channel_record.record.read_only_skipped)
-    transactions.sort(key=lambda tx: (tx.submitted_at, tx.tx_id))
+    transactions.sort(key=attrgetter("submitted_at", "tx_id"))
     observability: Optional[ObservabilityData] = None
     parts = [result.observability for result in results]
     if all(part is not None for part in parts):

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.network.config import PLACEMENT_POLICIES
-from repro.workload.distributions import KeyDistribution, UniformDistribution
+from repro.workload.distributions import KeyDistribution, SamplerDraws, UniformDistribution
 from repro.workload.generator import TransactionRequest
 
 #: Knuth's multiplicative hash constant; spreads consecutive indices.
@@ -113,7 +113,7 @@ class ChannelTopology:
             )
 
 
-class ShardedKeyDistribution:
+class ShardedKeyDistribution(SamplerDraws):
     """A :class:`KeyDistribution` restricted to one channel's shard.
 
     Samples the base distribution until the drawn index belongs to the shard,
@@ -121,6 +121,12 @@ class ShardedKeyDistribution:
     shard owns (almost) no index of a population — possible for tiny
     populations under ``range`` placement — the draw falls back to the base
     distribution after ``max_tries`` rejections rather than looping forever.
+
+    Which indices the shard owns is a function of the topology, the channel
+    and the population alone, so it is asked of
+    :meth:`ChannelTopology.channel_of_index` once per index, when the first
+    draw over a population is bound, and read off a table from then on.  The
+    table lives here — one distribution serves all clients of its channel.
     """
 
     def __init__(
@@ -137,38 +143,29 @@ class ShardedKeyDistribution:
         self.channel = channel
         self.base = base or UniformDistribution()
         self.max_tries = max_tries
+        #: ``population -> table``; ``table[index]`` is 1 where the shard owns it.
+        self._owned: Dict[int, bytes] = {}
 
-    def sample(self, rng: random.Random, population: int) -> int:
-        """Draw an entity index from this channel's shard."""
-        for _ in range(self.max_tries):
-            index = self.base.sample(rng, population)
-            if self.topology.channel_of_index(index, population) == self.channel:
-                return index
-        return self.base.sample(rng, population)
-
-    def sample_batch(self, rng: random.Random, population: int, count: int) -> List[int]:
-        """Batched fast path: byte-identical to ``count`` ``sample`` calls.
-
-        Rejection sampling draws a data-dependent number of base samples per
-        accepted index, so the batch hoists the lookups and replays the exact
-        per-call loop — the accepted indexes and the underlying RNG state
-        match the per-call path bit for bit.
-        """
-        base_sample = self.base.sample
-        channel_of_index = self.topology.channel_of_index
-        channel = self.channel
+    def sampler(self, rng: random.Random, population: int) -> Callable[[], int]:
+        """The rejection loop over the base distribution's draw."""
+        base_draw = self.base.sampler(rng, population)
+        owned = self._owned.get(population)
+        if owned is None:
+            channel_of_index = self.topology.channel_of_index
+            owned = self._owned[population] = bytes(
+                channel_of_index(index, population) == self.channel
+                for index in range(population)
+            )
         max_tries = self.max_tries
-        results: List[int] = []
-        append = results.append
-        for _ in range(count):
+
+        def draw() -> int:
             for _ in range(max_tries):
-                index = base_sample(rng, population)
-                if channel_of_index(index, population) == channel:
-                    append(index)
-                    break
-            else:
-                append(base_sample(rng, population))
-        return results
+                index = base_draw()
+                if owned[index]:
+                    return index
+            return base_draw()
+
+        return draw
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

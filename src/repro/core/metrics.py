@@ -9,12 +9,14 @@ transactions committed to the blockchain divided by the total time taken.
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from functools import partial
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.core.classifier import ClassifiedTransaction, TransactionClassifier
 from repro.core.failures import FailureType
-from repro.ledger.block import Transaction
 from repro.network.network import RunRecord
 from repro.observability.spans import LIFECYCLE_STAGES, BlockTimes, stage_durations
 from repro.sim.stats import QuantileSketch, percentile
@@ -256,23 +258,6 @@ class ExperimentMetrics:
         return self.submitted_transactions / self.logical_requests
 
 
-def _average_latency(transactions: Iterable[Transaction]) -> float:
-    latencies = [tx.total_latency for tx in transactions if tx.total_latency is not None]
-    if not latencies:
-        return 0.0
-    return sum(latencies) / len(latencies)
-
-
-def _latency_quantiles(transactions: Iterable[Transaction]) -> Dict[str, float]:
-    """p50/p95/p99 of the total transaction latency (``{}`` without samples)."""
-    sketch = QuantileSketch()
-    for tx in transactions:
-        latency = tx.total_latency
-        if latency is not None:
-            sketch.add(latency)
-    return sketch.as_dict()
-
-
 def _block_times(record: RunRecord) -> BlockTimes:
     """Block-cut times per channel, for the block-wait/consensus stage split."""
     if record.channel_records:
@@ -285,58 +270,91 @@ def _block_times(record: RunRecord) -> BlockTimes:
     return {None: {block.number: block.created_at for block in record.ledger.blocks}}
 
 
-def _stage_latency(record: RunRecord) -> Dict[str, Dict[str, float]]:
-    """Per-lifecycle-stage latency summary over every recorded transaction."""
-    block_times = _block_times(record)
-    samples: Dict[str, List[float]] = {}
-    for tx in record.transactions:
-        created_at = None
-        if tx.block_number is not None:
-            created_at = block_times.get(tx.channel, {}).get(tx.block_number)
-        for stage, duration in stage_durations(tx, created_at).items():
-            samples.setdefault(stage, []).append(duration)
-    ordered = [stage for stage in LIFECYCLE_STAGES if stage in samples]
-    ordered += sorted(stage for stage in samples if stage not in LIFECYCLE_STAGES)
-    return {
-        stage: {
-            "count": float(len(samples[stage])),
-            "mean_s": sum(samples[stage]) / len(samples[stage]),
-            "p95_s": percentile(samples[stage], 0.95),
-        }
-        for stage in ordered
-    }
+class _TransactionTotals(NamedTuple):
+    """What :func:`compute_metrics` reads off ``record.transactions``."""
+
+    #: Latest commit time (0.0 when nothing terminated).
+    last_commit: float
+    #: Distinct logical requests, and those with a committed attempt.
+    logical_requests: int
+    committed_requests: int
+    average_latency: float
+    latency_quantiles: Dict[str, float]
+    function_call_latency_ms: Dict[str, float]
+    stage_latency: Dict[str, Dict[str, float]]
 
 
-def _function_call_latencies(transactions: Iterable[Transaction]) -> Dict[str, float]:
-    """Mean latency per state-database call type, in milliseconds (Table 4)."""
-    totals: Dict[str, float] = {}
-    counts: Dict[str, int] = {}
-    for tx in transactions:
-        for operation, seconds in tx.db_call_latency.items():
-            totals[operation] = totals.get(operation, 0.0) + seconds
-            counts[operation] = counts.get(operation, 0) + 1
-    return {
-        operation: 1000.0 * totals[operation] / counts[operation] for operation in sorted(totals)
-    }
+def _walk_transactions(record: RunRecord) -> _TransactionTotals:
+    """Every per-transaction metric of one record, from one pass over it.
 
-
-def _logical_requests(record: RunRecord) -> tuple[int, int]:
-    """``(logical_requests, committed_requests)`` of one run.
-
-    Resubmission attempts share their first attempt's transaction id as
-    ``origin_id``, so grouping by it collapses every retry chain onto one
-    logical request.  Read-only transactions answered locally are excluded,
-    mirroring the submitted-for-ordering count of the failure report.
+    Each accumulator is fed the values, in the order, it would see on a pass
+    of its own, and each mean is still ``sum()`` over its complete sample
+    sequence: ``sum()`` is compensated since Python 3.12, so a running ``+=``
+    would be a different float there.  Samples are packed doubles
+    (``array("d")``) — next to every retained transaction they are the bulk of
+    what the analysis holds at its peak, and all of them are alive at once.
     """
     skipped = {tx.tx_id for tx in record.read_only_skipped}
+    block_times = _block_times(record)
+    last_commit = 0.0
+    # Resubmission attempts share their first attempt's transaction id as
+    # ``origin_id``, so grouping by it collapses every retry chain onto one
+    # logical request.  Read-only transactions answered locally are excluded,
+    # mirroring the submitted-for-ordering count of the failure report.
     committed_by_origin: Dict[str, bool] = {}
+    latencies = array("d")
+    sketch = QuantileSketch()
+    observe_latency = sketch.add
+    call_seconds: Dict[str, float] = defaultdict(float)
+    call_counts: Dict[str, int] = defaultdict(int)
+    stage_samples: Dict[str, array] = defaultdict(partial(array, "d"))
     for tx in record.transactions:
-        if tx.tx_id in skipped:
-            continue
-        committed_by_origin[tx.origin_id] = (
-            committed_by_origin.get(tx.origin_id, False) or tx.is_committed
-        )
-    return len(committed_by_origin), sum(committed_by_origin.values())
+        if tx.tx_id not in skipped:
+            origin = tx.origin_id
+            if tx.is_committed:
+                committed_by_origin[origin] = True
+            elif origin not in committed_by_origin:
+                committed_by_origin[origin] = False
+        committed_at = tx.committed_at
+        if committed_at is not None:
+            if committed_at > last_commit:
+                last_commit = committed_at
+            latency = committed_at - tx.submitted_at
+            latencies.append(latency)
+            observe_latency(latency)
+        for operation, seconds in tx.db_call_latency.items():
+            call_seconds[operation] += seconds
+            call_counts[operation] += 1
+        created_at = None
+        if tx.block_number is not None:
+            try:
+                created_at = block_times[tx.channel][tx.block_number]
+            except KeyError:  # a block this record's ledgers do not hold
+                pass
+        for stage, duration in stage_durations(tx, created_at).items():
+            stage_samples[stage].append(duration)
+    stages = [stage for stage in LIFECYCLE_STAGES if stage in stage_samples]
+    stages += sorted(stage for stage in stage_samples if stage not in LIFECYCLE_STAGES)
+    return _TransactionTotals(
+        last_commit=last_commit,
+        logical_requests=len(committed_by_origin),
+        committed_requests=sum(committed_by_origin.values()),
+        average_latency=sum(latencies) / len(latencies) if latencies else 0.0,
+        latency_quantiles=sketch.as_dict(),
+        # Mean latency per state-database call type, in milliseconds (Table 4).
+        function_call_latency_ms={
+            operation: 1000.0 * call_seconds[operation] / call_counts[operation]
+            for operation in sorted(call_seconds)
+        },
+        stage_latency={
+            stage: {
+                "count": float(len(stage_samples[stage])),
+                "mean_s": sum(stage_samples[stage]) / len(stage_samples[stage]),
+                "p95_s": percentile(stage_samples[stage], 0.95),
+            }
+            for stage in stages
+        },
+    )
 
 
 def build_failure_report(
@@ -372,15 +390,14 @@ def compute_metrics(
     ledgers = record.ledgers()
     committed = sum(len(ledger.committed_transactions()) for ledger in ledgers)
     appended = sum(ledger.transaction_count for ledger in ledgers)
-    last_commit = max((tx.committed_at or 0.0 for tx in record.transactions), default=0.0)
-    horizon = max(record.duration, last_commit)
+    totals = _walk_transactions(record)
+    horizon = max(record.duration, totals.last_commit)
     throughput = appended / horizon if horizon > 0 else 0.0
     successful_throughput = committed / horizon if horizon > 0 else 0.0
     blocks = sum(ledger.height for ledger in ledgers)
     average_fill = (
         sum(block.size for ledger in ledgers for block in ledger) / blocks if blocks else 0.0
     )
-    logical_requests, committed_requests = _logical_requests(record)
     return ExperimentMetrics(
         variant=record.variant_name,
         chaincode=record.chaincode_name,
@@ -391,7 +408,7 @@ def compute_metrics(
         submitted_transactions=submitted_count,
         committed_transactions=committed,
         failure_report=report,
-        average_latency=_average_latency(record.transactions),
+        average_latency=totals.average_latency,
         committed_throughput=throughput,
         successful_throughput=successful_throughput,
         blocks=blocks,
@@ -399,17 +416,17 @@ def compute_metrics(
         orderer_utilization=record.orderer_utilization,
         validation_utilization=record.mean_validation_utilization,
         endorsement_utilization=record.mean_endorsement_utilization,
-        function_call_latency_ms=_function_call_latencies(record.transactions),
+        function_call_latency_ms=totals.function_call_latency_ms,
         retry_policy=record.retry_policy,
         resubmissions=record.resubmissions,
         retries_exhausted=record.retries_exhausted,
         retry_budget_denied=record.retry_budget_denied,
         retry_rate_denied=record.retry_rate_denied,
-        logical_requests=logical_requests,
-        committed_requests=committed_requests,
+        logical_requests=totals.logical_requests,
+        committed_requests=totals.committed_requests,
         fault_injections=dict(record.fault_injections),
         measurement_horizon=horizon,
-        latency_quantiles=_latency_quantiles(record.transactions),
-        stage_latency=_stage_latency(record),
+        latency_quantiles=totals.latency_quantiles,
+        stage_latency=totals.stage_latency,
         isolation=record.isolation.summary() if record.isolation is not None else {},
     )

@@ -20,7 +20,9 @@ pre-merged listener tuple per event type, and the fast-path emitters
 (:meth:`LifecycleBus.emit_tx` / :meth:`LifecycleBus.emit_failure`) bump the
 event counter and return without constructing a :class:`LifecycleEvent` at
 all when an event type has no listeners — the common case in benchmark and
-headless runs.
+headless runs.  A piped bus (:meth:`LifecycleBus.pipe_to`) holds a link to its
+parent rather than a listener, so the same is true along the whole chain: the
+event is built once, at the first bus that has somebody to hand it to.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.errors import SimulationError
 from repro.ledger.block import Transaction, ValidationCode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -166,15 +169,22 @@ class LifecycleBus:
     that table and iterates the tuple directly — the tuple doubles as the
     iteration snapshot, so listeners may unsubscribe mid-delivery without
     disturbing the in-flight emission.
+
+    A bus piped into a parent (:meth:`pipe_to`) emits on the parent as well:
+    every emitter walks the bus and its ancestors, counts on each, and
+    delivers to a bus's own listeners before its parent's.  Whether anybody
+    listens is read at emit time, bus by bus, so a listener subscribed on the
+    parent after the pipe was made is served like any other.
     """
 
-    __slots__ = ("_listeners", "_all_listeners", "_dispatch", "_counts")
+    __slots__ = ("_listeners", "_all_listeners", "_dispatch", "_counts", "_parent")
 
     def __init__(self) -> None:
         self._listeners: Dict[LifecycleEventType, List[LifecycleListener]] = {}
         self._all_listeners: List[LifecycleListener] = []
         self._dispatch: List[Tuple[LifecycleListener, ...]] = [()] * len(_EVENT_TYPES)
         self._counts: List[int] = [0] * len(_EVENT_TYPES)
+        self._parent: Optional[LifecycleBus] = None
 
     @property
     def counts(self) -> Dict[LifecycleEventType, int]:
@@ -217,9 +227,12 @@ class LifecycleBus:
     def emit(self, event: LifecycleEvent) -> None:
         """Deliver ``event`` to every matching subscriber, synchronously."""
         index = event.type._bus_index
-        self._counts[index] += 1
-        for listener in self._dispatch[index]:
-            listener(event)
+        bus: Optional[LifecycleBus] = self
+        while bus is not None:
+            bus._counts[index] += 1
+            for listener in bus._dispatch[index]:
+                listener(event)
+            bus = bus._parent
 
     def emit_tx(
         self,
@@ -230,23 +243,28 @@ class LifecycleBus:
     ) -> None:
         """Count and deliver one stage transition of ``tx``.
 
-        The hot-path emitter: when ``event_type`` has no listeners only the
-        counter is bumped and no :class:`LifecycleEvent` is allocated.
+        The hot-path emitter: when nobody on this bus or above it listens for
+        ``event_type`` only the counters are bumped and no
+        :class:`LifecycleEvent` is allocated.
         """
         index = event_type._bus_index
-        self._counts[index] += 1
-        listeners = self._dispatch[index]
-        if not listeners:
-            return
-        event = LifecycleEvent(
-            type=event_type,
-            time=time,
-            transaction=tx,
-            failure_type=failure_type,
-            channel=tx.channel,
-        )
-        for listener in listeners:
-            listener(event)
+        event = None
+        bus: Optional[LifecycleBus] = self
+        while bus is not None:
+            bus._counts[index] += 1
+            listeners = bus._dispatch[index]
+            if listeners:
+                if event is None:
+                    event = LifecycleEvent(
+                        type=event_type,
+                        time=time,
+                        transaction=tx,
+                        failure_type=failure_type,
+                        channel=tx.channel,
+                    )
+                for listener in listeners:
+                    listener(event)
+            bus = bus._parent
 
     def emit_failure(
         self, event_type: LifecycleEventType, time: float, tx: Transaction
@@ -258,28 +276,40 @@ class LifecycleBus:
         free of per-transaction classification work on an idle bus.
         """
         index = event_type._bus_index
-        self._counts[index] += 1
-        listeners = self._dispatch[index]
-        if not listeners:
-            return
-        event = LifecycleEvent(
-            type=event_type,
-            time=time,
-            transaction=tx,
-            failure_type=failure_type_of(tx),
-            channel=tx.channel,
-        )
-        for listener in listeners:
-            listener(event)
+        event = None
+        bus: Optional[LifecycleBus] = self
+        while bus is not None:
+            bus._counts[index] += 1
+            listeners = bus._dispatch[index]
+            if listeners:
+                if event is None:
+                    event = LifecycleEvent(
+                        type=event_type,
+                        time=time,
+                        transaction=tx,
+                        failure_type=failure_type_of(tx),
+                        channel=tx.channel,
+                    )
+                for listener in listeners:
+                    listener(event)
+            bus = bus._parent
 
     def pipe_to(self, parent: "LifecycleBus") -> None:
-        """Forward every event of this bus to ``parent`` as well.
+        """Emit every event of this bus on ``parent`` as well.
 
         The multi-channel deployment gives each channel its own bus and pipes
         them all into one deployment-wide bus, so cross-channel consumers see
-        a single stream.
+        a single stream.  A bus has one parent, and the chain must end: a
+        second pipe would deliver and count twice, a cycle would never return.
         """
-        self.subscribe(None, parent.emit)
+        if self._parent is not None:
+            raise SimulationError("this lifecycle bus is already piped into a parent")
+        ancestor: Optional[LifecycleBus] = parent
+        while ancestor is not None:
+            if ancestor is self:
+                raise SimulationError("a lifecycle bus cannot be piped into itself or a descendant")
+            ancestor = ancestor._parent
+        self._parent = parent
 
     # ------------------------------------------------------------ inspection
     def count(self, event_type: LifecycleEventType) -> int:

@@ -17,6 +17,7 @@ one channel or many — is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.chaincode.base import Chaincode
@@ -409,7 +410,7 @@ class Channel:
         for client in self.clients:
             transactions.extend(client.submitted)
             read_only_skipped.extend(client.read_only_skipped)
-        transactions.sort(key=lambda tx: tx.submitted_at)
+        transactions.sort(key=attrgetter("submitted_at"))
 
         horizon = max(duration, self.sim.now)
         endorsing_peers = [peer for peer in self.peers if peer.is_endorser]

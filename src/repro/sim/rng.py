@@ -12,10 +12,10 @@ SHA-256 derivation on first use), so components must resolve their streams
 call ``stream()`` inside a per-event method (``scripts/check_hot_path.py``
 enforces this).  For bulk draws with a known count, the batched fast paths
 (:func:`exponential_draws`, :meth:`RandomStreams.exponential_batch`, and the
-``sample_batch`` methods of the key distributions) hoist the per-draw method
-dispatch while replaying the *exact same* underlying ``random.Random``
-sequence as the equivalent per-call draws — both the values and the
-generator state after the batch are bit-identical.
+``sampler`` / ``sample_batch`` methods of the key distributions) hoist the
+per-draw method dispatch while replaying the *exact same* underlying
+``random.Random`` sequence as the equivalent per-call draws — both the values
+and the generator state after the batch are bit-identical.
 """
 
 from __future__ import annotations

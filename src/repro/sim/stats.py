@@ -136,7 +136,15 @@ class P2Quantile:
         self._dn = (0.0, f / 2.0, f, (1.0 + f) / 2.0, 1.0)
 
     def add(self, value: float) -> None:
-        """Add one sample."""
+        """Add one sample.
+
+        Straight-line code on the metrics path (three estimators per recorded
+        latency): the cell search and the position updates are written out
+        marker by marker.  The comparisons and the float operations are those
+        of the textbook loops, in their order — estimates are pinned bit for
+        bit, so do not reassociate them (nor turn a ``not >=`` into a ``<``:
+        they differ on a NaN).
+        """
         self.count += 1
         if self.count <= 5:
             self._initial.append(value)
@@ -147,45 +155,58 @@ class P2Quantile:
                 self._n = [1.0, 2.0, 3.0, 4.0, 5.0]
                 self._np = [1.0, 1.0 + 2.0 * f, 1.0 + 4.0 * f, 3.0 + 2.0 * f, 5.0]
             return
-        q, n = self._q, self._n
+        q, n, desired = self._q, self._n, self._np
+        # Find the cell the sample falls in; every marker above it moves up.
         if value < q[0]:
             q[0] = value
-            cell = 0
+            n[1] += 1.0
+            n[2] += 1.0
+            n[3] += 1.0
         elif value >= q[4]:
             q[4] = value
-            cell = 3
+        elif value >= q[1]:
+            if value >= q[2]:
+                if not value >= q[3]:
+                    n[3] += 1.0
+            else:
+                n[2] += 1.0
+                n[3] += 1.0
         else:
-            cell = 0
-            while cell < 3 and value >= q[cell + 1]:
-                cell += 1
-        for index in range(cell + 1, 5):
-            n[index] += 1.0
-        for index in range(5):
-            self._np[index] += self._dn[index]
+            n[1] += 1.0
+            n[2] += 1.0
+            n[3] += 1.0
+        n[4] += 1.0
+        d0, d1, d2, d3, d4 = self._dn
+        desired[0] += d0
+        desired[1] += d1
+        desired[2] += d2
+        desired[3] += d3
+        desired[4] += d4
+        # Move each inner marker that drifted a whole position off its
+        # desired one — in marker order: a move changes what the next one reads.
         for index in (1, 2, 3):
-            drift = self._np[index] - n[index]
-            if (drift >= 1.0 and n[index + 1] - n[index] > 1.0) or (
-                drift <= -1.0 and n[index - 1] - n[index] < -1.0
+            position = n[index]
+            drift = desired[index] - position
+            if (drift >= 1.0 and n[index + 1] - position > 1.0) or (
+                drift <= -1.0 and n[index - 1] - position < -1.0
             ):
-                step = 1.0 if drift >= 0.0 else -1.0
-                candidate = self._parabolic(index, step)
-                if q[index - 1] < candidate < q[index + 1]:
-                    q[index] = candidate
-                else:
-                    q[index] = self._linear(index, step)
-                n[index] += step
+                self._move(index, 1.0 if drift >= 0.0 else -1.0)
 
-    def _parabolic(self, i: int, d: float) -> float:
+    def _move(self, i: int, d: float) -> None:
+        """Shift marker ``i`` one position: parabolic height, else linear."""
         q, n = self._q, self._n
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
+        below, height, above = q[i - 1], q[i], q[i + 1]
+        n_below, position, n_above = n[i - 1], n[i], n[i + 1]
+        candidate = height + d / (n_above - n_below) * (
+            (position - n_below + d) * (above - height) / (n_above - position)
+            + (n_above - position - d) * (height - below) / (position - n_below)
         )
-
-    def _linear(self, i: int, d: float) -> float:
-        q, n = self._q, self._n
-        j = i + int(d)
-        return q[i] + d * (q[j] - q[i]) / (n[j] - n[i])
+        if below < candidate < above:
+            q[i] = candidate
+        else:
+            j = i + int(d)
+            q[i] = height + d * (q[j] - height) / (n[j] - position)
+        n[i] = position + d
 
     @property
     def value(self) -> float:

@@ -8,15 +8,29 @@ MVCC read conflicts in Figure 15.
 
 from __future__ import annotations
 
-import bisect
 import random
-from typing import Dict, List, Protocol
+from bisect import bisect_left
+from functools import partial
+from typing import Callable, Dict, List, Protocol
 
 from repro.errors import WorkloadError
 
 
 class KeyDistribution(Protocol):
     """Anything that can pick an entity index out of a population."""
+
+    def sampler(
+        self, rng: random.Random, population: int
+    ) -> Callable[[], int]:  # pragma: no cover
+        """A draw over ``[0, population)`` on ``rng``, its lookups done once.
+
+        Everything that is fixed for the pair — the population check, the
+        cumulative weights, the bound uniform source — is resolved here; each
+        call of the result consumes from ``rng`` exactly what one
+        :meth:`sample` does.  :meth:`sample` and :meth:`sample_batch` are this
+        draw, called once or ``count`` times.
+        """
+        ...
 
     def sample(self, rng: random.Random, population: int) -> int:  # pragma: no cover
         """Return an index in ``[0, population)``."""
@@ -29,34 +43,39 @@ class KeyDistribution(Protocol):
         ...
 
 
-class UniformDistribution:
+def _checked(population: int) -> int:
+    if population <= 0:
+        raise WorkloadError(f"population must be positive, got {population}")
+    return population
+
+
+class SamplerDraws:
+    """``sample`` and ``sample_batch`` of a distribution that defines ``sampler``."""
+
+    def sample(self, rng: random.Random, population: int) -> int:
+        """Return an index in ``[0, population)``."""
+        return self.sampler(rng, population)()
+
+    def sample_batch(self, rng: random.Random, population: int, count: int) -> List[int]:
+        """The exact draw sequence (and final ``rng`` state) of ``count`` samples."""
+        draw = self.sampler(rng, population)
+        return [draw() for _ in range(count)]
+
+
+class UniformDistribution(SamplerDraws):
     """Uniform key access (Zipfian skew 0)."""
 
     skew = 0.0
 
-    def sample(self, rng: random.Random, population: int) -> int:
-        """Pick every key with equal probability."""
-        if population <= 0:
-            raise WorkloadError(f"population must be positive, got {population}")
-        return rng.randrange(population)
-
-    def sample_batch(self, rng: random.Random, population: int, count: int) -> List[int]:
-        """Batched fast path: the exact draw sequence of ``count`` samples.
-
-        Replays ``rng.randrange(population)`` with the method lookup hoisted
-        out of the loop, so the underlying ``random.Random`` state after the
-        batch equals the state after ``count`` individual calls.
-        """
-        if population <= 0:
-            raise WorkloadError(f"population must be positive, got {population}")
-        randrange = rng.randrange
-        return [randrange(population) for _ in range(count)]
+    def sampler(self, rng: random.Random, population: int) -> Callable[[], int]:
+        """``rng.randrange(population)``, bound."""
+        return partial(rng.randrange, _checked(population))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "UniformDistribution()"
 
 
-class ZipfianDistribution:
+class ZipfianDistribution(SamplerDraws):
     """Zipfian key access with exponent ``skew``.
 
     Rank ``r`` (0-based) is accessed with probability proportional to
@@ -81,35 +100,21 @@ class ZipfianDistribution:
             self._cdf_cache[population] = cdf
         return self._cdf_cache[population]
 
-    def sample(self, rng: random.Random, population: int) -> int:
-        """Pick a key rank according to the Zipfian weights."""
-        if population <= 0:
-            raise WorkloadError(f"population must be positive, got {population}")
+    def sampler(self, rng: random.Random, population: int) -> Callable[[], int]:
+        """One ``rng.random()`` per draw, bisected into the cumulative weights."""
         if self.skew == 0.0:
-            return rng.randrange(population)
-        cdf = self._cdf(population)
-        point = rng.random() * cdf[-1]
-        return min(bisect.bisect_left(cdf, point), population - 1)
-
-    def sample_batch(self, rng: random.Random, population: int, count: int) -> List[int]:
-        """Batched fast path: byte-identical to ``count`` ``sample`` calls.
-
-        One ``rng.random()`` per draw with the CDF, its total and the bisect
-        hoisted out of the loop — the arithmetic per draw is exactly that of
-        :meth:`sample`, so the drawn ranks and the RNG state match the
-        per-call path bit for bit.
-        """
-        if population <= 0:
-            raise WorkloadError(f"population must be positive, got {population}")
-        if self.skew == 0.0:
-            randrange = rng.randrange
-            return [randrange(population) for _ in range(count)]
-        cdf = self._cdf(population)
+            return partial(rng.randrange, _checked(population))
+        cdf = self._cdf(_checked(population))
         total = cdf[-1]
-        random_ = rng.random
-        bisect_left = bisect.bisect_left
+        uniform = rng.random
+        # Bisecting below the last rank only is ``min(bisect_left(cdf, point),
+        # population - 1)``: a point past every smaller weight is the last rank.
         last = population - 1
-        return [min(bisect_left(cdf, random_() * total), last) for _ in range(count)]
+
+        def draw() -> int:
+            return bisect_left(cdf, uniform() * total, 0, last)
+
+        return draw
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ZipfianDistribution(skew={self.skew})"

@@ -14,7 +14,7 @@ import sys
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.chaincode.base import Chaincode
 from repro.errors import WorkloadError
@@ -90,6 +90,11 @@ class WorkloadGenerator:
             function: chaincode.is_read_only(function) for function in self._functions
         }
         self._first_index: Optional[int] = None
+        #: ``population -> draw`` of each distribution on this generator's
+        #: stream (:meth:`KeyDistribution.sampler`), bound on first use: a
+        #: chaincode asks for the same few populations on every request.
+        self._primary_draws: Dict[int, Callable[[], int]] = {}
+        self._key_draws: Dict[int, Callable[[], int]] = {}
 
     def _chooser(self, population: int) -> int:
         """Entity-index chooser handed to ``sample_args`` (bound, reusable).
@@ -100,10 +105,17 @@ class WorkloadGenerator:
         closure + recording list.
         """
         if self._first_index is None:
-            index = self.primary_distribution.sample(self.rng, population)
-            self._first_index = index
+            draw = self._primary_draws.get(population)
+            if draw is None:
+                draw = self.primary_distribution.sampler(self.rng, population)
+                self._primary_draws[population] = draw
+            index = self._first_index = draw()
             return index
-        return self.key_distribution.sample(self.rng, population)
+        draw = self._key_draws.get(population)
+        if draw is None:
+            draw = self.key_distribution.sampler(self.rng, population)
+            self._key_draws[population] = draw
+        return draw()
 
     def next_request(self) -> TransactionRequest:
         """Draw the next invocation."""

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.failures import FailureType
+from repro.errors import SimulationError
 from repro.ledger.block import Transaction, ValidationCode
 from repro.lifecycle.events import (
     LifecycleBus,
@@ -77,6 +80,95 @@ def test_bus_pipe_to_forwards_to_parent_with_both_counting():
     assert len(seen) == 1
     assert child.count(LifecycleEventType.VALIDATED) == 1
     assert parent.count(LifecycleEventType.VALIDATED) == 1
+
+
+def test_piped_delivery_is_own_typed_then_own_all_then_the_parents():
+    child, parent = LifecycleBus(), LifecycleBus()
+    order = []
+    child.subscribe(None, lambda e: order.append("child-all"))
+    child.pipe_to(parent)
+    # Subscribed after the pipe was made, on either side: served all the same.
+    parent.subscribe(None, lambda e: order.append("parent-all"))
+    parent.subscribe(LifecycleEventType.ABORTED, lambda e: order.append("parent-typed"))
+    child.subscribe(LifecycleEventType.ABORTED, lambda e: order.append("child-typed"))
+    child.emit_failure(LifecycleEventType.ABORTED, 1.0, make_tx(ValidationCode.EARLY_ABORT))
+    assert order == ["child-typed", "child-all", "parent-typed", "parent-all"]
+
+
+def test_one_event_object_travels_a_two_level_pipe():
+    channel, group, deployment = LifecycleBus(), LifecycleBus(), LifecycleBus()
+    channel.pipe_to(group)
+    group.pipe_to(deployment)
+    seen = []
+    group.subscribe(LifecycleEventType.COMMITTED, seen.append)
+    deployment.subscribe(None, seen.append)
+    channel.emit_tx(LifecycleEventType.COMMITTED, 2.0, make_tx(ValidationCode.VALID))
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert seen[0].type is LifecycleEventType.COMMITTED and seen[0].time == 2.0
+    # Every bus on the chain counts, listened to or not.
+    channel.emit_tx(LifecycleEventType.ORDERED, 3.0, make_tx())
+    for bus in (channel, group, deployment):
+        assert bus.counts_by_name() == {"committed": 1, "ordered": 1}
+    # An emission on the middle bus goes up, never down.
+    group.emit_tx(LifecycleEventType.COMMITTED, 4.0, make_tx(ValidationCode.VALID))
+    assert channel.count(LifecycleEventType.COMMITTED) == 1
+    assert deployment.count(LifecycleEventType.COMMITTED) == 2
+
+
+def test_prebuilt_event_emitted_on_a_child_reaches_the_parent():
+    child, parent = LifecycleBus(), LifecycleBus()
+    child.pipe_to(parent)
+    seen = []
+    parent.subscribe(None, seen.append)
+    prebuilt = event(LifecycleEventType.ENDORSED)
+    child.emit(prebuilt)
+    assert seen == [prebuilt] and seen[0] is prebuilt
+    assert parent.count(LifecycleEventType.ENDORSED) == 1
+
+
+def test_unsubscribing_during_delivery_does_not_disturb_the_emission_in_flight():
+    child, parent = LifecycleBus(), LifecycleBus()
+    child.pipe_to(parent)
+    seen = []
+
+    def once(e):
+        seen.append("once")
+        child.unsubscribe(LifecycleEventType.SUBMITTED, once)
+        child.unsubscribe(LifecycleEventType.SUBMITTED, second)
+
+    def second(e):
+        seen.append("second")
+
+    child.subscribe(LifecycleEventType.SUBMITTED, once)
+    child.subscribe(LifecycleEventType.SUBMITTED, second)
+    parent.subscribe(LifecycleEventType.SUBMITTED, lambda e: seen.append("parent"))
+    child.emit_tx(LifecycleEventType.SUBMITTED, 0.5, make_tx())
+    child.emit_tx(LifecycleEventType.SUBMITTED, 0.6, make_tx())
+    assert seen == ["once", "second", "parent", "parent"]
+
+
+def test_bus_refuses_a_pipe_into_itself_or_a_descendant():
+    top, middle, bottom = LifecycleBus(), LifecycleBus(), LifecycleBus()
+    with pytest.raises(SimulationError):
+        top.pipe_to(top)
+    bottom.pipe_to(middle)
+    middle.pipe_to(top)
+    with pytest.raises(SimulationError):
+        top.pipe_to(bottom)
+    # The refused pipes left nothing behind: an emission still terminates.
+    bottom.emit_tx(LifecycleEventType.SUBMITTED, 0.0, make_tx())
+    assert top.count(LifecycleEventType.SUBMITTED) == 1
+
+
+def test_bus_refuses_a_second_pipe():
+    child, parent = LifecycleBus(), LifecycleBus()
+    child.pipe_to(parent)
+    with pytest.raises(SimulationError):
+        child.pipe_to(parent)
+    with pytest.raises(SimulationError):
+        child.pipe_to(LifecycleBus())
+    child.emit_tx(LifecycleEventType.SUBMITTED, 0.0, make_tx())
+    assert parent.count(LifecycleEventType.SUBMITTED) == 1
 
 
 def test_event_attempt_mirrors_the_transaction():

@@ -182,9 +182,8 @@ def test_one_channel_deployment_is_the_one_group_shared_clock_plan(shard_workers
     assert deployment.bus is channel.bus
 
 
-def test_unobserved_one_channel_run_allocates_no_lifecycle_event(monkeypatch):
-    # A group of one channel publishes on one bus: a pipe would subscribe an
-    # all-events listener and make every emit_tx build an event nobody reads.
+def count_lifecycle_events(monkeypatch) -> list:
+    """Count every :class:`LifecycleEvent` the buses build from here on."""
     allocated = []
 
     class CountedEvent(events.LifecycleEvent):
@@ -193,7 +192,32 @@ def test_unobserved_one_channel_run_allocates_no_lifecycle_event(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(events, "LifecycleEvent", CountedEvent)
+    return allocated
+
+
+def test_unobserved_one_channel_run_allocates_no_lifecycle_event(monkeypatch):
+    # A group of one channel publishes on one bus, with no pipe to walk.
+    allocated = count_lifecycle_events(monkeypatch)
     config = CELLS["fabric-1.4/EHR/C1"][0]
     record = run(build(config), config)
     assert record.lifecycle_counts["committed"] > 0
     assert allocated == []
+
+
+def test_unobserved_eight_channel_run_allocates_no_lifecycle_event(monkeypatch):
+    # Eight channel buses piped into the group's bus: a pipe is a parent link,
+    # not an all-events listener, so every emission is counted on both buses
+    # and still builds no event while nobody on the chain listens.
+    allocated = count_lifecycle_events(monkeypatch)
+    config = CELLS["fabric-1.4/EHR/C1"][0]
+    config = config.with_overrides(network=config.network.copy(channels=8))
+    deployment = build(config)
+    record = run(deployment, config)
+    assert record.lifecycle_counts["committed"] > 0
+    assert allocated == []
+    assert all(channel.bus is not deployment.bus for channel in deployment.channels)
+    assert deployment.bus.counts_by_name() == record.lifecycle_counts
+    for name, count in record.lifecycle_counts.items():
+        assert count == sum(
+            channel.record.lifecycle_counts.get(name, 0) for channel in record.channel_records
+        )
