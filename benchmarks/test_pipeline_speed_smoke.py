@@ -257,6 +257,6 @@ def test_analysis_walks_the_transactions_once(monkeypatch):
     record = eight_channel_cell(monkeypatch)["record"]
     for analysed in [record, *(channel.record for channel in record.channel_records)]:
         analysed.transactions = CountedTransactions(analysed.transactions)
-        metrics = core_metrics.compute_metrics(analysed)
+        metrics = core_metrics.compute_metrics(analysed, analysed.failed_transactions())
         assert metrics.submitted_transactions == len(analysed.transactions) > 0
         assert analysed.transactions.passes == 1  # it used to be six

@@ -76,7 +76,7 @@ def main() -> None:
     if mvcc_failures:
         sample = mvcc_failures[0]
         print(
-            f"Example: transaction {sample.tx.tx_id} ({sample.tx.function}) failed because key "
+            f"Example: transaction {sample.tx_id} ({sample.function}) failed because key "
             f"{sample.conflicting_key!r} was rewritten by block {sample.conflicting_block}.\n"
         )
 

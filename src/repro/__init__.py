@@ -3,8 +3,8 @@
 The package provides a discrete-event simulation of Hyperledger Fabric's
 Execute-Order-Validate pipeline, the four use-case chaincodes and the synthetic
 chaincode/workload generator of the paper, the three studied optimizations
-(Fabric++, Streamchain, FabricSharp), a transaction-failure classifier
-implementing the paper's formal definitions, and a benchmarking harness that
+(Fabric++, Streamchain, FabricSharp), the paper's transaction-failure taxonomy
+and the ledger analysis that reports it, and a benchmarking harness that
 regenerates every table and figure of the evaluation.
 
 Quickstart::
@@ -39,7 +39,6 @@ from repro.channels import (
 )
 from repro.core.adaptive import AdaptiveBlockSizeController, BlockSizeTuner
 from repro.core.analyzer import ChannelAnalysis, ExperimentAnalysis, LedgerAnalyzer
-from repro.core.classifier import TransactionClassifier
 from repro.core.failures import FailureType
 from repro.core.metrics import ExperimentMetrics, FailureReport
 from repro.core.recommendations import Recommendation, RecommendationEngine
@@ -100,7 +99,6 @@ __all__ = [
     "BlockSizeTuner",
     "ExperimentAnalysis",
     "LedgerAnalyzer",
-    "TransactionClassifier",
     "FailureType",
     "ExperimentMetrics",
     "FailureReport",

@@ -45,7 +45,7 @@ import os
 import pickle
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -126,8 +126,9 @@ class ResultCache:
     pickled to disk (atomically, via a temporary file of the writer's own),
     survive across processes and are never evicted — which is what lets a
     second ``repro sweep`` invocation skip the whole grid.  An on-disk entry
-    that cannot be loaded back as an analysis is a miss, counted in
-    ``corrupt_entries``: the cell is recomputed and the entry overwritten.
+    that cannot be loaded back as an analysis of today's shape is a miss,
+    counted in ``corrupt_entries``: the cell is recomputed and the entry
+    overwritten.
     """
 
     def __init__(
@@ -165,7 +166,12 @@ class ResultCache:
                 # Damaged bytes make the unpickler raise nearly anything
                 # (ValueError, TypeError, IndexError, MemoryError, ...).
                 analysis = None
-            if not isinstance(analysis, ExperimentAnalysis):
+            # Cell hashes do not cover code, so an entry outlives the classes
+            # it pickled: one written by an earlier ExperimentAnalysis loads
+            # without the fields that class did not have.
+            if not isinstance(analysis, ExperimentAnalysis) or any(
+                field.name not in vars(analysis) for field in fields(ExperimentAnalysis)
+            ):
                 self.corrupt_entries += 1
                 return None
             self._remember(key, analysis)

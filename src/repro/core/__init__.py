@@ -1,12 +1,12 @@
-"""The failure study core: definitions, classification, analysis, recommendations.
+"""The failure study core: taxonomy, analysis, recommendations.
 
 This package is the paper's primary contribution translated into a library:
 
-* :mod:`repro.core.failures` — the formal failure definitions of Section 3
-  (Equations 1-5) as executable predicates.
-* :mod:`repro.core.classifier` — classifies every failed transaction on the
-  ledger into endorsement policy failures, intra-/inter-block MVCC read
-  conflicts and phantom read conflicts.
+* :mod:`repro.core.failures` — the failure taxonomy of Section 3: the classes,
+  the one validation-code → class table and the intra-/inter-block split.
+  The component that aborts a transaction stamps it; this module says what
+  the stamp means (the ledger-replay oracle under ``tests/`` re-derives it
+  from Equations 1-5).
 * :mod:`repro.core.metrics` / :mod:`repro.core.analyzer` — parse the blockchain
   after an experiment (Section 4.5) and compute the metrics of the study.
 * :mod:`repro.core.recommendations` — the practitioner recommendations of
@@ -17,7 +17,6 @@ This package is the paper's primary contribution translated into a library:
 
 from repro.core.adaptive import AdaptiveBlockSizeController, BlockSizeTuner
 from repro.core.analyzer import ExperimentAnalysis, LedgerAnalyzer
-from repro.core.classifier import ClassifiedTransaction, TransactionClassifier
 from repro.core.failures import FailureType
 from repro.core.metrics import ExperimentMetrics, FailureReport, compute_metrics
 from repro.core.recommendations import Recommendation, RecommendationEngine
@@ -27,8 +26,6 @@ __all__ = [
     "BlockSizeTuner",
     "ExperimentAnalysis",
     "LedgerAnalyzer",
-    "ClassifiedTransaction",
-    "TransactionClassifier",
     "FailureType",
     "ExperimentMetrics",
     "FailureReport",

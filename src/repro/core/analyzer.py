@@ -3,10 +3,10 @@
 The paper's methodology (Section 4.5) collects all performance metrics by
 parsing the blockchain after each experiment, so that measurement has no impact
 on the running system.  :class:`LedgerAnalyzer` performs that parse: it
-classifies every failed transaction, aggregates the failure report, computes
-latency and throughput, and bundles everything into an
-:class:`ExperimentAnalysis` that the benchmark harness, the recommendation
-engine and the reporting layer consume.
+collects every failed transaction, counts them by the failure class their
+stamp names (:mod:`repro.core.failures`), computes latency and throughput, and
+bundles everything into an :class:`ExperimentAnalysis` that the benchmark
+harness, the recommendation engine and the reporting layer consume.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.core.classifier import ClassifiedTransaction, TransactionClassifier
-from repro.core.failures import FailureType
+from repro.core.failures import FailureType, failure_type_of
 from repro.core.metrics import ExperimentMetrics, FailureReport, compute_metrics
+from repro.ledger.block import Transaction
 from repro.network.network import RunRecord
 
 
@@ -27,7 +27,8 @@ class ChannelAnalysis:
     index: int
     name: str
     metrics: ExperimentMetrics
-    classified_failures: List[ClassifiedTransaction] = field(default_factory=list)
+    #: The channel's ``record.failed_transactions()``.
+    failed_transactions: List[Transaction] = field(default_factory=list)
     cross_channel_submitted: int = 0
     cross_channel_aborted: int = 0
 
@@ -47,7 +48,8 @@ class ExperimentAnalysis:
 
     record: RunRecord
     metrics: ExperimentMetrics
-    classified_failures: List[ClassifiedTransaction] = field(default_factory=list)
+    #: ``record.failed_transactions()``; each carries its own failure stamp.
+    failed_transactions: List[Transaction] = field(default_factory=list)
     channel_analyses: List[ChannelAnalysis] = field(default_factory=list)
 
     @property
@@ -55,21 +57,22 @@ class ExperimentAnalysis:
         """The failure breakdown of this run."""
         return self.metrics.failure_report
 
-    def failures_of_type(self, failure_type: FailureType) -> List[ClassifiedTransaction]:
-        """All classified failures of one type."""
-        return [item for item in self.classified_failures if item.failure_type is failure_type]
+    def failures_of_type(self, failure_type: FailureType) -> List[Transaction]:
+        """All failed transactions of one class."""
+        return [tx for tx in self.failed_transactions if failure_type_of(tx) is failure_type]
 
     def hottest_conflicting_keys(self, limit: int = 10) -> List[tuple[str, int]]:
-        """Keys most often involved in conflicts, most frequent first.
+        """Keys most often involved in MVCC and phantom conflicts, most frequent first.
 
         Useful for the chaincode-design recommendations of Section 6.1 (e.g.
-        splitting a hot ``PatientID`` key into per-record keys).
+        splitting a hot ``PatientID`` key into per-record keys).  The lock key
+        the coordinator stamps on a cross-channel abort is not counted.
         """
         counts: Dict[str, int] = {}
-        for item in self.classified_failures:
-            if item.conflicting_key is None:
-                continue
-            counts[item.conflicting_key] = counts.get(item.conflicting_key, 0) + 1
+        for tx in self.failed_transactions:
+            failure = failure_type_of(tx)
+            if failure.is_mvcc or failure is FailureType.PHANTOM_READ:
+                counts[tx.conflicting_key] = counts.get(tx.conflicting_key, 0) + 1
         ranked = sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))
         return ranked[:limit]
 
@@ -77,41 +80,29 @@ class ExperimentAnalysis:
 class LedgerAnalyzer:
     """Parses run records into :class:`ExperimentAnalysis` objects."""
 
-    def __init__(self) -> None:
-        self._classifier = TransactionClassifier()
-
     def analyze(self, record: RunRecord) -> ExperimentAnalysis:
-        """Classify all failures of ``record`` and compute its metrics.
+        """Collect the failures of ``record`` and compute its metrics.
 
-        Multi-channel records are classified one chain at a time (version
-        history is per channel), producing a :class:`ChannelAnalysis` per
-        channel plus aggregate metrics over all chains.
+        Multi-channel records additionally produce a :class:`ChannelAnalysis`
+        per channel; the top-level metrics aggregate over all chains.
         """
-        if record.channel_records:
-            classified: List[ClassifiedTransaction] = []
-            channel_analyses: List[ChannelAnalysis] = []
-            for channel in record.channel_records:
-                channel_classified = self._classifier.classify_ledger(
-                    channel.record.ledger, channel.record.early_aborted
+        channel_analyses: List[ChannelAnalysis] = []
+        for channel in record.channel_records:
+            failed = channel.record.failed_transactions()
+            channel_analyses.append(
+                ChannelAnalysis(
+                    index=channel.index,
+                    name=channel.name,
+                    metrics=compute_metrics(channel.record, failed),
+                    failed_transactions=failed,
+                    cross_channel_submitted=channel.cross_channel_submitted,
+                    cross_channel_aborted=channel.cross_channel_aborted,
                 )
-                classified.extend(channel_classified)
-                channel_analyses.append(
-                    ChannelAnalysis(
-                        index=channel.index,
-                        name=channel.name,
-                        metrics=compute_metrics(channel.record, channel_classified),
-                        classified_failures=channel_classified,
-                        cross_channel_submitted=channel.cross_channel_submitted,
-                        cross_channel_aborted=channel.cross_channel_aborted,
-                    )
-                )
-            metrics = compute_metrics(record, classified)
-            return ExperimentAnalysis(
-                record=record,
-                metrics=metrics,
-                classified_failures=classified,
-                channel_analyses=channel_analyses,
             )
-        classified = self._classifier.classify_ledger(record.ledger, record.early_aborted)
-        metrics = compute_metrics(record, classified)
-        return ExperimentAnalysis(record=record, metrics=metrics, classified_failures=classified)
+        failed = record.failed_transactions()
+        return ExperimentAnalysis(
+            record=record,
+            metrics=compute_metrics(record, failed),
+            failed_transactions=failed,
+            channel_analyses=channel_analyses,
+        )

@@ -1,27 +1,36 @@
-"""Formal definitions of the transaction failure types (paper Section 3).
+"""The failure taxonomy (paper Section 3): what a validation code means.
 
-Each definition of the paper is provided both as a :class:`FailureType` member
-and as an executable predicate over read/write sets and world-state versions:
+A transaction's failure is decided once, by the component that aborts it: the
+client's endorsement round (Equation 1, :func:`repro.ledger.rwset.read_sets_consistent`),
+a variant hook, the ordering service, the cross-channel coordinator, a fault
+path, or the canonical :class:`~repro.network.validator.BlockValidator`
+(Equations 2 and 5).  That component stamps ``validation_code`` on the
+transaction and, for the two conflict codes, ``conflicting_key`` and
+``conflicting_block``.  Everything downstream — lifecycle events, the ledger
+analysis, the reports — reads the stamp through this module, the only one
+that knows what a code means:
 
-* Equation 1 — endorsement policy failure: two endorsing peers observed the
-  same key at different versions.
-* Equation 2 — MVCC read conflict: a read version no longer matches the world
-  state at validation time.
-* Equation 3 — intra-block MVCC read conflict: the conflicting write belongs to
-  an earlier transaction of the *same* block.
-* Equation 4 — inter-block MVCC read conflict: the conflicting write belongs to
-  an *earlier* block.
-* Equation 5 — phantom read conflict: a re-executed range query observes a
-  different set of keys (or versions) than the endorsement did.
+* :class:`FailureType` — the failure classes, with the facts kept about each
+  (recorded on chain or not, induced by an injected fault or not, the label a
+  report prints);
+* :data:`FAILURE_OF_CODE` — validation code → class, total over the failure
+  codes;
+* :func:`failure_type_of` — the class of one transaction, which adds the one
+  distinction a code does not carry: an MVCC read conflict is *intra-block*
+  when the conflicting write sits in the reader's own block (Equation 3) and
+  *inter-block* when an earlier block committed it (Equation 4).
+
+The stamp is checked, not trusted: ``tests/failure_oracle.py`` re-derives
+class, key and block of every failed transaction from the ledger alone, in
+terms of Equations 1–5, and tier-1 compares the two.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping, Optional
+from typing import Dict, Optional
 
-from repro.ledger.kvstore import Version
-from repro.ledger.rwset import RangeRead, ReadWriteSet
+from repro.ledger.block import Transaction, ValidationCode
 
 
 class FailureType(enum.Enum):
@@ -59,85 +68,73 @@ class FailureType(enum.Enum):
     @property
     def is_infrastructure(self) -> bool:
         """True for failures induced by injected faults, not data contention."""
-        return self in (
-            FailureType.ENDORSEMENT_TIMEOUT,
-            FailureType.ORDERER_UNAVAILABLE,
-            FailureType.PEER_UNAVAILABLE,
-        )
+        return self in _INFRASTRUCTURE
+
+    @property
+    def on_chain(self) -> bool:
+        """False for the classes whose transactions never reach a block.
+
+        Like the paper, which collects all metrics by parsing the blockchain,
+        the headline failure percentage counts the on-chain classes only; the
+        others show up as reduced committed throughput (Section 5.4.2).
+        """
+        return self not in _NEVER_ON_CHAIN
+
+    @property
+    def label(self) -> str:
+        """The row label of this class's percentage in a text report."""
+        return _LABELS[self]
 
 
-def is_endorsement_policy_failure(read_sets: Iterable[ReadWriteSet]) -> bool:
-    """Equation 1: different endorsers observed different versions of a key."""
-    observed: dict[str, Optional[Version]] = {}
-    for read_set in read_sets:
-        for read in read_set.all_reads():
-            if read.key in observed and observed[read.key] != read.version:
-                return True
-            observed.setdefault(read.key, read.version)
-    return False
-
-
-def mvcc_conflicting_key(
-    rwset: ReadWriteSet, world_state_versions: Mapping[str, Version]
-) -> Optional[str]:
-    """Equation 2: the first read key whose version differs from the world state.
-
-    ``world_state_versions`` maps keys to their committed versions at
-    validation time; keys absent from the mapping do not exist in the world
-    state.  Returns ``None`` when no point read conflicts.
-    """
-    for read in rwset.reads:
-        current = world_state_versions.get(read.key)
-        if current != read.version:
-            return read.key
-    return None
-
-
-def is_transaction_dependency(reader: ReadWriteSet, writer: ReadWriteSet) -> bool:
-    """Definition 4: ``reader`` depends on ``writer`` (reads a key it writes)."""
-    return reader.depends_on(writer)
-
-
-def is_intra_block_conflict(
-    reader_position: tuple[int, int], writer_position: tuple[int, int]
-) -> bool:
-    """Equation 3: conflicting transactions sit in the same block, writer first.
-
-    Positions are ``(block_number, tx_index)`` pairs.
-    """
-    reader_block, reader_index = reader_position
-    writer_block, writer_index = writer_position
-    return reader_block == writer_block and writer_index < reader_index
-
-
-def is_inter_block_conflict(
-    reader_position: tuple[int, int], writer_position: tuple[int, int]
-) -> bool:
-    """Equation 4: the conflicting write was committed in an earlier block."""
-    reader_block, _ = reader_position
-    writer_block, _ = writer_position
-    return writer_block < reader_block
-
-
-def phantom_conflicting_key(
-    range_read: RangeRead, world_state_versions: Mapping[str, Version]
-) -> Optional[str]:
-    """Equation 5: the first key whose presence or version changed in the range.
-
-    ``world_state_versions`` must contain the keys currently in the queried
-    interval; a key observed at endorsement but now absent, a key now present
-    but not observed, or a version change all constitute a phantom read.
-    Range reads without phantom detection (rich queries) never conflict.
-    """
-    if not range_read.phantom_detection:
-        return None
-    observed = {read.key: read.version for read in range_read.reads}
-    current = {
-        key: version
-        for key, version in world_state_versions.items()
-        if range_read.start_key <= key < range_read.end_key
+_INFRASTRUCTURE = frozenset(
+    {
+        FailureType.ENDORSEMENT_TIMEOUT,
+        FailureType.ORDERER_UNAVAILABLE,
+        FailureType.PEER_UNAVAILABLE,
     }
-    if observed == current:
-        return None
-    differences = set(observed.items()) ^ set(current.items())
-    return sorted(key for key, _version in differences)[0]
+)
+
+#: FabricSharp's early aborts, the coordinator's prepare aborts and whatever a
+#: fault path aborts.  (A client-side endorsement check also drops its
+#: transactions before ordering; they stay endorsement policy failures, which
+#: is the class the validator would have recorded for them.)
+_NEVER_ON_CHAIN = _INFRASTRUCTURE | {FailureType.EARLY_ABORT, FailureType.CROSS_CHANNEL_ABORT}
+
+_LABELS = {
+    FailureType.ENDORSEMENT_POLICY: "endorsement policy failures (%)",
+    FailureType.MVCC_INTRA_BLOCK: "intra-block MVCC conflicts (%)",
+    FailureType.MVCC_INTER_BLOCK: "inter-block MVCC conflicts (%)",
+    FailureType.PHANTOM_READ: "phantom read conflicts (%)",
+    FailureType.ORDERING_ABORT: "aborted in ordering (%)",
+    FailureType.EARLY_ABORT: "early aborts (%)",
+    FailureType.CROSS_CHANNEL_ABORT: "cross-channel aborts (%)",
+    FailureType.ENDORSEMENT_TIMEOUT: "endorsement timeouts (%)",
+    FailureType.ORDERER_UNAVAILABLE: "orderer unavailable (%)",
+    FailureType.PEER_UNAVAILABLE: "peer unavailable (%)",
+}
+
+#: Every failure code's class.  ``MVCC_READ_CONFLICT`` names the inter-block
+#: class; :func:`failure_type_of` moves a conflict into the intra-block class.
+FAILURE_OF_CODE: Dict[ValidationCode, FailureType] = {
+    ValidationCode.ENDORSEMENT_POLICY_FAILURE: FailureType.ENDORSEMENT_POLICY,
+    ValidationCode.MVCC_READ_CONFLICT: FailureType.MVCC_INTER_BLOCK,
+    ValidationCode.PHANTOM_READ_CONFLICT: FailureType.PHANTOM_READ,
+    ValidationCode.ABORTED_BY_REORDERING: FailureType.ORDERING_ABORT,
+    ValidationCode.EARLY_ABORT: FailureType.EARLY_ABORT,
+    ValidationCode.CROSS_CHANNEL_ABORT: FailureType.CROSS_CHANNEL_ABORT,
+    ValidationCode.ENDORSEMENT_TIMEOUT: FailureType.ENDORSEMENT_TIMEOUT,
+    ValidationCode.ORDERER_UNAVAILABLE: FailureType.ORDERER_UNAVAILABLE,
+    ValidationCode.PEER_UNAVAILABLE: FailureType.PEER_UNAVAILABLE,
+}
+
+
+def failure_type_of(tx: Transaction) -> Optional[FailureType]:
+    """The failure class of a failed transaction (``None`` if not failed)."""
+    failure = FAILURE_OF_CODE.get(tx.validation_code)
+    if (
+        failure is FailureType.MVCC_INTER_BLOCK
+        and tx.conflicting_block is not None
+        and tx.conflicting_block == tx.block_number
+    ):
+        return FailureType.MVCC_INTRA_BLOCK
+    return failure

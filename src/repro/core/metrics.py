@@ -13,10 +13,10 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, Iterable, NamedTuple
 
-from repro.core.classifier import ClassifiedTransaction, TransactionClassifier
-from repro.core.failures import FailureType
+from repro.core.failures import FailureType, failure_type_of
+from repro.ledger.block import Transaction
 from repro.network.network import RunRecord
 from repro.observability.spans import LIFECYCLE_STAGES, BlockTimes, stage_durations
 from repro.sim.stats import QuantileSketch, percentile
@@ -39,34 +39,14 @@ class FailureReport:
             return 0.0
         return 100.0 * self.count(failure_type) / self.total_transactions
 
-    #: Failure classes whose transactions never reach a block: FabricSharp's
-    #: early aborts, the cross-channel coordinator's prepare aborts, and the
-    #: three infrastructure classes of the fault-injection subsystem.
-    NEVER_ON_CHAIN = frozenset(
-        {
-            FailureType.EARLY_ABORT,
-            FailureType.CROSS_CHANNEL_ABORT,
-            FailureType.ENDORSEMENT_TIMEOUT,
-            FailureType.ORDERER_UNAVAILABLE,
-            FailureType.PEER_UNAVAILABLE,
-        }
-    )
-
     @property
     def recorded_failures(self) -> int:
         """Failed transactions recorded on the blockchain.
 
-        FabricSharp's early aborts and cross-channel prepare aborts never
-        reach a block, so — like the paper, which collects all metrics by
-        parsing the blockchain — they are not part of the headline failure
-        percentage; they show up as reduced committed throughput instead
-        (Section 5.4.2).
+        The headline failure percentage counts these only (see
+        :attr:`FailureType.on_chain <repro.core.failures.FailureType.on_chain>`).
         """
-        return sum(
-            count
-            for failure_type, count in self.counts.items()
-            if failure_type not in self.NEVER_ON_CHAIN
-        )
+        return sum(count for failure_type, count in self.counts.items() if failure_type.on_chain)
 
     @property
     def total_failures(self) -> int:
@@ -357,36 +337,26 @@ def _walk_transactions(record: RunRecord) -> _TransactionTotals:
     )
 
 
-def build_failure_report(
-    classified: List[ClassifiedTransaction], total_transactions: int
-) -> FailureReport:
-    """Aggregate classified failures into a report."""
+def build_failure_report(failed: Iterable[Transaction], total_transactions: int) -> FailureReport:
+    """Count failed transactions by the class their stamp names."""
     counts: Dict[FailureType, int] = {}
-    for item in classified:
-        counts[item.failure_type] = counts.get(item.failure_type, 0) + 1
+    for tx in failed:
+        failure_type = failure_type_of(tx)
+        counts[failure_type] = counts.get(failure_type, 0) + 1
     return FailureReport(total_transactions=total_transactions, counts=counts)
 
 
-def compute_metrics(
-    record: RunRecord, classified: Optional[List[ClassifiedTransaction]] = None
-) -> ExperimentMetrics:
+def compute_metrics(record: RunRecord, failed: Iterable[Transaction]) -> ExperimentMetrics:
     """Compute the Section 4.5 metrics for one run record.
 
-    ``classified`` may be passed in to avoid re-running the classifier when the
-    caller (e.g. :class:`~repro.core.analyzer.LedgerAnalyzer`) already did.
-    Multi-channel records aggregate over every channel's chain (each channel
-    is classified against its own ledger, since MVCC history is per chain).
+    ``failed`` is ``record.failed_transactions()``, which the analyzer keeps.
+    Multi-channel records aggregate over every channel's chain.
     """
-    if classified is None:
-        classifier = TransactionClassifier()
-        classified = []
-        for ledger, early_aborted in record.classification_units():
-            classified.extend(classifier.classify_ledger(ledger, early_aborted))
     # Read-only transactions that were answered locally (client-design
     # ablation) are not considered submitted-for-ordering, mirroring the paper
     # where they simply never reach the blockchain.
     submitted_count = len(record.transactions) - len(record.read_only_skipped)
-    report = build_failure_report(classified, submitted_count)
+    report = build_failure_report(failed, submitted_count)
     ledgers = record.ledgers()
     committed = sum(len(ledger.committed_transactions()) for ledger in ledgers)
     appended = sum(ledger.transaction_count for ledger in ledgers)

@@ -19,7 +19,7 @@ The induced failures surface as three new classes —
 ``PEER_UNAVAILABLE`` (fail-fast proposal to a crashed/partitioned peer),
 ``ENDORSEMENT_TIMEOUT`` (lost or stalled endorsements trip the client's
 watchdog) and ``ORDERER_UNAVAILABLE`` (submission during an outage window) —
-which flow through the classifier, metrics, analyzer and recommendation
+which flow through the taxonomy, metrics, analyzer and recommendation
 engine like the paper's own failure types, and through the ``ABORTED``
 lifecycle event into the client retry subsystem (retries are the natural
 mitigation; ``benchmarks/bench_fault_resilience.py`` measures how much

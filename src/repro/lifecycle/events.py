@@ -29,13 +29,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.failures import FailureType, failure_type_of
 from repro.errors import SimulationError
-from repro.ledger.block import Transaction, ValidationCode
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.failures import FailureType
+from repro.ledger.block import Transaction
 
 
 class LifecycleEventType(enum.Enum):
@@ -71,50 +69,6 @@ for _index, _event_type in enumerate(_EVENT_TYPES):
 del _index, _event_type
 
 
-#: Validation codes mapped to the failure class an ABORTED event reports.
-#: Built on first use: importing :mod:`repro.core.failures` at module level
-#: would close an import cycle (core → analyzer → metrics → network → here).
-_CODE_TO_FAILURE: Dict[ValidationCode, "FailureType"] = {}
-
-
-def _code_to_failure() -> Dict[ValidationCode, "FailureType"]:
-    if not _CODE_TO_FAILURE:
-        from repro.core.failures import FailureType
-
-        _CODE_TO_FAILURE.update(
-            {
-                ValidationCode.ENDORSEMENT_POLICY_FAILURE: FailureType.ENDORSEMENT_POLICY,
-                ValidationCode.PHANTOM_READ_CONFLICT: FailureType.PHANTOM_READ,
-                ValidationCode.ABORTED_BY_REORDERING: FailureType.ORDERING_ABORT,
-                ValidationCode.EARLY_ABORT: FailureType.EARLY_ABORT,
-                ValidationCode.CROSS_CHANNEL_ABORT: FailureType.CROSS_CHANNEL_ABORT,
-                ValidationCode.ENDORSEMENT_TIMEOUT: FailureType.ENDORSEMENT_TIMEOUT,
-                ValidationCode.ORDERER_UNAVAILABLE: FailureType.ORDERER_UNAVAILABLE,
-                ValidationCode.PEER_UNAVAILABLE: FailureType.PEER_UNAVAILABLE,
-            }
-        )
-    return _CODE_TO_FAILURE
-
-
-def failure_type_of(tx: Transaction) -> Optional["FailureType"]:
-    """The failure class of a failed transaction (``None`` if not failed).
-
-    MVCC conflicts are split into intra-/inter-block using the conflicting
-    block recorded by the validator, mirroring the post-hoc classifier's
-    Equations 3 and 4.
-    """
-    code = tx.validation_code
-    if code is None or code is ValidationCode.VALID:
-        return None
-    if code is ValidationCode.MVCC_READ_CONFLICT:
-        from repro.core.failures import FailureType
-
-        if tx.conflicting_block is not None and tx.conflicting_block == tx.block_number:
-            return FailureType.MVCC_INTRA_BLOCK
-        return FailureType.MVCC_INTER_BLOCK
-    return _code_to_failure()[code]
-
-
 @dataclass(frozen=True, slots=True)
 class LifecycleEvent:
     """One stage transition of one transaction."""
@@ -142,7 +96,7 @@ def emit_event(
     event_type: LifecycleEventType,
     time: float,
     tx: Transaction,
-    failure_type: Optional["FailureType"] = None,
+    failure_type: Optional[FailureType] = None,
 ) -> None:
     """Emit one event for ``tx`` on ``bus`` (no-op without a bus).
 
@@ -239,7 +193,7 @@ class LifecycleBus:
         event_type: LifecycleEventType,
         time: float,
         tx: Transaction,
-        failure_type: Optional["FailureType"] = None,
+        failure_type: Optional[FailureType] = None,
     ) -> None:
         """Count and deliver one stage transition of ``tx``.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.chaincode.base import Chaincode
 from repro.checker.checker import IsolationChecker, IsolationReport
@@ -62,7 +62,7 @@ class RunRecord:
     For multi-channel runs the aggregate record additionally carries one
     :class:`ChannelRecord` per channel; the aggregate ``ledger`` is then empty
     (each channel has its own chain) and consumers should iterate
-    :meth:`ledgers` / :meth:`classification_units`, which fall back to the
+    :meth:`ledgers` / :meth:`failed_transactions`, which fall back to the
     single ledger transparently.
     """
 
@@ -123,19 +123,18 @@ class RunRecord:
             return [channel.record.ledger for channel in self.channel_records]
         return [self.ledger]
 
-    def classification_units(self) -> List[Tuple[Ledger, List[Transaction]]]:
-        """``(ledger, early_aborted)`` pairs for per-chain failure classification.
+    def failed_transactions(self) -> List[Transaction]:
+        """Every failed transaction of the run, in the order the analysis reports.
 
-        MVCC/phantom classification replays one chain's version history, so
-        every channel must be classified against its own ledger and its own
-        never-on-chain aborts.
+        Each chain in block order, then that chain's never-on-chain aborts,
+        channel by channel.
         """
-        if self.channel_records:
-            return [
-                (channel.record.ledger, channel.record.early_aborted)
-                for channel in self.channel_records
-            ]
-        return [(self.ledger, self.early_aborted)]
+        records = [channel.record for channel in self.channel_records] or [self]
+        return [
+            tx
+            for record in records
+            for tx in (*record.ledger.failed_transactions(), *record.early_aborted)
+        ]
 
 
 @dataclass

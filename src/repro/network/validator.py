@@ -23,7 +23,9 @@ The checks implement the failure definitions of paper Section 3:
 * MVCC read conflict — the version of a read key no longer matches the
   committed world state (Equation 2); whether the conflicting write happened in
   the same block or an earlier block distinguishes intra- from inter-block
-  conflicts (Equations 3 and 4), which the analyzer derives afterwards.
+  conflicts (Equations 3 and 4): the validator stamps the conflicting key and
+  the block of its last writer on the transaction, and
+  :func:`repro.core.failures.failure_type_of` reads the split off that stamp.
 * Phantom read conflict — re-executing a range query returns a different set of
   keys or versions (Equation 5).  Rich queries are not re-executed and can
   therefore never fail this check.

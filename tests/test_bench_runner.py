@@ -263,7 +263,19 @@ def _wrong_type(blob: bytes) -> bytes:
     return pickle.dumps({"not": "an analysis"})
 
 
-@pytest.mark.parametrize("damage", [_truncate, _flip_frame_length, _wrong_type])
+def _earlier_shape(blob: bytes) -> bytes:
+    # What a cache directory written before the analysis kept
+    # ``failed_transactions`` holds for a run without failures: the list was
+    # called ``classified_failures``, and an empty one names no class that has
+    # since been deleted, so the entry still unpickles — into an object that
+    # raises AttributeError on first use.
+    analysis = pickle.loads(blob)
+    del vars(analysis)["failed_transactions"]
+    vars(analysis)["classified_failures"] = []
+    return pickle.dumps(analysis)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _flip_frame_length, _wrong_type, _earlier_shape])
 def test_damaged_disk_entry_is_recomputed_counted_and_overwritten(tmp_path, damage):
     config = tiny_config()
     before = ExperimentRunner(workers=1, cache=ResultCache(tmp_path)).run(config)

@@ -166,10 +166,10 @@ def test_cross_channel_aborts_form_their_own_failure_class():
     report = analysis.failure_report
     aborted = analysis.failures_of_type(FailureType.CROSS_CHANNEL_ABORT)
     assert aborted, "heavy cross-channel traffic must produce prepare aborts"
-    for item in aborted:
-        assert item.tx.validation_code is ValidationCode.CROSS_CHANNEL_ABORT
-        assert item.tx.partner_channel is not None
-        assert item.tx.block_number is None  # never reached a block
+    for tx in aborted:
+        assert tx.validation_code is ValidationCode.CROSS_CHANNEL_ABORT
+        assert tx.partner_channel is not None
+        assert tx.block_number is None  # never reached a block
     assert report.cross_channel_abort_pct > 0
     # Never-on-chain aborts stay out of the blockchain-parsed headline number.
     assert report.count(FailureType.CROSS_CHANNEL_ABORT) == len(aborted)

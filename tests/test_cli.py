@@ -212,6 +212,41 @@ def test_run_command_prints_per_channel_breakdown(capsys):
     assert "cross-channel aborts (%)" in captured.out
 
 
+def _table_rows(out: str) -> dict:
+    """``label -> value`` of the first text table of ``out``."""
+    table = out.split("\n\n")[0]
+    return {
+        label.strip(): value.strip()
+        for label, _, value in (line.partition("|") for line in table.splitlines() if "|" in line)
+    }
+
+
+@pytest.mark.parametrize(
+    "variant,chaincode,row",
+    [("fabric++", "SCM", "aborted in ordering (%)"), ("fabricsharp", "EHR", "early aborts (%)")],
+)
+def test_run_command_prints_a_row_for_every_class_that_occurred(capsys, variant, chaincode, row):
+    args = ["--variant", variant, "--chaincode", chaincode, "--block-size", "10", "--duration", "3"]
+    assert main(["run", "--database", "leveldb", *args]) == 0
+    rows = _table_rows(capsys.readouterr().out)
+    assert float(rows[row]) > 0
+    # The classes that did not occur print no row beyond the paper's four.
+    percent_rows = [label for label in rows if label.endswith("(%)")]
+    assert percent_rows[:5] == [
+        "total failures (%)",
+        "endorsement policy failures (%)",
+        "intra-block MVCC conflicts (%)",
+        "inter-block MVCC conflicts (%)",
+        "phantom read conflicts (%)",
+    ]
+    assert "cross-channel aborts (%)" not in rows and "peer unavailable (%)" not in rows
+    # What the rows say adds up to what the JSON document says.
+    assert main(["run", "--database", "leveldb", *args, "--json"]) == 0
+    failures = json.loads(capsys.readouterr().out)["result"]["failures"]
+    printed = sum(float(rows[label]) for label in percent_rows[1:])
+    assert printed == pytest.approx(sum(failures.values()) - failures["total"], abs=0.05)
+
+
 # ------------------------------------------------------------------------ json
 def test_run_command_json_output(capsys):
     exit_code = main(RUN_CHANNEL_ARGS + ["--json"])
@@ -320,6 +355,12 @@ def test_run_command_json_includes_retry_and_lifecycle_fields(capsys):
     assert result["lifecycle_events"]["submitted"] >= result["submitted_transactions"]
 
 
+def test_json_config_echoes_retry_max_backoff(capsys):
+    # Without it the echoed config cannot reproduce a run that set the flag.
+    assert main(RUN_RETRY_ARGS + ["--retry-max-backoff", "7.5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["retry_max_backoff"] == 7.5
+
+
 def test_run_command_without_retries_omits_retry_rows(capsys):
     exit_code = main(["run", "--database", "leveldb", "--rate", "40", "--duration", "2"])
     captured = capsys.readouterr()
@@ -400,10 +441,15 @@ RUN_FAULT_ARGS = [
 def test_fault_spec_dsl_prints_infrastructure_rows(capsys):
     exit_code = main(
         RUN_FAULT_ARGS
-        + ["--fault-spec", "peer-crash:rate=0.3,downtime=1;orderer-outage:start=0.5,duration=0.5"]
+        + [
+            "--fault-spec",
+            "peer-crash:rate=0.3,downtime=1;orderer-outage:start=0.5,duration=0.5;"
+            "endorsement-loss:rate=0.1",
+        ]
     )
     captured = capsys.readouterr()
     assert exit_code == 0
+    # One row per class that occurred; this profile produces all three.
     assert "endorsement timeouts (%)" in captured.out
     assert "orderer unavailable (%)" in captured.out
     assert "peer unavailable (%)" in captured.out

@@ -1,18 +1,25 @@
-"""Unit tests for the formal failure definitions and the ledger classifier."""
+"""Unit tests for the formal failure definitions and the ledger-replay oracle.
+
+Both live in ``tests/failure_oracle.py``: the product reads the failure class
+off the stamp the aborting component leaves (:mod:`repro.core.failures`), and
+the replay built from Equations 1-5 is what the stamp is checked against
+(``tests/test_failure_oracle.py``).  These are the oracle's own unit tests, on
+hand-built ledgers that carry no stamp.
+"""
 
 from __future__ import annotations
 
-
-from repro.core.classifier import TransactionClassifier
-from repro.core.failures import (
-    FailureType,
+from failure_oracle import (
     is_endorsement_policy_failure,
     is_inter_block_conflict,
     is_intra_block_conflict,
     is_transaction_dependency,
     mvcc_conflicting_key,
     phantom_conflicting_key,
+    replay_failures,
 )
+
+from repro.core.failures import FailureType
 from repro.ledger.block import Block, Transaction, ValidationCode
 from repro.ledger.kvstore import GENESIS_VERSION, Version
 from repro.ledger.ledger import Ledger
@@ -91,7 +98,7 @@ def test_failure_type_mvcc_grouping():
     assert not FailureType.PHANTOM_READ.is_mvcc
 
 
-# ------------------------------------------------------------------- classifier
+# ----------------------------------------------------------------------- replay
 def build_ledger_with_conflicts():
     """Two blocks: writer commits in block 1; conflicting readers in blocks 1 and 2."""
     ledger = Ledger()
@@ -127,8 +134,7 @@ def build_ledger_with_conflicts():
 
 def test_classifier_distinguishes_intra_and_inter_block_conflicts():
     ledger = build_ledger_with_conflicts()
-    classified = TransactionClassifier().classify_ledger(ledger)
-    by_id = {item.tx.tx_id: item for item in classified}
+    by_id = {tx.tx_id: verdict for tx, verdict in replay_failures(ledger)}
     assert by_id["intra"].failure_type is FailureType.MVCC_INTRA_BLOCK
     assert by_id["intra"].conflicting_key == "hot"
     assert by_id["intra"].conflicting_block == 1
@@ -138,8 +144,7 @@ def test_classifier_distinguishes_intra_and_inter_block_conflicts():
 
 def test_classifier_handles_all_failure_codes():
     ledger = build_ledger_with_conflicts()
-    classified = TransactionClassifier().classify_ledger(ledger)
-    by_id = {item.tx.tx_id: item for item in classified}
+    by_id = {tx.tx_id: verdict for tx, verdict in replay_failures(ledger)}
     assert by_id["endorse"].failure_type is FailureType.ENDORSEMENT_POLICY
     assert by_id["phantom"].failure_type is FailureType.PHANTOM_READ
     assert by_id["phantom"].conflicting_key == "hot"
@@ -151,20 +156,17 @@ def test_classifier_includes_early_aborted_transactions():
     ledger = build_ledger_with_conflicts()
     early = ledger_tx("early", ValidationCode.EARLY_ABORT)
     dropped = ledger_tx("client-drop", ValidationCode.ENDORSEMENT_POLICY_FAILURE)
-    classified = TransactionClassifier().classify_ledger(ledger, early_aborted=[early, dropped])
-    by_id = {item.tx.tx_id: item for item in classified}
+    by_id = {tx.tx_id: verdict for tx, verdict in replay_failures(ledger, [early, dropped])}
     assert by_id["early"].failure_type is FailureType.EARLY_ABORT
     assert by_id["client-drop"].failure_type is FailureType.ENDORSEMENT_POLICY
 
 
 def test_classifier_is_mvcc_helper():
     ledger = build_ledger_with_conflicts()
-    classified = TransactionClassifier().classify_ledger(ledger)
-    mvcc = [item for item in classified if item.is_mvcc]
+    mvcc = [verdict for _tx, verdict in replay_failures(ledger) if verdict.is_mvcc]
     assert len(mvcc) == 2
 
 
 def test_classifier_counts_match_validation_codes():
     ledger = build_ledger_with_conflicts()
-    classified = TransactionClassifier().classify_ledger(ledger)
-    assert len(classified) == len(ledger.failed_transactions())
+    assert len(replay_failures(ledger)) == len(ledger.failed_transactions())

@@ -7,7 +7,6 @@ import pytest
 from repro.bench.harness import run_experiment
 from repro.core.failures import FailureType
 from repro.core.metrics import FailureReport, build_failure_report, compute_metrics
-from repro.core.classifier import ClassifiedTransaction
 from repro.core.recommendations import RecommendationEngine
 from repro.ledger.block import Transaction, ValidationCode
 
@@ -51,15 +50,16 @@ def test_failure_report_empty_is_all_zero():
 
 
 def test_build_failure_report_counts_types():
-    def classified(code, failure_type):
-        tx = Transaction(tx_id=str(failure_type), client_name="c", chaincode_name="t", function="f")
-        tx.validation_code = code
-        return ClassifiedTransaction(tx=tx, failure_type=failure_type)
+    def failed(code, **stamp):
+        return Transaction(
+            tx_id="tx", client_name="c", chaincode_name="t", function="f",
+            validation_code=code, **stamp,
+        )
 
     items = [
-        classified(ValidationCode.MVCC_READ_CONFLICT, FailureType.MVCC_INTRA_BLOCK),
-        classified(ValidationCode.MVCC_READ_CONFLICT, FailureType.MVCC_INTRA_BLOCK),
-        classified(ValidationCode.PHANTOM_READ_CONFLICT, FailureType.PHANTOM_READ),
+        failed(ValidationCode.MVCC_READ_CONFLICT, block_number=3, conflicting_block=3),
+        failed(ValidationCode.MVCC_READ_CONFLICT, block_number=4, conflicting_block=4),
+        failed(ValidationCode.PHANTOM_READ_CONFLICT, block_number=4, conflicting_block=2),
     ]
     report = build_failure_report(items, total_transactions=10)
     assert report.count(FailureType.MVCC_INTRA_BLOCK) == 2
@@ -100,9 +100,9 @@ def test_analyzer_produces_classified_failures(tiny_experiment):
     result = run_experiment(tiny_experiment)
     analysis = result.analyses[0]
     failed_on_ledger = len(analysis.record.ledger.failed_transactions())
-    assert len(analysis.classified_failures) == failed_on_ledger + len(analysis.record.early_aborted)
-    for item in analysis.failures_of_type(FailureType.MVCC_INTRA_BLOCK):
-        assert item.conflicting_key is not None
+    assert len(analysis.failed_transactions) == failed_on_ledger + len(analysis.record.early_aborted)
+    for tx in analysis.failures_of_type(FailureType.MVCC_INTRA_BLOCK):
+        assert tx.conflicting_key is not None
 
 
 def test_analyzer_hottest_keys_are_ranked(tiny_experiment):
@@ -116,7 +116,7 @@ def test_analyzer_hottest_keys_are_ranked(tiny_experiment):
 def test_compute_metrics_accepts_precomputed_classification(tiny_experiment):
     result = run_experiment(tiny_experiment)
     analysis = result.analyses[0]
-    recomputed = compute_metrics(analysis.record, analysis.classified_failures)
+    recomputed = compute_metrics(analysis.record, analysis.failed_transactions)
     assert recomputed.failure_pct == pytest.approx(analysis.metrics.failure_pct)
 
 

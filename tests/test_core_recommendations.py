@@ -74,7 +74,6 @@ def make_analysis(
     return ExperimentAnalysis(
         record=record,
         metrics=make_metrics(report, orderer_utilization=orderer_utilization),
-        classified_failures=[],
         channel_analyses=channel_analyses or [],
     )
 
@@ -183,9 +182,7 @@ def test_cross_channel_rule_triggers_on_prepare_aborts():
 def _channel_analysis(index: int, submitted: int) -> ChannelAnalysis:
     report = FailureReport(total_transactions=submitted)
     metrics = make_metrics(report, submitted=submitted)
-    return ChannelAnalysis(
-        index=index, name=f"channel{index}", metrics=metrics, classified_failures=[]
-    )
+    return ChannelAnalysis(index=index, name=f"channel{index}", metrics=metrics)
 
 
 def test_placement_rule_triggers_on_channel_imbalance():

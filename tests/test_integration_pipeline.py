@@ -2,7 +2,7 @@
 
 These tests run small but complete experiments through the public harness and
 check cross-module invariants: ledger consistency, agreement between the
-validator's codes and the classifier's failure types, conservation of
+validator's codes and the reported failure classes, conservation of
 transactions across the pipeline stages, and the behaviour of each Fabric
 variant.
 """
@@ -10,12 +10,15 @@ variant.
 from __future__ import annotations
 
 import pytest
+from failure_oracle import replay_chain
 
 from repro.bench.harness import ExperimentConfig, run_experiment
-from repro.core.failures import FailureType
+from repro.core.failures import FailureType, failure_type_of
 from repro.ledger.block import ValidationCode
+from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
-from repro.workload.workloads import synthetic_workload, uniform_workload
+from repro.workload.distributions import make_distribution
+from repro.workload.workloads import delete_heavy, synthetic_workload, uniform_workload
 
 
 def small_config(variant="fabric-1.4", workload=None, **net_overrides) -> ExperimentConfig:
@@ -71,19 +74,18 @@ def test_classifier_agrees_with_validation_codes(fabric14_analysis):
         FailureType.PHANTOM_READ: ValidationCode.PHANTOM_READ_CONFLICT,
         FailureType.ORDERING_ABORT: ValidationCode.ABORTED_BY_REORDERING,
     }
-    ledger_failures = [
-        item
-        for item in fabric14_analysis.classified_failures
-        if item.failure_type is not FailureType.EARLY_ABORT
-    ]
-    for item in ledger_failures:
-        assert item.tx.validation_code is code_by_failure[item.failure_type]
+    on_chain = 0
+    for failure_type, code in code_by_failure.items():
+        for tx in fabric14_analysis.failures_of_type(failure_type):
+            assert tx.validation_code is code
+            on_chain += 1
+    assert on_chain == len(fabric14_analysis.record.ledger.failed_transactions())
 
 
 def test_mvcc_conflicting_block_is_never_in_the_future(fabric14_analysis):
-    for item in fabric14_analysis.classified_failures:
-        if item.failure_type.is_mvcc and item.conflicting_block is not None:
-            assert item.conflicting_block <= item.tx.block_number
+    for tx in fabric14_analysis.failed_transactions:
+        if failure_type_of(tx).is_mvcc:
+            assert tx.conflicting_block <= tx.block_number
 
 
 def test_failure_percentages_add_up(fabric14_analysis):
@@ -93,23 +95,33 @@ def test_failure_percentages_add_up(fabric14_analysis):
     assert report.total_transactions >= ledger.transaction_count
 
 
-def test_committed_state_reflects_only_valid_transactions(fabric14_analysis):
-    """Replaying valid write sets over the genesis state matches the canonical store."""
-    record = fabric14_analysis.record
-    committed_writes = {}
-    for block in record.ledger:
-        for index, tx in enumerate(block.transactions):
-            if tx.validation_code is ValidationCode.VALID and tx.rwset is not None:
-                for write in tx.rwset.writes:
-                    committed_writes[write.key] = (block.number, index, write)
-    # Every committed write's version must match what the analyzer derives.
-
-    for key, (block_number, index, write) in committed_writes.items():
-        if write.is_delete:
-            continue
-        # The last writer of the key determines its final version.
-    # (At minimum the bookkeeping above must be self-consistent.)
-    assert isinstance(committed_writes, dict)
+def test_committed_state_reflects_only_valid_transactions():
+    """The valid write sets, replayed from the chain, end in the canonical store's versions."""
+    deleted = 0
+    for workload in (uniform_workload("EHR", patients=40), delete_heavy()):
+        config = small_config(workload=workload)
+        deployment = build_network(
+            config.network, config.build_chaincode, config.variant, seed=config.seed
+        )
+        record = deployment.run(
+            mix=config.workload.mix,
+            arrival_rate=config.arrival_rate,
+            duration=config.duration,
+            key_distribution=make_distribution(config.zipf_skew),
+            workload_name=config.workload.name,
+        )
+        _verdicts, replayed = replay_chain(record.ledger)
+        store = deployment.channels[0].validator.store
+        written = {
+            write.key
+            for tx in record.ledger.committed_transactions()
+            for write in tx.rwset.writes
+        }
+        assert written and set(replayed.versions) == written
+        for key, version in replayed.versions.items():
+            assert store.get_version(key) == version, (workload.name, key)
+        deleted += sum(version is None for version in replayed.versions.values())
+    assert deleted, "no cell left a deleted key behind"
 
 
 # ------------------------------------------------------------------- variants

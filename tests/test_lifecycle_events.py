@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.failures import FailureType
+from repro.core.failures import FAILURE_OF_CODE, FailureType
 from repro.errors import SimulationError
 from repro.ledger.block import Transaction, ValidationCode
 from repro.lifecycle.events import (
@@ -200,3 +200,7 @@ def test_failure_type_of_maps_every_terminal_code():
     }
     for code, failure in expected.items():
         assert failure_type_of(make_tx(code)) is failure
+    # The table behind it is total: every code but VALID names a class, so no
+    # component can stamp a code the analysis would not know how to report.
+    assert set(FAILURE_OF_CODE) == set(ValidationCode) - {ValidationCode.VALID}
+    assert all(failure_type_of(make_tx(code)) is FAILURE_OF_CODE[code] for code in FAILURE_OF_CODE)
