@@ -45,6 +45,28 @@ def test_family_figure_smokes_under_runner(family, figure, axes):
     assert runner.stats.cache_hits == runner.stats.tasks_total
 
 
+#: A disk entry is the cell's detached analysis: a few KB whatever the cell
+#: simulated.  With the chain inside, ``fig6``'s two smoke cells weighed 144 KB
+#: and 158 KB.  The integer proxy of the ``sweep-grid`` wall-clock claim: a size
+#: repeats exactly on any machine.
+ENTRY_CEILING_BYTES = 16 * 1024
+
+
+def test_disk_entries_hold_no_chain(tmp_path):
+    cold = ExperimentRunner(workers=1, cache=ResultCache(tmp_path))
+    report = regenerate("fig6", SMOKE_SCALE, runner=cold)
+    sizes = sorted(entry.stat().st_size for entry in tmp_path.glob("*.pkl"))
+    assert len(sizes) == cold.stats.tasks_run == 2
+    assert sizes[-1] <= ENTRY_CEILING_BYTES, f"{sum(sizes)} bytes in {len(sizes)} entries: {sizes}"
+    assert cold.stats.cache_bytes == sum(sizes)
+
+    warm = ExperimentRunner(workers=1, cache=ResultCache(tmp_path))
+    cached = regenerate("fig6", SMOKE_SCALE, runner=warm)
+    assert cached.rows == report.rows
+    assert (warm.stats.tasks_run, warm.stats.cache_hits) == (0, warm.stats.tasks_total)
+    assert warm.stats.cache_bytes == sum(sizes)
+
+
 def test_every_experiment_has_a_slow_check():
     # ``bench_experiments.py`` asserts one trend per spec id; the four ids below
     # are asserted by the modules that also record their ledgers

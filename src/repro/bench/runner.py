@@ -8,6 +8,14 @@ declarative :class:`SweepPlan`) into ``(config, repetition)`` tasks, fans the
 tasks out across a ``multiprocessing`` pool, and reassembles the analyses into
 :class:`~repro.bench.harness.ExperimentResult`s in deterministic order.
 
+What the runner yields — computed in a worker or in process, deduplicated or
+served from the cache — is the cell's *detached* analysis
+(:meth:`~repro.core.analyzer.ExperimentAnalysis.detached`): metrics, counts,
+configuration and reports, about 4 KB pickled.  The ledger and the
+transactions stay in the process that simulated the cell, and reading them
+off a runner result raises :class:`~repro.errors.AnalysisError`; whoever needs
+the chain calls :func:`~repro.bench.harness.run_repetition`.
+
 Three properties make this safe and fast:
 
 * **Determinism** — repetition ``k`` of a configuration is seeded with
@@ -15,7 +23,7 @@ Three properties make this safe and fast:
   content hash and ``k``.  A repetition's result therefore depends only on
   ``(config, k)``; parallel execution is bit-identical to serial execution.
 * **Content-addressed caching** — a :class:`ResultCache` stores each
-  repetition's :class:`~repro.core.analyzer.ExperimentAnalysis` under
+  repetition's detached :class:`~repro.core.analyzer.ExperimentAnalysis` under
   ``(cell_hash, repetition)``, in memory and optionally on disk.  Because
   results are deterministic, serving a cached analysis is semantically
   identical to re-running the simulation, so repeated figure regeneration
@@ -78,6 +86,8 @@ class RunnerStats:
     #: On-disk cache entries that could not be loaded (truncated, corrupted,
     #: not an analysis); each was recomputed and overwritten like a miss.
     cache_corrupt: int = 0
+    #: Bytes of on-disk cache entries the batch read and wrote.
+    cache_bytes: int = 0
     workers: int = 1
     wall_clock: float = 0.0
 
@@ -120,7 +130,8 @@ class ResultCache:
 
     Keys are ``(cell_hash, repetition)`` where ``cell_hash`` is
     :meth:`ExperimentConfig.cell_hash` — so any change to a configuration's
-    content yields a different key and a guaranteed miss.  Entries live in
+    content yields a different key and a guaranteed miss.  An entry is the
+    detached analysis, a few KB whatever the cell simulated.  Entries live in
     memory (least-recently-used entries are evicted beyond ``max_entries``;
     pass ``None`` for unbounded); when ``directory`` is given they are also
     pickled to disk (atomically, via a temporary file of the writer's own),
@@ -143,6 +154,8 @@ class ResultCache:
         self.directory = Path(directory) if directory is not None else None
         #: On-disk entries found unreadable so far (see the class docstring).
         self.corrupt_entries = 0
+        #: Bytes of on-disk entries read and written so far.
+        self.disk_bytes = 0
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
 
@@ -160,6 +173,7 @@ class ResultCache:
             try:
                 with self._path(cell_hash, repetition).open("rb") as handle:
                     analysis = pickle.load(handle)
+                    self.disk_bytes += handle.tell()
             except FileNotFoundError:
                 return None
             except Exception:
@@ -185,7 +199,8 @@ class ResultCache:
             self._memory.pop(next(iter(self._memory)))
 
     def put(self, cell_hash: str, repetition: int, analysis: ExperimentAnalysis) -> None:
-        """Store ``analysis`` under ``(cell_hash, repetition)``."""
+        """Store ``analysis``, detached, under ``(cell_hash, repetition)``."""
+        analysis = analysis.detached()
         self._remember((cell_hash, repetition), analysis)
         if self.directory is not None:
             path = self._path(cell_hash, repetition)
@@ -197,6 +212,7 @@ class ResultCache:
             try:
                 with os.fdopen(descriptor, "wb") as handle:
                     pickle.dump(analysis, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                    self.disk_bytes += handle.tell()
                 os.replace(temporary, path)
             except BaseException:
                 os.unlink(temporary)
@@ -323,9 +339,10 @@ def _execute_task(config: ExperimentConfig, repetition: int, cell_hash: str) -> 
     """Worker entry point: run one repetition (module-level, so it pickles).
 
     :func:`run_repetition` enters the collector scope itself, so the worker
-    needs none of its own.
+    needs none of its own.  The one detaching point of the runner: the
+    attached record dies with this frame.
     """
-    return run_repetition(config, repetition, cell_hash=cell_hash)
+    return run_repetition(config, repetition, cell_hash=cell_hash).detached()
 
 
 # ---------------------------------------------------------------------- runner
@@ -388,6 +405,7 @@ class ExperimentRunner:
         cache_hits = 0
         deduplicated = 0
         corrupt_before = self.cache.corrupt_entries if self.cache is not None else 0
+        bytes_before = self.cache.disk_bytes if self.cache is not None else 0
         for task in tasks:
             cached = (
                 self.cache.get(task.cell_hash, task.repetition) if self.cache is not None else None
@@ -426,6 +444,8 @@ class ExperimentRunner:
             self.stats.tasks_run += 1
             self._report_progress(completed, len(tasks), cache_hits, started)
 
+        if self.cache is not None:
+            self.stats.cache_bytes = self.cache.disk_bytes - bytes_before
         self.stats.wall_clock = time.perf_counter() - started
         return [
             ExperimentResult(
@@ -523,9 +543,9 @@ def _execute_star(arguments: Tuple[ExperimentConfig, int, str]) -> ExperimentAna
 # -------------------------------------------------------------- default runner
 _default_runner: Optional[ExperimentRunner] = None
 
-#: In-memory LRU bound of the default runner's cache.  Quick-scale analyses
-#: are tens of KB, so this keeps repeated figure regeneration free while
-#: bounding a long session's footprint.
+#: In-memory LRU bound of the default runner's cache.  A detached analysis
+#: pickles to 4-5 KB (one channel, measured on ``sweep-grid``), so this keeps
+#: repeated figure regeneration free at well under 1 MB per session.
 DEFAULT_CACHE_ENTRIES = 128
 
 _KEEP = object()

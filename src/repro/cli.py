@@ -834,6 +834,9 @@ def _command_sweep(args: argparse.Namespace) -> int:
             _write_sweep_metrics(args.metrics_out, observed)
             print(f"metrics written to {args.metrics_out}", file=sys.stderr)
     if args.json:
+        # Every RunnerStats field, so a new counter cannot be forgotten here.
+        runner_stats = dict(vars(outcome.stats))
+        runner_stats["wall_clock_s"] = runner_stats.pop("wall_clock")
         _print_json(
             {
                 "command": "sweep",
@@ -858,15 +861,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
                     }
                     for cell, result in zip(outcome.cells, outcome.results)
                 ],
-                "runner_stats": {
-                    "tasks_total": outcome.stats.tasks_total,
-                    "tasks_run": outcome.stats.tasks_run,
-                    "cache_hits": outcome.stats.cache_hits,
-                    "cache_misses": outcome.stats.cache_misses,
-                    "deduplicated": outcome.stats.deduplicated,
-                    "workers": outcome.stats.workers,
-                    "wall_clock_s": outcome.stats.wall_clock,
-                },
+                "runner_stats": runner_stats,
             }
         )
         return 0

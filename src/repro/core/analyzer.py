@@ -11,10 +11,12 @@ harness, the recommendation engine and the reporting layer consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import List, Tuple
 
-from repro.core.failures import FailureType, failure_type_of
+from repro.core.failures import CONFLICT_CODES, FailureType, failure_type_of
 from repro.core.metrics import ExperimentMetrics, FailureReport, compute_metrics
 from repro.ledger.block import Transaction
 from repro.network.network import RunRecord
@@ -27,8 +29,6 @@ class ChannelAnalysis:
     index: int
     name: str
     metrics: ExperimentMetrics
-    #: The channel's ``record.failed_transactions()``.
-    failed_transactions: List[Transaction] = field(default_factory=list)
     cross_channel_submitted: int = 0
     cross_channel_aborted: int = 0
 
@@ -44,18 +44,32 @@ class ExperimentAnalysis:
 
     Multi-channel runs additionally carry one :class:`ChannelAnalysis` per
     channel; the top-level ``metrics`` then aggregate across channels.
+    Everything but ``record``'s chain is plain counts, sums and quantiles:
+    :meth:`detached` is what a sweep row is printed from.
     """
 
     record: RunRecord
     metrics: ExperimentMetrics
-    #: ``record.failed_transactions()``; each carries its own failure stamp.
-    failed_transactions: List[Transaction] = field(default_factory=list)
     channel_analyses: List[ChannelAnalysis] = field(default_factory=list)
+    #: Every key of an MVCC or phantom conflict with its number of failed
+    #: transactions, most frequent first (:meth:`hottest_conflicting_keys`).
+    conflicting_keys: List[Tuple[str, int]] = field(default_factory=list)
+    #: Share of the generated transactions that were read-only.
+    read_only_share: float = 0.0
 
     @property
     def failure_report(self) -> FailureReport:
         """The failure breakdown of this run."""
         return self.metrics.failure_report
+
+    @property
+    def failed_transactions(self) -> List[Transaction]:
+        """``record.failed_transactions()``; each carries its own failure stamp."""
+        return self.record.failed_transactions()
+
+    def detached(self) -> "ExperimentAnalysis":
+        """This analysis around ``record.detached()``: no transaction, block or ledger."""
+        return replace(self, record=self.record.detached())
 
     def failures_of_type(self, failure_type: FailureType) -> List[Transaction]:
         """All failed transactions of one class."""
@@ -68,13 +82,7 @@ class ExperimentAnalysis:
         splitting a hot ``PatientID`` key into per-record keys).  The lock key
         the coordinator stamps on a cross-channel abort is not counted.
         """
-        counts: Dict[str, int] = {}
-        for tx in self.failed_transactions:
-            failure = failure_type_of(tx)
-            if failure.is_mvcc or failure is FailureType.PHANTOM_READ:
-                counts[tx.conflicting_key] = counts.get(tx.conflicting_key, 0) + 1
-        ranked = sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))
-        return ranked[:limit]
+        return self.conflicting_keys[:limit]
 
 
 class LedgerAnalyzer:
@@ -88,21 +96,23 @@ class LedgerAnalyzer:
         """
         channel_analyses: List[ChannelAnalysis] = []
         for channel in record.channel_records:
-            failed = channel.record.failed_transactions()
             channel_analyses.append(
                 ChannelAnalysis(
                     index=channel.index,
                     name=channel.name,
-                    metrics=compute_metrics(channel.record, failed),
-                    failed_transactions=failed,
+                    metrics=compute_metrics(channel.record, channel.record.failed_transactions()),
                     cross_channel_submitted=channel.cross_channel_submitted,
                     cross_channel_aborted=channel.cross_channel_aborted,
                 )
             )
         failed = record.failed_transactions()
+        keys = [tx.conflicting_key for tx in failed if tx.validation_code in CONFLICT_CODES]
+        transactions = record.transactions
         return ExperimentAnalysis(
             record=record,
             metrics=compute_metrics(record, failed),
-            failed_transactions=failed,
             channel_analyses=channel_analyses,
+            conflicting_keys=sorted(Counter(keys).items(), key=lambda pair: (-pair[1], pair[0])),
+            read_only_share=sum(map(attrgetter("read_only"), transactions))
+            / max(1, len(transactions)),
         )

@@ -128,6 +128,10 @@ FAILURE_OF_CODE: Dict[ValidationCode, FailureType] = {
 }
 
 
+#: The codes whose stamp names a ``conflicting_key``: MVCC (either kind) and phantom.
+CONFLICT_CODES = (ValidationCode.MVCC_READ_CONFLICT, ValidationCode.PHANTOM_READ_CONFLICT)
+
+
 def failure_type_of(tx: Transaction) -> Optional[FailureType]:
     """The failure class of a failed transaction (``None`` if not failed)."""
     failure = FAILURE_OF_CODE.get(tx.validation_code)

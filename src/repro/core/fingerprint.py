@@ -27,6 +27,8 @@ def record_fingerprint(record: RunRecord) -> dict:
     counts, retry and fault counters, utilizations and the simulated horizon.
     The declared execution metadata (:data:`EXECUTION_METADATA_FIELDS`) is
     excluded — it is the one place the strategies are allowed to differ.
+    A detached record (a runner result) has no chain to digest: it raises
+    :class:`~repro.errors.AnalysisError`; compare such analyses with ``==``.
     """
 
     def tx_digest(tx: Transaction) -> tuple:

@@ -122,25 +122,25 @@ class RecommendationEngine:
                 )
             )
 
-        if DatabaseType.parse(config.database) is DatabaseType.COUCHDB:
-            uses_rich_queries = any(
-                "GetQueryResult" in tx.db_call_latency for tx in analysis.record.transactions
-            )
-            if not uses_rich_queries:
-                recommendations.append(
-                    Recommendation(
-                        identifier="leveldb",
-                        title="Use LevelDB instead of CouchDB",
-                        rationale=(
-                            "The workload never used rich queries, but CouchDB adds an order of "
-                            "magnitude of latency to every state operation and increases both "
-                            "MVCC and endorsement policy failures."
-                        ),
-                        paper_section="6.1 Chaincode design & database type",
-                    )
+        # The analysis reports a call type only if some transaction made it.
+        if (
+            DatabaseType.parse(config.database) is DatabaseType.COUCHDB
+            and "GetQueryResult" not in metrics.function_call_latency_ms
+        ):
+            recommendations.append(
+                Recommendation(
+                    identifier="leveldb",
+                    title="Use LevelDB instead of CouchDB",
+                    rationale=(
+                        "The workload never used rich queries, but CouchDB adds an order of "
+                        "magnitude of latency to every state operation and increases both "
+                        "MVCC and endorsement policy failures."
+                    ),
+                    paper_section="6.1 Chaincode design & database type",
                 )
+            )
 
-        read_only_share = self._read_only_share(analysis)
+        read_only_share = analysis.read_only_share
         if read_only_share >= self.read_only_share_threshold and config.submit_read_only:
             recommendations.append(
                 Recommendation(
@@ -338,11 +338,3 @@ class RecommendationEngine:
                     paper_section="Extension: fault injection",
                 )
             )
-
-    @staticmethod
-    def _read_only_share(analysis: ExperimentAnalysis) -> float:
-        transactions = analysis.record.transactions
-        if not transactions:
-            return 0.0
-        read_only = sum(1 for tx in transactions if tx.read_only)
-        return read_only / len(transactions)

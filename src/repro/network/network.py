@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 from repro.chaincode.base import Chaincode
 from repro.checker.checker import IsolationChecker, IsolationReport
-from repro.errors import ConfigurationError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.faults.controller import FaultController
 from repro.faults.schedule import FaultSchedule
 from repro.ledger.block import Transaction, TransactionIdAllocator
@@ -54,8 +54,12 @@ from repro.workload.spec import TransactionMix
 
 __all__ = ["Channel", "RunRecord", "ChannelRecord"]
 
+#: The :class:`RunRecord` fields that hold the chain: every transaction, block
+#: and read/write set of the run.  A detached record does not have them.
+CHAIN_FIELDS = ("ledger", "transactions", "early_aborted", "read_only_skipped", "channel_records")
 
-@dataclass
+
+@dataclass(eq=False, repr=False)
 class RunRecord:
     """Everything recorded during one simulated experiment run.
 
@@ -111,6 +115,28 @@ class RunRecord:
     #: Number of independent shards the run was partitioned into (1 = one
     #: simulator clock).
     shard_count: int = 1
+
+    def detached(self) -> "RunRecord":
+        """A copy without the :data:`CHAIN_FIELDS` — what crosses a pool or cache boundary.
+
+        Reading one of them off the copy, directly or through an accessor,
+        raises :class:`~repro.errors.AnalysisError`: never an empty run.
+        """
+        record = object.__new__(RunRecord)
+        vars(record).update((k, v) for k, v in vars(self).items() if k not in CHAIN_FIELDS)
+        return record
+
+    def __getattr__(self, name: str):
+        # Only reached when the attribute is missing: a detached record's chain.
+        if name in CHAIN_FIELDS:
+            raise AnalysisError(
+                f"RunRecord.{name} was left in the process that simulated the cell; "
+                "use run_experiment / run_repetition"
+            )
+        raise AttributeError(name)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(self) == vars(other)
 
     @property
     def submitted_count(self) -> int:

@@ -5,8 +5,14 @@ from __future__ import annotations
 import pickle
 
 import pytest
+from test_runner_results import ENTRY_CEILING_BYTES
 
-from repro.bench.harness import ExperimentConfig, repetition_seed, run_experiment
+from repro.bench.harness import (
+    ExperimentConfig,
+    repetition_seed,
+    run_experiment,
+    run_repetition,
+)
 from repro.bench.runner import (
     ExperimentRunner,
     ProgressEvent,
@@ -264,14 +270,15 @@ def _wrong_type(blob: bytes) -> bytes:
 
 
 def _earlier_shape(blob: bytes) -> bytes:
-    # What a cache directory written before the analysis kept
-    # ``failed_transactions`` holds for a run without failures: the list was
-    # called ``classified_failures``, and an empty one names no class that has
-    # since been deleted, so the entry still unpickles — into an object that
-    # raises AttributeError on first use.
-    analysis = pickle.loads(blob)
-    del vars(analysis)["failed_transactions"]
-    vars(analysis)["classified_failures"] = []
+    # What a cache directory written before results were detached holds: the
+    # whole attached analysis — chain and ``failed_transactions`` list included
+    # — without the two facts the analyzer has computed since.  Every class it
+    # names still exists, so it unpickles, into an object that raises
+    # AttributeError on first use.
+    analysis = run_repetition(tiny_config(), 0)
+    state = vars(analysis)
+    state["failed_transactions"] = analysis.record.failed_transactions()
+    del state["conflicting_keys"], state["read_only_share"]
     return pickle.dumps(analysis)
 
 
@@ -282,10 +289,14 @@ def test_damaged_disk_entry_is_recomputed_counted_and_overwritten(tmp_path, dama
     (entry,) = tmp_path.glob("*.pkl")
     entry.write_bytes(damage(entry.read_bytes()))
 
+    cache = ResultCache(tmp_path)
+    assert cache.get(config.cell_hash(), 0) is None
+    assert cache.corrupt_entries == 1
     runner = ExperimentRunner(workers=1, cache=ResultCache(tmp_path))
     after = runner.run(config)
     assert (runner.stats.cache_hits, runner.stats.tasks_run) == (0, 1)
     assert runner.stats.cache_corrupt == 1
+    assert entry.stat().st_size <= ENTRY_CEILING_BYTES
     assert "0 cached, 1 corrupt, 1 executed" in runner.stats.describe()
     assert _metric_tuples(after) == _metric_tuples(before)
 
@@ -558,12 +569,11 @@ def test_budget_env_is_removed_after_execution_when_previously_unset(monkeypatch
 
 
 def test_sharded_repetitions_run_under_the_parallel_runner():
-    from repro.core.fingerprint import record_fingerprint
-
     config = _sharded_config(shard_workers=0)
     parallel = ExperimentRunner(workers=2, cache=None).run(config)
     serial = ExperimentRunner(workers=1, cache=None).run(config)
-    assert record_fingerprint(parallel.analyses[0].record) == record_fingerprint(
-        serial.analyses[0].record
-    )
+    # Whole detached analyses: every record scalar, every metrics field, per
+    # channel too (tests/test_runner_results.py holds the boundary contract).
+    assert parallel.analyses[0] == serial.analyses[0]
+    assert parallel.analyses[0].metrics.submitted_transactions > 0
     assert parallel.analyses[0].record.execution == "sharded"

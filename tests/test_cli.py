@@ -132,6 +132,22 @@ def test_sweep_command_reports_cache_hits_across_invocations(tmp_path, capsys):
     ]
 
 
+def test_sweep_json_reports_cache_traffic_and_damage(tmp_path, capsys):
+    arguments = SWEEP_BASE_ARGS + ["--block-sizes", "10", "30", "--cache-dir", str(tmp_path)]
+    assert main(arguments + ["--json"]) == 0
+    cold = json.loads(capsys.readouterr().out)["runner_stats"]
+    on_disk = sum(entry.stat().st_size for entry in tmp_path.glob("*.pkl"))
+    assert (cold["cache_hits"], cold["cache_corrupt"], cold["cache_bytes"]) == (0, 0, on_disk)
+
+    sorted(tmp_path.glob("*.pkl"))[0].write_bytes(b"not a pickle")
+    assert main(arguments + ["--json"]) == 0
+    healed = json.loads(capsys.readouterr().out)["runner_stats"]
+    assert (healed["cache_hits"], healed["cache_corrupt"], healed["tasks_run"]) == (1, 1, 1)
+    # Bytes appear in the JSON document only; the text stats line has no such column.
+    assert main(arguments) == 0
+    assert "bytes" not in capsys.readouterr().out
+
+
 def test_sweep_command_runs_in_parallel(capsys):
     exit_code = main(
         SWEEP_BASE_ARGS + ["--block-sizes", "10", "30", "--workers", "2", "--no-cache"]

@@ -14,7 +14,6 @@ from contextlib import contextmanager
 import pytest
 
 from repro.bench.harness import ExperimentConfig, run_repetition
-from repro.bench.runner import ExperimentRunner, ResultCache
 from repro.chaincode import create_chaincode
 from repro.core.fingerprint import record_fingerprint
 from repro.checker.config import CheckerConfig
@@ -119,15 +118,6 @@ def test_tracked_objects_per_retained_transaction_are_pinned():
     transactions = len(analysis.record.transactions)
     assert transactions > 300
     assert retained // transactions <= TRACKED_OBJECTS_PER_TX_CEILING
-
-
-def test_sharing_survives_the_result_cache_round_trip(tmp_path):
-    config = ehr_cell()
-    ExperimentRunner(workers=1, cache=ResultCache(tmp_path)).run(config)
-    runner = ExperimentRunner(workers=1, cache=ResultCache(tmp_path))
-    result = runner.run(config)
-    assert runner.stats.cache_hits == 1
-    assert_rwsets_shared(result.analyses[0].record.transactions)
 
 
 def test_sharing_survives_the_shard_transport_with_checker_and_observability_on():

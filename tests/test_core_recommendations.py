@@ -1,25 +1,29 @@
 """Unit tests for the recommendation engine: one test per rule.
 
 The engine only looks at the failure report, the network configuration, the
-run's transactions and (for the channel rules) the per-channel analyses, so
-each rule can be exercised with a small synthetic analysis — no simulation
-required.
+analysis' two transaction facts (read-only share, database call types) and
+(for the channel rules) the per-channel analyses, so each rule can be
+exercised with a small synthetic analysis — no simulation required.  That it
+never reads the chain is checked on real cells at the end: the attached and
+the detached analysis of one repetition yield the same recommendations.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+import pytest
 
-from repro.core.analyzer import ChannelAnalysis, ExperimentAnalysis
+from repro.bench.harness import ExperimentConfig, run_repetition
+from repro.core.analyzer import ChannelAnalysis, ExperimentAnalysis, LedgerAnalyzer
 from repro.core.failures import FailureType
 from repro.core.metrics import ExperimentMetrics, FailureReport
 from repro.core.recommendations import RecommendationEngine
-from repro.ledger.block import Transaction
 from repro.ledger.ledger import Ledger
 from repro.lifecycle.retry import RetryConfig
 from repro.network.config import NetworkConfig
 from repro.network.network import RunRecord
+from repro.workload.workloads import synthetic_workload, uniform_workload
 
 
 def make_metrics(
@@ -52,7 +56,8 @@ def make_analysis(
     counts: Optional[Dict[FailureType, int]] = None,
     total: int = 100,
     config: Optional[NetworkConfig] = None,
-    transactions: Optional[List[Transaction]] = None,
+    read_only_share: float = 0.0,
+    db_calls: Optional[Dict[str, float]] = None,
     orderer_utilization: float = 0.1,
     channel_analyses: Optional[List[ChannelAnalysis]] = None,
 ) -> ExperimentAnalysis:
@@ -69,25 +74,15 @@ def make_analysis(
         duration=10.0,
         seed=1,
         ledger=Ledger(),
-        transactions=transactions or [],
     )
+    metrics = make_metrics(report, orderer_utilization=orderer_utilization)
+    metrics.function_call_latency_ms = db_calls or {}
     return ExperimentAnalysis(
         record=record,
-        metrics=make_metrics(report, orderer_utilization=orderer_utilization),
+        metrics=metrics,
         channel_analyses=channel_analyses or [],
+        read_only_share=read_only_share,
     )
-
-
-def make_tx(read_only: bool = False, db_calls: Optional[Dict[str, float]] = None) -> Transaction:
-    tx = Transaction(
-        tx_id=f"tx-{id(object())}",
-        client_name="c",
-        chaincode_name="EHR",
-        function="f",
-        read_only=read_only,
-    )
-    tx.db_call_latency = db_calls or {}
-    return tx
 
 
 def identifiers(analysis: ExperimentAnalysis, **engine_kwargs) -> set:
@@ -128,23 +123,21 @@ def test_range_query_rule_triggers_on_phantom_reads():
 
 def test_leveldb_rule_fires_only_for_couchdb_without_rich_queries():
     couch = NetworkConfig(cluster="C1", database="couchdb")
-    plain = make_analysis(config=couch, transactions=[make_tx(db_calls={"GetState": 0.01})])
+    plain = make_analysis(config=couch, db_calls={"GetState": 10.0})
     assert "leveldb" in identifiers(plain)
-    rich = make_analysis(
-        config=couch, transactions=[make_tx(db_calls={"GetQueryResult": 0.02})]
-    )
+    rich = make_analysis(config=couch, db_calls={"GetQueryResult": 20.0})
     assert "leveldb" not in identifiers(rich)
-    level = make_analysis(transactions=[make_tx(db_calls={"GetState": 0.01})])
+    level = make_analysis(db_calls={"GetState": 10.0})
     assert "leveldb" not in identifiers(level)
 
 
 def test_read_only_rule_triggers_on_read_heavy_submission():
-    transactions = [make_tx(read_only=True)] * 4 + [make_tx()] * 6
-    analysis = make_analysis(transactions=transactions)
+    analysis = make_analysis(read_only_share=0.4)
     assert "read-only" in identifiers(analysis)
+    assert "read-only" not in identifiers(make_analysis(read_only_share=0.2))
     skipping = make_analysis(
         config=NetworkConfig(cluster="C1", database="leveldb", submit_read_only=False),
-        transactions=transactions,
+        read_only_share=0.4,
     )
     assert "read-only" not in identifiers(skipping)
 
@@ -295,3 +288,68 @@ def test_retry_under_outage_rule_triggers_without_retries():
     # Below the outage threshold there is nothing to ride out.
     quiet = make_analysis(counts={FailureType.ORDERER_UNAVAILABLE: 0})
     assert "retry-under-outage" not in identifiers(quiet)
+
+
+# ------------------------------------------- from the analysis, not the chain
+def _cell(workload, zipf_skew=1.0, **network) -> ExperimentConfig:
+    options = dict(cluster="C1", clients=2, block_size=10, database="leveldb")
+    options.update(network)
+    return ExperimentConfig(
+        workload=workload,
+        network=NetworkConfig(**options),
+        arrival_rate=60.0,
+        duration=2.0,
+        zipf_skew=zipf_skew,
+        seed=5,
+    )
+
+
+#: name -> (cell, an identifier the cell must yield, one it must not).
+REAL_CELLS = {
+    "couchdb-without-rich-queries": (
+        _cell(uniform_workload("EHR", patients=30), database="couchdb"),
+        "leveldb",
+        "range-queries",
+    ),
+    # Endorsers execute on copy-on-write overlays, which take the range-scan
+    # path, so no simulated cell charges ``GetQueryResult``: the test stamps
+    # one such call on this cell's chain and parses the chain again.
+    "couchdb-with-rich-queries": (
+        _cell(uniform_workload("SCM"), database="couchdb"),
+        "range-queries",
+        "leveldb",
+    ),
+    "read-heavy": (_cell(synthetic_workload("RH", num_keys=200)), "read-only", "leveldb"),
+    "4-channel-skewed": (
+        _cell(
+            uniform_workload("EHR", patients=30),
+            zipf_skew=2.0,
+            channels=4,
+            cross_channel_rate=0.2,
+            placement="range",
+        ),
+        "reordering",
+        "channel-count",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REAL_CELLS))
+def test_detached_analysis_yields_the_recommendations_of_the_attached_one(name):
+    config, expected, absent = REAL_CELLS[name]
+    attached = run_repetition(config, 0)
+    transactions = attached.record.transactions
+    if name == "couchdb-with-rich-queries":
+        transactions[0].db_call_latency["GetQueryResult"] = 0.02
+        attached = LedgerAnalyzer().analyze(attached.record)
+    # The two facts equal the scans over the chain they replaced.
+    assert attached.read_only_share == sum(tx.read_only for tx in transactions) / len(transactions)
+    assert ("GetQueryResult" in attached.metrics.function_call_latency_ms) == any(
+        "GetQueryResult" in tx.db_call_latency for tx in transactions
+    )
+    engine = RecommendationEngine()
+    from_chain = engine.recommend(attached)
+    # Recommendation equality covers identifier, title and rationale text.
+    assert from_chain == engine.recommend(attached.detached())
+    assert expected in {r.identifier for r in from_chain}
+    assert absent not in {r.identifier for r in from_chain}

@@ -132,8 +132,8 @@ def test_analysis_lists_the_failures_in_replay_order(name):
     replayed = [
         replay_failures(chain.ledger, chain.early_aborted) for _channel, chain in chains_of(record)
     ]
-    for channel_analysis, chain in zip(analysis.channel_analyses, replayed):
-        assert channel_analysis.failed_transactions == [tx for tx, _verdict in chain]
+    for channel, chain in zip(record.channel_records, replayed):
+        assert channel.record.failed_transactions() == [tx for tx, _verdict in chain]
     flat = [failure for chain in replayed for failure in chain]
     assert [id(tx) for tx in analysis.failed_transactions] == [id(tx) for tx, _verdict in flat]
     counts: Dict[FailureType, int] = {}

@@ -23,7 +23,7 @@ from export_parts import assert_export_pinned, exported_bytes
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.bench.runner import ExperimentRunner
 from repro.channels.network import MultiChannelNetwork
-from repro.core.fingerprint import record_fingerprint
+from repro.core.fingerprint import EXECUTION_METADATA_FIELDS, record_fingerprint
 from repro.checker.config import CheckerConfig
 from repro.faults.spec import FaultConfig
 from repro.lifecycle.retry import RetryConfig
@@ -144,10 +144,16 @@ def test_runner_paths_agree_on_sharded_cells():
     serial = ExperimentRunner(workers=1, cache=None).run(sharded).analyses[0]
     parallel = ExperimentRunner(workers=2, cache=None).run(sharded).analyses[0]
     reference = ExperimentRunner(workers=1, cache=None).run(shared).analyses[0]
-    fingerprint = record_fingerprint(reference.record)
-    assert record_fingerprint(serial.record) == fingerprint
-    assert record_fingerprint(parallel.record) == fingerprint
-    assert serial.metrics.committed_throughput == reference.metrics.committed_throughput
+    # Runner results are detached: the chains of the two plans are compared in
+    # process above; here every kept fact is, declared execution metadata aside.
+    assert parallel == serial
+    assert serial.record.execution == "sharded" and reference.record.execution == "shared-clock"
+    declared = ("config", *EXECUTION_METADATA_FIELDS)
+    for name, value in vars(reference.record).items():
+        if name not in declared:
+            assert getattr(serial.record, name) == value, name
+    for name in ("metrics", "channel_analyses", "conflicting_keys", "read_only_share"):
+        assert getattr(serial, name) == getattr(reference, name), name
 
 
 def test_run_repetition_reports_the_execution_strategy():
