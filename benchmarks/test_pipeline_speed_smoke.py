@@ -22,6 +22,10 @@ lifecycle events nobody reads, placement asked per shard draw, passes over the
 ledger in the analysis.  Each is pinned as a count that is the same on every
 machine.
 
+A fourth runs the perfbench ``sweep-grid`` plan shape in process and counts
+what its twelve cells *build* before their first transaction: one genesis, one
+Zipf table and no ownership table for the whole sweep, not one per cell.
+
 What the integers cannot see — the same events dispatched more slowly
 (``__dict__`` instances, per-call stream resolution, per-peer block
 revalidation) — is a wall-clock question, and wall-clock floors do not belong
@@ -33,15 +37,20 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.chaincode import create_chaincode
+import pytest
+
+from repro import ExperimentConfig, ExperimentRunner, SweepPlan, run_repetition
+from repro.chaincode import GenChainChaincode, create_chaincode
 from repro.channels.topology import ChannelTopology
 from repro.core import metrics as core_metrics
+from repro.ledger import factory
+from repro.ledger.kvstore import VersionedKVStore
 from repro.lifecycle import events
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
 from repro.sim.profile import EngineProfiler
-from repro.workload.distributions import ZipfianDistribution
-from repro.workload.workloads import uniform_workload
+from repro.workload.distributions import ZipfianDistribution, cumulative_weights
+from repro.workload.workloads import synthetic_workload, uniform_workload
 
 SMOKE_ARRIVAL_RATE = 400.0
 SMOKE_DURATION = 4.0
@@ -177,6 +186,7 @@ def eight_channel_cell(monkeypatch, listen: bool = False) -> dict:
 
     monkeypatch.setattr(events, "LifecycleEvent", CountedEvent)
     monkeypatch.setattr(ChannelTopology, "channel_of_index", counted_placement)
+    ChannelTopology.owners.cache_clear()  # a table an earlier test built is not rebuilt
     spec = uniform_workload("EHR", patients=40)
     network = build_network(
         NetworkConfig(cluster="C2", database="leveldb", channels=8),
@@ -224,9 +234,9 @@ def test_eight_channel_attempt_pays_for_nothing_nobody_reads(monkeypatch):
     # counted on both, and none builds an event (it used to be one each).
     assert cell["emissions"] == EIGHT_CHANNEL_EMISSIONS
     assert cell["events_built"] == 0
-    # Placement is asked once per patient and channel, when a shard's table is
-    # built, and never by a draw (it used to be once per base draw) ...
-    assert cell["placements"] == [40] * (8 * 40)
+    # Placement is asked once per patient, when the one table the eight shards
+    # read is built, and never by a draw (it used to be once per base draw) ...
+    assert cell["placements"] == [40] * 40
     assert cell["base_draws"] == EIGHT_CHANNEL_BASE_DRAWS
     # ... while the workload streams are consumed exactly as they were.
     assert cell["streams"] == EIGHT_CHANNEL_STREAMS
@@ -260,3 +270,64 @@ def test_analysis_walks_the_transactions_once(monkeypatch):
         metrics = core_metrics.compute_metrics(analysed, analysed.failed_transactions())
         assert metrics.submitted_transactions == len(analysed.transactions) > 0
         assert analysed.transactions.passes == 1  # it used to be six
+
+
+# ------------------------------------------------ what a sweep's cells share
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of what cells build before their first transaction, memos empty."""
+    counts = {"initial_state": 0, "populate": 0, "channel_of_index": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(GenChainChaincode, "initial_state")
+    counted(VersionedKVStore, "populate")
+    counted(ChannelTopology, "channel_of_index")
+    factory._shared_genesis.clear()
+    ChannelTopology.owners.cache_clear()
+    cumulative_weights.cache_clear()
+    return counts
+
+
+def sweep_base(num_keys: int, **network) -> ExperimentConfig:
+    """``perfbench.workloads._sweep_base`` over a smaller population."""
+    return ExperimentConfig(
+        variant="fabric-1.4",
+        workload=synthetic_workload("UH", include_range=False, num_keys=num_keys),
+        network=NetworkConfig(cluster="C2", **network),
+        arrival_rate=100.0,
+        duration=1.0,
+        zipf_skew=1.0,
+        seed=SMOKE_SEED,
+    )
+
+
+def test_a_sweep_builds_what_its_cells_share_once(built):
+    plan = SweepPlan(
+        base=sweep_base(2000),
+        variants=("fabric-1.4", "fabricsharp", "streamchain"),
+        block_sizes=(10, 100),
+        arrival_rates=(25, 100),
+    )
+    outcome = ExperimentRunner(workers=1).run_sweep(plan)
+    assert len(outcome.results) == 12
+    assert all(result.analyses[0].metrics.submitted_transactions for result in outcome.results)
+    # One genesis and one Zipf table for twelve cells (twelve of each before),
+    # and a one-channel topology owns every index without being asked (24,000).
+    assert built == {"initial_state": 1, "populate": 1, "channel_of_index": 0}
+    assert cumulative_weights.cache_info().misses == 1
+
+
+def test_eight_channels_overlay_one_genesis_and_read_one_ownership_table(built):
+    analysis = run_repetition(sweep_base(2000, channels=8, database="leveldb"), 0)
+    assert len(analysis.channel_analyses) == 8 and analysis.metrics.submitted_transactions
+    # One population for eight channels (eight before), and placement asked
+    # once per key (eight times per key before).
+    assert built == {"initial_state": 1, "populate": 1, "channel_of_index": 2000}

@@ -98,7 +98,9 @@ def main() -> None:
     print(
         "Every endorser layers an OverlayStateStore over the same frozen base:\n"
         "adding endorsers adds only their divergence (the delta column), not\n"
-        "another copy of the genesis state.  See README 'State layer' and\n"
+        "another copy of the genesis state.  The second deployment borrows the\n"
+        "base the first one built (one frozen genesis per process), so its row\n"
+        "is the cost of the overlays alone.  See README 'State layer' and\n"
         "benchmarks/bench_state_scaling.py for the deep-copy comparison."
     )
 

@@ -151,7 +151,9 @@ def _canonical_callable(value):
     the same code over different data do not collide.  Callables without
     code objects (e.g. callable instances) fall back to ``repr`` and may hash
     differently in every process, which disables cross-run caching for them
-    but never causes a false cache hit within a run.
+    but never causes a false cache hit within a run.  A bound method hashes
+    what it is bound to as well — as data when that is a dataclass or declares
+    an ``identity()``, by ``repr`` otherwise.
     """
     if isinstance(value, functools.partial):
         return [
@@ -167,14 +169,33 @@ def _canonical_callable(value):
     code = getattr(value, "__code__", None)
     if code is not None:
         parts.append(hashlib.sha256(code.co_code).hexdigest())
-        parts.append(repr(code.co_consts))
+        parts.append(_constant_repr(code.co_consts))
         defaults = getattr(value, "__defaults__", None)
         if defaults:
             parts.append([repr(item) for item in defaults])
         closure = getattr(value, "__closure__", None)
         if closure:
             parts.append([repr(cell.cell_contents) for cell in closure])
+    owner = getattr(value, "__self__", None)
+    if owner is not None and not isinstance(owner, type) and hasattr(owner, "identity"):
+        parts.append(_canonical(owner.identity()))
+    elif owner is not None:
+        parts.append(_canonical(owner) if dataclasses.is_dataclass(owner) else repr(owner))
     return parts
+
+
+def _constant_repr(constant) -> str:
+    """``repr`` of a code constant, but the same in every process: a frozenset
+    prints in hash-seed order and a nested code object prints its address."""
+    if isinstance(constant, tuple):
+        items = ", ".join(_constant_repr(item) for item in constant)
+        return f"({items},)" if len(constant) == 1 else f"({items})"
+    if isinstance(constant, frozenset):
+        return "frozenset({" + ", ".join(sorted(_constant_repr(item) for item in constant)) + "})"
+    if hasattr(constant, "co_code"):
+        digest = hashlib.sha256(constant.co_code).hexdigest()
+        return _constant_repr((constant.co_name, digest, constant.co_consts))
+    return repr(constant)
 
 
 def repetition_seed(config: ExperimentConfig, repetition: int, cell_hash: Optional[str] = None) -> int:

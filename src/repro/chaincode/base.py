@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.chaincode.api import ChaincodeStub
 from repro.errors import ChaincodeError, UnknownFunctionError
@@ -119,6 +119,17 @@ class Chaincode:
     def initial_state(self, rng: random.Random) -> Dict[str, Any]:
         """Initial world-state population (paper Section 4.3, per chaincode)."""
         raise NotImplementedError
+
+    def genesis_identity(self) -> Optional[Hashable]:
+        """What :meth:`initial_state` is a function of, or ``None``: never shared.
+
+        Instances of one class that answer equal values promise equal initial
+        states, built without a draw from ``rng``: all their channels, in every
+        cell of a process, overlay one frozen genesis (checked by
+        :func:`repro.ledger.factory.genesis_base`).  Override it together with
+        ``initial_state``, naming exactly the constructor parameters that reads.
+        """
+        return None
 
     def sample_args(
         self,

@@ -63,6 +63,9 @@ class DigitalRightsChaincode(Chaincode):
             }
         return state
 
+    def genesis_identity(self) -> Tuple[int, int]:
+        return (self.artworks, self.right_holders)
+
     # -------------------------------------------------------------- functions
     @chaincode_function()
     def initLedger(self, stub: ChaincodeStub, artwork: int) -> str:

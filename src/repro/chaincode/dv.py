@@ -55,6 +55,9 @@ class DigitalVotingChaincode(Chaincode):
             state[self.party_key(party)] = {"party": party, "votes": 0}
         return state
 
+    def genesis_identity(self) -> Tuple[int, int]:
+        return (self.voters, self.parties)
+
     # -------------------------------------------------------------- functions
     @chaincode_function()
     def initLedger(self, stub: ChaincodeStub, election_name: str = "election") -> str:

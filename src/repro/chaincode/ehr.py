@@ -80,6 +80,9 @@ class ElectronicHealthRecordsChaincode(Chaincode):
             state[self.ehr_key(patient)] = self._new_ehr(patient)
         return state
 
+    def genesis_identity(self) -> int:
+        return self.patients  # the medical actors are not in the state
+
     def _new_profile(self, patient: int) -> Dict[str, Any]:
         return {
             "patient": patient,

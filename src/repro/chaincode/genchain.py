@@ -49,6 +49,9 @@ class GenChainChaincode(Chaincode):
         """Populate ``num_keys`` synthetic records."""
         return {self.key(index): {"value": index, "writes": 0} for index in range(self.num_keys)}
 
+    def genesis_identity(self) -> int:
+        return self.num_keys  # ``active_keys`` only steers the draws
+
     # -------------------------------------------------------------- functions
     @chaincode_function(read_only=True)
     def readKey(self, stub: ChaincodeStub, index: int) -> Optional[Any]:

@@ -102,6 +102,9 @@ class GeneratedChaincode(Chaincode):
         """Populate ``num_keys`` synthetic records."""
         return {self.key(index): {"value": index, "writes": 0} for index in range(self.num_keys)}
 
+    def genesis_identity(self) -> int:
+        return self.num_keys  # neither the name nor the specs reach the state
+
     # ----------------------------------------------------------- construction
     def _make_function(self, spec: FunctionSpec):
         def run(stub: ChaincodeStub, base_index: int, fresh_index: int) -> str:

@@ -66,6 +66,9 @@ class SupplyChainChaincode(Chaincode):
                 }
         return state
 
+    def genesis_identity(self) -> Tuple[int, ...]:
+        return tuple(self.units_per_lsp)
+
     # -------------------------------------------------------------- functions
     @chaincode_function()
     def initLedger(self, stub: ChaincodeStub, lsp: int) -> str:

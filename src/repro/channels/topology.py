@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.network.config import PLACEMENT_POLICIES
@@ -81,14 +82,17 @@ class ChannelTopology:
             return 1 + (index - hot_count) % (self.channels - 1)
         return ((index + 1) * _HASH_MULTIPLIER & _HASH_MASK) % self.channels
 
+    @lru_cache(maxsize=8)
+    def owners(self, population: int) -> Sequence[int]:
+        """:meth:`channel_of_index` of every index, asked once per process: equal
+        topologies share the memo, and every channel's draws read the one table."""
+        table = [self.channel_of_index(index, population) for index in range(population)]
+        return bytes(table) if self.channels <= 256 else tuple(table)
+
     def shard_indices(self, channel: int, population: int) -> List[int]:
         """All entity indices owned by ``channel`` (small populations only)."""
         self._check_channel(channel)
-        return [
-            index
-            for index in range(population)
-            if self.channel_of_index(index, population) == channel
-        ]
+        return [index for index, owner in enumerate(self.owners(population)) if owner == channel]
 
     # ---------------------------------------------------------------- shares
     def arrival_shares(self) -> Tuple[float, ...]:
@@ -122,11 +126,9 @@ class ShardedKeyDistribution(SamplerDraws):
     populations under ``range`` placement — the draw falls back to the base
     distribution after ``max_tries`` rejections rather than looping forever.
 
-    Which indices the shard owns is a function of the topology, the channel
-    and the population alone, so it is asked of
-    :meth:`ChannelTopology.channel_of_index` once per index, when the first
-    draw over a population is bound, and read off a table from then on.  The
-    table lives here — one distribution serves all clients of its channel.
+    Which indices the shard owns is read off :meth:`ChannelTopology.owners`,
+    the one table all channels share; the sole channel of a topology owns every
+    index, so its draw *is* the base distribution's.
     """
 
     def __init__(
@@ -143,25 +145,20 @@ class ShardedKeyDistribution(SamplerDraws):
         self.channel = channel
         self.base = base or UniformDistribution()
         self.max_tries = max_tries
-        #: ``population -> table``; ``table[index]`` is 1 where the shard owns it.
-        self._owned: Dict[int, bytes] = {}
 
     def sampler(self, rng: random.Random, population: int) -> Callable[[], int]:
         """The rejection loop over the base distribution's draw."""
         base_draw = self.base.sampler(rng, population)
-        owned = self._owned.get(population)
-        if owned is None:
-            channel_of_index = self.topology.channel_of_index
-            owned = self._owned[population] = bytes(
-                channel_of_index(index, population) == self.channel
-                for index in range(population)
-            )
+        if self.topology.channels == 1:
+            return base_draw
+        owners = self.topology.owners(population)
+        channel = self.channel
         max_tries = self.max_tries
 
         def draw() -> int:
             for _ in range(max_tries):
                 index = base_draw()
-                if owned[index]:
+                if owners[index] == channel:
                     return index
             return base_draw()
 

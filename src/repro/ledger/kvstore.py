@@ -381,9 +381,9 @@ class VersionedKVStore(EpochCommitState):
     def populate(self, initial: Dict[str, Any]) -> None:
         """Bulk-load the initial world state with the genesis version.
 
-        This is a fast path used when a peer's store is created: it avoids the
-        per-key sorted insertion of :meth:`put`, which matters for the
-        100,000-key genChain population used in the synthetic experiments.
+        The fast path :func:`repro.ledger.factory.genesis_base` fills the frozen
+        base with: no per-key sorted insertion as in :meth:`put`, which matters for
+        the 100,000-key genChain population of the synthetic experiments.
         """
         self._require_mutable("populate")
         for key in initial:

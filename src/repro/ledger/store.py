@@ -267,6 +267,10 @@ class OverlayStateStore(EpochCommitState):
         the first out-of-sequence batch or direct ``put``/``delete``/
         ``populate`` onward — and over a base that was never frozen — the
         token is ``None``: "shares with nobody".
+
+        Scope: one channel.  All channels of a process overlay one genesis
+        base, so two channels at one epoch carry equal tokens and different
+        states; a table keyed by tokens is per channel (a client's is).
         """
         if self._in_sequence and self._base.frozen:
             return self._commit_epoch

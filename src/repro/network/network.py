@@ -26,7 +26,7 @@ from repro.errors import AnalysisError, ConfigurationError
 from repro.faults.controller import FaultController
 from repro.faults.schedule import FaultSchedule
 from repro.ledger.block import Transaction, TransactionIdAllocator
-from repro.ledger.factory import make_state_store
+from repro.ledger.factory import genesis_base, make_state_store  # noqa: F401 - re-exported
 from repro.ledger.kvstore import VersionedKVStore
 from repro.ledger.ledger import Ledger
 from repro.lifecycle.events import LifecycleBus
@@ -250,13 +250,12 @@ class Channel:
             else None
         )
 
-        initial_state = chaincode.initial_state(self.streams.stream("initial-state"))
         #: The shared, immutable genesis base.  The canonical validator state
-        #: and every endorsing peer layer a copy-on-write overlay over this
-        #: one store instead of deep-copying the full key population.
-        self.state_base: VersionedKVStore = make_state_store(self.config.database)
-        self.state_base.populate(initial_state)
-        self.state_base.freeze()
+        #: and every endorsing peer layer a copy-on-write overlay over this one
+        #: store — as do the other channels and cells of this process.
+        self.state_base: VersionedKVStore = genesis_base(
+            chaincode, self.config.database, lambda: self.streams.stream("initial-state")
+        )
         self.validator = BlockValidator(self.state_base.overlay(), bus=self.bus)
         self.policy = build_policy(self.config.endorsement_policy, self.config.orgs)
         self.latency = LatencyModel(self.config, self.streams.stream("latency"))

@@ -90,7 +90,7 @@ class RunObserver:
         elif event.type is LifecycleEventType.ABORTED:
             failure = event.failure_type.value if event.failure_type is not None else "unknown"
             name = f"aborted/{failure}"
-            if self.sampler is not None and name not in self.registry.snapshot()["counters"]:
+            if self.sampler is not None and name not in self.registry:
                 self.sampler.add_rate(f"abort_rate/{failure}", self._read_counter(name))
             self.registry.counter(name).inc()
 

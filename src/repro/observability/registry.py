@@ -84,6 +84,10 @@ class MetricsRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
+    def __contains__(self, name: str) -> bool:
+        """True once an instrument called ``name`` exists."""
+        return name in self._counters or name in self._gauges or name in self._histograms
+
     def counter(self, name: str) -> Counter:
         """The counter called ``name`` (created on first use)."""
         instrument = self._counters.get(name)

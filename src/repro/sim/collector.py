@@ -22,6 +22,11 @@ room between one scope and the next, so a scope that finds a full collection
 already owed lets the interpreter run it *before* deferring again: at most
 one run's cyclic garbage is ever outstanding, and it is collected when the
 heap is smallest.
+
+One thing is retained between runs on purpose: the frozen genesis population
+the process holds for its next cell (:func:`repro.ledger.factory.genesis_base`).
+The owed pass walks it — 8 ms without it, 17-20 ms over 100,000 keys, against
+250-320 ms to build them again; what else a cell made dies by reference count.
 """
 
 from __future__ import annotations

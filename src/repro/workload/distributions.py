@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from functools import partial
-from typing import Callable, Dict, List, Protocol
+from functools import lru_cache, partial
+from itertools import accumulate
+from typing import Callable, List, Protocol, Tuple
 
 from repro.errors import WorkloadError
 
@@ -75,36 +76,34 @@ class UniformDistribution(SamplerDraws):
         return "UniformDistribution()"
 
 
+@lru_cache(maxsize=8)
+def cumulative_weights(skew: float, population: int) -> Tuple[float, ...]:
+    """Running sums of ``1 / (rank + 1) ** skew`` over ``population`` ranks.
+
+    One table for every generator, channel and cell of the process (a request
+    draws over two or three populations); a tuple, because they all read it.
+    """
+    return tuple(accumulate(1.0 / float(rank + 1) ** skew for rank in range(population)))
+
+
 class ZipfianDistribution(SamplerDraws):
     """Zipfian key access with exponent ``skew``.
 
     Rank ``r`` (0-based) is accessed with probability proportional to
-    ``1 / (r + 1) ** skew``.  The cumulative weights are cached per population
-    size so repeated sampling over the same key space is O(log n).
+    ``1 / (r + 1) ** skew``; a draw bisects :func:`cumulative_weights`, so
+    repeated sampling over the same key space is O(log n).
     """
 
     def __init__(self, skew: float) -> None:
         if skew < 0:
             raise WorkloadError(f"Zipfian skew must be >= 0, got {skew}")
         self.skew = float(skew)
-        self._cdf_cache: Dict[int, List[float]] = {}
-
-    def _cdf(self, population: int) -> List[float]:
-        if population not in self._cdf_cache:
-            weights = [1.0 / float(rank + 1) ** self.skew for rank in range(population)]
-            cdf: List[float] = []
-            total = 0.0
-            for weight in weights:
-                total += weight
-                cdf.append(total)
-            self._cdf_cache[population] = cdf
-        return self._cdf_cache[population]
 
     def sampler(self, rng: random.Random, population: int) -> Callable[[], int]:
         """One ``rng.random()`` per draw, bisected into the cumulative weights."""
         if self.skew == 0.0:
             return partial(rng.randrange, _checked(population))
-        cdf = self._cdf(_checked(population))
+        cdf = cumulative_weights(self.skew, _checked(population))
         total = cdf[-1]
         uniform = rng.random
         # Bisecting below the last rank only is ``min(bisect_left(cdf, point),

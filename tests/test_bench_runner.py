@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 from test_runner_results import ENTRY_CEILING_BYTES
 
+from repro.bench import harness
 from repro.bench.harness import (
     ExperimentConfig,
     repetition_seed,
@@ -21,6 +25,7 @@ from repro.bench.runner import (
     get_default_runner,
 )
 from repro.bench.reporting import format_progress
+from repro.chaincode.generator import ChaincodeGenerator, FunctionSpec
 from repro.chaincode.genchain import GenChainChaincode
 from repro.core.analyzer import ExperimentAnalysis
 from repro.errors import ConfigurationError
@@ -123,6 +128,74 @@ def test_cell_hash_distinguishes_closures_with_shared_code():
     assert small.cell_hash() == tiny_config(
         workload=spec, chaincode_factory=factory_for(100)
     ).cell_hash()
+
+
+def generated_cell(*specs: FunctionSpec) -> ExperimentConfig:
+    """A cell whose factory is a bound method: ``generator.generate``."""
+    generator = ChaincodeGenerator(name="assets", num_keys=50)
+    for spec in specs:
+        generator.add_function(spec)
+    workload = WorkloadSpec(
+        name="assets", chaincode="assets", mix=TransactionMix.from_dict({specs[0].name: 1.0})
+    )
+    return tiny_config(workload=workload, chaincode_factory=generator.generate)
+
+
+def test_cell_hash_distinguishes_what_a_bound_method_is_bound_to():
+    read = FunctionSpec(name="readAsset", reads=1)
+    one, twin = generated_cell(read), generated_cell(read)
+    assert one.chaincode_factory is not twin.chaincode_factory
+    assert one.cell_hash() == twin.cell_hash()
+    # ``generate``'s code is the same for every generator; its specs are not.
+    assert one.cell_hash() != generated_cell(FunctionSpec(name="readAsset", reads=2)).cell_hash()
+    assert one.cell_hash() != generated_cell(read, FunctionSpec(name="put", inserts=1)).cell_hash()
+
+    class Plain:
+        def make(self):
+            return GenChainChaincode(num_keys=100)
+
+    # Not a dataclass and no identity(): hashed by repr, so never a false hit.
+    spec = one.workload
+    plain, other = Plain(), Plain()
+    assert tiny_config(workload=spec, chaincode_factory=plain.make).cell_hash() == tiny_config(
+        workload=spec, chaincode_factory=plain.make
+    ).cell_hash()
+    assert tiny_config(workload=spec, chaincode_factory=plain.make).cell_hash() != tiny_config(
+        workload=spec, chaincode_factory=other.make
+    ).cell_hash()
+
+
+def test_cell_hash_of_a_factory_is_the_same_in_every_interpreter():
+    # ``ChaincodeGenerator.generate`` folds ``{"leveldb", "couchdb"}`` into a
+    # frozenset constant, which prints in hash-seed order; the lambda holds a
+    # nested code object, which prints its address.
+    assert any(isinstance(c, frozenset) for c in ChaincodeGenerator.generate.__code__.co_consts)
+    script = (
+        "from test_bench_runner import FunctionSpec, generated_cell, tiny_config\n"
+        "print(generated_cell(FunctionSpec(name='readAsset', reads=1)).cell_hash())\n"
+        "nested = lambda: [(lambda: index)() for index in range(3)]\n"
+        "print(tiny_config(chaincode_factory=nested).cell_hash())\n"
+    )
+    outputs = set()
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(sys.path))
+        outputs.add(subprocess.check_output([sys.executable, "-c", script], env=env, text=True))
+    assert len(outputs) == 1 and len(outputs.pop().split()) == 2
+
+
+def test_constants_without_sets_or_code_hash_as_they_always_did():
+    # Every cell hash ever cached or pinned went through ``repr(co_consts)``.
+    checked = 0
+    for function in vars(harness).values():
+        consts = getattr(getattr(function, "__code__", None), "co_consts", ())
+        if consts and not any(isinstance(c, frozenset) or hasattr(c, "co_code") for c in consts):
+            assert harness._constant_repr(consts) == repr(consts)
+            checked += 1
+    assert checked >= 5
+    assert harness._constant_repr((1.5,)) == "(1.5,)"
+    assert harness._constant_repr((None, ("a", 2), frozenset({"b", "a"}))) == (
+        "(None, ('a', 2), frozenset({'a', 'b'}))"
+    )
 
 
 # --------------------------------------------------- serial/parallel equivalence

@@ -185,17 +185,31 @@ def test_chained_runs_leave_at_most_one_run_of_cyclic_garbage_outstanding():
 
 
 def test_a_dropped_deployment_frees_its_genesis_state_by_reference_counting():
-    # Full collections are deferred, so a cell's key population must not wait
-    # for one: no cycle may run through the channel slice (the gateway in front
-    # of its orderer holds the orderer, not the slice).
+    # Full collections are deferred, so what a cell owns must not wait for one:
+    # no cycle may run through the channel slice (the gateway in front of its
+    # orderer holds the orderer, not the slice).  The frozen genesis base is
+    # the one thing kept on purpose — the next cell of the process overlays it
+    # (tests/test_genesis_sharing.py pins when it is let go).
     config = ehr_cell(cluster="C1").with_overrides(duration=1.0)
     network = build_cell(config)
-    state_base = weakref.ref(network.channels[0].state_base)
+    channel = network.channels[0]
+    state_base = channel.state_base
+    overlays = [channel.validator.store] + [
+        peer.store for peer in channel.peers if peer.store is not None
+    ]
+    assert len(overlays) == 3 and all(overlay.base is state_base for overlay in overlays)
+    owned = [weakref.ref(item) for item in (channel, channel.orderer, *channel.peers, *overlays)]
+    ledger = weakref.ref(channel.ledger)
+    del channel, overlays
     gc.disable()
     try:
         record = run_cell(config, network)
+        assert record.transactions and ledger() is record.ledger
         del network
-        assert record.transactions and state_base() is None
+        assert [item() for item in owned] == [None] * len(owned)
+        del record
+        assert ledger() is None
+        assert build_cell(config).channels[0].state_base is state_base
     finally:
         gc.enable()
 

@@ -55,6 +55,7 @@ from repro.observability import (
     write_span_jsonl,
 )
 from repro.sim.engine import Simulator
+from repro.sim.shard import ExecutionConfig
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 sys.path.insert(0, str(GOLDEN_DIR))
@@ -279,6 +280,35 @@ def test_registry_snapshot_is_sorted_and_typed():
     assert latency["count"] == 3
     assert latency["mean"] == pytest.approx(2.0)
     assert {"p50", "p95", "p99"} <= set(latency)
+
+
+@pytest.mark.parametrize("conservative, observers", [(False, 1), (True, 2)])
+def test_an_abort_asks_the_registry_for_a_name_not_for_a_snapshot(
+    monkeypatch, conservative, observers
+):
+    # One observer per channel group: two channels on a shared clock are one
+    # group, the same two on conservative epochs are a group each.
+    snapshots = []
+    snapshot = MetricsRegistry.snapshot
+    monkeypatch.setattr(
+        MetricsRegistry, "snapshot", lambda self: snapshots.append(self) or snapshot(self)
+    )
+    config = traced_config(
+        network_kwargs=dict(
+            channels=2,
+            cross_channel_rate=0.05,
+            faults=FaultConfig(endorsement_loss_rate=0.05, peer_crash_rate=0.05),
+            execution=ExecutionConfig(conservative=conservative),
+        )
+    )
+    record = run_experiment(config).analyses[0].record
+    assert record.lifecycle_counts["aborted"] > 20
+    rates = {name for row in record.observability.samples for name in row}
+    assert any(name.startswith("abort_rate/") for name in rates)
+    # The summary rendered in ``collect`` — not one rendering per abort.
+    assert len(snapshots) == observers
+    assert "latency" in snapshots[0] and "aborted" in snapshots[0]
+    assert "aborted/never-happened" not in snapshots[0]
 
 
 def test_sampler_prescheduled_ticks_stay_inside_the_run_window():

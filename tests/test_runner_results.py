@@ -23,6 +23,7 @@ import pytest
 
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.bench.runner import ExperimentRunner, ResultCache
+from repro.channels.group import RunArgs, simulate_group
 from repro.checker.config import CheckerConfig
 from repro.checker.history import write_history
 from repro.core.failures import FailureType, failure_type_of
@@ -30,11 +31,16 @@ from repro.core.fingerprint import record_fingerprint
 from repro.errors import AnalysisError
 from repro.faults.spec import FaultConfig
 from repro.ledger.block import Block, Transaction
+from repro.ledger.factory import make_state_store
+from repro.ledger.kvstore import EpochCommitState
 from repro.ledger.ledger import Ledger
+from repro.ledger.leveldb import LevelDBStore
 from repro.ledger.rwset import ReadWriteSet
+from repro.lifecycle.pipeline import build_network
 from repro.lifecycle.retry import RetryConfig
 from repro.network.config import NetworkConfig
 from repro.network.network import CHAIN_FIELDS, RunRecord
+from repro.sim.shard import ExecutionConfig
 from repro.workload.workloads import uniform_workload
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -91,6 +97,22 @@ def test_pickling_a_runner_result_reaches_no_chain_object(name):
     assert not classes_pickled(result) & set(CHAIN_CLASSES)
     # The probe does see them where they are: in the attached analysis.
     assert set(CHAIN_CLASSES) <= classes_pickled(run_repetition(config, 0))
+
+
+def test_pickling_a_group_result_reaches_no_state_store():
+    # A shard worker's channels overlay the genesis its own process holds;
+    # what it sends back is the group's records, never a store or an overlay.
+    config = cell(channels=2, cross_channel_rate=0.0, execution=ExecutionConfig(shard_workers=2))
+    network = build_network(config.network, config.build_chaincode, config.variant, seed=3)
+    assert network.execution_mode == "sharded" and len(network._specs) == 2
+    args = RunArgs(config.workload.mix, config.arrival_rate, config.duration, None, "EHR")
+    result = simulate_group(network._specs[1], args)
+    assert result.records[0].record.transactions
+    reached = classes_pickled(result)
+    assert set(CHAIN_CLASSES) <= reached
+    assert not [found for found in reached if issubclass(found, EpochCommitState)]
+    # The probe does see a store where there is one.
+    assert LevelDBStore in classes_pickled(make_state_store("leveldb"))
 
 
 @pytest.mark.parametrize("name", list(CELLS))

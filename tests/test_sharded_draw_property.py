@@ -4,15 +4,18 @@ A channel's clients draw their primary keys from the channel's shard by
 rejection: sample the base distribution until the index belongs to the shard.
 The loop used to pay a full ``sample`` (population check, skew check, CDF
 probe, ``min``) and a full :meth:`ChannelTopology.channel_of_index` per try;
-it now runs a bound draw (:meth:`KeyDistribution.sampler`) against an
-ownership table built once per population.  The reference implementations
-below are the old bodies, kept verbatim: values *and* ``rng.getstate()`` must
-match them, so a run consumes its workload streams exactly as before.
+it now runs a bound draw (:meth:`KeyDistribution.sampler`) against the
+ownership table its topology builds once per population
+(:meth:`ChannelTopology.owners`, shared by all channels), and on a one-channel
+topology it *is* the bound draw.  The reference implementations below are the
+old bodies, kept verbatim: values *and* ``rng.getstate()`` must match them, so
+a run consumes its workload streams exactly as before.
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
 import random
 
 import pytest
@@ -21,7 +24,12 @@ from hypothesis import strategies as st
 
 from repro.channels.topology import ChannelTopology, ShardedKeyDistribution
 from repro.errors import WorkloadError
-from repro.workload.distributions import UniformDistribution, ZipfianDistribution
+from repro.workload.distributions import (
+    UniformDistribution,
+    ZipfianDistribution,
+    cumulative_weights,
+    make_distribution,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 POPULATIONS = st.integers(min_value=1, max_value=300)
@@ -43,7 +51,7 @@ def reference_zipfian_sample(
         raise WorkloadError(f"population must be positive, got {population}")
     if distribution.skew == 0.0:
         return rng.randrange(population)
-    cdf = distribution._cdf(population)
+    cdf = cumulative_weights(distribution.skew, population)
     point = rng.random() * cdf[-1]
     return min(bisect.bisect_left(cdf, point), population - 1)
 
@@ -150,18 +158,86 @@ def test_placement_is_asked_once_per_index_not_once_per_draw(monkeypatch):
         return placement(self, index, population)
 
     monkeypatch.setattr(ChannelTopology, "channel_of_index", counted)
+    ChannelTopology.owners.cache_clear()
     sharded = ShardedKeyDistribution(
         ChannelTopology(channels=8), 3, base=ZipfianDistribution(1.0)
     )
     rng = random.Random(5)
     first = sharded.sample(rng, 100)
     assert calls == list(range(100))
-    # One table serves every client (every rng) of the channel from then on.
+    # One table serves every client (every rng) of the channel from then on ...
     samples = [sharded.sample(random.Random(seed), 100) for seed in range(50)]
     assert calls == list(range(100))
     assert all(placement(sharded.topology, index, 100) == 3 for index in [first, *samples])
+    # ... and every other channel of an equal topology, in this cell or the next.
+    for channel in range(8):
+        sibling = ShardedKeyDistribution(ChannelTopology(channels=8), channel)
+        index = sibling.sample(random.Random(channel), 100)
+        assert placement(sibling.topology, index, 100) == channel
+    assert calls == list(range(100))
     sharded.sample(rng, 60)
     assert calls == list(range(100)) + list(range(60))
+    # One channel owns every index without asking, and adds no frame to the draw.
+    sole = ShardedKeyDistribution(ChannelTopology(channels=1), 0, base=ZipfianDistribution(1.0))
+    draw = sole.sampler(rng, 77)
+    assert draw.__qualname__ == sole.base.sampler(rng, 77).__qualname__
+    assert "ZipfianDistribution.sampler" in draw.__qualname__
+    uniform = ShardedKeyDistribution(ChannelTopology(channels=1), 0).sampler(rng, 77)
+    assert (uniform.func, uniform.args) == (rng.randrange, (77,))
+    assert calls == list(range(100)) + list(range(60))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    population=POPULATIONS,
+    channels=st.integers(min_value=1, max_value=9),
+    placement=PLACEMENTS,
+    hot_share=st.floats(min_value=0.01, max_value=0.99),
+)
+def test_owners_table_is_channel_of_index_index_by_index(
+    population, channels, placement, hot_share
+):
+    topology = ChannelTopology(channels=channels, placement=placement, hot_share=hot_share)
+    owners = topology.owners(population)
+    assert isinstance(owners, bytes) and len(owners) == population
+    assert list(owners) == [topology.channel_of_index(i, population) for i in range(population)]
+    for channel in range(channels):
+        assert topology.shard_indices(channel, population) == [
+            index for index, owner in enumerate(owners) if owner == channel
+        ]
+
+
+def test_owners_of_more_channels_than_a_byte_holds():
+    topology = ChannelTopology(channels=300)
+    owners = topology.owners(2000)
+    assert max(owners) > 255
+    assert list(owners) == [topology.channel_of_index(index, 2000) for index in range(2000)]
+    sharded = ShardedKeyDistribution(topology, 299)
+    assert topology.channel_of_index(sharded.sample(random.Random(1), 2000), 2000) == 299
+
+
+#: ``sha256(repr(...))[:16]`` of the grid below, drawn through the per-shard
+#: tables of the commit before the topology owned one table for all channels.
+DRAW_GRID = "4c97efbff7a60f7c"
+
+
+def test_draws_are_what_they_were_on_a_pinned_grid():
+    drawn = []
+    for placement in ("hash", "range", "hot"):
+        for channels in (1, 8):
+            topology = ChannelTopology(channels=channels, placement=placement)
+            for skew in (0.0, 1.0):
+                for channel in range(channels):
+                    sharded = ShardedKeyDistribution(
+                        topology, channel, base=make_distribution(skew)
+                    )
+                    for population in (1, 40, 257):
+                        for seed in (1, 2):
+                            rng = random.Random(seed)
+                            drawn.append(sharded.sample_batch(rng, population, 25))
+                            drawn.append(rng.random())  # where the stream was left
+    assert len(drawn) == 648
+    assert hashlib.sha256(repr(drawn).encode("ascii")).hexdigest()[:16] == DRAW_GRID
 
 
 @pytest.mark.parametrize("population", [0, -3])

@@ -8,7 +8,12 @@ from collections import Counter
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workload.distributions import UniformDistribution, ZipfianDistribution, make_distribution
+from repro.workload.distributions import (
+    UniformDistribution,
+    ZipfianDistribution,
+    cumulative_weights,
+    make_distribution,
+)
 from repro.workload.spec import TransactionMix, WorkloadSpec
 
 
@@ -66,12 +71,20 @@ def test_zipfian_samples_stay_in_bounds(rng):
 
 
 def test_zipfian_cdf_is_cached(rng):
-    distribution = ZipfianDistribution(1.0)
-    distribution.sample(rng, 100)
-    assert 100 in distribution._cdf_cache
-    cached = distribution._cdf_cache[100]
-    distribution.sample(rng, 100)
-    assert distribution._cdf_cache[100] is cached
+    # One table per (skew, population) for every distribution of the process,
+    # a bounded number of them, and immutable because they are shared.
+    cumulative_weights.cache_clear()
+    ZipfianDistribution(1.0).sample(rng, 100)
+    cached = cumulative_weights(1.0, 100)
+    assert isinstance(cached, tuple) and len(cached) == 100
+    ZipfianDistribution(1.0).sample(rng, 100)
+    make_distribution(1).sample(rng, 100)
+    assert cumulative_weights.cache_info().misses == 1
+    assert cumulative_weights(1.0, 100) is cached
+    assert cumulative_weights(1.5, 100) is not cached
+    for population in range(1, 20):
+        ZipfianDistribution(1.0).sample(rng, population)
+    assert cumulative_weights.cache_info().currsize == cumulative_weights.cache_info().maxsize == 8
 
 
 def test_make_distribution_dispatch():
