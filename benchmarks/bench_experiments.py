@@ -3,10 +3,8 @@
 One parametrised benchmark runs each entry of
 :data:`repro.bench.experiments.EXPERIMENTS` through the one executor and
 hands the report to the check registered for its id in :data:`CHECKS` — the
-quantitative acceptance bar behind the spec's ``expected_trend``.  The four ids
-without a check here (``fault-resilience``, ``fault-retry``, ``engine-speed``,
-``checker-overhead``) are covered by the modules that also record their
-ledgers; ``test_smoke_runner.py`` fails when any other id has none.
+quantitative acceptance bar behind the spec's ``expected_trend``.
+``test_smoke_runner.py`` fails when an id has none.
 """
 
 import pytest
@@ -333,7 +331,42 @@ def check_retry_storm_cap_bounds_amplification(report):
     assert amplification[tightest] < amplification[uncapped]
 
 
-#: The acceptance check of every experiment id this module regenerates.
+def check_fault_resilience(report):
+    rates = report.column("peer_crash_rate")
+    throughput = dict(zip(rates, report.column("committed_throughput_tps")))
+    goodput = dict(zip(rates, report.column("goodput_tps")))
+    unavailable = dict(zip(rates, report.column("peer_unavailable_pct")))
+    healthy, crashiest = rates[0], rates[-1]
+    # The healthy baseline takes the bit-identical no-fault path...
+    assert healthy == 0.0
+    assert unavailable[healthy] == 0.0
+    # ...and chaos costs real capacity: the crashiest cell loses a measurable
+    # share of committed throughput and goodput while the infrastructure
+    # failure class appears.
+    assert throughput[crashiest] < 0.9 * throughput[healthy]
+    assert goodput[crashiest] < goodput[healthy]
+    assert unavailable[crashiest] > 0.0
+
+
+def check_fault_retry(report):
+    policies = report.column("retry_policy")
+    recovered = dict(zip(policies, report.column("recovered_request_pct")))
+    committed = dict(zip(policies, report.column("committed_requests")))
+    effective = dict(zip(policies, report.column("client_effective_failure_pct")))
+    resubmissions = dict(zip(policies, report.column("resubmissions")))
+    # Without retries every transient fault permanently loses its request.
+    assert resubmissions["none"] == 0
+    assert recovered["none"] == 0.0
+    # Jittered backoff outlasts the transient faults and resubmits after they
+    # clear: a measurable fraction (>= 15%) of the requests the no-retry
+    # clients permanently lose end up committing — goodput's numerator — and
+    # the client-effective failure rate drops below the no-retry baseline.
+    assert recovered["jittered"] >= 15.0
+    assert committed["jittered"] > committed["none"]
+    assert effective["jittered"] < effective["none"]
+
+
+#: The acceptance check of every experiment id.
 CHECKS = {
     "table2": check_table02_chaincode_profiles,
     "table4": check_table04_database_types,
@@ -367,6 +400,8 @@ CHECKS = {
     "channels-cross": check_channels_cross_rate_aborts_grow,
     "retry-mitigation": check_retry_mitigation_lowers_client_effective_failures,
     "retry-storm": check_retry_storm_cap_bounds_amplification,
+    "fault-resilience": check_fault_resilience,
+    "fault-retry": check_fault_retry,
 }
 
 

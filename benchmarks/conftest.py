@@ -81,6 +81,4 @@ def run_figure(benchmark, experiment_id, scale, **axes):
     )
     print()
     print(format_table(report.headers, report.rows, title=report.title))
-    if report.notes:
-        print(report.notes)
     return report

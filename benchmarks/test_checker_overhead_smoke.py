@@ -1,10 +1,9 @@
 """Overhead guard: the isolation checker is free when off, bounded when on.
 
-Tier-1 counterpart of ``bench_checker_overhead.py``, mirroring
-``test_observability_overhead.py``.  Everything asserted here is an exact
-integer of a fixed deterministic cell, so the module cannot fail on a noisy
-machine (ROADMAP 1(a)); the wall-clock floor — checked events/sec within 10%
-of unchecked — is measured by the ``slow`` bench next door.
+Mirrors ``tests/test_observability_overhead.py``.  Everything asserted here is
+an exact integer of a fixed deterministic cell, so the module cannot fail on a
+noisy machine; what the checker costs in wall-clock is ``checker.self_share``
+on the ``chaos-audit`` workload of ``python3 -m perfbench``.
 
 * **Structural** — building a deployment with the default (disabled)
   :class:`~repro.checker.config.CheckerConfig` installs nothing: no checker

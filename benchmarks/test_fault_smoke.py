@@ -1,8 +1,8 @@
 """Always-on smoke coverage of the fault-injection subsystem.
 
-Fast counterpart of ``bench_fault_resilience.py`` (which is marked ``slow``):
-one tiny chaotic cell per assertion, small enough for the tier-1 run and the
-CI bench-smoke job.  Covers the end-to-end path — chaos profile → schedule →
+Fast counterpart of the ``fault-resilience`` / ``fault-retry`` checks of
+``bench_experiments.py`` (which are marked ``slow``): one tiny chaotic cell per
+assertion, small enough for the tier-1 run and the CI bench-smoke job.  Covers the end-to-end path — chaos profile → schedule →
 controller → infrastructure failure classes → metrics — plus the determinism
 and no-fault-bit-identity contracts the subsystem is built on.
 """

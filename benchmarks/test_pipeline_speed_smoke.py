@@ -1,7 +1,6 @@
 """Smoke guard for the allocation-lean transaction pipeline (always-on, tier-1).
 
-A fast version of the full-pipeline cells in ``bench_engine_speed.py``: a
-short single-channel EHR deployment is driven through the calendar engine with
+A short single-channel EHR deployment is driven through the calendar engine with
 an :class:`~repro.sim.profile.EngineProfiler` attached, and the *work* it did
 is pinned as integers — events dispatched, transactions submitted, events per
 transaction.  A change that adds an event per transaction (a new hop, a
@@ -28,9 +27,9 @@ Zipf table and no ownership table for the whole sweep, not one per cell.
 
 What the integers cannot see — the same events dispatched more slowly
 (``__dict__`` instances, per-call stream resolution, per-peer block
-revalidation) — is a wall-clock question, and wall-clock floors do not belong
-in tier-1: the ≥30k ev/s floor on this cell is asserted by the slow bench
-(``bench_engine_speed.py::test_pipeline_sustains_smoke_floor``).
+revalidation) — is a wall-clock question, and a wall-clock number is a
+``python3 -m perfbench`` row or it is not in the tree: ``wall_s`` and
+``host_us_per_tx`` on ``ehr-paper``, the same C2 cell at paper length.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 """Smoke guard for sharded multi-process execution (always-on, tier-1).
 
-A fast version of the sharded cells in ``bench_engine_speed.py``: one
-2-channel, ~30k-transaction deployment with ``cross_channel_rate=0`` runs
+One 2-channel, ~30k-transaction deployment with ``cross_channel_rate=0`` runs
 once on the shared clock and once sharded across two worker processes (an
 explicit count, so the real pool runs on single-core CI runners too).  Every
 assertion is exact on every machine:
@@ -14,9 +13,9 @@ assertion is exact on every machine:
   full garbage collection starts in the parent between ``run()`` entry and
   the returned record (unpickling and merging included).
 
-The wall-clock speedup floor lives with the sharded rows of
-``bench_engine_speed.py`` (``slow``): a ratio of two timings is not a tier-1
-assertion.
+What sharding buys in wall-clock is the ``ehr-8ch-sharded`` row of
+``python3 -m perfbench`` against ``ehr-8ch`` (same input, digests equal): a
+ratio of two timings is not a tier-1 assertion.
 """
 
 from __future__ import annotations

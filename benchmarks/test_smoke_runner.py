@@ -68,11 +68,5 @@ def test_disk_entries_hold_no_chain(tmp_path):
 
 
 def test_every_experiment_has_a_slow_check():
-    # ``bench_experiments.py`` asserts one trend per spec id; the four ids below
-    # are asserted by the modules that also record their ledgers
-    # (``bench_fault_resilience.py``, ``bench_engine_speed.py``,
-    # ``bench_checker_overhead.py``).  A spec added without a check fails here,
-    # before the slow suite runs.
-    covered_elsewhere = {"fault-resilience", "fault-retry", "engine-speed", "checker-overhead"}
-    assert set(CHECKS) | covered_elsewhere == set(EXPERIMENTS)
-    assert not set(CHECKS) & covered_elsewhere
+    # A spec added without a check fails here, before the slow suite runs.
+    assert set(CHECKS) == set(EXPERIMENTS)

@@ -1,11 +1,10 @@
 """Smoke guard for the copy-on-write state layer (always-on, tier-1).
 
-A fast, deterministic version of ``bench_state_scaling.py`` that runs inside
-the default test selection and the CI bench-smoke job.  Its peak-memory
-assertions (via ``tracemalloc``, no extra dependencies) are the regression
-tripwire: if peer state ever goes back to O(peers x state) — a deep copy of
-the genesis population per endorser — these tests fail long before anyone
-reads a benchmark chart.
+Runs inside the default test selection and the CI bench-smoke job.  Its
+peak-memory assertions (via ``tracemalloc``, no extra dependencies) are the
+regression tripwire: if peer state ever goes back to O(peers x state) — a deep
+copy of the genesis population per endorser — these tests fail long before
+``peak_rss_mb`` of ``python3 -m perfbench`` shows it.
 """
 
 from __future__ import annotations
@@ -45,12 +44,22 @@ def populated_base():
 def test_eight_overlays_cost_a_fraction_of_eight_deep_copies():
     base = populated_base()
     base.freeze()
-    copy_peak = traced_peak(lambda: [base.copy() for _ in range(8)])
-    overlay_peak = traced_peak(lambda: [base.overlay() for _ in range(8)])
-    assert overlay_peak * 4 < copy_peak, (
-        f"8 overlays peaked at {overlay_peak} bytes vs {copy_peak} bytes for "
+
+    def peak_of(replicate, peers: int) -> int:
+        return traced_peak(lambda: [replicate() for _ in range(peers)])
+
+    copy_peak = {peers: peak_of(base.copy, peers) for peers in (1, 8)}
+    overlay_peak = {peers: peak_of(base.overlay, peers) for peers in (1, 8)}
+    assert overlay_peak[8] * 4 < copy_peak[8], (
+        f"8 overlays peaked at {overlay_peak[8]} bytes vs {copy_peak[8]} bytes for "
         "8 deep copies; the O(peers x state) regression is back"
     )
+    # A deep-copied replica costs O(state) each, so the deep-copy peak scales
+    # with the peer count; an overlay replica only costs its divergence, so
+    # the marginal cost of 7 extra overlay peers must be a small fraction of
+    # 7 extra deep copies.
+    assert copy_peak[8] > 4 * copy_peak[1]
+    assert (overlay_peak[8] - overlay_peak[1]) * 4 < copy_peak[8] - copy_peak[1]
 
 
 def test_network_build_peak_rss_stays_near_one_state_copy():

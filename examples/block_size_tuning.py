@@ -5,10 +5,11 @@ arrival rate (Sections 5.1.1 and 6.1): the best block size grows roughly
 linearly with the arrival rate and picking it can cut failures by up to 60 %.
 This example sweeps block sizes at several arrival rates, prints the best and
 worst setting per rate, and then shows how the adaptive block-size controller
-of Section 6.2 would configure the network online.  The sweeps run through a
-shared :class:`~repro.bench.runner.ExperimentRunner`, so the grid cells fan
+of Section 6.2 would configure the network online.  The grid is one
+:class:`~repro.bench.runner.SweepPlan` submitted to an
+:class:`~repro.bench.runner.ExperimentRunner` as one batch, so its cells fan
 out across worker processes (results are bit-identical to serial execution)
-and re-running the example with a warm cache skips finished cells.
+and a warm cache skips finished cells.
 
 Run with::
 
@@ -17,9 +18,16 @@ Run with::
 
 from __future__ import annotations
 
-from repro import AdaptiveBlockSizeController, ExperimentConfig, ExperimentRunner, NetworkConfig, ResultCache
+from repro import (
+    AdaptiveBlockSizeController,
+    ExperimentConfig,
+    ExperimentRunner,
+    NetworkConfig,
+    ResultCache,
+    SweepPlan,
+)
 from repro.bench.reporting import format_table, print_report
-from repro.bench.sweeps import find_best_block_size
+from repro.core.adaptive import SweepResult
 
 ARRIVAL_RATES = (25, 100, 200)
 BLOCK_SIZES = (10, 50, 150)
@@ -27,25 +35,29 @@ BLOCK_SIZES = (10, 50, 150)
 
 def main() -> None:
     runner = ExperimentRunner(workers=2, cache=ResultCache())
+    base = ExperimentConfig(network=NetworkConfig(cluster="C2"), duration=8.0, seed=17)
+    outcome = runner.run_sweep(
+        SweepPlan(base, block_sizes=BLOCK_SIZES, arrival_rates=ARRIVAL_RATES)
+    )
     rows = []
     calibration = {}
     for rate in ARRIVAL_RATES:
-        config = ExperimentConfig(
-            network=NetworkConfig(cluster="C2"),
-            arrival_rate=float(rate),
-            duration=8.0,
-            seed=17,
+        sweep = SweepResult(
+            {
+                cell.block_size: result.failure_pct
+                for cell, result in zip(outcome.cells, outcome.results)
+                if cell.arrival_rate == rate
+            }
         )
-        best = find_best_block_size(config, BLOCK_SIZES, runner=runner)
-        calibration[float(rate)] = best.best_block_size
+        calibration[float(rate)] = sweep.best_block_size
         rows.append(
             (
                 rate,
-                best.best_block_size,
-                best.worst_block_size,
-                best.min_failures,
-                best.max_failures,
-                best.sweep.improvement_pct,
+                sweep.best_block_size,
+                sweep.worst_block_size,
+                sweep.min_failures,
+                sweep.max_failures,
+                sweep.improvement_pct,
             )
         )
     print_report(

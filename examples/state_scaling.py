@@ -100,8 +100,9 @@ def main() -> None:
         "adding endorsers adds only their divergence (the delta column), not\n"
         "another copy of the genesis state.  The second deployment borrows the\n"
         "base the first one built (one frozen genesis per process), so its row\n"
-        "is the cost of the overlays alone.  See README 'State layer' and\n"
-        "benchmarks/bench_state_scaling.py for the deep-copy comparison."
+        "is the cost of the overlays alone.  See 'State layer' in\n"
+        "docs/ARCHITECTURE.md and benchmarks/test_state_scaling_smoke.py for\n"
+        "the deep-copy comparison."
     )
 
 

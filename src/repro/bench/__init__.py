@@ -2,7 +2,8 @@
 
 * :mod:`repro.bench.harness` — experiment configuration, repetition and
   averaging.
-* :mod:`repro.bench.sweeps` — parameter sweeps (block size, arrival rate, ...).
+* :mod:`repro.bench.runner` — parallel, cached execution of experiment batches
+  and declarative sweep grids (:class:`~repro.bench.runner.SweepPlan`).
 * :mod:`repro.bench.experiments` — one spec row per table/figure of the paper's
   evaluation and the executor that turns it into the corresponding rows/series.
 * :mod:`repro.bench.reporting` — plain-text table rendering for benchmark
@@ -22,15 +23,11 @@ from repro.bench.experiments import (
     regenerate,
 )
 from repro.bench.harness import ExperimentConfig, ExperimentResult, run_experiment
-from repro.bench.sweeps import arrival_rate_sweep, block_size_sweep, find_best_block_size
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "run_experiment",
-    "arrival_rate_sweep",
-    "block_size_sweep",
-    "find_best_block_size",
     "EXPERIMENTS",
     "ExperimentReport",
     "ExperimentSpec",

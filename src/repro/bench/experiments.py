@@ -24,17 +24,14 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.bench.enginespeed import engine_speed
-from repro.bench.harness import RESULT_COLUMNS, ExperimentConfig, ExperimentResult, run_repetition
+from repro.bench.harness import RESULT_COLUMNS, ExperimentConfig, ExperimentResult
 from repro.bench.runner import ExperimentRunner, get_default_runner
 from repro.chaincode import create_chaincode
 from repro.chaincode.api import ChaincodeStub
-from repro.checker.config import CheckerConfig
 from repro.core.adaptive import AdaptiveBlockSizeController, SweepResult
 from repro.errors import ConfigurationError
 from repro.faults.spec import FaultConfig
@@ -113,7 +110,6 @@ class ExperimentReport:
     title: str
     headers: Tuple[str, ...]
     rows: List[Tuple] = field(default_factory=list)
-    notes: str = ""
 
     def column(self, name: str) -> List:
         """All values of one column, in row order."""
@@ -312,7 +308,6 @@ class ExperimentSpec:
     reduce: Optional[Axis] = None
     baseline: Optional[object] = None
     body: Optional[Callable[[Scale], List[Tuple]]] = None
-    notes: str = ""
 
     @property
     def grid(self) -> Tuple[Axis, ...]:
@@ -411,7 +406,7 @@ def regenerate(
         cells = spec.cells(scale, axis_values)
         configs = [cell_config(scale, params) for _, params in cells]
         rows = spec.rows(cells, (runner or get_default_runner()).run_many(configs))
-    return ExperimentReport(experiment_id, spec.title, spec.headers, rows, spec.notes)
+    return ExperimentReport(experiment_id, spec.title, spec.headers, rows)
 
 
 #: The deployment of the extension scenarios: the small C1 cluster on LevelDB
@@ -460,61 +455,6 @@ def chaincode_profiles(scale: Scale) -> List[Tuple]:
     return rows
 
 
-def checker_overhead(scale: Scale) -> List[Tuple]:
-    """Checker-overhead rows: events/sec with the isolation checker off vs on.
-
-    Every cell runs the same deployment twice — the results are bit-identical
-    by the checker's observation-only contract, so the events/sec ratio
-    isolates the cost of maintaining the serialization graphs online — across
-    a block-size x channel-count grid (graph density grows with block fill;
-    channel count multiplies the number of independent checkers).  No runner
-    is involved: the cells are wall-clock measurements and must run
-    in-process, uncached.  ``benchmarks/bench_checker_overhead.py`` records the
-    grid and asserts the acceptance floor;
-    ``benchmarks/test_checker_overhead_smoke.py`` keeps a single-cell guard in
-    the tier-1 bench-smoke job.
-    """
-    rows = []
-    for block_size in (scale.block_sizes[0], scale.block_sizes[-1]):
-        for channels in (1, 4):
-            cell = {"arrival_rate": 120.0, "block_size": block_size, "channels": channels}
-            config = cell_config(scale, {**SATURABLE_C1, **cell})
-            checked = config.with_overrides(
-                network=config.network.copy(checker=CheckerConfig(enabled=True))
-            )
-            timings = {}
-            records = {}
-            for label, timed in (("baseline", config), ("checked", checked)):
-                start = time.perf_counter()
-                analysis = run_repetition(timed, 0)
-                timings[label] = time.perf_counter() - start
-                records[label] = analysis.record
-            events = sum(records["checked"].lifecycle_counts.values())
-            baseline_eps = events / timings["baseline"] if timings["baseline"] > 0 else 0.0
-            checked_eps = events / timings["checked"] if timings["checked"] > 0 else 0.0
-            overhead_pct = (
-                100.0 * (1.0 - checked_eps / baseline_eps) if baseline_eps > 0 else 0.0
-            )
-            isolation = records["checked"].isolation
-            committed = sum(
-                len(ledger.committed_transactions())
-                for ledger in records["checked"].ledgers()
-            )
-            rows.append(
-                (
-                    block_size,
-                    channels,
-                    committed,
-                    events,
-                    baseline_eps,
-                    checked_eps,
-                    overhead_pct,
-                    isolation.verdict if isolation is not None else "n/a",
-                )
-            )
-    return rows
-
-
 def adaptive_block_sizes(scale: Scale) -> Dict[Tuple[int, str], Dict[str, object]]:
     """The ``(arrival rate, policy)`` points of the adaptive block-size ablation.
 
@@ -541,7 +481,6 @@ def adaptive_block_sizes(scale: Scale) -> Dict[Tuple[int, str], Dict[str, object
 MIXES = ("RH", "IH", "UH", "RaH", "DH")
 MVCC_COLUMNS = ("inter_block_pct", "intra_block_pct", "total_mvcc_pct")
 LOAD_COLUMNS = ("latency_s", "endorsement_pct", "mvcc_pct")
-WALL_CLOCK_NOTE = "Wall-clock measurements: rerun on an idle machine for comparable numbers."
 
 BLOCK_SIZES = Axis("block_size", "block_sizes")
 RATES = Axis("arrival_rate", "rates")
@@ -1016,35 +955,5 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             "committed_requests", "logical_requests", "recovered_request_pct",
             "client_effective_failure_pct", "goodput_tps", "resubmissions", "retry_amplification",
         ),
-    ),
-    # ------------------------------------------------ the simulator itself (no network grid)
-    "engine-speed": ExperimentSpec(
-        title="Event-engine speed: calendar queue vs heapq reference",
-        summary="Event-engine speed: the calendar-queue scheduler vs the heapq oracle",
-        sweep_axes=("engine", "transactions", "execution"),
-        variants="simulator substrate",
-        expected_trend=(
-            "the calendar-queue engine sustains >= 3x the events/sec of the heapq reference; "
-            "sharding independent channels across worker processes adds >= 2x on the "
-            "8-channel rate-0 cell (4+ cores) with bit-identical results"
-        ),
-        columns=("engine", "transactions", "events", "wall_seconds", "events_per_sec", "speedup_vs_reference"),
-        body=engine_speed,
-        notes=WALL_CLOCK_NOTE,
-    ),
-    "checker-overhead": ExperimentSpec(
-        title="Isolation-checker overhead: events/sec with checking off vs on",
-        summary="Isolation-checker cost: events/sec with the checker off vs on",
-        sweep_axes=("block_size", "channels"),
-        expected_trend=(
-            "the online isolation checker certifies every cell CERTIFIED-SERIALIZABLE and "
-            "costs <= 10% events/sec against the identical unchecked run"
-        ),
-        columns=(
-            "block_size", "channels", "committed", "events",
-            "baseline_eps", "checked_eps", "overhead_pct", "verdict",
-        ),
-        body=checker_overhead,
-        notes=WALL_CLOCK_NOTE,
     ),
 }

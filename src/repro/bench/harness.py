@@ -24,6 +24,7 @@ import enum
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter, methodcaller
 from typing import Callable, Dict, List, Optional
@@ -63,15 +64,24 @@ class ExperimentConfig:
     chaincode_factory: Optional[Callable[[], Chaincode]] = None
 
     def validate(self) -> None:
-        """Reject configurations the harness cannot run."""
-        if self.arrival_rate <= 0:
-            raise ConfigurationError(f"arrival rate must be positive, got {self.arrival_rate}")
-        if self.duration <= 0:
-            raise ConfigurationError(f"duration must be positive, got {self.duration}")
+        """Reject configurations the harness cannot run.
+
+        Every bound is written so that NaN fails it (``nan <= 0`` is false):
+        a NaN rate schedules nothing and reports a row of zeros, an infinite
+        one schedules arrivals forever.
+        """
+        if not 0 < self.arrival_rate < math.inf:
+            raise ConfigurationError(
+                f"arrival rate must be positive and finite, got {self.arrival_rate}"
+            )
+        if not 0 < self.duration < math.inf:
+            raise ConfigurationError(f"duration must be positive and finite, got {self.duration}")
         if self.repetitions < 1:
             raise ConfigurationError(f"need at least one repetition, got {self.repetitions}")
-        if self.zipf_skew < 0:
-            raise ConfigurationError(f"the Zipfian skew must be >= 0, got {self.zipf_skew}")
+        if not 0 <= self.zipf_skew < math.inf:
+            raise ConfigurationError(
+                f"the Zipfian skew must be >= 0 and finite, got {self.zipf_skew}"
+            )
         if self.chaincode_factory is None and self.workload.chaincode not in CHAINCODE_REGISTRY:
             known = ", ".join(sorted(CHAINCODE_REGISTRY))
             raise ConfigurationError(

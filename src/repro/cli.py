@@ -246,14 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--rates",
         nargs="*",
-        type=float,
+        type=_finite_float("rate"),
         default=None,
         help="sweep over these arrival rates in tps (default: just --rate)",
     )
     sweep_parser.add_argument(
         "--skews",
         nargs="*",
-        type=float,
+        type=_finite_float("skew"),
         default=None,
         help="sweep over these Zipfian skews (default: just --skew)",
     )
@@ -336,7 +336,7 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--duration", type=_finite_float("duration"), default=15.0, help="simulated seconds"
     )
-    parser.add_argument("--skew", type=float, default=1.0, help="Zipfian key skew")
+    parser.add_argument("--skew", type=_finite_float("skew"), default=1.0, help="Zipfian key skew")
     parser.add_argument("--repetitions", type=int, default=1)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
@@ -350,7 +350,7 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cross-channel-rate",
-        type=float,
+        type=_finite_float("cross-channel rate"),
         default=0.0,
         help="fraction of transactions spanning a second channel (needs --channels >= 2)",
     )
@@ -378,19 +378,19 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retry-backoff",
-        type=float,
+        type=_finite_float("retry backoff"),
         default=0.05,
         help="base backoff delay in seconds for the fixed and jittered policies",
     )
     parser.add_argument(
         "--retry-max-backoff",
-        type=float,
+        type=_finite_float("retry max backoff"),
         default=2.0,
         help="upper bound in seconds on any single backoff delay",
     )
     parser.add_argument(
         "--retry-rate-cap",
-        type=float,
+        type=_finite_float("retry rate cap"),
         default=None,
         help="deployment-wide resubmission rate cap in 1/s (default: uncapped)",
     )
@@ -956,8 +956,6 @@ def _command_check(args: argparse.Namespace) -> int:
 def _command_figure(args: argparse.Namespace) -> int:
     report = regenerate(args.artefact, _SCALES[args.scale])
     print(format_table(report.headers, report.rows, title=report.title))
-    if report.notes:
-        print(report.notes)
     return 0
 
 

@@ -22,8 +22,8 @@ watchdog) and ``ORDERER_UNAVAILABLE`` (submission during an outage window) —
 which flow through the taxonomy, metrics, analyzer and recommendation
 engine like the paper's own failure types, and through the ``ABORTED``
 lifecycle event into the client retry subsystem (retries are the natural
-mitigation; ``benchmarks/bench_fault_resilience.py`` measures how much
-goodput they recover under chaos).
+mitigation; the ``fault-retry`` experiment measures how much goodput they
+recover under chaos).
 """
 
 from repro.faults.controller import FaultController

@@ -15,7 +15,7 @@ Queue entries are plain ``(time, sequence, callback, args, handle)`` tuples
 ordered by the same ``(time, sequence)`` tie-break the original heapq engine
 used: events run in non-decreasing time order and equal-time events run in
 scheduling order, bit-identical to a single binary heap (the golden
-lifecycle records pin this; :mod:`repro.sim.reference` keeps the original
+lifecycle records pin this; ``tests/reference_engine.py`` keeps the original
 engine as the differential-testing oracle).
 
 :meth:`Simulator.post` / :meth:`Simulator.post_at` are the hot-path variants

@@ -1,20 +1,19 @@
 """Reference heapq simulation engine (the pre-calendar-queue implementation).
 
-This module preserves the original single-binary-heap engine verbatim, for
-two purposes only:
+A test oracle, like ``failure_oracle.py`` beside it: the original
+single-binary-heap engine, verbatim, which shares no code with
+:mod:`repro.sim.engine`.
 
-* **Differential-testing oracle** — the hypothesis property suite in
-  ``tests/test_property_engine_equivalence.py`` replays random
+* ``test_property_engine_equivalence.py`` replays random
   schedule/cancel/run-until interleavings against both engines and asserts
   identical callback traces and clock values.
-* **Benchmark baseline** — ``benchmarks/bench_engine_speed.py`` measures the
-  calendar-queue engine's events/sec against this implementation and asserts
-  the acceptance floor recorded in ``BENCH_engine_speed.json``.
+* ``test_engine_speed_smoke.py`` drives the 30,000-transaction cascade of
+  ``engine_cascade.py`` through both and asserts they dispatch the identical
+  schedule.
 
 It intentionally keeps the two historical warts the production engine fixed:
 cancelled events stay in the heap (``pending_events`` counts them) and
-non-finite delays slip past the ``delay < 0`` guard.  Production code must
-import :class:`repro.sim.engine.Simulator` instead.
+non-finite delays slip past the ``delay < 0`` guard.
 """
 
 from __future__ import annotations

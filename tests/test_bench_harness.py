@@ -1,4 +1,4 @@
-"""Unit tests for the benchmark harness, sweeps and reporting."""
+"""Unit tests for the benchmark harness and reporting."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.bench.harness import ExperimentConfig, run_experiment
 from repro.bench.reporting import format_series, format_table, format_value
-from repro.bench.sweeps import arrival_rate_sweep, block_size_sweep, find_best_block_size
 from repro.chaincode.genchain import GenChainChaincode
 from repro.errors import ConfigurationError
 from repro.network.config import NetworkConfig
@@ -43,6 +42,14 @@ def test_default_experiment_config_matches_table_3():
         {"duration": 0.0},
         {"repetitions": 0},
         {"zipf_skew": -0.5},
+        # ``nan <= 0`` is false, so a bound has to reject NaN and inf itself:
+        # a NaN rate prints a row of zeros, an infinite one never returns.
+        {"arrival_rate": float("nan")},
+        {"arrival_rate": float("inf")},
+        {"duration": float("nan")},
+        {"duration": float("inf")},
+        {"zipf_skew": float("nan")},
+        {"zipf_skew": float("inf")},
     ],
 )
 def test_experiment_config_validation(overrides):
@@ -127,30 +134,6 @@ def test_harness_names_no_subsystem_config_class():
         "ExecutionConfig",
     ):
         assert not hasattr(harness, name), f"harness imports {name}"
-
-
-# ----------------------------------------------------------------------- sweeps
-def test_block_size_sweep_returns_one_result_per_size():
-    results = block_size_sweep(tiny_config(), block_sizes=(5, 20))
-    assert set(results) == {5, 20}
-    assert all(result.submitted_transactions > 0 for result in results.values())
-    with pytest.raises(ConfigurationError):
-        block_size_sweep(tiny_config(), block_sizes=())
-
-
-def test_arrival_rate_sweep_returns_one_result_per_rate():
-    results = arrival_rate_sweep(tiny_config(), arrival_rates=(20, 60))
-    assert set(results) == {20, 60}
-    assert results[60].submitted_transactions > results[20].submitted_transactions
-    with pytest.raises(ConfigurationError):
-        arrival_rate_sweep(tiny_config(), arrival_rates=())
-
-
-def test_find_best_block_size_is_consistent_with_sweep():
-    best = find_best_block_size(tiny_config(), block_sizes=(5, 20, 60))
-    assert best.best_block_size in (5, 20, 60)
-    assert best.min_failures <= best.max_failures
-    assert best.arrival_rate == 40.0
 
 
 # -------------------------------------------------------------------- reporting

@@ -543,6 +543,27 @@ def test_parser_rejects_non_finite_rate(capsys):
     assert "rate must be a finite number, got 'inf'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("run", "--skew", "nan"),
+        ("sweep", "--skews", "inf"),
+        ("sweep", "--rates", "nan"),
+        ("run", "--cross-channel-rate", "nan"),
+        ("run", "--retry-backoff", "inf"),
+        ("run", "--retry-max-backoff", "nan"),
+        ("run", "--retry-rate-cap", "nan"),
+    ],
+)
+def test_parser_rejects_a_non_finite_value_naming_the_option(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args([command, flag, value])
+    assert excinfo.value.code == 2
+    error = capsys.readouterr().err
+    assert f"argument {flag}:" in error
+    assert f"must be a finite number, got {value!r}" in error
+
+
 def test_parser_still_accepts_finite_duration_and_rate():
     parser = build_parser()
     args = parser.parse_args(["run", "--duration", "12.5", "--rate", "250"])

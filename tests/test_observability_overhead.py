@@ -13,14 +13,16 @@ default test selection:
   dispatch loop) and it dispatches exactly the bare baseline's event count on
   the 30k-transaction smoke cascade (the same cascade the engine-speed smoke
   guard drives) — so the disabled path runs the baseline's code, event for
-  event.  These are exact, machine-independent facts (ROADMAP 1(a)); the
-  wall-clock twin — disabled-path events/sec within 2% of baseline — is
-  measured by the ``slow`` ``bench_engine_speed.py``.
+  event.  These are exact, machine-independent facts; the wall-clock twin is
+  ``python3 -m perfbench``: ``ehr-paper`` runs with observability off, so a
+  branch grown in the dispatch loop shows in its ``wall_s`` and
+  ``sim.engine.self_s`` against the parent commit.
 """
 
 from __future__ import annotations
 
-from repro.bench.enginespeed import run_cascade
+from engine_cascade import run_cascade
+
 from repro.bench.harness import ExperimentConfig
 from repro.channels.network import MultiChannelNetwork
 from repro.lifecycle.pipeline import build_network

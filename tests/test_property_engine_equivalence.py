@@ -4,7 +4,7 @@ The property replays a random program of schedule / post / cancel /
 run-until operations — including callback chains that schedule during the
 run, far-future timers that cross wheel revolutions, and zero-delay and
 same-time collisions — against both :class:`repro.sim.engine.Simulator` and
-the preserved pre-overhaul :class:`repro.sim.reference.ReferenceSimulator`,
+the preserved pre-overhaul ``ReferenceSimulator`` (``reference_engine.py``),
 and asserts the two produce the *exact same trace*: identical callback
 order, identical clock values (float-equal, no tolerance), identical
 processed counts, and identical live pending counts at every pause.
@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_engine import ReferenceSimulator
 
 from repro.sim.engine import Simulator
-from repro.sim.reference import ReferenceSimulator
 
 #: Delays mixing collisions (repeated values), sub-bucket and multi-bucket
 #: gaps, far-future timers past several wheel revolutions, and zero.
