@@ -25,6 +25,9 @@ A fourth runs the perfbench ``sweep-grid`` plan shape in process and counts
 what its twelve cells *build* before their first transaction: one genesis, one
 Zipf table and no ownership table for the whole sweep, not one per cell.
 
+A fifth is the perfbench ``scm-fpp`` cell cut short, and pins what Fabric++'s
+reorder decided: blocks reordered, dependency edges, transactions aborted.
+
 What the integers cannot see — the same events dispatched more slowly
 (``__dict__`` instances, per-call stream resolution, per-peer block
 revalidation) — is a wall-clock question, and a wall-clock number is a
@@ -42,7 +45,9 @@ from repro import ExperimentConfig, ExperimentRunner, SweepPlan, run_repetition
 from repro.chaincode import GenChainChaincode, create_chaincode
 from repro.channels.topology import ChannelTopology
 from repro.core import metrics as core_metrics
+from repro.fabric import fabricpp
 from repro.ledger import factory
+from repro.ledger.block import ValidationCode
 from repro.ledger.kvstore import VersionedKVStore
 from repro.lifecycle import events
 from repro.lifecycle.pipeline import build_network
@@ -81,6 +86,13 @@ EIGHT_CHANNEL_BASE_DRAWS = 15_017
 #: Short digest of every workload stream's ``getstate()`` after the run, taken
 #: while every draw still paid a ``sample`` and a ``channel_of_index``.
 EIGHT_CHANNEL_STREAMS = "2da0244e7055db36"
+
+#: Fabric++ on SCM (cluster C2, 100 tx/s, four simulated seconds): blocks its
+#: ordering service reordered, dependency edges summed over them, and
+#: transactions it aborted to break cycles.
+REORDER_BLOCKS = 5
+REORDER_EDGES = 2_494
+REORDER_ABORTED = 137
 
 
 def smoke_config() -> NetworkConfig:
@@ -330,3 +342,37 @@ def test_eight_channels_overlay_one_genesis_and_read_one_ownership_table(built):
     # One population for eight channels (eight before), and placement asked
     # once per key (eight times per key before).
     assert built == {"initial_state": 1, "populate": 1, "channel_of_index": 2000}
+
+
+# ------------------------------------------------- what Fabric++'s reorder decides
+def test_fabricpp_reorder_decisions_are_pinned(monkeypatch):
+    edges = []
+    reorder_batch = fabricpp.reorder_batch
+
+    def counted(transactions):
+        serialized, aborted, edge_count = reorder_batch(transactions)
+        edges.append(edge_count)
+        return serialized, aborted, edge_count
+
+    monkeypatch.setattr(fabricpp, "reorder_batch", counted)
+    config = ExperimentConfig(
+        variant="fabric++",
+        workload=uniform_workload("SCM", units_per_lsp=[400, 400, 400, 400, 800]),
+        network=NetworkConfig(cluster="C2"),
+        arrival_rate=100.0,
+        duration=4.0,
+        zipf_skew=1.0,
+        seed=SMOKE_SEED,
+    )
+    record = run_repetition(config, 0).record
+    reordered = [block for block in record.ledger if block.reordered]
+    aborted = [
+        tx for tx in record.transactions
+        if tx.validation_code is ValidationCode.ABORTED_BY_REORDERING
+    ]
+    assert (len(reordered), sum(edges), len(aborted)) == (
+        REORDER_BLOCKS,
+        REORDER_EDGES,
+        REORDER_ABORTED,
+    )
+    assert len(edges) == len(reordered)

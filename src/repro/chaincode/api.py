@@ -75,7 +75,7 @@ class ChaincodeStub:
         """
         results = self.store.range(start_key, end_key)
         self._charge("GetRange", self._latency.range_cost(len(results)))
-        reads = [KeyRead(key=key, version=entry.version) for key, entry in results]
+        reads = [KeyRead(key, entry.version) for key, entry in results]
         self.rwset.range_reads.append(
             RangeRead(
                 start_key=start_key,
@@ -100,7 +100,7 @@ class ChaincodeStub:
             )
         results = self.store.rich_query(selector)
         self._charge("GetQueryResult", self._latency.rich_query_cost(len(results)))
-        reads = [KeyRead(key=key, version=entry.version) for key, entry in results]
+        reads = [KeyRead(key, entry.version) for key, entry in results]
         self.rwset.range_reads.append(
             RangeRead(
                 start_key="",

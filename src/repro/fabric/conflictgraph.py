@@ -12,14 +12,16 @@ connected component.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Sequence, Set, Tuple
-
-import networkx as nx
 
 from repro.ledger.block import Transaction
 
+#: Transaction index -> indexes of the transactions it must precede.
+ConflictGraph = Dict[int, Set[int]]
 
-def build_dependency_graph(transactions: Sequence[Transaction]) -> Tuple[nx.DiGraph, int]:
+
+def build_dependency_graph(transactions: Sequence[Transaction]) -> Tuple[ConflictGraph, int]:
     """Build the conflict graph of a batch of transactions.
 
     Nodes are transaction indexes into ``transactions``; an edge ``i -> j``
@@ -29,63 +31,121 @@ def build_dependency_graph(transactions: Sequence[Transaction]) -> Tuple[nx.DiGr
     key sets create very dense graphs, which is why Fabric++ struggles with the
     DV and SCM chaincodes in Section 5.2.3).
     """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(transactions)))
+    graph: ConflictGraph = {index: set() for index in range(len(transactions))}
     writers: Dict[str, List[int]] = {}
     for index, tx in enumerate(transactions):
         if tx.rwset is None:
             continue
         for key in tx.rwset.write_keys():
             writers.setdefault(key, []).append(index)
-    edge_count = 0
     for index, tx in enumerate(transactions):
         if tx.rwset is None:
             continue
-        for key in tx.rwset.read_keys():
-            for writer in writers.get(key, ()):
-                if writer == index:
+        successors = graph[index]
+        # Range scans read far more keys than a block writes: probe with those.
+        for key in tx.rwset.read_keys().intersection(writers):
+            successors.update(writers[key])
+        successors.discard(index)
+    return graph, sum(map(len, graph.values()))
+
+
+def _cyclic_components(graph: ConflictGraph, nodes: Set[int]) -> List[Set[int]]:
+    """Strongly connected components of ``graph`` on ``nodes`` that hold a cycle.
+
+    Tarjan's algorithm on an explicit stack (a block can be thousands of
+    transactions deep); a finished node's number becomes ``len(nodes)``.
+    """
+    number: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    stack: List[int] = []
+    cyclic: List[Set[int]] = []
+    for root in nodes:
+        if root in number:
+            continue
+        number[root] = low[root] = len(number)
+        stack.append(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            node, successors = work[-1]
+            for successor in successors:
+                if successor not in nodes:
                     continue
-                if not graph.has_edge(index, writer):
-                    graph.add_edge(index, writer)
-                    edge_count += 1
-    return graph, edge_count
+                if successor not in number:
+                    number[successor] = low[successor] = len(number)
+                    stack.append(successor)
+                    work.append((successor, iter(graph[successor])))
+                    break
+                if number[successor] < low[node]:
+                    low[node] = number[successor]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == number[node]:
+                    component = set()
+                    while node not in component:
+                        member = stack.pop()
+                        number[member] = len(nodes)
+                        component.add(member)
+                    if len(component) > 1 or node in graph[node]:
+                        cyclic.append(component)
+    return cyclic
 
 
-def remove_cycles(graph: nx.DiGraph) -> Set[int]:
+def remove_cycles(graph: ConflictGraph) -> Set[int]:
     """Greedy minimum-feedback-vertex-set approximation.
 
     Repeatedly finds a non-trivial strongly connected component and removes the
     node with the highest total degree inside it, until the graph is acyclic.
     Returns the set of removed (aborted) transaction indexes.  The input graph
-    is modified in place.
+    is modified in place.  A cycle through a component lies inside it: only
+    the rest of a broken component is searched again.
     """
     aborted: Set[int] = set()
-    while True:
-        cyclic_components = [
-            component
-            for component in nx.strongly_connected_components(graph)
-            if len(component) > 1
-            or any(graph.has_edge(node, node) for node in component)
-        ]
-        if not cyclic_components:
-            return aborted
-        for component in cyclic_components:
-            subgraph = graph.subgraph(component)
-            victim = max(
-                component,
-                key=lambda node: (subgraph.in_degree(node) + subgraph.out_degree(node), -node),
-            )
-            graph.remove_node(victim)
-            aborted.add(victim)
+    pending = _cyclic_components(graph, set(graph))
+    while pending:
+        component = pending.pop()
+        degree = dict.fromkeys(component, 0)
+        for node in component:
+            inside = graph[node] & component
+            degree[node] += len(inside)
+            for successor in inside:
+                degree[successor] += 1
+        victim = max(component, key=lambda node: (degree[node], -node))
+        aborted.add(victim)
+        component.discard(victim)
+        pending.extend(_cyclic_components(graph, component))
+    for victim in aborted:
+        del graph[victim]
+    for successors in graph.values():
+        successors -= aborted
+    return aborted
 
 
-def serialization_order(graph: nx.DiGraph) -> List[int]:
+def serialization_order(graph: ConflictGraph) -> List[int]:
     """A serializable order of the remaining transactions (topological order).
 
     Ties are broken by the original index so the reordering is deterministic
-    and stays as close to the arrival order as the dependencies allow.
+    and stays as close to the arrival order as the dependencies allow (Kahn's
+    algorithm, lowest ready index first).
     """
-    return list(nx.lexicographical_topological_sort(graph))
+    indegree = dict.fromkeys(graph, 0)
+    for successors in graph.values():
+        for successor in successors:
+            indegree[successor] += 1
+    ready = [node for node, count in indegree.items() if count == 0]
+    heapq.heapify(ready)
+    order: List[int] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for successor in graph[node]:
+            indegree[successor] -= 1
+            if indegree[successor] == 0:
+                heapq.heappush(ready, successor)
+    if len(order) != len(graph):
+        raise ValueError("the conflict graph still contains a cycle")
+    return order
 
 
 def reorder_batch(transactions: Sequence[Transaction]) -> Tuple[List[Transaction], List[Transaction], int]:

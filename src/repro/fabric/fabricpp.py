@@ -40,7 +40,8 @@ class FabricPlusPlus(FabricVariantBehavior):
         block.reordered = True
         timing = orderer.config.timing
         read_keys = sum(
-            len(tx.rwset.all_reads()) for tx in block.transactions if tx.rwset is not None
+            len(tx.rwset.reads) + sum(len(scan.reads) for scan in tx.rwset.range_reads)
+            for tx in block.transactions if tx.rwset is not None
         )
         return (
             timing.reorder_per_tx * block.size

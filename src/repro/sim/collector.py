@@ -9,10 +9,9 @@ time it has grown by a quarter, reclaiming nothing: ten such walks cost a
 third of a paper-scale cell.  :func:`quiet_collector` defers them for the
 span of a run.
 
-Young collections stay on.  Short-lived cyclic garbage (Fabric++'s networkx
-conflict graphs, bound-method/closure cycles of finished events) dies in the
-young generations and is still reclaimed at the interpreter's usual cadence,
-so deferring the full passes does not raise peak memory inside a run.
+Young collections stay on.  Short-lived cyclic garbage (bound-method/closure
+cycles of finished events) dies young and is reclaimed at the interpreter's
+usual cadence: deferring the full passes does not raise peak memory in a run.
 
 What a run leaves behind for a full pass — its own deployment graph, an
 observer's span trees — is reclaimed after the scope has ended, by the
