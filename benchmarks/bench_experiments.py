@@ -8,7 +8,7 @@ quantitative acceptance bar behind the spec's ``expected_trend``.
 """
 
 import pytest
-from conftest import run_figure
+from figure_runner import run_figure
 
 #: The quick scale restricts these sweeps so the benchmark finishes on a
 #: laptop (Figure 4: two chaincodes on the C2 cluster; Figure 5: EHR only;

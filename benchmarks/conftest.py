@@ -1,4 +1,4 @@
-"""Shared helpers for the figure benchmark modules.
+"""pytest hooks and fixtures for the figure benchmark modules.
 
 Every benchmark regenerates one table or figure of the paper by running its
 entry of :data:`repro.bench.experiments.EXPERIMENTS` exactly once
@@ -9,12 +9,11 @@ log recorded in EXPERIMENTS.md.
 
 Every ``bench_*`` module is marked ``slow`` and therefore deselected by the
 default test run (``addopts = -m "not slow"`` in ``pytest.ini``); regenerate
-the figures explicitly with ``pytest benchmarks/ -m slow``.  The default scale
-is a laptop-friendly reduction of the paper's setup (shorter simulated
-durations and smaller key populations); set the environment variable
-``REPRO_BENCH_SCALE`` to ``standard`` or ``paper`` to run closer to the
-original experiments.  The fast, always-on smoke coverage of the benchmark
-layer lives in ``test_smoke_runner.py``.
+the figures explicitly with ``pytest benchmarks/ -m slow``.  Set the
+environment variable ``REPRO_BENCH_SCALE`` to ``standard`` or ``paper`` to run
+closer to the original experiments.  What a benchmark module imports lives in
+``figure_runner.py``; never import from this file.  The fast, always-on smoke
+coverage of the benchmark layer lives in ``test_smoke_runner.py``.
 
 All experiments execute through the shared default
 :class:`~repro.bench.runner.ExperimentRunner`; set ``REPRO_BENCH_WORKERS`` to
@@ -25,29 +24,11 @@ session (e.g. by a retrying benchmark round) only simulates once.
 
 from __future__ import annotations
 
-import os
-
 import pytest
+from figure_runner import bench_scale, bench_workers
 
-from repro.bench.experiments import PAPER_SCALE, QUICK_SCALE, STANDARD_SCALE, Scale, regenerate
-from repro.bench.reporting import format_table
+from repro.bench.experiments import QUICK_SCALE, Scale
 from repro.bench.runner import DEFAULT_CACHE_ENTRIES, ResultCache, configure_default_runner
-
-_SCALES = {"quick": QUICK_SCALE, "standard": STANDARD_SCALE, "paper": PAPER_SCALE}
-
-
-def bench_scale() -> Scale:
-    """The scale selected through the REPRO_BENCH_SCALE environment variable."""
-    name = os.environ.get("REPRO_BENCH_SCALE", "quick").lower()
-    return _SCALES.get(name, QUICK_SCALE)
-
-
-def bench_workers() -> int:
-    """The worker count selected through REPRO_BENCH_WORKERS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_BENCH_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def pytest_configure(config):
@@ -72,13 +53,3 @@ def pytest_collection_modifyitems(config, items):
 def scale() -> Scale:
     """Session-wide benchmark scale."""
     return bench_scale()
-
-
-def run_figure(benchmark, experiment_id, scale, **axes):
-    """Regenerate one experiment under pytest-benchmark and print its table."""
-    report = benchmark.pedantic(
-        regenerate, args=(experiment_id, scale), kwargs=axes, rounds=1, iterations=1, warmup_rounds=0
-    )
-    print()
-    print(format_table(report.headers, report.rows, title=report.title))
-    return report

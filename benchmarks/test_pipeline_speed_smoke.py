@@ -26,7 +26,8 @@ what its twelve cells *build* before their first transaction: one genesis, one
 Zipf table and no ownership table for the whole sweep, not one per cell.
 
 A fifth is the perfbench ``scm-fpp`` cell cut short, and pins what Fabric++'s
-reorder decided: blocks reordered, dependency edges, transactions aborted.
+reorder decided — blocks reordered, dependency edges, transactions aborted —
+and what its endorsements cost: chaincode executions, stubs, ``KeyRead`` s.
 
 What the integers cannot see — the same events dispatched more slowly
 (``__dict__`` instances, per-call stream resolution, per-peer block
@@ -42,7 +43,8 @@ import hashlib
 import pytest
 
 from repro import ExperimentConfig, ExperimentRunner, SweepPlan, run_repetition
-from repro.chaincode import GenChainChaincode, create_chaincode
+from repro.chaincode import Chaincode, ChaincodeStub, GenChainChaincode, create_chaincode
+from repro.chaincode import api as chaincode_api
 from repro.channels.topology import ChannelTopology
 from repro.core import metrics as core_metrics
 from repro.fabric import fabricpp
@@ -93,6 +95,12 @@ EIGHT_CHANNEL_STREAMS = "2da0244e7055db36"
 REORDER_BLOCKS = 5
 REORDER_EDGES = 2_494
 REORDER_ABORTED = 137
+#: Chaincode executions, stubs constructed and ``KeyRead`` s minted by the same
+#: cell's 412 attempts, with each channel's result table shared across
+#: transactions.  While results lived for one transaction: 412, 412, 79,518.
+SCM_EXECUTIONS = 233
+SCM_STUBS = 233
+SCM_KEY_READS = 5_078
 
 
 def smoke_config() -> NetworkConfig:
@@ -355,6 +363,20 @@ def test_fabricpp_reorder_decisions_are_pinned(monkeypatch):
         return serialized, aborted, edge_count
 
     monkeypatch.setattr(fabricpp, "reorder_batch", counted)
+    work = {"executions": 0, "stubs": 0, "key_reads": 0}
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            work[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(Chaincode, "execute", "executions")
+    counting(ChaincodeStub, "__init__", "stubs")
+    counting(chaincode_api, "KeyRead", "key_reads")
     config = ExperimentConfig(
         variant="fabric++",
         workload=uniform_workload("SCM", units_per_lsp=[400, 400, 400, 400, 800]),
@@ -376,3 +398,10 @@ def test_fabricpp_reorder_decisions_are_pinned(monkeypatch):
         REORDER_ABORTED,
     )
     assert len(edges) == len(reordered)
+    # The range scans behind those edges, executed once per (call, state).
+    assert len(record.transactions) == 412
+    assert work == {
+        "executions": SCM_EXECUTIONS,
+        "stubs": SCM_STUBS,
+        "key_reads": SCM_KEY_READS,
+    }

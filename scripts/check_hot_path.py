@@ -25,8 +25,10 @@ docs/ARCHITECTURE.md):
    ``set_threshold`` / ``freeze``) except ``repro/sim/collector.py``, whose
    ``quiet_collector`` scope is the policy every run path enters.
 
-4. **Pure chaincode functions.**  Endorsers that read the same state share
-   one simulation result, so a chaincode function must be a pure function of
+4. **Pure chaincode functions.**  A simulation result is shared by the
+   endorsements of one channel that make the same call against the same
+   state — across transactions, not only across one transaction's
+   endorsers — so a chaincode function must be a pure function of
    ``(state, args)``: inside any ``@chaincode_function`` under
    ``src/repro/chaincode/`` — and in the bodies the generator produces
    (``GeneratedChaincode._make_function``'s closure and the source
@@ -268,7 +270,7 @@ def check_chaincode_purity(source: str, label: str) -> list[str]:
         for function in functions:
             errors.extend(
                 f"{label}:{lineno}: chaincode function {function.name!r} {what} — "
-                "endorsers that read the same state share one simulation result, so "
+                "a simulation result is shared by the endorsements of one channel, so "
                 "the stub is the only thing a function may read or write (see 'One "
                 "simulation per replica state' in docs/ARCHITECTURE.md)"
                 for lineno, what in _impurities(function)

@@ -28,8 +28,10 @@ def chaincode_function(read_only: bool = False) -> Callable:
     ordering) is implemented on top of this flag.
 
     A chaincode function must be a pure function of the stub's state and its
-    arguments: its result is shared between endorsers that read the same state
-    (``scripts/check_hot_path.py`` rule 4 rejects the visible ways not to be).
+    arguments: its result is shared by every endorsement of the same call on
+    one channel that reads the same state — other endorsers of the
+    transaction and other transactions alike (``scripts/check_hot_path.py``
+    rule 4 rejects the visible ways not to be).
     """
 
     def decorate(method: Callable) -> Callable:
@@ -91,10 +93,12 @@ class Chaincode:
 
         The lean path behind :meth:`invoke`: endorsing peers call this
         directly because they only need the stub's side effects (read/write
-        set, execution cost) and would discard a response wrapper.  Those side
-        effects are shared between endorsers that read the same state, so the
-        call must depend on nothing but ``stub``'s state, ``function`` and
-        ``args`` (see :meth:`repro.network.peer.Peer.receive_proposal`).
+        set, execution cost, call latencies) and would discard a response
+        wrapper.  Those side effects are kept in the channel's result table
+        and handed to every later endorsement of ``(function, args)`` that
+        reads the same state, in this transaction or another, so the call
+        must depend on nothing but ``stub``'s state, ``function`` and ``args``
+        (see :meth:`repro.network.peer.Peer.receive_proposal`).
         """
         method = self._functions.get(function)
         if method is None:

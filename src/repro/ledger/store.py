@@ -270,7 +270,8 @@ class OverlayStateStore(EpochCommitState):
 
         Scope: one channel.  All channels of a process overlay one genesis
         base, so two channels at one epoch carry equal tokens and different
-        states; a table keyed by tokens is per channel (a client's is).
+        states; a table keyed by tokens is per channel (the endorsers'
+        :class:`~repro.network.peer.ResultTable` is).
         """
         if self._in_sequence and self._base.frozen:
             return self._commit_epoch

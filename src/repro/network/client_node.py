@@ -34,7 +34,7 @@ from repro.network.config import NetworkConfig
 from repro.network.endorsement import PolicyNode
 from repro.network.latency import LatencyModel
 from repro.network.organization import Organization
-from repro.network.peer import Peer, SimulationResults
+from repro.network.peer import Peer, ResultTable
 from repro.sim.engine import Simulator
 from repro.workload.client import ArrivalProcess
 from repro.workload.generator import WorkloadGenerator
@@ -82,6 +82,7 @@ class ClientNode:
         tx_ids: Callable[[], str],
         bus: Optional[LifecycleBus] = None,
         faults: Optional[FaultController] = None,
+        results: Optional[ResultTable] = None,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -99,6 +100,9 @@ class ClientNode:
         #: Transaction-id source: the channel slice's own
         #: :class:`~repro.ledger.block.TransactionIdAllocator`.
         self.tx_ids = tx_ids
+        #: The channel's chaincode results (see :class:`ResultTable`); a
+        #: client built on its own keeps a table of its own.
+        self.results = results if results is not None else ResultTable()
         self.submitted: List[Transaction] = []
         self.read_only_skipped: List[Transaction] = []
         self.resubmitted_count = 0
@@ -180,10 +184,11 @@ class ClientNode:
         endorsing_orgs = self._select_orgs()
         round_ = EndorsementRound(tx, len(endorsing_orgs))
         on_response = functools.partial(self._on_endorsement, round_)
-        # One result table per transaction, shared by all its endorsers: a
-        # peer whose replica holds a state another already simulated against
-        # reuses that result (see Peer.receive_proposal).
-        simulated: SimulationResults = {}
+        # The channel's results for this call, shared by all its endorsers and
+        # every other transaction of the same call: a peer whose replica holds
+        # a state already simulated against reuses that result (see
+        # Peer.receive_proposal).
+        simulated = self.results.row(tx.function, tx.args)
         organizations = self.organizations
         getrandbits = self._getrandbits
         one_way = self.latency.one_way

@@ -41,7 +41,7 @@ from repro.network.endorsement import build_policy
 from repro.network.latency import LatencyModel
 from repro.network.orderer import OrderingService
 from repro.network.organization import Organization
-from repro.network.peer import Peer
+from repro.network.peer import Peer, ResultTable
 from repro.network.validator import BlockValidator
 from repro.observability.observer import ObservabilityData
 from repro.sim.engine import Simulator
@@ -277,6 +277,10 @@ class Channel:
             faults=self.faults,
         )
         self.clients: List[ClientNode] = []
+        #: Chaincode results every client of this slice shares (see
+        #: :class:`~repro.network.peer.ResultTable`): one per channel, because
+        #: a state token names a state of this channel only.
+        self.results = ResultTable()
         self.retry_controller: Optional[RetryController] = None
         #: Streaming isolation checker of this slice (``None`` unless
         #: ``config.checker`` is enabled).  Installed per slice — on the
@@ -394,6 +398,7 @@ class Channel:
                 bus=self.bus,
                 faults=self.faults,
                 tx_ids=self.tx_ids,
+                results=self.results,
             )
             if self.retry_controller is not None:
                 self.retry_controller.register(client)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import functools
 import random
-from typing import Callable, Dict, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.chaincode.api import ChaincodeStub
 from repro.chaincode.base import Chaincode
@@ -38,16 +39,61 @@ __all__ = [
     "LaggedStateView",
     "EndorsementCallback",
     "CommitCallback",
+    "ResultTable",
     "SimulationResults",
 ]
 
 #: Callback invoked with ``(peer, response)`` once an endorsement completes.
 EndorsementCallback = Callable[["Peer", EndorsementResponse], None]
-#: One transaction's simulation results, keyed by the ``state_token`` of the
-#: state they were simulated against: ``(read/write set, execution cost)``.
-SimulationResults = Dict[int, Tuple[ReadWriteSet, float]]
+#: One call's simulation results on one channel, keyed by the ``state_token``
+#: of the state they were simulated against: ``(read/write set, execution
+#: cost, call latencies)``.  A row of a :class:`ResultTable`.
+SimulationResults = Dict[int, Tuple[ReadWriteSet, float, Dict[str, float]]]
 #: Callback invoked with ``(peer, block)`` once a peer has committed a block.
 CommitCallback = Callable[["Peer", Block], None]
+
+#: Calls a :class:`ResultTable` keeps a row for; the oldest row goes first.
+RESULT_ROWS = 4096
+#: Tokens one row keeps; the oldest (an epoch replicas have left) goes first.
+RESULT_TOKENS_PER_ROW = 4
+
+
+class ResultTable:
+    """One channel's chaincode results, shared by every endorsement on it.
+
+    One row per call ``(function, args)``, each a :data:`SimulationResults`
+    dict that :meth:`Peer.receive_proposal` reads with one ``get(token)``.
+    Both dimensions are FIFO-bounded (:data:`RESULT_ROWS`,
+    :data:`RESULT_TOKENS_PER_ROW`); an evicted result is recomputed on the
+    next miss, and a pure function recomputes the same one, so eviction is
+    not observable.  Tokens name states of one channel only (see
+    :attr:`~repro.ledger.store.OverlayStateStore.state_token`), hence one
+    table per channel.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self) -> None:
+        # Ordered for an O(1) oldest-first eviction: ``next(iter(d))`` on a
+        # plain dict scans the slots earlier evictions left empty.
+        self.rows: OrderedDict[Tuple[str, Tuple[Any, ...]], SimulationResults] = OrderedDict()
+
+    def row(self, function: str, args: Tuple[Any, ...]) -> SimulationResults:
+        """The row of ``function(*args)``, created empty on first use.
+
+        Unhashable ``args`` get a fresh row no other transaction sees.
+        """
+        rows = self.rows
+        key = (function, args)
+        try:
+            row = rows.get(key)
+        except TypeError:
+            return {}
+        if row is None:
+            if len(rows) >= RESULT_ROWS:
+                rows.popitem(last=False)
+            row = rows[key] = {}
+        return row
 
 
 class Peer:
@@ -107,14 +153,16 @@ class Peer:
     ) -> None:
         """Execution phase, steps 1-2: simulate the transaction and respond.
 
-        ``simulated`` is the transaction's result table, shared by every
-        endorser the client sent this proposal to: a chaincode function is a
-        pure function of ``(state, args)``, so an endorser whose replica holds
-        a state another endorser already simulated against (equal
-        ``state_token``) takes that read/write set and execution cost instead
-        of running the chaincode again.  Everything that is this peer's own —
-        arrival time, fault factor, station queueing — is computed here as
-        ever.  A ``None`` token, and a caller without a table, always execute.
+        ``simulated`` is the channel's :class:`ResultTable` row for this
+        call, shared by every endorsement of ``(tx.function, tx.args)`` on the
+        channel — this transaction's other endorsers and every other
+        transaction's: a chaincode function is a pure function of ``(state,
+        args)``, so an endorser whose replica holds a state already simulated
+        against for this call (equal ``state_token``) takes that read/write
+        set, execution cost and call latencies instead of running the
+        chaincode again.  Everything that is this peer's own — arrival time,
+        fault factor, station queueing — is computed here as ever.  A ``None``
+        token, and a caller without a row, always execute.
         """
         if not self.is_endorser:
             raise SimulationError(f"peer {self.name} received a proposal but is not an endorser")
@@ -127,13 +175,18 @@ class Peer:
             stub = ChaincodeStub(state)
             chaincode.execute(stub, tx.function, tx.args)
             if tx._db_call_latency is None:
-                # Transfer ownership of the stub's latency dict: the stub is
-                # discarded right after, so no defensive copy is needed.
+                # The transaction takes ownership of the stub's latency dict;
+                # the row only ever hands out copies of it.
                 tx._db_call_latency = stub.db_call_latency
-            result = (stub.rwset, stub.execution_cost)
+            result = (stub.rwset, stub.execution_cost, stub.db_call_latency)
             if token is not None:
+                if len(simulated) >= RESULT_TOKENS_PER_ROW:
+                    del simulated[next(iter(simulated))]
                 simulated[token] = result
-        rwset, execution_cost = result
+        elif tx._db_call_latency is None:
+            # Another transaction's execution: its dict stays with its owner.
+            tx._db_call_latency = dict(result[2])
+        rwset, execution_cost, _latency = result
         service_time = (
             execution_cost + self.timing.endorsement_overhead
         ) * self.config.resource_factor

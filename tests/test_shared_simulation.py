@@ -1,21 +1,26 @@
 """One simulation per replica state (docs/ARCHITECTURE.md, "Hot path").
 
-Endorsers whose replicas hold the same state share one chaincode execution
-per proposal.  Two kinds of test pin that:
+Endorsements of one call on one channel whose replicas hold the same state
+share one chaincode execution — across endorsers and across transactions,
+through the channel's bounded result table.  Three kinds of test pin that:
 
 * **Differential** — a run is byte-identical to the same run with sharing
   switched off.  There is no product switch: "off" is a monkeypatch that makes
   every state token ``None``.  The cells that matter are the ones where the
   bare commit epoch would *not* identify a state (blocks applied out of
   sequence), and a third run keyed on the bare epoch shows the test has teeth.
+  Eviction is differential too: caps of one row and one token change nothing.
 * **Exact proxies of the gain** — executions per attempt, stub constructions,
-  range scans per attempt, read/write-set identity before the client's
-  equality loop: integers of a fixed cell, never wall-clock.
+  range scans, read/write-set identity before the client's equality loop:
+  integers of a fixed cell, never wall-clock.
+* **Soundness of the key** — one table per channel, and call keys that are
+  equal only for identical calls.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -24,6 +29,7 @@ import pytest
 from test_collector import build_cell, run_cell
 
 from repro.bench.harness import ExperimentConfig, run_repetition
+from repro.chaincode import CHAINCODE_REGISTRY, create_chaincode
 from repro.chaincode.api import ChaincodeStub
 from repro.chaincode.base import Chaincode
 from repro.core.fingerprint import record_fingerprint
@@ -33,9 +39,10 @@ from repro.ledger.block import Transaction
 from repro.ledger.kvstore import Version, VersionedKVStore
 from repro.ledger.store import LaggedStateView, OverlayStateStore, WriteBatch
 from repro.lifecycle import RetryConfig
+from repro.network import peer as peer_module
 from repro.network.client_node import ClientNode
 from repro.network.config import NetworkConfig, TimingProfile
-from repro.network.peer import Peer
+from repro.network.peer import RESULT_ROWS, RESULT_TOKENS_PER_ROW, Peer, ResultTable
 from repro.observability.config import ObservabilityConfig
 from repro.sim.engine import Simulator
 from repro.workload.workloads import uniform_workload
@@ -47,6 +54,9 @@ from generate_lifecycle_golden import CHANNEL_COUNTS, VARIANTS, golden_config  #
 #: Executions a submitted attempt may cost on an eight-endorser cluster: one,
 #: plus the few proposals that arrive across a block commit (8.00 unshared).
 EXECUTIONS_PER_ATTEMPT_CEILING = 1.25
+#: What :func:`ehr_cell` executes for its 401 attempts (458 while results
+#: lived for one transaction only).
+EHR_CELL_EXECUTIONS = 440
 
 NO_TOKEN = property(lambda store: None)
 BARE_EPOCH_TOKEN = property(lambda store: store.commit_epoch)
@@ -190,6 +200,44 @@ def test_crashes_retries_tracing_and_the_checker_do_not_observe_sharing(monkeypa
     assert counters["executions"] < counters["proposals"] / 4
 
 
+def scm_fpp_cell() -> ExperimentConfig:
+    """The perfbench ``scm-fpp`` cell cut short: Fabric++ on range-reading SCM."""
+    return ExperimentConfig(
+        variant="fabric++",
+        workload=uniform_workload("SCM", units_per_lsp=[400, 400, 400, 400, 800]),
+        network=NetworkConfig(cluster="C2"),
+        arrival_rate=100.0,
+        duration=4.0,
+        zipf_skew=1.0,
+        seed=11,
+    )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [scm_fpp_cell(), ehr_cell().with_overrides(workload=uniform_workload("DV"))],
+    ids=["scm-fabric++", "dv"],
+)
+def test_results_shared_across_transactions_are_unobservable(config, monkeypatch, counters):
+    # SCM scans one of five LSPs; DV's queries take no arguments at all: most
+    # attempts ask a question another attempt already asked of the same state.
+    record = assert_sharing_is_unobservable(config, monkeypatch, counters)[2]
+    assert counters["executions"] < 0.7 * len(record.transactions)
+
+
+def test_evicting_all_but_the_newest_row_and_token_is_unobservable(monkeypatch, counters):
+    config = ehr_cell()
+    uncapped = everything_computed(config)
+    executions = counters["executions"]
+    counters.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(peer_module, "RESULT_ROWS", 1)
+        patch.setattr(peer_module, "RESULT_TOKENS_PER_ROW", 1)
+        capped = everything_computed(config)
+    assert capped[:2] == uncapped[:2]
+    assert counters["executions"] > executions  # the caps did evict
+
+
 # ------------------------------------------------------------------ the token
 def committed(store, block_number: int, key: str = "a") -> None:
     batch = WriteBatch(block_number)
@@ -303,7 +351,8 @@ def test_an_attempt_costs_about_one_execution_not_one_per_endorser(counters):
     assert sum(peer.endorsements_served for peer in network.peers) == 8 * attempts
     assert all(len(tx.endorsements) == 8 for tx in record.transactions if tx.endorsements)
     # ...around a simulation that ran about once.
-    assert attempts <= counters["executions"] <= EXECUTIONS_PER_ATTEMPT_CEILING * attempts
+    assert counters["executions"] <= EXECUTIONS_PER_ATTEMPT_CEILING * attempts
+    assert counters["executions"] == EHR_CELL_EXECUTIONS
     assert counters["stubs"] == counters["executions"]
     assert counters["out_of_sequence"] == 0
 
@@ -336,7 +385,7 @@ def test_same_token_responses_arrive_at_the_client_already_sharing(monkeypatch):
     assert len(set(tokens.values())) > 30
 
 
-def test_range_scans_are_executed_once_per_attempt_not_once_per_endorser(monkeypatch):
+def test_range_scans_are_executed_once_per_state_of_a_call_not_once_per_attempt(monkeypatch):
     scanned = []
     scan = OverlayStateStore.range
 
@@ -356,8 +405,69 @@ def test_range_scans_are_executed_once_per_attempt_not_once_per_endorser(monkeyp
     assert len(replicas) == 8
     replica_scans = sum(store in replicas for store in scanned)
     range_reads = sum(len(tx.rwset.range_reads) for tx in record.transactions if tx.rwset)
-    assert range_reads > 100
-    assert range_reads <= replica_scans <= EXECUTIONS_PER_ATTEMPT_CEILING * range_reads
+    # 155 replica scans while results lived for one transaction only: about
+    # one per range read.  Now one per (call, state) the channel met.
+    assert (range_reads, replica_scans) == (150, 36)
+
+
+def test_every_channel_owns_its_table_and_holds_only_its_own_results():
+    deployment, _record = run_network(ehr_cell(channels=8).with_overrides(arrival_rate=800.0))
+    channels = deployment.channels
+    assert len(channels) == 8 and len({id(channel.results) for channel in channels}) == 8
+    held, carried = [], []
+    for channel in channels:
+        assert all(client.results is channel.results for client in channel.clients)
+        held.append({
+            id(result[0]) for row in channel.results.rows.values() for result in row.values()
+        })
+        carried.append({
+            id(rwset)
+            for client in channel.clients
+            for tx in client.submitted
+            for rwset in (tx.rwset, *(e.rwset for e in tx.endorsements))
+            if rwset is not None
+        })
+    for index, table in enumerate(held):
+        assert table & carried[index]
+        assert not any(table & other for other in carried[:index] + carried[index + 1:])
+
+
+def test_the_table_stays_within_its_caps():
+    # Uniform keys over 1,000 patients at 200 tx/s: ~6,000 attempts, enough
+    # distinct calls to fill every row the table may keep.
+    config = ehr_cell().with_overrides(
+        workload=uniform_workload("EHR", patients=1000),
+        arrival_rate=200.0,
+        duration=30.0,
+        zipf_skew=0.0,
+    )
+    deployment, _record = run_network(config)
+    (network,) = deployment.channels
+    rows = network.results.rows
+    assert len(rows) == RESULT_ROWS
+    assert max(map(len, rows.values())) == RESULT_TOKENS_PER_ROW
+
+
+# --------------------------------------------------------- soundness of the key
+@pytest.mark.parametrize("name", sorted(CHAINCODE_REGISTRY))
+def test_sampled_arguments_are_ints_and_strings_so_equal_keys_are_identical_calls(name):
+    # Keys compare with ==, under which 1 == 1.0 == True: a row is only sound
+    # if equal argument tuples are the same call.
+    chaincode = create_chaincode(name)
+    rng = random.Random(0)
+    for function in chaincode.invocable_functions():
+        for _ in range(200):
+            args = chaincode.sample_args(function, rng)
+            assert type(args) is tuple
+            assert all(type(arg) in (int, str) for arg in args), (name, function, args)
+
+
+def test_unhashable_arguments_get_a_row_no_other_transaction_sees():
+    table = ResultTable()
+    row = table.row("f", ([1],))
+    assert row == {} and table.rows == {}
+    assert table.row("f", ([1],)) is not row
+    assert table.row("f", (1,)) is table.row("f", (1,))
 
 
 def test_a_direct_caller_without_a_result_table_simply_executes(counters):
