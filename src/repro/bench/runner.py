@@ -476,7 +476,7 @@ class ExperimentRunner:
 
     @staticmethod
     def _task_footprint(task: _Task) -> int:
-        """Processes one repetition of ``task`` occupies (itself + shards)."""
+        """Processes that simulate one repetition of ``task``, itself included."""
         network = task.config.network
         mode, groups = plan_groups(network)
         if mode != "sharded":

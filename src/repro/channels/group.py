@@ -230,6 +230,8 @@ def simulate_group(
 def simulate_group_to_bytes(task: Tuple[GroupSpec, RunArgs]) -> bytes:
     """Pool worker entry point (module level, so it pickles across the pool).
 
+    Only the shards the deploying process does not drain itself come here.
+
     The worker serialises its own result, inside the collector scope that
     covered the simulation, and hands the pool opaque ``bytes``: pickling a
     group's retained transactions allocates per record, and left to the pool

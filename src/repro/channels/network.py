@@ -30,8 +30,9 @@ advances their clocks — is a pure function of ``config.execution`` and
     processes).
 ``sharded``
     One group per shard of the cross-channel traffic graph, each drained to
-    completion on its own clock — in a worker-process pool, or in this
-    process when one worker is allowed or the factories do not pickle.  With
+    completion on its own clock by one of N processes, this one included: it
+    drains shards 0, N, 2N, ... and a pool of N - 1 workers the rest.  All of
+    them run here when N is 1 or the factories do not pickle.  With
     no cross traffic a channel's event sequence is a pure function of its own
     streams and transaction ids, so the merged record is *bit-identical* to
     the shared clock (asserted by the golden bit-identity suite); only
@@ -199,8 +200,9 @@ class MultiChannelNetwork:
             if len(self.channels) > 1
             else None
         )
-        #: Filled by :meth:`run`: worker processes actually used, pickled
-        #: result bytes they sent back (0 when every group ran in-process) and
+        #: Filled by :meth:`run`: processes that simulated (this one included),
+        #: pickled result bytes the pool sent back (0 when every group ran
+        #: in-process; this process's own shards cross nothing) and
         #: the merged engine profile of the plan's per-group profilers (also
         #: embedded in the record's observability summary; ``None`` on the
         #: shared-clock plan, which attaches none).
@@ -257,8 +259,13 @@ class MultiChannelNetwork:
         return [group.collect(args)]
 
     def _drain_shards(self, args: RunArgs) -> List[GroupResult]:
-        tasks = [(spec, args) for spec in self._specs]
-        workers = resolve_worker_count(self.config.execution.shard_workers, len(tasks))
+        specs = self._specs
+        self.shard_transport_bytes = 0
+        workers = resolve_worker_count(self.config.execution.shard_workers, len(specs))
+        # This process is one of the ``workers``: it simulates shards 0, N,
+        # 2N, ... itself and ships the others to a pool of N - 1.
+        shipped = [index for index in range(len(specs)) if index % workers]
+        tasks = [(specs[index], args) for index in shipped]
         if workers > 1:
             try:
                 pickle.dumps(tasks)
@@ -268,11 +275,16 @@ class MultiChannelNetwork:
                 workers = 1
         self.shard_workers_used = workers
         if workers == 1:
-            return [simulate_group(spec, args, self.retry_governor) for spec in self._specs]
-        with multiprocessing.Pool(processes=workers) as pool:
-            blobs = pool.map(simulate_group_to_bytes, tasks)
-        self.shard_transport_bytes = sum(len(blob) for blob in blobs)
-        return [pickle.loads(blob) for blob in blobs]
+            return [simulate_group(spec, args, self.retry_governor) for spec in specs]
+        results: List[Optional[GroupResult]] = [None] * len(specs)
+        with multiprocessing.Pool(processes=workers - 1) as pool:
+            blobs = pool.imap(simulate_group_to_bytes, tasks)
+            for index in range(0, len(specs), workers):
+                results[index] = simulate_group(specs[index], args, self.retry_governor)
+            for index, blob in zip(shipped, blobs):
+                self.shard_transport_bytes += len(blob)
+                results[index] = pickle.loads(blob)
+        return results
 
     def _drain_epochs(self, args: RunArgs) -> List[GroupResult]:
         self.shard_workers_used = 1

@@ -163,10 +163,11 @@ def _finite_float(kind: str) -> Callable[[str], float]:
 def _shard_workers(value: str) -> int:
     """argparse ``type`` for ``--shard-workers``.
 
-    Valid values: ``0`` (size the worker pool automatically from the process
-    budget), ``1`` (the default shared-clock execution) or a positive worker
-    cap.  Anything else — negatives, floats, non-numbers — exits with code 2
-    and a message listing the valid values, matching the other options.
+    Valid values: ``0`` (size the simulating processes, this one included,
+    automatically from the process budget), ``1`` (the default shared-clock
+    execution) or a positive cap on them.  Anything else — negatives, floats,
+    non-numbers — exits with code 2 and a message listing the valid values,
+    matching the other options.
     """
     valid = "valid values: 0 (auto), 1 (shared clock) or a positive worker cap"
     try:
@@ -359,9 +360,9 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
         type=_shard_workers,
         default=1,
         help=(
-            "worker processes for independent channel shards: 0 sizes the pool "
-            "automatically, 1 (default) keeps the shared simulation clock, N >= 2 "
-            "caps the pool (needs --channels >= 2; bit-identical results either way)"
+            "processes that simulate independent channel shards, this one included: "
+            "0 sizes the count automatically, 1 (default) keeps the shared simulation "
+            "clock, N >= 2 caps it (needs --channels >= 2; bit-identical results either way)"
         ),
     )
     parser.add_argument(

@@ -79,6 +79,13 @@ class EndorsementResponse:
     #: When the proposal reached the peer (the endorsement leg's start time).
     received_at: Optional[float] = None
 
+    # Pickle state: a tuple of the fields in order (see Transaction).
+    def __getstate__(self) -> tuple:
+        return (self.peer_name, self.org_name, self.rwset, self.completed_at, self.received_at)
+
+    def __setstate__(self, state: tuple) -> None:
+        (self.peer_name, self.org_name, self.rwset, self.completed_at, self.received_at) = state
+
 
 class TransactionIdAllocator:
     """An isolated transaction-id sequence (one per channel slice).
@@ -254,6 +261,73 @@ class Transaction:
     def db_call_latency(self, value: Dict[str, float]) -> None:
         self._db_call_latency = value
 
+    # Pickle state ----------------------------------------------------------
+    # One tuple of every slot, in ``__slots__`` order: what crosses the shard
+    # boundary per transaction (and what ``copy`` uses).  The default would be
+    # a ``{slot name: value}`` dict per object.  A slot added above must be
+    # added to both methods; ``tests/test_transaction_pickle.py`` checks.
+    def __getstate__(self) -> tuple:
+        return (
+            self.tx_id,
+            self.client_name,
+            self.chaincode_name,
+            self.function,
+            self.args,
+            self.read_only,
+            self.channel,
+            self.partner_channel,
+            self.attempt,
+            self.origin_tx_id,
+            self.submitted_at,
+            self._endorsements,
+            self.rwset,
+            self.endorsement_mismatch,
+            self.endorsement_completed_at,
+            self.prepare_started_at,
+            self.prepare_completed_at,
+            self.arrived_at_orderer_at,
+            self.ordered_at,
+            self.block_number,
+            self.tx_index,
+            self.validation_code,
+            self.committed_at,
+            self.conflicting_key,
+            self.conflicting_block,
+            self.abort_reason,
+            self._db_call_latency,
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        (
+            self.tx_id,
+            self.client_name,
+            self.chaincode_name,
+            self.function,
+            self.args,
+            self.read_only,
+            self.channel,
+            self.partner_channel,
+            self.attempt,
+            self.origin_tx_id,
+            self.submitted_at,
+            self._endorsements,
+            self.rwset,
+            self.endorsement_mismatch,
+            self.endorsement_completed_at,
+            self.prepare_started_at,
+            self.prepare_completed_at,
+            self.arrived_at_orderer_at,
+            self.ordered_at,
+            self.block_number,
+            self.tx_index,
+            self.validation_code,
+            self.committed_at,
+            self.conflicting_key,
+            self.conflicting_block,
+            self.abort_reason,
+            self._db_call_latency,
+        ) = state
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Transaction(tx_id={self.tx_id!r}, function={self.function!r}, "
@@ -315,6 +389,27 @@ class Block:
     created_at: float = 0.0
     consensus_completed_at: float = 0.0
     reordered: bool = False
+
+    # Pickle state: a tuple of the fields in order (see Transaction).
+    def __getstate__(self) -> tuple:
+        return (
+            self.number,
+            self.transactions,
+            self.cut_reason,
+            self.created_at,
+            self.consensus_completed_at,
+            self.reordered,
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        (
+            self.number,
+            self.transactions,
+            self.cut_reason,
+            self.created_at,
+            self.consensus_completed_at,
+            self.reordered,
+        ) = state
 
     @property
     def size(self) -> int:

@@ -55,6 +55,26 @@ class RangeRead:
     phantom_detection: bool = True
     rich_query: bool = False
 
+    # Pickle state: a tuple of the fields in order, not the default
+    # ``{slot name: value}`` dict (read/write sets cross the shard boundary).
+    def __getstate__(self) -> tuple:
+        return (
+            self.start_key,
+            self.end_key,
+            self.reads,
+            self.phantom_detection,
+            self.rich_query,
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        (
+            self.start_key,
+            self.end_key,
+            self.reads,
+            self.phantom_detection,
+            self.rich_query,
+        ) = state
+
     @property
     def keys(self) -> List[str]:
         """Keys observed by the range read, in scan order."""
@@ -68,6 +88,13 @@ class ReadWriteSet:
     reads: List[KeyRead] = field(default_factory=list)
     writes: List[KeyWrite] = field(default_factory=list)
     range_reads: List[RangeRead] = field(default_factory=list)
+
+    # Pickle state: a tuple of the fields in order (see RangeRead).
+    def __getstate__(self) -> tuple:
+        return (self.reads, self.writes, self.range_reads)
+
+    def __setstate__(self, state: tuple) -> None:
+        (self.reads, self.writes, self.range_reads) = state
 
     def read_keys(self) -> Set[str]:
         """All keys read, including keys observed through range reads."""

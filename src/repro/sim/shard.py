@@ -4,7 +4,7 @@ A multi-channel deployment whose channels never talk to each other is an
 embarrassingly parallel simulation: each channel owns its ledger, state
 store, ordering service and RNG stream family, so its event sequence is a
 pure function of its own inputs.  This module decides *which* channels can
-run apart and *how many* worker processes they may occupy:
+run apart and *how many* processes they may occupy:
 
 * :func:`plan_shards` partitions the channel topology into shards by
   connected components of the cross-channel traffic graph.  With
@@ -15,7 +15,8 @@ run apart and *how many* worker processes they may occupy:
 * :class:`ExecutionConfig` is the knob on
   :class:`~repro.network.config.NetworkConfig` selecting the execution
   strategy: ``shard_workers=1`` (default) keeps the classic shared-clock
-  path, ``0`` sizes the worker pool automatically, ``N >= 2`` caps it, and
+  path, ``0`` sizes the set of simulating processes (this one included)
+  automatically, ``N >= 2`` caps it, and
   ``conservative=True`` opts a fully-coupled topology into the
   epoch-synchronized engine (see :mod:`repro.channels.network`).
 * :func:`resolve_worker_count` / :func:`process_budget` implement the shared
@@ -41,9 +42,10 @@ from typing import List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 
 #: Environment variable through which a parent process (the experiment
-#: runner) bounds the number of simulation worker processes this process
-#: tree may start.  Inherited by forked pool workers, so nested parallelism
-#: (runner workers × shard workers) stays within one machine-wide budget.
+#: runner) bounds the number of processes of this process tree that
+#: simulate, the one that reads it included.  Inherited by forked pool
+#: workers, so nested parallelism (runner workers × shard workers) stays
+#: within one machine-wide budget.
 PROCESS_BUDGET_ENV = "REPRO_PROCESS_BUDGET"
 
 
@@ -51,9 +53,10 @@ PROCESS_BUDGET_ENV = "REPRO_PROCESS_BUDGET"
 class ExecutionConfig:
     """Parallel-execution strategy of a multi-channel run.
 
-    ``shard_workers`` selects the path: ``1`` (the default) is the classic
-    shared-clock simulation, ``0`` shards independent channels across an
-    automatically sized worker pool, and ``N >= 2`` shards with at most ``N``
+    ``shard_workers`` counts the processes that simulate, this one included:
+    ``1`` (the default) is the classic shared-clock simulation, ``0`` shards
+    independent channels across an automatically sized set of processes, and
+    ``N >= 2`` shards over at most ``N`` — this one and a pool of ``N - 1``
     workers.  ``conservative=True`` additionally opts coupled topologies
     (``cross_channel_rate > 0``) into barrier-synchronized epoch execution —
     a *distinct* simulation semantics, golden-pinned separately, never
@@ -208,10 +211,11 @@ def process_budget() -> int:
 
 
 def resolve_worker_count(requested: int, shard_count: int) -> int:
-    """The worker-process count a sharded run actually uses.
+    """The processes that simulate a sharded run, this one included.
 
+    The run's pool is one smaller: this process drains shards too.
     ``requested`` follows :class:`ExecutionConfig` semantics: ``0`` sizes the
-    pool from :func:`process_budget`, an explicit ``N`` is honored up to the
+    count from :func:`process_budget`, an explicit ``N`` is honored up to the
     shard count — except when a parent runner exported
     :data:`PROCESS_BUDGET_ENV`, which caps explicit requests too (that is the
     nested-parallelism guard).  Never exceeds ``shard_count`` and never

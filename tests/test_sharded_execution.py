@@ -126,6 +126,32 @@ def test_multiprocess_shards_match_in_process_shards():
     assert record_fingerprint(sequential) == fingerprint
 
 
+def test_this_process_is_one_of_the_shard_workers():
+    # Three processes on four shards: this one drains shards 0 and 3, a pool
+    # of two drains 1 and 2.  The bytes they ship are counted per run.
+    config = experiment(ExecutionConfig(shard_workers=3))
+    network = build_network(
+        config=config.network,
+        chaincode_factory=config.build_chaincode,
+        variant_factory=config.variant,
+        seed=config.seed,
+    )
+    runs = []
+    for _ in range(2):
+        record = network.run(
+            mix=config.workload.mix,
+            arrival_rate=config.arrival_rate,
+            duration=config.duration,
+            key_distribution=make_distribution(config.zipf_skew),
+            workload_name=config.workload.name,
+        )
+        runs.append((record_fingerprint(record), network.shard_transport_bytes))
+    assert network.shard_workers_used == 3
+    assert runs[0] == runs[1] and runs[0][1] > 0
+    _, shared = run_cell(experiment(ExecutionConfig()))
+    assert runs[0][0] == record_fingerprint(shared)
+
+
 def test_transaction_ids_are_per_channel_sequences():
     _, record = run_cell(experiment(ExecutionConfig(shard_workers=0)))
     prefixes = {tx.tx_id.rsplit("-", 1)[0] for tx in record.transactions}
