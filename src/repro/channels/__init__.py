@@ -11,9 +11,9 @@ Entry points: :class:`MultiChannelNetwork` (or simply
 ``ExperimentConfig(network=NetworkConfig(channels=4, ...))`` through the
 benchmark harness) — the one deployment class (the paper's single-channel
 network is its one-channel plan), whose execution plan
-(``NetworkConfig.execution``) decides whether the channels share one clock,
-run as independent shards in worker processes
-(``ExecutionConfig(shard_workers=0)``) or advance in conservative epochs —
+(``NetworkConfig.execution``) decides whether the channels share one clock
+or run as independent shards in worker processes
+(``ExecutionConfig(shard_workers=0)``) —
 :class:`ChannelTopology` for the placement policies and
 :class:`CrossChannelCoordinator` for the 2PC model.
 """

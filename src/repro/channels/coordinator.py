@@ -24,52 +24,29 @@ cross-channel chaincode invocation commits writes on the home channel alone
 and treats other-channel reads as unvalidated hints, and the simulation keeps
 that semantic.
 
-The protocol is written once; what varies is how a hop between two channels is
-*sent*.  On a shared clock both channels sit on one simulator, so a hop is a
-``sim.post(delay, ...)``.  Under conservative epoch execution every channel
-has its own clock, so the coordinator is given an *outbox* instead: each hop
-is appended to it with ``deliver_at = sender's now + delay`` and the epoch
-loop (:class:`~repro.channels.network.MultiChannelNetwork`) drains it at
-every barrier, injecting the delivery into the target channel's own clock at
-``max(natural arrival, barrier time)``.
+Both channels of a cross-channel transaction sit on one simulator clock (the
+shared-clock plan is the only one with cross traffic), so a hop between them
+is a ``sim.post(delay, ...)``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import SimulationError
 from repro.ledger.block import Transaction, ValidationCode
 from repro.network.network import Channel
 
 
-class EpochMessage(NamedTuple):
-    """One hop between two channel clocks, delivered at the next epoch barrier."""
-
-    deliver_at: float
-    target: int
-    callback: Callable[..., None]
-    args: tuple
-
-
 class CrossChannelCoordinator:
     """Coordinates the two-phase prepare/commit across channels."""
 
-    def __init__(
-        self,
-        channels: List[Channel],
-        rng: random.Random,
-        outbox: Optional[List[EpochMessage]] = None,
-    ) -> None:
+    def __init__(self, channels: List[Channel], rng: random.Random) -> None:
         if len(channels) < 2:
             raise SimulationError("a cross-channel coordinator needs at least two channels")
         self.channels = channels
         self.rng = rng
-        #: ``None`` on a shared clock (hops are posted on the one simulator);
-        #: otherwise the list every hop is appended to, which the epoch loop
-        #: empties at each barrier.
-        self.outbox = outbox
         #: ``(home channel index, key) -> tx_id`` of the transaction holding
         #: the prepare lock.
         self._locks: Dict[Tuple[int, str], str] = {}
@@ -91,7 +68,7 @@ class CrossChannelCoordinator:
             self._locks[(home.index, key)] = tx.tx_id
         self.prepares_started += 1
         tx.prepare_started_at = home.sim.now
-        self._send(home, partner, self._prepare_on_partner, tx, home, partner)
+        self._send(home, self._prepare_on_partner, tx, home, partner)
 
     def _prepare_on_partner(self, tx: Transaction, home: Channel, partner: Channel) -> None:
         """The prepare occupies the partner channel's ordering service."""
@@ -101,7 +78,7 @@ class CrossChannelCoordinator:
 
     def _prepared(self, tx: Transaction, home: Channel, partner: Channel) -> None:
         """The partner acked; the ack travels back to the coordinator."""
-        self._send(partner, home, self._commit_on_home, tx, home)
+        self._send(partner, self._commit_on_home, tx, home)
 
     def _commit_on_home(self, tx: Transaction, home: Channel) -> None:
         """Phase 2: release the locks and order the transaction at home."""
@@ -110,14 +87,9 @@ class CrossChannelCoordinator:
         tx.prepare_completed_at = home.sim.now
         home.orderer.submit(tx)
 
-    def _send(self, sender: Channel, target: Channel, callback, *args) -> None:
-        """One network hop from ``sender`` to ``target``; ``callback`` runs there."""
-        sim = sender.sim
-        delay = sender.latency.one_way(None, None)
-        if self.outbox is None:
-            sim.post(delay, callback, *args)
-        else:
-            self.outbox.append(EpochMessage(sim.now + delay, target.index, callback, args))
+    def _send(self, sender: Channel, callback, *args) -> None:
+        """One network hop from ``sender``; ``callback`` runs at the other end."""
+        sender.sim.post(sender.latency.one_way(None, None), callback, *args)
 
     # -------------------------------------------------------------- internals
     def _abort(self, tx: Transaction, home: Channel, keys: List[str]) -> None:

@@ -7,10 +7,10 @@ how to *build* its channels' Fabric slices
 :class:`~repro.sim.engine.Simulator` and one bus — a sole channel publishes on
 the group's bus directly, several channels keep a bus each, piped into it —
 with one :class:`~repro.observability.observer.RunObserver` on that bus when
-observability is on, how to *start* their client arrivals, and how to
-*collect* them into a picklable :class:`GroupResult`.  Who advances the
-clock — one drain, a pool worker, the epoch barrier loop — is the plan's
-business, not the group's.
+observability is on; and how to *run* them: start their client arrivals,
+drain the clock (profiled by the observer, when there is one) and collect
+them into a picklable :class:`GroupResult`.  Where a group runs — the
+deploying process or a pool worker — is the plan's business, not the group's.
 
 A channel's event sequence is a pure function of its own seed-derived stream
 family and its own transaction-id sequence (both named by the channel's
@@ -36,7 +36,6 @@ from repro.network.network import Channel, ChannelRecord
 from repro.observability.observer import ObservabilityData, RunObserver
 from repro.sim.collector import quiet_collector
 from repro.sim.engine import Simulator
-from repro.sim.profile import EngineProfiler
 from repro.sim.rng import RandomStreams
 from repro.workload.distributions import KeyDistribution
 from repro.workload.spec import CrossChannelMix, TransactionMix
@@ -77,8 +76,6 @@ class GroupResult:
     loads: Dict[int, dict]
     #: The group simulator's local end time.
     end: float
-    #: The group's :meth:`EngineProfiler.report` (``None`` when unprofiled).
-    engine: Optional[dict] = None
     observability: Optional[ObservabilityData] = None
 
 
@@ -129,10 +126,21 @@ class ChannelGroup:
                 )
                 if channel.faults is not None:
                     self.observer.watch_faults(channel.faults)
-        self.profiler: Optional[EngineProfiler] = None
+
+    def run(
+        self, args: RunArgs, coordinator: Optional[CrossChannelCoordinator] = None
+    ) -> GroupResult:
+        """Start the clients, drain the clock and collect the group."""
+        self.start_clients(args, coordinator)
+        if self.observer is not None:
+            with self.observer.profile():
+                self.sim.run_until_empty()
+        else:
+            self.sim.run_until_empty()
+        return self.collect(args)
 
     def start_clients(
-        self, args: RunArgs, coordinator: Optional[CrossChannelCoordinator] = None
+        self, args: RunArgs, coordinator: Optional[CrossChannelCoordinator]
     ) -> None:
         """Schedule every channel's client arrivals for the run."""
         spec = self.spec
@@ -160,20 +168,6 @@ class ChannelGroup:
                 orderer=gateway,
                 retry_governor=self.governor,
             )
-
-    def attach_profiler(self) -> EngineProfiler:
-        """An :class:`EngineProfiler` for this group whatever the config says.
-
-        Plans of more than one group want per-group engine statistics for the
-        merged summary even when metrics are off; the caller enters the
-        returned profiler around its drain.  The one-group plan does *not*
-        call this — it leaves profiling to :meth:`RunObserver.profile`, so an
-        unobserved run pays no per-batch hook.
-        """
-        self.profiler = EngineProfiler(self.sim)
-        if self.observer is not None:
-            self.observer.adopt_profiler(self.profiler)
-        return self.profiler
 
     def collect(self, args: RunArgs) -> GroupResult:
         """Harvest the drained group."""
@@ -210,7 +204,6 @@ class ChannelGroup:
             records=records,
             loads={channel.index: channel.station_loads() for channel in self.channels},
             end=self.sim.now,
-            engine=self.profiler.report() if self.profiler is not None else None,
             observability=observability,
         )
 
@@ -219,11 +212,7 @@ def simulate_group(
     spec: GroupSpec, args: RunArgs, governor: Optional[ResubmissionGovernor] = None
 ) -> GroupResult:
     """Build one independent group, drain it on its own clock and collect it."""
-    group = ChannelGroup(spec, governor)
-    group.start_clients(args)
-    with group.attach_profiler():
-        group.sim.run_until_empty()
-    return group.collect(args)
+    return ChannelGroup(spec, governor).run(args)
 
 
 @quiet_collector()

@@ -38,15 +38,10 @@ advances their clocks — is a pure function of ``config.execution`` and
     the shared clock (asserted by the golden bit-identity suite); only
     ``RunRecord.execution`` / ``shard_count`` and wall-clock observability
     detail differ.
-``sharded-conservative``
-    One in-process group per channel plus a barrier loop: the clocks advance
-    in lock-step epochs of width ``timing.cross_channel_prepare`` (the minimum
-    cross-channel hop service time — the classic conservative-PDES lookahead
-    bound) and two-phase prepare/commit hops cross groups only at epoch
-    boundaries.  A *distinct* simulation semantics — deterministic and
-    golden-pinned separately, never claimed identical to the shared clock.
 
-Every plan ends in :func:`repro.channels.merge.merge_group_results`.
+Both plans drain every group the same way
+(:meth:`~repro.channels.group.ChannelGroup.run`) and end in
+:func:`repro.channels.merge.merge_group_results`.
 
 Modeling notes:
 
@@ -67,11 +62,9 @@ Modeling notes:
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import pickle
 import time
-from contextlib import ExitStack
 from typing import Callable, List, Optional, Tuple
 
 from repro.channels.coordinator import CrossChannelCoordinator
@@ -83,7 +76,7 @@ from repro.channels.group import (
     simulate_group,
     simulate_group_to_bytes,
 )
-from repro.channels.merge import merge_engine_reports, merge_group_results
+from repro.channels.merge import merge_group_results
 from repro.channels.topology import ChannelRouter, ChannelTopology
 from repro.chaincode.base import Chaincode
 from repro.errors import ConfigurationError
@@ -102,8 +95,6 @@ def plan_groups(
     config: NetworkConfig, partner_strategy: str = "uniform"
 ) -> Tuple[str, Tuple[Tuple[int, ...], ...]]:
     """The execution plan of ``config``: ``(execution mode, channels per group)``."""
-    if config.execution.conservative:
-        return "sharded-conservative", tuple((index,) for index in range(config.channels))
     shards = plan_shards(config.channels, config.cross_channel_rate, partner_strategy)
     # The resubmission rate cap is one token bucket across *all* channels;
     # slicing it per process would change admission decisions.
@@ -119,12 +110,10 @@ class MultiChannelNetwork:
     ``execution_mode`` names the plan from construction on.  On the
     shared-clock plan ``sim``, ``bus`` and ``channels`` are the one group's —
     an :class:`~repro.sim.profile.EngineProfiler` attached to ``sim`` before
-    :meth:`run` observes the whole run.  On the conservative plan ``sim`` is
-    ``None`` (there is one clock per channel), ``bus`` receives every group's
-    events and ``channels`` lists every channel; on the sharded plan the
-    groups live where they run, so ``channels`` is empty, ``bus`` stays silent
-    and ``coordinator`` is ``None`` (a topology that partitions has no cross
-    traffic) — what happened surfaces in the record.
+    :meth:`run` observes the whole run.  On the sharded plan the groups live
+    where they run, so ``sim`` is ``None``, ``channels`` is empty, ``bus``
+    stays silent and ``coordinator`` is ``None`` (a topology that partitions
+    has no cross traffic) — what happened surfaces in the record.
     """
 
     def __init__(
@@ -169,46 +158,32 @@ class MultiChannelNetwork:
             )
             for part in parts
         ]
-        #: The in-process groups, built here so that their simulators can be
-        #: instrumented before :meth:`run`.  Empty on the sharded plan, whose
-        #: groups are built where they run (a pool worker, or :meth:`run`).
-        self.groups: List[ChannelGroup] = (
-            []
+        #: The shared-clock plan's one group, built here so that its simulator
+        #: can be instrumented before :meth:`run`.  ``None`` on the sharded
+        #: plan, whose groups are built where they run (a pool worker, or
+        #: :meth:`run`).
+        self.group: Optional[ChannelGroup] = (
+            None
             if self.execution_mode == "sharded"
-            else [ChannelGroup(spec, self.retry_governor) for spec in self._specs]
+            else ChannelGroup(self._specs[0], self.retry_governor)
         )
-        self.channels: List[Channel] = [
-            channel for group in self.groups for channel in group.channels
-        ]
-        if len(self.groups) == 1:
-            self.sim = self.groups[0].sim
-            #: Deployment-wide lifecycle event stream.  One group: its bus.
-            self.bus = self.groups[0].bus
-        else:
-            self.sim = None
-            self.bus = LifecycleBus()
-            for group in self.groups:
-                group.bus.pipe_to(self.bus)
+        group = self.group
+        self.sim = group.sim if group else None
+        #: Deployment-wide lifecycle event stream: the one group's bus.
+        self.bus = group.bus if group else LifecycleBus()
+        self.channels: List[Channel] = list(group.channels) if group else []
         #: Two-phase commit needs two channels in this process: ``None`` for a
         #: one-channel deployment and on the sharded plan.
         self.coordinator: Optional[CrossChannelCoordinator] = (
-            CrossChannelCoordinator(
-                channels=self.channels,
-                rng=self.streams.stream("coordinator"),
-                outbox=None if len(self.groups) == 1 else [],
-            )
+            CrossChannelCoordinator(self.channels, self.streams.stream("coordinator"))
             if len(self.channels) > 1
             else None
         )
-        #: Filled by :meth:`run`: processes that simulated (this one included),
-        #: pickled result bytes the pool sent back (0 when every group ran
-        #: in-process; this process's own shards cross nothing) and
-        #: the merged engine profile of the plan's per-group profilers (also
-        #: embedded in the record's observability summary; ``None`` on the
-        #: shared-clock plan, which attaches none).
+        #: Filled by :meth:`run`: processes that simulated (this one included)
+        #: and pickled result bytes the pool sent back (0 when every group ran
+        #: in-process; this process's own shards cross nothing).
         self.shard_workers_used = 0
         self.shard_transport_bytes = 0
-        self.engine_summary: Optional[dict] = None
 
     # -------------------------------------------------------------------- run
     @quiet_collector()
@@ -226,17 +201,13 @@ class MultiChannelNetwork:
         if duration <= 0:
             raise ConfigurationError(f"the duration must be positive, got {duration}")
         args = RunArgs(mix, arrival_rate, duration, key_distribution, workload_name)
-        drain = {
-            "shared-clock": self._drain_shared_clock,
-            "sharded": self._drain_shards,
-            "sharded-conservative": self._drain_epochs,
-        }[self.execution_mode]
         started = time.perf_counter()
-        results = drain(args)
+        if self.group is None:
+            results = self._drain_shards(args)
+        else:
+            self.shard_workers_used = 1
+            results = [self.group.run(args, self.coordinator)]
         wall_seconds = time.perf_counter() - started
-        reports = [result.engine for result in results if result.engine is not None]
-        if reports:
-            self.engine_summary = merge_engine_reports(reports, wall_seconds)
         return merge_group_results(
             results,
             config=self.config,
@@ -246,18 +217,7 @@ class MultiChannelNetwork:
             execution=self.execution_mode,
         )
 
-    # ------------------------------------------------------------------ plans
-    def _drain_shared_clock(self, args: RunArgs) -> List[GroupResult]:
-        (group,) = self.groups
-        self.shard_workers_used = 1
-        group.start_clients(args, self.coordinator)
-        if group.observer is not None:
-            with group.observer.profile():
-                group.sim.run_until_empty()
-        else:
-            group.sim.run_until_empty()
-        return [group.collect(args)]
-
+    # --------------------------------------------------------------- shards
     def _drain_shards(self, args: RunArgs) -> List[GroupResult]:
         specs = self._specs
         self.shard_transport_bytes = 0
@@ -285,44 +245,3 @@ class MultiChannelNetwork:
                 self.shard_transport_bytes += len(blob)
                 results[index] = pickle.loads(blob)
         return results
-
-    def _drain_epochs(self, args: RunArgs) -> List[GroupResult]:
-        self.shard_workers_used = 1
-        width = self.config.timing.cross_channel_prepare
-        if width <= 0:
-            raise ConfigurationError(
-                "conservative execution needs a positive cross_channel_prepare "
-                f"lookahead, got {width}"
-            )
-        # The groups only interact through the coordinator's outbox, which
-        # the barrier loop below drains once per epoch.  One group per
-        # channel, so a message's target channel index is its group's index.
-        for group in self.groups:
-            group.start_clients(args, self.coordinator)
-        outbox = self.coordinator.outbox
-        with ExitStack() as profilers:
-            # Each group's profiler stays attached across every epoch slice;
-            # its wall-clock window spans the whole barrier loop (the groups
-            # interleave on one OS thread, so per-group wall time is not
-            # separable).
-            for group in self.groups:
-                profilers.enter_context(group.attach_profiler())
-            barrier = 0.0
-            while True:
-                for message in outbox:
-                    self.groups[message.target].sim.post_at(
-                        max(message.deliver_at, barrier), message.callback, *message.args
-                    )
-                del outbox[:]
-                next_time = min(group.sim.next_event_time for group in self.groups)
-                if next_time == math.inf:
-                    break
-                # Jump straight to the epoch containing the next event — the
-                # barrier stays on the k*width grid (message delivery times
-                # are a function of that grid, so determinism requires never
-                # leaving it) but runs of provably empty epochs are skipped
-                # outright.
-                barrier = max(barrier + width, math.ceil(next_time / width) * width)
-                for group in self.groups:
-                    group.sim.run(until=barrier)
-        return [group.collect(args) for group in self.groups]

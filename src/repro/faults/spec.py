@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -102,48 +103,54 @@ class FaultConfig:
         return self.endorsement_loss_rate > 0 or self.endorser_slowdown_rate > 0
 
     def validate(self) -> None:
-        """Raise :class:`ConfigurationError` for inconsistent settings."""
-        if self.peer_crash_rate < 0:
+        """Raise :class:`ConfigurationError` for inconsistent settings.
+
+        Every bound is written so that NaN and infinity fail it too.
+        """
+        if not 0 <= self.peer_crash_rate < math.inf:
             raise ConfigurationError(
-                f"the peer crash rate must be >= 0, got {self.peer_crash_rate}"
+                f"the peer crash rate must be >= 0 and finite, got {self.peer_crash_rate}"
             )
-        if self.peer_downtime <= 0:
+        if not 0 < self.peer_downtime < math.inf:
             raise ConfigurationError(
-                f"the mean peer downtime must be positive, got {self.peer_downtime}"
+                f"the mean peer downtime must be positive and finite, got {self.peer_downtime}"
             )
-        if self.endorser_slowdown_rate < 0:
+        if not 0 <= self.endorser_slowdown_rate < math.inf:
             raise ConfigurationError(
-                f"the endorser slowdown rate must be >= 0, got {self.endorser_slowdown_rate}"
+                "the endorser slowdown rate must be >= 0 and finite, got "
+                f"{self.endorser_slowdown_rate}"
             )
-        if self.endorser_slowdown_factor < 1.0:
+        if not 1 <= self.endorser_slowdown_factor < math.inf:
             raise ConfigurationError(
-                f"the endorser slowdown factor must be >= 1, got {self.endorser_slowdown_factor}"
+                "the endorser slowdown factor must be >= 1 and finite, got "
+                f"{self.endorser_slowdown_factor}"
             )
-        if self.endorser_slowdown_duration <= 0:
+        if not 0 < self.endorser_slowdown_duration < math.inf:
             raise ConfigurationError(
-                "the mean endorser slowdown duration must be positive, got "
+                "the mean endorser slowdown duration must be positive and finite, got "
                 f"{self.endorser_slowdown_duration}"
             )
         if not 0.0 <= self.endorsement_loss_rate <= 1.0:
             raise ConfigurationError(
                 f"the endorsement loss rate must be in [0, 1], got {self.endorsement_loss_rate}"
             )
-        if self.endorsement_timeout <= 0:
+        if not 0 < self.endorsement_timeout < math.inf:
             raise ConfigurationError(
-                f"the endorsement timeout must be positive, got {self.endorsement_timeout}"
+                "the endorsement timeout must be positive and finite, got "
+                f"{self.endorsement_timeout}"
             )
         for start, duration in self.orderer_outages:
-            if start < 0 or duration <= 0:
+            if not (0 <= start < math.inf and 0 < duration < math.inf):
                 raise ConfigurationError(
-                    f"orderer outage windows need start >= 0 and duration > 0, "
-                    f"got ({start}, {duration})"
+                    "orderer outage windows need a finite start >= 0 and a finite "
+                    f"duration > 0, got ({start}, {duration})"
                 )
         for channel, start, duration in self.partitions:
             if channel < 0:
                 raise ConfigurationError(f"partition channel index must be >= 0, got {channel}")
-            if start < 0 or duration <= 0:
+            if not (0 <= start < math.inf and 0 < duration < math.inf):
                 raise ConfigurationError(
-                    f"partition windows need start >= 0 and duration > 0, "
+                    "partition windows need a finite start >= 0 and a finite duration > 0, "
                     f"got ({start}, {duration}) on channel {channel}"
                 )
 
@@ -199,6 +206,13 @@ def _number(kind: str, key: str, raw: str) -> float:
         raise ConfigurationError(
             f"fault spec {kind!r}: parameter {key}={raw!r} is not a number"
         ) from exc
+
+
+def _channel_index(label: str, value: float) -> int:
+    """A partition's channel index; ``int()`` of NaN or infinity would raise."""
+    if not -math.inf < value < math.inf:
+        raise ConfigurationError(f"fault spec parameter {label} must be finite, got {value}")
+    return int(value)
 
 
 def _clause_params(kind: str, parts: List[str]) -> Dict[str, float]:
@@ -273,7 +287,7 @@ def fault_config_from_dsl(text: str) -> FaultConfig:
         elif kind == "partition":
             partitions.append(
                 (
-                    int(params.get("channel", 0)),
+                    _channel_index("partition.channel", params.get("channel", 0.0)),
                     params.get("start", 0.0),
                     params.get("duration", 1.0),
                 )
@@ -288,8 +302,8 @@ def fault_config_from_dsl(text: str) -> FaultConfig:
         config = replace(config, orderer_outages=tuple(outages))
     if partitions:
         config = replace(config, partitions=tuple(partitions))
-    _reject_disabled_spec(config, bool(text.strip()))
     config.validate()
+    _reject_disabled_spec(config, bool(text.strip()))
     return config
 
 
@@ -341,7 +355,7 @@ def fault_config_from_json(text: str) -> FaultConfig:
     if "partitions" in document:
         kwargs["partitions"] = tuple(
             (
-                int(_json_number("partitions.channel", channel)),
+                _channel_index("partitions.channel", _json_number("partitions.channel", channel)),
                 _json_number("partitions.start", start),
                 _json_number("partitions.duration", duration),
             )
@@ -358,8 +372,8 @@ def fault_config_from_json(text: str) -> FaultConfig:
     config = FaultConfig(**kwargs)
     # An explicit JSON document — even '{}' — is a stated intent to inject
     # faults, so a disabled result always fails loudly.
-    _reject_disabled_spec(config, True)
     config.validate()
+    _reject_disabled_spec(config, True)
     return config
 
 

@@ -202,8 +202,8 @@ class NetworkConfig:
     #: Parallel-execution strategy for multi-channel runs (see
     #: :mod:`repro.sim.shard`).  ``shard_workers=1`` (the default) keeps the
     #: shared-clock path; sharded execution of independent channels is
-    #: bit-identical to it, so a non-conservative execution config is never
-    #: part of the experiment cell hash.
+    #: bit-identical to it, so the execution config is never part of the
+    #: experiment cell hash.
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     timing: TimingProfile = field(default_factory=TimingProfile)
 
@@ -276,11 +276,6 @@ class NetworkConfig:
         self.observability.validate()
         self.checker.validate()
         self.execution.validate()
-        if self.execution.conservative and self.channels < 2:
-            raise ConfigurationError(
-                "conservative (epoch-synchronized) execution needs at least two "
-                f"channels, got {self.channels}"
-            )
         for channel, _start, _duration in self.faults.partitions:
             if channel >= self.channels:
                 raise ConfigurationError(
@@ -315,9 +310,8 @@ class NetworkConfig:
                 f" channels={self.channels} placement={self.placement} "
                 f"cross={self.cross_channel_rate:.0%}"
             )
-        if self.execution.conservative or self.execution.shard_workers != 1:
-            mode = "conservative" if self.execution.conservative else "sharded"
-            summary += f" exec={mode}(workers={self.execution.shard_workers})"
+        if self.execution.shard_workers != 1:
+            summary += f" exec=sharded(workers={self.execution.shard_workers})"
         if self.retry.enabled:
             summary += f" retry={self.retry.policy}x{self.retry.max_retries}"
         if self.faults.enabled:

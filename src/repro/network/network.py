@@ -103,11 +103,10 @@ class RunRecord:
     #: unless ``config.observability`` is enabled; see :mod:`repro.observability`).
     observability: Optional[ObservabilityData] = None
     #: How the run executed: ``"shared-clock"`` (one simulator — the default
-    #: and the reference semantics), ``"sharded"`` (independent channels in
-    #: worker processes, bit-identical to shared-clock by contract) or
-    #: ``"sharded-conservative"`` (epoch-synchronized shards — deterministic
-    #: but *distinct* semantics).  Execution metadata: excluded, along with
-    #: ``shard_count``, from bit-identity comparisons.
+    #: and the reference semantics) or ``"sharded"`` (independent channels in
+    #: worker processes, bit-identical to shared-clock by contract).
+    #: Execution metadata: excluded, along with ``shard_count``, from
+    #: bit-identity comparisons.
     execution: str = "shared-clock"
     #: Per-channel isolation verdicts of the run (``None`` unless
     #: ``config.checker`` is enabled; see :mod:`repro.checker`).
@@ -286,7 +285,7 @@ class Channel:
         #: ``config.checker`` is enabled).  Installed per slice — on the
         #: slice's *own* bus, never a bus other channels are piped into — so
         #: each channel is checked against its own chain and the verdicts are
-        #: identical across shared-clock, sharded and conservative execution.
+        #: identical across shared-clock and sharded execution.
         self.isolation_checker: Optional[IsolationChecker] = (
             IsolationChecker(self.bus, self.config.checker, channel=label)
             if self.config.checker.enabled

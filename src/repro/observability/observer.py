@@ -134,16 +134,6 @@ class RunObserver:
         else:
             yield
 
-    def adopt_profiler(self, profiler: EngineProfiler) -> None:
-        """Use an externally managed :class:`EngineProfiler` for the summary.
-
-        An execution plan of several channel groups attaches one profiler per
-        group simulator itself (it wants engine stats even when metrics are
-        off); adopting it lets :meth:`collect` embed the report exactly as
-        :meth:`profile` would have.
-        """
-        self._profiler = profiler
-
     # ------------------------------------------------------------- collection
     def collect(
         self, block_times: Optional[BlockTimes] = None, final_time: Optional[float] = None

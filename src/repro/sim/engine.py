@@ -176,37 +176,6 @@ class Simulator:
         """Number of *live* events currently queued (cancelled ones excluded)."""
         return self._live
 
-    @property
-    def next_event_time(self) -> float:
-        """Timestamp of the earliest queued entry (``inf`` when empty).
-
-        A lower bound: a cancelled-but-not-yet-evicted entry may report an
-        earlier time than the first live event.  That is exactly what the
-        conservative epoch loop (:mod:`repro.channels.network`) needs to skip
-        empty barrier windows — skipping too little is safe, skipping past a
-        live event would not be.  With zero live events the queue *is* empty
-        (whatever cancelled husks remain will never run), so the bound must
-        be ``inf`` — a husk's finite timestamp would make an exhausted
-        simulator look forever busy.
-        """
-        if not self._live:
-            return _INF
-        best = _INF
-        if self._current:
-            best = self._current[0][0]
-        if self._near_count:
-            ring = self._ring
-            for index in range(self._ring_pos + 1, _BUCKET_COUNT):
-                bucket = ring[index]
-                if bucket:
-                    earliest = min(entry[0] for entry in bucket)
-                    if earliest < best:
-                        best = earliest
-                    break  # later buckets only hold later times
-        if self._overflow and self._overflow[0][0] < best:
-            best = self._overflow[0][0]
-        return best
-
     def queue_stats(self) -> dict:
         """Internal queue occupancy, for tests and the engine profiler.
 

@@ -16,9 +16,7 @@ run apart and *how many* processes they may occupy:
   :class:`~repro.network.config.NetworkConfig` selecting the execution
   strategy: ``shard_workers=1`` (default) keeps the classic shared-clock
   path, ``0`` sizes the set of simulating processes (this one included)
-  automatically, ``N >= 2`` caps it, and
-  ``conservative=True`` opts a fully-coupled topology into the
-  epoch-synchronized engine (see :mod:`repro.channels.network`).
+  automatically and ``N >= 2`` caps it (see :mod:`repro.channels.network`).
 * :func:`resolve_worker_count` / :func:`process_budget` implement the shared
   process budget: the experiment runner exports
   :data:`PROCESS_BUDGET_ENV` before fanning cells out, so runner workers ×
@@ -26,15 +24,12 @@ run apart and *how many* processes they may occupy:
 
 The execution strategy never changes *what* a run computes — sharded
 execution with ``cross_channel_rate == 0`` is bit-identical to the
-shared-clock path — so a plain :class:`ExecutionConfig` is excluded from the
-experiment cell hash.  The one exception is ``conservative=True``, which has
-its own (deterministic, but distinct) epoch semantics and therefore its own
-cell identity.
+shared-clock path — so :class:`ExecutionConfig` is excluded from the
+experiment cell hash.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -57,14 +52,10 @@ class ExecutionConfig:
     ``1`` (the default) is the classic shared-clock simulation, ``0`` shards
     independent channels across an automatically sized set of processes, and
     ``N >= 2`` shards over at most ``N`` — this one and a pool of ``N - 1``
-    workers.  ``conservative=True`` additionally opts coupled topologies
-    (``cross_channel_rate > 0``) into barrier-synchronized epoch execution —
-    a *distinct* simulation semantics, golden-pinned separately, never
-    claimed identical to the shared clock.
+    workers.
     """
 
     shard_workers: int = 1
-    conservative: bool = False
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` for invalid worker counts."""
@@ -80,14 +71,12 @@ class ExecutionConfig:
     def identity(self) -> Optional[dict]:
         """What this config adds to an experiment cell's identity.
 
-        ``None`` unless it selects *conservative* epoch execution: sharding
-        independent channels across worker processes is bit-identical to the
-        shared-clock run (the contract the golden bit-identity suite pins), so
-        where a cell executes is not part of what it is — but the
-        conservative engine has distinct epoch semantics and therefore its
-        own hash.
+        Always ``None``: sharding independent channels across worker
+        processes is bit-identical to the shared-clock run (the contract the
+        golden bit-identity suite pins), so where a cell executes is not part
+        of what it is.
         """
-        return dataclasses.asdict(self) if self.conservative else None
+        return None
 
 
 @dataclass(frozen=True)

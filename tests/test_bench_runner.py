@@ -514,9 +514,8 @@ def _sharded_config(shard_workers: int = 4) -> ExperimentConfig:
     [
         (None, dict(channels=1, execution=ExecutionConfig(shard_workers=0)), 1),
         (None, dict(channels=4), 1),
-        # Coupled: shared clock, or in-process epochs.
+        # Coupled: shared clock.
         (None, dict(channels=4, cross_channel_rate=0.1, execution=ExecutionConfig(0)), 1),
-        (None, dict(channels=4, cross_channel_rate=0.1, execution=ExecutionConfig(1, True)), 1),
         (None, dict(channels=4, execution=ExecutionConfig(shard_workers=2)), 2),
         ("2", dict(channels=8, execution=ExecutionConfig(shard_workers=0)), 2),
         # One global resubmission bucket cannot be split across processes, so
@@ -532,7 +531,7 @@ def _sharded_config(shard_workers: int = 4) -> ExperimentConfig:
             1,
         ),
     ],
-    ids=["one-channel", "shared-clock", "coupled", "epochs", "two-workers", "auto", "rate-capped"],
+    ids=["one-channel", "shared-clock", "coupled", "two-workers", "auto", "rate-capped"],
 )
 def test_task_footprint_is_what_the_plan_occupies(budget, network, expected, monkeypatch):
     if budget is None:

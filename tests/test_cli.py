@@ -526,6 +526,28 @@ def test_fault_spec_partition_beyond_channels_exits_2(capsys):
     assert "channel 3" in captured.err
 
 
+#: A ``--fault-spec`` with a NaN or infinite number -> the field its error names.
+NON_FINITE_FAULT_SPECS = {
+    "peer-crash:rate=0.1,downtime=inf": "mean peer downtime",
+    "peer-crash:rate=0.1,downtime=nan": "mean peer downtime",
+    "endorser-slowdown:rate=0.1,factor=nan": "endorser slowdown factor",
+    "peer-crash:rate=inf": "peer crash rate",
+    '{"peer_crash": {"rate": NaN}}': "peer crash rate",
+    "orderer-outage:start=nan,duration=1": "orderer outage windows",
+    "partition:channel=inf,start=0,duration=1": "partition.channel",
+}
+
+
+@pytest.mark.parametrize("spec", NON_FINITE_FAULT_SPECS)
+def test_fault_spec_non_finite_numbers_exit_2_naming_the_field(capsys, spec):
+    # NaN slips through every ``x < bound`` comparison and infinity through
+    # every ``x > 0``; each input here used to crash, run, or fail elsewhere.
+    with pytest.raises(SystemExit) as excinfo:
+        main(RUN_FAULT_ARGS + ["--fault-spec", spec])
+    assert excinfo.value.code == 2
+    assert NON_FINITE_FAULT_SPECS[spec] in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
 def test_parser_rejects_non_finite_duration(capsys, value):
     parser = build_parser()

@@ -21,7 +21,7 @@ from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
 from repro.observability.config import ObservabilityConfig
 from repro.sim.collector import DEFERRED_FULL_COLLECTIONS, quiet_collector
-from repro.sim.shard import ExecutionConfig
+from repro.sim.shard import PROCESS_BUDGET_ENV, ExecutionConfig
 from repro.workload.distributions import make_distribution
 from repro.workload.workloads import uniform_workload
 
@@ -142,16 +142,15 @@ DEPLOYMENTS = {
     "single-channel": dict(),
     "shared-clock": dict(channels=2, cross_channel_rate=0.0),
     "sharded-in-process": dict(
-        channels=2, cross_channel_rate=0.0, execution=ExecutionConfig(shard_workers=1)
-    ),
-    "conservative": dict(
-        channels=2, cross_channel_rate=0.05, execution=ExecutionConfig(conservative=True)
+        channels=2, cross_channel_rate=0.0, execution=ExecutionConfig(shard_workers=0)
     ),
 }
 
 
 @pytest.mark.parametrize("deployment", DEPLOYMENTS)
-def test_no_full_collection_starts_inside_a_run(deployment):
+def test_no_full_collection_starts_inside_a_run(monkeypatch, deployment):
+    # A budget of one process drains every shard of the sharded plan here.
+    monkeypatch.setenv(PROCESS_BUDGET_ENV, "1")
     config = ehr_cell(**DEPLOYMENTS[deployment])
     # Enough transactions that the interpreter's own schedule would have run
     # full collections (it does, at the parent of this change).
@@ -162,6 +161,8 @@ def test_no_full_collection_starts_inside_a_run(deployment):
     with full_collections() as seen:
         record = run_cell(config, network)
     assert len(record.transactions) > 1500
+    if deployment == "sharded-in-process":
+        assert record.execution == "sharded" and network.shard_workers_used == 1
     assert seen == []
     assert collector_state() == state
 

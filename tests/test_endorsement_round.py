@@ -250,9 +250,9 @@ def test_completion_reaching_a_closed_round_draws_its_latency_and_posts_nothing(
     twin_stream = random.Random()
     twin_stream.setstate(stream.getstate())
     twin = LatencyModel(client.config, twin_stream)
-    for org_index in (1, 2):
+    for org_index, until in ((1, 2.5), (2, 3.5)):
         pending = sim.pending_events
-        sim.run(until=sim.next_event_time)
+        sim.run(until=until)
         # The completion event itself is gone and it scheduled nothing...
         assert sim.pending_events == pending - 1
         # ...but the channel's shared latency stream moved by exactly its draw.

@@ -55,7 +55,7 @@ from repro.observability import (
     write_span_jsonl,
 )
 from repro.sim.engine import Simulator
-from repro.sim.shard import ExecutionConfig
+from repro.sim.shard import PROCESS_BUDGET_ENV, ExecutionConfig
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 sys.path.insert(0, str(GOLDEN_DIR))
@@ -282,12 +282,18 @@ def test_registry_snapshot_is_sorted_and_typed():
     assert {"p50", "p95", "p99"} <= set(latency)
 
 
-@pytest.mark.parametrize("conservative, observers", [(False, 1), (True, 2)])
+@pytest.mark.parametrize(
+    "cross_channel_rate, execution, observers",
+    [(0.05, ExecutionConfig(), 1), (0.0, ExecutionConfig(shard_workers=0), 2)],
+    ids=["shared-clock", "sharded"],
+)
 def test_an_abort_asks_the_registry_for_a_name_not_for_a_snapshot(
-    monkeypatch, conservative, observers
+    monkeypatch, cross_channel_rate, execution, observers
 ):
     # One observer per channel group: two channels on a shared clock are one
-    # group, the same two on conservative epochs are a group each.
+    # group, the same two uncoupled channels as shards are a group each (both
+    # drained in this process under a budget of one).
+    monkeypatch.setenv(PROCESS_BUDGET_ENV, "1")
     snapshots = []
     snapshot = MetricsRegistry.snapshot
     monkeypatch.setattr(
@@ -296,12 +302,13 @@ def test_an_abort_asks_the_registry_for_a_name_not_for_a_snapshot(
     config = traced_config(
         network_kwargs=dict(
             channels=2,
-            cross_channel_rate=0.05,
+            cross_channel_rate=cross_channel_rate,
             faults=FaultConfig(endorsement_loss_rate=0.05, peer_crash_rate=0.05),
-            execution=ExecutionConfig(conservative=conservative),
+            execution=execution,
         )
     )
     record = run_experiment(config).analyses[0].record
+    assert record.shard_count == observers
     assert record.lifecycle_counts["aborted"] > 20
     rates = {name for row in record.observability.samples for name in row}
     assert any(name.startswith("abort_rate/") for name in rates)
@@ -400,8 +407,7 @@ def test_disabled_observability_creates_no_observer():
         variant_factory="fabric-1.4",
         seed=7,
     )
-    (group,) = network.groups
-    assert group.observer is None
+    assert network.group.observer is None
     assert not network.bus._listeners
     assert network.sim.pending_events == 0
 

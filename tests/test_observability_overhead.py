@@ -50,7 +50,7 @@ def build_disabled_network() -> MultiChannelNetwork:
 # ------------------------------------------------------------------ structural
 def test_disabled_observability_installs_nothing():
     network = build_disabled_network()
-    assert network.groups[0].observer is None
+    assert network.group.observer is None
     assert not network.bus._listeners, "a disabled config subscribed a bus listener"
     assert network.sim.pending_events == 0, "a disabled config pre-scheduled engine events"
     assert not network.sim.profiler_attached

@@ -31,7 +31,7 @@ from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
 from repro.observability.config import ObservabilityConfig
 from repro.observability.export import write_chrome_trace
-from repro.sim.shard import ExecutionConfig
+from repro.sim.shard import PROCESS_BUDGET_ENV, ExecutionConfig
 from repro.workload.distributions import make_distribution
 from repro.workload.workloads import uniform_workload
 
@@ -115,10 +115,14 @@ def test_bit_identity_holds_for_every_variant_family(variant):
     assert record_fingerprint(sharded) == record_fingerprint(shared)
 
 
-def test_multiprocess_shards_match_in_process_shards():
+def test_multiprocess_shards_match_in_process_shards(monkeypatch):
     # An explicit worker cap forces the real multiprocessing.Pool path; the
-    # merge must be byte-equal to the workers=1 sequential execution.
-    _, sequential = run_cell(experiment(ExecutionConfig(shard_workers=1 << 0)))
+    # merge must be byte-equal to every shard drained in this one process
+    # (auto-sized workers under a budget of one process).
+    monkeypatch.setenv(PROCESS_BUDGET_ENV, "1")
+    network, sequential = run_cell(experiment(ExecutionConfig(shard_workers=0)))
+    assert sequential.execution == "sharded" and network.shard_workers_used == 1
+    monkeypatch.delenv(PROCESS_BUDGET_ENV)
     _, pooled = run_cell(experiment(ExecutionConfig(shard_workers=4)))
     _, shared = run_cell(experiment(ExecutionConfig()))
     fingerprint = record_fingerprint(shared)
@@ -199,6 +203,30 @@ def test_coupled_topology_falls_back_to_the_shared_clock():
     assert record.shard_count == 1
     _, reference = run_cell(experiment(ExecutionConfig(), cross_channel_rate=0.1))
     assert record_fingerprint(record) == record_fingerprint(reference)
+
+
+def test_retry_rate_cap_is_one_bucket_across_all_channels():
+    # One deployment-wide token bucket: rate_cap tokens per simulated second
+    # plus the initial burst bound the resubmissions of the *whole* run.  A
+    # bucket per channel would admit up to four times as many.
+    rate_cap = 5.0
+    config = ExperimentConfig(
+        network=NetworkConfig(
+            cluster="C1",
+            database="leveldb",
+            block_size=10,
+            channels=4,
+            cross_channel_rate=0.1,
+            retry=RetryConfig(policy="immediate", rate_cap=rate_cap),
+        ),
+        arrival_rate=400.0,
+        duration=4.0,
+        zipf_skew=1.0,
+        seed=7,
+    )
+    _, record = run_cell(config)
+    assert record.retry_rate_denied > 0
+    assert record.resubmissions <= rate_cap * record.simulated_end + max(1, rate_cap)
 
 
 def test_global_retry_rate_cap_forces_the_shared_clock():
@@ -291,22 +319,17 @@ CHECKED = CheckerConfig(enabled=True)
 def test_checker_verdicts_identical_across_execution_strategies():
     # The checker subscribes to each channel slice's own bus, so the verdict
     # and every retained witness must be bit-identical no matter how the
-    # channels were scheduled: shared clock, in-process shards, a real worker
-    # pool (the report crosses a process boundary), or conservative epochs
-    # (which degenerate to independent clocks on an uncoupled topology).
+    # channels were scheduled: shared clock, in-process shards, or a real
+    # worker pool (the report crosses a process boundary).
     _, shared = run_cell(experiment(ExecutionConfig(), checker=CHECKED))
     _, sharded = run_cell(experiment(ExecutionConfig(shard_workers=0), checker=CHECKED))
     _, pooled = run_cell(experiment(ExecutionConfig(shard_workers=4), checker=CHECKED))
-    _, conservative = run_cell(
-        experiment(ExecutionConfig(conservative=True), checker=CHECKED)
-    )
     assert shared.isolation is not None
     summary = shared.isolation.summary()
     assert summary["verdict"] == "CERTIFIED-SERIALIZABLE"
     assert summary["committed"] > 0
     assert sharded.isolation.summary() == summary
     assert pooled.isolation.summary() == summary
-    assert conservative.isolation.summary() == summary
     # record_fingerprint covers the isolation digest, so the existing
     # bit-identity contract now extends to checker output as well.
     assert record_fingerprint(sharded) == record_fingerprint(shared)
@@ -318,25 +341,6 @@ def test_fingerprint_covers_the_isolation_digest():
     baseline = record_fingerprint(record)
     record.isolation = None
     assert record_fingerprint(record) != baseline
-
-
-def test_checker_certifies_the_coupled_conservative_cell():
-    # Conservative epochs on a coupled topology are a distinct simulation
-    # semantics, but the committed history they produce must still certify —
-    # and deterministically so.
-    _, first = run_cell(
-        experiment(
-            ExecutionConfig(conservative=True), cross_channel_rate=0.1, checker=CHECKED
-        )
-    )
-    _, second = run_cell(
-        experiment(
-            ExecutionConfig(conservative=True), cross_channel_rate=0.1, checker=CHECKED
-        )
-    )
-    assert first.execution == "sharded-conservative"
-    assert first.isolation.verdict == "CERTIFIED-SERIALIZABLE"
-    assert first.isolation.summary() == second.isolation.summary()
 
 
 def test_sharded_trace_export_passes_the_schema_check(tmp_path):
@@ -378,16 +382,15 @@ CHAOS_AUDIT_EXPORTS = {
     "shared": (ExecutionConfig(), "chaos-audit/shared-clock"),
     # Coupled, so the worker request runs the shared-clock plan.
     "workers-2": (ExecutionConfig(shard_workers=2), "chaos-audit/shared-clock"),
-    "epochs": (ExecutionConfig(conservative=True), "chaos-audit/epochs"),
 }
 
 
 @pytest.mark.parametrize("plan", list(CHAOS_AUDIT_EXPORTS))
 def test_chaos_audit_cell_exports_the_pinned_bytes(tmp_path, plan):
-    # Through every in-process plan.  The simulated system's part of each pin
-    # dates from the commit before the deployment classes were collapsed into
-    # one: the observer wiring, the merge and the exporters must keep
-    # producing the same bytes.
+    # Through the shared-clock plan, asked for and fallen back to.  The
+    # simulated system's part of each pin dates from the commit before the
+    # deployment classes were collapsed into one: the observer wiring, the
+    # merge and the exporters must keep producing the same bytes.
     execution, pin = CHAOS_AUDIT_EXPORTS[plan]
     _, record = run_cell(chaos_audit_cell(execution))
     assert record.fault_injections and record.resubmissions > 0
