@@ -518,6 +518,8 @@ def _sharded_config(shard_workers: int = 4) -> ExperimentConfig:
         (None, dict(channels=4, cross_channel_rate=0.1, execution=ExecutionConfig(0)), 1),
         (None, dict(channels=4, execution=ExecutionConfig(shard_workers=2)), 2),
         ("2", dict(channels=8, execution=ExecutionConfig(shard_workers=0)), 2),
+        # Sharded, every shard drained by the one process the budget allows.
+        ("1", dict(channels=4, execution=ExecutionConfig(shard_workers=0)), 1),
         # One global resubmission bucket cannot be split across processes, so
         # the plan is shared-clock whatever shard_workers asks for; budgeting
         # one process per channel here would serialise the sweep for nothing.
@@ -531,7 +533,15 @@ def _sharded_config(shard_workers: int = 4) -> ExperimentConfig:
             1,
         ),
     ],
-    ids=["one-channel", "shared-clock", "coupled", "two-workers", "auto", "rate-capped"],
+    ids=[
+        "one-channel",
+        "shared-clock",
+        "coupled",
+        "two-workers",
+        "auto",
+        "in-process-shards",
+        "rate-capped",
+    ],
 )
 def test_task_footprint_is_what_the_plan_occupies(budget, network, expected, monkeypatch):
     if budget is None:

@@ -141,6 +141,8 @@ def test_sharing_survives_the_shard_transport_with_checker_and_observability_on(
 DEPLOYMENTS = {
     "single-channel": dict(),
     "shared-clock": dict(channels=2, cross_channel_rate=0.0),
+    # Cross-channel traffic: the coordinator's two-phase commits on the one clock.
+    "coupled": dict(channels=2, cross_channel_rate=0.05),
     "sharded-in-process": dict(
         channels=2, cross_channel_rate=0.0, execution=ExecutionConfig(shard_workers=0)
     ),

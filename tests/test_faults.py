@@ -63,6 +63,40 @@ def test_invalid_fault_configs_are_rejected(kwargs):
         FaultConfig(**kwargs).validate()
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        pytest.param({"peer_crash_rate": NAN}, "peer crash rate", id="crash-rate-nan"),
+        pytest.param({"peer_crash_rate": INF}, "peer crash rate", id="crash-rate-inf"),
+        pytest.param({"peer_downtime": NAN}, "mean peer downtime", id="downtime-nan"),
+        pytest.param({"peer_downtime": INF}, "mean peer downtime", id="downtime-inf"),
+        pytest.param({"endorser_slowdown_rate": NAN}, "endorser slowdown rate", id="slow-rate-nan"),
+        pytest.param({"endorser_slowdown_rate": INF}, "endorser slowdown rate", id="slow-rate-inf"),
+        pytest.param({"endorser_slowdown_factor": NAN}, "slowdown factor", id="factor-nan"),
+        pytest.param({"endorser_slowdown_factor": INF}, "slowdown factor", id="factor-inf"),
+        pytest.param({"endorser_slowdown_duration": NAN}, "slowdown duration", id="slow-len-nan"),
+        pytest.param({"endorser_slowdown_duration": INF}, "slowdown duration", id="slow-len-inf"),
+        pytest.param({"endorsement_loss_rate": NAN}, "endorsement loss rate", id="loss-nan"),
+        pytest.param({"endorsement_timeout": NAN}, "endorsement timeout", id="timeout-nan"),
+        pytest.param({"endorsement_timeout": INF}, "endorsement timeout", id="timeout-inf"),
+        pytest.param({"orderer_outages": ((NAN, 1.0),)}, "orderer outage", id="outage-start-nan"),
+        pytest.param({"orderer_outages": ((1.0, INF),)}, "orderer outage", id="outage-len-inf"),
+        pytest.param({"partitions": ((0, NAN, 1.0),)}, "partition windows", id="cut-start-nan"),
+        pytest.param({"partitions": ((0, 1.0, INF),)}, "partition windows", id="cut-len-inf"),
+    ],
+)
+def test_non_finite_fault_numbers_are_rejected_naming_the_field(kwargs, field):
+    # Every bound is written so that NaN fails it and infinity exceeds it: a
+    # NaN rate must not read as "disabled", an infinite downtime must not
+    # reach the schedule's exponential draw.
+    with pytest.raises(ConfigurationError, match=field):
+        FaultConfig(**kwargs).validate()
+
+
 def test_network_config_rejects_partition_beyond_channel_count():
     config = NetworkConfig(
         cluster="C1", channels=2, faults=FaultConfig(partitions=((5, 1.0, 1.0),))

@@ -390,6 +390,27 @@ def test_traced_run_folds_the_engine_profile_into_the_summary(traced_result):
     assert engine["wall_seconds"] >= 0.0
 
 
+@pytest.mark.parametrize(
+    "execution, groups",
+    [(ExecutionConfig(), 1), (ExecutionConfig(shard_workers=0), 2)],
+    ids=["shared-clock", "sharded"],
+)
+def test_every_plan_profiles_each_group_through_its_observer(monkeypatch, execution, groups):
+    # The observer's profile is the one way engine statistics reach a
+    # summary: each group drains under it, and the merge folds the reports.
+    monkeypatch.setenv(PROCESS_BUDGET_ENV, "1")
+    config = traced_config(
+        network_kwargs=dict(channels=2, cross_channel_rate=0.0, execution=execution)
+    )
+    # Metrics only: the profile is on, the tracer is not needed.
+    config.network.observability = ObservabilityConfig(metrics=True)
+    record = run_experiment(config).analyses[0].record
+    assert record.shard_count == groups
+    engine = record.observability.summary["engine"]
+    assert engine["events"] > 0
+    assert engine["wall_seconds"] >= 0.0
+
+
 def test_traced_run_metrics_expose_quantiles_and_stage_latency(traced_result):
     metrics = traced_result.analyses[0].metrics
     assert {"p50", "p95", "p99"} <= set(metrics.latency_quantiles)

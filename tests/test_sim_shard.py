@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.bench.harness import ExperimentConfig
@@ -100,6 +102,18 @@ def test_execution_config_defaults_to_shared_clock():
 @pytest.mark.parametrize("workers", [0, 2, 16])
 def test_non_default_worker_counts_select_the_sharded_path(workers):
     assert _plan(ExecutionConfig(shard_workers=workers)) == "sharded"
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2, 16])
+def test_coupled_channels_share_one_clock_at_every_worker_count(workers):
+    # Cross-channel traffic couples every channel into one group: there is
+    # no plan that drains a coupled topology on more than one clock.
+    assert _plan(ExecutionConfig(shard_workers=workers), cross_channel_rate=0.1) == "shared-clock"
+
+
+def test_execution_config_has_one_field():
+    assert [field.name for field in dataclasses.fields(ExecutionConfig)] == ["shard_workers"]
+    assert ExecutionConfig(shard_workers=0).identity() is None
 
 
 @pytest.mark.parametrize("bad", [-1, -7, 1.5, "four", True])
