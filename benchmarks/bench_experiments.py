@@ -62,8 +62,8 @@ def check_fig06_latency_throughput(report):
 
 def check_fig07_mvcc_by_block_size(report):
     sizes = report.column("block_size")
-    intra = dict(zip(sizes, report.column("intra_block_pct")))
-    inter = dict(zip(sizes, report.column("inter_block_pct")))
+    intra = dict(zip(sizes, report.column("mvcc_intra_block_pct")))
+    inter = dict(zip(sizes, report.column("mvcc_inter_block_pct")))
     # Intra-block conflicts grow with the block size; inter-block conflicts shrink.
     assert intra[max(sizes)] > intra[min(sizes)]
     assert inter[max(sizes)] < inter[min(sizes)]
@@ -71,13 +71,13 @@ def check_fig07_mvcc_by_block_size(report):
 
 def check_fig08_mvcc_by_arrival_rate(report):
     rates = report.column("arrival_rate")
-    total = dict(zip(rates, report.column("total_mvcc_pct")))
+    total = dict(zip(rates, report.column("mvcc_pct")))
     # MVCC read conflicts increase with the transaction arrival rate.
     assert total[max(rates)] > total[min(rates)]
 
 
 def check_fig09_endorsement_by_block_size(report):
-    values = report.column("endorsement_failures_pct")
+    values = report.column("endorsement_policy_pct")
     # Endorsement policy failures stay within a few percent at every block size
     # (they are caused by world-state inconsistency, not by batching).
     assert max(values) <= 10.0
@@ -98,7 +98,7 @@ def check_fig11_database_effect(report):
 
 def check_fig12_organizations(report):
     orgs = report.column("organizations")
-    endorsement = dict(zip(orgs, report.column("endorsement_pct")))
+    endorsement = dict(zip(orgs, report.column("endorsement_policy_pct")))
     latency = dict(zip(orgs, report.column("latency_s")))
     # More organizations -> more endorsement policy failures and higher latency.
     assert endorsement[max(orgs)] >= endorsement[min(orgs)]
@@ -106,7 +106,7 @@ def check_fig12_organizations(report):
 
 
 def check_fig13_endorsement_policies(report):
-    endorsement = dict(zip(report.column("policy"), report.column("endorsement_pct")))
+    endorsement = dict(zip(report.column("policy"), report.column("endorsement_policy_pct")))
     # P0 (all organizations must sign) fails at least as often as P1 (Org0 plus
     # any one other), which needs a strict subset of P0's signatures.  The other
     # pairings are within single-run noise at quick scale.
@@ -135,7 +135,7 @@ def check_fig16_network_delay(report):
     delayed = report.rows_where(arrival_rate=top_rate, delayed=True)[0]
     baseline = report.rows_where(arrival_rate=top_rate, delayed=False)[0]
     latency_index = report.headers.index("latency_s")
-    endorsement_index = report.headers.index("endorsement_pct")
+    endorsement_index = report.headers.index("endorsement_policy_pct")
     assert delayed[latency_index] > baseline[latency_index]
     assert delayed[endorsement_index] >= baseline[endorsement_index]
 
@@ -301,7 +301,7 @@ def check_channels_cross_rate_aborts_grow(report):
 
 
 def check_retry_mitigation_lowers_client_effective_failures(report):
-    raw = dict(zip(report.column("retry_policy"), report.column("raw_failure_pct")))
+    raw = dict(zip(report.column("retry_policy"), report.column("failures_pct")))
     effective = dict(
         zip(report.column("retry_policy"), report.column("client_effective_failure_pct"))
     )

@@ -9,6 +9,7 @@ and no-fault-bit-identity contracts the subsystem is built on.
 
 from repro.bench.experiments import QUICK_SCALE, base_config, scaled_workload
 from repro.bench.harness import run_experiment
+from repro.core.failures import INFRASTRUCTURE, FailureType
 from repro.faults.spec import FaultConfig
 
 CHAOS = FaultConfig(
@@ -35,9 +36,9 @@ def test_chaos_produces_infrastructure_failures_and_costs_throughput():
     healthy = run_experiment(_chaos_config()).analyses[0].metrics
     chaotic = run_experiment(_chaos_config(faults=CHAOS)).analyses[0].metrics
     report = chaotic.failure_report
-    assert healthy.failure_report.infrastructure_pct == 0.0
+    assert healthy.failure_report.pct(*INFRASTRUCTURE) == 0.0
     assert healthy.fault_injections == {}
-    assert report.infrastructure_pct > 0.0
+    assert report.pct(*INFRASTRUCTURE) > 0.0
     assert chaotic.fault_injections.get("orderer_outage_start") == 1
     assert chaotic.fault_injections.get("peer_crash", 0) >= 1
     assert chaotic.committed_throughput < healthy.committed_throughput
@@ -50,8 +51,8 @@ def test_orderer_outage_refuses_submissions():
     # the window ends.
     outage_only = FaultConfig(orderer_outages=((1.0, 1.0),))
     metrics = run_experiment(_chaos_config(faults=outage_only)).analyses[0].metrics
-    assert metrics.failure_report.orderer_unavailable_pct > 0.0
-    assert metrics.failure_report.peer_unavailable_pct == 0.0
+    assert metrics.failure_report.pct(FailureType.ORDERER_UNAVAILABLE) > 0.0
+    assert metrics.failure_report.pct(FailureType.PEER_UNAVAILABLE) == 0.0
     assert metrics.fault_injections == {
         "orderer_outage_end": 1,
         "orderer_outage_start": 1,

@@ -44,7 +44,7 @@ def main() -> None:
     for rate in ARRIVAL_RATES:
         sweep = SweepResult(
             {
-                cell.block_size: result.failure_pct
+                cell.block_size: result.value("failures_pct")
                 for cell, result in zip(outcome.cells, outcome.results)
                 if cell.arrival_rate == rate
             }

@@ -37,24 +37,20 @@ def config(channels: int, cross_channel_rate: float = 0.0) -> ExperimentConfig:
     )
 
 
+SCALING_COLUMNS = ("committed_throughput_tps", "mvcc_pct", "latency_s")
+CROSS_COLUMNS = ("committed_throughput_tps", "cross_channel_abort_pct", "mvcc_pct")
+
+
 def main() -> None:
     print("Sharding one 400 tps EHR workload across channels (hash placement) ...\n")
     rows = []
     for channels in (1, 2, 4):
-        analysis = run_experiment(config(channels)).analyses[0]
-        metrics = analysis.metrics
-        rows.append(
-            (
-                channels,
-                metrics.committed_throughput,
-                analysis.failure_report.mvcc_pct,
-                metrics.average_latency,
-                metrics.orderer_utilization,
-            )
-        )
+        result = run_experiment(config(channels))
+        utilization = result.metrics[0].orderer_utilization
+        rows.append((channels, *map(result.value, SCALING_COLUMNS), utilization))
     print_report(
         format_table(
-            ("channels", "committed_tps", "mvcc_pct", "latency_s", "orderer_util"),
+            ("channels", *SCALING_COLUMNS, "orderer_util"),
             rows,
             title="Channel scaling at 0% cross-channel rate",
         )
@@ -63,19 +59,11 @@ def main() -> None:
     print("Adding cross-channel transactions (4 channels, 2PC prepare/commit) ...\n")
     rows = []
     for rate in (0.0, 0.2, 0.5):
-        analysis = run_experiment(config(4, cross_channel_rate=rate)).analyses[0]
-        report = analysis.failure_report
-        rows.append(
-            (
-                f"{rate:.0%}",
-                analysis.metrics.committed_throughput,
-                report.cross_channel_abort_pct,
-                report.mvcc_pct,
-            )
-        )
+        result = run_experiment(config(4, cross_channel_rate=rate))
+        rows.append((f"{rate:.0%}", *map(result.value, CROSS_COLUMNS)))
     print_report(
         format_table(
-            ("cross_rate", "committed_tps", "cross_abort_pct", "mvcc_pct"),
+            ("cross_rate", *CROSS_COLUMNS),
             rows,
             title="Cross-channel fraction vs throughput and 2PC aborts",
         )
@@ -85,7 +73,14 @@ def main() -> None:
     print("Per-channel breakdown of the 50% cross-channel run:\n")
     print_report(
         format_table(
-            ("channel", "submitted", "committed_tps", "failures_pct", "cross_sent", "cross_aborted"),
+            (
+                "channel",
+                "submitted_transactions",
+                "committed_throughput_tps",
+                "failures_pct",
+                "cross_channel_submitted",
+                "cross_channel_aborted",
+            ),
             [
                 (
                     channel.name,

@@ -19,6 +19,13 @@ from repro.bench.reporting import format_table, print_report
 
 VARIANTS = ("fabric-1.4", "fabric++", "streamchain", "fabricsharp")
 ARRIVAL_RATES = (10, 50, 100)
+COLUMNS = (
+    "latency_s",
+    "endorsement_policy_pct",
+    "mvcc_pct",
+    "failures_pct",
+    "committed_throughput_tps",
+)
 
 
 def main() -> None:
@@ -32,17 +39,7 @@ def main() -> None:
     outcome = runner.run_sweep(plan)
     rows = []
     for cell, result in zip(outcome.cells, outcome.results):
-        rows.append(
-            (
-                cell.variant,
-                int(cell.arrival_rate),
-                result.average_latency,
-                result.endorsement_pct,
-                result.mvcc_pct,
-                result.failure_pct,
-                result.committed_throughput,
-            )
-        )
+        rows.append((cell.variant, int(cell.arrival_rate), *map(result.value, COLUMNS)))
     print(f"runner: {outcome.stats.describe()}")
     print_report(
         format_table(

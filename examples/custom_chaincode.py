@@ -56,15 +56,8 @@ def main() -> None:
             seed=5,
         )
         result = run_experiment(config)
-        rows.append(
-            (
-                skew,
-                result.failure_pct,
-                result.mvcc_pct,
-                result.phantom_pct,
-                result.average_latency,
-            )
-        )
+        columns = ("failures_pct", "mvcc_pct", "phantom_read_pct", "latency_s")
+        rows.append((skew, *map(result.value, columns)))
     print_report(
         format_table(
             ("zipf skew", "failures (%)", "MVCC conflicts (%)", "phantom reads (%)", "latency (s)"),

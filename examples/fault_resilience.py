@@ -40,6 +40,16 @@ CHAOS = FaultConfig(
 )
 
 
+#: The result columns the table prints after the committed transaction count.
+COLUMNS = (
+    "committed_requests",
+    "peer_unavailable_pct",
+    "endorsement_timeout_pct",
+    "orderer_unavailable_pct",
+    "client_effective_failure_pct",
+)
+
+
 def config(faults: FaultConfig, retry_policy: str = "none") -> ExperimentConfig:
     return ExperimentConfig(
         workload=uniform_workload("EHR", patients=100),
@@ -64,30 +74,12 @@ def main() -> None:
         ("chaos", CHAOS, "none"),
         ("chaos + jittered retries", CHAOS, "jittered"),
     ):
-        metrics = run_experiment(config(faults, policy)).analyses[0].metrics
-        report = metrics.failure_report
-        rows.append(
-            (
-                label,
-                metrics.committed_transactions,
-                metrics.committed_requests,
-                report.peer_unavailable_pct,
-                report.endorsement_timeout_pct,
-                report.orderer_unavailable_pct,
-                metrics.client_effective_failure_pct,
-            )
-        )
+        result = run_experiment(config(faults, policy))
+        committed = result.metrics[0].committed_transactions
+        rows.append((label, committed, *map(result.value, COLUMNS)))
     print(
         format_table(
-            (
-                "scenario",
-                "committed_tx",
-                "committed_requests",
-                "peer_unavail_pct",
-                "endorse_timeout_pct",
-                "orderer_unavail_pct",
-                "client_effective_fail_pct",
-            ),
+            ("scenario", "committed_transactions", *COLUMNS),
             rows,
             title="Fault resilience: the same workload under chaos, with and without retries",
         )

@@ -41,13 +41,8 @@ def run(label, **overrides):
         **overrides,
     )
     result = RUNNER.run(config)
-    return (
-        label,
-        result.failure_pct,
-        result.endorsement_pct,
-        result.mvcc_pct,
-        result.average_latency,
-    ), result
+    columns = ("failures_pct", "endorsement_policy_pct", "mvcc_pct", "latency_s")
+    return (label, *map(result.value, columns)), result
 
 
 def main() -> None:

@@ -52,31 +52,25 @@ def config(policy: str, rate_cap: Optional[float] = None) -> ExperimentConfig:
     )
 
 
+POLICY_COLUMNS = (
+    "failures_pct",
+    "client_effective_failure_pct",
+    "goodput_tps",
+    "resubmissions",
+    "retry_amplification",
+)
+CAP_COLUMNS = ("retry_amplification", "rate_denied", "client_effective_failure_pct", "goodput_tps")
+
+
 def main() -> None:
     print("Retrying failed transactions on a skewed 50 tps EHR workload ...\n")
     rows = []
     for policy in ("none", "immediate", "fixed", "jittered"):
-        metrics = run_experiment(config(policy)).analyses[0].metrics
-        rows.append(
-            (
-                policy,
-                metrics.failure_pct,
-                metrics.client_effective_failure_pct,
-                metrics.goodput,
-                metrics.resubmissions,
-                metrics.retry_amplification,
-            )
-        )
+        result = run_experiment(config(policy))
+        rows.append((policy, *map(result.value, POLICY_COLUMNS)))
     print_report(
         format_table(
-            (
-                "retry_policy",
-                "raw_failure_pct",
-                "client_effective_pct",
-                "goodput_tps",
-                "resubmissions",
-                "amplification",
-            ),
+            ("retry_policy", *POLICY_COLUMNS),
             rows,
             title="Raw vs client-effective failure rate per retry policy",
         )
@@ -89,19 +83,12 @@ def main() -> None:
     print("Containing the retry storm with a global resubmission rate cap ...\n")
     rows = []
     for cap in (None, 25.0, 10.0):
-        metrics = run_experiment(config("immediate", rate_cap=cap)).analyses[0].metrics
-        rows.append(
-            (
-                "uncapped" if cap is None else f"{cap:.0f}/s",
-                metrics.retry_amplification,
-                metrics.retry_rate_denied,
-                metrics.client_effective_failure_pct,
-                metrics.goodput,
-            )
-        )
+        result = run_experiment(config("immediate", rate_cap=cap))
+        label = "uncapped" if cap is None else f"{cap:.0f}/s"
+        rows.append((label, *map(result.value, CAP_COLUMNS)))
     print_report(
         format_table(
-            ("rate_cap", "amplification", "rate_denied", "client_effective_pct", "goodput_tps"),
+            ("rate_cap", *CAP_COLUMNS),
             rows,
             title="Immediate retries under a deployment-wide rate cap",
         )

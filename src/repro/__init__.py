@@ -12,7 +12,8 @@ Quickstart::
     from repro import ExperimentConfig, run_experiment
 
     result = run_experiment(ExperimentConfig(arrival_rate=100, duration=10))
-    print(result.failure_pct, result.mvcc_pct, result.endorsement_pct)
+    for column in ("failures_pct", "mvcc_pct", "endorsement_policy_pct"):
+        print(column, result.value(column))
 """
 
 from repro.bench.harness import (

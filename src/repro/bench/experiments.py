@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.bench.harness import RESULT_COLUMNS, ExperimentConfig, ExperimentResult
+from repro.bench.harness import ExperimentConfig, ExperimentResult
 from repro.bench.runner import ExperimentRunner, get_default_runner
 from repro.chaincode import create_chaincode
 from repro.chaincode.api import ChaincodeStub
@@ -286,8 +286,8 @@ class ExperimentSpec:
 
     The grid is ``base`` (overrides on the Table 3 configuration, see
     :func:`cell_config`) crossed with ``axes``.  Each cell becomes one row: its
-    axis labels, then ``columns`` read off the result through
-    :data:`~repro.bench.harness.RESULT_COLUMNS`.  Two features cover the
+    axis labels, then ``columns`` read off the result by their one name
+    (:meth:`~repro.bench.harness.ExperimentResult.value`).  Two features cover the
     irregular figures: ``reduce`` is an innermost axis collapsed into one row
     per outer cell (columns from :data:`SWEEP_COLUMNS`), and ``baseline`` names
     the first-axis label whose cell the :data:`BASELINE_COLUMNS` compare to.
@@ -337,7 +337,8 @@ class ExperimentSpec:
         if self.reduce is not None:
             rows = []
             for outer, group in itertools.groupby(labelled, key=lambda pair: pair[0][:-1]):
-                sweep = SweepResult({labels[-1]: result.failure_pct for labels, result in group})
+                failures = {labels[-1]: result.value("failures_pct") for labels, result in group}
+                sweep = SweepResult(failures)
                 rows.append(outer + tuple(SWEEP_COLUMNS[column](sweep) for column in self.columns))
             return rows
         baseline = next((result for labels, result in labelled if labels[0] == self.baseline), None)
@@ -346,7 +347,7 @@ class ExperimentSpec:
             + tuple(
                 BASELINE_COLUMNS[column](result, baseline)
                 if column in BASELINE_COLUMNS
-                else RESULT_COLUMNS[column](result)
+                else result.value(column)
                 for column in self.columns
             )
             for labels, result in labelled
@@ -367,10 +368,11 @@ def recovered_request_pct(result: ExperimentResult, baseline: Optional[Experimen
     """Share of the requests the baseline cell lost that ``result`` committed."""
     if baseline is None:
         return 0.0
-    lost = max(baseline.logical_requests - baseline.committed_requests, 0.0)
+    committed = baseline.value("committed_requests")
+    lost = max(baseline.value("logical_requests") - committed, 0.0)
     if lost <= 0:
         return 0.0
-    return 100.0 * (result.committed_requests - baseline.committed_requests) / lost
+    return 100.0 * (result.value("committed_requests") - committed) / lost
 
 
 #: Columns of a spec with a ``baseline``, computed against the baseline cell.
@@ -479,8 +481,8 @@ def adaptive_block_sizes(scale: Scale) -> Dict[Tuple[int, str], Dict[str, object
 
 # --------------------------------------------------------------------------- registry
 MIXES = ("RH", "IH", "UH", "RaH", "DH")
-MVCC_COLUMNS = ("inter_block_pct", "intra_block_pct", "total_mvcc_pct")
-LOAD_COLUMNS = ("latency_s", "endorsement_pct", "mvcc_pct")
+MVCC_COLUMNS = ("mvcc_inter_block_pct", "mvcc_intra_block_pct", "mvcc_pct")
+LOAD_COLUMNS = ("latency_s", "endorsement_policy_pct", "mvcc_pct")
 
 BLOCK_SIZES = Axis("block_size", "block_sizes")
 RATES = Axis("arrival_rate", "rates")
@@ -596,7 +598,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         sweep_axes=("block_size",),
         expected_trend="endorsement policy failures are largely unaffected by the block size",
         axes=(BLOCK_SIZES,),
-        columns=("endorsement_failures_pct",),
+        columns=("endorsement_policy_pct",),
     ),
     "fig10": ExperimentSpec(
         artefact="Figure 10",
@@ -617,7 +619,9 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         sweep_axes=("database",),
         expected_trend="CouchDB raises MVCC and endorsement failures over LevelDB on the EHR workload",
         axes=(DATABASES,),
-        columns=("latency_s", "endorsement_pct", "inter_block_pct", "intra_block_pct"),
+        columns=(
+            "latency_s", "endorsement_policy_pct", "mvcc_inter_block_pct", "mvcc_intra_block_pct",
+        ),
     ),
     "fig12": ExperimentSpec(
         artefact="Figure 12",
@@ -628,7 +632,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         expected_trend="more organizations mean more endorsement policy failures and latency",
         base={"peers_per_org": 4},
         axes=(Axis("organizations", (2, 4, 6, 8, 10), param="orgs"),),
-        columns=("latency_s", "endorsement_pct"),
+        columns=("latency_s", "endorsement_policy_pct"),
     ),
     "fig13": ExperimentSpec(
         artefact="Figure 13",
@@ -638,7 +642,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         sweep_axes=("endorsement_policy",),
         expected_trend="policies requiring more signatures (P0) cause the most endorsement policy failures",
         axes=(Axis("policy", ("P0", "P1", "P2", "P3"), param="endorsement_policy"),),
-        columns=("latency_s", "endorsement_pct"),
+        columns=("latency_s", "endorsement_policy_pct"),
     ),
     "fig14": ExperimentSpec(
         artefact="Figure 14",
@@ -681,7 +685,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         variants="fabric-1.4 vs fabric++",
         expected_trend="reordering converts intra-block MVCC conflicts into fewer total failures",
         axes=(FABRIC_PP, Axis("block_size", (10, 50, 100))),
-        columns=("failures_pct", "endorsement_pct"),
+        columns=("failures_pct", "endorsement_policy_pct"),
     ),
     "fig18": ExperimentSpec(
         artefact="Figure 18",
@@ -768,7 +772,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         variants="fabric-1.4 vs fabricsharp",
         expected_trend="early aborts never reach a block: fewer recorded failures, lower committed throughput",
         axes=(FABRICSHARP, LOW_RATES),
-        columns=("failures_pct", "endorsement_pct", "mvcc_pct", "committed_throughput_tps"),
+        columns=("failures_pct", "endorsement_policy_pct", "mvcc_pct", "committed_throughput_tps"),
     ),
     # The range-heavy workload is omitted because FabricSharp does not support
     # range queries (see also :func:`cell_config`).
@@ -821,7 +825,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         sweep_axes=("client_side_check",),
         expected_trend="client-side mismatch checks drop doomed transactions before ordering",
         axes=(Axis("client_side_check", (False, True)),),
-        columns=("failures_pct", "endorsement_pct", "latency_s"),
+        columns=("failures_pct", "endorsement_policy_pct", "latency_s"),
     ),
     # ------------------------------------- multi-channel scaling (extension beyond the paper)
     # The workload saturates a single ordering service (small blocks, high
@@ -874,7 +878,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         },
         axes=(Axis("retry_policy", ("none", "immediate", "fixed", "jittered"), param="retry.policy"),),
         columns=(
-            "raw_failure_pct", "client_effective_failure_pct", "goodput_tps",
+            "failures_pct", "client_effective_failure_pct", "goodput_tps",
             "committed_throughput_tps", "resubmissions", "retry_amplification",
         ),
     ),

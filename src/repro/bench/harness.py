@@ -4,8 +4,9 @@ An :class:`ExperimentConfig` bundles the control variables of Table 3 — the
 Fabric variant, the workload (chaincode + transaction mix), the network
 configuration, the arrival rate, the Zipfian skew — together with the simulated
 duration, the number of repetitions and the seed.  ``run_experiment`` executes
-the repetitions and returns an :class:`ExperimentResult` whose properties
-average the metrics the same way the paper averages its three repetitions.
+the repetitions and returns an :class:`ExperimentResult`, whose reported
+numbers (:data:`RESULT_COLUMNS`) average the metrics the same way the paper
+averages its three repetitions.
 
 Seeding: repetition ``k`` of a configuration draws from a RNG stream family
 seeded with ``repetition_seed(config, k)`` — a hash of the configuration's
@@ -26,7 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
-from operator import attrgetter, methodcaller
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
 from repro.sim.collector import quiet_collector
@@ -35,6 +36,7 @@ from repro.sim.rng import derive_seed
 from repro.chaincode import CHAINCODE_REGISTRY, create_chaincode
 from repro.chaincode.base import Chaincode
 from repro.core.analyzer import ExperimentAnalysis, LedgerAnalyzer
+from repro.core.failures import MVCC, FailureType
 from repro.core.metrics import ExperimentMetrics
 from repro.errors import ConfigurationError
 from repro.lifecycle.pipeline import build_network
@@ -221,7 +223,7 @@ def repetition_seed(config: ExperimentConfig, repetition: int, cell_hash: Option
 
 @dataclass
 class ExperimentResult:
-    """The repetitions of one experiment plus averaged convenience accessors."""
+    """The repetitions of one experiment; its numbers are :data:`RESULT_COLUMNS`."""
 
     config: ExperimentConfig
     analyses: List[ExperimentAnalysis] = field(default_factory=list)
@@ -231,170 +233,79 @@ class ExperimentResult:
         """Metrics of every repetition."""
         return [analysis.metrics for analysis in self.analyses]
 
-    def _mean(self, getter: Callable[[ExperimentMetrics], float]) -> float:
-        values = [getter(metric) for metric in self.metrics]
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
+    def value(self, column: str) -> object:
+        """The number this cell reports under the header ``column``."""
+        return RESULT_COLUMNS[column](self)
 
-    @property
-    def failure_pct(self) -> float:
-        """Average total transaction failure percentage."""
-        return self._mean(lambda metric: metric.failure_pct)
 
-    @property
-    def endorsement_pct(self) -> float:
-        """Average endorsement policy failure percentage."""
-        return self._mean(lambda metric: metric.failure_report.endorsement_pct)
+def _mean(read: Callable[[ExperimentMetrics], float]) -> Callable[[ExperimentResult], float]:
+    """A column averaged over the repetitions, as the paper averages its three runs."""
 
-    @property
-    def mvcc_pct(self) -> float:
-        """Average MVCC read conflict percentage (intra + inter)."""
-        return self._mean(lambda metric: metric.failure_report.mvcc_pct)
+    def column(result: ExperimentResult) -> float:
+        values = [read(metric) for metric in result.metrics]
+        return sum(values) / len(values) if values else 0.0
 
-    @property
-    def intra_block_mvcc_pct(self) -> float:
-        """Average intra-block MVCC read conflict percentage."""
-        return self._mean(lambda metric: metric.failure_report.intra_block_mvcc_pct)
+    return column
 
-    @property
-    def inter_block_mvcc_pct(self) -> float:
-        """Average inter-block MVCC read conflict percentage."""
-        return self._mean(lambda metric: metric.failure_report.inter_block_mvcc_pct)
 
-    @property
-    def phantom_pct(self) -> float:
-        """Average phantom read conflict percentage."""
-        return self._mean(lambda metric: metric.failure_report.phantom_pct)
+def _total(read: Callable[[ExperimentMetrics], int]) -> Callable[[ExperimentResult], int]:
+    """A count column, summed over the repetitions."""
+    return lambda result: sum(read(metric) for metric in result.metrics)
 
-    @property
-    def early_abort_pct(self) -> float:
-        """Average percentage of transactions aborted before/during ordering."""
-        return self._mean(lambda metric: metric.failure_report.early_abort_pct)
 
-    @property
-    def cross_channel_abort_pct(self) -> float:
-        """Average percentage of cross-channel transactions aborted in 2PC prepare."""
-        return self._mean(lambda metric: metric.failure_report.cross_channel_abort_pct)
+def _call_latency_ms(operation: str) -> Callable[[ExperimentResult], float]:
+    """Mean latency of one state-database call type (Table 4), averaged over
+    the repetitions that made such a call."""
 
-    @property
-    def endorsement_timeout_pct(self) -> float:
-        """Average percentage of endorsement-collection timeouts (fault injection)."""
-        return self._mean(lambda metric: metric.failure_report.endorsement_timeout_pct)
-
-    @property
-    def orderer_unavailable_pct(self) -> float:
-        """Average percentage of submissions refused during orderer outages."""
-        return self._mean(lambda metric: metric.failure_report.orderer_unavailable_pct)
-
-    @property
-    def peer_unavailable_pct(self) -> float:
-        """Average percentage of proposals that failed fast on down peers."""
-        return self._mean(lambda metric: metric.failure_report.peer_unavailable_pct)
-
-    @property
-    def infrastructure_pct(self) -> float:
-        """Average percentage of all fault-induced failures."""
-        return self._mean(lambda metric: metric.failure_report.infrastructure_pct)
-
-    @property
-    def average_latency(self) -> float:
-        """Average total transaction latency in seconds."""
-        return self._mean(lambda metric: metric.average_latency)
-
-    @property
-    def committed_throughput(self) -> float:
-        """Average committed transaction throughput in tps."""
-        return self._mean(lambda metric: metric.committed_throughput)
-
-    @property
-    def submitted_transactions(self) -> int:
-        """Total transactions submitted across repetitions."""
-        return sum(metric.submitted_transactions for metric in self.metrics)
-
-    @property
-    def client_effective_failure_pct(self) -> float:
-        """Average percentage of logical requests that never committed."""
-        return self._mean(lambda metric: metric.client_effective_failure_pct)
-
-    @property
-    def goodput(self) -> float:
-        """Average committed logical requests per second."""
-        return self._mean(lambda metric: metric.goodput)
-
-    @property
-    def retry_amplification(self) -> float:
-        """Average submitted attempts per logical request (1.0 = no retries)."""
-        return self._mean(lambda metric: metric.retry_amplification)
-
-    @property
-    def resubmissions(self) -> int:
-        """Total client resubmissions across repetitions."""
-        return sum(metric.resubmissions for metric in self.metrics)
-
-    @property
-    def retry_rate_denied(self) -> int:
-        """Total resubmissions the global rate cap refused across repetitions."""
-        return sum(metric.retry_rate_denied for metric in self.metrics)
-
-    @property
-    def logical_requests(self) -> float:
-        """Average number of logical client requests (retries not counted)."""
-        return self._mean(lambda metric: metric.logical_requests)
-
-    @property
-    def committed_requests(self) -> float:
-        """Average number of logical client requests that ended up committing."""
-        return self._mean(lambda metric: metric.committed_requests)
-
-    def mean_function_latency_ms(self, operation: str) -> float:
-        """Average per-call latency of a state-database operation (Table 4)."""
+    def column(result: ExperimentResult) -> float:
         values = [
             metric.function_call_latency_ms[operation]
-            for metric in self.metrics
+            for metric in result.metrics
             if operation in metric.function_call_latency_ms
         ]
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
+        return sum(values) / len(values) if values else 0.0
+
+    return column
+
+
+def pct_column(failure: FailureType) -> str:
+    """The header of a failure class's percentage: ``<class name>_pct``."""
+    return f"{failure.name.lower()}_pct"
+
+
+def _class_pct(failure: FailureType) -> Callable[[ExperimentMetrics], float]:
+    """The percentage of one failure class in a repetition's failure report."""
+    return lambda metric: metric.failure_report.pct(failure)
 
 
 #: Report column header -> how its value is read off an :class:`ExperimentResult`.
-#: The one mapping behind every experiment table (:mod:`repro.bench.experiments`)
-#: and the ``repro sweep`` table (:meth:`repro.bench.runner.SweepOutcome.rows`);
-#: several headers read the same value because the figures label it differently.
+#: The one mapping behind every experiment table (:mod:`repro.bench.experiments`),
+#: the ``repro sweep`` and ``repro compare`` tables and their ``--json`` cells.
+#: Each reported number has exactly one header; the failure classes' headers
+#: are generated from :class:`~repro.core.failures.FailureType` (:func:`pct_column`).
 RESULT_COLUMNS: Dict[str, Callable[[ExperimentResult], object]] = {
     "variant": attrgetter("config.variant"),
     "block_size": attrgetter("config.network.block_size"),
     "arrival_rate": attrgetter("config.arrival_rate"),
     "zipf_skew": attrgetter("config.zipf_skew"),
     "placement": attrgetter("config.network.placement"),
-    "failures_pct": attrgetter("failure_pct"),
-    "raw_failure_pct": attrgetter("failure_pct"),
-    "endorsement_pct": attrgetter("endorsement_pct"),
-    "endorsement_failures_pct": attrgetter("endorsement_pct"),
-    "mvcc_pct": attrgetter("mvcc_pct"),
-    "total_mvcc_pct": attrgetter("mvcc_pct"),
-    "inter_block_pct": attrgetter("inter_block_mvcc_pct"),
-    "intra_block_pct": attrgetter("intra_block_mvcc_pct"),
-    "phantom_read_pct": attrgetter("phantom_pct"),
-    "cross_channel_abort_pct": attrgetter("cross_channel_abort_pct"),
-    "peer_unavailable_pct": attrgetter("peer_unavailable_pct"),
-    "endorsement_timeout_pct": attrgetter("endorsement_timeout_pct"),
-    "latency_s": attrgetter("average_latency"),
-    "committed_throughput_tps": attrgetter("committed_throughput"),
-    "committed_tps": attrgetter("committed_throughput"),
-    "client_effective_failure_pct": attrgetter("client_effective_failure_pct"),
-    "goodput_tps": attrgetter("goodput"),
-    "retry_amplification": attrgetter("retry_amplification"),
-    "resubmissions": attrgetter("resubmissions"),
-    "rate_denied": attrgetter("retry_rate_denied"),
-    "logical_requests": attrgetter("logical_requests"),
-    "committed_requests": attrgetter("committed_requests"),
-    "GetState_ms": methodcaller("mean_function_latency_ms", "GetState"),
-    "PutState_ms": methodcaller("mean_function_latency_ms", "PutState"),
-    "GetRange_ms": methodcaller("mean_function_latency_ms", "GetRange"),
-    "DeleteState_ms": methodcaller("mean_function_latency_ms", "DeleteState"),
+    "submitted_transactions": _total(attrgetter("submitted_transactions")),
+    "failures_pct": _mean(lambda metric: metric.failure_report.total_failure_pct),
+    **{pct_column(failure): _mean(_class_pct(failure)) for failure in FailureType},
+    "mvcc_pct": _mean(lambda metric: metric.failure_report.pct(*MVCC)),
+    "latency_s": _mean(attrgetter("average_latency")),
+    "committed_throughput_tps": _mean(attrgetter("committed_throughput")),
+    "client_effective_failure_pct": _mean(attrgetter("client_effective_failure_pct")),
+    "goodput_tps": _mean(attrgetter("goodput")),
+    "retry_amplification": _mean(attrgetter("retry_amplification")),
+    "resubmissions": _total(attrgetter("resubmissions")),
+    "rate_denied": _total(attrgetter("retry_rate_denied")),
+    "logical_requests": _mean(attrgetter("logical_requests")),
+    "committed_requests": _mean(attrgetter("committed_requests")),
+    **{
+        f"{operation}_ms": _call_latency_ms(operation)
+        for operation in ("GetState", "PutState", "GetRange", "DeleteState")
+    },
 }
 
 

@@ -41,7 +41,7 @@ Typical usage::
     runner = ExperimentRunner(workers=4)
     outcome = runner.run_sweep(SweepPlan(base=config, block_sizes=(10, 50, 100)))
     for cell, result in zip(outcome.cells, outcome.results):
-        print(cell.block_size, result.failure_pct)
+        print(cell.block_size, result.value("failures_pct"))
     print(outcome.stats.describe())
 """
 
@@ -57,12 +57,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.harness import (
-    RESULT_COLUMNS,
-    ExperimentConfig,
-    ExperimentResult,
-    run_repetition,
-)
+from repro.bench.harness import ExperimentConfig, ExperimentResult, run_repetition
 from repro.channels.network import plan_groups
 from repro.core.analyzer import ExperimentAnalysis
 from repro.errors import ConfigurationError
@@ -305,22 +300,21 @@ class SweepOutcome:
     def rows(self) -> List[Tuple]:
         """Table rows (one per cell) matching :data:`SWEEP_HEADERS`."""
         return [
-            tuple(RESULT_COLUMNS[header](result) for header in SWEEP_HEADERS)
-            for result in self.results
+            tuple(result.value(header) for header in SWEEP_HEADERS) for result in self.results
         ]
 
 
-#: Column headers matching :meth:`SweepOutcome.rows`.
+#: Column headers (:data:`~repro.bench.harness.RESULT_COLUMNS`) of :meth:`SweepOutcome.rows`.
 SWEEP_HEADERS = (
     "variant",
     "block_size",
     "arrival_rate",
     "zipf_skew",
     "failures_pct",
-    "endorsement_pct",
+    "endorsement_policy_pct",
     "mvcc_pct",
     "latency_s",
-    "committed_tps",
+    "committed_throughput_tps",
 )
 
 

@@ -74,7 +74,7 @@ from repro.bench.experiments import (
     STANDARD_SCALE,
     regenerate,
 )
-from repro.bench.harness import ExperimentConfig, ExperimentResult, run_experiment
+from repro.bench.harness import ExperimentConfig, ExperimentResult, pct_column, run_experiment
 from repro.bench.reporting import format_table
 from repro.bench.runner import SWEEP_HEADERS, ExperimentRunner, ResultCache, SweepPlan
 from repro.chaincode import CHAINCODE_REGISTRY
@@ -85,7 +85,7 @@ from repro.checker.checker import (
     IsolationReport,
 )
 from repro.checker.history import check_history, write_history
-from repro.core.analyzer import ExperimentAnalysis
+from repro.core.analyzer import ChannelAnalysis, ExperimentAnalysis
 from repro.core.failures import FailureType
 from repro.core.recommendations import RecommendationEngine
 from repro.errors import ConfigurationError, ReproError
@@ -564,7 +564,7 @@ def _analysis_summary(analysis: ExperimentAnalysis) -> dict:
     summary = {
         "submitted_transactions": metrics.submitted_transactions,
         "committed_transactions": metrics.committed_transactions,
-        "average_latency_s": metrics.average_latency,
+        "latency_s": metrics.average_latency,
         "committed_throughput_tps": metrics.committed_throughput,
         "blocks": metrics.blocks,
         "orderer_utilization": metrics.orderer_utilization,
@@ -587,16 +587,54 @@ def _analysis_summary(analysis: ExperimentAnalysis) -> dict:
     if analysis.channel_analyses:
         summary["channels"] = [
             {
-                "channel": channel.name,
-                "submitted_transactions": channel.metrics.submitted_transactions,
-                "committed_throughput_tps": channel.metrics.committed_throughput,
-                "cross_channel_submitted": channel.cross_channel_submitted,
-                "cross_channel_aborted": channel.cross_channel_aborted,
+                **dict(zip(_CHANNEL_HEADERS, _channel_row(channel))),
                 "failures": channel.failure_report.as_dict(),
             }
             for channel in analysis.channel_analyses
         ]
     return summary
+
+
+#: The per-channel numbers of ``repro run``, one name each in its table and its JSON.
+_CHANNEL_HEADERS = (
+    "channel",
+    "submitted_transactions",
+    "committed_throughput_tps",
+    "failures_pct",
+    "cross_channel_submitted",
+    "cross_channel_aborted",
+)
+
+
+def _channel_row(channel: ChannelAnalysis) -> tuple:
+    """One channel's numbers, in :data:`_CHANNEL_HEADERS` order."""
+    return (
+        channel.name,
+        channel.metrics.submitted_transactions,
+        channel.metrics.committed_throughput,
+        channel.failure_report.total_failure_pct,
+        channel.cross_channel_submitted,
+        channel.cross_channel_aborted,
+    )
+
+
+#: The columns of ``repro compare``, in its table and its ``--json`` variants.
+_COMPARE_HEADERS = (
+    "variant",
+    "latency_s",
+    "endorsement_policy_pct",
+    "mvcc_pct",
+    "failures_pct",
+    "committed_throughput_tps",
+)
+
+
+def _cell_summary(result: ExperimentResult, headers: Sequence[str]) -> dict:
+    """A compare or sweep cell for ``--json``: its columns, then the failure
+    breakdown, averaged over the repetitions like the columns are."""
+    breakdown = {failure.value: result.value(pct_column(failure)) for failure in FailureType}
+    breakdown["total"] = result.value("failures_pct")
+    return {**{header: result.value(header) for header in headers}, "failures": breakdown}
 
 
 def _print_json(document: dict) -> None:
@@ -667,7 +705,7 @@ def _command_run(args: argparse.Namespace) -> int:
         ("total failures (%)", report.total_failure_pct),
     ]
     rows.extend(
-        (failure.label, report.percentage(failure))
+        (failure.label, report.pct(failure))
         for failure in FailureType
         if failure in _ALWAYS_REPORTED or report.count(failure)
     )
@@ -701,25 +739,9 @@ def _command_run(args: argparse.Namespace) -> int:
         )
     print(format_table(("metric", "value"), rows, title="Experiment result"))
     if analysis.channel_analyses:
-        channel_rows = [
-            (
-                channel.name,
-                channel.metrics.submitted_transactions,
-                channel.metrics.committed_throughput,
-                channel.failure_report.total_failure_pct,
-                channel.cross_channel_submitted,
-                channel.cross_channel_aborted,
-            )
-            for channel in analysis.channel_analyses
-        ]
+        channel_rows = [_channel_row(channel) for channel in analysis.channel_analyses]
         print()
-        print(
-            format_table(
-                ("channel", "submitted", "committed_tps", "failures_pct", "cross_sent", "cross_aborted"),
-                channel_rows,
-                title="Per-channel breakdown",
-            )
-        )
+        print(format_table(_CHANNEL_HEADERS, channel_rows, title="Per-channel breakdown"))
     if isolation is not None and not isolation.serializable:
         print("\nIsolation anomalies (first witnesses):")
         for channel in isolation.channels:
@@ -750,42 +772,14 @@ def _command_compare(args: argparse.Namespace) -> int:
             {
                 "command": "compare",
                 "config": _config_summary(configs[0]),
-                "variants": [
-                    {
-                        "variant": variant,
-                        "average_latency_s": result.average_latency,
-                        "endorsement_pct": result.endorsement_pct,
-                        "mvcc_pct": result.mvcc_pct,
-                        "failures_pct": result.failure_pct,
-                        "committed_throughput_tps": result.committed_throughput,
-                        "failures": result.analyses[0].failure_report.as_dict(),
-                    }
-                    for variant, result in zip(args.variants, results)
-                ],
+                "variants": [_cell_summary(result, _COMPARE_HEADERS) for result in results],
             }
         )
         return 0
-    rows = [
-        (
-            variant,
-            result.average_latency,
-            result.endorsement_pct,
-            result.mvcc_pct,
-            result.failure_pct,
-            result.committed_throughput,
-        )
-        for variant, result in zip(args.variants, results)
-    ]
+    rows = [tuple(result.value(header) for header in _COMPARE_HEADERS) for result in results]
     print(
         format_table(
-            (
-                "variant",
-                "latency_s",
-                "endorsement_pct",
-                "mvcc_pct",
-                "failures_pct",
-                "committed_tps",
-            ),
+            _COMPARE_HEADERS,
             rows,
             title=f"Variant comparison ({args.chaincode}, {args.rate:.0f} tps, {args.cluster})",
         )
@@ -844,23 +838,14 @@ def _command_sweep(args: argparse.Namespace) -> int:
                 "config": _config_summary(plan.base),
                 "cells": [
                     {
-                        "variant": cell.variant,
-                        "block_size": cell.block_size,
-                        "arrival_rate": cell.arrival_rate,
-                        "zipf_skew": cell.zipf_skew,
-                        "failures_pct": result.failure_pct,
-                        "endorsement_pct": result.endorsement_pct,
-                        "mvcc_pct": result.mvcc_pct,
-                        "average_latency_s": result.average_latency,
-                        "committed_throughput_tps": result.committed_throughput,
-                        "failures": result.analyses[0].failure_report.as_dict(),
+                        **_cell_summary(result, SWEEP_HEADERS),
                         **(
                             {"isolation": result.analyses[0].record.isolation.summary()}
                             if result.analyses[0].record.isolation is not None
                             else {}
                         ),
                     }
-                    for cell, result in zip(outcome.cells, outcome.results)
+                    for result in outcome.results
                 ],
                 "runner_stats": runner_stats,
             }

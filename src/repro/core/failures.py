@@ -13,6 +13,7 @@ that knows what a code means:
 * :class:`FailureType` — the failure classes, with the facts kept about each
   (recorded on chain or not, induced by an injected fault or not, the label a
   report prints);
+* :data:`MVCC` and :data:`INFRASTRUCTURE` — the two groups a report sums;
 * :data:`FAILURE_OF_CODE` — validation code → class, total over the failure
   codes;
 * :func:`failure_type_of` — the class of one transaction, which adds the one
@@ -63,12 +64,12 @@ class FailureType(enum.Enum):
     @property
     def is_mvcc(self) -> bool:
         """True for the two MVCC read conflict classes."""
-        return self in (FailureType.MVCC_INTRA_BLOCK, FailureType.MVCC_INTER_BLOCK)
+        return self in MVCC
 
     @property
     def is_infrastructure(self) -> bool:
         """True for failures induced by injected faults, not data contention."""
-        return self in _INFRASTRUCTURE
+        return self in INFRASTRUCTURE
 
     @property
     def on_chain(self) -> bool:
@@ -86,19 +87,24 @@ class FailureType(enum.Enum):
         return _LABELS[self]
 
 
-_INFRASTRUCTURE = frozenset(
-    {
-        FailureType.ENDORSEMENT_TIMEOUT,
-        FailureType.ORDERER_UNAVAILABLE,
-        FailureType.PEER_UNAVAILABLE,
-    }
+#: The two MVCC read conflict classes, in declaration order: a report's MVCC
+#: share is ``FailureReport.pct(*MVCC)``, intra-block plus inter-block.
+MVCC = (FailureType.MVCC_INTRA_BLOCK, FailureType.MVCC_INTER_BLOCK)
+
+#: The classes an injected fault causes, in declaration order.
+INFRASTRUCTURE = (
+    FailureType.ENDORSEMENT_TIMEOUT,
+    FailureType.ORDERER_UNAVAILABLE,
+    FailureType.PEER_UNAVAILABLE,
 )
 
 #: FabricSharp's early aborts, the coordinator's prepare aborts and whatever a
 #: fault path aborts.  (A client-side endorsement check also drops its
 #: transactions before ordering; they stay endorsement policy failures, which
 #: is the class the validator would have recorded for them.)
-_NEVER_ON_CHAIN = _INFRASTRUCTURE | {FailureType.EARLY_ABORT, FailureType.CROSS_CHANNEL_ABORT}
+_NEVER_ON_CHAIN = frozenset(
+    INFRASTRUCTURE + (FailureType.EARLY_ABORT, FailureType.CROSS_CHANNEL_ABORT)
+)
 
 _LABELS = {
     FailureType.ENDORSEMENT_POLICY: "endorsement policy failures (%)",

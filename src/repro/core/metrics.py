@@ -33,11 +33,18 @@ class FailureReport:
         """Number of failures of the given type."""
         return self.counts.get(failure_type, 0)
 
-    def percentage(self, failure_type: FailureType) -> float:
-        """Failures of the given type as a percentage of all transactions."""
+    def pct(self, *failure_types: FailureType) -> float:
+        """Failures of the given classes as a percentage of all transactions.
+
+        Several classes add their percentages in the order given, so
+        ``pct(*MVCC)`` is the intra-block plus the inter-block share.
+        """
         if self.total_transactions == 0:
             return 0.0
-        return 100.0 * self.count(failure_type) / self.total_transactions
+        return sum(
+            100.0 * self.count(failure_type) / self.total_transactions
+            for failure_type in failure_types
+        )
 
     @property
     def recorded_failures(self) -> int:
@@ -55,80 +62,18 @@ class FailureReport:
 
     @property
     def total_failure_pct(self) -> float:
-        """Blockchain-recorded failures as a percentage of submitted transactions."""
+        """Blockchain-recorded failures as a percentage of submitted transactions.
+
+        The *raw* (per-attempt) failure rate: every resubmitted attempt counts
+        again, exactly as the blockchain records it.
+        """
         if self.total_transactions == 0:
             return 0.0
         return 100.0 * self.recorded_failures / self.total_transactions
 
-    @property
-    def endorsement_pct(self) -> float:
-        """Endorsement policy failures in percent (Figures 9, 12, 13, ...)."""
-        return self.percentage(FailureType.ENDORSEMENT_POLICY)
-
-    @property
-    def intra_block_mvcc_pct(self) -> float:
-        """Intra-block MVCC read conflicts in percent (Figure 7)."""
-        return self.percentage(FailureType.MVCC_INTRA_BLOCK)
-
-    @property
-    def inter_block_mvcc_pct(self) -> float:
-        """Inter-block MVCC read conflicts in percent (Figure 7)."""
-        return self.percentage(FailureType.MVCC_INTER_BLOCK)
-
-    @property
-    def mvcc_pct(self) -> float:
-        """All MVCC read conflicts (intra + inter) in percent."""
-        return self.intra_block_mvcc_pct + self.inter_block_mvcc_pct
-
-    @property
-    def phantom_pct(self) -> float:
-        """Phantom read conflicts in percent (Figure 10)."""
-        return self.percentage(FailureType.PHANTOM_READ)
-
-    @property
-    def ordering_abort_pct(self) -> float:
-        """Transactions aborted by reordering and recorded on chain (Fabric++)."""
-        return self.percentage(FailureType.ORDERING_ABORT)
-
-    @property
-    def early_abort_pct(self) -> float:
-        """Transactions aborted before ordering and never recorded (FabricSharp)."""
-        return self.percentage(FailureType.EARLY_ABORT)
-
-    @property
-    def cross_channel_abort_pct(self) -> float:
-        """Cross-channel transactions aborted by the 2PC prepare (multi-channel)."""
-        return self.percentage(FailureType.CROSS_CHANNEL_ABORT)
-
-    @property
-    def endorsement_timeout_pct(self) -> float:
-        """Transactions lost to the endorsement-collection watchdog (faults)."""
-        return self.percentage(FailureType.ENDORSEMENT_TIMEOUT)
-
-    @property
-    def orderer_unavailable_pct(self) -> float:
-        """Transactions refused during an ordering-service outage (faults)."""
-        return self.percentage(FailureType.ORDERER_UNAVAILABLE)
-
-    @property
-    def peer_unavailable_pct(self) -> float:
-        """Proposals that failed fast against a down endorsing peer (faults)."""
-        return self.percentage(FailureType.PEER_UNAVAILABLE)
-
-    @property
-    def infrastructure_pct(self) -> float:
-        """All fault-induced failures (timeouts + orderer + peer unavailability).
-
-        Derived from :attr:`FailureType.is_infrastructure`, so a new
-        infrastructure failure class is counted here automatically.
-        """
-        return sum(
-            self.percentage(failure) for failure in FailureType if failure.is_infrastructure
-        )
-
     def as_dict(self) -> Dict[str, float]:
         """Percentages keyed by failure-type value (for reports and tests)."""
-        summary = {failure.value: self.percentage(failure) for failure in FailureType}
+        summary = {failure.value: self.pct(failure) for failure in FailureType}
         summary["total"] = self.total_failure_pct
         return summary
 
@@ -188,22 +133,13 @@ class ExperimentMetrics:
     isolation: Dict[str, object] = field(default_factory=dict)
 
     @property
-    def failure_pct(self) -> float:
-        """Total failed transactions in percent of the submitted transactions.
-
-        The *raw* (per-attempt) failure rate: every resubmitted attempt counts
-        again, exactly as the blockchain records it.
-        """
-        return self.failure_report.total_failure_pct
-
-    @property
     def client_effective_failure_pct(self) -> float:
         """Logical requests that never committed, in percent.
 
         The failure rate a client actually experiences once its retries are
         accounted for: a request that fails twice and commits on the third
         attempt is one success here, while it contributes two failures to the
-        raw :attr:`failure_pct`.
+        raw :attr:`FailureReport.total_failure_pct`.
         """
         if self.logical_requests == 0:
             return 0.0

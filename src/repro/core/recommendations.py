@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.core.analyzer import ExperimentAnalysis
+from repro.core.failures import MVCC, FailureType
 from repro.network.config import DatabaseType
 
 
@@ -65,41 +66,43 @@ class RecommendationEngine:
         config = analysis.record.config
         metrics = analysis.metrics
 
-        if report.mvcc_pct >= self.mvcc_threshold_pct:
+        mvcc = report.pct(*MVCC)
+        if mvcc >= self.mvcc_threshold_pct:
             recommendations.append(
                 Recommendation(
                     identifier="block-size",
                     title="Adapt the block size to the transaction arrival rate",
                     rationale=(
-                        f"{report.mvcc_pct:.1f}% of transactions fail with MVCC read conflicts "
+                        f"{mvcc:.1f}% of transactions fail with MVCC read conflicts "
                         f"at {metrics.arrival_rate:.0f} tps with block size {config.block_size}; "
                         "the paper observed up to 60% fewer failures at the best block size."
                     ),
                     paper_section="6.1 Block size",
                 )
             )
-            if report.intra_block_mvcc_pct > report.inter_block_mvcc_pct:
+            intra, inter = (report.pct(failure) for failure in MVCC)
+            if intra > inter:
                 recommendations.append(
                     Recommendation(
                         identifier="reordering",
                         title="Consider Fabric++ or FabricSharp (transaction reordering)",
                         rationale=(
                             "Most MVCC conflicts are intra-block "
-                            f"({report.intra_block_mvcc_pct:.1f}% vs "
-                            f"{report.inter_block_mvcc_pct:.1f}% inter-block); intra-block "
+                            f"({intra:.1f}% vs {inter:.1f}% inter-block); intra-block "
                             "conflicts can be resolved by reordering."
                         ),
                         paper_section="6.1 Types of failures",
                     )
                 )
 
-        if report.endorsement_pct >= self.endorsement_threshold_pct:
+        endorsement = report.pct(FailureType.ENDORSEMENT_POLICY)
+        if endorsement >= self.endorsement_threshold_pct:
             recommendations.append(
                 Recommendation(
                     identifier="endorsement-policy",
                     title="Reduce organizations, signatures and sub-policies",
                     rationale=(
-                        f"{report.endorsement_pct:.2f}% endorsement policy failures with "
+                        f"{endorsement:.2f}% endorsement policy failures with "
                         f"{config.orgs} organizations and policy {config.endorsement_policy}; "
                         "fewer endorsers and simpler policies reduce world-state "
                         "inconsistency windows."
@@ -108,13 +111,14 @@ class RecommendationEngine:
                 )
             )
 
-        if report.phantom_pct >= self.phantom_threshold_pct:
+        phantom = report.pct(FailureType.PHANTOM_READ)
+        if phantom >= self.phantom_threshold_pct:
             recommendations.append(
                 Recommendation(
                     identifier="range-queries",
                     title="Avoid range queries in the chaincode",
                     rationale=(
-                        f"{report.phantom_pct:.2f}% phantom read conflicts; no Fabric parameter "
+                        f"{phantom:.2f}% phantom read conflicts; no Fabric parameter "
                         "resolves them, so redesign the chaincode (e.g. maintain aggregate keys "
                         "instead of scanning ranges)."
                     ),
@@ -200,13 +204,14 @@ class RecommendationEngine:
                 )
             )
         if config.channels > 1:
-            if report.cross_channel_abort_pct >= self.cross_channel_threshold_pct:
+            cross_channel = report.pct(FailureType.CROSS_CHANNEL_ABORT)
+            if cross_channel >= self.cross_channel_threshold_pct:
                 recommendations.append(
                     Recommendation(
                         identifier="cross-channel",
                         title="Reduce cross-channel transactions",
                         rationale=(
-                            f"{report.cross_channel_abort_pct:.2f}% of transactions abort in "
+                            f"{cross_channel:.2f}% of transactions abort in "
                             "the two-phase cross-channel prepare; co-locate keys that are "
                             "updated together on one channel or lower the cross-channel "
                             "fraction."
@@ -256,17 +261,18 @@ class RecommendationEngine:
                     paper_section="Extension: client retry subsystem",
                 )
             )
+        mvcc = report.pct(*MVCC)
         if (
             retry.enabled
             and retry.policy in ("immediate", "fixed")
-            and report.mvcc_pct >= self.mvcc_threshold_pct
+            and mvcc >= self.mvcc_threshold_pct
         ):
             recommendations.append(
                 Recommendation(
                     identifier="jittered-backoff",
                     title="Decorrelate retries with jittered exponential backoff",
                     rationale=(
-                        f"MVCC read conflicts dominate the failures ({report.mvcc_pct:.1f}%) "
+                        f"MVCC read conflicts dominate the failures ({mvcc:.1f}%) "
                         f"and the {retry.policy!r} retry policy resubmits every transaction "
                         "of a failed batch (almost) simultaneously, re-creating the "
                         "conflicting batch one retry later — especially under a skewed "
@@ -303,7 +309,7 @@ class RecommendationEngine:
         report = analysis.failure_report
         config = analysis.record.config
         retry = config.retry
-        peer_fault_pct = report.peer_unavailable_pct + report.endorsement_timeout_pct
+        peer_fault_pct = report.pct(FailureType.PEER_UNAVAILABLE, FailureType.ENDORSEMENT_TIMEOUT)
         if peer_fault_pct >= self.peer_fault_threshold_pct:
             recommendations.append(
                 Recommendation(
@@ -320,16 +326,14 @@ class RecommendationEngine:
                     paper_section="Extension: fault injection",
                 )
             )
-        if (
-            not retry.enabled
-            and report.orderer_unavailable_pct >= self.outage_threshold_pct
-        ):
+        refused = report.pct(FailureType.ORDERER_UNAVAILABLE)
+        if not retry.enabled and refused >= self.outage_threshold_pct:
             recommendations.append(
                 Recommendation(
                     identifier="retry-under-outage",
                     title="Enable jittered retries to ride out orderer blips",
                     rationale=(
-                        f"{report.orderer_unavailable_pct:.2f}% of transactions were refused "
+                        f"{refused:.2f}% of transactions were refused "
                         "during ordering-service outage windows and the clients never "
                         "resubmit, so every blip permanently loses its requests; a jittered "
                         "backoff retry policy resubmits them after the outage at bounded "

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import ExperimentConfig, run_experiment
+from repro.bench.harness import ExperimentConfig, pct_column, run_experiment
 from repro.bench.reporting import format_series, format_table, format_value
 from repro.chaincode.genchain import GenChainChaincode
+from repro.core.failures import FailureType
 from repro.errors import ConfigurationError
 from repro.network.config import NetworkConfig
 from repro.workload.spec import TransactionMix, WorkloadSpec
@@ -67,7 +68,7 @@ def test_unregistered_chaincode_requires_factory():
     config = tiny_config(workload=spec, chaincode_factory=lambda: GenChainChaincode(num_keys=100))
     config.validate()
     result = run_experiment(config)
-    assert result.submitted_transactions > 0
+    assert result.value("submitted_transactions") > 0
 
 
 def test_with_overrides_returns_modified_copy():
@@ -81,7 +82,7 @@ def test_run_experiment_respects_repetitions():
     result = run_experiment(tiny_config(repetitions=2))
     assert len(result.analyses) == 2
     assert len(result.metrics) == 2
-    assert result.submitted_transactions == sum(
+    assert result.value("submitted_transactions") == sum(
         metric.submitted_transactions for metric in result.metrics
     )
 
@@ -89,36 +90,28 @@ def test_run_experiment_respects_repetitions():
 def test_run_experiment_is_deterministic_for_a_seed():
     first = run_experiment(tiny_config())
     second = run_experiment(tiny_config())
-    assert first.failure_pct == pytest.approx(second.failure_pct)
-    assert first.average_latency == pytest.approx(second.average_latency)
+    for column in ("failures_pct", "latency_s"):
+        assert first.value(column) == second.value(column)
 
 
 def test_result_aggregates_are_within_bounds():
     result = run_experiment(tiny_config())
-    for value in (
-        result.failure_pct,
-        result.endorsement_pct,
-        result.mvcc_pct,
-        result.intra_block_mvcc_pct,
-        result.inter_block_mvcc_pct,
-        result.phantom_pct,
-        result.early_abort_pct,
-    ):
-        assert 0.0 <= value <= 100.0
-    assert result.mvcc_pct == pytest.approx(
-        result.intra_block_mvcc_pct + result.inter_block_mvcc_pct
+    for column in ("failures_pct", "mvcc_pct", *map(pct_column, FailureType)):
+        assert 0.0 <= result.value(column) <= 100.0
+    assert result.value("mvcc_pct") == pytest.approx(
+        result.value("mvcc_intra_block_pct") + result.value("mvcc_inter_block_pct")
     )
-    assert result.average_latency > 0
-    assert result.committed_throughput > 0
-    assert result.mean_function_latency_ms("GetState") > 0
-    assert result.mean_function_latency_ms("NoSuchCall") == 0.0
+    assert result.value("latency_s") > 0
+    assert result.value("committed_throughput_tps") > 0
+    assert result.value("GetState_ms") > 0
+    assert result.value("DeleteState_ms") == 0.0  # EHR never deletes
 
 
 def test_variant_selection_changes_behaviour():
     fabric = run_experiment(tiny_config())
     sharp = run_experiment(tiny_config(variant="fabricsharp"))
-    assert sharp.mvcc_pct == 0.0
-    assert fabric.submitted_transactions > 0
+    assert sharp.value("mvcc_pct") == 0.0
+    assert fabric.value("submitted_transactions") > 0
 
 
 def test_harness_names_no_subsystem_config_class():

@@ -56,7 +56,7 @@ def _metric_tuples(result):
             metric.committed_transactions,
             metric.average_latency,
             metric.committed_throughput,
-            metric.failure_pct,
+            metric.failure_report.total_failure_pct,
         )
         for metric in result.metrics
     ]
@@ -226,7 +226,7 @@ def test_unpicklable_config_falls_back_to_serial():
     runner = ExperimentRunner(workers=4)
     result = runner.run(config)
     assert runner.stats.workers == 1
-    assert result.submitted_transactions > 0
+    assert result.value("submitted_transactions") > 0
 
 
 # ----------------------------------------------------------------------- cache
@@ -436,7 +436,7 @@ def test_run_sweep_pairs_cells_with_results():
     assert len(outcome.rows()) == 2
     for cell, result in zip(outcome.cells, outcome.results):
         assert result.config.network.block_size == cell.block_size
-        assert result.submitted_transactions > 0
+        assert result.value("submitted_transactions") > 0
 
 
 # -------------------------------------------------------------------- progress

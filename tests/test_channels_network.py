@@ -9,7 +9,7 @@ from repro.bench.runner import ExperimentRunner, ResultCache
 from repro.channels.group import GroupResult, RunArgs
 from repro.channels.merge import merge_group_results
 from repro.channels.network import MultiChannelNetwork
-from repro.core.failures import FailureType
+from repro.core.failures import MVCC, FailureType
 from repro.errors import ConfigurationError, SimulationError
 from repro.ledger.block import ValidationCode
 from repro.ledger.ledger import Ledger
@@ -78,11 +78,8 @@ def test_multi_channel_metrics_aggregate_across_chains():
     assert metrics.committed_transactions == sum(m.committed_transactions for m in channel_metrics)
     assert metrics.committed_throughput > 0
     report = analysis.failure_report
-    total = (
-        report.endorsement_pct
-        + report.mvcc_pct
-        + report.phantom_pct
-        + report.ordering_abort_pct
+    total = report.pct(
+        FailureType.ENDORSEMENT_POLICY, *MVCC, FailureType.PHANTOM_READ, FailureType.ORDERING_ABORT
     )
     assert report.total_failure_pct == pytest.approx(total, abs=1e-6)
 
@@ -113,8 +110,8 @@ def test_multi_channel_results_are_cache_and_runner_stable(tmp_path):
     assert runner.stats.tasks_run == 1
     cached = runner.run(config)
     assert runner.stats.cache_hits == 1
-    assert cached.failure_pct == pytest.approx(fresh.failure_pct)
-    assert cached.cross_channel_abort_pct == pytest.approx(fresh.cross_channel_abort_pct)
+    for column in ("failures_pct", "cross_channel_abort_pct"):
+        assert cached.value(column) == pytest.approx(fresh.value(column))
 
 
 def test_channels_one_is_bit_identical_to_the_classic_path():
@@ -141,7 +138,7 @@ def test_channel_scaling_raises_throughput_and_lowers_mvcc():
     single = run_experiment(channel_config(1, arrival_rate=400.0, duration=4.0)).analyses[0]
     sharded = run_experiment(channel_config(4, arrival_rate=400.0, duration=4.0)).analyses[0]
     assert sharded.metrics.committed_throughput > 1.5 * single.metrics.committed_throughput
-    assert sharded.failure_report.mvcc_pct < single.failure_report.mvcc_pct
+    assert sharded.failure_report.pct(*MVCC) < single.failure_report.pct(*MVCC)
 
 
 # -------------------------------------------------------------- cross-channel
@@ -170,7 +167,7 @@ def test_cross_channel_aborts_form_their_own_failure_class():
         assert tx.validation_code is ValidationCode.CROSS_CHANNEL_ABORT
         assert tx.partner_channel is not None
         assert tx.block_number is None  # never reached a block
-    assert report.cross_channel_abort_pct > 0
+    assert report.pct(FailureType.CROSS_CHANNEL_ABORT) > 0
     # Never-on-chain aborts stay out of the blockchain-parsed headline number.
     assert report.count(FailureType.CROSS_CHANNEL_ABORT) == len(aborted)
     assert report.recorded_failures == report.total_failures - report.count(
@@ -214,7 +211,7 @@ def test_neighbor_partner_strategy_forms_a_ring():
 def test_cross_channel_rate_zero_produces_no_cross_traffic():
     analysis = run_experiment(channel_config(channels=4)).analyses[0]
     assert all(tx.partner_channel is None for tx in analysis.record.transactions)
-    assert analysis.failure_report.cross_channel_abort_pct == 0.0
+    assert analysis.failure_report.pct(FailureType.CROSS_CHANNEL_ABORT) == 0.0
 
 
 # ------------------------------------------------------------------ placement

@@ -317,6 +317,45 @@ def test_sweep_command_json_output(capsys):
     assert {cell["block_size"] for cell in document["cells"]} == {10, 30}
 
 
+def _headers(out: str) -> list:
+    """The column headers of the first table printed to ``out``."""
+    line = next(line for line in out.splitlines() if "|" in line)
+    return [cell.strip() for cell in line.split("|")]
+
+
+COMPARE_ARGS = [
+    "compare", "--variants", "fabric-1.4", "fabricsharp", "--database", "leveldb",
+    "--block-size", "10", "--rate", "40", "--duration", "2",
+]
+
+
+@pytest.mark.parametrize(
+    "argv,entries",
+    [(COMPARE_ARGS, "variants"), (SWEEP_BASE_ARGS + ["--no-cache"], "cells")],
+)
+def test_json_names_every_number_as_the_table_does(capsys, argv, entries):
+    assert main(argv) == 0
+    headers = _headers(capsys.readouterr().out)
+    assert main(argv + ["--json"]) == 0
+    for entry in json.loads(capsys.readouterr().out)[entries]:
+        assert set(entry) == {*headers, "failures"}
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_json_failure_breakdown_averages_the_repetitions(capsys, command):
+    # The breakdown sits beside columns averaged over the repetitions, so it
+    # is averaged too (it used to be the first repetition's alone).
+    argv = COMPARE_ARGS if command == "compare" else SWEEP_BASE_ARGS + ["--no-cache"]
+    assert main(argv + ["--repetitions", "3", "--json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    for entry in document["variants" if command == "compare" else "cells"]:
+        failures = entry["failures"]
+        assert failures["total"] == entry["failures_pct"]
+        mvcc = ("intra_block_mvcc_read_conflict", "inter_block_mvcc_read_conflict")
+        assert sum(failures[name] for name in mvcc) == pytest.approx(entry["mvcc_pct"])
+        assert failures["endorsement_policy_failure"] == entry["endorsement_policy_pct"]
+
+
 # ----------------------------------------------------------------- versioning
 def test_version_flag_prints_the_single_sourced_version(capsys):
     import repro

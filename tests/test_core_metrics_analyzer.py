@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import run_experiment
-from repro.core.failures import FailureType
+from repro.core.failures import MVCC, FailureType
 from repro.core.metrics import FailureReport, build_failure_report, compute_metrics
 from repro.core.recommendations import RecommendationEngine
 from repro.ledger.block import Transaction, ValidationCode
@@ -25,11 +25,11 @@ def test_failure_report_percentages():
         mvcc_inter_block=6,
         phantom_read=2,
     )
-    assert report.endorsement_pct == pytest.approx(2.0)
-    assert report.intra_block_mvcc_pct == pytest.approx(5.0)
-    assert report.inter_block_mvcc_pct == pytest.approx(3.0)
-    assert report.mvcc_pct == pytest.approx(8.0)
-    assert report.phantom_pct == pytest.approx(1.0)
+    assert report.pct(FailureType.ENDORSEMENT_POLICY) == pytest.approx(2.0)
+    assert report.pct(FailureType.MVCC_INTRA_BLOCK) == pytest.approx(5.0)
+    assert report.pct(FailureType.MVCC_INTER_BLOCK) == pytest.approx(3.0)
+    assert report.pct(*MVCC) == pytest.approx(8.0)
+    assert report.pct(FailureType.PHANTOM_READ) == pytest.approx(1.0)
     assert report.total_failure_pct == pytest.approx(11.0)
 
 
@@ -38,14 +38,14 @@ def test_failure_report_excludes_early_aborts_from_recorded_failures():
     assert report.recorded_failures == 15
     assert report.total_failures == 35
     assert report.total_failure_pct == pytest.approx(15.0)
-    assert report.early_abort_pct == pytest.approx(20.0)
-    assert report.ordering_abort_pct == pytest.approx(5.0)
+    assert report.pct(FailureType.EARLY_ABORT) == pytest.approx(20.0)
+    assert report.pct(FailureType.ORDERING_ABORT) == pytest.approx(5.0)
 
 
 def test_failure_report_empty_is_all_zero():
     report = FailureReport(total_transactions=0)
     assert report.total_failure_pct == 0.0
-    assert report.mvcc_pct == 0.0
+    assert report.pct(*MVCC) == 0.0
     assert report.as_dict()["total"] == 0.0
 
 
@@ -79,7 +79,7 @@ def test_compute_metrics_on_a_real_run(tiny_experiment):
     assert 0 < metrics.average_latency < 30
     assert metrics.committed_throughput > 0
     assert metrics.successful_throughput <= metrics.committed_throughput
-    assert 0 <= metrics.failure_pct <= 100
+    assert 0 <= metrics.failure_report.total_failure_pct <= 100
     assert "GetState" in metrics.function_call_latency_ms
 
 
@@ -87,11 +87,8 @@ def test_metrics_failure_breakdown_is_consistent(tiny_experiment):
     result = run_experiment(tiny_experiment)
     metrics = result.analyses[0].metrics
     report = metrics.failure_report
-    total = (
-        report.endorsement_pct
-        + report.mvcc_pct
-        + report.phantom_pct
-        + report.ordering_abort_pct
+    total = report.pct(
+        FailureType.ENDORSEMENT_POLICY, *MVCC, FailureType.PHANTOM_READ, FailureType.ORDERING_ABORT
     )
     assert report.total_failure_pct == pytest.approx(total, abs=1e-6)
 
@@ -117,7 +114,7 @@ def test_compute_metrics_accepts_precomputed_classification(tiny_experiment):
     result = run_experiment(tiny_experiment)
     analysis = result.analyses[0]
     recomputed = compute_metrics(analysis.record, analysis.failed_transactions)
-    assert recomputed.failure_pct == pytest.approx(analysis.metrics.failure_pct)
+    assert recomputed.failure_report == analysis.metrics.failure_report
 
 
 # ----------------------------------------------------------------- recommendations

@@ -13,7 +13,7 @@ import pytest
 from failure_oracle import replay_chain
 
 from repro.bench.harness import ExperimentConfig, run_experiment
-from repro.core.failures import FailureType, failure_type_of
+from repro.core.failures import MVCC, FailureType, failure_type_of
 from repro.ledger.block import ValidationCode
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
@@ -131,7 +131,7 @@ def test_fabricsharp_never_records_mvcc_conflicts():
     codes = {tx.validation_code for tx in analysis.record.ledger.transactions()}
     assert ValidationCode.MVCC_READ_CONFLICT not in codes
     assert ValidationCode.PHANTOM_READ_CONFLICT not in codes
-    assert analysis.failure_report.mvcc_pct == 0.0
+    assert analysis.failure_report.pct(*MVCC) == 0.0
 
 
 def test_fabricsharp_early_aborts_shrink_the_blockchain():

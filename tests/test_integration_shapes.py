@@ -44,31 +44,31 @@ def config(
 def test_failures_increase_with_arrival_rate():
     slow = run_experiment(config(arrival_rate=15))
     fast = run_experiment(config(arrival_rate=90))
-    assert fast.mvcc_pct > slow.mvcc_pct
+    assert fast.value("mvcc_pct") > slow.value("mvcc_pct")
 
 
 def test_update_heavy_fails_more_than_insert_heavy():
     update_heavy = run_experiment(config(workload=synthetic_workload("UH", num_keys=5000)))
     insert_heavy = run_experiment(config(workload=synthetic_workload("IH", num_keys=5000)))
-    assert update_heavy.failure_pct > insert_heavy.failure_pct + 2
+    assert update_heavy.value("failures_pct") > insert_heavy.value("failures_pct") + 2
 
 
 def test_skewed_key_access_increases_failures():
     uniform = run_experiment(config(workload=read_update_uniform(num_keys=5000), zipf_skew=0.0))
     skewed = run_experiment(config(workload=read_update_uniform(num_keys=5000), zipf_skew=2.0))
-    assert skewed.failure_pct > uniform.failure_pct + 10
+    assert skewed.value("failures_pct") > uniform.value("failures_pct") + 10
 
 
 def test_leveldb_is_not_slower_than_couchdb():
     level = run_experiment(config(database="leveldb"))
     couch = run_experiment(config(database="couchdb"))
-    assert level.average_latency <= couch.average_latency
+    assert level.value("latency_s") <= couch.value("latency_s")
 
 
 def test_more_organizations_mean_more_endorsement_failures():
     few = run_experiment(config(cluster="C2", orgs=2, peers_per_org=2, arrival_rate=80, duration=6))
     many = run_experiment(config(cluster="C2", orgs=10, peers_per_org=2, arrival_rate=80, duration=6))
-    assert many.endorsement_pct >= few.endorsement_pct
+    assert many.value("endorsement_policy_pct") >= few.value("endorsement_policy_pct")
 
 
 def test_network_delay_increases_endorsement_failures_and_latency():
@@ -85,29 +85,29 @@ def test_network_delay_increases_endorsement_failures_and_latency():
             delayed_orgs=(0,),
         )
     )
-    assert delayed.average_latency > baseline.average_latency
-    assert delayed.endorsement_pct > baseline.endorsement_pct
+    assert delayed.value("latency_s") > baseline.value("latency_s")
+    assert delayed.value("endorsement_policy_pct") > baseline.value("endorsement_policy_pct")
 
 
 def test_streamchain_beats_fabric_at_low_rates():
     fabric = run_experiment(config(arrival_rate=30))
     stream = run_experiment(config(variant="streamchain", arrival_rate=30))
-    assert stream.average_latency < fabric.average_latency
-    assert stream.failure_pct < fabric.failure_pct
+    assert stream.value("latency_s") < fabric.value("latency_s")
+    assert stream.value("failures_pct") < fabric.value("failures_pct")
 
 
 def test_streamchain_saturates_at_high_rates():
     stream_low = run_experiment(config(variant="streamchain", arrival_rate=30, duration=6))
     stream_high = run_experiment(config(variant="streamchain", arrival_rate=200, duration=6))
-    assert stream_high.failure_pct > stream_low.failure_pct
-    assert stream_high.average_latency > stream_low.average_latency
+    assert stream_high.value("failures_pct") > stream_low.value("failures_pct")
+    assert stream_high.value("latency_s") > stream_low.value("latency_s")
 
 
 def test_fabricsharp_eliminates_mvcc_but_not_endorsement_failures():
     sharp = run_experiment(config(variant="fabricsharp", arrival_rate=80, duration=6))
     fabric = run_experiment(config(arrival_rate=80, duration=6))
-    assert sharp.mvcc_pct == 0.0
-    assert sharp.failure_pct < fabric.failure_pct
+    assert sharp.value("mvcc_pct") == 0.0
+    assert sharp.value("failures_pct") < fabric.value("failures_pct")
 
 
 def test_fabricsharp_helps_update_heavy_but_not_insert_heavy():
@@ -121,7 +121,7 @@ def test_fabricsharp_helps_update_heavy_but_not_insert_heavy():
             arrival_rate=80,
         )
     )
-    assert sharp_uh.failure_pct < fabric_uh.failure_pct
+    assert sharp_uh.value("failures_pct") < fabric_uh.value("failures_pct")
     sharp_ih = run_experiment(
         config(
             variant="fabricsharp",
@@ -129,7 +129,7 @@ def test_fabricsharp_helps_update_heavy_but_not_insert_heavy():
             arrival_rate=80,
         )
     )
-    assert sharp_ih.failure_pct < 10.0  # insert-heavy stays essentially conflict free
+    assert sharp_ih.value("failures_pct") < 10.0  # insert-heavy stays essentially conflict free
 
 
 def test_fabricpp_reduces_failures_at_the_default_block_size():
@@ -139,7 +139,7 @@ def test_fabricpp_reduces_failures_at_the_default_block_size():
     fabricpp = run_experiment(
         config(cluster="C2", variant="fabric++", arrival_rate=100, duration=6, block_size=100)
     )
-    assert fabricpp.failure_pct < fabric.failure_pct
+    assert fabricpp.value("failures_pct") < fabric.value("failures_pct")
 
 
 def test_fabricpp_does_not_rescue_chaincodes_with_large_range_queries():
@@ -158,12 +158,12 @@ def test_fabricpp_does_not_rescue_chaincodes_with_large_range_queries():
         config(variant="fabric++", arrival_rate=40, duration=4, block_size=50)
     )
     # Fabric++ cannot bring DV anywhere near healthy latency or failure levels.
-    assert fabricpp_dv.average_latency > 5 * fabricpp_ehr.average_latency
-    assert fabricpp_dv.average_latency > 0.5 * fabric_dv.average_latency
-    assert fabricpp_dv.failure_pct > 50.0
+    assert fabricpp_dv.value("latency_s") > 5 * fabricpp_ehr.value("latency_s")
+    assert fabricpp_dv.value("latency_s") > 0.5 * fabric_dv.value("latency_s")
+    assert fabricpp_dv.value("failures_pct") > 50.0
 
 
 def test_block_size_matters_for_failures():
     small = run_experiment(config(arrival_rate=80, duration=6, block_size=10))
     large = run_experiment(config(arrival_rate=80, duration=6, block_size=200))
-    assert abs(small.failure_pct - large.failure_pct) > 1.0
+    assert abs(small.value("failures_pct") - large.value("failures_pct")) > 1.0

@@ -180,9 +180,9 @@ def test_resubmission_creates_fresh_attempts_with_lineage():
 def test_retries_lower_the_client_effective_failure_rate():
     baseline = run_experiment(retry_experiment("none")).analyses[0].metrics
     retried = run_experiment(retry_experiment("jittered", max_backoff=0.25)).analyses[0].metrics
-    assert baseline.client_effective_failure_pct == baseline.failure_pct
+    assert baseline.client_effective_failure_pct == baseline.failure_report.total_failure_pct
     assert retried.resubmissions > 0
-    assert retried.client_effective_failure_pct < retried.failure_pct
+    assert retried.client_effective_failure_pct < retried.failure_report.total_failure_pct
     assert retried.client_effective_failure_pct < baseline.client_effective_failure_pct
     assert retried.retry_amplification > 1.0
 
