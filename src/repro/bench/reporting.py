@@ -59,8 +59,3 @@ def format_progress(event) -> str:
         f"[{event.completed:>{width}}/{event.total}] {percent:3.0f}% | "
         f"{event.cache_hits} cached | elapsed {event.elapsed:.1f}s | eta {event.eta:.1f}s"
     )
-
-
-def print_progress(event) -> None:
-    """A ready-made runner progress hook: print one line per completed task."""
-    print(format_progress(event))

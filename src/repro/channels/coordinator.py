@@ -121,9 +121,3 @@ class CrossChannelCoordinator:
         keys = {read.key for read in tx.rwset.all_reads()}
         keys.update(write.key for write in tx.rwset.writes)
         return sorted(keys)
-
-    # ------------------------------------------------------------- inspection
-    @property
-    def locks_held(self) -> int:
-        """Number of keys currently locked by preparing transactions."""
-        return len(self._locks)

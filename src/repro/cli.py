@@ -1,11 +1,11 @@
 """Command-line interface: run experiments and regenerate paper artefacts.
 
-The CLI exposes the three things a practitioner typically wants to do with the
-library without writing Python:
+The CLI exposes what a practitioner typically wants to do with the library
+without writing Python.  ``repro <verb> --help`` lists each verb's flags.
 
 ``python -m repro run``
-    Run one experiment (variant, chaincode, block size, arrival rate, ...) and
-    print the failure breakdown plus the Section 6 recommendations.
+    Run one experiment and print the failure breakdown plus the Section 6
+    recommendations.
 
 ``python -m repro compare``
     Run the same workload on several Fabric variants and print a comparison
@@ -16,11 +16,10 @@ library without writing Python:
     at a chosen scale and print the rows.
 
 ``python -m repro sweep``
-    Run a grid of experiments (block sizes × arrival rates × variants × skews)
-    through the parallel :class:`~repro.bench.runner.ExperimentRunner`, with
-    ``--workers`` processes and a content-addressed result cache
-    (``--cache-dir`` persists it across invocations, ``--no-cache`` disables
-    it), and print one table row per grid cell plus the runner's statistics.
+    Run a grid of experiments through the parallel
+    :class:`~repro.bench.runner.ExperimentRunner` and its content-addressed
+    result cache, and print one table row per grid cell plus the runner's
+    statistics.
 
 ``python -m repro trace summary <file>``
     Analyze a Chrome trace written by ``run``/``sweep --trace-out``: per-stage
@@ -28,40 +27,28 @@ library without writing Python:
 
 ``python -m repro check <file>``
     Re-check an exported committed history (``run --check-isolation
-    --history-out FILE``) through the streaming isolation checker: per-channel
-    serializability/snapshot-isolation verdicts with anomaly witnesses.  Exits
-    0 when the history certifies at ``--level``, 1 when it is refuted.
+    --history-out FILE``) through the streaming isolation checker.  Exits 0
+    when the history certifies at ``--level``, 1 when it is refuted.
 
-``run`` and ``sweep`` additionally accept ``--trace-out FILE`` (Chrome
-trace-event JSON, loadable in Perfetto or ``chrome://tracing``) and
-``--metrics-out FILE`` (registry summary + sampled sim-time series + fault
-markers); exporting never changes results — observability is excluded from
-experiment cell identity (sweeps bypass the result cache when exporting, since
-cached results carry no trace data).  ``run`` and ``sweep`` also accept
-``--check-isolation`` (certify every channel's committed history online; see
-:mod:`repro.checker`) and ``run`` accepts ``--history-out FILE`` (export the
-committed history for ``repro check``; implies ``--check-isolation``) — like
-observability, checking never changes results or cell identity.
-
-Every experiment command accepts the multi-channel flags ``--channels``,
-``--placement`` and ``--cross-channel-rate`` (see :mod:`repro.channels`), the
-client-retry flags ``--retry-policy``, ``--max-retries``, ``--retry-backoff``
-and ``--retry-rate-cap`` (see :mod:`repro.lifecycle.retry`), a ``--fault-spec``
-chaos profile (JSON object or inline DSL such as
-``peer-crash:rate=0.05,downtime=2;orderer-outage:start=5,duration=3`` — see
-:mod:`repro.faults`) and a ``--json`` flag that replaces the text tables with
-one machine-readable JSON document (configuration, failure breakdown,
-per-channel records, runner statistics).  ``repro --version`` prints the
-library version.  Unknown names — variant, chaincode, cluster, figure id,
-retry policy, fault type — are rejected with the list of valid choices and
-exit code 2.
+``run``, ``compare`` and ``sweep`` take the experiment flags of one table,
+:data:`_EXPERIMENT_FLAGS`: each row names the option, the
+:class:`~repro.bench.harness.ExperimentConfig` field it sets and the key
+``--json`` echoes it under, and a flag not given leaves the field's dataclass
+default in place.  Exporting a trace or metrics and checking isolation never
+change results: observability and the checker are excluded from experiment
+cell identity, so a sweep bypasses the result cache while doing either (cached
+results carry no trace data and no verdicts).  Unknown names are rejected with
+the list of valid choices, and every error exits with code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
+import operator
 import os
 import sys
 from typing import Callable, List, Optional, Sequence
@@ -78,12 +65,7 @@ from repro.bench.harness import ExperimentConfig, ExperimentResult, pct_column, 
 from repro.bench.reporting import format_table
 from repro.bench.runner import SWEEP_HEADERS, ExperimentRunner, ResultCache, SweepPlan
 from repro.chaincode import CHAINCODE_REGISTRY
-from repro.checker.checker import (
-    LEVEL_SERIALIZABLE,
-    LEVEL_SNAPSHOT_ISOLATION,
-    CheckerConfig,
-    IsolationReport,
-)
+from repro.checker.checker import LEVEL_SERIALIZABLE, LEVEL_SNAPSHOT_ISOLATION, IsolationReport
 from repro.checker.history import check_history, write_history
 from repro.core.analyzer import ChannelAnalysis, ExperimentAnalysis
 from repro.core.failures import FailureType
@@ -92,10 +74,8 @@ from repro.errors import ConfigurationError, ReproError
 from repro.fabric.variant import available_variants
 from repro.faults import FaultConfig, fault_config_summary, parse_fault_spec
 from repro.lifecycle.retry import RetryConfig, available_retry_policies
-from repro.network.config import CLUSTER_PRESETS, PLACEMENT_POLICIES, NetworkConfig
-from repro.sim.shard import ExecutionConfig
+from repro.network.config import CLUSTER_PRESETS, PLACEMENT_POLICIES
 from repro.observability import (
-    ObservabilityConfig,
     critical_path_from_trace,
     critical_path_report,
     format_report,
@@ -196,6 +176,171 @@ def _fault_spec(value: str) -> FaultConfig:
         raise argparse.ArgumentTypeError(str(error)) from error
 
 
+def _same(value):
+    return value
+
+
+class _Flag:
+    """A flag that sets one :class:`ExperimentConfig` field, stated once.
+
+    ``field`` is the dotted path of the field (``network.retry.backoff``),
+    ``echo`` the key ``--json`` echoes it under (``None``: not echoed), and
+    ``settings`` the ``add_argument`` keywords, with no ``default`` unless it
+    differs from the field's.  ``build`` turns a parsed value into the field's
+    value, ``show`` the field's value into the echoed one.
+    """
+
+    def __init__(
+        self, option: str, field: str, echo: Optional[str], *, build=_same, show=_same, **settings
+    ) -> None:
+        self.option, self.field, self.echo, self.settings = option, field, echo, settings
+        self.build, self.show = build, show
+        self.dest = option[2:].replace("-", "_")
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        parser.add_argument(self.option, **{"default": argparse.SUPPRESS, **self.settings})
+
+
+#: The experiment flags of ``run``, ``compare`` and ``sweep``, in ``--help`` order.
+_EXPERIMENT_FLAGS = (
+    _Flag("--variant", "variant", "variant", type=_choice("variant", available_variants())),
+    _Flag(
+        "--chaincode",
+        "workload",
+        "chaincode",
+        build=uniform_workload,
+        show=operator.attrgetter("chaincode"),
+        type=_choice("chaincode", sorted(CHAINCODE_REGISTRY)),
+    ),
+    _Flag(
+        "--cluster", "network.cluster", "cluster", type=_choice("cluster", sorted(CLUSTER_PRESETS))
+    ),
+    _Flag(
+        "--database",
+        "network.database",
+        "database",
+        show=operator.attrgetter("value"),
+        choices=["couchdb", "leveldb"],
+    ),
+    _Flag("--block-size", "network.block_size", "block_size", type=int),
+    _Flag(
+        "--policy",
+        "network.endorsement_policy",
+        "endorsement_policy",
+        choices=["P0", "P1", "P2", "P3"],
+    ),
+    _Flag(
+        "--rate",
+        "arrival_rate",
+        "arrival_rate",
+        type=_finite_float("rate"),
+        help="arrival rate in tps",
+    ),
+    # The one default of the CLI's own: a 15 s run where the library runs 20 s.
+    _Flag(
+        "--duration",
+        "duration",
+        "duration",
+        type=_finite_float("duration"),
+        default=15.0,
+        help="simulated seconds",
+    ),
+    _Flag("--skew", "zipf_skew", "zipf_skew", type=_finite_float("skew"), help="Zipfian key skew"),
+    _Flag("--repetitions", "repetitions", "repetitions", type=int),
+    _Flag("--seed", "seed", "seed", type=int),
+    _Flag(
+        "--channels",
+        "network.channels",
+        "channels",
+        type=int,
+        help="shard the network into this many channels",
+    ),
+    _Flag(
+        "--placement",
+        "network.placement",
+        "placement",
+        type=_choice("placement policy", PLACEMENT_POLICIES),
+        help="key placement across channels: hash, range or hot",
+    ),
+    _Flag(
+        "--cross-channel-rate",
+        "network.cross_channel_rate",
+        "cross_channel_rate",
+        type=_finite_float("cross-channel rate"),
+        help="fraction of transactions spanning a second channel (needs --channels >= 2)",
+    ),
+    _Flag(
+        "--shard-workers",
+        "network.execution.shard_workers",
+        "shard_workers",
+        type=_shard_workers,
+        help=(
+            "processes that simulate independent channel shards, this one included: "
+            "0 sizes the count automatically, 1 (default) keeps the shared simulation "
+            "clock, N >= 2 caps it (needs --channels >= 2; bit-identical results either way)"
+        ),
+    ),
+    _Flag(
+        "--retry-policy",
+        "network.retry.policy",
+        "retry_policy",
+        type=_choice("retry policy", available_retry_policies()),
+        help="client reaction to failed transactions: none, immediate, fixed or jittered",
+    ),
+    _Flag(
+        "--max-retries",
+        "network.retry.max_retries",
+        "max_retries",
+        type=int,
+        help="resubmission attempts per failed transaction (with --retry-policy)",
+    ),
+    _Flag(
+        "--retry-backoff",
+        "network.retry.backoff",
+        "retry_backoff",
+        type=_finite_float("retry backoff"),
+        help="base backoff delay in seconds for the fixed and jittered policies",
+    ),
+    _Flag(
+        "--retry-max-backoff",
+        "network.retry.max_backoff",
+        "retry_max_backoff",
+        type=_finite_float("retry max backoff"),
+        help="upper bound in seconds on any single backoff delay",
+    ),
+    _Flag(
+        "--retry-rate-cap",
+        "network.retry.rate_cap",
+        "retry_rate_cap",
+        type=_finite_float("retry rate cap"),
+        help="deployment-wide resubmission rate cap in 1/s (default: uncapped)",
+    ),
+    _Flag(
+        "--fault-spec",
+        "network.faults",
+        "faults",
+        show=lambda faults: fault_config_summary(faults) if faults.enabled else None,
+        type=_fault_spec,
+        metavar="SPEC",
+        help=(
+            "chaos profile as JSON or inline DSL, e.g. "
+            "'peer-crash:rate=0.05,downtime=2;orderer-outage:start=5,duration=3' "
+            "(kinds: peer-crash, endorser-slowdown, orderer-outage, partition, "
+            "endorsement-loss, endorsement-timeout)"
+        ),
+    ),
+)
+
+#: ``run``'s and ``sweep``'s sampler tick; not part of the ``--json`` echo.
+_SAMPLE_INTERVAL = _Flag(
+    "--sample-interval",
+    "network.observability.sample_interval",
+    None,
+    type=_finite_float("sample interval"),
+    help="sim-time sampling interval in seconds for --metrics-out (default 0.25)",
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser of the ``repro`` command."""
     parser = argparse.ArgumentParser(
@@ -208,13 +353,19 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     run_parser = subparsers.add_parser("run", help="run one experiment and explain the failures")
+    run_parser.set_defaults(handler=_command_run)
     _add_experiment_arguments(run_parser)
-    _add_observability_arguments(run_parser)
-    _add_checker_arguments(run_parser, history_out=True)
+    _add_observer_arguments(run_parser)
+    run_parser.add_argument(
+        "--history-out",
+        metavar="FILE",
+        help="write the committed history as JSON for 'repro check' (implies --check-isolation)",
+    )
 
     compare_parser = subparsers.add_parser(
         "compare", help="compare Fabric variants on the same workload"
     )
+    compare_parser.set_defaults(handler=_command_compare)
     _add_experiment_arguments(compare_parser)
     compare_parser.add_argument(
         "--variants",
@@ -227,35 +378,31 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = subparsers.add_parser(
         "sweep", help="run a grid of experiments through the parallel runner"
     )
+    sweep_parser.set_defaults(handler=_command_sweep)
     _add_experiment_arguments(sweep_parser)
-    _add_observability_arguments(sweep_parser)
-    _add_checker_arguments(sweep_parser, history_out=False)
+    _add_observer_arguments(sweep_parser)
     sweep_parser.add_argument(
         "--variants",
         nargs="*",
         type=_choice("variant", available_variants()),
-        default=None,
         help="sweep over these Fabric variants (default: just --variant)",
     )
     sweep_parser.add_argument(
         "--block-sizes",
         nargs="*",
         type=int,
-        default=None,
         help="sweep over these block sizes (default: just --block-size)",
     )
     sweep_parser.add_argument(
         "--rates",
         nargs="*",
         type=_finite_float("rate"),
-        default=None,
         help="sweep over these arrival rates in tps (default: just --rate)",
     )
     sweep_parser.add_argument(
         "--skews",
         nargs="*",
         type=_finite_float("skew"),
-        default=None,
         help="sweep over these Zipfian skews (default: just --skew)",
     )
     sweep_parser.add_argument(
@@ -265,12 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="disable the result cache"
     )
     sweep_parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persist cached results in this directory (reused by later sweeps)",
+        "--cache-dir", help="persist cached results in this directory (reused by later sweeps)"
     )
 
     trace_parser = subparsers.add_parser("trace", help="inspect exported trace files")
+    trace_parser.set_defaults(handler=_command_trace)
     trace_subparsers = trace_parser.add_subparsers(dest="trace_command", required=True)
     summary_parser = trace_subparsers.add_parser(
         "summary", help="critical-path attribution of an exported Chrome trace"
@@ -285,6 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser = subparsers.add_parser(
         "check", help="re-check an exported committed history for isolation anomalies"
     )
+    check_parser.set_defaults(handler=_command_check)
     check_parser.add_argument(
         "file", help="history file written by run --check-isolation --history-out"
     )
@@ -307,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     figure_parser = subparsers.add_parser("figure", help="regenerate a paper table or figure")
+    figure_parser.set_defaults(handler=_command_figure)
     figure_parser.add_argument(
         "artefact",
         type=_choice("figure id", sorted(EXPERIMENTS)),
@@ -319,94 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--variant", default="fabric-1.4", type=_choice("variant", available_variants())
-    )
-    parser.add_argument(
-        "--chaincode", default="EHR", type=_choice("chaincode", sorted(CHAINCODE_REGISTRY))
-    )
-    parser.add_argument(
-        "--cluster", default="C1", type=_choice("cluster", sorted(CLUSTER_PRESETS))
-    )
-    parser.add_argument("--database", default="couchdb", choices=["couchdb", "leveldb"])
-    parser.add_argument("--block-size", type=int, default=100)
-    parser.add_argument("--policy", default="P0", choices=["P0", "P1", "P2", "P3"])
-    parser.add_argument(
-        "--rate", type=_finite_float("rate"), default=100.0, help="arrival rate in tps"
-    )
-    parser.add_argument(
-        "--duration", type=_finite_float("duration"), default=15.0, help="simulated seconds"
-    )
-    parser.add_argument("--skew", type=_finite_float("skew"), default=1.0, help="Zipfian key skew")
-    parser.add_argument("--repetitions", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--channels", type=int, default=1, help="shard the network into this many channels"
-    )
-    parser.add_argument(
-        "--placement",
-        default="hash",
-        type=_choice("placement policy", PLACEMENT_POLICIES),
-        help="key placement across channels: hash, range or hot",
-    )
-    parser.add_argument(
-        "--cross-channel-rate",
-        type=_finite_float("cross-channel rate"),
-        default=0.0,
-        help="fraction of transactions spanning a second channel (needs --channels >= 2)",
-    )
-    parser.add_argument(
-        "--shard-workers",
-        type=_shard_workers,
-        default=1,
-        help=(
-            "processes that simulate independent channel shards, this one included: "
-            "0 sizes the count automatically, 1 (default) keeps the shared simulation "
-            "clock, N >= 2 caps it (needs --channels >= 2; bit-identical results either way)"
-        ),
-    )
-    parser.add_argument(
-        "--retry-policy",
-        default="none",
-        type=_choice("retry policy", available_retry_policies()),
-        help="client reaction to failed transactions: none, immediate, fixed or jittered",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=3,
-        help="resubmission attempts per failed transaction (with --retry-policy)",
-    )
-    parser.add_argument(
-        "--retry-backoff",
-        type=_finite_float("retry backoff"),
-        default=0.05,
-        help="base backoff delay in seconds for the fixed and jittered policies",
-    )
-    parser.add_argument(
-        "--retry-max-backoff",
-        type=_finite_float("retry max backoff"),
-        default=2.0,
-        help="upper bound in seconds on any single backoff delay",
-    )
-    parser.add_argument(
-        "--retry-rate-cap",
-        type=_finite_float("retry rate cap"),
-        default=None,
-        help="deployment-wide resubmission rate cap in 1/s (default: uncapped)",
-    )
-    parser.add_argument(
-        "--fault-spec",
-        type=_fault_spec,
-        default=None,
-        metavar="SPEC",
-        help=(
-            "chaos profile as JSON or inline DSL, e.g. "
-            "'peer-crash:rate=0.05,downtime=2;orderer-outage:start=5,duration=3' "
-            "(kinds: peer-crash, endorser-slowdown, orderer-outage, partition, "
-            "endorsement-loss, endorsement-timeout)"
-        ),
-    )
+    for flag in _EXPERIMENT_FLAGS:
+        flag.add_to(parser)
     parser.add_argument(
         "--json",
         action="store_true",
@@ -414,28 +476,18 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_observer_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-out",
-        default=None,
         metavar="FILE",
         help="write a Chrome trace-event JSON (Perfetto-loadable) of the run",
     )
     parser.add_argument(
         "--metrics-out",
-        default=None,
         metavar="FILE",
         help="write the metrics registry summary and sampled sim-time series as JSON",
     )
-    parser.add_argument(
-        "--sample-interval",
-        type=_finite_float("sample interval"),
-        default=0.25,
-        help="sim-time sampling interval in seconds for --metrics-out (default 0.25)",
-    )
-
-
-def _add_checker_arguments(parser: argparse.ArgumentParser, history_out: bool) -> None:
+    _SAMPLE_INTERVAL.add_to(parser)
     parser.add_argument(
         "--check-isolation",
         action="store_true",
@@ -444,16 +496,6 @@ def _add_checker_arguments(parser: argparse.ArgumentParser, history_out: bool) -
             "and snapshot isolation, with anomaly witnesses on refutation)"
         ),
     )
-    if history_out:
-        parser.add_argument(
-            "--history-out",
-            default=None,
-            metavar="FILE",
-            help=(
-                "write the committed history as JSON for 'repro check' "
-                "(implies --check-isolation)"
-            ),
-        )
 
 
 def _ensure_writable(path: str, option: str) -> None:
@@ -471,91 +513,67 @@ def _ensure_writable(path: str, option: str) -> None:
         raise ConfigurationError(f"{option} target directory {parent!r} is not writable")
 
 
-def _observability_config(args: argparse.Namespace) -> ObservabilityConfig:
-    """The observability config requested by --trace-out/--metrics-out."""
-    trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    if trace_out is not None:
-        _ensure_writable(trace_out, "--trace-out")
-    if metrics_out is not None:
-        _ensure_writable(metrics_out, "--metrics-out")
-    return ObservabilityConfig(
-        trace=trace_out is not None,
-        metrics=metrics_out is not None,
-        sample_interval=getattr(args, "sample_interval", 0.25),
-    )
+def _observers(args: argparse.Namespace, checking: bool) -> dict:
+    """The observability and checker fields ``run`` and ``sweep`` set, by dotted path.
+
+    Neither is part of a cell's identity, so neither moves a cell hash.
+    """
+    for path, option in ((args.trace_out, "--trace-out"), (args.metrics_out, "--metrics-out")):
+        if path is not None:
+            _ensure_writable(path, option)
+    return {
+        "network.observability.trace": args.trace_out is not None,
+        "network.observability.metrics": args.metrics_out is not None,
+        "network.checker.enabled": checking,
+    }
 
 
-def _checker_config(args: argparse.Namespace) -> CheckerConfig:
-    """The checker config requested by --check-isolation/--history-out."""
-    history_out = getattr(args, "history_out", None)
-    if history_out is not None:
-        _ensure_writable(history_out, "--history-out")
-    return CheckerConfig(
-        enabled=getattr(args, "check_isolation", False) or history_out is not None
-    )
+def _experiment_config(
+    args: argparse.Namespace, observers: Optional[dict] = None
+) -> ExperimentConfig:
+    """The configuration the flags given describe; every other field keeps its default."""
+    given = vars(args)
+    values = {
+        flag.field: flag.build(given[flag.dest])
+        for flag in (*_EXPERIMENT_FLAGS, _SAMPLE_INTERVAL)
+        if flag.dest in given
+    }
+    if "network.retry.backoff" in values:
+        # An unset cap follows the backoff up past its default; a given one is used as given.
+        values.setdefault(
+            "network.retry.max_backoff",
+            max(values["network.retry.backoff"], RetryConfig.max_backoff),
+        )
+    values.update(observers or {})
+    return _build(ExperimentConfig, values)
 
 
-def _experiment_config(args: argparse.Namespace, variant: Optional[str] = None) -> ExperimentConfig:
-    return ExperimentConfig(
-        variant=variant or args.variant,
-        workload=uniform_workload(args.chaincode),
-        network=NetworkConfig(
-            cluster=args.cluster,
-            database=args.database,
-            block_size=args.block_size,
-            endorsement_policy=args.policy,
-            channels=args.channels,
-            placement=args.placement,
-            cross_channel_rate=args.cross_channel_rate,
-            execution=ExecutionConfig(shard_workers=getattr(args, "shard_workers", 1)),
-            retry=RetryConfig(
-                policy=args.retry_policy,
-                max_retries=args.max_retries,
-                backoff=args.retry_backoff,
-                max_backoff=max(args.retry_max_backoff, args.retry_backoff),
-                rate_cap=args.retry_rate_cap,
-            ),
-            faults=args.fault_spec if args.fault_spec is not None else FaultConfig(),
-            observability=_observability_config(args),
-            checker=_checker_config(args),
-        ),
-        arrival_rate=args.rate,
-        duration=args.duration,
-        zipf_skew=args.skew,
-        repetitions=args.repetitions,
-        seed=args.seed,
-    )
+def _build(cls, values: dict):
+    """``cls`` with the fields ``values`` names by dotted path set, the rest at their defaults.
+
+    A nested config is built the same way, from the class its field's
+    ``default_factory`` names.
+    """
+    fields, nested = {}, {}
+    for path, value in values.items():
+        name, _, rest = path.partition(".")
+        if rest:
+            nested.setdefault(name, {})[rest] = value
+        else:
+            fields[name] = value
+    factories = {field.name: field.default_factory for field in dataclasses.fields(cls)}
+    for name, inner in nested.items():
+        fields[name] = _build(factories[name], inner)
+    return cls(**fields)
 
 
 # --------------------------------------------------------------------- JSON
 def _config_summary(config: ExperimentConfig) -> dict:
     """The experiment configuration as JSON-serializable data."""
-    network = config.network
-    return {
-        "variant": config.variant,
-        "chaincode": config.workload.chaincode,
-        "workload": config.workload.name,
-        "cluster": network.cluster,
-        "database": str(getattr(network.database, "value", network.database)),
-        "block_size": network.block_size,
-        "endorsement_policy": network.endorsement_policy,
-        "channels": network.channels,
-        "placement": network.placement,
-        "cross_channel_rate": network.cross_channel_rate,
-        "shard_workers": network.execution.shard_workers,
-        "retry_policy": network.retry.policy,
-        "max_retries": network.retry.max_retries,
-        "retry_backoff": network.retry.backoff,
-        "retry_max_backoff": network.retry.max_backoff,
-        "retry_rate_cap": network.retry.rate_cap,
-        "faults": fault_config_summary(network.faults) if network.faults.enabled else None,
-        "arrival_rate": config.arrival_rate,
-        "duration": config.duration,
-        "zipf_skew": config.zipf_skew,
-        "repetitions": config.repetitions,
-        "seed": config.seed,
-    }
+    summary = {"workload": config.workload.name}
+    for flag in _EXPERIMENT_FLAGS:
+        summary[flag.echo] = flag.show(functools.reduce(getattr, flag.field.split("."), config))
+    return summary
 
 
 def _analysis_summary(analysis: ExperimentAnalysis) -> dict:
@@ -658,13 +676,16 @@ def _export_observability(args: argparse.Namespace, analysis: ExperimentAnalysis
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
+    observers = _observers(args, checking=args.check_isolation or args.history_out is not None)
+    if args.history_out is not None:
+        _ensure_writable(args.history_out, "--history-out")
+    config = _experiment_config(args, observers)
     result = run_experiment(config)
     analysis = result.analyses[0]
     # With repetitions > 1 every repetition is traced identically configured;
     # the exports cover the first repetition (the others differ only by seed).
     export_notices = _export_observability(args, analysis)
-    if getattr(args, "history_out", None) is not None:
+    if args.history_out is not None:
         write_history(args.history_out, analysis.record)
         export_notices.append(f"committed history written to {args.history_out}")
     report = analysis.failure_report
@@ -761,44 +782,41 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_compare(args: argparse.Namespace) -> int:
-    results: List[ExperimentResult] = []
-    configs: List[ExperimentConfig] = []
-    for variant in args.variants:
-        config = _experiment_config(args, variant=variant)
-        configs.append(config)
-        results.append(run_experiment(config))
+    base = _experiment_config(args)
+    outcome = ExperimentRunner().run_sweep(SweepPlan(base, variants=args.variants))
     if args.json:
         _print_json(
             {
                 "command": "compare",
-                "config": _config_summary(configs[0]),
-                "variants": [_cell_summary(result, _COMPARE_HEADERS) for result in results],
+                # The cells differ only in their variant; the echo names the first.
+                "config": _config_summary(outcome.cells[0].config),
+                "variants": [_cell_summary(result, _COMPARE_HEADERS) for result in outcome.results],
             }
         )
         return 0
-    rows = [tuple(result.value(header) for header in _COMPARE_HEADERS) for result in results]
-    print(
-        format_table(
-            _COMPARE_HEADERS,
-            rows,
-            title=f"Variant comparison ({args.chaincode}, {args.rate:.0f} tps, {args.cluster})",
-        )
+    rows = [
+        tuple(result.value(header) for header in _COMPARE_HEADERS) for result in outcome.results
+    ]
+    title = (
+        f"Variant comparison ({base.workload.chaincode}, {base.arrival_rate:.0f} tps, "
+        f"{base.network.cluster})"
     )
+    print(format_table(_COMPARE_HEADERS, rows, title=title))
     return 0
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
+    exporting = args.trace_out is not None or args.metrics_out is not None
+    checking = args.check_isolation
     plan = SweepPlan(
-        base=_experiment_config(args),
+        base=_experiment_config(args, _observers(args, checking)),
         variants=args.variants,
         block_sizes=args.block_sizes,
         arrival_rates=args.rates,
         zipf_skews=args.skews,
     )
-    exporting = args.trace_out is not None or args.metrics_out is not None
-    checking = getattr(args, "check_isolation", False)
     cache = None if args.no_cache or exporting or checking else ResultCache(args.cache_dir)
     if exporting and not args.no_cache:
         # Observability is excluded from cell identity, so cached results of
@@ -852,8 +870,8 @@ def _command_sweep(args: argparse.Namespace) -> int:
         )
         return 0
     title = (
-        f"Sweep: {len(outcome.cells)} cell(s) x {args.repetitions} repetition(s) "
-        f"({args.chaincode}, {args.cluster})"
+        f"Sweep: {len(outcome.cells)} cell(s) x {plan.base.repetitions} repetition(s) "
+        f"({plan.base.workload.chaincode}, {plan.base.network.cluster})"
     )
     print(format_table(SWEEP_HEADERS, outcome.rows(), title=title))
     if checking:
@@ -950,22 +968,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
     try:
-        if args.command == "run":
-            return _command_run(args)
-        if args.command == "compare":
-            return _command_compare(args)
-        if args.command == "sweep":
-            return _command_sweep(args)
-        if args.command == "trace":
-            return _command_trace(args)
-        if args.command == "check":
-            return _command_check(args)
-        if args.command == "figure":
-            return _command_figure(args)
+        return args.handler(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro

@@ -67,11 +67,6 @@ class FailureType(enum.Enum):
         return self in MVCC
 
     @property
-    def is_infrastructure(self) -> bool:
-        """True for failures induced by injected faults, not data contention."""
-        return self in INFRASTRUCTURE
-
-    @property
     def on_chain(self) -> bool:
         """False for the classes whose transactions never reach a block.
 

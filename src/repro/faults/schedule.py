@@ -43,16 +43,6 @@ class FaultInjection:
     #: ``"channel<N>"`` for partitions.
     target: str
 
-    @property
-    def is_start(self) -> bool:
-        """True for events that degrade a component (vs restoring it)."""
-        return self.kind in (
-            FaultKind.PEER_CRASH,
-            FaultKind.ENDORSER_SLOWDOWN_START,
-            FaultKind.ORDERER_OUTAGE_START,
-            FaultKind.PARTITION_START,
-        )
-
 
 class FaultSchedule:
     """A sorted timeline of fault injections for one deployment slice."""

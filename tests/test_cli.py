@@ -2,11 +2,176 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+
+
+# --------------------------------------------------------------------- surface
+# Each action of a verb's parser: option strings, dest, metavar, choices,
+# nargs and help -- what ``--help`` renders, independent of how a Python
+# version lays it out.
+EXPERIMENT_SURFACE = [
+    (("-h", "--help"), "help", None, None, 0, "show this help message and exit"),
+    (("--variant",), "variant", None, None, None, None),
+    (("--chaincode",), "chaincode", None, None, None, None),
+    (("--cluster",), "cluster", None, None, None, None),
+    (("--database",), "database", None, ["couchdb", "leveldb"], None, None),
+    (("--block-size",), "block_size", None, None, None, None),
+    (("--policy",), "policy", None, ["P0", "P1", "P2", "P3"], None, None),
+    (("--rate",), "rate", None, None, None, "arrival rate in tps"),
+    (("--duration",), "duration", None, None, None, "simulated seconds"),
+    (("--skew",), "skew", None, None, None, "Zipfian key skew"),
+    (("--repetitions",), "repetitions", None, None, None, None),
+    (("--seed",), "seed", None, None, None, None),
+    (("--channels",), "channels", None, None, None, "shard the network into this many channels"),
+    (
+        ("--placement",), "placement", None, None, None,
+        "key placement across channels: hash, range or hot",
+    ),
+    (
+        ("--cross-channel-rate",), "cross_channel_rate", None, None, None,
+        "fraction of transactions spanning a second channel (needs --channels >= 2)",
+    ),
+    (
+        ("--shard-workers",), "shard_workers", None, None, None,
+        "processes that simulate independent channel shards, this one included: 0 sizes the "
+        "count automatically, 1 (default) keeps the shared simulation clock, N >= 2 caps it "
+        "(needs --channels >= 2; bit-identical results either way)",
+    ),
+    (
+        ("--retry-policy",), "retry_policy", None, None, None,
+        "client reaction to failed transactions: none, immediate, fixed or jittered",
+    ),
+    (
+        ("--max-retries",), "max_retries", None, None, None,
+        "resubmission attempts per failed transaction (with --retry-policy)",
+    ),
+    (
+        ("--retry-backoff",), "retry_backoff", None, None, None,
+        "base backoff delay in seconds for the fixed and jittered policies",
+    ),
+    (
+        ("--retry-max-backoff",), "retry_max_backoff", None, None, None,
+        "upper bound in seconds on any single backoff delay",
+    ),
+    (
+        ("--retry-rate-cap",), "retry_rate_cap", None, None, None,
+        "deployment-wide resubmission rate cap in 1/s (default: uncapped)",
+    ),
+    (
+        ("--fault-spec",), "fault_spec", "SPEC", None, None,
+        "chaos profile as JSON or inline DSL, e.g. "
+        "'peer-crash:rate=0.05,downtime=2;orderer-outage:start=5,duration=3' (kinds: "
+        "peer-crash, endorser-slowdown, orderer-outage, partition, endorsement-loss, "
+        "endorsement-timeout)",
+    ),
+    (
+        ("--json",), "json", None, None, 0,
+        "print one machine-readable JSON document instead of text tables",
+    ),
+]
+OBSERVER_SURFACE = [
+    (
+        ("--trace-out",), "trace_out", "FILE", None, None,
+        "write a Chrome trace-event JSON (Perfetto-loadable) of the run",
+    ),
+    (
+        ("--metrics-out",), "metrics_out", "FILE", None, None,
+        "write the metrics registry summary and sampled sim-time series as JSON",
+    ),
+    (
+        ("--sample-interval",), "sample_interval", None, None, None,
+        "sim-time sampling interval in seconds for --metrics-out (default 0.25)",
+    ),
+    (
+        ("--check-isolation",), "check_isolation", None, None, 0,
+        "certify every channel's committed history online (serializability and snapshot "
+        "isolation, with anomaly witnesses on refutation)",
+    ),
+]
+VERB_SURFACES = {
+    "run": EXPERIMENT_SURFACE + OBSERVER_SURFACE + [
+        (
+            ("--history-out",), "history_out", "FILE", None, None,
+            "write the committed history as JSON for 'repro check' (implies --check-isolation)",
+        ),
+    ],
+    "compare": EXPERIMENT_SURFACE + [
+        (("--variants",), "variants", None, None, "+", "variants to compare"),
+    ],
+    "sweep": EXPERIMENT_SURFACE + OBSERVER_SURFACE + [
+        (
+            ("--variants",), "variants", None, None, "*",
+            "sweep over these Fabric variants (default: just --variant)",
+        ),
+        (
+            ("--block-sizes",), "block_sizes", None, None, "*",
+            "sweep over these block sizes (default: just --block-size)",
+        ),
+        (
+            ("--rates",), "rates", None, None, "*",
+            "sweep over these arrival rates in tps (default: just --rate)",
+        ),
+        (
+            ("--skews",), "skews", None, None, "*",
+            "sweep over these Zipfian skews (default: just --skew)",
+        ),
+        (("--workers",), "workers", None, None, None, "worker processes for the grid (default 1)"),
+        (("--no-cache",), "no_cache", None, None, 0, "disable the result cache"),
+        (
+            ("--cache-dir",), "cache_dir", None, None, None,
+            "persist cached results in this directory (reused by later sweeps)",
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_SURFACES))
+def test_each_verb_keeps_its_flags(verb):
+    verbs = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    surface = [
+        (tuple(action.option_strings), action.dest, action.metavar, action.choices,
+         action.nargs, action.help)
+        for action in verbs.choices[verb]._actions
+    ]
+    assert surface == VERB_SURFACES[verb]
+
+
+def test_run_json_echoes_the_library_defaults(capsys):
+    # Every experiment flag left unset: the echo is the dataclass defaults,
+    # apart from the CLI's own 15 s duration.
+    assert main(["run", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == {
+        "arrival_rate": 100.0,
+        "block_size": 100,
+        "chaincode": "EHR",
+        "channels": 1,
+        "cluster": "C1",
+        "cross_channel_rate": 0.0,
+        "database": "couchdb",
+        "duration": 15.0,
+        "endorsement_policy": "P0",
+        "faults": None,
+        "max_retries": 3,
+        "placement": "hash",
+        "repetitions": 1,
+        "retry_backoff": 0.05,
+        "retry_max_backoff": 2.0,
+        "retry_policy": "none",
+        "retry_rate_cap": None,
+        "seed": 7,
+        "shard_workers": 1,
+        "variant": "fabric-1.4",
+        "workload": "EHR-uniform",
+        "zipf_skew": 1.0,
+    }
 
 
 def test_parser_requires_a_command():
@@ -356,6 +521,24 @@ def test_json_failure_breakdown_averages_the_repetitions(capsys, command):
         assert failures["endorsement_policy_failure"] == entry["endorsement_policy_pct"]
 
 
+def test_compare_and_sweep_agree_on_every_shared_header(capsys):
+    # compare is a sweep over variants: the same cells give the same numbers.
+    assert main(COMPARE_ARGS + ["--json"]) == 0
+    compared = json.loads(capsys.readouterr().out)["variants"]
+    assert main(["sweep", *COMPARE_ARGS[1:], "--no-cache", "--json"]) == 0
+    swept = json.loads(capsys.readouterr().out)["cells"]
+    assert len(compared) == len(swept) == 2
+    for compare_cell, sweep_cell in zip(compared, swept):
+        shared = set(compare_cell) & set(sweep_cell)
+        assert shared == {
+            "variant", "latency_s", "endorsement_policy_pct", "mvcc_pct", "failures_pct",
+            "committed_throughput_tps", "failures",
+        }
+        assert {key: compare_cell[key] for key in shared} == {
+            key: sweep_cell[key] for key in shared
+        }
+
+
 # ----------------------------------------------------------------- versioning
 def test_version_flag_prints_the_single_sourced_version(capsys):
     import repro
@@ -411,9 +594,49 @@ def test_run_command_json_includes_retry_and_lifecycle_fields(capsys):
 
 
 def test_json_config_echoes_retry_max_backoff(capsys):
-    # Without it the echoed config cannot reproduce a run that set the flag.
-    assert main(RUN_RETRY_ARGS + ["--retry-max-backoff", "7.5", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["retry_max_backoff"] == 7.5
+    # Without it the echoed config cannot reproduce a run that set the flag;
+    # every other experiment flag is set to a value other than its default too.
+    echoed = {
+        "--variant": ("fabric++", "variant", "fabric++"),
+        "--chaincode": ("SCM", "chaincode", "SCM"),
+        "--cluster": ("C2", "cluster", "C2"),
+        "--database": ("leveldb", "database", "leveldb"),
+        "--block-size": ("20", "block_size", 20),
+        "--policy": ("P1", "endorsement_policy", "P1"),
+        "--rate": ("60", "arrival_rate", 60.0),
+        "--duration": ("2", "duration", 2.0),
+        "--skew": ("0.5", "zipf_skew", 0.5),
+        "--repetitions": ("2", "repetitions", 2),
+        "--seed": ("3", "seed", 3),
+        "--channels": ("2", "channels", 2),
+        "--placement": ("range", "placement", "range"),
+        "--cross-channel-rate": ("0.1", "cross_channel_rate", 0.1),
+        "--shard-workers": ("2", "shard_workers", 2),
+        "--retry-policy": ("fixed", "retry_policy", "fixed"),
+        "--max-retries": ("2", "max_retries", 2),
+        "--retry-backoff": ("0.1", "retry_backoff", 0.1),
+        "--retry-max-backoff": ("7.5", "retry_max_backoff", 7.5),
+        "--retry-rate-cap": ("5", "retry_rate_cap", 5.0),
+    }
+    argv = ["run", "--json", "--fault-spec", "peer-crash:rate=0.1,downtime=1"]
+    for option, (value, _, _) in echoed.items():
+        argv += [option, value]
+    assert main(argv) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert {key: config[key] for _, key, _ in echoed.values()} == {
+        key: value for _, key, value in echoed.values()
+    }
+    assert config["workload"] == "SCM-uniform"
+    assert (config["faults"]["peer_crash_rate"], config["faults"]["peer_downtime"]) == (0.1, 1.0)
+
+
+def test_a_given_retry_max_backoff_below_the_backoff_exits_2(capsys):
+    # A given cap is used as given; only an unset one follows the backoff up.
+    argv = ["run", "--retry-policy", "fixed", "--retry-backoff", "0.5", "--duration", "2"]
+    assert main(argv + ["--retry-max-backoff", "0.1", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: max_backoff=0.1 must be >= backoff=0.5" in captured.err
 
 
 def test_run_command_without_retries_omits_retry_rows(capsys):
