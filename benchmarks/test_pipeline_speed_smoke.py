@@ -28,6 +28,8 @@ Zipf table and no ownership table for the whole sweep, not one per cell.
 A fifth is the perfbench ``scm-fpp`` cell cut short, and pins what Fabric++'s
 reorder decided — blocks reordered, dependency edges, transactions aborted —
 and what its endorsements cost: chaincode executions, stubs, ``KeyRead`` s.
+The same population on Fabric 1.4 pins how many Equation 1 checks the
+clients run.
 
 What the integers cannot see — the same events dispatched more slowly
 (``__dict__`` instances, per-call stream resolution, per-peer block
@@ -46,13 +48,14 @@ from repro import ExperimentConfig, ExperimentRunner, SweepPlan, run_repetition
 from repro.chaincode import Chaincode, ChaincodeStub, GenChainChaincode, create_chaincode
 from repro.chaincode import api as chaincode_api
 from repro.channels.topology import ChannelTopology
-from repro.core import metrics as core_metrics
+from repro.core import LedgerAnalyzer
 from repro.fabric import fabricpp
 from repro.ledger import factory
 from repro.ledger.block import ValidationCode
 from repro.ledger.kvstore import VersionedKVStore
 from repro.lifecycle import events
 from repro.lifecycle.pipeline import build_network
+from repro.network import client_node
 from repro.network.config import NetworkConfig
 from repro.sim.profile import EngineProfiler
 from repro.workload.distributions import ZipfianDistribution, cumulative_weights
@@ -101,6 +104,13 @@ REORDER_ABORTED = 137
 SCM_EXECUTIONS = 233
 SCM_STUBS = 233
 SCM_KEY_READS = 5_078
+
+#: Fabric 1.4 on the same SCM population at 200 tx/s for four simulated
+#: seconds: attempts, and Equation 1 checks the clients ran.  Only attempts
+#: whose endorsements simulated different read/write sets are checked — while
+#: every attempt was, the count was 852 — and each of those was a mismatch.
+EQUATION_ONE_ATTEMPTS = 852
+EQUATION_ONE_CHECKS = 56
 
 
 def smoke_config() -> NetworkConfig:
@@ -284,11 +294,15 @@ class CountedTransactions(list):
 
 def test_analysis_walks_the_transactions_once(monkeypatch):
     record = eight_channel_cell(monkeypatch)["record"]
-    for analysed in [record, *(channel.record for channel in record.channel_records)]:
+    channels = [channel.record for channel in record.channel_records]
+    for analysed in [record, *channels]:
         analysed.transactions = CountedTransactions(analysed.transactions)
-        metrics = core_metrics.compute_metrics(analysed, analysed.failed_transactions())
-        assert metrics.submitted_transactions == len(analysed.transactions) > 0
-        assert analysed.transactions.passes == 1  # it used to be six
+    analysis = LedgerAnalyzer().analyze(record)
+    assert analysis.metrics.submitted_transactions == len(record.transactions) > 0
+    # The aggregate once (it used to be six); each channel was walked where it
+    # was simulated, so never here (it used to be once each, after the merge).
+    assert record.transactions.passes == 1
+    assert [channel.transactions.passes for channel in channels] == [0] * 8
 
 
 # ------------------------------------------------ what a sweep's cells share
@@ -405,3 +419,27 @@ def test_fabricpp_reorder_decisions_are_pinned(monkeypatch):
         "stubs": SCM_STUBS,
         "key_reads": SCM_KEY_READS,
     }
+
+
+def test_equation_one_runs_only_where_endorsements_disagree(monkeypatch):
+    checked = []
+    read_sets_consistent = client_node.read_sets_consistent
+
+    def counted(read_sets):
+        checked.append(len(read_sets))
+        return read_sets_consistent(read_sets)
+
+    monkeypatch.setattr(client_node, "read_sets_consistent", counted)
+    config = ExperimentConfig(
+        variant="fabric-1.4",
+        workload=uniform_workload("SCM", units_per_lsp=[400, 400, 400, 400, 800]),
+        network=NetworkConfig(cluster="C2"),
+        arrival_rate=200.0,
+        duration=4.0,
+        zipf_skew=1.0,
+        seed=SMOKE_SEED,
+    )
+    transactions = run_repetition(config, 0).record.transactions
+    mismatched = sum(tx.endorsement_mismatch for tx in transactions)
+    assert (len(transactions), len(checked)) == (EQUATION_ONE_ATTEMPTS, EQUATION_ONE_CHECKS)
+    assert min(checked) == 2 and mismatched == EQUATION_ONE_CHECKS

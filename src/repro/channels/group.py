@@ -28,6 +28,7 @@ from repro.chaincode.base import Chaincode
 from repro.channels.channel import ChannelGateway
 from repro.channels.coordinator import CrossChannelCoordinator
 from repro.channels.topology import ChannelRouter, ChannelTopology, ShardedKeyDistribution
+from repro.core.metrics import walk_transactions
 from repro.ledger.block import ValidationCode
 from repro.lifecycle.events import LifecycleBus
 from repro.lifecycle.retry import ResubmissionGovernor
@@ -170,7 +171,20 @@ class ChannelGroup:
             )
 
     def collect(self, args: RunArgs) -> GroupResult:
-        """Harvest the drained group."""
+        """Harvest the drained group.
+
+        On a deployment of several channels each channel's pass over its
+        transactions (:func:`~repro.core.metrics.walk_transactions`) is made
+        here, by the process that simulated it, and rides on its
+        :class:`ChannelRecord`; the analysis then walks only the aggregate.
+        A sole channel's record *is* the deployment's, walked once by the
+        analysis.
+        """
+        block_times = {
+            channel.label: {block.number: block.created_at for block in channel.ledger.blocks}
+            for channel in self.channels
+        }
+        walk = self.spec.topology.channels > 1
         records: List[ChannelRecord] = []
         for channel, gateway in zip(self.channels, self.gateways):
             record = channel.collect_record(
@@ -189,16 +203,11 @@ class ChannelGroup:
                         for tx in record.early_aborted
                         if tx.validation_code is ValidationCode.CROSS_CHANNEL_ABORT
                     ),
+                    totals=walk_transactions(record, block_times) if walk else None,
                 )
             )
         observability: Optional[ObservabilityData] = None
         if self.observer is not None:
-            block_times = {
-                channel.label: {
-                    block.number: block.created_at for block in channel.ledger.blocks
-                }
-                for channel in self.channels
-            }
             observability = self.observer.collect(block_times, final_time=self.sim.now)
         return GroupResult(
             records=records,
@@ -216,17 +225,25 @@ def simulate_group(
 
 
 @quiet_collector()
-def simulate_group_to_bytes(task: Tuple[GroupSpec, RunArgs]) -> bytes:
+def simulate_group_to_file(task: Tuple[GroupSpec, RunArgs, str]) -> int:
     """Pool worker entry point (module level, so it pickles across the pool).
 
     Only the shards the deploying process does not drain itself come here.
 
-    The worker serialises its own result, inside the collector scope that
-    covered the simulation, and hands the pool opaque ``bytes``: pickling a
-    group's retained transactions allocates per record, and left to the pool
-    it would run after this function returned — outside any scope, with full
-    collections re-walking the heap it is dumping.  One ``dumps`` call also
-    means one memo, so the read/write set an endorsement shares with its
-    transaction crosses the boundary once.
+    The worker pickles its own result into the file ``task`` names, inside
+    the collector scope that covered the simulation, and hands the pool only
+    the file's size.  Pickling a group's retained transactions allocates per
+    record: left to the pool it would run after this function returned —
+    outside any scope, with full collections re-walking the heap it is
+    dumping.  And a result sent back through the pool's pipe is read by the
+    deploying process's result-handler thread one pipe-sized chunk at a time,
+    each waiting for the interpreter lock that process's own simulation
+    holds — the worker blocks until its last chunk is read.  One ``dump``
+    call also means one memo, so the read/write set an endorsement shares
+    with its transaction is written once.
     """
-    return pickle.dumps(simulate_group(*task), protocol=pickle.HIGHEST_PROTOCOL)
+    spec, args, path = task
+    result = simulate_group(spec, args)
+    with open(path, "wb") as file:
+        pickle.dump(result, file, protocol=pickle.HIGHEST_PROTOCOL)
+        return file.tell()

@@ -63,7 +63,9 @@ Modeling notes:
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+import tempfile
 import time
 from typing import Callable, List, Optional, Tuple
 
@@ -74,7 +76,7 @@ from repro.channels.group import (
     GroupSpec,
     RunArgs,
     simulate_group,
-    simulate_group_to_bytes,
+    simulate_group_to_file,
 )
 from repro.channels.merge import merge_group_results
 from repro.channels.topology import ChannelRouter, ChannelTopology
@@ -180,8 +182,8 @@ class MultiChannelNetwork:
             else None
         )
         #: Filled by :meth:`run`: processes that simulated (this one included)
-        #: and pickled result bytes the pool sent back (0 when every group ran
-        #: in-process; this process's own shards cross nothing).
+        #: and the bytes of the result files the pool's shards wrote (0 when
+        #: every group ran in-process; this process's own shards cross nothing).
         self.shard_workers_used = 0
         self.shard_transport_bytes = 0
 
@@ -237,11 +239,20 @@ class MultiChannelNetwork:
         if workers == 1:
             return [simulate_group(spec, args, self.retry_governor) for spec in specs]
         results: List[Optional[GroupResult]] = [None] * len(specs)
-        with multiprocessing.Pool(processes=workers - 1) as pool:
-            blobs = pool.imap(simulate_group_to_bytes, tasks)
-            for index in range(0, len(specs), workers):
-                results[index] = simulate_group(specs[index], args, self.retry_governor)
-            for index, blob in zip(shipped, blobs):
-                self.shard_transport_bytes += len(blob)
-                results[index] = pickle.loads(blob)
+        # The pool's shards come back as files in a directory of this run:
+        # the pool pipe carries each one's size only.  Leaving the ``with``
+        # blocks — normally or on a shard's exception — stops the workers
+        # first, then removes the directory and whatever is in it.
+        with tempfile.TemporaryDirectory(prefix="repro-shards-") as directory:
+            paths = [os.path.join(directory, f"shard-{index}.pickle") for index in shipped]
+            with multiprocessing.Pool(processes=workers - 1) as pool:
+                sizes = pool.imap(
+                    simulate_group_to_file, [(*task, path) for task, path in zip(tasks, paths)]
+                )
+                for index in range(0, len(specs), workers):
+                    results[index] = simulate_group(specs[index], args, self.retry_governor)
+                for index, path, size in zip(shipped, paths, sizes):
+                    self.shard_transport_bytes += size
+                    with open(path, "rb") as file:
+                        results[index] = pickle.load(file)
         return results

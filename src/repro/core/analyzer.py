@@ -13,11 +13,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from typing import List, Tuple
 
 from repro.core.failures import CONFLICT_CODES, FailureType, failure_type_of
-from repro.core.metrics import ExperimentMetrics, FailureReport, compute_metrics
+from repro.core.metrics import (
+    ExperimentMetrics,
+    FailureReport,
+    block_times_of,
+    compute_metrics,
+    walk_transactions,
+)
 from repro.ledger.block import Transaction
 from repro.network.network import RunRecord
 
@@ -92,7 +97,10 @@ class LedgerAnalyzer:
         """Collect the failures of ``record`` and compute its metrics.
 
         Multi-channel records additionally produce a :class:`ChannelAnalysis`
-        per channel; the top-level metrics aggregate over all chains.
+        per channel; the top-level metrics aggregate over all chains.  A
+        channel's per-transaction totals were computed where it was simulated
+        (:attr:`ChannelRecord.totals <repro.network.network.ChannelRecord.totals>`),
+        so the one pass over transactions made here is the aggregate's.
         """
         channel_analyses: List[ChannelAnalysis] = []
         for channel in record.channel_records:
@@ -100,19 +108,20 @@ class LedgerAnalyzer:
                 ChannelAnalysis(
                     index=channel.index,
                     name=channel.name,
-                    metrics=compute_metrics(channel.record, channel.record.failed_transactions()),
+                    metrics=compute_metrics(
+                        channel.record, channel.record.failed_transactions(), channel.totals
+                    ),
                     cross_channel_submitted=channel.cross_channel_submitted,
                     cross_channel_aborted=channel.cross_channel_aborted,
                 )
             )
         failed = record.failed_transactions()
         keys = [tx.conflicting_key for tx in failed if tx.validation_code in CONFLICT_CODES]
-        transactions = record.transactions
+        totals = walk_transactions(record, block_times_of(record))
         return ExperimentAnalysis(
             record=record,
-            metrics=compute_metrics(record, failed),
+            metrics=compute_metrics(record, failed, totals),
             channel_analyses=channel_analyses,
             conflicting_keys=sorted(Counter(keys).items(), key=lambda pair: (-pair[1], pair[0])),
-            read_only_share=sum(map(attrgetter("read_only"), transactions))
-            / max(1, len(transactions)),
+            read_only_share=totals.read_only / max(1, len(record.transactions)),
         )

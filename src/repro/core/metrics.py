@@ -13,7 +13,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Iterable, NamedTuple
+from typing import Dict, Iterable, NamedTuple, Optional
 
 from repro.core.failures import FailureType, failure_type_of
 from repro.ledger.block import Transaction
@@ -174,7 +174,7 @@ class ExperimentMetrics:
         return self.submitted_transactions / self.logical_requests
 
 
-def _block_times(record: RunRecord) -> BlockTimes:
+def block_times_of(record: RunRecord) -> BlockTimes:
     """Block-cut times per channel, for the block-wait/consensus stage split."""
     if record.channel_records:
         return {
@@ -186,7 +186,7 @@ def _block_times(record: RunRecord) -> BlockTimes:
     return {None: {block.number: block.created_at for block in record.ledger.blocks}}
 
 
-class _TransactionTotals(NamedTuple):
+class TransactionTotals(NamedTuple):
     """What :func:`compute_metrics` reads off ``record.transactions``."""
 
     #: Latest commit time (0.0 when nothing terminated).
@@ -198,10 +198,16 @@ class _TransactionTotals(NamedTuple):
     latency_quantiles: Dict[str, float]
     function_call_latency_ms: Dict[str, float]
     stage_latency: Dict[str, Dict[str, float]]
+    #: Read-only transactions among them.
+    read_only: int
 
 
-def _walk_transactions(record: RunRecord) -> _TransactionTotals:
+def walk_transactions(record: RunRecord, block_times: BlockTimes) -> TransactionTotals:
     """Every per-transaction metric of one record, from one pass over it.
+
+    ``block_times`` holds the chain of every channel a transaction of
+    ``record`` names in ``tx.channel`` (:func:`block_times_of` for a whole
+    run's record).
 
     Each accumulator is fed the values, in the order, it would see on a pass
     of its own, and each mean is still ``sum()`` over its complete sample
@@ -211,8 +217,8 @@ def _walk_transactions(record: RunRecord) -> _TransactionTotals:
     what the analysis holds at its peak, and all of them are alive at once.
     """
     skipped = {tx.tx_id for tx in record.read_only_skipped}
-    block_times = _block_times(record)
     last_commit = 0.0
+    read_only = 0
     # Resubmission attempts share their first attempt's transaction id as
     # ``origin_id``, so grouping by it collapses every retry chain onto one
     # logical request.  Read-only transactions answered locally are excluded,
@@ -225,6 +231,7 @@ def _walk_transactions(record: RunRecord) -> _TransactionTotals:
     call_counts: Dict[str, int] = defaultdict(int)
     stage_samples: Dict[str, array] = defaultdict(partial(array, "d"))
     for tx in record.transactions:
+        read_only += tx.read_only
         if tx.tx_id not in skipped:
             origin = tx.origin_id
             if tx.is_committed:
@@ -251,7 +258,7 @@ def _walk_transactions(record: RunRecord) -> _TransactionTotals:
             stage_samples[stage].append(duration)
     stages = [stage for stage in LIFECYCLE_STAGES if stage in stage_samples]
     stages += sorted(stage for stage in stage_samples if stage not in LIFECYCLE_STAGES)
-    return _TransactionTotals(
+    return TransactionTotals(
         last_commit=last_commit,
         logical_requests=len(committed_by_origin),
         committed_requests=sum(committed_by_origin.values()),
@@ -270,6 +277,7 @@ def _walk_transactions(record: RunRecord) -> _TransactionTotals:
             }
             for stage in stages
         },
+        read_only=read_only,
     )
 
 
@@ -282,10 +290,14 @@ def build_failure_report(failed: Iterable[Transaction], total_transactions: int)
     return FailureReport(total_transactions=total_transactions, counts=counts)
 
 
-def compute_metrics(record: RunRecord, failed: Iterable[Transaction]) -> ExperimentMetrics:
+def compute_metrics(
+    record: RunRecord, failed: Iterable[Transaction], totals: Optional[TransactionTotals] = None
+) -> ExperimentMetrics:
     """Compute the Section 4.5 metrics for one run record.
 
     ``failed`` is ``record.failed_transactions()``, which the analyzer keeps.
+    ``totals`` is the record's :func:`walk_transactions`, when the process
+    that simulated it already made that pass; otherwise it is made here.
     Multi-channel records aggregate over every channel's chain.
     """
     # Read-only transactions that were answered locally (client-design
@@ -296,7 +308,8 @@ def compute_metrics(record: RunRecord, failed: Iterable[Transaction]) -> Experim
     ledgers = record.ledgers()
     committed = sum(len(ledger.committed_transactions()) for ledger in ledgers)
     appended = sum(ledger.transaction_count for ledger in ledgers)
-    totals = _walk_transactions(record)
+    if totals is None:
+        totals = walk_transactions(record, block_times_of(record))
     horizon = max(record.duration, totals.last_commit)
     throughput = appended / horizon if horizon > 0 else 0.0
     successful_throughput = committed / horizon if horizon > 0 else 0.0

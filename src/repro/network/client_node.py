@@ -292,7 +292,8 @@ class ClientNode:
         # ChaincodeStub during execution and never after, so sharing is not
         # observable, and the run retains one per transaction instead of one
         # per endorser.  Equation 1 only needs the sets that differ — an equal
-        # copy adds no (key, version) observation.
+        # copy adds no (key, version) observation — and one set is one
+        # execution against one state, which cannot contradict itself.
         rwset = tx.rwset = endorsements[0].rwset
         distinct = [rwset]
         for endorsement in endorsements:
@@ -303,7 +304,7 @@ class ClientNode:
                 endorsement.rwset = rwset
             else:
                 distinct.append(other)
-        tx.endorsement_mismatch = not read_sets_consistent(distinct)
+        tx.endorsement_mismatch = len(distinct) > 1 and not read_sets_consistent(distinct)
         self._emit(
             LifecycleEventType.ENDORSEMENT_FAILED
             if tx.endorsement_mismatch

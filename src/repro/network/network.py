@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.chaincode.base import Chaincode
 from repro.checker.checker import IsolationChecker, IsolationReport
@@ -51,6 +51,9 @@ from repro.workload.client import ArrivalProcess
 from repro.workload.distributions import KeyDistribution
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.spec import TransactionMix
+
+if TYPE_CHECKING:
+    from repro.core.metrics import TransactionTotals
 
 __all__ = ["Channel", "RunRecord", "ChannelRecord"]
 
@@ -168,7 +171,10 @@ class ChannelRecord:
 
     ``record`` is the channel's own :class:`RunRecord` (ledger, transactions,
     utilizations) — exactly what a single-channel run would have produced for
-    that shard — plus the cross-channel bookkeeping of the coordinator.
+    that shard — plus the cross-channel bookkeeping of the coordinator, and
+    ``totals``: the pass over ``record.transactions`` the analysis reads
+    (:func:`repro.core.metrics.walk_transactions`), made by the process that
+    simulated the channel.
     """
 
     index: int
@@ -176,6 +182,7 @@ class ChannelRecord:
     record: RunRecord
     cross_channel_submitted: int = 0
     cross_channel_aborted: int = 0
+    totals: Optional["TransactionTotals"] = None
 
     @property
     def ledger(self) -> Ledger:

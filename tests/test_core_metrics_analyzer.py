@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.bench.harness import run_experiment
+from repro.bench.harness import run_experiment, run_repetition
 from repro.core.failures import MVCC, FailureType
 from repro.core.metrics import FailureReport, build_failure_report, compute_metrics
 from repro.core.recommendations import RecommendationEngine
@@ -81,6 +83,21 @@ def test_compute_metrics_on_a_real_run(tiny_experiment):
     assert metrics.successful_throughput <= metrics.committed_throughput
     assert 0 <= metrics.failure_report.total_failure_pct <= 100
     assert "GetState" in metrics.function_call_latency_ms
+
+
+def test_every_channel_splits_block_wait_from_consensus(tiny_experiment):
+    # A channel's transactions name their channel, so its stage split needs
+    # that channel's block-cut times under that index: without them every
+    # channel's block-wait swallowed consensus, and its row went missing.
+    network = replace(tiny_experiment.network, channels=4)
+    analysis = run_repetition(replace(tiny_experiment, network=network, arrival_rate=240.0), 0)
+    aggregate = analysis.metrics.stage_latency
+    assert "consensus" in aggregate
+    for channel in analysis.channel_analyses:
+        assert list(channel.metrics.stage_latency) == list(aggregate)
+    for stage, row in aggregate.items():
+        counts = [channel.metrics.stage_latency[stage]["count"] for channel in analysis.channel_analyses]
+        assert sum(counts) == row["count"], stage
 
 
 def test_metrics_failure_breakdown_is_consistent(tiny_experiment):

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
+
+from repro import run_repetition
 from repro.ledger.kvstore import Version
 from repro.ledger.rwset import KeyRead, KeyWrite, RangeRead, ReadWriteSet, read_sets_consistent
+from repro.workload.workloads import uniform_workload
 
 
 def make_rwset(reads=(), writes=(), range_reads=()):
@@ -90,3 +96,15 @@ def test_single_read_set_is_always_consistent():
     only = make_rwset(reads=[KeyRead("a", Version(1, 0))])
     assert read_sets_consistent([only])
     assert read_sets_consistent([])
+
+
+@pytest.mark.parametrize("chaincode", ["EHR", "SCM", "DRM", "DV", "genChain"])
+def test_one_execution_never_contradicts_itself(chaincode, tiny_experiment):
+    # The client skips Equation 1 when every endorsement simulated the same
+    # read/write set: that set is one execution against one state, so its
+    # reads never name one key at two versions.  Each chaincode, every attempt.
+    kwargs = {"num_keys": 2000} if chaincode == "genChain" else {}
+    config = replace(tiny_experiment, workload=uniform_workload(chaincode, **kwargs))
+    transactions = run_repetition(config, 0).record.transactions
+    assert len(transactions) > 100
+    assert all(read_sets_consistent([tx.rwset]) for tx in transactions)

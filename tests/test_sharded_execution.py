@@ -13,16 +13,25 @@ cannot shard.
 from __future__ import annotations
 
 import json
+import os
+import pickle
 import subprocess
 import sys
+import tempfile
+from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from export_parts import assert_export_pinned, exported_bytes
 
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.bench.runner import ExperimentRunner
+from repro.channels import group as channel_group
+from repro.channels import network as channels_network
 from repro.channels.network import MultiChannelNetwork
+from repro.core import LedgerAnalyzer, analyzer
+from repro.core.metrics import block_times_of, walk_transactions
 from repro.core.fingerprint import EXECUTION_METADATA_FIELDS, record_fingerprint
 from repro.checker.config import CheckerConfig
 from repro.faults.spec import FaultConfig
@@ -154,6 +163,99 @@ def test_this_process_is_one_of_the_shard_workers():
     assert runs[0] == runs[1] and runs[0][1] > 0
     _, shared = run_cell(experiment(ExecutionConfig()))
     assert runs[0][0] == record_fingerprint(shared)
+
+
+# ------------------------------------------- shard files and channel walks
+@dataclass(frozen=True)
+class ChaincodeOfThisProcess:
+    """A chaincode factory that fails in every process but the one that made it."""
+
+    config: ExperimentConfig
+    pid: int = field(default_factory=os.getpid)
+
+    def __call__(self):
+        if os.getpid() != self.pid:
+            raise RuntimeError("a shipped shard failed")
+        return self.config.build_chaincode()
+
+
+@pytest.fixture
+def shard_tmp(tmp_path, monkeypatch):
+    """A fresh, empty ``TMPDIR`` for the shard files of the runs of one test."""
+    directory = tmp_path / "tmp"
+    directory.mkdir()
+    monkeypatch.setenv("TMPDIR", str(directory))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    return directory
+
+
+def test_pool_shards_come_back_as_files_that_do_not_outlive_the_run(shard_tmp, monkeypatch):
+    loaded = []
+
+    def load(file):
+        loaded.append(os.fstat(file.fileno()).st_size)
+        return pickle.load(file)
+
+    monkeypatch.setattr(
+        channels_network, "pickle", SimpleNamespace(dumps=pickle.dumps, load=load)
+    )
+    network, pooled = run_cell(experiment(ExecutionConfig(shard_workers=3)))
+    assert network.shard_workers_used == 3
+    assert len(loaded) == 2  # shards 1 and 2; this process drained 0 and 3
+    assert network.shard_transport_bytes == sum(loaded) > 0
+    assert list(shard_tmp.iterdir()) == []
+    _, shared = run_cell(experiment(ExecutionConfig()))
+    assert record_fingerprint(pooled) == record_fingerprint(shared)
+
+
+def test_a_failed_shipped_shard_leaves_no_shard_file(shard_tmp):
+    config = experiment(ExecutionConfig(shard_workers=2))
+    network = build_network(
+        config=config.network,
+        chaincode_factory=ChaincodeOfThisProcess(config),
+        variant_factory=config.variant,
+        seed=config.seed,
+    )
+    with pytest.raises(RuntimeError, match="a shipped shard failed"):
+        network.run(
+            mix=config.workload.mix,
+            arrival_rate=config.arrival_rate,
+            duration=config.duration,
+            workload_name=config.workload.name,
+        )
+    assert network.shard_workers_used == 2
+    assert list(shard_tmp.iterdir()) == []
+
+
+@pytest.mark.parametrize("plan", ["shared-clock", "in-process", "pooled"])
+def test_each_channel_is_walked_where_it_was_simulated(plan, monkeypatch):
+    # Shard workers 2 on four channels: this process simulates shards 0 and
+    # 2, the pool 1 and 3 — unless every shard runs here, or one clock does.
+    walked = []
+
+    def counted(walk):
+        def wrapper(record, block_times):
+            walked.append(record)
+            return walk(record, block_times)
+
+        return wrapper
+
+    for module in (channel_group, analyzer):
+        monkeypatch.setattr(module, "walk_transactions", counted(module.walk_transactions))
+    if plan == "in-process":
+        monkeypatch.setenv(PROCESS_BUDGET_ENV, "1")
+    execution = ExecutionConfig() if plan == "shared-clock" else ExecutionConfig(shard_workers=2)
+    network, record = run_cell(experiment(execution))
+    assert network.shard_workers_used == (2 if plan == "pooled" else 1)
+    simulated_here = record.channel_records
+    if plan == "pooled":
+        simulated_here = [channel for channel in simulated_here if channel.index % 2 == 0]
+    assert walked == [channel.record for channel in simulated_here]
+    block_times = block_times_of(record)
+    for channel in record.channel_records:
+        assert channel.totals == walk_transactions(channel.record, block_times)
+    LedgerAnalyzer().analyze(record)
+    assert walked[len(simulated_here):] == [record]  # the aggregate, once
 
 
 def test_transaction_ids_are_per_channel_sequences():

@@ -3,8 +3,9 @@
 The sharded plan (``MultiChannelNetwork._drain_shards`` in
 :mod:`repro.channels.network`) ships the per-channel ``RunRecord`` s of the
 shards it does not drain itself — transactions, blocks, read/write sets —
-back from its pool workers (:func:`repro.channels.group.simulate_group_to_bytes`,
-one ``pickle.dumps`` per group).  ``Transaction``, ``EndorsementResponse``,
+back from its pool workers through files
+(:func:`repro.channels.group.simulate_group_to_file`, one ``pickle.dump`` per
+group, loaded by the deploying process).  ``Transaction``, ``EndorsementResponse``,
 ``ReadWriteSet``, ``RangeRead`` and ``Block`` are ``__slots__`` classes whose
 ``__getstate__`` / ``__setstate__`` write and read one fixed-order tuple of
 their slots instead of the default ``{slot name: value}`` dict per object.
