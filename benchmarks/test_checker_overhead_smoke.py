@@ -49,7 +49,7 @@ def test_disabled_checker_installs_nothing():
         seed=7,
     )
     assert network.channels[0].isolation_checker is None
-    assert not network.bus._listeners, "a disabled checker subscribed a bus listener"
+    assert not network.channels[0].bus._listeners, "a disabled checker subscribed a bus listener"
 
 
 def test_disabled_checker_is_the_default_everywhere():
@@ -74,7 +74,7 @@ def test_enabled_checker_is_one_listener_per_terminal_event():
     )
     checker = network.channels[0].isolation_checker
     assert checker is not None
-    listeners = network.bus._listeners
+    listeners = network.channels[0].bus._listeners
     assert set(listeners) == {LifecycleEventType.COMMITTED, LifecycleEventType.ABORTED}
     for subscribed in listeners.values():
         assert [listener.__self__ for listener in subscribed] == [checker]

@@ -83,7 +83,7 @@ PAPER_TRANSACTIONS = 401
 EIGHT_CHANNEL_DURATION = 2.0
 EIGHT_CHANNEL_EVENTS = 30_750
 EIGHT_CHANNEL_TRANSACTIONS = 1_553
-#: Lifecycle emissions of the run: what a listener on the group bus is handed.
+#: Lifecycle emissions of the run: what a listener on every channel bus is handed.
 EIGHT_CHANNEL_EMISSIONS = 7_765
 #: Base-distribution draws the eight shards' rejection loops consume — and the
 #: number of ``channel_of_index`` calls they used to make.
@@ -225,7 +225,8 @@ def eight_channel_cell(monkeypatch, listen: bool = False) -> dict:
     )
     heard = []
     if listen:
-        network.bus.subscribe(None, heard.append)
+        for channel in network.channels:
+            channel.bus.subscribe(None, heard.append)
     keys = CountedZipfian()
     profiler = EngineProfiler(network.sim)
     with profiler:
@@ -259,8 +260,8 @@ def test_eight_channel_attempt_pays_for_nothing_nobody_reads(monkeypatch):
         EIGHT_CHANNEL_EVENTS,
         EIGHT_CHANNEL_TRANSACTIONS,
     )
-    # Eight piped buses and a group bus nobody listens to: every emission is
-    # counted on both, and none builds an event (it used to be one each).
+    # Eight channel buses nobody listens to: every emission is counted, and
+    # none builds an event (it used to be one each).
     assert cell["emissions"] == EIGHT_CHANNEL_EMISSIONS
     assert cell["events_built"] == 0
     # Placement is asked once per patient, when the one table the eight shards
@@ -271,10 +272,10 @@ def test_eight_channel_attempt_pays_for_nothing_nobody_reads(monkeypatch):
     assert cell["streams"] == EIGHT_CHANNEL_STREAMS
 
 
-def test_one_listener_on_the_group_bus_is_handed_every_emission(monkeypatch):
+def test_one_listener_on_every_channel_bus_is_handed_every_emission(monkeypatch):
     cell = eight_channel_cell(monkeypatch, listen=True)
     assert cell["emissions"] == EIGHT_CHANNEL_EMISSIONS
-    # Built once per emission, on the channel bus, and handed up the pipe.
+    # Built once per emission, on the channel's bus, which has a listener.
     assert cell["events_built"] == cell["events_heard"] == EIGHT_CHANNEL_EMISSIONS
     assert (cell["events"], cell["transactions"]) == (
         EIGHT_CHANNEL_EVENTS,

@@ -235,6 +235,11 @@ class SweepCell:
     zipf_skew: float
     config: ExperimentConfig
 
+    @property
+    def label(self) -> str:
+        """The cell's name in exports and tables, e.g. ``fabric-1.4-bs10-r40-z1``."""
+        return f"{self.variant}-bs{self.block_size}-r{self.arrival_rate:g}-z{self.zipf_skew:g}"
+
 
 @dataclass
 class SweepPlan:

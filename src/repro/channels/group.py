@@ -1,15 +1,14 @@
-"""A channel group: some of a deployment's channels on one clock and one bus.
+"""A channel group: some of a deployment's channels on one clock.
 
 The group is the unit every execution plan of
 :class:`~repro.channels.network.MultiChannelNetwork` is made of.  It knows
 how to *build* its channels' Fabric slices
-(:class:`~repro.network.network.Channel`) on one
-:class:`~repro.sim.engine.Simulator` and one bus — a sole channel publishes on
-the group's bus directly, several channels keep a bus each, piped into it —
-with one :class:`~repro.observability.observer.RunObserver` on that bus when
-observability is on; and how to *run* them: start their client arrivals,
-drain the clock (profiled by the observer, when there is one) and collect
-them into a picklable :class:`GroupResult`.  Where a group runs — the
+(:class:`~repro.network.network.Channel`, each with its own lifecycle bus) on
+one :class:`~repro.sim.engine.Simulator`, with one
+:class:`~repro.observability.observer.RunObserver` subscribed on every
+channel's bus when observability is on; and how to *run* them: start their
+client arrivals, drain the clock (profiled by the observer, when there is
+one) and collect them into a picklable :class:`GroupResult`.  Where a group runs — the
 deploying process or a pool worker — is the plan's business, not the group's.
 
 A channel's event sequence is a pure function of its own seed-derived stream
@@ -30,7 +29,6 @@ from repro.channels.coordinator import CrossChannelCoordinator
 from repro.channels.topology import ChannelRouter, ChannelTopology, ShardedKeyDistribution
 from repro.core.metrics import walk_transactions
 from repro.ledger.block import ValidationCode
-from repro.lifecycle.events import LifecycleBus
 from repro.lifecycle.retry import ResubmissionGovernor
 from repro.network.config import NetworkConfig
 from repro.network.network import Channel, ChannelRecord
@@ -81,45 +79,39 @@ class GroupResult:
 
 
 class ChannelGroup:
-    """The channels ``spec.channels`` of a deployment, on one simulator and bus."""
+    """The channels ``spec.channels`` of a deployment, on one simulator."""
 
     def __init__(self, spec: GroupSpec, governor: Optional[ResubmissionGovernor]) -> None:
         self.spec = spec
         self.sim = Simulator()
-        #: The one stream the group's observer (and a one-group deployment's
-        #: consumers) see.  A sole channel publishes on it directly; several
-        #: channels keep a bus each (checker and retry controller listen per
-        #: chain) piped into it — only then: a pipe builds no event nobody
-        #: reads, but it is still one more bus to count on per emission.
-        self.bus = LifecycleBus()
         #: The deployment's resubmission governor (``None``: every slice makes
         #: its own, which is only equivalent while there is no rate cap).
         self.governor = governor
         streams = RandomStreams(spec.seed)
         shares = spec.topology.arrival_shares()
-        piped = len(spec.channels) > 1
-        self.channels: List[Channel] = []
-        for index in spec.channels:
-            channel = Channel(
+        self.channels: List[Channel] = [
+            Channel(
                 config=spec.config.copy(),
                 chaincode=spec.chaincode_factory(),
                 variant=spec.variant_factory(),
                 seed=spec.seed,
                 sim=self.sim,
                 streams=streams,
-                bus=LifecycleBus() if piped else self.bus,
                 # The one place the single-channel identity is decided.
                 label=None if spec.topology.channels == 1 else index,
                 arrival_share=shares[index],
             )
-            if piped:
-                channel.bus.pipe_to(self.bus)
-            self.channels.append(channel)
+            for index in spec.channels
+        ]
         self.gateways: List[ChannelGateway] = []
         #: One observer for the whole group: its channels share the clock.
         self.observer: Optional[RunObserver] = None
         if spec.config.observability.enabled:
-            self.observer = RunObserver(self.sim, self.bus, spec.config.observability)
+            self.observer = RunObserver(
+                self.sim,
+                [channel.bus for channel in self.channels],
+                spec.config.observability,
+            )
             for channel in self.channels:
                 self.observer.add_queue_probe(
                     channel.queue_probe,

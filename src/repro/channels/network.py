@@ -15,29 +15,29 @@ channel's record (``ledger`` populated, ``channel_records`` empty).
 
 **Group, plan, merge.**  The channels are built in *channel groups*
 (:class:`~repro.channels.group.ChannelGroup`: a subset of the channels on one
-simulator clock and one bus).  The *plan* — which groups there are and who
-advances their clocks — is a pure function of ``config.execution`` and
-:func:`repro.sim.shard.plan_shards` (see :func:`plan_groups`):
+simulator clock, each channel with its own lifecycle bus).  The *plan* — which
+groups there are and who advances their clocks — is one rule over the config
+(:func:`plan_groups`):
 
 ``shared-clock``
     One in-process group holding every channel.  Independent channels simulate
     concurrently (their events interleave in global virtual-time order) and
     cross-channel hops are ordinary events on the one clock.  The default,
     the reference semantics, and what every configuration that cannot
-    partition runs as: a coupled topology (any positive cross-channel rate
-    with ``uniform`` partners), a single-shard plan (one channel is one), or a
-    *global* resubmission rate cap (one token bucket cannot be split across
+    partition runs as: one channel, any positive cross-channel rate (both
+    partner strategies, ``uniform`` and the ``neighbor`` ring, connect every
+    channel to every other through the two-phase prepare), or a *global*
+    resubmission rate cap (one token bucket cannot be split across
     processes).
 ``sharded``
-    One group per shard of the cross-channel traffic graph, each drained to
-    completion on its own clock by one of N processes, this one included: it
-    drains shards 0, N, 2N, ... and a pool of N - 1 workers the rest.  All of
-    them run here when N is 1 or the factories do not pickle.  With
-    no cross traffic a channel's event sequence is a pure function of its own
-    streams and transaction ids, so the merged record is *bit-identical* to
-    the shared clock (asserted by the golden bit-identity suite); only
-    ``RunRecord.execution`` / ``shard_count`` and wall-clock observability
-    detail differ.
+    One group (shard) per channel, each drained to completion on its own
+    clock by one of N processes, this one included: it drains shards 0, N,
+    2N, ... and a pool of N - 1 workers the rest.  All of them run here when
+    N is 1 or the factories do not pickle.  With no cross traffic a channel's
+    event sequence is a pure function of its own streams and transaction ids,
+    so the merged record is *bit-identical* to the shared clock (asserted by
+    the golden bit-identity suite); only ``RunRecord.execution`` /
+    ``shard_count`` and wall-clock observability detail differ.
 
 Both plans drain every group the same way
 (:meth:`~repro.channels.group.ChannelGroup.run`) and end in
@@ -82,27 +82,31 @@ from repro.channels.merge import merge_group_results
 from repro.channels.topology import ChannelRouter, ChannelTopology
 from repro.chaincode.base import Chaincode
 from repro.errors import ConfigurationError
-from repro.lifecycle.events import LifecycleBus
 from repro.lifecycle.retry import ResubmissionGovernor
 from repro.network.config import NetworkConfig
 from repro.network.network import Channel, RunRecord
 from repro.sim.collector import quiet_collector
 from repro.sim.rng import RandomStreams
-from repro.sim.shard import plan_shards, resolve_worker_count
+from repro.sim.shard import resolve_worker_count
 from repro.workload.distributions import KeyDistribution
 from repro.workload.spec import CrossChannelMix, TransactionMix
 
 
-def plan_groups(
-    config: NetworkConfig, partner_strategy: str = "uniform"
-) -> Tuple[str, Tuple[Tuple[int, ...], ...]]:
-    """The execution plan of ``config``: ``(execution mode, channels per group)``."""
-    shards = plan_shards(config.channels, config.cross_channel_rate, partner_strategy)
-    # The resubmission rate cap is one token bucket across *all* channels;
-    # slicing it per process would change admission decisions.
+def plan_groups(config: NetworkConfig) -> Tuple[str, Tuple[Tuple[int, ...], ...]]:
+    """The execution plan of ``config``: ``(execution mode, channels per group)``.
+
+    Channels run apart only when nothing couples them: no cross traffic (every
+    partner strategy connects all channels) and no resubmission rate cap (one
+    token bucket across all channels, which a process cannot slice).
+    """
     rate_capped = config.retry.enabled and config.retry.rate_cap is not None
-    if config.execution.shard_workers != 1 and shards.is_partitioned and not rate_capped:
-        return "sharded", shards.shards
+    if (
+        config.execution.shard_workers != 1
+        and config.channels > 1
+        and config.cross_channel_rate == 0
+        and not rate_capped
+    ):
+        return "sharded", tuple((index,) for index in range(config.channels))
     return "shared-clock", (tuple(range(config.channels)),)
 
 
@@ -110,12 +114,13 @@ class MultiChannelNetwork:
     """N >= 1 Fabric channels sharded over the key space, run by one execution plan.
 
     ``execution_mode`` names the plan from construction on.  On the
-    shared-clock plan ``sim``, ``bus`` and ``channels`` are the one group's —
-    an :class:`~repro.sim.profile.EngineProfiler` attached to ``sim`` before
-    :meth:`run` observes the whole run.  On the sharded plan the groups live
-    where they run, so ``sim`` is ``None``, ``channels`` is empty, ``bus``
-    stays silent and ``coordinator`` is ``None`` (a topology that partitions
-    has no cross traffic) — what happened surfaces in the record.
+    shared-clock plan ``sim`` and ``channels`` are the one group's — an
+    :class:`~repro.sim.profile.EngineProfiler` attached to ``sim`` before
+    :meth:`run` observes the whole run, and each channel's ``bus`` carries
+    its events.  On the sharded plan the groups live where they run, so
+    ``sim`` is ``None``, ``channels`` is empty and ``coordinator`` is
+    ``None`` (a topology that partitions has no cross traffic) — what
+    happened surfaces in the record.
     """
 
     def __init__(
@@ -146,7 +151,7 @@ class MultiChannelNetwork:
         self.retry_governor = (
             ResubmissionGovernor(config.retry.rate_cap) if config.retry.enabled else None
         )
-        self.execution_mode, parts = plan_groups(config, partner_strategy)
+        self.execution_mode, parts = plan_groups(config)
         self._specs = [
             GroupSpec(
                 config=config,
@@ -171,8 +176,6 @@ class MultiChannelNetwork:
         )
         group = self.group
         self.sim = group.sim if group else None
-        #: Deployment-wide lifecycle event stream: the one group's bus.
-        self.bus = group.bus if group else LifecycleBus()
         self.channels: List[Channel] = list(group.channels) if group else []
         #: Two-phase commit needs two channels in this process: ``None`` for a
         #: one-channel deployment and on the sharded plan.

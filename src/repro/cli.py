@@ -829,10 +829,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     outcome = runner.run_sweep(plan)
     if exporting:
         observed = [
-            (
-                f"{cell.variant}-bs{cell.block_size}-r{cell.arrival_rate:g}-z{cell.zipf_skew:g}",
-                result.analyses[0].record.observability,
-            )
+            (cell.label, result.analyses[0].record.observability)
             for cell, result in zip(outcome.cells, outcome.results)
         ]
         observed = [(name, data) for name, data in observed if data is not None]
@@ -877,7 +874,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if checking:
         verdict_rows = [
             (
-                f"{cell.variant}-bs{cell.block_size}-r{cell.arrival_rate:g}-z{cell.zipf_skew:g}",
+                cell.label,
                 result.analyses[0].record.isolation.verdict
                 if result.analyses[0].record.isolation is not None
                 else "n/a",

@@ -1,9 +1,7 @@
 """State-database backend factory, and the one genesis a process shares.
 
-Instantiating the configured world-state backend is a ledger concern; this
-module used to live (as a bare function) in :mod:`repro.network.network`,
-from where it is still re-exported for backward compatibility.  The factory
-deliberately accepts plain strings as well as the
+Instantiating the configured world-state backend is a ledger concern.  The
+factory deliberately accepts plain strings as well as the
 :class:`~repro.network.config.DatabaseType` enum so the ledger package never
 has to import upward from the network layer.
 """

@@ -3,9 +3,9 @@
 Every caller that wants a network — the experiment harness, the CLI, the
 examples, the tests — goes through :func:`build_network`, which resolves the
 variant and returns the one deployment class,
-:class:`~repro.channels.network.MultiChannelNetwork`, wired to a
-:class:`~repro.lifecycle.events.LifecycleBus` and (when the configuration
-enables it) the retry subsystem, with its
+:class:`~repro.channels.network.MultiChannelNetwork`, each channel wired to
+its own :class:`~repro.lifecycle.events.LifecycleBus` and (when the
+configuration enables it) the retry subsystem, with its
 ``run(mix, arrival_rate, duration, ...) -> RunRecord`` surface.
 
 How many channels there are and how they *execute* — one shared clock or

@@ -2,8 +2,8 @@
 
 :class:`Channel` builds organizations, peers, the ordering service and client
 processes from a :class:`~repro.network.config.NetworkConfig` — one complete
-Fabric slice with its own ledger, state and RNG stream family — on the
-simulator clock and lifecycle bus of the
+Fabric slice with its own ledger, state, lifecycle bus and RNG stream
+family — on the simulator clock of the
 :class:`~repro.channels.group.ChannelGroup` that owns it.  The slice does not
 run itself: the group calls :meth:`Channel.start_clients` (schedule the client
 arrivals), whoever the execution plan names advances the clock, and
@@ -26,7 +26,7 @@ from repro.errors import AnalysisError, ConfigurationError
 from repro.faults.controller import FaultController
 from repro.faults.schedule import FaultSchedule
 from repro.ledger.block import Transaction, TransactionIdAllocator
-from repro.ledger.factory import genesis_base, make_state_store  # noqa: F401 - re-exported
+from repro.ledger.factory import genesis_base
 from repro.ledger.kvstore import VersionedKVStore
 from repro.ledger.ledger import Ledger
 from repro.lifecycle.events import LifecycleBus
@@ -91,7 +91,8 @@ class RunRecord:
     mean_endorsement_utilization: float = 0.0
     channel_records: List["ChannelRecord"] = field(default_factory=list)
     #: Lifecycle event counts (event-type value -> count) snapshotted from the
-    #: deployment's :class:`~repro.lifecycle.events.LifecycleBus`.
+    #: channel's :class:`~repro.lifecycle.events.LifecycleBus` (summed over the
+    #: channels in an aggregate record).
     lifecycle_counts: Dict[str, int] = field(default_factory=dict)
     #: Retry subsystem bookkeeping of the run.
     retry_policy: str = "none"
@@ -197,8 +198,10 @@ class Channel:
     peers over one frozen copy-on-write state base, the ordering service, the
     latency model, and — when ``config.faults`` is enabled — the
     :class:`~repro.faults.controller.FaultController` that degrades components
-    on the deterministic chaos schedule.  ``sim`` and ``bus`` come from the
-    owning group; ``streams`` is the deployment's root stream family.
+    on the deterministic chaos schedule.  ``sim`` comes from the owning
+    group; ``streams`` is the deployment's root stream family.  The slice
+    owns its :class:`~repro.lifecycle.events.LifecycleBus` (``bus``): the
+    event stream of this chain alone.
 
     ``label`` is the channel's identity in everything a run emits, decided by
     the group: the channel index, or ``None`` for the sole channel of a
@@ -216,7 +219,6 @@ class Channel:
         seed: int,
         sim: Simulator,
         streams: RandomStreams,
-        bus: LifecycleBus,
         label: Optional[int],
         arrival_share: float,
     ) -> None:
@@ -242,7 +244,7 @@ class Channel:
             self.queue_probe = f"orderer.ch{label}"
         self.sim = sim
         self.ledger = Ledger()
-        self.bus = bus
+        self.bus = LifecycleBus()
         #: Fault controller of this slice (``None`` keeps the no-fault path
         #: bit-identical: no stream is drawn, no event scheduled).
         self.faults: Optional[FaultController] = (
@@ -289,10 +291,10 @@ class Channel:
         self.results = ResultTable()
         self.retry_controller: Optional[RetryController] = None
         #: Streaming isolation checker of this slice (``None`` unless
-        #: ``config.checker`` is enabled).  Installed per slice — on the
-        #: slice's *own* bus, never a bus other channels are piped into — so
-        #: each channel is checked against its own chain and the verdicts are
-        #: identical across shared-clock and sharded execution.
+        #: ``config.checker`` is enabled).  Installed per slice, on the
+        #: slice's own bus, so each channel is checked against its own chain
+        #: and the verdicts are identical across shared-clock and sharded
+        #: execution.
         self.isolation_checker: Optional[IsolationChecker] = (
             IsolationChecker(self.bus, self.config.checker, channel=label)
             if self.config.checker.enabled

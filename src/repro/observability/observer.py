@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.lifecycle.events import LifecycleBus, LifecycleEvent, LifecycleEventType
 from repro.observability.config import ObservabilityConfig
@@ -47,15 +47,20 @@ class ObservabilityData:
 
 
 class RunObserver:
-    """Observes one run: lifecycle counters, spans, samples, fault markers."""
+    """Observes one run: lifecycle counters, spans, samples, fault markers.
 
-    def __init__(self, sim: Simulator, bus: LifecycleBus, config: ObservabilityConfig) -> None:
+    ``buses`` are the lifecycle buses of the channels on ``sim``'s clock; the
+    observer listens to every event of each.
+    """
+
+    def __init__(
+        self, sim: Simulator, buses: Sequence[LifecycleBus], config: ObservabilityConfig
+    ) -> None:
         config.validate()
         self.sim = sim
-        self.bus = bus
         self.config = config
         self.registry = MetricsRegistry()
-        self.tracer: Optional[SpanTracer] = SpanTracer(bus) if config.trace else None
+        self.tracer: Optional[SpanTracer] = SpanTracer(buses) if config.trace else None
         self.sampler: Optional[TimeSeriesSampler] = (
             TimeSeriesSampler(sim, config.sample_interval) if config.metrics else None
         )
@@ -63,7 +68,8 @@ class RunObserver:
         self._profiler: Optional[EngineProfiler] = None
         self._committed_origins: set = set()
         self._latency = self.registry.histogram("latency")
-        bus.subscribe(None, self._on_event)
+        for bus in buses:
+            bus.subscribe(None, self._on_event)
         if self.sampler is not None:
             self.sampler.add_source("pending_events", lambda: float(sim.pending_events))
             self.sampler.add_rate("engine_events_per_s", lambda: float(sim.processed_events))

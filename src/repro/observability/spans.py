@@ -1,7 +1,7 @@
 """Span trees: one per transaction attempt, built from the lifecycle stream.
 
-The :class:`SpanTracer` subscribes to the deployment's
-:class:`~repro.lifecycle.events.LifecycleBus` — the bus invariant (emission
+The :class:`SpanTracer` subscribes to its channels'
+:class:`~repro.lifecycle.events.LifecycleBus` streams — the bus invariant (emission
 never touches the simulator or any RNG stream) is what makes tracing free of
 side effects: a traced run stays bit-identical to an untraced one.  Stage
 intervals come from the timestamps every :class:`~repro.ledger.block.Transaction`
@@ -33,7 +33,7 @@ and the metrics layer agree on one vocabulary:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.ledger.block import Transaction
 from repro.lifecycle.events import LifecycleBus, LifecycleEvent, LifecycleEventType
@@ -230,21 +230,24 @@ def build_attempt_span(
 class SpanTracer:
     """Builds one span tree per transaction attempt from the lifecycle stream.
 
-    Subscribes to every event of the bus; records which attempts exist (in
-    first-submission order, which is deterministic) and how each terminated.
+    Subscribes to every event of each bus (one per channel of a group);
+    records which attempts exist (in first-submission order, which is
+    deterministic on one clock) and how each terminated.
     The trees themselves are materialized once at :meth:`finalize`, when the
     ledgers' block-cut times are available for the block-wait split.
     """
 
-    def __init__(self, bus: LifecycleBus) -> None:
-        self._bus = bus
+    def __init__(self, buses: Sequence[LifecycleBus]) -> None:
+        self._buses = tuple(buses)
         self._attempts: Dict[str, dict] = {}
         self._order: List[str] = []
-        bus.subscribe(None, self._on_event)
+        for bus in self._buses:
+            bus.subscribe(None, self._on_event)
 
     def detach(self) -> None:
         """Stop listening (the collected attempts remain available)."""
-        self._bus.unsubscribe(None, self._on_event)
+        for bus in self._buses:
+            bus.unsubscribe(None, self._on_event)
 
     @property
     def attempts(self) -> int:

@@ -1,17 +1,13 @@
-"""Shard planning and process budgeting for parallel multi-channel runs.
+"""Execution strategy and process budgeting for parallel multi-channel runs.
 
 A multi-channel deployment whose channels never talk to each other is an
 embarrassingly parallel simulation: each channel owns its ledger, state
 store, ordering service and RNG stream family, so its event sequence is a
-pure function of its own inputs.  This module decides *which* channels can
-run apart and *how many* processes they may occupy:
+pure function of its own inputs.  *Which* channels run apart is one rule,
+:func:`repro.channels.network.plan_groups` (without cross traffic, one shard
+per channel; with any, one shard, since every partner strategy connects all
+channels).  This module decides *how many* processes they may occupy:
 
-* :func:`plan_shards` partitions the channel topology into shards by
-  connected components of the cross-channel traffic graph.  With
-  ``cross_channel_rate == 0`` there are no edges and every channel is its own
-  shard; any positive rate couples channels through the two-phase prepare
-  path (``uniform`` partners connect everything, ``neighbor`` partners form
-  a ring) and coupled channels co-locate in one shard.
 * :class:`ExecutionConfig` is the knob on
   :class:`~repro.network.config.NetworkConfig` selecting the execution
   strategy: ``shard_workers=1`` (default) keeps the classic shared-clock
@@ -32,7 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.errors import ConfigurationError
 
@@ -77,95 +73,6 @@ class ExecutionConfig:
         of what it is.
         """
         return None
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """A partition of ``channels`` channel indices into independent shards.
-
-    ``shards`` holds one sorted tuple of channel indices per shard, ordered
-    by each shard's smallest member — the deterministic order every consumer
-    (worker dispatch, record merge) iterates in.
-    """
-
-    channels: int
-    shards: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def shard_count(self) -> int:
-        """Number of independent shards."""
-        return len(self.shards)
-
-    @property
-    def is_partitioned(self) -> bool:
-        """True when the topology splits into more than one shard."""
-        return len(self.shards) > 1
-
-    def shard_of(self, channel: int) -> int:
-        """The index (in :attr:`shards` order) of the shard owning ``channel``."""
-        for shard_index, members in enumerate(self.shards):
-            if channel in members:
-                return shard_index
-        raise ConfigurationError(f"channel {channel} is outside this plan of {self.channels}")
-
-
-def cross_channel_edges(
-    channels: int, cross_channel_rate: float, partner_strategy: str = "uniform"
-) -> List[Tuple[int, int]]:
-    """The edges of the cross-channel traffic graph.
-
-    An edge ``(i, j)`` means a transaction homed on one of the two channels
-    may run the two-phase prepare against the other, i.e. their simulations
-    can exchange messages.  Zero rate produces no edges; ``uniform`` partner
-    selection may pair any two channels; ``neighbor`` selection forms a ring.
-    Unknown strategies are treated as fully coupled — the safe direction.
-    """
-    if channels <= 1 or cross_channel_rate <= 0.0:
-        return []
-    if partner_strategy == "neighbor":
-        if channels == 2:
-            return [(0, 1)]
-        return [(index, (index + 1) % channels) for index in range(channels)]
-    return [(i, j) for i in range(channels) for j in range(i + 1, channels)]
-
-
-def connected_components(
-    channels: int, edges: Sequence[Tuple[int, int]]
-) -> Tuple[Tuple[int, ...], ...]:
-    """Connected components of the channel graph, ordered by smallest member."""
-    parent = list(range(channels))
-
-    def find(node: int) -> int:
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
-    for left, right in edges:
-        if not (0 <= left < channels and 0 <= right < channels):
-            raise ConfigurationError(
-                f"edge ({left}, {right}) is outside the channel range [0, {channels})"
-            )
-        parent[find(left)] = find(right)
-
-    members: dict = {}
-    for channel in range(channels):
-        members.setdefault(find(channel), []).append(channel)
-    return tuple(
-        tuple(sorted(group)) for group in sorted(members.values(), key=lambda group: group[0])
-    )
-
-
-def plan_shards(
-    channels: int, cross_channel_rate: float, partner_strategy: str = "uniform"
-) -> ShardPlan:
-    """Partition the channel topology into independently simulatable shards."""
-    if channels < 1:
-        raise ConfigurationError(f"need at least one channel, got {channels}")
-    edges = cross_channel_edges(channels, cross_channel_rate, partner_strategy)
-    return ShardPlan(channels=channels, shards=connected_components(channels, edges))
 
 
 def available_cores() -> int:

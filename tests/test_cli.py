@@ -999,6 +999,36 @@ def test_sweep_trace_out_merges_cells_and_bypasses_the_cache(tmp_path, capsys):
     assert all("summary" in cell for cell in cells)
 
 
+def test_sweep_verdict_table_and_metrics_export_name_the_cells_alike(tmp_path, capsys):
+    metrics = tmp_path / "sweep-metrics.json"
+    exit_code = main(
+        [
+            "sweep",
+            "--database",
+            "leveldb",
+            "--block-sizes",
+            "50",
+            "10",
+            "--rates",
+            "30",
+            "--duration",
+            "1",
+            "--check-isolation",
+            "--metrics-out",
+            str(metrics),
+        ]
+    )
+    assert exit_code == 0
+    lines = capsys.readouterr().out.splitlines()
+    table = lines[lines.index("Isolation verdicts") + 3 :]
+    verdict_labels = [line.split("|")[0].strip() for line in table[: table.index("")]]
+    metrics_labels = [cell["cell"] for cell in json.loads(metrics.read_text())["cells"]]
+    assert verdict_labels == metrics_labels == [
+        "fabric-1.4-bs50-r30-z1",
+        "fabric-1.4-bs10-r30-z1",
+    ]
+
+
 # ------------------------------------------------------------- shard workers
 RUN_SHARDED_ARGS = [
     "run",

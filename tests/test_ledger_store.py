@@ -248,9 +248,3 @@ def test_make_state_store_accepts_strings_and_enum():
     assert isinstance(make_state_store(DatabaseType.COUCHDB), CouchDBStore)
     with pytest.raises(ConfigurationError):
         make_state_store("postgres")
-
-
-def test_make_state_store_is_reexported_from_network_for_compat():
-    from repro.network.network import make_state_store as reexported
-
-    assert reexported is make_state_store

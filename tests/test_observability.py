@@ -240,7 +240,7 @@ def emit(bus: LifecycleBus, event_type: LifecycleEventType, time: float, tx: Tra
 
 def test_span_tracer_builds_one_tree_per_attempt_in_submission_order():
     bus = LifecycleBus()
-    tracer = SpanTracer(bus)
+    tracer = SpanTracer([bus])
     first = committed_tx()
     second = committed_tx()
     second.tx_id = "tx-9"
@@ -256,10 +256,11 @@ def test_span_tracer_builds_one_tree_per_attempt_in_submission_order():
 
 
 def test_span_tracer_detach_stops_listening():
-    bus = LifecycleBus()
-    tracer = SpanTracer(bus)
+    buses = [LifecycleBus(), LifecycleBus()]
+    tracer = SpanTracer(buses)
     tracer.detach()
-    emit(bus, LifecycleEventType.SUBMITTED, 1.0, committed_tx())
+    for bus in buses:
+        emit(bus, LifecycleEventType.SUBMITTED, 1.0, committed_tx())
     assert tracer.attempts == 0
 
 
@@ -429,7 +430,7 @@ def test_disabled_observability_creates_no_observer():
         seed=7,
     )
     assert network.group.observer is None
-    assert not network.bus._listeners
+    assert not network.channels[0].bus._listeners
     assert network.sim.pending_events == 0
 
 

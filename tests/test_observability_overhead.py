@@ -51,7 +51,7 @@ def build_disabled_network() -> MultiChannelNetwork:
 def test_disabled_observability_installs_nothing():
     network = build_disabled_network()
     assert network.group.observer is None
-    assert not network.bus._listeners, "a disabled config subscribed a bus listener"
+    assert not network.channels[0].bus._listeners, "a disabled config subscribed a bus listener"
     assert network.sim.pending_events == 0, "a disabled config pre-scheduled engine events"
     assert not network.sim.profiler_attached
 

@@ -1,88 +1,75 @@
-"""Unit tests for shard planning and process budgeting (``repro.sim.shard``)."""
+"""Unit tests for the shard rule (``plan_groups``) and process budgeting (``repro.sim.shard``)."""
 
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
 from repro.bench.harness import ExperimentConfig
 from repro.channels.network import plan_groups
+from repro.channels.topology import ChannelRouter, ChannelTopology
 from repro.errors import ConfigurationError
+from repro.lifecycle.retry import RetryConfig
 from repro.network.config import NetworkConfig
 from repro.sim.shard import (
     PROCESS_BUDGET_ENV,
     ExecutionConfig,
-    connected_components,
-    cross_channel_edges,
-    plan_shards,
     process_budget,
     resolve_worker_count,
 )
+from repro.workload.spec import CrossChannelMix
 from repro.workload.workloads import uniform_workload
 
 
-# ----------------------------------------------------------------- the graph
-def test_zero_rate_has_no_edges():
-    assert cross_channel_edges(8, 0.0) == []
-    assert cross_channel_edges(8, 0.0, "neighbor") == []
+# ------------------------------------------------------------------ the rule
+def _groups(channels: int, workers: int, rate: float = 0.0, capped: bool = False):
+    retry = RetryConfig(policy="immediate", rate_cap=5.0) if capped else RetryConfig()
+    config = NetworkConfig(
+        channels=channels,
+        cross_channel_rate=rate,
+        retry=retry,
+        execution=ExecutionConfig(shard_workers=workers),
+    )
+    return plan_groups(config)
 
 
-def test_single_channel_has_no_edges_regardless_of_rate():
-    assert cross_channel_edges(1, 0.5) == []
+@pytest.mark.parametrize("workers", [0, 1, 2])
+@pytest.mark.parametrize("capped", [False, True])
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+@pytest.mark.parametrize("channels", range(1, 9))
+def test_plan_groups_shards_exactly_the_uncoupled_uncapped_deployments(
+    channels, rate, capped, workers
+):
+    mode, groups = _groups(channels, workers, rate, capped)
+    if workers != 1 and channels > 1 and rate == 0.0 and not capped:
+        assert mode == "sharded"
+        assert groups == tuple((index,) for index in range(channels))
+    else:
+        assert mode == "shared-clock"
+        assert groups == (tuple(range(channels)),)
 
 
-def test_uniform_partners_form_the_complete_graph():
-    edges = cross_channel_edges(4, 0.1, "uniform")
-    assert len(edges) == 6  # C(4, 2)
-    assert (0, 3) in edges
-
-
-def test_neighbor_partners_form_a_ring():
-    assert cross_channel_edges(4, 0.1, "neighbor") == [(0, 1), (1, 2), (2, 3), (3, 0)]
-    assert cross_channel_edges(2, 0.1, "neighbor") == [(0, 1)]
-
-
-def test_unknown_strategy_is_treated_as_fully_coupled():
-    assert len(cross_channel_edges(4, 0.1, "mystery")) == 6
-
-
-def test_connected_components_without_edges_are_singletons():
-    assert connected_components(3, []) == ((0,), (1,), (2,))
-
-
-def test_connected_components_merge_across_edge_chains():
-    assert connected_components(5, [(0, 2), (2, 4)]) == ((0, 2, 4), (1,), (3,))
-
-
-def test_connected_components_reject_out_of_range_edges():
-    with pytest.raises(ConfigurationError):
-        connected_components(2, [(0, 5)])
-
-
-# ------------------------------------------------------------------ the plan
-def test_rate_zero_plan_gives_every_channel_its_own_shard():
-    plan = plan_shards(4, 0.0)
-    assert plan.shard_count == 4
-    assert plan.is_partitioned
-    assert plan.shards == ((0,), (1,), (2,), (3,))
-    assert plan.shard_of(2) == 2
-
-
-def test_coupled_plan_collapses_to_one_shard():
-    plan = plan_shards(4, 0.1, "uniform")
-    assert plan.shard_count == 1
-    assert not plan.is_partitioned
-
-
-def test_plan_rejects_zero_channels():
-    with pytest.raises(ConfigurationError):
-        plan_shards(0, 0.0)
-
-
-def test_shard_of_rejects_unknown_channel():
-    with pytest.raises(ConfigurationError):
-        plan_shards(2, 0.0).shard_of(7)
+@pytest.mark.parametrize("strategy", CrossChannelMix.STRATEGIES)
+@pytest.mark.parametrize("channels", range(2, 9))
+def test_every_partner_strategy_connects_every_channel(strategy, channels):
+    # The premise of the rule: any cross traffic couples all channels, so a
+    # positive rate can never split a deployment into more than one shard.
+    router = ChannelRouter(ChannelTopology(channels=channels))
+    rng = random.Random(channels)
+    neighbours = {home: set() for home in range(channels)}
+    for home in range(channels):
+        for _ in range(64):
+            partner = router.pick_partner(home, rng, strategy)
+            neighbours[home].add(partner)
+            neighbours[partner].add(home)
+    reached, frontier = {0}, [0]
+    while frontier:
+        for partner in neighbours[frontier.pop()] - reached:
+            reached.add(partner)
+            frontier.append(partner)
+    assert reached == set(range(channels))
 
 
 # -------------------------------------------------------------- ExecutionConfig

@@ -179,7 +179,6 @@ def test_one_channel_deployment_is_the_one_group_shared_clock_plan(shard_workers
     assert deployment.coordinator is None
     (channel,) = deployment.channels
     assert deployment.sim is channel.sim
-    assert deployment.bus is channel.bus
 
 
 def count_lifecycle_events(monkeypatch) -> list:
@@ -196,7 +195,7 @@ def count_lifecycle_events(monkeypatch) -> list:
 
 
 def test_unobserved_one_channel_run_allocates_no_lifecycle_event(monkeypatch):
-    # A group of one channel publishes on one bus, with no pipe to walk.
+    # The one channel publishes on its own bus, which nobody listens to.
     allocated = count_lifecycle_events(monkeypatch)
     config = CELLS["fabric-1.4/EHR/C1"][0]
     record = run(build(config), config)
@@ -205,18 +204,14 @@ def test_unobserved_one_channel_run_allocates_no_lifecycle_event(monkeypatch):
 
 
 def test_unobserved_eight_channel_run_allocates_no_lifecycle_event(monkeypatch):
-    # Eight channel buses piped into the group's bus: a pipe is a parent link,
-    # not an all-events listener, so every emission is counted on both buses
-    # and still builds no event while nobody on the chain listens.
+    # Eight channel buses, one per chain: every emission is counted on its
+    # channel's bus and builds no event while nobody listens.
     allocated = count_lifecycle_events(monkeypatch)
     config = CELLS["fabric-1.4/EHR/C1"][0]
     config = config.with_overrides(network=config.network.copy(channels=8))
-    deployment = build(config)
-    record = run(deployment, config)
+    record = run(build(config), config)
     assert record.lifecycle_counts["committed"] > 0
     assert allocated == []
-    assert all(channel.bus is not deployment.bus for channel in deployment.channels)
-    assert deployment.bus.counts_by_name() == record.lifecycle_counts
     for name, count in record.lifecycle_counts.items():
         assert count == sum(
             channel.record.lifecycle_counts.get(name, 0) for channel in record.channel_records
