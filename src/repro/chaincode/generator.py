@@ -243,14 +243,16 @@ class ChaincodeGenerator:
             body.append("        stub.put_state(key, dict(value, writes=value.get('writes', 0) + 1))")
             body.append("        cursor += 1")
         for offset in range(spec.inserts):
-            body.append(f"        stub.put_state(f'k{{fresh_index + {offset}:08d}}', {{'writes': 0}})")
+            key = f"f'k{{fresh_index + {offset}:08d}}'"
+            body.append(f"        stub.put_state({key}, {{'value': fresh_index, 'writes': 0}})")
         for _ in range(spec.deletes):
             body.append("        stub.del_state(f'k{cursor % " + str(self.num_keys) + ":08d}')")
             body.append("        cursor += 1")
         for _ in range(spec.range_reads):
+            body.append(f"        start = cursor % {max(1, self.num_keys - spec.range_size)}")
             body.append(
-                "        stub.get_state_by_range(f'k{cursor:08d}', "
-                f"f'k{{cursor + {spec.range_size}:08d}}')"
+                "        stub.get_state_by_range(f'k{start:08d}', "
+                f"f'k{{start + {spec.range_size}:08d}}')"
             )
             body.append(f"        cursor += {spec.range_size}")
         for _ in range(spec.rich_queries):

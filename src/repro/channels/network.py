@@ -26,9 +26,9 @@ groups there are and who advances their clocks — is one rule over the config
     the reference semantics, and what every configuration that cannot
     partition runs as: one channel, any positive cross-channel rate (both
     partner strategies, ``uniform`` and the ``neighbor`` ring, connect every
-    channel to every other through the two-phase prepare), or a *global*
+    channel to every other through the two-phase prepare), a *global*
     resubmission rate cap (one token bucket cannot be split across
-    processes).
+    processes), or an observer (its latency sketches do not merge).
 ``sharded``
     One group (shard) per channel, each drained to completion on its own
     clock by one of N processes, this one included: it drains shards 0, N,
@@ -37,7 +37,7 @@ groups there are and who advances their clocks — is one rule over the config
     event sequence is a pure function of its own streams and transaction ids,
     so the merged record is *bit-identical* to the shared clock (asserted by
     the golden bit-identity suite); only ``RunRecord.execution`` /
-    ``shard_count`` and wall-clock observability detail differ.
+    ``shard_count`` differ: a pure speed-up for unobserved runs.
 
 Both plans drain every group the same way
 (:meth:`~repro.channels.group.ChannelGroup.run`) and end in
@@ -66,7 +66,6 @@ import multiprocessing
 import os
 import pickle
 import tempfile
-import time
 from typing import Callable, List, Optional, Tuple
 
 from repro.channels.coordinator import CrossChannelCoordinator
@@ -96,8 +95,9 @@ def plan_groups(config: NetworkConfig) -> Tuple[str, Tuple[Tuple[int, ...], ...]
     """The execution plan of ``config``: ``(execution mode, channels per group)``.
 
     Channels run apart only when nothing couples them: no cross traffic (every
-    partner strategy connects all channels) and no resubmission rate cap (one
-    token bucket across all channels, which a process cannot slice).
+    partner strategy connects all channels), no resubmission rate cap (one
+    token bucket across all channels, which a process cannot slice) and no
+    observer (one latency sketch and sample grid, which do not merge either).
     """
     rate_capped = config.retry.enabled and config.retry.rate_cap is not None
     if (
@@ -105,6 +105,7 @@ def plan_groups(config: NetworkConfig) -> Tuple[str, Tuple[Tuple[int, ...], ...]
         and config.channels > 1
         and config.cross_channel_rate == 0
         and not rate_capped
+        and not config.observability.enabled
     ):
         return "sharded", tuple((index,) for index in range(config.channels))
     return "shared-clock", (tuple(range(config.channels)),)
@@ -206,19 +207,16 @@ class MultiChannelNetwork:
         if duration <= 0:
             raise ConfigurationError(f"the duration must be positive, got {duration}")
         args = RunArgs(mix, arrival_rate, duration, key_distribution, workload_name)
-        started = time.perf_counter()
         if self.group is None:
             results = self._drain_shards(args)
         else:
             self.shard_workers_used = 1
             results = [self.group.run(args, self.coordinator)]
-        wall_seconds = time.perf_counter() - started
         return merge_group_results(
             results,
             config=self.config,
             seed=self.seed,
             args=args,
-            wall_seconds=wall_seconds,
             execution=self.execution_mode,
         )
 

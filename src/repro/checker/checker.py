@@ -271,7 +271,9 @@ class ChannelChecker:
     :meth:`finalize` once for the :class:`ChannelIsolation` verdict.
     """
 
-    def __init__(self, channel: Optional[int] = None, witness_limit: int = 4) -> None:
+    def __init__(
+        self, channel: Optional[int] = None, witness_limit: int = CheckerConfig.witness_limit
+    ) -> None:
         self._channel = channel
         self._witness_limit = witness_limit
         self._chains: Dict[str, _Chain] = {}

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.checker.checker import ChannelChecker, ChannelIsolation, IsolationReport
+from repro.checker.config import CheckerConfig
 from repro.errors import ConfigurationError
 from repro.ledger.kvstore import Version
 
@@ -107,7 +108,9 @@ def load_history(path) -> Dict[str, object]:
     return document
 
 
-def check_document(document: Dict[str, object], witness_limit: int = 4) -> IsolationReport:
+def check_document(
+    document: Dict[str, object], witness_limit: int = CheckerConfig.witness_limit
+) -> IsolationReport:
     """Re-check a loaded history document through the streaming checker."""
     channels: List[ChannelIsolation] = []
     try:
@@ -131,7 +134,7 @@ def check_document(document: Dict[str, object], witness_limit: int = 4) -> Isola
     return IsolationReport(channels=channels)
 
 
-def check_history(path, witness_limit: int = 4) -> IsolationReport:
+def check_history(path, witness_limit: int = CheckerConfig.witness_limit) -> IsolationReport:
     """Load ``path`` and re-check it (the ``repro check`` entry point)."""
     return check_document(load_history(path), witness_limit=witness_limit)
 

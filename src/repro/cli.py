@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import operator
@@ -66,6 +67,7 @@ from repro.bench.reporting import format_table
 from repro.bench.runner import SWEEP_HEADERS, ExperimentRunner, ResultCache, SweepPlan
 from repro.chaincode import CHAINCODE_REGISTRY
 from repro.checker.checker import LEVEL_SERIALIZABLE, LEVEL_SNAPSHOT_ISOLATION, IsolationReport
+from repro.checker.config import CheckerConfig
 from repro.checker.history import check_history, write_history
 from repro.core.analyzer import ChannelAnalysis, ExperimentAnalysis
 from repro.core.failures import FailureType
@@ -406,7 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep over these Zipfian skews (default: just --skew)",
     )
     sweep_parser.add_argument(
-        "--workers", type=int, default=1, help="worker processes for the grid (default 1)"
+        "--workers",
+        type=int,
+        default=inspect.signature(ExperimentRunner).parameters["workers"].default,
+        help="worker processes for the grid (default %(default)s)",
     )
     sweep_parser.add_argument(
         "--no-cache", action="store_true", help="disable the result cache"
@@ -444,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument(
         "--witness-limit",
         type=int,
-        default=4,
-        help="anomaly witnesses to retain per channel (default 4)",
+        default=CheckerConfig.witness_limit,
+        help="anomaly witnesses to retain per channel (default %(default)s)",
     )
     check_parser.add_argument(
         "--json",

@@ -1,8 +1,9 @@
 """The per-run observer: span tracer + metrics registry + sampler + markers.
 
-One :class:`RunObserver` serves one simulator clock — one
-:class:`~repro.channels.group.ChannelGroup` of a deployment, which is its only
-constructor.  It is only constructed
+One :class:`RunObserver` observes a whole run on one simulator clock: an
+observed deployment is one :class:`~repro.channels.group.ChannelGroup`, the
+observer's only constructor (:func:`~repro.channels.network.plan_groups`
+never shards it), so nothing it reports is merged.  It is only constructed
 when :class:`~repro.observability.config.ObservabilityConfig` is enabled;
 without it no bus listener, sampler event or profiler exists and the run is
 bit-identical to a build without this package.

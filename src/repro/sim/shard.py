@@ -4,9 +4,9 @@ A multi-channel deployment whose channels never talk to each other is an
 embarrassingly parallel simulation: each channel owns its ledger, state
 store, ordering service and RNG stream family, so its event sequence is a
 pure function of its own inputs.  *Which* channels run apart is one rule,
-:func:`repro.channels.network.plan_groups` (without cross traffic, one shard
-per channel; with any, one shard, since every partner strategy connects all
-channels).  This module decides *how many* processes they may occupy:
+:func:`repro.channels.network.plan_groups` (a shard per channel unless cross
+traffic, a rate cap or an observer couples them all).  This module decides
+*how many* processes they may occupy:
 
 * :class:`ExecutionConfig` is the knob on
   :class:`~repro.network.config.NetworkConfig` selecting the execution

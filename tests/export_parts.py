@@ -37,40 +37,18 @@ ENGINE_SUMMARY_KEY = "engine"
 
 def is_engine_part(name: str) -> bool:
     """True for the parts in which the simulator observes itself."""
-    if name.startswith("summary/"):
-        return name.rsplit("/", 1)[-1] == ENGINE_SUMMARY_KEY
-    return name in ENGINE_PARTS
-
-
-def _without_wall_clock(value):
-    """``value`` minus the wall-clock keys per-group engine reports carry."""
-    if isinstance(value, dict):
-        return {
-            key: _without_wall_clock(item)
-            for key, item in value.items()
-            if key not in ("wall_seconds", "events_per_sec")
-        }
-    if isinstance(value, list):
-        return [_without_wall_clock(item) for item in value]
-    return value
+    return name == f"summary/{ENGINE_SUMMARY_KEY}" or name in ENGINE_PARTS
 
 
 def exported_bytes(data: ObservabilityData, directory: Path) -> Dict[str, bytes]:
-    """The run's ``trace`` and ``metrics`` exports, as the writers produce them."""
+    """The run's ``trace`` and ``metrics`` exports, as the writers produce them.
+
+    Nothing is stripped: a wall-clock key that reaches an export fails its pin.
+    """
     trace_path = Path(directory) / "trace.json"
     write_chrome_trace(trace_path, [data])
-    metrics = dumps(_without_wall_clock(metrics_document(data)))
+    metrics = dumps(metrics_document(data))
     return {"trace": trace_path.read_bytes(), "metrics": metrics.encode("utf-8")}
-
-
-def _summary_parts(summary: dict, prefix: str, parts: Dict[str, object]) -> None:
-    for key, value in summary.items():
-        if key == "shards":
-            # Per-group summaries of a merged run, each with its own engine report.
-            for index, shard in enumerate(value):
-                _summary_parts(shard, f"{prefix}/shards/{index}", parts)
-        else:
-            parts[f"{prefix}/{key}"] = value
 
 
 def export_parts(document: dict) -> Dict[str, str]:
@@ -87,7 +65,8 @@ def export_parts(document: dict) -> Dict[str, str]:
                 name = "spans"
             parts.setdefault(name, []).append(event)
     else:
-        _summary_parts(document["summary"], "summary", parts)
+        for key, value in document["summary"].items():
+            parts[f"summary/{key}"] = value
         parts["markers"] = document["markers"]
         for row in document["series"]:
             for column, value in row.items():

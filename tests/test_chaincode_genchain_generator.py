@@ -10,6 +10,7 @@ from repro.chaincode.api import ChaincodeStub
 from repro.chaincode.genchain import RANGE_WIDTHS, GenChainChaincode
 from repro.chaincode.generator import ChaincodeGenerator, FunctionSpec, genchain_generator
 from repro.errors import ConfigurationError
+from repro.ledger.couchdb import CouchDBStore
 from repro.ledger.leveldb import LevelDBStore
 
 
@@ -167,3 +168,35 @@ def test_generated_chaincode_unknown_function_rejected(rng):
     chaincode = generator.generate()
     with pytest.raises(ConfigurationError):
         chaincode.sample_args("missing", rng)
+
+
+def test_emitted_source_does_what_the_runnable_does():
+    # The emitted module and the runnable chaincode are two renderings of the
+    # same specs: on equal arguments every function must read, write, delete
+    # and scan exactly the same keys, and write the same values.
+    generator = ChaincodeGenerator(name="every-op", database="couchdb", num_keys=20)
+    generator.add_function(FunctionSpec(name="lookup", reads=2))
+    generator.add_function(FunctionSpec(name="touch", reads=1, updates=2))
+    generator.add_function(FunctionSpec(name="create", inserts=2))
+    generator.add_function(FunctionSpec(name="drop", deletes=1))
+    generator.add_function(FunctionSpec(name="rr", range_reads=2, range_size=8))
+    generator.add_function(FunctionSpec(name="rich", rich_queries=1))
+    generator.add_function(
+        FunctionSpec(name="mixed", reads=1, inserts=1, updates=1, deletes=1, range_reads=1)
+    )
+    runnable = generator.generate()
+    namespace = {}
+    exec(compile(generator.source_code(), "<generated>", "exec"), namespace)  # noqa: S102
+    emitted = namespace["EveryOpChaincode"]()
+    assert emitted.functions() == runnable.functions()
+    for function in runnable.functions():
+        assert emitted.is_read_only(function) == runnable.is_read_only(function)
+        for args in ((0, 20), (5, 31), (18, 21), (19, 40)):
+            stubs = []
+            for chaincode in (runnable, emitted):
+                store = CouchDBStore()
+                store.populate(chaincode.initial_state(random.Random(0)))
+                stub = ChaincodeStub(store)
+                chaincode.invoke(stub, function, args)
+                stubs.append(stub)
+            assert stubs[1].rwset == stubs[0].rwset, (function, args)

@@ -15,6 +15,7 @@ from repro.ledger.block import ValidationCode
 from repro.ledger.ledger import Ledger
 from repro.network.config import NetworkConfig
 from repro.network.network import ChannelRecord, RunRecord
+from repro.observability.observer import ObservabilityData
 from repro.workload.workloads import uniform_workload
 
 
@@ -256,7 +257,6 @@ def _merge(results):
         config=NetworkConfig(channels=2),
         seed=7,
         args=RunArgs(None, 1.0, 1.0, None, "custom"),
-        wall_seconds=0.0,
         execution="sharded",
     )
 
@@ -275,3 +275,13 @@ def test_merge_refuses_two_records_for_one_channel():
 def test_merge_refuses_a_missing_channel():
     with pytest.raises(SimulationError, match="channel 1 .*no group"):
         _merge([_group_result(0)])
+
+
+def test_merge_refuses_observations_of_several_groups():
+    # An observed run is planned on one clock; per-group observations have
+    # no merge, so taking one group's would silently drop the others.
+    results = [_group_result(0), _group_result(1)]
+    for result in results:
+        result.observability = ObservabilityData()
+    with pytest.raises(SimulationError, match="one group on one clock"):
+        _merge(results)

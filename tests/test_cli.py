@@ -7,6 +7,8 @@ import json
 
 import pytest
 
+from repro.bench.runner import ExperimentRunner
+from repro.checker.config import CheckerConfig
 from repro.cli import build_parser, main
 
 
@@ -120,7 +122,10 @@ VERB_SURFACES = {
             ("--skews",), "skews", None, None, "*",
             "sweep over these Zipfian skews (default: just --skew)",
         ),
-        (("--workers",), "workers", None, None, None, "worker processes for the grid (default 1)"),
+        (
+            ("--workers",), "workers", None, None, None,
+            "worker processes for the grid (default %(default)s)",
+        ),
         (("--no-cache",), "no_cache", None, None, 0, "disable the result cache"),
         (
             ("--cache-dir",), "cache_dir", None, None, None,
@@ -142,6 +147,19 @@ def test_each_verb_keeps_its_flags(verb):
         for action in verbs.choices[verb]._actions
     ]
     assert surface == VERB_SURFACES[verb]
+
+
+def test_function_defaults_are_read_from_the_library_not_restated():
+    # ``--workers`` and ``--witness-limit`` take their defaults from the code
+    # that applies them, and ``--help`` renders the same text as before.
+    parser = build_parser()
+    assert parser.parse_args(["sweep"]).workers == ExperimentRunner().workers
+    assert parser.parse_args(["check", "h.json"]).witness_limit == CheckerConfig().witness_limit
+    verbs = next(
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    )
+    assert "grid (default 1)" in " ".join(verbs.choices["sweep"].format_help().split())
+    assert "per channel (default 4)" in " ".join(verbs.choices["check"].format_help().split())
 
 
 def test_run_json_echoes_the_library_defaults(capsys):

@@ -120,19 +120,20 @@ def test_tracked_objects_per_retained_transaction_are_pinned():
     assert retained // transactions <= TRACKED_OBJECTS_PER_TX_CEILING
 
 
-def test_sharing_survives_the_shard_transport_with_checker_and_observability_on():
+def test_sharing_survives_the_shard_transport_with_the_checker_on():
+    # The checker crosses the pool with its channel; an observer never does
+    # (an observed run keeps the shared clock).
     options = dict(
         cluster="C2",
         channels=2,
         cross_channel_rate=0.0,
         checker=CheckerConfig(enabled=True),
-        observability=ObservabilityConfig(trace=True, metrics=True),
     )
     shared = run_cell(ehr_cell(execution=ExecutionConfig(), **options))
     # An explicit worker count forces the real pool, whatever the core count.
     sharded = run_cell(ehr_cell(execution=ExecutionConfig(shard_workers=2), **options))
     assert sharded.execution == "sharded"
-    assert sharded.isolation is not None and sharded.observability is not None
+    assert sharded.isolation is not None
     assert record_fingerprint(sharded) == record_fingerprint(shared)
     assert_rwsets_shared(sharded.transactions)
 

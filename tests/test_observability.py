@@ -55,7 +55,6 @@ from repro.observability import (
     write_span_jsonl,
 )
 from repro.sim.engine import Simulator
-from repro.sim.shard import PROCESS_BUDGET_ENV, ExecutionConfig
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 sys.path.insert(0, str(GOLDEN_DIR))
@@ -283,18 +282,8 @@ def test_registry_snapshot_is_sorted_and_typed():
     assert {"p50", "p95", "p99"} <= set(latency)
 
 
-@pytest.mark.parametrize(
-    "cross_channel_rate, execution, observers",
-    [(0.05, ExecutionConfig(), 1), (0.0, ExecutionConfig(shard_workers=0), 2)],
-    ids=["shared-clock", "sharded"],
-)
-def test_an_abort_asks_the_registry_for_a_name_not_for_a_snapshot(
-    monkeypatch, cross_channel_rate, execution, observers
-):
-    # One observer per channel group: two channels on a shared clock are one
-    # group, the same two uncoupled channels as shards are a group each (both
-    # drained in this process under a budget of one).
-    monkeypatch.setenv(PROCESS_BUDGET_ENV, "1")
+def test_an_abort_asks_the_registry_for_a_name_not_for_a_snapshot(monkeypatch):
+    # Two coupled channels on the shared clock: one group, one observer.
     snapshots = []
     snapshot = MetricsRegistry.snapshot
     monkeypatch.setattr(
@@ -303,18 +292,17 @@ def test_an_abort_asks_the_registry_for_a_name_not_for_a_snapshot(
     config = traced_config(
         network_kwargs=dict(
             channels=2,
-            cross_channel_rate=cross_channel_rate,
+            cross_channel_rate=0.05,
             faults=FaultConfig(endorsement_loss_rate=0.05, peer_crash_rate=0.05),
-            execution=execution,
         )
     )
     record = run_experiment(config).analyses[0].record
-    assert record.shard_count == observers
+    assert record.shard_count == 1
     assert record.lifecycle_counts["aborted"] > 20
     rates = {name for row in record.observability.samples for name in row}
     assert any(name.startswith("abort_rate/") for name in rates)
     # The summary rendered in ``collect`` — not one rendering per abort.
-    assert len(snapshots) == observers
+    assert len(snapshots) == 1
     assert "latency" in snapshots[0] and "aborted" in snapshots[0]
     assert "aborted/never-happened" not in snapshots[0]
 
@@ -391,22 +379,14 @@ def test_traced_run_folds_the_engine_profile_into_the_summary(traced_result):
     assert engine["wall_seconds"] >= 0.0
 
 
-@pytest.mark.parametrize(
-    "execution, groups",
-    [(ExecutionConfig(), 1), (ExecutionConfig(shard_workers=0), 2)],
-    ids=["shared-clock", "sharded"],
-)
-def test_every_plan_profiles_each_group_through_its_observer(monkeypatch, execution, groups):
+def test_an_observed_deployment_profiles_its_one_group_through_its_observer():
     # The observer's profile is the one way engine statistics reach a
-    # summary: each group drains under it, and the merge folds the reports.
-    monkeypatch.setenv(PROCESS_BUDGET_ENV, "1")
-    config = traced_config(
-        network_kwargs=dict(channels=2, cross_channel_rate=0.0, execution=execution)
-    )
+    # summary: the deployment's one group drains under it.
+    config = traced_config(network_kwargs=dict(channels=2, cross_channel_rate=0.0))
     # Metrics only: the profile is on, the tracer is not needed.
     config.network.observability = ObservabilityConfig(metrics=True)
     record = run_experiment(config).analyses[0].record
-    assert record.shard_count == groups
+    assert record.shard_count == 1
     engine = record.observability.summary["engine"]
     assert engine["events"] > 0
     assert engine["wall_seconds"] >= 0.0

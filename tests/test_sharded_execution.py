@@ -12,7 +12,6 @@ cannot shard.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import subprocess
@@ -39,7 +38,6 @@ from repro.lifecycle.retry import RetryConfig
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
 from repro.observability.config import ObservabilityConfig
-from repro.observability.export import write_chrome_trace
 from repro.sim.shard import PROCESS_BUDGET_ENV, ExecutionConfig
 from repro.workload.distributions import make_distribution
 from repro.workload.workloads import uniform_workload
@@ -378,40 +376,32 @@ def test_unpicklable_factories_degrade_to_in_process_execution():
 OBSERVED = ObservabilityConfig(trace=True, metrics=True, sample_interval=0.25)
 
 
-def test_observability_merges_across_shards():
-    _, shared = run_cell(experiment(ExecutionConfig(), observability=OBSERVED))
-    _, sharded = run_cell(
-        experiment(ExecutionConfig(shard_workers=0), observability=OBSERVED)
-    )
-    # The simulation itself stays bit-identical with tracing enabled.
-    assert record_fingerprint(sharded) == record_fingerprint(shared)
-    data = sharded.observability
-    assert data is not None
-    # Span and counter totals agree with the shared-clock observer.
-    assert len(data.spans) == len(shared.observability.spans)
-    assert data.summary["counters"] == shared.observability.summary["counters"]
-    # The merged engine profile aggregates every shard's simulator.
-    engine = data.summary["engine"]
-    assert engine["events"] == sum(shard["events"] for shard in engine["shards"])
-    assert len(engine["shards"]) == 4
-    assert engine["events_per_sec"] > 0
-    # Per-shard summaries ride along for drill-down.
-    assert len(data.summary["shards"]) == 4
+def test_an_observed_deployment_keeps_the_shared_clock(tmp_path):
+    # One run's spans, samples and latency sketch come from one observer on
+    # one clock: asked for shards, an observed uncoupled cell runs the
+    # shared-clock plan and exports the bytes of ``shard_workers=1``.
+    def exports(workers: int):
+        _, record = run_cell(
+            experiment(ExecutionConfig(shard_workers=workers), observability=OBSERVED)
+        )
+        assert record.execution == "shared-clock" and record.shard_count == 1
+        directory = tmp_path / f"workers-{workers}"
+        directory.mkdir()
+        return exported_bytes(record.observability, directory)
 
-
-def test_merged_samples_are_time_ordered_and_summed():
-    _, sharded = run_cell(
-        experiment(ExecutionConfig(shard_workers=0), observability=OBSERVED)
+    reference = exports(1)
+    for workers in (0, 2):
+        assert exports(workers) == reference
+    completed = subprocess.run(
+        [
+            sys.executable,
+            str(REPO_ROOT / "scripts" / "check_trace_schema.py"),
+            str(tmp_path / "workers-2" / "trace.json"),
+        ],
+        capture_output=True,
+        text=True,
     )
-    samples = sharded.observability.samples
-    times = [row["time"] for row in samples]
-    assert times == sorted(times)
-    assert len(times) == len(set(times))  # one merged row per tick
-    # Every shard contributes its per-channel queue probe to the merged rows.
-    queue_columns = {
-        column for row in samples for column in row if column.startswith("queue/")
-    }
-    assert queue_columns == {f"queue/orderer.ch{index}" for index in range(4)}
+    assert completed.returncode == 0, completed.stderr
 
 
 # ------------------------------------------------------------------- checker
@@ -443,23 +433,6 @@ def test_fingerprint_covers_the_isolation_digest():
     baseline = record_fingerprint(record)
     record.isolation = None
     assert record_fingerprint(record) != baseline
-
-
-def test_sharded_trace_export_passes_the_schema_check(tmp_path):
-    _, sharded = run_cell(
-        experiment(ExecutionConfig(shard_workers=0), observability=OBSERVED)
-    )
-    trace_path = tmp_path / "sharded_trace.json"
-    write_chrome_trace(trace_path, [sharded.observability])
-    completed = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "check_trace_schema.py"), str(trace_path)],
-        capture_output=True,
-        text=True,
-    )
-    assert completed.returncode == 0, completed.stderr
-    document = json.loads(trace_path.read_text())
-    pids = {event["pid"] for event in document["traceEvents"]}
-    assert len(pids) == 1  # one run pid, shards are threads within it
 
 
 # ------------------------------------------------- export bytes, plan by plan

@@ -13,6 +13,7 @@ from repro.channels.topology import ChannelRouter, ChannelTopology
 from repro.errors import ConfigurationError
 from repro.lifecycle.retry import RetryConfig
 from repro.network.config import NetworkConfig
+from repro.observability.config import ObservabilityConfig
 from repro.sim.shard import (
     PROCESS_BUDGET_ENV,
     ExecutionConfig,
@@ -24,26 +25,38 @@ from repro.workload.workloads import uniform_workload
 
 
 # ------------------------------------------------------------------ the rule
-def _groups(channels: int, workers: int, rate: float = 0.0, capped: bool = False):
+#: What an ``observed`` run exports: nothing, a trace, or metrics.
+OBSERVERS = {
+    "off": ObservabilityConfig(),
+    "trace": ObservabilityConfig(trace=True),
+    "metrics": ObservabilityConfig(metrics=True),
+}
+
+
+def _groups(
+    channels: int, workers: int, rate: float = 0.0, capped: bool = False, observed: str = "off"
+):
     retry = RetryConfig(policy="immediate", rate_cap=5.0) if capped else RetryConfig()
     config = NetworkConfig(
         channels=channels,
         cross_channel_rate=rate,
         retry=retry,
+        observability=OBSERVERS[observed],
         execution=ExecutionConfig(shard_workers=workers),
     )
     return plan_groups(config)
 
 
+@pytest.mark.parametrize("observed", OBSERVERS)
 @pytest.mark.parametrize("workers", [0, 1, 2])
 @pytest.mark.parametrize("capped", [False, True])
 @pytest.mark.parametrize("rate", [0.0, 0.1])
 @pytest.mark.parametrize("channels", range(1, 9))
 def test_plan_groups_shards_exactly_the_uncoupled_uncapped_deployments(
-    channels, rate, capped, workers
+    channels, rate, capped, workers, observed
 ):
-    mode, groups = _groups(channels, workers, rate, capped)
-    if workers != 1 and channels > 1 and rate == 0.0 and not capped:
+    mode, groups = _groups(channels, workers, rate, capped, observed)
+    if workers != 1 and channels > 1 and rate == 0.0 and not capped and observed == "off":
         assert mode == "sharded"
         assert groups == tuple((index,) for index in range(channels))
     else:
