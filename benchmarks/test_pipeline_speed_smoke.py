@@ -1,6 +1,6 @@
 """Smoke guard for the allocation-lean transaction pipeline (always-on, tier-1).
 
-A short single-channel EHR deployment is driven through the calendar engine with
+A short single-channel EHR deployment is driven through the event engine with
 an :class:`~repro.sim.profile.EngineProfiler` attached, and the *work* it did
 is pinned as integers — events dispatched, transactions submitted, events per
 transaction.  A change that adds an event per transaction (a new hop, a

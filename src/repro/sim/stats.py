@@ -48,68 +48,8 @@ class OnlineStats:
         """Population standard deviation."""
         return math.sqrt(self.variance)
 
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Return a new accumulator equivalent to seeing both sample sets."""
-        merged = OnlineStats()
-        if self.count == 0:
-            merged.count = other.count
-            merged.mean = other.mean
-            merged._m2 = other._m2
-            merged.minimum = other.minimum
-            merged.maximum = other.maximum
-            return merged
-        if other.count == 0:
-            merged.count = self.count
-            merged.mean = self.mean
-            merged._m2 = self._m2
-            merged.minimum = self.minimum
-            merged.maximum = self.maximum
-            return merged
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        merged.count = total
-        merged.mean = self.mean + delta * other.count / total
-        merged._m2 = self._m2 + other._m2 + delta * delta * self.count * other.count / total
-        merged.minimum = min(self.minimum, other.minimum)
-        merged.maximum = max(self.maximum, other.maximum)
-        return merged
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OnlineStats(count={self.count}, mean={self.mean:.6f}, stdev={self.stdev:.6f})"
-
-
-class TimeWeightedStats:
-    """Time-weighted average of a piecewise-constant signal (e.g. queue length)."""
-
-    def __init__(self, initial_time: float = 0.0, initial_value: float = 0.0) -> None:
-        self._last_time = initial_time
-        self._last_value = initial_value
-        self._weighted_sum = 0.0
-        self._duration = 0.0
-        self.maximum = initial_value
-
-    def update(self, time: float, value: float) -> None:
-        """Record that the signal changed to ``value`` at ``time``."""
-        if time < self._last_time:
-            raise ValueError("time must be non-decreasing for time-weighted stats")
-        span = time - self._last_time
-        self._weighted_sum += self._last_value * span
-        self._duration += span
-        self._last_time = time
-        self._last_value = value
-        if value > self.maximum:
-            self.maximum = value
-
-    def mean(self, until: float | None = None) -> float:
-        """Time-weighted mean, optionally extending the last value to ``until``."""
-        weighted = self._weighted_sum
-        duration = self._duration
-        if until is not None and until > self._last_time:
-            weighted += self._last_value * (until - self._last_time)
-            duration += until - self._last_time
-        if duration <= 0:
-            return self._last_value
-        return weighted / duration
 
 
 class P2Quantile:

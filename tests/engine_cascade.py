@@ -8,7 +8,7 @@ cancellable endorsement watchdog that the submission cancels — exactly the
 schedule / post / cancel mix the network model produces.
 
 All delays are pre-drawn from one seeded generator, so the production
-calendar-queue engine (:class:`repro.sim.engine.Simulator`) and the heapq
+engine (:class:`repro.sim.engine.Simulator`) and the heapq
 oracle (``reference_engine.ReferenceSimulator``), which dispatch in identical
 ``(time, sequence)`` order, are handed the identical workload event for event.
 The driver reports counts only: how fast the engine dispatches is measured by

@@ -1,11 +1,12 @@
-"""Smoke guard for the calendar-queue event engine (always-on, tier-1).
+"""Smoke guard for the binary-heap event engine (always-on, tier-1).
 
 Drives the endorse/collect/submit cascade of ``engine_cascade.py`` at 30k
-transactions through both the bucketed :class:`~repro.sim.engine.Simulator`
-and the preserved pre-overhaul heapq engine (``reference_engine.py``) and
-asserts that the two dispatch the identical schedule.
+transactions through both the production :class:`~repro.sim.engine.Simulator`
+(one heap of entry tuples, lazy eviction, batched dispatch) and the preserved
+heapq oracle (``reference_engine.py``) and asserts that the two dispatch the
+identical schedule.
 
-How much *faster* the calendar engine dispatches it is a wall-clock question,
+How fast the engine dispatches it is a wall-clock question,
 and a wall-clock number is a ``python3 -m perfbench`` row or it is not in the
 tree (``wall_s`` and ``sim.engine.self_s`` on ``ehr-paper`` / ``ehr-8ch``).
 """
@@ -20,10 +21,10 @@ from repro.sim.engine import Simulator
 SMOKE_TRANSACTIONS = 30_000
 
 
-def test_calendar_engine_dispatches_the_reference_schedule():
+def test_engine_dispatches_the_reference_schedule():
     reference = run_cascade(ReferenceSimulator(), SMOKE_TRANSACTIONS)
-    calendar = run_cascade(Simulator(), SMOKE_TRANSACTIONS)
+    engine = run_cascade(Simulator(), SMOKE_TRANSACTIONS)
 
-    assert calendar["events"] == reference["events"]
-    assert calendar["submitted"] == reference["submitted"] == SMOKE_TRANSACTIONS
-    assert calendar["timeouts_fired"] == reference["timeouts_fired"] == 0
+    assert engine["events"] == reference["events"]
+    assert engine["submitted"] == reference["submitted"] == SMOKE_TRANSACTIONS
+    assert engine["timeouts_fired"] == reference["timeouts_fired"] == 0

@@ -1,17 +1,17 @@
-"""Differential testing: the calendar-queue engine vs the reference heapq engine.
+"""Differential testing: the production engine vs the reference heapq engine.
 
 The property replays a random program of schedule / post / cancel /
 run-until operations — including callback chains that schedule during the
-run, far-future timers that cross wheel revolutions, and zero-delay and
-same-time collisions — against both :class:`repro.sim.engine.Simulator` and
-the preserved pre-overhaul ``ReferenceSimulator`` (``reference_engine.py``),
+run, far-future timers, and zero-delay and same-time collisions — against
+both :class:`repro.sim.engine.Simulator` and the preserved pre-overhaul ``ReferenceSimulator`` (``reference_engine.py``),
 and asserts the two produce the *exact same trace*: identical callback
 order, identical clock values (float-equal, no tolerance), identical
 processed counts, and identical live pending counts at every pause.
 
 Together with ``tests/test_golden_lifecycle.py`` (bit-identical golden
 records through the full network pipeline) this is the evidence that the
-bucketed scheduler preserves the ``(time, sequence)`` tie-break contract.
+production heap — with its lazy eviction of cancelled entries and its
+same-timestamp batches — preserves the ``(time, sequence)`` tie-break contract.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from reference_engine import ReferenceSimulator
 
 from repro.sim.engine import Simulator
 
-#: Delays mixing collisions (repeated values), sub-bucket and multi-bucket
-#: gaps, far-future timers past several wheel revolutions, and zero.
+#: Delays mixing collisions (repeated values), nanosecond to second gaps,
+#: far-future timers, and zero.
 DELAYS = st.sampled_from(
     [0.0, 1e-9, 0.0005, 0.001, 0.25, 0.2501, 1.0, 1.0, 5.0, 123.456, 1e6]
 )
@@ -81,9 +81,9 @@ def execute(engine, program, live_count):
 
 @settings(max_examples=300, deadline=None)
 @given(program=PROGRAMS)
-def test_calendar_engine_is_trace_equivalent_to_reference_heapq(program):
-    calendar_trace = execute(Simulator(), program, lambda engine: engine.pending_events)
+def test_engine_is_trace_equivalent_to_reference_heapq(program):
+    engine_trace = execute(Simulator(), program, lambda engine: engine.pending_events)
     reference_trace = execute(
         ReferenceSimulator(), program, lambda engine: engine.live_pending_events()
     )
-    assert calendar_trace == reference_trace
+    assert engine_trace == reference_trace

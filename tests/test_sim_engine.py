@@ -233,9 +233,16 @@ def test_non_finite_absolute_time_rejected(sim, time):
     assert sim.pending_events == 0
 
 
-def test_run_until_nan_rejected(sim):
-    with pytest.raises(SimulationError, match="NaN"):
-        sim.run(until=float("nan"))
+@pytest.mark.parametrize("until", [float("nan"), float("inf"), float("-inf")])
+def test_run_until_nan_rejected(sim, until):
+    """Regression: ``run(until=inf)`` used to leave the clock at infinity."""
+    match = "NaN" if until != until else "non-finite"
+    with pytest.raises(SimulationError, match=match):
+        sim.run(until=until)
+    assert sim.now == 0.0
+    sim.post(1.0, lambda: None)  # the clock stayed finite
+    sim.run_until_empty()
+    assert sim.now == 1.0
 
 
 def test_cancel_immediately_drops_pending_count(sim):
@@ -285,6 +292,52 @@ def test_mid_run_cancellation_storm_is_compacted(sim):
     assert sim.now == pytest.approx(2.0)  # no cancelled timeout ever ran
 
 
+def test_compaction_inside_a_batch_keeps_dispatch_order(sim):
+    """A cancellation storm inside a same-timestamp batch compacts the heap
+    in place; the rest of the batch and later events keep (time, sequence)
+    order."""
+    timeouts = [sim.schedule(50.0, lambda: None) for _ in range(600)]
+    seen = []
+
+    def cancel_all():
+        seen.append(("cancel", sim.now))
+        for event in timeouts:
+            event.cancel()
+        sim.post(0.0, seen.append, ("posted", sim.now))
+
+    sim.schedule(1.0, cancel_all)
+    sim.post(1.0, seen.append, ("second", 1.0))
+    sim.schedule(1.0, seen.append, ("third", 1.0))
+    sim.post(2.0, seen.append, ("later", 2.0))
+    sim.run(until=1.5)
+    stats = sim.queue_stats()
+    assert stats["live"] == 1
+    assert stats["queued_entries"] == stats["live"] + stats["cancelled"]
+    assert stats["queued_entries"] < 600  # compacted during the batch
+    assert stats["queued_entries"] <= 2 * stats["live"] + 512
+    sim.run_until_empty()
+    assert seen == [
+        ("cancel", 1.0),
+        ("second", 1.0),
+        ("third", 1.0),
+        ("posted", 1.0),
+        ("later", 2.0),
+    ]
+    assert sim.now == 2.0
+
+
+def test_run_until_dispatches_events_at_exactly_until(sim):
+    seen = []
+    sim.post(2.0, seen.append, "at")
+    sim.post(2.0 + 1e-9, seen.append, "after")
+    sim.run(until=2.0)
+    assert seen == ["at"]
+    assert sim.now == 2.0
+    assert sim.pending_events == 1
+    sim.run_until_empty()
+    assert seen == ["at", "after"]
+
+
 def test_queue_stats_reports_live_and_cancelled(sim):
     kept = sim.schedule(1.0, lambda: None)
     cancelled = sim.schedule(2.0, lambda: None)
@@ -307,7 +360,7 @@ def test_engine_profiler_reports_events_and_depth_histogram(sim):
         sim.run_until_empty()
     report = profiler.report()
     assert report["events"] == 10
-    assert report["batches"] >= 1
+    assert report["batches"] == 4  # timestamps 0.0, 0.5, 1.0 and 1.5
     assert report["wall_seconds"] > 0.0
     assert report["events_per_sec"] > 0.0
     assert sum(report["depth_histogram"].values()) == report["batches"]
@@ -315,6 +368,49 @@ def test_engine_profiler_reports_events_and_depth_histogram(sim):
     sim.schedule(1.0, lambda: None)
     sim.run_until_empty()
     assert profiler.report()["events"] == 10
+
+
+def test_timestamp_with_only_cancelled_events_is_no_batch(sim):
+    from repro.sim.profile import EngineProfiler
+
+    seen = []
+    sim.schedule(1.0, seen.append, 1.0)
+    doomed = [sim.schedule(2.0, seen.append, 2.0) for _ in range(3)]
+    sim.schedule(3.0, seen.append, 3.0)
+    for event in doomed:
+        event.cancel()
+    profiler = EngineProfiler(sim)
+    with profiler:
+        sim.run(until=2.5)
+        assert sim.now == 2.5
+        sim.run_until_empty()
+    assert seen == [1.0, 3.0]
+    assert sim.now == 3.0
+    report = profiler.report()
+    assert report["batches"] == 2
+    assert sum(report["depth_histogram"].values()) == report["batches"]
+
+
+def test_zero_delay_post_inside_a_batch_joins_it(sim):
+    from repro.sim.profile import EngineProfiler
+
+    seen = []
+
+    def first():
+        seen.append(("first", sim.now))
+        sim.post(0.0, lambda: seen.append(("joined", sim.now)))
+
+    sim.post(1.0, first)
+    sim.post(1.0, seen.append, ("second", 1.0))
+    sim.post(2.0, seen.append, ("later", 2.0))
+    profiler = EngineProfiler(sim)
+    with profiler:
+        sim.run_until_empty()
+    assert seen == [("first", 1.0), ("second", 1.0), ("joined", 1.0), ("later", 2.0)]
+    report = profiler.report()
+    assert report["events"] == 4
+    assert report["batches"] == 2
+    assert sum(report["depth_histogram"].values()) == report["batches"]
 
 
 def test_attaching_two_profilers_is_rejected(sim):

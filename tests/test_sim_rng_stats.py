@@ -13,7 +13,6 @@ from repro.sim.stats import (
     OnlineStats,
     P2Quantile,
     QuantileSketch,
-    TimeWeightedStats,
     percentile,
 )
 
@@ -70,54 +69,6 @@ def test_online_stats_empty_and_single_sample():
     stats.add(3.0)
     assert stats.mean == 3.0
     assert stats.variance == 0.0
-
-
-def test_online_stats_merge_matches_combined():
-    left_samples = [1.0, 2.0, 3.0]
-    right_samples = [10.0, 11.0]
-    left = OnlineStats()
-    left.extend(left_samples)
-    right = OnlineStats()
-    right.extend(right_samples)
-    merged = left.merge(right)
-    combined = left_samples + right_samples
-    assert merged.count == len(combined)
-    assert merged.mean == pytest.approx(statistics.fmean(combined))
-    assert merged.variance == pytest.approx(statistics.pvariance(combined))
-    assert merged.minimum == 1.0
-    assert merged.maximum == 11.0
-
-
-def test_online_stats_merge_with_empty():
-    stats = OnlineStats()
-    stats.extend([1.0, 2.0])
-    merged = stats.merge(OnlineStats())
-    assert merged.count == 2
-    assert merged.mean == pytest.approx(1.5)
-    other = OnlineStats().merge(stats)
-    assert other.mean == pytest.approx(1.5)
-
-
-# ------------------------------------------------------------- TimeWeightedStats
-def test_time_weighted_mean_of_step_signal():
-    stats = TimeWeightedStats()
-    stats.update(2.0, 4.0)  # value 0 for 2 seconds
-    stats.update(4.0, 0.0)  # value 4 for 2 seconds
-    assert stats.mean() == pytest.approx(2.0)
-    assert stats.maximum == 4.0
-
-
-def test_time_weighted_mean_extends_to_until():
-    stats = TimeWeightedStats()
-    stats.update(1.0, 10.0)
-    assert stats.mean(until=2.0) == pytest.approx(5.0)
-
-
-def test_time_weighted_rejects_time_going_backwards():
-    stats = TimeWeightedStats()
-    stats.update(2.0, 1.0)
-    with pytest.raises(ValueError):
-        stats.update(1.0, 1.0)
 
 
 # ------------------------------------------------------------------- percentile
