@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import UnsupportedFeatureError
+from repro.errors import LedgerError, UnsupportedFeatureError
 from repro.ledger.couchdb import RichSelector
 from repro.ledger.rwset import KeyRead, KeyWrite, RangeRead, ReadWriteSet
 from repro.ledger.store import StateStore
@@ -29,12 +29,24 @@ class ChaincodeStub:
     run once per chaincode operation, so the class is slotted and the
     per-operation bookkeeping (latency charge, read-set append) is inlined
     with the store's latency profile cached at construction.
+
+    ``state_token`` is the ``state_token`` of ``store`` as the endorser read
+    it (``None`` when unknown); every range read is stamped with it.
     """
 
-    __slots__ = ("store", "rwset", "execution_cost", "db_call_latency", "_pending_writes", "_latency")
+    __slots__ = (
+        "store",
+        "state_token",
+        "rwset",
+        "execution_cost",
+        "db_call_latency",
+        "_pending_writes",
+        "_latency",
+    )
 
-    def __init__(self, store: StateStore) -> None:
+    def __init__(self, store: StateStore, state_token: Optional[int] = None) -> None:
         self.store = store
+        self.state_token = state_token
         self.rwset = ReadWriteSet()
         self.execution_cost = 0.0
         self.db_call_latency: Dict[str, float] = {}
@@ -83,6 +95,7 @@ class ChaincodeStub:
                 reads=reads,
                 phantom_detection=True,
                 rich_query=False,
+                state_token=self.state_token,
             )
         )
         return [(key, entry.value) for key, entry in results]
@@ -114,7 +127,14 @@ class ChaincodeStub:
 
     # ------------------------------------------------------------------ writes
     def put_state(self, key: str, value: Any) -> None:
-        """Buffer a write; it is applied only if the transaction commits."""
+        """Buffer a write; it is applied only if the transaction commits.
+
+        A key that is not a non-empty string raises
+        :class:`~repro.errors.LedgerError` here, at endorsement, rather than
+        when the validator stages the write.
+        """
+        if not isinstance(key, str) or not key:
+            raise LedgerError(f"world state keys must be non-empty strings, got {key!r}")
         cost = self._latency.put_state
         self.execution_cost += cost
         latency = self.db_call_latency
@@ -122,7 +142,10 @@ class ChaincodeStub:
         self._record_write(KeyWrite(key, value, False))
 
     def del_state(self, key: str) -> None:
-        """Buffer a deletion; it is applied only if the transaction commits."""
+        """Buffer a deletion; it is applied only if the transaction commits
+        (keys are checked as in :meth:`put_state`)."""
+        if not isinstance(key, str) or not key:
+            raise LedgerError(f"world state keys must be non-empty strings, got {key!r}")
         self._charge("DeleteState", self._latency.delete_state)
         self._record_write(KeyWrite(key, None, True))
 

@@ -2,8 +2,9 @@
 
 A transaction's read set is the list of ``(key, version)`` pairs it observed at
 endorsement time; its write set is the list of ``(key, value)`` pairs it intends
-to apply.  Range reads additionally remember the queried key interval so that
-the validator can re-execute the range and detect phantom reads (Equation 5).
+to apply.  Range reads additionally remember the queried key interval, and the
+state they were read from, so that the validator can detect phantom reads
+(Equation 5).
 """
 
 from __future__ import annotations
@@ -47,6 +48,16 @@ class RangeRead:
     (CouchDB ``GetQueryResult``), which Fabric does not re-execute during
     validation and therefore never fails with a phantom read conflict
     (Section 5.1.2 and the footnote of Table 2).
+
+    ``state_token`` is the
+    :attr:`~repro.ledger.store.OverlayStateStore.state_token` of the state the
+    range was read from, with the same invariant: an equal token means an
+    equal state.  The validator then decides Equation 5 from the keys written
+    since that state instead of re-executing the range; ``None`` (a view that
+    names no state, or a range read built by hand) always re-executes.  The
+    stamp says where the reads came from, not what they are, so it takes no
+    part in equality: read/write sets of two replicas that observed the same
+    versions stay equal.
     """
 
     start_key: str
@@ -54,6 +65,7 @@ class RangeRead:
     reads: List[KeyRead] = field(default_factory=list)
     phantom_detection: bool = True
     rich_query: bool = False
+    state_token: Optional[int] = field(default=None, compare=False, repr=False)
 
     # Pickle state: a tuple of the fields in order, not the default
     # ``{slot name: value}`` dict (read/write sets cross the shard boundary).
@@ -64,6 +76,7 @@ class RangeRead:
             self.reads,
             self.phantom_detection,
             self.rich_query,
+            self.state_token,
         )
 
     def __setstate__(self, state: tuple) -> None:
@@ -73,6 +86,7 @@ class RangeRead:
             self.reads,
             self.phantom_detection,
             self.rich_query,
+            self.state_token,
         ) = state
 
     @property

@@ -176,6 +176,8 @@ class WriteBatch:
 
     def delete(self, key: str) -> None:
         """Stage a deletion of ``key``."""
+        if not isinstance(key, str) or not key:
+            raise LedgerError(f"world state keys must be non-empty strings, got {key!r}")
         if key not in self._staged:
             self._sorted_cache = None
         self._staged[key] = None

@@ -172,7 +172,7 @@ class Peer:
         token = state.state_token if simulated is not None else None
         result = simulated.get(token) if token is not None else None
         if result is None:
-            stub = ChaincodeStub(state)
+            stub = ChaincodeStub(state, token)
             chaincode.execute(stub, tx.function, tx.args)
             if tx._db_call_latency is None:
                 # The transaction takes ownership of the stub's latency dict;

@@ -28,7 +28,14 @@ The checks implement the failure definitions of paper Section 3:
   :func:`repro.core.failures.failure_type_of` reads the split off that stamp.
 * Phantom read conflict — re-executing a range query returns a different set of
   keys or versions (Equation 5).  Rich queries are not re-executed and can
-  therefore never fail this check.
+  therefore never fail this check.  A range read stamped with the
+  ``state_token`` of the state it was read from is decided without the
+  re-execution: only keys written since that state can differ, so the
+  validator probes the keys of the batches it applied since (it keeps the last
+  :data:`PHANTOM_WINDOW`) and of the current batch that fall inside the range.
+  The first key that differs is the one the re-execution would name.  A range
+  read without a stamp, a stamp older than the window, or a canonical store
+  written outside :meth:`BlockValidator.validate_block` re-executes the range.
 
 Fault injection (:mod:`repro.faults`) never changes the validation verdicts
 themselves: the three infrastructure failure classes abort transactions
@@ -40,13 +47,24 @@ additional endorsement policy failures.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import bisect
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from repro.ledger.block import Block, Transaction, ValidationCode
 from repro.ledger.kvstore import Version
-from repro.ledger.rwset import ReadWriteSet
+from repro.ledger.rwset import RangeRead, ReadWriteSet
 from repro.ledger.store import _MISS, MutableStateStore, WriteBatch
 from repro.lifecycle.events import LifecycleBus, LifecycleEventType
+
+#: Commit epochs whose batches the validator keeps for phantom checks; a range
+#: read of an older state re-executes its range.  Sized from measured lags
+#: between a range read's state and its validating block ("Phantom checks from
+#: the keys written" in docs/ARCHITECTURE.md): up to 39 blocks for Fabric++ on
+#: SCM at 200 tx/s, 77 at 400 tx/s, so the journal's 8 epochs are too few.
+PHANTOM_WINDOW = 64
+
+_read_key = itemgetter(0)
 
 
 class BlockValidator:
@@ -65,6 +83,9 @@ class BlockValidator:
         #: frozen genesis base.
         self.store = store
         self.bus = bus
+        #: The batch each of the last :data:`PHANTOM_WINDOW` commit epochs of
+        #: ``store`` applied, by the epoch it produced.
+        self._recent: Dict[int, WriteBatch] = {}
 
     # ----------------------------------------------------------------- blocks
     def validate_block(self, block: Block) -> WriteBatch:
@@ -86,7 +107,12 @@ class BlockValidator:
                 if tx.validation_code is ValidationCode.VALID:
                     self._stage_writes(tx, batch, block.number, index)
             self._emit_validated(tx)
-        self.store.apply_batch(batch)
+        store = self.store
+        store.apply_batch(batch)
+        epoch = store.commit_epoch
+        recent = self._recent
+        recent[epoch] = batch
+        recent.pop(epoch - PHANTOM_WINDOW, None)
         return batch
 
     def _emit_validated(self, tx: Transaction) -> None:
@@ -132,23 +158,91 @@ class BlockValidator:
     def _check_range_reads(
         self, rwset: ReadWriteSet, batch: WriteBatch
     ) -> Optional[Tuple[str, Optional[int]]]:
-        """Equation 5: re-execute phantom-checked ranges and compare results."""
+        """Equation 5: a phantom-checked range must read the same now."""
         for range_read in rwset.range_reads:
             if not range_read.phantom_detection:
                 continue
-            observed = {read.key: read.version for read in range_read.reads}
-            current_entries = batch.merge_range(
-                self.store.range(range_read.start_key, range_read.end_key),
-                range_read.start_key,
-                range_read.end_key,
-            )
-            current = {key: entry.version for key, entry in current_entries}
-            if observed == current:
-                continue
-            changed = set(observed.items()) ^ set(current.items())
-            conflicting_key = sorted(key for key, _version in changed)[0]
-            return conflicting_key, self._attribute_writer(conflicting_key, batch)
+            written = self._written_since(range_read.state_token)
+            if written is None:
+                conflicting_key = self._rescan_range(range_read, batch)
+            else:
+                conflicting_key = self._probe_written_keys(range_read, batch, written)
+            if conflicting_key is not None:
+                return conflicting_key, self._attribute_writer(conflicting_key, batch)
         return None
+
+    def _written_since(self, token: Optional[int]) -> Optional[List[WriteBatch]]:
+        """The batches applied since the state named ``token``, oldest first.
+
+        ``None`` unless the canonical store names its state (its whole history
+        is batches applied in sequence, see
+        :attr:`~repro.ledger.store.OverlayStateStore.state_token`) and every
+        batch since ``token`` is one this validator applied and still keeps.
+        """
+        if token is None:
+            return None
+        current = self.store.state_token  # type: ignore[attr-defined]
+        if current is None or not 0 <= current - token <= PHANTOM_WINDOW:
+            return None
+        recent = self._recent
+        written = []
+        for epoch in range(token + 1, current + 1):
+            applied = recent.get(epoch)
+            if applied is None:
+                return None
+            written.append(applied)
+        return written
+
+    def _probe_written_keys(
+        self, range_read: RangeRead, batch: WriteBatch, written: List[WriteBatch]
+    ) -> Optional[str]:
+        """The smallest key of the range whose presence or version moved.
+
+        Only a key of ``written`` or ``batch`` can read differently now than
+        in the state the range was read from, so these are the candidates;
+        every other key of the range holds the same entry then and now.  The
+        answer is therefore the smallest key of the re-scan's symmetric
+        difference, the key :meth:`_rescan_range` names.
+        """
+        start_key = range_read.start_key
+        end_key = range_read.end_key
+        candidates = set()
+        for applied in (*written, batch):
+            keys = applied.sorted_keys()
+            lo = bisect.bisect_left(keys, start_key)
+            hi = bisect.bisect_left(keys, end_key, lo)
+            if lo < hi:
+                candidates.update(keys[lo:hi])
+        reads = range_read.reads
+        get = self.store.get
+        staged = batch.staged
+        for key in sorted(candidates):
+            index = bisect.bisect_left(reads, key, key=_read_key)
+            if index < len(reads) and reads[index].key == key:
+                observed = reads[index].version
+            else:
+                observed = None
+            entry = staged(key, _MISS)
+            if entry is _MISS:
+                entry = get(key)
+            if (entry.version if entry is not None else None) != observed:
+                return key
+        return None
+
+    def _rescan_range(self, range_read: RangeRead, batch: WriteBatch) -> Optional[str]:
+        """Re-execute the range on the current state and compare the results;
+        the smallest key whose presence or version differs, if any."""
+        observed = {read.key: read.version for read in range_read.reads}
+        current_entries = batch.merge_range(
+            self.store.range(range_read.start_key, range_read.end_key),
+            range_read.start_key,
+            range_read.end_key,
+        )
+        current = {key: entry.version for key, entry in current_entries}
+        if observed == current:
+            return None
+        changed = set(observed.items()) ^ set(current.items())
+        return min(key for key, _version in changed)
 
     def _attribute_writer(self, key: str, batch: WriteBatch) -> Optional[int]:
         """The block whose write conflicts with a read of ``key`` (O(1))."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chaincode.api import ChaincodeStub
-from repro.errors import UnsupportedFeatureError
+from repro.errors import LedgerError, UnsupportedFeatureError
 from repro.ledger.couchdb import CouchDBStore
 from repro.ledger.kvstore import GENESIS_VERSION
 from repro.ledger.leveldb import LevelDBStore
@@ -64,6 +64,35 @@ def test_range_read_records_keys_and_enables_phantom_detection(populated_store):
     assert range_read.phantom_detection
     assert not range_read.rich_query
     assert range_read.keys == ["k2", "k3", "k4"]
+
+
+def test_range_read_carries_the_token_the_stub_was_given(populated_store):
+    stub = ChaincodeStub(populated_store, state_token=5)
+    stub.get_state_by_range("k2", "k5")
+    stub.get_state_by_range("k7", "k9")
+    assert [scan.state_token for scan in stub.rwset.range_reads] == [5, 5]
+
+
+def test_a_stub_without_a_token_leaves_range_reads_unstamped(populated_store):
+    stub = ChaincodeStub(populated_store)
+    stub.get_state_by_range("k2", "k5")
+    assert stub.rwset.range_reads[0].state_token is None
+
+
+@pytest.mark.parametrize("key", ["", 7, None])
+def test_put_state_rejects_a_key_that_is_not_a_non_empty_string(populated_store, key):
+    stub = ChaincodeStub(populated_store)
+    with pytest.raises(LedgerError, match="world state keys must be non-empty strings"):
+        stub.put_state(key, 1)
+    assert stub.rwset.writes == []
+
+
+@pytest.mark.parametrize("key", ["", 7, None])
+def test_del_state_rejects_a_key_that_is_not_a_non_empty_string(populated_store, key):
+    stub = ChaincodeStub(populated_store)
+    with pytest.raises(LedgerError, match="world state keys must be non-empty strings"):
+        stub.del_state(key)
+    assert stub.rwset.writes == []
 
 
 def test_rich_query_requires_couchdb(populated_store):

@@ -69,6 +69,14 @@ def test_invoke_unknown_function_raises():
         chaincode.invoke(stub, "nope", ())
 
 
+def test_an_invalid_key_fails_the_endorsement_naming_chaincode_and_function():
+    chaincode = ToyChaincode()
+    stub = ChaincodeStub(LevelDBStore())
+    with pytest.raises(ChaincodeError, match="'toy' function 'write'.*non-empty strings"):
+        chaincode.execute(stub, "write", ("",))
+    assert stub.rwset.writes == []
+
+
 def test_choose_uses_chooser_and_validates_bounds(rng):
     chaincode = ToyChaincode()
     assert chaincode._choose(rng, 10, None) in range(10)

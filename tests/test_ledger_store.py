@@ -53,6 +53,15 @@ def test_write_batch_rejects_invalid_keys():
         batch.put("", 1, Version(1, 0))
 
 
+@pytest.mark.parametrize("key", ["", 7, None])
+def test_write_batch_rejects_invalid_keys_on_delete(key):
+    batch = WriteBatch(block_number=1)
+    with pytest.raises(LedgerError, match="world state keys must be non-empty strings"):
+        batch.delete(key)
+    assert len(batch) == 0
+    assert batch.sorted_keys() == []
+
+
 def test_write_batch_merge_range_honors_tombstones():
     base = populated_base()
     batch = WriteBatch(block_number=1)

@@ -16,6 +16,7 @@ import hashlib
 
 import pytest
 from export_parts import assert_export_pinned, exported_bytes
+from test_network_validator import spy_on_paths
 
 from repro.bench.harness import ExperimentConfig
 from repro.checker.config import CheckerConfig
@@ -148,6 +149,23 @@ def test_single_channel_cell_keeps_the_pinned_fingerprint(name):
     assert record.execution == "shared-clock" and record.shard_count == 1
     assert all(tx.channel is None for tx in record.transactions)
     assert record.transactions[0].tx_id == "tx-00000000"
+
+
+#: name -> (phantom-checked range reads decided from the keys written since
+#: their state, range reads re-scanned) when the cell runs.
+PHANTOM_PATHS = {
+    "fabric++/SCM/C2": (72, 0),
+    "DV/no-read-only+client-check": (111, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(PHANTOM_PATHS))
+def test_phantom_checks_are_decided_from_the_keys_written(name, monkeypatch):
+    calls = spy_on_paths(monkeypatch)
+    config, _attempts, fingerprint_sha256 = CELLS[name]
+    record = run(build(config), config)
+    assert (calls["probe"], calls["rescan"]) == PHANTOM_PATHS[name]
+    assert sha256(dumps(record_fingerprint(record))) == fingerprint_sha256
 
 
 def test_chaos_cell_exports_the_pinned_bytes(tmp_path):

@@ -60,6 +60,7 @@ def _range_read() -> RangeRead:
         reads=[KeyRead("patient-0007", Version(2, 0)), KeyRead("patient-0042", None)],
         phantom_detection=False,
         rich_query=True,
+        state_token=12,
     )
 
 
@@ -180,6 +181,8 @@ def test_a_range_read_inside_a_read_write_set_round_trips(protocol):
     assert range_read.keys == ["patient-0007", "patient-0042"]
     assert range_read.reads[1].version is None
     assert (range_read.phantom_detection, range_read.rich_query) == (False, True)
+    # Equality ignores the stamp, so it is checked on its own.
+    assert range_read.state_token == 12
     assert clone.read_keys() == {"patient-0001", "patient-0007", "patient-0042"}
 
 
