@@ -406,6 +406,6 @@ CHECKS = {
 
 
 @pytest.mark.parametrize("experiment_id", list(CHECKS))
-def test_experiment(benchmark, scale, experiment_id):
+def test_experiment(benchmark, runner, scale, experiment_id):
     axes = QUICK_AXES.get(experiment_id, {}) if scale.name == "quick" else {}
-    CHECKS[experiment_id](run_figure(benchmark, experiment_id, scale, **axes))
+    CHECKS[experiment_id](run_figure(benchmark, runner, experiment_id, scale, **axes))

@@ -11,35 +11,25 @@ Every ``bench_*`` module is marked ``slow`` and therefore deselected by the
 default test run (``addopts = -m "not slow"`` in ``pytest.ini``); regenerate
 the figures explicitly with ``pytest benchmarks/ -m slow``.  Set the
 environment variable ``REPRO_BENCH_SCALE`` to ``standard`` or ``paper`` to run
-closer to the original experiments.  What a benchmark module imports lives in
-``figure_runner.py``; never import from this file.  The fast, always-on smoke
-coverage of the benchmark layer lives in ``test_smoke_runner.py``.
+closer to the original experiments; any other name than those and ``quick``
+is an error.  What a benchmark module imports lives in ``figure_runner.py``;
+never import from this file.  The fast, always-on smoke coverage of the
+benchmark layer lives in ``test_smoke_runner.py``.
 
-All experiments execute through the shared default
-:class:`~repro.bench.runner.ExperimentRunner`; set ``REPRO_BENCH_WORKERS`` to
-fan the grid cells of each figure out across that many worker processes.  The
-runner's content-addressed cache also means a figure regenerated twice in one
-session (e.g. by a retrying benchmark round) only simulates once.
+All experiments execute through one session-wide
+:class:`~repro.bench.runner.ExperimentRunner` with a worker process per
+available core.  Its content-addressed cache holds each cell's detached
+analysis (a few KB at any scale), so a cell that several figures share
+simulates once per session.
 """
 
 from __future__ import annotations
 
 import pytest
-from figure_runner import bench_scale, bench_workers
+from figure_runner import bench_scale
 
-from repro.bench.experiments import QUICK_SCALE, Scale
-from repro.bench.runner import DEFAULT_CACHE_ENTRIES, ResultCache, configure_default_runner
-
-
-def pytest_configure(config):
-    """Point the shared default runner at the configured worker count.
-
-    At standard/paper scale the in-memory result cache is disabled: a single
-    paper-scale analysis retains a full multi-thousand-transaction ledger, and
-    caching every cell of every figure would dominate the session's memory.
-    """
-    cache = ResultCache(max_entries=DEFAULT_CACHE_ENTRIES) if bench_scale() is QUICK_SCALE else None
-    configure_default_runner(workers=bench_workers(), cache=cache)
+from repro.bench.experiments import Scale
+from repro.bench.runner import ExperimentRunner, ResultCache
 
 
 def pytest_collection_modifyitems(config, items):
@@ -53,3 +43,9 @@ def pytest_collection_modifyitems(config, items):
 def scale() -> Scale:
     """Session-wide benchmark scale."""
     return bench_scale()
+
+
+@pytest.fixture(scope="session")
+def runner() -> ExperimentRunner:
+    """The one runner every figure of the session runs on."""
+    return ExperimentRunner(workers=None, cache=ResultCache())

@@ -1,4 +1,4 @@
-"""What the figure benchmark modules import: scale, workers, one figure run.
+"""What the figure benchmark modules import: the scale and one figure run.
 
 Kept out of ``conftest.py`` on purpose: a pytest call that collects both
 ``benchmarks/`` and ``tests/`` imports one of the two ``conftest`` modules
@@ -13,30 +13,29 @@ from __future__ import annotations
 
 import os
 
-from repro.bench.experiments import PAPER_SCALE, QUICK_SCALE, STANDARD_SCALE, Scale, regenerate
+from repro.bench.experiments import SCALES, Scale, regenerate
 from repro.bench.reporting import format_table
-
-_SCALES = {"quick": QUICK_SCALE, "standard": STANDARD_SCALE, "paper": PAPER_SCALE}
+from repro.errors import ConfigurationError
 
 
 def bench_scale() -> Scale:
-    """The scale selected through the REPRO_BENCH_SCALE environment variable."""
+    """The scale named by the REPRO_BENCH_SCALE environment variable (default quick)."""
     name = os.environ.get("REPRO_BENCH_SCALE", "quick").lower()
-    return _SCALES.get(name, QUICK_SCALE)
+    if name not in SCALES:
+        raise ConfigurationError(
+            f"unknown REPRO_BENCH_SCALE {name!r}; valid scales: {', '.join(SCALES)}"
+        )
+    return SCALES[name]
 
 
-def bench_workers() -> int:
-    """The worker count selected through REPRO_BENCH_WORKERS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_BENCH_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def run_figure(benchmark, experiment_id, scale, **axes):
-    """Regenerate one experiment under pytest-benchmark and print its table."""
-    report = benchmark.pedantic(
-        regenerate, args=(experiment_id, scale), kwargs=axes, rounds=1, iterations=1, warmup_rounds=0
+def run_figure(benchmark, runner, experiment_id, scale, **axes):
+    """Regenerate one experiment on ``runner`` under pytest-benchmark and print its table."""
+    [report] = benchmark.pedantic(
+        regenerate,
+        args=([experiment_id], scale, runner, {experiment_id: axes}),
+        rounds=1,
+        iterations=1,
+        warmup_rounds=0,
     )
     print()
     print(format_table(report.headers, report.rows, title=report.title))

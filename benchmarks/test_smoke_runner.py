@@ -16,9 +16,11 @@ import dataclasses
 import pytest
 
 from bench_experiments import CHECKS
+from figure_runner import bench_scale
 
-from repro.bench.experiments import EXPERIMENTS, QUICK_SCALE, regenerate
+from repro.bench.experiments import EXPERIMENTS, PAPER_SCALE, QUICK_SCALE, regenerate
 from repro.bench.runner import ExperimentRunner, ResultCache
+from repro.errors import ConfigurationError
 
 #: The quick scale with the duration trimmed so each family smokes in ~a second.
 SMOKE_SCALE = dataclasses.replace(QUICK_SCALE, name="smoke", duration=2.0, block_sizes=(10, 50))
@@ -34,12 +36,12 @@ _FAMILIES = [
 @pytest.mark.parametrize("family,figure,axes", _FAMILIES, ids=[name for name, _, _ in _FAMILIES])
 def test_family_figure_smokes_under_runner(family, figure, axes):
     runner = ExperimentRunner(workers=1, cache=ResultCache())
-    report = regenerate(figure, SMOKE_SCALE, runner=runner, **axes)
+    [report] = regenerate([figure], SMOKE_SCALE, runner, {figure: axes})
     assert report.rows, f"{family} figure produced no rows"
     assert runner.stats.tasks_run > 0
     assert runner.stats.cache_hits == 0
 
-    cached = regenerate(figure, SMOKE_SCALE, runner=runner, **axes)
+    [cached] = regenerate([figure], SMOKE_SCALE, runner, {figure: axes})
     assert cached.rows == report.rows
     assert runner.stats.tasks_run == 0
     assert runner.stats.cache_hits == runner.stats.tasks_total
@@ -54,14 +56,14 @@ ENTRY_CEILING_BYTES = 16 * 1024
 
 def test_disk_entries_hold_no_chain(tmp_path):
     cold = ExperimentRunner(workers=1, cache=ResultCache(tmp_path))
-    report = regenerate("fig6", SMOKE_SCALE, runner=cold)
+    [report] = regenerate(["fig6"], SMOKE_SCALE, cold)
     sizes = sorted(entry.stat().st_size for entry in tmp_path.glob("*.pkl"))
     assert len(sizes) == cold.stats.tasks_run == 2
     assert sizes[-1] <= ENTRY_CEILING_BYTES, f"{sum(sizes)} bytes in {len(sizes)} entries: {sizes}"
     assert cold.stats.cache_bytes == sum(sizes)
 
     warm = ExperimentRunner(workers=1, cache=ResultCache(tmp_path))
-    cached = regenerate("fig6", SMOKE_SCALE, runner=warm)
+    [cached] = regenerate(["fig6"], SMOKE_SCALE, warm)
     assert cached.rows == report.rows
     assert (warm.stats.tasks_run, warm.stats.cache_hits) == (0, warm.stats.tasks_total)
     assert warm.stats.cache_bytes == sum(sizes)
@@ -70,3 +72,12 @@ def test_disk_entries_hold_no_chain(tmp_path):
 def test_every_experiment_has_a_slow_check():
     # A spec added without a check fails here, before the slow suite runs.
     assert set(CHECKS) == set(EXPERIMENTS)
+
+
+def test_bench_scale_rejects_an_unknown_name(monkeypatch):
+    # A mistyped scale used to run the quick grids and pass.
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "Paper")
+    assert bench_scale() is PAPER_SCALE
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "papr")
+    with pytest.raises(ConfigurationError, match="'papr'; valid scales: quick, standard, paper"):
+        bench_scale()

@@ -35,16 +35,17 @@ HEADER = """\
 
 Every table and figure of the paper's evaluation — plus the extension
 scenarios (channels, retries, fault injection) — is one entry of
-`repro.bench.experiments.EXPERIMENTS`. Regenerate any of them with:
+`repro.bench.experiments.EXPERIMENTS`. Regenerate any set of them, or all,
+as one plan — a cell that several of them share runs once:
 
 ```bash
-PYTHONPATH=src python -m repro figure <id> [--scale quick|standard|paper]
+PYTHONPATH=src python -m repro figure <id>... | all [--scale quick|standard|paper]
 ```
 
 or run the whole suite through the benchmark harness
 (`pytest benchmarks/ -m slow`). The *expected trend* column states the
-qualitative result each reproduction must show; the corresponding
-`benchmarks/bench_*.py` modules assert the quantitative acceptance bars.
+qualitative result each reproduction must show; the check registered for its
+id in `benchmarks/bench_experiments.py` asserts the quantitative acceptance bar.
 """
 
 

@@ -12,12 +12,12 @@ spec can run as a quick laptop benchmark (:data:`QUICK_SCALE`), a more
 faithful sweep (:data:`STANDARD_SCALE`) or the full paper setup
 (:data:`PAPER_SCALE`, 180 simulated seconds and three repetitions).
 
-It also takes an optional :class:`~repro.bench.runner.ExperimentRunner`; the
-grid behind the artefact is submitted to it as one batch, so a parallel runner
-spreads the cells across worker processes and a caching runner skips cells
-that already ran — without changing a single reported value (results are
-deterministic per configuration/repetition).  When no runner is passed, the
-shared default runner (serial, in-memory cache) is used.
+The paper is one plan: :func:`regenerate` takes any sequence of ids and an
+:class:`~repro.bench.runner.ExperimentRunner` the caller builds, and submits
+the grids of all of them to it as one batch.  The runner runs a cell that
+several grids share once and spreads the rest across its worker processes —
+without changing a single reported value (results are deterministic per
+configuration/repetition).  One artefact is the one-id case.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.bench.harness import ExperimentConfig, ExperimentResult
-from repro.bench.runner import ExperimentRunner, get_default_runner
+from repro.bench.runner import ExperimentRunner
 from repro.chaincode import create_chaincode
 from repro.chaincode.api import ChaincodeStub
 from repro.core.adaptive import AdaptiveBlockSizeController, SweepResult
@@ -100,6 +100,10 @@ PAPER_SCALE = Scale(
     ehr_patients=100,
     drm_artworks=200,
 )
+
+#: Every scale by name, smallest first: the names ``repro figure --scale`` and
+#: the figure benchmarks' ``REPRO_BENCH_SCALE`` accept.
+SCALES = {scale.name: scale for scale in (QUICK_SCALE, STANDARD_SCALE, PAPER_SCALE)}
 
 
 @dataclass
@@ -245,7 +249,7 @@ class Axis:
 
     @property
     def name(self) -> str:
-        """The keyword that overrides this axis in :func:`regenerate`."""
+        """The key of this axis in an override of :func:`regenerate`."""
         return "_".join(self.headers)
 
     def points(self, scale: Scale, override: Optional[Tuple] = None) -> List[Point]:
@@ -382,33 +386,51 @@ BASELINE_COLUMNS: Dict[str, Callable[[ExperimentResult, Optional[ExperimentResul
 
 
 def regenerate(
-    experiment_id: str,
-    scale: Scale = QUICK_SCALE,
-    runner: Optional[ExperimentRunner] = None,
-    **axis_values: Tuple,
-) -> ExperimentReport:
-    """Run the experiment ``experiment_id`` of :data:`EXPERIMENTS` at ``scale``.
+    experiment_ids: Sequence[str],
+    scale: Scale,
+    runner: ExperimentRunner,
+    axes: Optional[Mapping[str, Mapping[str, Tuple]]] = None,
+) -> List[ExperimentReport]:
+    """Run the experiments ``experiment_ids`` of :data:`EXPERIMENTS` at ``scale``.
 
-    The whole grid is submitted to ``runner`` (default: the shared default
-    runner) as one batch.  A keyword argument replaces the values of the axis
-    of that name (:attr:`Axis.name`); naming an axis the spec does not declare
-    is a :class:`~repro.errors.ConfigurationError`.
+    The grids of all of them are submitted to ``runner`` as one batch, which
+    runs a cell that several grids share once; the reports come back in
+    request order.  ``axes`` maps an id to the values that replace those of
+    its axes, keyed by :attr:`Axis.name`.  An unknown id, overrides of an id
+    not requested and an axis the spec does not declare are each a
+    :class:`~repro.errors.ConfigurationError`.
     """
-    spec = EXPERIMENTS[experiment_id]
-    declared = [axis.name for axis in spec.grid]
-    undeclared = sorted(set(axis_values) - set(declared))
-    if undeclared:
+    axes = axes or {}
+    unknown = [name for name in experiment_ids if name not in EXPERIMENTS]
+    if unknown:
         raise ConfigurationError(
-            f"experiment {experiment_id!r} has no axis {', '.join(map(repr, undeclared))}; "
-            f"it declares: {', '.join(declared) or 'none'}"
+            f"no experiment {', '.join(map(repr, unknown))}; known: {', '.join(EXPERIMENTS)}"
         )
-    if spec.body is not None:
-        rows = spec.body(scale)
-    else:
-        cells = spec.cells(scale, axis_values)
-        configs = [cell_config(scale, params) for _, params in cells]
-        rows = spec.rows(cells, (runner or get_default_runner()).run_many(configs))
-    return ExperimentReport(experiment_id, spec.title, spec.headers, rows)
+    stray = [name for name in axes if name not in experiment_ids]
+    if stray:
+        raise ConfigurationError(f"axes given for {', '.join(map(repr, stray))}, not requested")
+    plans = []
+    for experiment_id in experiment_ids:
+        spec = EXPERIMENTS[experiment_id]
+        overrides = axes.get(experiment_id, {})
+        declared = [axis.name for axis in spec.grid]
+        undeclared = sorted(set(overrides) - set(declared))
+        if undeclared:
+            raise ConfigurationError(
+                f"experiment {experiment_id!r} has no axis {', '.join(map(repr, undeclared))}; "
+                f"it declares: {', '.join(declared) or 'none'}"
+            )
+        plans.append((experiment_id, spec, [] if spec.body else spec.cells(scale, overrides)))
+    configs = [cell_config(scale, params) for _, _, cells in plans for _, params in cells]
+    results = iter(runner.run_many(configs))
+    reports = []
+    for experiment_id, spec, cells in plans:
+        if spec.body is not None:
+            rows = spec.body(scale)
+        else:
+            rows = spec.rows(cells, list(itertools.islice(results, len(cells))))
+        reports.append(ExperimentReport(experiment_id, spec.title, spec.headers, rows))
+    return reports
 
 
 #: The deployment of the extension scenarios: the small C1 cluster on LevelDB

@@ -22,17 +22,22 @@ Three properties make this safe and fast:
   :func:`~repro.bench.harness.repetition_seed`, a hash of the configuration's
   content hash and ``k``.  A repetition's result therefore depends only on
   ``(config, k)``; parallel execution is bit-identical to serial execution.
-* **Content-addressed caching** — a :class:`ResultCache` stores each
-  repetition's detached :class:`~repro.core.analyzer.ExperimentAnalysis` under
-  ``(cell_hash, repetition)``, in memory and optionally on disk.  Because
-  results are deterministic, serving a cached analysis is semantically
-  identical to re-running the simulation, so repeated figure regeneration
-  skips already-run cells.  Any change to the configuration changes the hash
-  and invalidates the entry.
+* **Each cell once** — a batch runs every ``(cell_hash, repetition)`` it
+  holds once, however many of its configurations share it, and an optional
+  :class:`ResultCache` stores each repetition's detached
+  :class:`~repro.core.analyzer.ExperimentAnalysis` under that key, in memory
+  and optionally on disk, for the batches after it.  Because results are
+  deterministic, sharing or serving an analysis is semantically identical to
+  re-running the simulation.  Any change to the configuration changes the
+  hash and invalidates the entry.
 * **Observability** — :class:`RunnerStats` records cache hits/misses, executed
   tasks, worker count and wall-clock per batch, and an optional progress hook
   receives a :class:`ProgressEvent` after every completed task (see
   :func:`repro.bench.reporting.format_progress`).
+
+There is no process-wide runner: whoever runs a batch builds the runner it
+wants and passes it on — ``repro figure`` submits the grids of every artefact
+it prints to one runner as one batch (:func:`repro.bench.experiments.regenerate`).
 
 Typical usage::
 
@@ -61,7 +66,12 @@ from repro.bench.harness import ExperimentConfig, ExperimentResult, run_repetiti
 from repro.channels.network import plan_groups
 from repro.core.analyzer import ExperimentAnalysis
 from repro.errors import ConfigurationError
-from repro.sim.shard import PROCESS_BUDGET_ENV, process_budget, resolve_worker_count
+from repro.sim.shard import (
+    PROCESS_BUDGET_ENV,
+    available_cores,
+    process_budget,
+    resolve_worker_count,
+)
 
 #: A progress hook receives a :class:`ProgressEvent` after every finished task.
 ProgressHook = Callable[["ProgressEvent"], None]
@@ -126,26 +136,18 @@ class ResultCache:
     Keys are ``(cell_hash, repetition)`` where ``cell_hash`` is
     :meth:`ExperimentConfig.cell_hash` — so any change to a configuration's
     content yields a different key and a guaranteed miss.  An entry is the
-    detached analysis, a few KB whatever the cell simulated.  Entries live in
-    memory (least-recently-used entries are evicted beyond ``max_entries``;
-    pass ``None`` for unbounded); when ``directory`` is given they are also
-    pickled to disk (atomically, via a temporary file of the writer's own),
-    survive across processes and are never evicted — which is what lets a
-    second ``repro sweep`` invocation skip the whole grid.  An on-disk entry
+    detached analysis, a few KB whatever the cell simulated, so entries live
+    in memory for as long as the cache does; when ``directory`` is given they
+    are also pickled to disk (atomically, via a temporary file of the
+    writer's own) and survive across processes — which is what lets a second
+    ``repro sweep`` invocation skip the whole grid.  An on-disk entry
     that cannot be loaded back as an analysis of today's shape is a miss,
     counted in ``corrupt_entries``: the cell is recomputed and the entry
     overwritten.
     """
 
-    def __init__(
-        self,
-        directory: Optional[os.PathLike] = None,
-        max_entries: Optional[int] = None,
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ConfigurationError(f"max_entries must be >= 1, got {max_entries}")
+    def __init__(self, directory: Optional[os.PathLike] = None) -> None:
         self._memory: Dict[Tuple[str, int], ExperimentAnalysis] = {}
-        self.max_entries = max_entries
         self.directory = Path(directory) if directory is not None else None
         #: On-disk entries found unreadable so far (see the class docstring).
         self.corrupt_entries = 0
@@ -161,9 +163,7 @@ class ResultCache:
         """The cached analysis for ``(cell_hash, repetition)``, or ``None``."""
         key = (cell_hash, repetition)
         if key in self._memory:
-            analysis = self._memory.pop(key)
-            self._memory[key] = analysis  # refresh LRU position
-            return analysis
+            return self._memory[key]
         if self.directory is not None:
             try:
                 with self._path(cell_hash, repetition).open("rb") as handle:
@@ -183,20 +183,14 @@ class ResultCache:
             ):
                 self.corrupt_entries += 1
                 return None
-            self._remember(key, analysis)
+            self._memory[key] = analysis
             return analysis
         return None
-
-    def _remember(self, key: Tuple[str, int], analysis: ExperimentAnalysis) -> None:
-        self._memory.pop(key, None)
-        self._memory[key] = analysis
-        while self.max_entries is not None and len(self._memory) > self.max_entries:
-            self._memory.pop(next(iter(self._memory)))
 
     def put(self, cell_hash: str, repetition: int, analysis: ExperimentAnalysis) -> None:
         """Store ``analysis``, detached, under ``(cell_hash, repetition)``."""
         analysis = analysis.detached()
-        self._remember((cell_hash, repetition), analysis)
+        self._memory[(cell_hash, repetition)] = analysis
         if self.directory is not None:
             path = self._path(cell_hash, repetition)
             # A name of this writer's own: two processes storing the same
@@ -352,7 +346,8 @@ class ExperimentRunner:
     ----------
     workers:
         Worker processes for cache-miss repetitions.  ``1`` (the default) runs
-        everything in-process; ``None`` uses ``os.cpu_count()``.
+        everything in-process; ``None`` uses every core this process may run
+        on (:func:`~repro.sim.shard.available_cores`).
     cache:
         A :class:`ResultCache`, or ``None`` to disable caching.
     progress:
@@ -372,7 +367,7 @@ class ExperimentRunner:
     ) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
+        self.workers = workers if workers is not None else available_cores()
         self.cache = cache
         self.progress = progress
         self.stats = RunnerStats()
@@ -537,51 +532,3 @@ class ExperimentRunner:
 def _execute_star(arguments: Tuple[ExperimentConfig, int, str]) -> ExperimentAnalysis:
     """Unpack helper for ``Pool.imap`` (which passes a single argument)."""
     return _execute_task(*arguments)
-
-
-# -------------------------------------------------------------- default runner
-_default_runner: Optional[ExperimentRunner] = None
-
-#: In-memory LRU bound of the default runner's cache.  A detached analysis
-#: pickles to 4-5 KB (one channel, measured on ``sweep-grid``), so this keeps
-#: repeated figure regeneration free at well under 1 MB per session.
-DEFAULT_CACHE_ENTRIES = 128
-
-_KEEP = object()
-
-
-def get_default_runner() -> ExperimentRunner:
-    """The process-wide runner used by sweeps and figure functions by default.
-
-    Serial (``workers=1``) with a shared, LRU-bounded in-memory cache: because
-    repetitions are deterministic, the cache makes repeated figure
-    regeneration free without changing any result.  Reconfigure it (e.g. from
-    an environment variable) with :func:`configure_default_runner`.
-    """
-    global _default_runner
-    if _default_runner is None:
-        _default_runner = ExperimentRunner(
-            workers=1, cache=ResultCache(max_entries=DEFAULT_CACHE_ENTRIES)
-        )
-    return _default_runner
-
-
-def configure_default_runner(
-    workers=_KEEP,
-    cache=_KEEP,
-    progress: Optional[ProgressHook] = None,
-) -> ExperimentRunner:
-    """Replace the default runner.
-
-    Omitted parameters keep the previous runner's setting (``workers``
-    defaults to serial on first use).  Pass ``cache=None`` to disable
-    caching, or ``workers=None`` for one worker per CPU.
-    """
-    global _default_runner
-    previous = _default_runner
-    if workers is _KEEP:
-        workers = previous.workers if previous else 1
-    if cache is _KEEP:
-        cache = previous.cache if previous else ResultCache(max_entries=DEFAULT_CACHE_ENTRIES)
-    _default_runner = ExperimentRunner(workers=workers, cache=cache, progress=progress)
-    return _default_runner

@@ -11,9 +11,9 @@ without writing Python.  ``repro <verb> --help`` lists each verb's flags.
     Run the same workload on several Fabric variants and print a comparison
     table (a miniature Figure 26).
 
-``python -m repro figure <id>``
-    Regenerate one of the paper's tables/figures (e.g. ``fig7``, ``table4``)
-    at a chosen scale and print the rows.
+``python -m repro figure <id>... | all``
+    Regenerate the paper's tables/figures (e.g. ``fig7 table4``, or ``all``)
+    at a chosen scale as one batch on every core, and print their rows.
 
 ``python -m repro sweep``
     Run a grid of experiments through the parallel
@@ -55,13 +55,7 @@ import sys
 from typing import Callable, List, Optional, Sequence
 
 from repro import __version__
-from repro.bench.experiments import (
-    EXPERIMENTS,
-    PAPER_SCALE,
-    QUICK_SCALE,
-    STANDARD_SCALE,
-    regenerate,
-)
+from repro.bench.experiments import EXPERIMENTS, SCALES, regenerate
 from repro.bench.harness import ExperimentConfig, ExperimentResult, pct_column, run_experiment
 from repro.bench.reporting import format_table
 from repro.bench.runner import SWEEP_HEADERS, ExperimentRunner, ResultCache, SweepPlan
@@ -87,8 +81,6 @@ from repro.observability import (
 )
 
 from repro.workload.workloads import uniform_workload
-
-_SCALES = {"quick": QUICK_SCALE, "standard": STANDARD_SCALE, "paper": PAPER_SCALE}
 
 #: The classes ``repro run`` prints a row for whatever ran: the four the
 #: paper's Section 3 defines.  Every other class gets its row when it occurs.
@@ -458,15 +450,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the report as a machine-readable JSON document",
     )
 
-    figure_parser = subparsers.add_parser("figure", help="regenerate a paper table or figure")
+    figure_parser = subparsers.add_parser("figure", help="regenerate paper tables and figures")
     figure_parser.set_defaults(handler=_command_figure)
     figure_parser.add_argument(
-        "artefact",
-        type=_choice("figure id", sorted(EXPERIMENTS)),
-        help="artefact id, e.g. fig7 or table4",
+        "artefacts",
+        nargs="+",
+        type=_choice("figure id", [*EXPERIMENTS, "all"]),
+        help="artefact ids, e.g. fig7 table4, or 'all' for every one in catalog order",
     )
     figure_parser.add_argument(
-        "--scale", choices=sorted(_SCALES), default="quick", help="experiment scale"
+        "--scale", choices=sorted(SCALES), default="quick", help="experiment scale"
     )
     return parser
 
@@ -960,8 +953,15 @@ def _command_check(args: argparse.Namespace) -> int:
 
 
 def _command_figure(args: argparse.Namespace) -> int:
-    report = regenerate(args.artefact, _SCALES[args.scale])
-    print(format_table(report.headers, report.rows, title=report.title))
+    # One batch over every core: a cell that several grids share runs once,
+    # and the tables print in the order asked for.
+    ids = [
+        name
+        for artefact in args.artefacts
+        for name in (EXPERIMENTS if artefact == "all" else (artefact,))
+    ]
+    for report in regenerate(ids, SCALES[args.scale], ExperimentRunner(workers=None)):
+        print(format_table(report.headers, report.rows, title=report.title))
     return 0
 
 

@@ -146,12 +146,21 @@ def test_failure_class_headers_are_generated_from_the_taxonomy():
 
 
 def test_override_of_an_undeclared_axis_names_the_declared_ones():
+    runner = ExperimentRunner()
     with pytest.raises(ConfigurationError, match=r"'skews'.*declares: chaincode, cluster, arrival_rate, block_size"):
-        regenerate("fig4", TEST_SCALE, skews=(0.0,))
+        regenerate(["fig4"], TEST_SCALE, runner, {"fig4": {"skews": (0.0,)}})
     with pytest.raises(ConfigurationError, match="declares: none"):
-        regenerate("table2", TEST_SCALE, chaincode=("EHR",))
+        regenerate(["table2"], TEST_SCALE, runner, {"table2": {"chaincode": ("EHR",)}})
     with pytest.raises(ConfigurationError, match="has no value 'fast'"):
-        regenerate("fig23", TEST_SCALE, system=("fast",))
+        regenerate(["fig23"], TEST_SCALE, runner, {"fig23": {"system": ("fast",)}})
+
+
+def test_unknown_ids_and_stray_overrides_are_errors():
+    runner = ExperimentRunner()
+    with pytest.raises(ConfigurationError, match="no experiment 'fig99'; known: table2, table4, fig4"):
+        regenerate(["fig6", "fig99"], TEST_SCALE, runner)
+    with pytest.raises(ConfigurationError, match="axes given for 'fig7', not requested"):
+        regenerate(["fig6"], TEST_SCALE, runner, {"fig7": {"block_size": (10,)}})
 
 
 # -------------------------------------------------------------- same grid as ever
@@ -236,7 +245,7 @@ def test_quick_grid_is_the_pinned_one(experiment_id):
     spec = EXPERIMENTS[experiment_id]
     runner = RecordingRunner()
     if spec.body is None:
-        headers = regenerate(experiment_id, QUICK_SCALE, runner=runner).headers
+        headers = regenerate([experiment_id], QUICK_SCALE, runner)[0].headers
     else:
         headers = spec.headers  # in-process bodies submit no cells
     assert len(runner.cell_hashes) == cells
@@ -280,7 +289,7 @@ def test_experiment_report_helpers():
 
 
 def test_table02_report_matches_declared_profiles():
-    report = regenerate("table2", TEST_SCALE)
+    [report] = regenerate(["table2"], TEST_SCALE, ExperimentRunner())
     assert set(report.column("chaincode")) == {"EHR", "DV", "SCM", "DRM", "genChain"}
     # The EHR addEhr row must report 2 reads and 2 writes as in Table 2.
     row = report.rows_where(chaincode="EHR", function="addEhr")[0]
@@ -289,26 +298,50 @@ def test_table02_report_matches_declared_profiles():
 
 
 def test_figure06_report_structure():
-    report = regenerate("fig6", TEST_SCALE)
+    [report] = regenerate(["fig6"], TEST_SCALE, ExperimentRunner())
     assert report.column("block_size") == list(TEST_SCALE.block_sizes)
     assert all(value > 0 for value in report.column("latency_s"))
 
 
 def test_figure11_covers_both_databases():
-    report = regenerate("fig11", TEST_SCALE)
+    [report] = regenerate(["fig11"], TEST_SCALE, ExperimentRunner())
     assert sorted(report.column("database")) == ["couchdb", "leveldb"]
 
 
 def test_figure13_covers_all_policies():
-    report = regenerate("fig13", TEST_SCALE)
+    [report] = regenerate(["fig13"], TEST_SCALE, ExperimentRunner())
     assert report.column("policy") == ["P0", "P1", "P2", "P3"]
 
 
 def test_figure15_failures_increase_with_skew():
-    report = regenerate("fig15", TEST_SCALE, zipf_skew=(0.0, 2.0))
+    [report] = regenerate(
+        ["fig15"], TEST_SCALE, ExperimentRunner(), {"fig15": {"zipf_skew": (0.0, 2.0)}}
+    )
     low = report.value("failures_pct", zipf_skew=0.0)
     high = report.value("failures_pct", zipf_skew=2.0)
     assert high > low
+
+
+# ------------------------------------------------------------------- one plan
+def test_several_ids_are_one_batch_that_runs_each_cell_once():
+    # Figures 6, 7 and 9 read different columns off the same block-size grid.
+    ids = ["fig6", "fig7", "fig9"]
+    runner = ExperimentRunner()
+    reports = regenerate(ids, TEST_SCALE, runner)
+    cells = len(TEST_SCALE.block_sizes)
+    assert runner.stats.tasks_total == 3 * cells
+    assert (runner.stats.tasks_run, runner.stats.deduplicated) == (cells, 2 * cells)
+    assert [report.experiment_id for report in reports] == ids
+    for report in reports:
+        assert report == regenerate([report.experiment_id], TEST_SCALE, ExperimentRunner())[0]
+
+
+def test_a_body_artefact_rides_along_in_request_order():
+    runner = RecordingRunner()
+    reports = regenerate(["fig6", "table2", "fig11"], TEST_SCALE, runner)
+    assert [report.experiment_id for report in reports] == ["fig6", "table2", "fig11"]
+    assert len(runner.cell_hashes) == len(TEST_SCALE.block_sizes) + 2
+    assert reports[1] == regenerate(["table2"], TEST_SCALE, runner)[0]
 
 
 # ------------------------------------------------------------------- paper data

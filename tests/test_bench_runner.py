@@ -22,7 +22,6 @@ from repro.bench.runner import (
     ProgressEvent,
     ResultCache,
     SweepPlan,
-    get_default_runner,
 )
 from repro.bench.reporting import format_progress
 from repro.chaincode.generator import ChaincodeGenerator, FunctionSpec
@@ -299,23 +298,6 @@ def test_cache_clear_forgets_entries(tmp_path):
     assert runner.stats.cache_hits == 0
 
 
-def test_memory_cache_evicts_least_recently_used():
-    cache = ResultCache(max_entries=2)
-    runner = ExperimentRunner(workers=1, cache=cache)
-    configs = [tiny_config(arrival_rate=rate) for rate in (30.0, 40.0, 50.0)]
-    for config in configs:
-        runner.run(config)
-    assert len(cache) == 2
-    # The oldest entry (30 tps) was evicted, the newer two are still hits.
-    runner.run(configs[1])
-    runner.run(configs[2])
-    assert runner.stats.cache_hits == 1
-    runner.run(configs[0])
-    assert runner.stats.cache_hits == 0
-    with pytest.raises(ConfigurationError):
-        ResultCache(max_entries=0)
-
-
 def test_corrupt_disk_entry_is_treated_as_miss(tmp_path):
     cache = ResultCache(tmp_path)
     runner = ExperimentRunner(workers=1, cache=cache)
@@ -472,9 +454,12 @@ def test_runner_validates_configs_before_running():
         runner.run(tiny_config(arrival_rate=-1.0))
 
 
-def test_default_runner_is_shared_and_cached():
-    assert get_default_runner() is get_default_runner()
-    assert get_default_runner().cache is not None
+def test_default_worker_count_is_the_cores_this_process_may_use(monkeypatch):
+    # ``os.cpu_count()`` counts the machine; the affinity mask is what a
+    # ``taskset -c 0`` run may use.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert ExperimentRunner(workers=None).workers == 1
 
 
 # Module-level factories so the configs stay picklable in the factory tests.

@@ -7,9 +7,12 @@ import json
 
 import pytest
 
+from repro import cli
+from repro.bench.experiments import EXPERIMENTS
 from repro.bench.runner import ExperimentRunner
 from repro.checker.config import CheckerConfig
 from repro.cli import build_parser, main
+from repro.sim.shard import available_cores
 
 
 # --------------------------------------------------------------------- surface
@@ -262,6 +265,35 @@ def test_figure_command_regenerates_an_artefact(capsys):
 def test_figure_command_rejects_unknown_artefact():
     with pytest.raises(SystemExit):
         main(["figure", "fig99"])
+
+
+def test_figure_command_prints_the_single_id_outputs_concatenated(capsys):
+    outputs = []
+    for argv in (["fig6"], ["fig7"], ["fig6", "fig7"]):
+        assert main(["figure", *argv, "--scale", "quick"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[2] == outputs[0] + outputs[1]
+
+
+def test_figure_all_is_every_id_in_catalog_order(monkeypatch, capsys):
+    requested = []
+
+    def record(ids, scale, runner):
+        requested.append((list(ids), scale.name, runner.workers))
+        return []
+
+    monkeypatch.setattr(cli, "regenerate", record)
+    assert main(["figure", "all", "--scale", "paper"]) == 0
+    assert main(["figure", "fig9", "all"]) == 0
+    assert requested == [
+        (list(EXPERIMENTS), "paper", available_cores()),
+        (["fig9", *EXPERIMENTS], "quick", available_cores()),
+    ]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["figure", "fig6", "papr"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown figure id 'papr'" in err and "fig4" in err
 
 
 # ------------------------------------------------------------------- sweep
