@@ -18,8 +18,8 @@ benchmark layer lives in ``test_smoke_runner.py``.
 
 All experiments execute through one session-wide
 :class:`~repro.bench.runner.ExperimentRunner` with a worker process per
-available core.  Its content-addressed cache holds each cell's detached
-analysis (a few KB at any scale), so a cell that several figures share
+available core.  Its content-addressed cache holds each cell's analysis (a
+few KB at any scale: a run keeps no transaction), so a cell that several figures share
 simulates once per session.
 """
 

@@ -17,8 +17,8 @@ times louder there.
 
 A third cell puts the paper topology on eight channels sharing one clock, for
 the per-attempt work *outside* the fan-out (see the second table of "Hot path"):
-lifecycle events nobody reads, placement asked per shard draw, passes over the
-ledger in the analysis.  Each is pinned as a count that is the same on every
+lifecycle events nobody reads, placement asked per shard draw, folds of the
+channels' tallies.  Each is pinned as a count that is the same on every
 machine.
 
 A fourth runs the perfbench ``sweep-grid`` plan shape in process and counts
@@ -48,14 +48,16 @@ from repro import ExperimentConfig, ExperimentRunner, SweepPlan, run_repetition
 from repro.chaincode import Chaincode, ChaincodeStub, GenChainChaincode, create_chaincode
 from repro.chaincode import api as chaincode_api
 from repro.channels.topology import ChannelTopology
+from repro.channels import merge as channel_merge
 from repro.core import LedgerAnalyzer
 from repro.fabric import fabricpp
 from repro.ledger import factory
 from repro.ledger.block import ValidationCode
 from repro.ledger.kvstore import VersionedKVStore
-from repro.lifecycle import events
+from repro.lifecycle import events, tally
 from repro.lifecycle.pipeline import build_network
 from repro.network import client_node
+from repro.network import network as channel_slice
 from repro.network.config import NetworkConfig
 from repro.sim.profile import EngineProfiler
 from repro.workload.distributions import ZipfianDistribution, cumulative_weights
@@ -127,7 +129,7 @@ def smoke_config() -> NetworkConfig:
 def pipeline_cell(
     config: NetworkConfig | None = None, arrival_rate: float = SMOKE_ARRIVAL_RATE
 ) -> dict:
-    """One short single-channel full-pipeline run, profiled."""
+    """One short single-channel full-pipeline run, profiled, its chain recorded."""
     spec = uniform_workload("EHR", patients=40)
     config = config or smoke_config()
     network = build_network(
@@ -135,6 +137,7 @@ def pipeline_cell(
         lambda: create_chaincode(spec.chaincode, **spec.chaincode_kwargs),
         "fabric-1.4",
         seed=SMOKE_SEED,
+        record_chain=True,
     )
     profiler = EngineProfiler(network.sim)
     with profiler:
@@ -244,7 +247,7 @@ def eight_channel_cell(monkeypatch, listen: bool = False) -> dict:
     return {
         "record": record,
         "events": profiler.report()["events"],
-        "transactions": len(record.transactions),
+        "transactions": record.submitted_count,
         "emissions": sum(record.lifecycle_counts.values()),
         "events_built": len(built),
         "events_heard": len(heard),
@@ -283,27 +286,21 @@ def test_one_listener_on_every_channel_bus_is_handed_every_emission(monkeypatch)
     )
 
 
-class CountedTransactions(list):
-    """``record.transactions`` that counts the passes made over it."""
+def test_each_tally_is_folded_once_and_the_analysis_folds_none(monkeypatch):
+    folds = []
 
-    passes = 0
+    def counted(tallies):
+        folds.append(len(tallies))
+        return tally.fold(tallies)
 
-    def __iter__(self):
-        self.passes += 1
-        return super().__iter__()
-
-
-def test_analysis_walks_the_transactions_once(monkeypatch):
+    for module in (channel_slice, channel_merge):
+        monkeypatch.setattr(module, "fold", counted)
     record = eight_channel_cell(monkeypatch)["record"]
-    channels = [channel.record for channel in record.channel_records]
-    for analysed in [record, *channels]:
-        analysed.transactions = CountedTransactions(analysed.transactions)
+    # Each channel where it was simulated, then the aggregate once at the merge.
+    assert folds == [1] * 8 + [8]
     analysis = LedgerAnalyzer().analyze(record)
-    assert analysis.metrics.submitted_transactions == len(record.transactions) > 0
-    # The aggregate once (it used to be six); each channel was walked where it
-    # was simulated, so never here (it used to be once each, after the merge).
-    assert record.transactions.passes == 1
-    assert [channel.transactions.passes for channel in channels] == [0] * 8
+    assert analysis.metrics.submitted_transactions == record.submitted_count > 0
+    assert folds == [1] * 8 + [8] and record.chain is None
 
 
 # ------------------------------------------------ what a sweep's cells share
@@ -401,7 +398,7 @@ def test_fabricpp_reorder_decisions_are_pinned(monkeypatch):
         zipf_skew=1.0,
         seed=SMOKE_SEED,
     )
-    record = run_repetition(config, 0).record
+    record = run_repetition(config, 0, record_chain=True).record
     reordered = [block for block in record.ledger if block.reordered]
     aborted = [
         tx for tx in record.transactions
@@ -440,7 +437,7 @@ def test_equation_one_runs_only_where_endorsements_disagree(monkeypatch):
         zipf_skew=1.0,
         seed=SMOKE_SEED,
     )
-    transactions = run_repetition(config, 0).record.transactions
+    transactions = run_repetition(config, 0, record_chain=True).record.transactions
     mismatched = sum(tx.endorsement_mismatch for tx in transactions)
     assert (len(transactions), len(checked)) == (EQUATION_ONE_ATTEMPTS, EQUATION_ONE_CHECKS)
     assert min(checked) == 2 and mismatched == EQUATION_ONE_CHECKS

@@ -47,9 +47,8 @@ def test_family_figure_smokes_under_runner(family, figure, axes):
     assert runner.stats.cache_hits == runner.stats.tasks_total
 
 
-#: A disk entry is the cell's detached analysis: a few KB whatever the cell
-#: simulated.  With the chain inside, ``fig6``'s two smoke cells weighed 144 KB
-#: and 158 KB.  The integer proxy of the ``sweep-grid`` wall-clock claim: a size
+#: A disk entry is the cell's analysis: a few KB whatever the cell simulated.
+#: With the chain inside, ``fig6``'s two smoke cells weighed 144 KB and 158 KB.  The integer proxy of the ``sweep-grid`` wall-clock claim: a size
 #: repeats exactly on any machine.
 ENTRY_CEILING_BYTES = 16 * 1024
 

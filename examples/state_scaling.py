@@ -76,7 +76,7 @@ def main() -> None:
                 endorsers,
                 f"{peak / 1e6:.1f}",
                 f"{elapsed:.2f}",
-                record.ledger.transaction_count,
+                record.tally.appended,
                 max(deltas),
                 f"{100.0 * max(deltas) / STATE_KEYS:.2f}%",
             )

@@ -311,9 +311,12 @@ RESULT_COLUMNS: Dict[str, Callable[[ExperimentResult], object]] = {
 
 @quiet_collector()
 def run_repetition(
-    config: ExperimentConfig, repetition: int, cell_hash: Optional[str] = None
+    config: ExperimentConfig,
+    repetition: int,
+    cell_hash: Optional[str] = None,
+    record_chain: bool = False,
 ) -> ExperimentAnalysis:
-    """Run one repetition of ``config`` and analyze its ledger.
+    """Run one repetition of ``config`` and analyze it.
 
     The repetition is self-contained: it builds a fresh chaincode, variant and
     network seeded with :func:`repetition_seed`, so it produces the same
@@ -326,9 +329,11 @@ def run_repetition(
     per channel, executed by the plan ``network`` selects; a single-channel
     configuration is its one-channel shared-clock plan.
 
-    Build, run and ledger analysis share one collector scope
-    (:func:`repro.sim.collector.quiet_collector`): the analysis walks the same
-    retained, acyclic records the run produced.
+    The run keeps no transaction it is done with: its metrics come from each
+    channel's tally.  ``record_chain`` keeps the chain as well — every block
+    and attempt, on ``analysis.record`` — for a consumer that reads it (the
+    committed-history export, the fingerprint, the test oracles); a recorded
+    run is one group on the shared clock.
     """
     seed = repetition_seed(config, repetition, cell_hash=cell_hash)
     network = build_network(
@@ -336,6 +341,7 @@ def run_repetition(
         chaincode_factory=config.build_chaincode,
         variant_factory=config.variant,
         seed=seed,
+        record_chain=record_chain,
     )
     record = network.run(
         mix=config.workload.mix,
@@ -347,12 +353,15 @@ def run_repetition(
     return LedgerAnalyzer().analyze(record)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run all repetitions of an experiment and analyze each run's ledger."""
+def run_experiment(config: ExperimentConfig, record_chain: bool = False) -> ExperimentResult:
+    """Run all repetitions of an experiment and analyze each run.
+
+    ``record_chain`` keeps every repetition's chain (see :func:`run_repetition`).
+    """
     config.validate()
     cell_hash = config.cell_hash()
     analyses: List[ExperimentAnalysis] = [
-        run_repetition(config, repetition, cell_hash=cell_hash)
+        run_repetition(config, repetition, cell_hash=cell_hash, record_chain=record_chain)
         for repetition in range(config.repetitions)
     ]
     return ExperimentResult(config=config, analyses=analyses)

@@ -9,12 +9,11 @@ tasks out across a ``multiprocessing`` pool, and reassembles the analyses into
 :class:`~repro.bench.harness.ExperimentResult`s in deterministic order.
 
 What the runner yields — computed in a worker or in process, deduplicated or
-served from the cache — is the cell's *detached* analysis
-(:meth:`~repro.core.analyzer.ExperimentAnalysis.detached`): metrics, counts,
-configuration and reports, about 4 KB pickled.  The ledger and the
-transactions stay in the process that simulated the cell, and reading them
-off a runner result raises :class:`~repro.errors.AnalysisError`; whoever needs
-the chain calls :func:`~repro.bench.harness.run_repetition`.
+served from the cache — is the cell's analysis as every unrecorded run
+produces it: metrics, counts, configuration and reports, about 4 KB pickled.
+A run keeps no transaction it is done with, so reading the chain off a runner
+result raises :class:`~repro.errors.AnalysisError`; whoever needs the chain
+calls :func:`~repro.bench.harness.run_repetition` with ``record_chain=True``.
 
 Three properties make this safe and fast:
 
@@ -24,7 +23,7 @@ Three properties make this safe and fast:
   ``(config, k)``; parallel execution is bit-identical to serial execution.
 * **Each cell once** — a batch runs every ``(cell_hash, repetition)`` it
   holds once, however many of its configurations share it, and an optional
-  :class:`ResultCache` stores each repetition's detached
+  :class:`ResultCache` stores each repetition's
   :class:`~repro.core.analyzer.ExperimentAnalysis` under that key, in memory
   and optionally on disk, for the batches after it.  Because results are
   deterministic, sharing or serving an analysis is semantically identical to
@@ -65,7 +64,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.bench.harness import ExperimentConfig, ExperimentResult, run_repetition
 from repro.channels.network import plan_groups
 from repro.core.analyzer import ExperimentAnalysis
-from repro.errors import ConfigurationError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.sim.shard import (
     PROCESS_BUDGET_ENV,
     available_cores,
@@ -135,8 +134,8 @@ class ResultCache:
 
     Keys are ``(cell_hash, repetition)`` where ``cell_hash`` is
     :meth:`ExperimentConfig.cell_hash` — so any change to a configuration's
-    content yields a different key and a guaranteed miss.  An entry is the
-    detached analysis, a few KB whatever the cell simulated, so entries live
+    content yields a different key and a guaranteed miss.  An entry is an
+    unrecorded analysis, a few KB whatever the cell simulated, so entries live
     in memory for as long as the cache does; when ``directory`` is given they
     are also pickled to disk (atomically, via a temporary file of the
     writer's own) and survive across processes — which is what lets a second
@@ -188,8 +187,12 @@ class ResultCache:
         return None
 
     def put(self, cell_hash: str, repetition: int, analysis: ExperimentAnalysis) -> None:
-        """Store ``analysis``, detached, under ``(cell_hash, repetition)``."""
-        analysis = analysis.detached()
+        """Store ``analysis`` under ``(cell_hash, repetition)``.
+
+        An analysis of a recorded run is refused: it carries its whole chain.
+        """
+        if analysis.record.chain is not None:
+            raise AnalysisError("a recorded analysis carries its chain; cache an unrecorded one")
         self._memory[(cell_hash, repetition)] = analysis
         if self.directory is not None:
             path = self._path(cell_hash, repetition)
@@ -332,10 +335,9 @@ def _execute_task(config: ExperimentConfig, repetition: int, cell_hash: str) -> 
     """Worker entry point: run one repetition (module-level, so it pickles).
 
     :func:`run_repetition` enters the collector scope itself, so the worker
-    needs none of its own.  The one detaching point of the runner: the
-    attached record dies with this frame.
+    needs none of its own.
     """
-    return run_repetition(config, repetition, cell_hash=cell_hash).detached()
+    return run_repetition(config, repetition, cell_hash=cell_hash)
 
 
 # ---------------------------------------------------------------------- runner

@@ -15,7 +15,7 @@ local orderer.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.channels.topology import ChannelRouter
 from repro.ledger.block import Transaction, ValidationCode
@@ -31,7 +31,7 @@ class ChannelGateway:
 
     Implements the same :class:`~repro.lifecycle.stages.OrderingStage` seam
     as :class:`~repro.network.orderer.OrderingService` (``submit`` /
-    ``abort_early`` / ``early_aborted``), so
+    ``abort_early``), so
     :class:`~repro.network.client_node.ClientNode` needs no channel awareness.
     """
 
@@ -54,11 +54,6 @@ class ChannelGateway:
         self.rng = rng
         self.coordinator = coordinator
         self.cross_channel_submitted = 0
-
-    @property
-    def early_aborted(self) -> List[Transaction]:
-        """The channel's never-reached-a-block transactions (shared list)."""
-        return self.orderer.early_aborted
 
     def abort_early(self, tx: Transaction, code: ValidationCode, reason=None) -> None:
         """Terminally fail ``tx`` on this channel (stage-seam delegation)."""

@@ -8,7 +8,8 @@ one :class:`~repro.sim.engine.Simulator`, with one
 :class:`~repro.observability.observer.RunObserver` subscribed on every
 channel's bus when observability is on; and how to *run* them: start their
 client arrivals, drain the clock (profiled by the observer, when there is
-one) and collect them into a picklable :class:`GroupResult`.  Where a group runs — the
+one) and collect them into a picklable :class:`GroupResult` — each channel's
+record and its closed tally, never its transactions.  Where a group runs — the
 deploying process or a pool worker — is the plan's business, not the group's.
 
 A channel's event sequence is a pure function of its own seed-derived stream
@@ -27,9 +28,8 @@ from repro.chaincode.base import Chaincode
 from repro.channels.channel import ChannelGateway
 from repro.channels.coordinator import CrossChannelCoordinator
 from repro.channels.topology import ChannelRouter, ChannelTopology, ShardedKeyDistribution
-from repro.core.metrics import walk_transactions
-from repro.ledger.block import ValidationCode
 from repro.lifecycle.retry import ResubmissionGovernor
+from repro.lifecycle.tally import ChannelTally
 from repro.network.config import NetworkConfig
 from repro.network.network import Channel, ChannelRecord
 from repro.observability.observer import ObservabilityData, RunObserver
@@ -53,6 +53,8 @@ class GroupSpec:
     cross_channel: CrossChannelMix
     #: The channel indices this group builds, ascending.
     channels: Tuple[int, ...]
+    #: Keep every channel's chain (see :class:`~repro.lifecycle.recorder.ChainRecorder`).
+    record_chain: bool = False
 
 
 class RunArgs(NamedTuple):
@@ -70,6 +72,8 @@ class GroupResult:
     """One group's picklable slice of the run, as the merge consumes it."""
 
     records: List[ChannelRecord]
+    #: ``channel index -> closed tally``, for the fold across channels.
+    tallies: Dict[int, ChannelTally]
     #: ``channel index -> raw station accumulators`` (see
     #: :meth:`Channel.station_loads`) for the merge-time horizon fixup.
     loads: Dict[int, dict]
@@ -100,6 +104,7 @@ class ChannelGroup:
                 # The one place the single-channel identity is decided.
                 label=None if spec.topology.channels == 1 else index,
                 arrival_share=shares[index],
+                record_chain=spec.record_chain,
             )
             for index in spec.channels
         ]
@@ -163,20 +168,7 @@ class ChannelGroup:
             )
 
     def collect(self, args: RunArgs) -> GroupResult:
-        """Harvest the drained group.
-
-        On a deployment of several channels each channel's pass over its
-        transactions (:func:`~repro.core.metrics.walk_transactions`) is made
-        here, by the process that simulated it, and rides on its
-        :class:`ChannelRecord`; the analysis then walks only the aggregate.
-        A sole channel's record *is* the deployment's, walked once by the
-        analysis.
-        """
-        block_times = {
-            channel.label: {block.number: block.created_at for block in channel.ledger.blocks}
-            for channel in self.channels
-        }
-        walk = self.spec.topology.channels > 1
+        """Harvest the drained group: each channel's record and closed tally."""
         records: List[ChannelRecord] = []
         for channel, gateway in zip(self.channels, self.gateways):
             record = channel.collect_record(
@@ -190,19 +182,21 @@ class ChannelGroup:
                     name=channel.name,
                     record=record,
                     cross_channel_submitted=gateway.cross_channel_submitted,
-                    cross_channel_aborted=sum(
-                        1
-                        for tx in record.early_aborted
-                        if tx.validation_code is ValidationCode.CROSS_CHANNEL_ABORT
-                    ),
-                    totals=walk_transactions(record, block_times) if walk else None,
+                    cross_channel_aborted=record.tally.cross_channel_aborted,
                 )
             )
         observability: Optional[ObservabilityData] = None
         if self.observer is not None:
+            block_times = {
+                channel.label: {
+                    header.number: header.created_at for header in channel.ledger.headers
+                }
+                for channel in self.channels
+            }
             observability = self.observer.collect(block_times, final_time=self.sim.now)
         return GroupResult(
             records=records,
+            tallies={channel.index: channel.tally for channel in self.channels},
             loads={channel.index: channel.station_loads() for channel in self.channels},
             end=self.sim.now,
             observability=observability,
@@ -222,17 +216,12 @@ def simulate_group_to_file(task: Tuple[GroupSpec, RunArgs, str]) -> int:
 
     Only the shards the deploying process does not drain itself come here.
 
-    The worker pickles its own result into the file ``task`` names, inside
-    the collector scope that covered the simulation, and hands the pool only
-    the file's size.  Pickling a group's retained transactions allocates per
-    record: left to the pool it would run after this function returned —
-    outside any scope, with full collections re-walking the heap it is
-    dumping.  And a result sent back through the pool's pipe is read by the
-    deploying process's result-handler thread one pipe-sized chunk at a time,
-    each waiting for the interpreter lock that process's own simulation
-    holds — the worker blocks until its last chunk is read.  One ``dump``
-    call also means one memo, so the read/write set an endorsement shares
-    with its transaction is written once.
+    The worker pickles its own result into the file ``task`` names and hands
+    the pool only the file's size: a result sent back through the pool's
+    pipe is read by the deploying process's result-handler thread one
+    pipe-sized chunk at a time, each waiting for the interpreter lock that
+    process's own simulation holds — the worker would block until its last
+    chunk is read.
     """
     spec, args, path = task
     result = simulate_group(spec, args)

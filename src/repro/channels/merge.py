@@ -3,9 +3,11 @@
 Every execution plan of :class:`~repro.channels.network.MultiChannelNetwork`
 ends here, so the aggregate :class:`~repro.network.network.RunRecord` is
 assembled by the same arithmetic whichever plan ran: channel records in
-channel-index order, transactions re-sorted by ``(submitted_at, tx_id)``,
-``simulated_end`` the maximum group end time, station utilizations recomputed
-bitwise from raw busy-time accumulators over the deployment-wide horizon
+channel-index order, the channels' tallies folded as one in ``(submitted_at,
+tx_id)`` order (:func:`~repro.lifecycle.tally.fold`; a recorded run's
+transactions are listed in that order too), ``simulated_end`` the maximum
+group end time, station utilizations recomputed bitwise from raw busy-time
+accumulators over the deployment-wide horizon
 (:meth:`~repro.network.network.Channel.station_loads` — a group's own
 clock stops at its own last event), counters summed key-wise.  For one group
 holding every channel each of those steps is the identity on what the group
@@ -18,14 +20,15 @@ observations from several groups are refused.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.channels.group import GroupResult, RunArgs
 from repro.checker.checker import merge_isolation_reports
 from repro.errors import SimulationError
 from repro.ledger.ledger import Ledger
+from repro.lifecycle.tally import ChannelTally, fold
 from repro.network.config import NetworkConfig
-from repro.network.network import ChannelRecord, RunRecord
+from repro.network.network import Chain, ChannelRecord, RunRecord
 from repro.sim.stats import mean
 
 
@@ -108,9 +111,20 @@ def merge_group_results(
             _utilization(entry, horizon) for entry in load["endorsement"]
         )
     runs = [channel_record.record for channel_record in channel_records]
-    transactions = sorted(
-        (tx for run in runs for tx in run.transactions), key=attrgetter("submitted_at", "tx_id")
-    )
+    tallies: Dict[int, ChannelTally] = {}
+    for result in results:
+        tallies.update(result.tallies)
+    chain: Optional[Chain] = None
+    if all(run.chain is not None for run in runs):
+        chain = Chain(
+            ledger=Ledger(),  # per-channel chains live in channel_records
+            transactions=sorted(
+                (tx for run in runs for tx in run.transactions),
+                key=attrgetter("submitted_at", "tx_id"),
+            ),
+            early_aborted=[tx for run in runs for tx in run.early_aborted],
+            read_only_skipped=[tx for run in runs for tx in run.read_only_skipped],
+        )
     reference = runs[0]
     return RunRecord(
         # The reference channel's config went through variant.configure()
@@ -123,10 +137,7 @@ def merge_group_results(
         arrival_rate=args.arrival_rate,
         duration=args.duration,
         seed=seed,
-        ledger=Ledger(),  # per-channel chains live in channel_records
-        transactions=transactions,
-        early_aborted=[tx for run in runs for tx in run.early_aborted],
-        read_only_skipped=[tx for run in runs for tx in run.read_only_skipped],
+        tally=fold([tallies[index] for index in range(config.channels)]),
         simulated_end=global_end,
         blocks_cut=sum(run.blocks_cut for run in runs),
         orderer_utilization=mean(run.orderer_utilization for run in runs),
@@ -144,4 +155,5 @@ def merge_group_results(
         isolation=merge_isolation_reports(run.isolation for run in runs),
         execution=execution,
         shard_count=len(results),
+        chain=chain,
     )

@@ -28,7 +28,8 @@ groups there are and who advances their clocks — is one rule over the config
     partner strategies, ``uniform`` and the ``neighbor`` ring, connect every
     channel to every other through the two-phase prepare), a *global*
     resubmission rate cap (one token bucket cannot be split across
-    processes), or an observer (its latency sketches do not merge).
+    processes), an observer (its latency sketches do not merge) or a
+    recorded chain (its transactions stay in the process that reads them).
 ``sharded``
     One group (shard) per channel, each drained to completion on its own
     clock by one of N processes, this one included: it drains shards 0, N,
@@ -91,13 +92,16 @@ from repro.workload.distributions import KeyDistribution
 from repro.workload.spec import CrossChannelMix, TransactionMix
 
 
-def plan_groups(config: NetworkConfig) -> Tuple[str, Tuple[Tuple[int, ...], ...]]:
+def plan_groups(
+    config: NetworkConfig, record_chain: bool = False
+) -> Tuple[str, Tuple[Tuple[int, ...], ...]]:
     """The execution plan of ``config``: ``(execution mode, channels per group)``.
 
     Channels run apart only when nothing couples them: no cross traffic (every
     partner strategy connects all channels), no resubmission rate cap (one
-    token bucket across all channels, which a process cannot slice) and no
-    observer (one latency sketch and sample grid, which do not merge either).
+    token bucket across all channels, which a process cannot slice), no
+    observer (one latency sketch and sample grid, which do not merge either)
+    and no recorded chain (a shard ships its tally, never its transactions).
     """
     rate_capped = config.retry.enabled and config.retry.rate_cap is not None
     if (
@@ -106,6 +110,7 @@ def plan_groups(config: NetworkConfig) -> Tuple[str, Tuple[Tuple[int, ...], ...]
         and config.cross_channel_rate == 0
         and not rate_capped
         and not config.observability.enabled
+        and not record_chain
     ):
         return "sharded", tuple((index,) for index in range(config.channels))
     return "shared-clock", (tuple(range(config.channels)),)
@@ -122,6 +127,10 @@ class MultiChannelNetwork:
     ``sim`` is ``None``, ``channels`` is empty and ``coordinator`` is
     ``None`` (a topology that partitions has no cross traffic) — what
     happened surfaces in the record.
+
+    ``record_chain`` keeps every channel's blocks and attempts for a consumer
+    of the chain (see :class:`~repro.lifecycle.recorder.ChainRecorder`); a
+    recorded run is one group on the shared clock.
     """
 
     def __init__(
@@ -132,6 +141,7 @@ class MultiChannelNetwork:
         seed: int = 7,
         hot_share: float = 0.5,
         partner_strategy: str = "uniform",
+        record_chain: bool = False,
     ) -> None:
         config = config.copy()
         config.validate()
@@ -152,7 +162,7 @@ class MultiChannelNetwork:
         self.retry_governor = (
             ResubmissionGovernor(config.retry.rate_cap) if config.retry.enabled else None
         )
-        self.execution_mode, parts = plan_groups(config)
+        self.execution_mode, parts = plan_groups(config, record_chain)
         self._specs = [
             GroupSpec(
                 config=config,
@@ -163,6 +173,7 @@ class MultiChannelNetwork:
                 router=self.router,
                 cross_channel=self.cross_channel,
                 channels=part,
+                record_chain=record_chain,
             )
             for part in parts
         ]

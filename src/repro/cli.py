@@ -678,7 +678,7 @@ def _command_run(args: argparse.Namespace) -> int:
     if args.history_out is not None:
         _ensure_writable(args.history_out, "--history-out")
     config = _experiment_config(args, observers)
-    result = run_experiment(config)
+    result = run_experiment(config, record_chain=args.history_out is not None)
     analysis = result.analyses[0]
     # With repetitions > 1 every repetition is traced identically configured;
     # the exports cover the first repetition (the others differ only by seed).

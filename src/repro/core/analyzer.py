@@ -1,28 +1,35 @@
-"""Post-experiment ledger analysis.
+"""The experiment analysis: the paper's ledger parse, taken as the run goes.
 
 The paper's methodology (Section 4.5) collects all performance metrics by
 parsing the blockchain after each experiment, so that measurement has no impact
-on the running system.  :class:`LedgerAnalyzer` performs that parse: it
-collects every failed transaction, counts them by the failure class their
-stamp names (:mod:`repro.core.failures`), computes latency and throughput, and
-bundles everything into an :class:`ExperimentAnalysis` that the benchmark
+on the running system.  This reproduction takes the same measurements without
+keeping the chain: a tally on each channel's lifecycle bus
+(:mod:`repro.lifecycle.tally`) counts every attempt at the event that decides
+it and keeps its latency samples in a compact row, and :class:`LedgerAnalyzer`
+turns the folded tally into an :class:`ExperimentAnalysis` that the benchmark
 harness, the recommendation engine and the reporting layer consume.
+
+Why taking each attempt at its terminal event equals parsing the chain
+afterwards: a parse reads, per attempt, fields the pipeline stamps once —
+submission, endorsement, ordering, block and terminal times, the validation
+code and its conflict stamp — and every one of them is final when the attempt
+emits its terminal ``COMMITTED`` or ``ABORTED`` event (a block's verdicts are
+final at ``VALIDATED``, before the reference peer commits it).  The one
+exception is the first execution's DB-call latencies of an attempt that
+ended before any of its proposals had executed; the peer that executes a
+late proposal reports them (:meth:`~repro.lifecycle.tally.ChannelTally.late_stamp`).
+Counts do not depend on order; the float samples are folded in the order the
+parse walked the attempts, so every mean and quantile is the parse's, bit for
+bit.  The parse itself lives on as the test oracle ``tests/metrics_oracle.py``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from repro.core.failures import CONFLICT_CODES, FailureType, failure_type_of
-from repro.core.metrics import (
-    ExperimentMetrics,
-    FailureReport,
-    block_times_of,
-    compute_metrics,
-    walk_transactions,
-)
+from repro.core.failures import FailureType, failure_type_of
+from repro.core.metrics import ExperimentMetrics, FailureReport, compute_metrics
 from repro.ledger.block import Transaction
 from repro.network.network import RunRecord
 
@@ -49,8 +56,8 @@ class ExperimentAnalysis:
 
     Multi-channel runs additionally carry one :class:`ChannelAnalysis` per
     channel; the top-level ``metrics`` then aggregate across channels.
-    Everything but ``record``'s chain is plain counts, sums and quantiles:
-    :meth:`detached` is what a sweep row is printed from.
+    Everything in it is plain counts, sums and quantiles — what a sweep row
+    is printed from — unless the run recorded its chain (``record.chain``).
     """
 
     record: RunRecord
@@ -69,15 +76,11 @@ class ExperimentAnalysis:
 
     @property
     def failed_transactions(self) -> List[Transaction]:
-        """``record.failed_transactions()``; each carries its own failure stamp."""
+        """``record.failed_transactions()`` of a recorded run; each carries its stamp."""
         return self.record.failed_transactions()
 
-    def detached(self) -> "ExperimentAnalysis":
-        """This analysis around ``record.detached()``: no transaction, block or ledger."""
-        return replace(self, record=self.record.detached())
-
     def failures_of_type(self, failure_type: FailureType) -> List[Transaction]:
-        """All failed transactions of one class."""
+        """All failed transactions of one class (a recorded run's)."""
         return [tx for tx in self.failed_transactions if failure_type_of(tx) is failure_type]
 
     def hottest_conflicting_keys(self, limit: int = 10) -> List[tuple[str, int]]:
@@ -91,37 +94,29 @@ class ExperimentAnalysis:
 
 
 class LedgerAnalyzer:
-    """Parses run records into :class:`ExperimentAnalysis` objects."""
+    """Turns run records into :class:`ExperimentAnalysis` objects."""
 
     def analyze(self, record: RunRecord) -> ExperimentAnalysis:
-        """Collect the failures of ``record`` and compute its metrics.
+        """The metrics of ``record`` from its tally, per channel too.
 
         Multi-channel records additionally produce a :class:`ChannelAnalysis`
-        per channel; the top-level metrics aggregate over all chains.  A
-        channel's per-transaction totals were computed where it was simulated
-        (:attr:`ChannelRecord.totals <repro.network.network.ChannelRecord.totals>`),
-        so the one pass over transactions made here is the aggregate's.
+        per channel; the top-level metrics aggregate over all chains.
         """
-        channel_analyses: List[ChannelAnalysis] = []
-        for channel in record.channel_records:
-            channel_analyses.append(
-                ChannelAnalysis(
-                    index=channel.index,
-                    name=channel.name,
-                    metrics=compute_metrics(
-                        channel.record, channel.record.failed_transactions(), channel.totals
-                    ),
-                    cross_channel_submitted=channel.cross_channel_submitted,
-                    cross_channel_aborted=channel.cross_channel_aborted,
-                )
+        channel_analyses = [
+            ChannelAnalysis(
+                index=channel.index,
+                name=channel.name,
+                metrics=compute_metrics(channel.record),
+                cross_channel_submitted=channel.cross_channel_submitted,
+                cross_channel_aborted=channel.cross_channel_aborted,
             )
-        failed = record.failed_transactions()
-        keys = [tx.conflicting_key for tx in failed if tx.validation_code in CONFLICT_CODES]
-        totals = walk_transactions(record, block_times_of(record))
+            for channel in record.channel_records
+        ]
+        tally = record.tally
         return ExperimentAnalysis(
             record=record,
-            metrics=compute_metrics(record, failed, totals),
+            metrics=compute_metrics(record),
             channel_analyses=channel_analyses,
-            conflicting_keys=sorted(Counter(keys).items(), key=lambda pair: (-pair[1], pair[0])),
-            read_only_share=totals.read_only / max(1, len(record.transactions)),
+            conflicting_keys=tally.conflicting_keys,
+            read_only_share=tally.read_only / max(1, tally.attempts),
         )

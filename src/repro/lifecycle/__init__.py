@@ -11,6 +11,10 @@ observable pipeline:
 * :mod:`repro.lifecycle.retry` — the client retry/resubmission subsystem
   (policy hierarchy, per-client budgets, deployment-wide rate cap) driven by
   ``ABORTED`` events;
+* :mod:`repro.lifecycle.tally` — each channel's metrics, counted as its
+  attempts end, so a run keeps no transaction it is done with;
+* :mod:`repro.lifecycle.recorder` — the chain, kept for a consumer that
+  reads it;
 * :mod:`repro.lifecycle.pipeline` — the shared build path that assembles
   single- and multi-channel deployments identically.
 

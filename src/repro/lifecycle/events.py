@@ -90,6 +90,8 @@ class LifecycleEvent:
 
 #: A subscriber callback.
 LifecycleListener = Callable[[LifecycleEvent], None]
+#: A handler handed the transaction itself (see :meth:`LifecycleBus.handle`).
+TransactionHandler = Callable[[Transaction], None]
 
 
 def emit_event(
@@ -124,15 +126,21 @@ class LifecycleBus:
     that table and iterates the tuple directly — the tuple doubles as the
     iteration snapshot, so listeners may unsubscribe mid-delivery without
     disturbing the in-flight emission.
+
+    The channel's own bookkeeping — its tally and, when the chain is
+    recorded, its recorder — does not listen: it registers *handlers*
+    (:meth:`handle`), handed the transaction before any listener and without
+    an event object, so an unobserved run still builds none.
     """
 
-    __slots__ = ("_listeners", "_all_listeners", "_dispatch", "_counts")
+    __slots__ = ("_listeners", "_all_listeners", "_dispatch", "_counts", "_handlers")
 
     def __init__(self) -> None:
         self._listeners: Dict[LifecycleEventType, List[LifecycleListener]] = {}
         self._all_listeners: List[LifecycleListener] = []
         self._dispatch: List[Tuple[LifecycleListener, ...]] = [()] * len(_EVENT_TYPES)
         self._counts: List[int] = [0] * len(_EVENT_TYPES)
+        self._handlers: List[Tuple[TransactionHandler, ...]] = [()] * len(_EVENT_TYPES)
 
     @property
     def counts(self) -> Dict[LifecycleEventType, int]:
@@ -163,6 +171,15 @@ class LifecycleBus:
             listeners.remove(listener)
         self._rebuild_dispatch()
 
+    def handle(self, event_type: LifecycleEventType, handler: TransactionHandler) -> None:
+        """Hand ``handler`` the transaction of every ``event_type`` emission.
+
+        Handlers run in registration order, before the listeners; they stay
+        for the bus's lifetime.
+        """
+        index = event_type._bus_index
+        self._handlers[index] += (handler,)
+
     def _rebuild_dispatch(self) -> None:
         all_listeners = tuple(self._all_listeners)
         listeners = self._listeners
@@ -176,6 +193,8 @@ class LifecycleBus:
         """Deliver ``event`` to every matching subscriber, synchronously."""
         index = event.type._bus_index
         self._counts[index] += 1
+        for handler in self._handlers[index]:
+            handler(event.transaction)
         for listener in self._dispatch[index]:
             listener(event)
 
@@ -193,6 +212,8 @@ class LifecycleBus:
         """
         index = event_type._bus_index
         self._counts[index] += 1
+        for handler in self._handlers[index]:
+            handler(tx)
         listeners = self._dispatch[index]
         if listeners:
             event = LifecycleEvent(
@@ -216,6 +237,8 @@ class LifecycleBus:
         """
         index = event_type._bus_index
         self._counts[index] += 1
+        for handler in self._handlers[index]:
+            handler(tx)
         listeners = self._dispatch[index]
         if listeners:
             event = LifecycleEvent(

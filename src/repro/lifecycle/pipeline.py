@@ -30,11 +30,13 @@ def build_network(
     chaincode_factory: Callable[[], Chaincode],
     variant_factory: Union[str, Callable[[], FabricVariantBehavior]],
     seed: int = 7,
+    record_chain: bool = False,
 ):
     """Build the deployment described by ``config`` — the shared build path.
 
     ``variant_factory`` accepts either a variant name (resolved through the
     registry, a fresh behaviour per channel slice) or a zero-argument factory.
+    ``record_chain`` keeps the run's chain for a consumer that reads it.
     Returns the one :class:`~repro.channels.network.MultiChannelNetwork`.
     """
     from repro.channels.network import MultiChannelNetwork
@@ -48,4 +50,5 @@ def build_network(
         chaincode_factory=chaincode_factory,
         variant_factory=variant_factory,
         seed=seed,
+        record_chain=record_chain,
     )

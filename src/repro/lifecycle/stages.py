@@ -14,7 +14,7 @@ cross-channel coordinator abort transactions exclusively through
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 from repro.ledger.block import Block, Transaction, ValidationCode
 
@@ -28,11 +28,6 @@ class OrderingStage(Protocol):
     of it (stamps the channel and routes cross-channel transactions through
     the two-phase coordinator first).
     """
-
-    @property
-    def early_aborted(self) -> List[Transaction]:
-        """Transactions that terminally failed without ever reaching a block."""
-        ...
 
     def submit(self, tx: Transaction) -> None:
         """Accept one endorsed transaction into the ordering pipeline."""

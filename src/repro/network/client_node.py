@@ -103,8 +103,6 @@ class ClientNode:
         #: The channel's chaincode results (see :class:`ResultTable`); a
         #: client built on its own keeps a table of its own.
         self.results = results if results is not None else ResultTable()
-        self.submitted: List[Transaction] = []
-        self.read_only_skipped: List[Transaction] = []
         self.resubmitted_count = 0
         # What the per-attempt fan-out draws from ``rng`` is decided here, once:
         # ``choice`` and ``sample`` are replayed draw for draw for the stdlib
@@ -179,7 +177,6 @@ class ClientNode:
         times the transaction out (``ENDORSEMENT_TIMEOUT``) when responses
         are lost or stalled endorsers exceed the deadline.
         """
-        self.submitted.append(tx)
         self._emit(LifecycleEventType.SUBMITTED, tx)
         endorsing_orgs = self._select_orgs()
         round_ = EndorsementRound(tx, len(endorsing_orgs))
@@ -316,7 +313,6 @@ class ClientNode:
             # already known after the execution phase, so the transaction is
             # not submitted for ordering and validation.
             tx.committed_at = self.sim.now
-            self.read_only_skipped.append(tx)
             self._emit(LifecycleEventType.COMMITTED, tx)
             return
         if self.config.client_side_check and tx.endorsement_mismatch:

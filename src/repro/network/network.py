@@ -7,18 +7,18 @@ family — on the simulator clock of the
 :class:`~repro.channels.group.ChannelGroup` that owns it.  The slice does not
 run itself: the group calls :meth:`Channel.start_clients` (schedule the client
 arrivals), whoever the execution plan names advances the clock, and
-:meth:`Channel.collect_record` harvests a :class:`RunRecord` containing the
-ledger and every transaction, ready for the post-experiment analysis of
-:mod:`repro.core`.  The one deployment class that drives all of this — for
-one channel or many — is
+:meth:`Channel.collect_record` harvests a :class:`RunRecord`: the slice's
+folded :class:`~repro.lifecycle.tally.Tally`, its counters and utilizations,
+and — when the chain was recorded — its :class:`Chain`, ready for the
+analysis of :mod:`repro.core`.  The one deployment class that drives all of
+this — for one channel or many — is
 :class:`repro.channels.network.MultiChannelNetwork`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.chaincode.base import Chaincode
 from repro.checker.checker import IsolationChecker, IsolationReport
@@ -30,11 +30,13 @@ from repro.ledger.factory import genesis_base
 from repro.ledger.kvstore import VersionedKVStore
 from repro.ledger.ledger import Ledger
 from repro.lifecycle.events import LifecycleBus
+from repro.lifecycle.recorder import ChainRecorder
 from repro.lifecycle.retry import (
     ResubmissionGovernor,
     RetryController,
     create_retry_policy,
 )
+from repro.lifecycle.tally import ChannelTally, Tally, fold
 from repro.network.client_node import ClientNode
 from repro.network.config import NetworkConfig
 from repro.network.endorsement import build_policy
@@ -52,25 +54,56 @@ from repro.workload.distributions import KeyDistribution
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.spec import TransactionMix
 
-if TYPE_CHECKING:
-    from repro.core.metrics import TransactionTotals
+__all__ = ["Channel", "Chain", "RunRecord", "ChannelRecord"]
 
-__all__ = ["Channel", "RunRecord", "ChannelRecord"]
+#: What a :class:`Chain` holds, each readable off a recorded :class:`RunRecord`.
+CHAIN_FIELDS = ("ledger", "transactions", "early_aborted", "read_only_skipped")
 
-#: The :class:`RunRecord` fields that hold the chain: every transaction, block
-#: and read/write set of the run.  A detached record does not have them.
-CHAIN_FIELDS = ("ledger", "transactions", "early_aborted", "read_only_skipped", "channel_records")
+
+@dataclass(eq=False)
+class Chain:
+    """A recorded run's chain: every block and attempt, as the paper parses it.
+
+    Kept only when the run was built with ``record_chain=True`` (see
+    :class:`~repro.lifecycle.recorder.ChainRecorder`).  The aggregate of
+    several channels holds an empty ``ledger`` (each channel has its own)
+    and every channel's attempts.
+    """
+
+    ledger: Ledger
+    #: Every attempt, by submission time, then client order (the aggregate
+    #: of several channels: by submission time, then id).
+    transactions: List[Transaction] = field(default_factory=list)
+    #: Attempts that ended without reaching a block, in abort order.
+    early_aborted: List[Transaction] = field(default_factory=list)
+    #: Read-only attempts their client answered locally.
+    read_only_skipped: List[Transaction] = field(default_factory=list)
+
+
+def _chain_field(name: str) -> property:
+    def read(record: "RunRecord"):
+        if record.chain is None:
+            raise AnalysisError(
+                f"RunRecord.{name} was not recorded: a run keeps no transaction it is "
+                "done with; build it with record_chain=True to keep its chain"
+            )
+        return getattr(record.chain, name)
+
+    read.__doc__ = f"``chain.{name}`` of a recorded run (raises :class:`AnalysisError` otherwise)."
+    return property(read)
 
 
 @dataclass(eq=False, repr=False)
 class RunRecord:
     """Everything recorded during one simulated experiment run.
 
-    For multi-channel runs the aggregate record additionally carries one
-    :class:`ChannelRecord` per channel; the aggregate ``ledger`` is then empty
-    (each channel has its own chain) and consumers should iterate
-    :meth:`ledgers` / :meth:`failed_transactions`, which fall back to the
-    single ledger transparently.
+    ``tally`` is what the metrics read off the run's attempts.  For
+    multi-channel runs the aggregate record additionally carries one
+    :class:`ChannelRecord` per channel.  The chain — ``ledger``,
+    ``transactions``, ``early_aborted``, ``read_only_skipped`` — is there only
+    when it was recorded (``chain``); reading it off any other record raises
+    :class:`~repro.errors.AnalysisError`, never an empty run.
+    :meth:`ledgers` / :meth:`failed_transactions` cover every channel's chain.
     """
 
     config: NetworkConfig
@@ -80,10 +113,7 @@ class RunRecord:
     arrival_rate: float
     duration: float
     seed: int
-    ledger: Ledger
-    transactions: List[Transaction] = field(default_factory=list)
-    early_aborted: List[Transaction] = field(default_factory=list)
-    read_only_skipped: List[Transaction] = field(default_factory=list)
+    tally: Tally = field(default_factory=Tally)
     simulated_end: float = 0.0
     blocks_cut: int = 0
     orderer_utilization: float = 0.0
@@ -118,25 +148,13 @@ class RunRecord:
     #: Number of independent shards the run was partitioned into (1 = one
     #: simulator clock).
     shard_count: int = 1
+    #: Every block and attempt of the run (``None`` unless recorded).
+    chain: Optional[Chain] = None
 
-    def detached(self) -> "RunRecord":
-        """A copy without the :data:`CHAIN_FIELDS` — what crosses a pool or cache boundary.
-
-        Reading one of them off the copy, directly or through an accessor,
-        raises :class:`~repro.errors.AnalysisError`: never an empty run.
-        """
-        record = object.__new__(RunRecord)
-        vars(record).update((k, v) for k, v in vars(self).items() if k not in CHAIN_FIELDS)
-        return record
-
-    def __getattr__(self, name: str):
-        # Only reached when the attribute is missing: a detached record's chain.
-        if name in CHAIN_FIELDS:
-            raise AnalysisError(
-                f"RunRecord.{name} was left in the process that simulated the cell; "
-                "use run_experiment / run_repetition"
-            )
-        raise AttributeError(name)
+    ledger = _chain_field("ledger")
+    transactions = _chain_field("transactions")
+    early_aborted = _chain_field("early_aborted")
+    read_only_skipped = _chain_field("read_only_skipped")
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and vars(self) == vars(other)
@@ -144,10 +162,10 @@ class RunRecord:
     @property
     def submitted_count(self) -> int:
         """Number of transactions generated by the clients."""
-        return len(self.transactions)
+        return self.tally.attempts
 
     def ledgers(self) -> List[Ledger]:
-        """Every ledger of the run: one per channel, or just the single chain."""
+        """Every ledger of a recorded run: one per channel, or just the single chain."""
         if self.channel_records:
             return [channel.record.ledger for channel in self.channel_records]
         return [self.ledger]
@@ -170,12 +188,10 @@ class RunRecord:
 class ChannelRecord:
     """One channel's slice of a multi-channel run.
 
-    ``record`` is the channel's own :class:`RunRecord` (ledger, transactions,
-    utilizations) — exactly what a single-channel run would have produced for
-    that shard — plus the cross-channel bookkeeping of the coordinator, and
-    ``totals``: the pass over ``record.transactions`` the analysis reads
-    (:func:`repro.core.metrics.walk_transactions`), made by the process that
-    simulated the channel.
+    ``record`` is the channel's own :class:`RunRecord` (tally, utilizations,
+    and its chain when recorded) — exactly what a single-channel run would
+    have produced for that shard — plus the cross-channel bookkeeping of the
+    coordinator.
     """
 
     index: int
@@ -183,11 +199,10 @@ class ChannelRecord:
     record: RunRecord
     cross_channel_submitted: int = 0
     cross_channel_aborted: int = 0
-    totals: Optional["TransactionTotals"] = None
 
     @property
     def ledger(self) -> Ledger:
-        """The channel's own chain."""
+        """The channel's own chain (a recorded run's)."""
         return self.record.ledger
 
 
@@ -209,6 +224,10 @@ class Channel:
     root stream family, ``tx-`` ids, unstamped ``tx.channel``, ``orderer``
     queue probe, and ``channel=None`` for the fault controller (which then
     reads the partition windows of channel 0), checker and block times.
+
+    Every slice keeps a :class:`~repro.lifecycle.tally.ChannelTally` on its
+    bus (``tally``) and so lets go of each attempt at its last event; with
+    ``record_chain`` it also keeps its blocks and attempts (``recorder``).
     """
 
     def __init__(
@@ -221,6 +240,7 @@ class Channel:
         streams: RandomStreams,
         label: Optional[int],
         arrival_share: float,
+        record_chain: bool = False,
     ) -> None:
         self.variant = variant
         self.config = variant.configure(config.copy())
@@ -243,8 +263,12 @@ class Channel:
             self.tx_ids = TransactionIdAllocator(f"tx-c{label}")
             self.queue_probe = f"orderer.ch{label}"
         self.sim = sim
-        self.ledger = Ledger()
+        self.ledger = Ledger(keep_blocks=record_chain)
         self.bus = LifecycleBus()
+        self.tally = ChannelTally(
+            self.bus, self.ledger, self.tx_ids.prefix, retries=self.config.retry.enabled
+        )
+        self.recorder: Optional[ChainRecorder] = ChainRecorder(self.bus) if record_chain else None
         #: Fault controller of this slice (``None`` keeps the no-fault path
         #: bit-identical: no stream is drawn, no event scheduled).
         self.faults: Optional[FaultController] = (
@@ -320,6 +344,7 @@ class Channel:
                     store=store,
                     is_endorser=is_endorser and store is not None,
                     faults=self.faults,
+                    on_late_stamp=self.tally.late_stamp,
                 )
                 organization.peers.append(peer)
                 self.peers.append(peer)
@@ -382,7 +407,9 @@ class Channel:
                 rng=self.streams.stream("retry"),
                 governor=retry_governor,
             )
-        for client_index in range(self.config.clients):
+        names = [f"client{client_index}" for client_index in range(self.config.clients)]
+        self.tally.set_clients(names)
+        for client_index, name in enumerate(names):
             rng = self.streams.stream(f"client-{client_index}")
             workload = WorkloadGenerator(
                 chaincode=self.chaincode,
@@ -393,7 +420,7 @@ class Channel:
             )
             client = ClientNode(
                 sim=self.sim,
-                name=f"client{client_index}",
+                name=name,
                 config=self.config,
                 chaincode=self.chaincode,
                 workload=workload,
@@ -441,14 +468,22 @@ class Channel:
     def collect_record(
         self, arrival_rate: float, duration: float, workload_name: str = "custom"
     ) -> RunRecord:
-        """Harvest the run record once the simulation has drained."""
-        transactions: List[Transaction] = []
-        read_only_skipped: List[Transaction] = []
-        for client in self.clients:
-            transactions.extend(client.submitted)
-            read_only_skipped.extend(client.read_only_skipped)
-        transactions.sort(key=attrgetter("submitted_at"))
+        """Harvest the run record once the simulation has drained.
 
+        Closes the slice's tally and folds it into the record's; the closed
+        tally stays on :attr:`tally` for a fold across channels.
+        """
+        chain: Optional[Chain] = None
+        if self.recorder is not None:
+            transactions, read_only_skipped = self.recorder.in_client_order(
+                [client.name for client in self.clients]
+            )
+            chain = Chain(
+                ledger=self.ledger,
+                transactions=transactions,
+                early_aborted=list(self.recorder.early_aborted),
+                read_only_skipped=read_only_skipped,
+            )
         horizon = max(duration, self.sim.now)
         endorsing_peers = [peer for peer in self.peers if peer.is_endorser]
         mean_validation = mean(
@@ -470,10 +505,7 @@ class Channel:
             arrival_rate=arrival_rate,
             duration=duration,
             seed=self.seed,
-            ledger=self.ledger,
-            transactions=transactions,
-            early_aborted=list(self.orderer.early_aborted),
-            read_only_skipped=read_only_skipped,
+            tally=fold([self.tally.close()]),
             simulated_end=self.sim.now,
             blocks_cut=self.orderer.blocks_cut,
             orderer_utilization=self.orderer.consensus_station.utilization(horizon),
@@ -491,4 +523,5 @@ class Channel:
                 if self.isolation_checker is not None
                 else None
             ),
+            chain=chain,
         )

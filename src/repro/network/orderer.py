@@ -75,7 +75,6 @@ class OrderingService:
         self.reference_peer = peers[0]
         self.transactions_received = 0
         self.blocks_cut = 0
-        self.early_aborted: List[Transaction] = []
         self._pending: List[Transaction] = []
         self._pending_bytes = 0
         self._timeout_event: Optional[Event] = None
@@ -109,7 +108,6 @@ class OrderingService:
         if reason is not None:
             tx.abort_reason = reason
         tx.committed_at = self.sim.now
-        self.early_aborted.append(tx)
         bus = self.bus
         if bus is not None:
             bus.emit_failure(LifecycleEventType.ABORTED, self.sim.now, tx)

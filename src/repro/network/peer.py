@@ -110,6 +110,7 @@ class Peer:
         store: Optional[MutableStateStore] = None,
         is_endorser: bool = False,
         faults: Optional[FaultController] = None,
+        on_late_stamp: Optional[Callable[[Transaction], None]] = None,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -122,6 +123,9 @@ class Peer:
         self.store = store
         self.is_endorser = is_endorser
         self.faults = faults
+        #: Told of an attempt whose first execution came after it had ended
+        #: (the channel's :meth:`~repro.lifecycle.tally.ChannelTally.late_stamp`).
+        self.on_late_stamp = on_late_stamp
         self.committed_height = 0
         self.endorsements_served = 0
         self.blocks_committed = 0
@@ -178,6 +182,8 @@ class Peer:
                 # The transaction takes ownership of the stub's latency dict;
                 # the row only ever hands out copies of it.
                 tx._db_call_latency = stub.db_call_latency
+                if tx.committed_at is not None and self.on_late_stamp is not None:
+                    self.on_late_stamp(tx)
             result = (stub.rwset, stub.execution_cost, stub.db_call_latency)
             if token is not None:
                 if len(simulated) >= RESULT_TOKENS_PER_ROW:
@@ -186,6 +192,8 @@ class Peer:
         elif tx._db_call_latency is None:
             # Another transaction's execution: its dict stays with its owner.
             tx._db_call_latency = dict(result[2])
+            if tx.committed_at is not None and self.on_late_stamp is not None:
+                self.on_late_stamp(tx)
         rwset, execution_cost, _latency = result
         service_time = (
             execution_cost + self.timing.endorsement_overhead

@@ -325,12 +325,12 @@ def _wrong_type(blob: bytes) -> bytes:
 
 
 def _earlier_shape(blob: bytes) -> bytes:
-    # What a cache directory written before results were detached holds: the
-    # whole attached analysis — chain and ``failed_transactions`` list included
-    # — without the two facts the analyzer has computed since.  Every class it
+    # What a cache directory written by an early tree holds: a whole analysis
+    # with its chain and ``failed_transactions`` list — without the two facts
+    # the analyzer has computed since.  Every class it
     # names still exists, so it unpickles, into an object that raises
     # AttributeError on first use.
-    analysis = run_repetition(tiny_config(), 0)
+    analysis = run_repetition(tiny_config(), 0, record_chain=True)
     state = vars(analysis)
     state["failed_transactions"] = analysis.record.failed_transactions()
     del state["conflicting_keys"], state["read_only_share"]
@@ -639,7 +639,7 @@ def test_sharded_repetitions_run_under_the_parallel_runner():
     config = _sharded_config(shard_workers=0)
     parallel = ExperimentRunner(workers=2, cache=None).run(config)
     serial = ExperimentRunner(workers=1, cache=None).run(config)
-    # Whole detached analyses: every record scalar, every metrics field, per
+    # Whole analyses: every record scalar, every metrics field, per
     # channel too (tests/test_runner_results.py holds the boundary contract).
     assert parallel.analyses[0] == serial.analyses[0]
     assert parallel.analyses[0].metrics.submitted_transactions > 0

@@ -13,6 +13,8 @@ from repro.core.failures import MVCC, FailureType
 from repro.errors import ConfigurationError, SimulationError
 from repro.ledger.block import ValidationCode
 from repro.ledger.ledger import Ledger
+from repro.lifecycle.events import LifecycleBus
+from repro.lifecycle.tally import ChannelTally
 from repro.network.config import NetworkConfig
 from repro.network.network import ChannelRecord, RunRecord
 from repro.observability.observer import ObservabilityData
@@ -50,7 +52,7 @@ def channel_config(
 
 # ------------------------------------------------------------------ structure
 def test_multi_channel_run_produces_per_channel_records():
-    analysis = run_experiment(channel_config(channels=3)).analyses[0]
+    analysis = run_experiment(channel_config(channels=3), record_chain=True).analyses[0]
     record = analysis.record
     assert len(record.channel_records) == 3
     assert [channel.name for channel in record.channel_records] == [
@@ -145,7 +147,7 @@ def test_channel_scaling_raises_throughput_and_lowers_mvcc():
 # -------------------------------------------------------------- cross-channel
 def test_cross_channel_transactions_are_marked_and_coordinated():
     analysis = run_experiment(
-        channel_config(channels=2, cross_channel_rate=0.5, arrival_rate=200.0)
+        channel_config(channels=2, cross_channel_rate=0.5, arrival_rate=200.0), record_chain=True
     ).analyses[0]
     record = analysis.record
     cross = [tx for tx in record.transactions if tx.partner_channel is not None]
@@ -159,7 +161,8 @@ def test_cross_channel_transactions_are_marked_and_coordinated():
 
 def test_cross_channel_aborts_form_their_own_failure_class():
     analysis = run_experiment(
-        channel_config(channels=2, cross_channel_rate=0.6, arrival_rate=300.0, duration=4.0)
+        channel_config(channels=2, cross_channel_rate=0.6, arrival_rate=300.0, duration=4.0),
+        record_chain=True,
     ).analyses[0]
     report = analysis.failure_report
     aborted = analysis.failures_of_type(FailureType.CROSS_CHANNEL_ABORT)
@@ -199,6 +202,7 @@ def test_neighbor_partner_strategy_forms_a_ring():
         variant_factory=lambda: create_variant("fabric-1.4"),
         seed=5,
         partner_strategy="neighbor",
+        record_chain=True,
     )
     record = network.run(
         mix=experiment.workload.mix, arrival_rate=150.0, duration=2.0
@@ -210,7 +214,7 @@ def test_neighbor_partner_strategy_forms_a_ring():
 
 
 def test_cross_channel_rate_zero_produces_no_cross_traffic():
-    analysis = run_experiment(channel_config(channels=4)).analyses[0]
+    analysis = run_experiment(channel_config(channels=4), record_chain=True).analyses[0]
     assert all(tx.partner_channel is None for tx in analysis.record.transactions)
     assert analysis.failure_report.pct(FailureType.CROSS_CHANNEL_ABORT) == 0.0
 
@@ -242,13 +246,16 @@ def _group_result(*indices: int):
                 arrival_rate=1.0,
                 duration=1.0,
                 seed=7,
-                ledger=Ledger(),
             ),
         )
         for index in indices
     ]
+    tallies = {
+        index: ChannelTally(LifecycleBus(), Ledger(keep_blocks=False), f"tx-c{index}").close()
+        for index in indices
+    }
     loads = {index: {"orderer": (0.0, 1), "validation": [], "endorsement": []} for index in indices}
-    return GroupResult(records=records, loads=loads, end=1.0)
+    return GroupResult(records=records, tallies=tallies, loads=loads, end=1.0)
 
 
 def _merge(results):

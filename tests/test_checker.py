@@ -205,7 +205,7 @@ def test_fabricsharp_history_certifies_si_on_its_own_evidence():
 # ------------------------------------------------------------------ round trip
 def test_exported_history_rechecks_to_the_same_verdict():
     config = golden_config("fabric-1.4", 1)
-    result = run_experiment(checked(config))
+    result = run_experiment(checked(config), record_chain=True)
     record = result.analyses[0].record
     document = history_document(record)
     offline = check_document(document)

@@ -12,10 +12,10 @@ import weakref
 from contextlib import contextmanager
 
 import pytest
+from test_sharded_execution import plan_free
 
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.chaincode import create_chaincode
-from repro.core.fingerprint import record_fingerprint
 from repro.checker.config import CheckerConfig
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
@@ -46,12 +46,14 @@ def ehr_cell(**network) -> ExperimentConfig:
     )
 
 
-def build_cell(config: ExperimentConfig):
+def build_cell(config: ExperimentConfig, record_chain: bool = True):
+    """The cell's deployment, its chain recorded unless asked otherwise."""
     return build_network(
         config=config.network,
         chaincode_factory=config.build_chaincode,
         variant_factory=config.variant,
         seed=config.seed,
+        record_chain=record_chain,
     )
 
 
@@ -107,12 +109,12 @@ def test_equal_endorsements_share_the_transaction_rwset():
     assert_rwsets_shared(record.transactions)
 
 
-def test_tracked_objects_per_retained_transaction_are_pinned():
+def test_tracked_objects_per_recorded_transaction_are_pinned():
     config = ehr_cell()
-    run_repetition(config, 0)  # imports, caches and interned strings settle
+    run_repetition(config, 0, record_chain=True)  # imports, caches and interned strings settle
     gc.collect()
     before = len(gc.get_objects())
-    analysis = run_repetition(config, 0)
+    analysis = run_repetition(config, 0, record_chain=True)
     gc.collect()
     retained = len(gc.get_objects()) - before
     transactions = len(analysis.record.transactions)
@@ -120,22 +122,26 @@ def test_tracked_objects_per_retained_transaction_are_pinned():
     assert retained // transactions <= TRACKED_OBJECTS_PER_TX_CEILING
 
 
-def test_sharing_survives_the_shard_transport_with_the_checker_on():
+def test_sharing_holds_with_the_checker_on_and_a_shard_ships_no_chain():
     # The checker crosses the pool with its channel; an observer never does
-    # (an observed run keeps the shared clock).
+    # (an observed run keeps the shared clock), and neither does a chain (a
+    # recorded run keeps the shared clock too).
     options = dict(
         cluster="C2",
         channels=2,
         cross_channel_rate=0.0,
         checker=CheckerConfig(enabled=True),
     )
-    shared = run_cell(ehr_cell(execution=ExecutionConfig(), **options))
+    shared_config = ehr_cell(execution=ExecutionConfig(), **options)
+    recorded = run_cell(shared_config)
+    assert_rwsets_shared(recorded.transactions)
     # An explicit worker count forces the real pool, whatever the core count.
-    sharded = run_cell(ehr_cell(execution=ExecutionConfig(shard_workers=2), **options))
-    assert sharded.execution == "sharded"
-    assert sharded.isolation is not None
-    assert record_fingerprint(sharded) == record_fingerprint(shared)
-    assert_rwsets_shared(sharded.transactions)
+    config = ehr_cell(execution=ExecutionConfig(shard_workers=2), **options)
+    sharded = run_cell(config, build_cell(config, record_chain=False))
+    assert sharded.execution == "sharded" and sharded.chain is None
+    assert sharded.isolation.summary() == recorded.isolation.summary()
+    shared = run_cell(shared_config, build_cell(shared_config, record_chain=False))
+    assert plan_free(sharded) == plan_free(shared)
 
 
 # --------------------------------------------------------- full collections
@@ -158,12 +164,12 @@ def test_no_full_collection_starts_inside_a_run(monkeypatch, deployment):
     # Enough transactions that the interpreter's own schedule would have run
     # full collections (it does, at the parent of this change).
     config = config.with_overrides(duration=20.0)
-    network = build_cell(config)
+    network = build_cell(config, record_chain=False)
     gc.collect()  # nothing owed from earlier tests: the scope would pay it on entry
     state = collector_state()
     with full_collections() as seen:
         record = run_cell(config, network)
-    assert len(record.transactions) > 1500
+    assert record.submitted_count > 1500
     if deployment == "sharded-in-process":
         assert record.execution == "sharded" and network.shard_workers_used == 1
     assert seen == []

@@ -6,9 +6,11 @@ from dataclasses import replace
 
 import pytest
 
+from metrics_oracle import failure_report
+
 from repro.bench.harness import run_experiment, run_repetition
 from repro.core.failures import MVCC, FailureType
-from repro.core.metrics import FailureReport, build_failure_report, compute_metrics
+from repro.core.metrics import FailureReport, compute_metrics
 from repro.core.recommendations import RecommendationEngine
 from repro.ledger.block import Transaction, ValidationCode
 
@@ -51,7 +53,7 @@ def test_failure_report_empty_is_all_zero():
     assert report.as_dict()["total"] == 0.0
 
 
-def test_build_failure_report_counts_types():
+def test_the_oracle_failure_report_counts_types():
     def failed(code, **stamp):
         return Transaction(
             tx_id="tx", client_name="c", chaincode_name="t", function="f",
@@ -63,7 +65,7 @@ def test_build_failure_report_counts_types():
         failed(ValidationCode.MVCC_READ_CONFLICT, block_number=4, conflicting_block=4),
         failed(ValidationCode.PHANTOM_READ_CONFLICT, block_number=4, conflicting_block=2),
     ]
-    report = build_failure_report(items, total_transactions=10)
+    report = failure_report(items, total_transactions=10)
     assert report.count(FailureType.MVCC_INTRA_BLOCK) == 2
     assert report.count(FailureType.PHANTOM_READ) == 1
     assert report.count(FailureType.ENDORSEMENT_POLICY) == 0
@@ -111,7 +113,7 @@ def test_metrics_failure_breakdown_is_consistent(tiny_experiment):
 
 
 def test_analyzer_produces_classified_failures(tiny_experiment):
-    result = run_experiment(tiny_experiment)
+    result = run_experiment(tiny_experiment, record_chain=True)
     analysis = result.analyses[0]
     failed_on_ledger = len(analysis.record.ledger.failed_transactions())
     assert len(analysis.failed_transactions) == failed_on_ledger + len(analysis.record.early_aborted)
@@ -127,11 +129,10 @@ def test_analyzer_hottest_keys_are_ranked(tiny_experiment):
     assert counts == sorted(counts, reverse=True)
 
 
-def test_compute_metrics_accepts_precomputed_classification(tiny_experiment):
+def test_compute_metrics_reads_the_record_tally(tiny_experiment):
     result = run_experiment(tiny_experiment)
     analysis = result.analyses[0]
-    recomputed = compute_metrics(analysis.record, analysis.failed_transactions)
-    assert recomputed.failure_report == analysis.metrics.failure_report
+    assert compute_metrics(analysis.record) == analysis.metrics
 
 
 # ----------------------------------------------------------------- recommendations

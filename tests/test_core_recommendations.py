@@ -4,8 +4,8 @@ The engine only looks at the failure report, the network configuration, the
 analysis' two transaction facts (read-only share, database call types) and
 (for the channel rules) the per-channel analyses, so each rule can be
 exercised with a small synthetic analysis — no simulation required.  That it
-never reads the chain is checked on real cells at the end: the attached and
-the detached analysis of one repetition yield the same recommendations.
+never reads the chain is checked on real cells at the end: the recorded and
+the unrecorded analysis of one repetition yield the same recommendations.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from typing import Dict, List, Optional
 import pytest
 
 from repro.bench.harness import ExperimentConfig, run_repetition
-from repro.core.analyzer import ChannelAnalysis, ExperimentAnalysis, LedgerAnalyzer
+from repro.core.analyzer import ChannelAnalysis, ExperimentAnalysis
 from repro.core.failures import FailureType
 from repro.core.metrics import ExperimentMetrics, FailureReport
 from repro.core.recommendations import RecommendationEngine
-from repro.ledger.ledger import Ledger
 from repro.lifecycle.retry import RetryConfig
 from repro.network.config import NetworkConfig
 from repro.network.network import RunRecord
@@ -73,7 +72,6 @@ def make_analysis(
         arrival_rate=100.0,
         duration=10.0,
         seed=1,
-        ledger=Ledger(),
     )
     metrics = make_metrics(report, orderer_utilization=orderer_utilization)
     metrics.function_call_latency_ms = db_calls or {}
@@ -313,7 +311,7 @@ REAL_CELLS = {
     ),
     # Endorsers execute on copy-on-write overlays, which take the range-scan
     # path, so no simulated cell charges ``GetQueryResult``: the test stamps
-    # one such call on this cell's chain and parses the chain again.
+    # one such call on this cell's metrics.
     "couchdb-with-rich-queries": (
         _cell(uniform_workload("SCM"), database="couchdb"),
         "range-queries",
@@ -335,21 +333,23 @@ REAL_CELLS = {
 
 
 @pytest.mark.parametrize("name", list(REAL_CELLS))
-def test_detached_analysis_yields_the_recommendations_of_the_attached_one(name):
+def test_a_recorded_run_yields_the_recommendations_of_an_unrecorded_one(name):
     config, expected, absent = REAL_CELLS[name]
-    attached = run_repetition(config, 0)
-    transactions = attached.record.transactions
-    if name == "couchdb-with-rich-queries":
-        transactions[0].db_call_latency["GetQueryResult"] = 0.02
-        attached = LedgerAnalyzer().analyze(attached.record)
+    recorded = run_repetition(config, 0, record_chain=True)
+    unrecorded = run_repetition(config, 0)
+    transactions = recorded.record.transactions
     # The two facts equal the scans over the chain they replaced.
-    assert attached.read_only_share == sum(tx.read_only for tx in transactions) / len(transactions)
-    assert ("GetQueryResult" in attached.metrics.function_call_latency_ms) == any(
-        "GetQueryResult" in tx.db_call_latency for tx in transactions
-    )
+    read_only = sum(tx.read_only for tx in transactions)
+    assert unrecorded.read_only_share == read_only / len(transactions)
+    assert set(unrecorded.metrics.function_call_latency_ms) == {
+        operation for tx in transactions for operation in tx.db_call_latency
+    }
+    if name == "couchdb-with-rich-queries":
+        for analysis in (recorded, unrecorded):
+            analysis.metrics.function_call_latency_ms["GetQueryResult"] = 0.02
     engine = RecommendationEngine()
-    from_chain = engine.recommend(attached)
+    from_chain = engine.recommend(recorded)
     # Recommendation equality covers identifier, title and rationale text.
-    assert from_chain == engine.recommend(attached.detached())
+    assert from_chain == engine.recommend(unrecorded)
     assert expected in {r.identifier for r in from_chain}
     assert absent not in {r.identifier for r in from_chain}

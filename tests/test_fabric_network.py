@@ -15,12 +15,16 @@ from repro.workload.workloads import uniform_workload
 
 
 def build_network(seed=5, **overrides):
-    """The one-channel deployment; its Fabric slice is ``network.channels[0]``."""
+    """The one-channel deployment, chain recorded; its slice is ``network.channels[0]``."""
     config = NetworkConfig(
         cluster="C1", clients=2, block_size=10, database="leveldb", **overrides
     )
     return pipeline.build_network(
-        config, lambda: create_chaincode("EHR", patients=30), "fabric-1.4", seed=seed
+        config,
+        lambda: create_chaincode("EHR", patients=30),
+        "fabric-1.4",
+        seed=seed,
+        record_chain=True,
     )
 
 

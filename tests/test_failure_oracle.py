@@ -71,7 +71,7 @@ CELLS: Dict[str, ExperimentConfig] = {
 @functools.lru_cache(maxsize=None)
 def run_cell(name: str) -> RunRecord:
     config = CELLS[name]
-    return single.run(single.build(config), config)
+    return single.run(single.build(config, record_chain=True), config)
 
 
 def stamp_of(tx: Transaction) -> Verdict:
@@ -138,6 +138,9 @@ def test_analysis_lists_the_failures_in_replay_order(name):
         assert channel.record.failed_transactions() == [tx for tx, _verdict in chain]
     flat = [failure for chain in replayed for failure in chain]
     assert [id(tx) for tx in analysis.failed_transactions] == [id(tx) for tx, _verdict in flat]
+    # The tally counts the classes in that order, first seen first.
+    first_seen = list(dict.fromkeys(stamp_of(tx).failure_type for tx, _verdict in flat))
+    assert list(analysis.failure_report.counts) == first_seen
     counts: Dict[FailureType, int] = {}
     for _tx, verdict in flat:
         counts[verdict.failure_type] = counts.get(verdict.failure_type, 0) + 1

@@ -1,7 +1,7 @@
 """End-to-end integration tests of the Execute-Order-Validate pipeline.
 
-These tests run small but complete experiments through the public harness and
-check cross-module invariants: ledger consistency, agreement between the
+These tests run small but complete experiments through the public harness,
+their chains recorded, and check cross-module invariants: ledger consistency, agreement between the
 validator's codes and the reported failure classes, conservation of
 transactions across the pipeline stages, and the behaviour of each Fabric
 variant.
@@ -9,16 +9,22 @@ variant.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 from failure_oracle import replay_chain
 
-from repro.bench.harness import ExperimentConfig, run_experiment
+from repro.bench import harness
+from repro.bench.harness import ExperimentConfig
 from repro.core.failures import MVCC, FailureType, failure_type_of
 from repro.ledger.block import ValidationCode
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
 from repro.workload.distributions import make_distribution
 from repro.workload.workloads import delete_heavy, synthetic_workload, uniform_workload
+
+#: Every run of this module reads its chain.
+run_experiment = partial(harness.run_experiment, record_chain=True)
 
 
 def small_config(variant="fabric-1.4", workload=None, **net_overrides) -> ExperimentConfig:
@@ -101,7 +107,11 @@ def test_committed_state_reflects_only_valid_transactions():
     for workload in (uniform_workload("EHR", patients=40), delete_heavy()):
         config = small_config(workload=workload)
         deployment = build_network(
-            config.network, config.build_chaincode, config.variant, seed=config.seed
+            config.network,
+            config.build_chaincode,
+            config.variant,
+            seed=config.seed,
+            record_chain=True,
         )
         record = deployment.run(
             mix=config.workload.mix,

@@ -105,6 +105,6 @@ def test_one_execution_never_contradicts_itself(chaincode, tiny_experiment):
     # reads never name one key at two versions.  Each chaincode, every attempt.
     kwargs = {"num_keys": 2000} if chaincode == "genChain" else {}
     config = replace(tiny_experiment, workload=uniform_workload(chaincode, **kwargs))
-    transactions = run_repetition(config, 0).record.transactions
+    transactions = run_repetition(config, 0, record_chain=True).record.transactions
     assert len(transactions) > 100
     assert all(read_sets_consistent([tx.rwset]) for tx in transactions)

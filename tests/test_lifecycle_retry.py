@@ -165,7 +165,9 @@ def test_uncapped_governor_admits_everything():
 
 # ---------------------------------------------------------------- end to end
 def test_resubmission_creates_fresh_attempts_with_lineage():
-    record = run_experiment(retry_experiment("immediate", max_retries=2)).analyses[0].record
+    record = run_experiment(
+        retry_experiment("immediate", max_retries=2), record_chain=True
+    ).analyses[0].record
     assert record.resubmissions > 0
     retries = [tx for tx in record.transactions if tx.attempt > 0]
     assert len(retries) == record.resubmissions
@@ -188,7 +190,9 @@ def test_retries_lower_the_client_effective_failure_rate():
 
 
 def test_lifecycle_counts_are_consistent_with_the_record():
-    record = run_experiment(retry_experiment("immediate", max_retries=1)).analyses[0].record
+    record = run_experiment(
+        retry_experiment("immediate", max_retries=1), record_chain=True
+    ).analyses[0].record
     counts = record.lifecycle_counts
     # Every attempt (first submissions + resubmissions) emitted SUBMITTED and
     # exactly one of ENDORSED / ENDORSEMENT_FAILED.
@@ -224,7 +228,7 @@ def test_global_rate_cap_is_shared_across_channels():
 
 
 def test_retry_disabled_keeps_run_records_free_of_retry_state():
-    record = run_experiment(retry_experiment("none")).analyses[0].record
+    record = run_experiment(retry_experiment("none"), record_chain=True).analyses[0].record
     assert record.retry_policy == "none"
     assert record.resubmissions == 0
     assert record.retries_exhausted == 0
@@ -295,6 +299,7 @@ def test_repeated_start_clients_detaches_the_previous_controller():
         chaincode_factory=experiment.build_chaincode,
         variant_factory="fabric-1.4",
         seed=3,
+        record_chain=True,
     ).channels
     for _ in range(2):
         network.start_clients(

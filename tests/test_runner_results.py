@@ -1,11 +1,11 @@
-"""The runner's boundary contract: a result is the cell's *detached* analysis.
+"""The runner's boundary contract: a result is the cell's analysis, chain-free.
 
 What :class:`~repro.bench.runner.ExperimentRunner` yields — from a pool
 worker, from the in-process path, for a duplicate cell, from the memory cache
-or from disk — is everything a sweep row, a figure or a recommendation reads,
-with the chain (ledger, transactions, read/write sets) left in the process that
-simulated the cell.  A detached result never reads as an empty run: every way
-to the chain raises :class:`~repro.errors.AnalysisError`.
+or from disk — is the analysis every unrecorded run produces: everything a
+sweep row, a figure or a recommendation reads, and no ledger, transaction or
+read/write set, because the run kept none.  Such an analysis never reads as
+an empty run: every way to the chain raises :class:`~repro.errors.AnalysisError`.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from repro.workload.workloads import uniform_workload
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHAIN_CLASSES = (Transaction, Block, Ledger, ReadWriteSet)
-KEPT_RECORD_FIELDS = [field.name for field in fields(RunRecord) if field.name not in CHAIN_FIELDS]
-#: What a disk entry may weigh (the attached analyses weighed 100-650 KB).
+RECORD_FIELDS = [field.name for field in fields(RunRecord)]
+#: What a disk entry may weigh (the analyses that kept their chain weighed 100-650 KB).
 ENTRY_CEILING_BYTES = 16 * 1024
 
 
@@ -95,86 +95,83 @@ def test_pickling_a_runner_result_reaches_no_chain_object(name):
     config = CELLS[name]
     (result,) = ExperimentRunner(workers=1, cache=None).run_many([config])
     assert not classes_pickled(result) & set(CHAIN_CLASSES)
-    # The probe does see them where they are: in the attached analysis.
-    assert set(CHAIN_CLASSES) <= classes_pickled(run_repetition(config, 0))
+    assert not classes_pickled(run_repetition(config, 0)) & set(CHAIN_CLASSES)
+    # The probe does see them where they are: in a recorded analysis.
+    assert set(CHAIN_CLASSES) <= classes_pickled(run_repetition(config, 0, record_chain=True))
 
 
-def test_pickling_a_group_result_reaches_no_state_store():
+def test_pickling_a_group_result_reaches_no_chain_and_no_state_store():
     # A shard worker's channels overlay the genesis its own process holds;
-    # what it sends back is the group's records, never a store or an overlay.
+    # what it sends back is the group's records and tallies — never a
+    # transaction, a store or an overlay.
     config = cell(channels=2, cross_channel_rate=0.0, execution=ExecutionConfig(shard_workers=2))
     network = build_network(config.network, config.build_chaincode, config.variant, seed=3)
     assert network.execution_mode == "sharded" and len(network._specs) == 2
     args = RunArgs(config.workload.mix, config.arrival_rate, config.duration, None, "EHR")
     result = simulate_group(network._specs[1], args)
-    assert result.records[0].record.transactions
+    assert result.tallies[1].attempts > 0 and result.records[0].record.chain is None
     reached = classes_pickled(result)
-    assert set(CHAIN_CLASSES) <= reached
+    assert not reached & set(CHAIN_CLASSES)
     assert not [found for found in reached if issubclass(found, EpochCommitState)]
     # The probe does see a store where there is one.
     assert LevelDBStore in classes_pickled(make_state_store("leveldb"))
 
 
 @pytest.mark.parametrize("name", list(CELLS))
-def test_detached_analysis_keeps_everything_but_the_chain(name):
+def test_a_runner_result_is_the_analysis_of_the_run(name):
     config = CELLS[name]
-    attached = run_repetition(config, 0)
-    detached = ExperimentRunner(workers=1, cache=None).run(config).analyses[0]
-    assert attached.metrics.submitted_transactions > 50
-    assert detached.metrics == attached.metrics
+    result = ExperimentRunner(workers=1, cache=None).run(config).analyses[0]
+    assert result == run_repetition(config, 0)
+    recorded = run_repetition(config, 0, record_chain=True)
+    assert result.metrics.submitted_transactions > 50
+    assert result.metrics == recorded.metrics
     channels = config.network.channels
-    assert len(detached.channel_analyses) == (channels if channels > 1 else 0)
-    for ours, theirs in zip(detached.channel_analyses, attached.channel_analyses):
-        assert (ours.index, ours.name, ours.metrics) == (theirs.index, theirs.name, theirs.metrics)
-        assert ours.cross_channel_submitted == theirs.cross_channel_submitted
-        assert ours.cross_channel_aborted == theirs.cross_channel_aborted
-    assert sorted(vars(detached.record)) == sorted(KEPT_RECORD_FIELDS)
-    for field_name in KEPT_RECORD_FIELDS:
-        assert getattr(detached.record, field_name) == getattr(attached.record, field_name)
+    assert len(result.channel_analyses) == (channels if channels > 1 else 0)
+    assert result.channel_analyses == recorded.channel_analyses
+    assert sorted(vars(result.record)) == sorted(RECORD_FIELDS)
+    assert result.record.chain is None
+    for field_name in RECORD_FIELDS:
+        if field_name not in ("chain", "channel_records"):
+            assert getattr(result.record, field_name) == getattr(recorded.record, field_name)
     # The ranked key table is the scan it replaced: MVCC and phantom conflicts
     # only — the lock key a cross-channel abort is stamped with stays out.
-    classes = [(failure_type_of(tx), tx.conflicting_key) for tx in attached.failed_transactions]
+    classes = [(failure_type_of(tx), tx.conflicting_key) for tx in recorded.failed_transactions]
     if name == "4-channel":
         assert any(failure is FailureType.CROSS_CHANNEL_ABORT and key for failure, key in classes)
     counts = Counter(
         key for failure, key in classes if failure.is_mvcc or failure is FailureType.PHANTOM_READ
     )
-    assert attached.conflicting_keys == sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))
-    assert detached.hottest_conflicting_keys(3) == attached.conflicting_keys[:3] != []
-    assert detached == attached.detached()
-    assert detached != attached
-    # Detaching again changes nothing, and the attached analysis stays whole.
-    assert detached.detached() == detached
-    assert attached.record.submitted_count == len(attached.record.transactions) > 0
+    assert result.conflicting_keys == sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))
+    assert result.hottest_conflicting_keys(3) == result.conflicting_keys[:3] != []
+    assert result.record.submitted_count == len(recorded.record.transactions) > 0
     if name == "checker-faults-retry":
-        assert detached.record.isolation.verdict.startswith("CERTIFIED")
-        assert detached.record.fault_injections and detached.record.resubmissions > 0
+        assert result.record.isolation.verdict.startswith("CERTIFIED")
+        assert result.record.fault_injections and result.record.resubmissions > 0
 
 
 # -------------------------------------------- never an empty run: it raises
 #: accessor -> the chain field whose absence it reports.
 CHAIN_ACCESSORS = {
-    "record.ledgers()": (lambda analysis, _: analysis.record.ledgers(), "channel_records"),
+    "record.ledgers()": (lambda analysis, _: analysis.record.ledgers(), "ledger"),
     "record.failed_transactions()": (
         lambda analysis, _: analysis.record.failed_transactions(),
-        "channel_records",
+        "ledger",
     ),
-    "record.submitted_count": (lambda analysis, _: analysis.record.submitted_count, "transactions"),
     "record_fingerprint(record)": (
         lambda analysis, _: record_fingerprint(analysis.record),
         "transactions",
     ),
     "write_history": (
         lambda analysis, tmp: write_history(tmp / "history.json", analysis.record),
-        "channel_records",
+        "ledger",
     ),
     "analysis.failed_transactions": (
         lambda analysis, _: analysis.failed_transactions,
-        "channel_records",
+        "ledger",
     ),
     "analysis.failures_of_type": (
         lambda analysis, _: analysis.failures_of_type(FailureType.MVCC_INTRA_BLOCK),
-        "channel_records",
+        "ledger",
     ),
     **{
         f"record.{name}": (lambda analysis, _, name=name: getattr(analysis.record, name), name)
@@ -184,30 +181,46 @@ CHAIN_ACCESSORS = {
 
 
 @pytest.fixture(scope="module")
-def detached_analysis():
+def runner_analysis():
     return ExperimentRunner(workers=1, cache=None).run(CELLS["one-channel"]).analyses[0]
 
 
 @pytest.mark.parametrize("accessor", list(CHAIN_ACCESSORS))
 def test_every_way_to_the_chain_raises_and_names_the_attribute(
-    accessor, detached_analysis, tmp_path
+    accessor, runner_analysis, tmp_path
 ):
     read, attribute = CHAIN_ACCESSORS[accessor]
     with pytest.raises(AnalysisError) as error:
-        read(detached_analysis, tmp_path)
+        read(runner_analysis, tmp_path)
     message = str(error.value)
     assert f"RunRecord.{attribute} " in message
-    assert "left in the process that simulated the cell" in message
-    assert "run_experiment / run_repetition" in message
+    assert "was not recorded" in message
+    assert "record_chain=True" in message
     assert not list(tmp_path.iterdir())
 
 
-def test_a_detached_record_is_not_missing_anything_else():
-    record = run_repetition(CELLS["one-channel"], 0).record.detached()
+def test_a_channel_record_of_an_unrecorded_run_raises_too():
+    analysis = run_repetition(CELLS["4-channel"], 0)
+    (channel, *_) = analysis.record.channel_records
+    with pytest.raises(AnalysisError, match="RunRecord.ledger was not recorded"):
+        channel.ledger
+
+
+def test_an_unrecorded_record_is_not_missing_anything_else():
+    record = run_repetition(CELLS["one-channel"], 0).record
     with pytest.raises(AttributeError):
         record.no_such_field
+    assert record.submitted_count == record.tally.attempts > 0
     assert "RunRecord" in repr(record)
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_the_cache_refuses_a_recorded_analysis(tmp_path):
+    config = CELLS["one-channel"]
+    cache = ResultCache(tmp_path)
+    with pytest.raises(AnalysisError, match="carries its chain"):
+        cache.put(config.cell_hash(), 0, run_repetition(config, 0, record_chain=True))
+    assert cache.get(config.cell_hash(), 0) is None and not list(tmp_path.iterdir())
 
 
 # ------------------------------------------------- one shape on every path
@@ -245,26 +258,26 @@ def _disk_hit(config, tmp_path):
     return result.analyses[0]
 
 
-def _attached_put(config, tmp_path):
-    # A caller outside the runner hands the cache an attached analysis.
+def _outside_put(config, tmp_path):
+    # A caller outside the runner hands the cache an analysis of its own.
     cache = ResultCache(tmp_path)
     cache.put(config.cell_hash(), 0, run_repetition(config, 0))
     assert cache.get(config.cell_hash(), 0) == ResultCache(tmp_path).get(config.cell_hash(), 0)
     return cache.get(config.cell_hash(), 0)
 
 
-PATHS = [_in_process, _pool, _deduplicated, _memory_hit, _disk_hit, _attached_put]
+PATHS = [_in_process, _pool, _deduplicated, _memory_hit, _disk_hit, _outside_put]
 
 
 @pytest.mark.parametrize("name", ["one-channel", "4-channel"])
 @pytest.mark.parametrize("path", PATHS, ids=lambda path: path.__name__.lstrip("_"))
-def test_a_result_is_detached_and_equal_on_every_path(path, name, tmp_path):
+def test_a_result_is_the_analysis_of_the_run_on_every_path(path, name, tmp_path):
     config = CELLS[name]
     analysis = path(config, tmp_path)
-    assert not set(CHAIN_FIELDS) & set(vars(analysis.record))
+    assert analysis.record.chain is None
     # Compared as whole analyses: every record scalar, every metrics field,
     # per channel too.
-    assert analysis == run_repetition(config, 0).detached()
+    assert analysis == run_repetition(config, 0)
     for entry in tmp_path.glob("*.pkl"):
         assert entry.stat().st_size <= ENTRY_CEILING_BYTES
 

@@ -3,11 +3,14 @@
 Sharded execution (independent channels in worker processes, merged in
 deterministic channel order) must reproduce the shared-clock run *bit for
 bit* whenever the topology partitions (``cross_channel_rate == 0``): every
-transaction timestamp, every ledger block, every derived metric.  These
-tests pin that contract across channel counts, the four variant families,
-the in-process and multi-process shard paths, and the experiment runner's
-serial and parallel paths — plus the fallback behaviour for topologies that
-cannot shard.
+tally, counter and utilization, every derived metric.  A sharded run cannot
+record its chain (a shard ships its tally, never its transactions), so the
+plans are compared as analyses (:func:`plan_free`); the chain of a
+shared-clock run is pinned by the fingerprints of
+``test_single_channel_pins.py``.  These tests pin that contract across
+channel counts, the four variant families, the in-process and multi-process
+shard paths, and the experiment runner's serial and parallel paths — plus the
+fallback behaviour for topologies that cannot shard.
 """
 
 from __future__ import annotations
@@ -26,16 +29,17 @@ from export_parts import assert_export_pinned, exported_bytes
 
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.bench.runner import ExperimentRunner
-from repro.channels import group as channel_group
+from repro.channels import merge as channel_merge
 from repro.channels import network as channels_network
 from repro.channels.network import MultiChannelNetwork
-from repro.core import LedgerAnalyzer, analyzer
-from repro.core.metrics import block_times_of, walk_transactions
+from repro.core import LedgerAnalyzer
 from repro.core.fingerprint import EXECUTION_METADATA_FIELDS, record_fingerprint
 from repro.checker.config import CheckerConfig
 from repro.faults.spec import FaultConfig
+from repro.lifecycle import tally
 from repro.lifecycle.retry import RetryConfig
 from repro.lifecycle.pipeline import build_network
+from repro.network import network as channel_slice
 from repro.network.config import NetworkConfig
 from repro.observability.config import ObservabilityConfig
 from repro.sim.shard import PROCESS_BUDGET_ENV, ExecutionConfig
@@ -83,13 +87,14 @@ def experiment(
     )
 
 
-def run_cell(config: ExperimentConfig):
+def run_cell(config: ExperimentConfig, record_chain: bool = False):
     """Build and run one cell directly; returns ``(network, record)``."""
     network = build_network(
         config=config.network,
         chaincode_factory=config.build_chaincode,
         variant_factory=config.variant,
         seed=config.seed,
+        record_chain=record_chain,
     )
     record = network.run(
         mix=config.workload.mix,
@@ -99,6 +104,29 @@ def run_cell(config: ExperimentConfig):
         workload_name=config.workload.name,
     )
     return network, record
+
+
+def _record_state(record) -> dict:
+    state = {
+        name: value
+        for name, value in vars(record).items()
+        if name not in EXECUTION_METADATA_FIELDS
+    }
+    state["config"] = record.config.copy(execution=ExecutionConfig())
+    state["channel_records"] = [
+        {**vars(channel), "record": _record_state(channel.record)}
+        for channel in record.channel_records
+    ]
+    return state
+
+
+def plan_free(record) -> dict:
+    """Everything the analysis of ``record`` holds, declared execution metadata aside.
+
+    Every plan must compute it field for field: the tallies (counts and every
+    folded float), utilizations, counters and verdicts, per channel too.
+    """
+    return {**vars(LedgerAnalyzer().analyze(record)), "record": _record_state(record)}
 
 
 # ------------------------------------------------------------- bit identity
@@ -112,14 +140,14 @@ def test_sharded_run_is_bit_identical_to_shared_clock(channels):
     assert sharded.execution == "sharded"
     assert sharded.shard_count == channels
     assert shared.execution == "shared-clock"
-    assert record_fingerprint(sharded) == record_fingerprint(shared)
+    assert plan_free(sharded) == plan_free(shared)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_bit_identity_holds_for_every_variant_family(variant):
     _, shared = run_cell(experiment(ExecutionConfig(), variant=variant))
     _, sharded = run_cell(experiment(ExecutionConfig(shard_workers=0), variant=variant))
-    assert record_fingerprint(sharded) == record_fingerprint(shared)
+    assert plan_free(sharded) == plan_free(shared)
 
 
 def test_multiprocess_shards_match_in_process_shards(monkeypatch):
@@ -132,9 +160,9 @@ def test_multiprocess_shards_match_in_process_shards(monkeypatch):
     monkeypatch.delenv(PROCESS_BUDGET_ENV)
     _, pooled = run_cell(experiment(ExecutionConfig(shard_workers=4)))
     _, shared = run_cell(experiment(ExecutionConfig()))
-    fingerprint = record_fingerprint(shared)
-    assert record_fingerprint(pooled) == fingerprint
-    assert record_fingerprint(sequential) == fingerprint
+    reference = plan_free(shared)
+    assert plan_free(pooled) == reference
+    assert plan_free(sequential) == reference
 
 
 def test_this_process_is_one_of_the_shard_workers():
@@ -156,11 +184,11 @@ def test_this_process_is_one_of_the_shard_workers():
             key_distribution=make_distribution(config.zipf_skew),
             workload_name=config.workload.name,
         )
-        runs.append((record_fingerprint(record), network.shard_transport_bytes))
+        runs.append((plan_free(record), network.shard_transport_bytes))
     assert network.shard_workers_used == 3
     assert runs[0] == runs[1] and runs[0][1] > 0
     _, shared = run_cell(experiment(ExecutionConfig()))
-    assert runs[0][0] == record_fingerprint(shared)
+    assert runs[0][0] == plan_free(shared)
 
 
 # ------------------------------------------- shard files and channel walks
@@ -203,7 +231,7 @@ def test_pool_shards_come_back_as_files_that_do_not_outlive_the_run(shard_tmp, m
     assert network.shard_transport_bytes == sum(loaded) > 0
     assert list(shard_tmp.iterdir()) == []
     _, shared = run_cell(experiment(ExecutionConfig()))
-    assert record_fingerprint(pooled) == record_fingerprint(shared)
+    assert plan_free(pooled) == plan_free(shared)
 
 
 def test_a_failed_shipped_shard_leaves_no_shard_file(shard_tmp):
@@ -226,43 +254,56 @@ def test_a_failed_shipped_shard_leaves_no_shard_file(shard_tmp):
 
 
 @pytest.mark.parametrize("plan", ["shared-clock", "in-process", "pooled"])
-def test_each_channel_is_walked_where_it_was_simulated(plan, monkeypatch):
+def test_each_channel_is_folded_where_it_was_simulated(plan, monkeypatch):
     # Shard workers 2 on four channels: this process simulates shards 0 and
     # 2, the pool 1 and 3 — unless every shard runs here, or one clock does.
-    walked = []
+    # A channel's tally is folded by the process that simulated it; the
+    # merge folds the tallies of all four once, for the aggregate.
+    folded = []
 
-    def counted(walk):
-        def wrapper(record, block_times):
-            walked.append(record)
-            return walk(record, block_times)
+    def counted(fold):
+        def wrapper(tallies):
+            folded.append([channel.prefix for channel in tallies])
+            return fold(tallies)
 
         return wrapper
 
-    for module in (channel_group, analyzer):
-        monkeypatch.setattr(module, "walk_transactions", counted(module.walk_transactions))
+    for module in (channel_slice, channel_merge):
+        monkeypatch.setattr(module, "fold", counted(tally.fold))
     if plan == "in-process":
         monkeypatch.setenv(PROCESS_BUDGET_ENV, "1")
     execution = ExecutionConfig() if plan == "shared-clock" else ExecutionConfig(shard_workers=2)
     network, record = run_cell(experiment(execution))
     assert network.shard_workers_used == (2 if plan == "pooled" else 1)
-    simulated_here = record.channel_records
-    if plan == "pooled":
-        simulated_here = [channel for channel in simulated_here if channel.index % 2 == 0]
-    assert walked == [channel.record for channel in simulated_here]
-    block_times = block_times_of(record)
-    for channel in record.channel_records:
-        assert channel.totals == walk_transactions(channel.record, block_times)
-    LedgerAnalyzer().analyze(record)
-    assert walked[len(simulated_here):] == [record]  # the aggregate, once
+    here = [0, 2] if plan == "pooled" else [0, 1, 2, 3]
+    assert folded == [[f"tx-c{index}"] for index in here] + [[f"tx-c{index}" for index in range(4)]]
+    assert record.tally.attempts == sum(
+        channel.record.tally.attempts for channel in record.channel_records
+    )
 
 
 def test_transaction_ids_are_per_channel_sequences():
-    _, record = run_cell(experiment(ExecutionConfig(shard_workers=0)))
+    _, record = run_cell(experiment(ExecutionConfig()), record_chain=True)
     prefixes = {tx.tx_id.rsplit("-", 1)[0] for tx in record.transactions}
     assert prefixes <= {f"tx-c{index}" for index in range(4)}
     for channel in record.channel_records:
         ids = [tx.tx_id for tx in channel.record.transactions]
         assert all(tx_id.startswith(f"tx-c{channel.index}-") for tx_id in ids)
+
+
+def test_a_recorded_run_keeps_the_shared_clock():
+    # A shard ships its tally, never its transactions: asked for shards, a
+    # recorded run plans one clock and computes what the shards do.
+    network, recorded = run_cell(experiment(ExecutionConfig(shard_workers=0)), record_chain=True)
+    assert network.execution_mode == "shared-clock" and recorded.shard_count == 1
+    assert recorded.transactions and recorded.channel_records[0].record.ledger.blocks
+    _, sharded = run_cell(experiment(ExecutionConfig(shard_workers=0)))
+    assert sharded.execution == "sharded" and sharded.chain is None
+    unrecorded = plan_free(recorded)
+    unrecorded["record"]["chain"] = None
+    for channel in unrecorded["record"]["channel_records"]:
+        channel["record"]["chain"] = None
+    assert unrecorded == plan_free(sharded)
 
 
 # ------------------------------------------------------- runner equivalence
@@ -274,16 +315,11 @@ def test_runner_paths_agree_on_sharded_cells():
     serial = ExperimentRunner(workers=1, cache=None).run(sharded).analyses[0]
     parallel = ExperimentRunner(workers=2, cache=None).run(sharded).analyses[0]
     reference = ExperimentRunner(workers=1, cache=None).run(shared).analyses[0]
-    # Runner results are detached: the chains of the two plans are compared in
-    # process above; here every kept fact is, declared execution metadata aside.
+    # Whatever path produced it, an analysis is the plan's, declared execution
+    # metadata aside.
     assert parallel == serial
     assert serial.record.execution == "sharded" and reference.record.execution == "shared-clock"
-    declared = ("config", *EXECUTION_METADATA_FIELDS)
-    for name, value in vars(reference.record).items():
-        if name not in declared:
-            assert getattr(serial.record, name) == value, name
-    for name in ("metrics", "channel_analyses", "conflicting_keys", "read_only_share"):
-        assert getattr(serial, name) == getattr(reference, name), name
+    assert plan_free(serial.record) == plan_free(reference.record)
 
 
 def test_run_repetition_reports_the_execution_strategy():
@@ -295,13 +331,15 @@ def test_run_repetition_reports_the_execution_strategy():
 # ---------------------------------------------------------------- fallbacks
 def test_coupled_topology_falls_back_to_the_shared_clock():
     network, record = run_cell(
-        experiment(ExecutionConfig(shard_workers=0), cross_channel_rate=0.1)
+        experiment(ExecutionConfig(shard_workers=0), cross_channel_rate=0.1), record_chain=True
     )
     assert isinstance(network, MultiChannelNetwork)
     assert network.execution_mode == "shared-clock"
     assert record.execution == "shared-clock"
     assert record.shard_count == 1
-    _, reference = run_cell(experiment(ExecutionConfig(), cross_channel_rate=0.1))
+    _, reference = run_cell(
+        experiment(ExecutionConfig(), cross_channel_rate=0.1), record_chain=True
+    )
     assert record_fingerprint(record) == record_fingerprint(reference)
 
 
@@ -369,7 +407,7 @@ def test_unpicklable_factories_degrade_to_in_process_execution():
     assert record.execution == "sharded"
     assert captured["builds"] == 4
     _, shared = run_cell(experiment(ExecutionConfig()))
-    assert record_fingerprint(record) == record_fingerprint(shared)
+    assert plan_free(record) == plan_free(shared)
 
 
 # ------------------------------------------------------------ observability
@@ -422,14 +460,14 @@ def test_checker_verdicts_identical_across_execution_strategies():
     assert summary["committed"] > 0
     assert sharded.isolation.summary() == summary
     assert pooled.isolation.summary() == summary
-    # record_fingerprint covers the isolation digest, so the existing
-    # bit-identity contract now extends to checker output as well.
-    assert record_fingerprint(sharded) == record_fingerprint(shared)
-    assert record_fingerprint(pooled) == record_fingerprint(shared)
+    # The record carries the isolation report, so the bit-identity contract
+    # extends to checker output as well.
+    assert plan_free(sharded) == plan_free(shared)
+    assert plan_free(pooled) == plan_free(shared)
 
 
 def test_fingerprint_covers_the_isolation_digest():
-    _, record = run_cell(experiment(ExecutionConfig(), checker=CHECKED))
+    _, record = run_cell(experiment(ExecutionConfig(), checker=CHECKED), record_chain=True)
     baseline = record_fingerprint(record)
     record.isolation = None
     assert record_fingerprint(record) != baseline

@@ -81,7 +81,7 @@ def everything_computed(config: ExperimentConfig) -> tuple:
     """The run's fingerprint, what the fingerprint leaves out — every
     read/write set, every response's timing, the recorded call latencies —
     and the record itself."""
-    record = run_repetition(config, 0).record
+    record = run_repetition(config, 0, record_chain=True).record
     per_transaction = [
         (
             tx.tx_id,
@@ -422,8 +422,7 @@ def test_every_channel_owns_its_table_and_holds_only_its_own_results():
         })
         carried.append({
             id(rwset)
-            for client in channel.clients
-            for tx in client.submitted
+            for tx in channel.recorder.submitted
             for rwset in (tx.rwset, *(e.rwset for e in tx.endorsements))
             if rwset is not None
         })

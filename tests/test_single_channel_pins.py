@@ -114,12 +114,13 @@ CHAOS_EXPORT_PIN = "single-channel/chaos-C2"
 CHAOS_HISTORY_SHA256 = "867e93239050c1c338dcaf77ac753874136ec5269406a8f1e9b4e10d12164227"
 
 
-def build(config: ExperimentConfig):
+def build(config: ExperimentConfig, record_chain: bool = False):
     return build_network(
         config=config.network,
         chaincode_factory=config.build_chaincode,
         variant_factory=config.variant,
         seed=config.seed,
+        record_chain=record_chain,
     )
 
 
@@ -140,7 +141,7 @@ def sha256(text: str) -> str:
 @pytest.mark.parametrize("name", list(CELLS))
 def test_single_channel_cell_keeps_the_pinned_fingerprint(name):
     config, attempts, fingerprint_sha256 = CELLS[name]
-    record = run(build(config), config)
+    record = run(build(config, record_chain=True), config)
     assert len(record.transactions) == attempts
     assert sha256(dumps(record_fingerprint(record))) == fingerprint_sha256
     # The merge of a one-channel deployment *is* its channel's record.
@@ -163,14 +164,14 @@ PHANTOM_PATHS = {
 def test_phantom_checks_are_decided_from_the_keys_written(name, monkeypatch):
     calls = spy_on_paths(monkeypatch)
     config, _attempts, fingerprint_sha256 = CELLS[name]
-    record = run(build(config), config)
+    record = run(build(config, record_chain=True), config)
     assert (calls["probe"], calls["rescan"]) == PHANTOM_PATHS[name]
     assert sha256(dumps(record_fingerprint(record))) == fingerprint_sha256
 
 
 def test_chaos_cell_exports_the_pinned_bytes(tmp_path):
     config = CELLS["chaos/C2"][0]
-    record = run(build(config), config)
+    record = run(build(config, record_chain=True), config)
     assert record.fault_injections and record.resubmissions > 0
     assert record.retry_rate_denied > 0
     assert record.isolation.verdict == "CERTIFIED-SERIALIZABLE"
@@ -181,8 +182,8 @@ def test_chaos_cell_exports_the_pinned_bytes(tmp_path):
 
 def test_transaction_ids_are_a_function_of_the_run_not_of_process_history():
     config = CELLS["fabric-1.4/EHR/C1"][0]
-    first = record_fingerprint(run(build(config), config))
-    second = record_fingerprint(run(build(config), config))
+    first = record_fingerprint(run(build(config, record_chain=True), config))
+    second = record_fingerprint(run(build(config, record_chain=True), config))
     assert first == second
 
 
