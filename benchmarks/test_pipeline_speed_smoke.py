@@ -17,9 +17,9 @@ times louder there.
 
 A third cell puts the paper topology on eight channels sharing one clock, for
 the per-attempt work *outside* the fan-out (see the second table of "Hot path"):
-lifecycle events nobody reads, placement asked per shard draw, folds of the
-channels' tallies.  Each is pinned as a count that is the same on every
-machine.
+lifecycle emissions and the handler calls they make, placement asked per
+shard draw, folds of the channels' tallies.  Each is pinned as a count that
+is the same on every machine.
 
 A fourth runs the perfbench ``sweep-grid`` plan shape in process and counts
 what its twelve cells *build* before their first transaction: one genesis, one
@@ -54,7 +54,8 @@ from repro.fabric import fabricpp
 from repro.ledger import factory
 from repro.ledger.block import ValidationCode
 from repro.ledger.kvstore import VersionedKVStore
-from repro.lifecycle import events, tally
+from repro.lifecycle import tally
+from repro.lifecycle.events import LifecycleEventType
 from repro.lifecycle.pipeline import build_network
 from repro.network import client_node
 from repro.network import network as channel_slice
@@ -85,7 +86,8 @@ PAPER_TRANSACTIONS = 401
 EIGHT_CHANNEL_DURATION = 2.0
 EIGHT_CHANNEL_EVENTS = 30_750
 EIGHT_CHANNEL_TRANSACTIONS = 1_553
-#: Lifecycle emissions of the run: what a listener on every channel bus is handed.
+#: Lifecycle emissions of the run: the calls of a handler on every type of
+#: every channel bus.
 EIGHT_CHANNEL_EMISSIONS = 7_765
 #: Base-distribution draws the eight shards' rejection loops consume — and the
 #: number of ``channel_of_index`` calls they used to make.
@@ -202,13 +204,6 @@ class CountedZipfian(ZipfianDistribution):
 
 def eight_channel_cell(monkeypatch, listen: bool = False) -> dict:
     """The paper topology on eight channels, with everything countable counted."""
-    built = []
-
-    class CountedEvent(events.LifecycleEvent):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
-
     placements = []
     channel_of_index = ChannelTopology.channel_of_index
 
@@ -216,7 +211,6 @@ def eight_channel_cell(monkeypatch, listen: bool = False) -> dict:
         placements.append(population)
         return channel_of_index(self, index, population)
 
-    monkeypatch.setattr(events, "LifecycleEvent", CountedEvent)
     monkeypatch.setattr(ChannelTopology, "channel_of_index", counted_placement)
     ChannelTopology.owners.cache_clear()  # a table an earlier test built is not rebuilt
     spec = uniform_workload("EHR", patients=40)
@@ -229,7 +223,8 @@ def eight_channel_cell(monkeypatch, listen: bool = False) -> dict:
     heard = []
     if listen:
         for channel in network.channels:
-            channel.bus.subscribe(None, heard.append)
+            for event_type in LifecycleEventType:
+                channel.bus.handle(event_type, heard.append)
     keys = CountedZipfian()
     profiler = EngineProfiler(network.sim)
     with profiler:
@@ -249,7 +244,6 @@ def eight_channel_cell(monkeypatch, listen: bool = False) -> dict:
         "events": profiler.report()["events"],
         "transactions": record.submitted_count,
         "emissions": sum(record.lifecycle_counts.values()),
-        "events_built": len(built),
         "events_heard": len(heard),
         "placements": placements,
         "base_draws": keys.draws,
@@ -263,10 +257,8 @@ def test_eight_channel_attempt_pays_for_nothing_nobody_reads(monkeypatch):
         EIGHT_CHANNEL_EVENTS,
         EIGHT_CHANNEL_TRANSACTIONS,
     )
-    # Eight channel buses nobody listens to: every emission is counted, and
-    # none builds an event (it used to be one each).
+    # Eight channel buses: every emission is counted on its channel's bus.
     assert cell["emissions"] == EIGHT_CHANNEL_EMISSIONS
-    assert cell["events_built"] == 0
     # Placement is asked once per patient, when the one table the eight shards
     # read is built, and never by a draw (it used to be once per base draw) ...
     assert cell["placements"] == [40] * 40
@@ -275,11 +267,11 @@ def test_eight_channel_attempt_pays_for_nothing_nobody_reads(monkeypatch):
     assert cell["streams"] == EIGHT_CHANNEL_STREAMS
 
 
-def test_one_listener_on_every_channel_bus_is_handed_every_emission(monkeypatch):
+def test_one_handler_on_every_type_of_every_channel_bus_is_called_per_emission(monkeypatch):
     cell = eight_channel_cell(monkeypatch, listen=True)
     assert cell["emissions"] == EIGHT_CHANNEL_EMISSIONS
-    # Built once per emission, on the channel's bus, which has a listener.
-    assert cell["events_built"] == cell["events_heard"] == EIGHT_CHANNEL_EMISSIONS
+    # Called once per emission, on the channel's bus, with the transaction.
+    assert cell["events_heard"] == EIGHT_CHANNEL_EMISSIONS
     assert (cell["events"], cell["transactions"]) == (
         EIGHT_CHANNEL_EVENTS,
         EIGHT_CHANNEL_TRANSACTIONS,

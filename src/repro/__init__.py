@@ -48,7 +48,6 @@ from repro.fabric import available_variants, create_variant
 from repro.faults import FaultConfig, FaultSchedule, parse_fault_spec
 from repro.lifecycle import (
     LifecycleBus,
-    LifecycleEvent,
     LifecycleEventType,
     RetryConfig,
     RetryController,
@@ -112,7 +111,6 @@ __all__ = [
     "FaultSchedule",
     "parse_fault_spec",
     "LifecycleBus",
-    "LifecycleEvent",
     "LifecycleEventType",
     "RetryConfig",
     "RetryController",

@@ -5,7 +5,7 @@ The group is the unit every execution plan of
 how to *build* its channels' Fabric slices
 (:class:`~repro.network.network.Channel`, each with its own lifecycle bus) on
 one :class:`~repro.sim.engine.Simulator`, with one
-:class:`~repro.observability.observer.RunObserver` subscribed on every
+:class:`~repro.observability.observer.RunObserver` handling every
 channel's bus when observability is on; and how to *run* them: start their
 client arrivals, drain the clock (profiled by the observer, when there is
 one) and collect them into a picklable :class:`GroupResult` — each channel's
@@ -88,9 +88,6 @@ class ChannelGroup:
     def __init__(self, spec: GroupSpec, governor: Optional[ResubmissionGovernor]) -> None:
         self.spec = spec
         self.sim = Simulator()
-        #: The deployment's resubmission governor (``None``: every slice makes
-        #: its own, which is only equivalent while there is no rate cap).
-        self.governor = governor
         streams = RandomStreams(spec.seed)
         shares = spec.topology.arrival_shares()
         self.channels: List[Channel] = [
@@ -105,6 +102,10 @@ class ChannelGroup:
                 label=None if spec.topology.channels == 1 else index,
                 arrival_share=shares[index],
                 record_chain=spec.record_chain,
+                # The deployment's resubmission governor (``None``: every slice
+                # makes its own, which is only equivalent while there is no
+                # rate cap).
+                retry_governor=governor,
             )
             for index in spec.channels
         ]
@@ -164,7 +165,6 @@ class ChannelGroup:
                     topology=spec.topology, channel=channel.index, base=args.key_distribution
                 ),
                 orderer=gateway,
-                retry_governor=self.governor,
             )
 
     def collect(self, args: RunArgs) -> GroupResult:

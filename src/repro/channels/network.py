@@ -11,7 +11,8 @@ aggregate :class:`~repro.network.network.RunRecord` carrying one
 :class:`~repro.network.network.ChannelRecord` per channel.  The
 single-channel network of the paper is its one-channel plan — ``shared-clock``
 with one group of one channel, no coordinator — whose merged record *is* that
-channel's record (``ledger`` populated, ``channel_records`` empty).
+channel's record (its tally, its chain when recorded, ``channel_records``
+empty).
 
 **Group, plan, merge.**  The channels are built in *channel groups*
 (:class:`~repro.channels.group.ChannelGroup`: a subset of the channels on one

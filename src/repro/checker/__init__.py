@@ -1,7 +1,7 @@
 """Online isolation checking of committed transaction histories.
 
 An opt-in streaming checker (:class:`~repro.checker.checker.IsolationChecker`)
-subscribes to each channel's lifecycle bus, incrementally maintains the
+handles each channel's lifecycle bus, incrementally maintains the
 start-ordered serialization graph of the committed history, and certifies or
 refutes serializability and snapshot isolation per channel — with a concrete
 anomaly witness (the offending dependency cycle) on refutation.  Histories

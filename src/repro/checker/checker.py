@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set,
 from repro.checker.config import CheckerConfig
 from repro.checker.graph import IncrementalDAG
 from repro.ledger.kvstore import Version
-from repro.lifecycle.events import LifecycleBus, LifecycleEvent, LifecycleEventType
+from repro.lifecycle.events import LifecycleBus, LifecycleEventType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ledger.block import Transaction
@@ -530,11 +530,11 @@ def _describe_cycle(cycle: Tuple[WitnessEdge, ...]) -> str:
 
 
 class IsolationChecker:
-    """Bus adapter: one :class:`ChannelChecker` subscribed to a channel slice.
+    """Bus adapter: one :class:`ChannelChecker` on a channel slice's bus.
 
-    Subscribes to COMMITTED and ABORTED only; locally answered read-only
+    Handles COMMITTED and ABORTED only; locally answered read-only
     queries (committed with no block) never reach the ledger and are skipped.
-    Subscription never touches the simulator or any RNG stream, so an enabled
+    Its handlers never touch the simulator or any RNG stream, so an enabled
     checker leaves the run bit-identical — the same invariant the
     observability subsystem relies on.
     """
@@ -543,16 +543,15 @@ class IsolationChecker:
         self, bus: LifecycleBus, config: CheckerConfig, channel: Optional[int] = None
     ) -> None:
         self.checker = ChannelChecker(channel=channel, witness_limit=config.witness_limit)
-        bus.subscribe(LifecycleEventType.COMMITTED, self._on_committed)
-        bus.subscribe(LifecycleEventType.ABORTED, self._on_aborted)
+        bus.handle(LifecycleEventType.COMMITTED, self._on_committed)
+        bus.handle(LifecycleEventType.ABORTED, self._on_aborted)
 
-    def _on_committed(self, event: LifecycleEvent) -> None:
-        tx = event.transaction
+    def _on_committed(self, tx: "Transaction") -> None:
         if tx.block_number is None or tx.rwset is None:
             return
         self.checker.observe_commit(tx)
 
-    def _on_aborted(self, event: LifecycleEvent) -> None:
+    def _on_aborted(self, tx: "Transaction") -> None:
         self.checker.observe_abort()
 
     def report(self) -> IsolationReport:

@@ -1,7 +1,7 @@
 """Configuration of the online isolation checker.
 
 The default (disabled) configuration installs nothing at all: no bus
-subscription, no graph, no per-transaction work — the run is bit-identical to
+handler, no graph, no per-transaction work — the run is bit-identical to
 a build without the :mod:`repro.checker` package.  Because checking only
 *observes* the committed history and never influences the simulation, the
 configuration is also excluded from experiment cell hashes entirely (see
@@ -20,8 +20,8 @@ from repro.errors import ConfigurationError
 class CheckerConfig:
     """Whether and how to certify the committed history of a run.
 
-    ``enabled`` subscribes one streaming :class:`~repro.checker.checker.ChannelChecker`
-    per channel slice to the lifecycle bus; ``witness_limit`` caps how many
+    ``enabled`` puts one streaming :class:`~repro.checker.checker.ChannelChecker`
+    on each channel slice's lifecycle bus; ``witness_limit`` caps how many
     concrete anomaly witnesses each channel retains (violations beyond the cap
     are still *counted*, so verdicts never depend on the limit).
     """

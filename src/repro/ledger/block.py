@@ -4,9 +4,10 @@ Transactions carry their whole history through the Execute-Order-Validate
 pipeline: the endorsement responses produced in the execution phase, the
 read/write set submitted to the ordering service, per-phase timestamps, and the
 validation code assigned in the validation phase.  Both valid and failed
-transactions are recorded in blocks, exactly as Fabric does, so that the
-post-experiment ledger analysis of the paper (Section 4.5: "metrics are
-collected by parsing the blockchain after each experiment") can be reproduced.
+transactions are recorded in blocks, exactly as Fabric does.  A run counts
+each attempt as it ends (:mod:`repro.lifecycle.tally`) instead of parsing the
+blockchain afterwards; the blocks and attempts themselves are kept only for a
+consumer that reads the chain (:mod:`repro.lifecycle.recorder`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.ledger.rwset import ReadWriteSet
+from repro.ledger.rwset import ReadWriteSet, SlotState
 
 
 class ValidationCode(enum.Enum):
@@ -69,7 +70,7 @@ class BlockCutReason(enum.Enum):
 
 
 @dataclass(slots=True)
-class EndorsementResponse:
+class EndorsementResponse(SlotState):
     """One endorsing peer's response: its signature metadata and read/write set."""
 
     peer_name: str
@@ -78,13 +79,6 @@ class EndorsementResponse:
     completed_at: float
     #: When the proposal reached the peer (the endorsement leg's start time).
     received_at: Optional[float] = None
-
-    # Pickle state: a tuple of the fields in order (see Transaction).
-    def __getstate__(self) -> tuple:
-        return (self.peer_name, self.org_name, self.rwset, self.completed_at, self.received_at)
-
-    def __setstate__(self, state: tuple) -> None:
-        (self.peer_name, self.org_name, self.rwset, self.completed_at, self.received_at) = state
 
 
 class TransactionIdAllocator:
@@ -98,8 +92,8 @@ class TransactionIdAllocator:
     not of how the channels' events happen to interleave on a shared clock.
     That locality is what lets the sharded execution path
     (:mod:`repro.channels.network`) run independent channels in separate
-    processes and still merge a :class:`~repro.network.network.RunRecord`
-    bit-identical to the shared-clock run.
+    processes and still fold their tallies into the analysis of the
+    shared-clock run, bit for bit.
     """
 
     __slots__ = ("prefix", "_counter", "_format")
@@ -116,7 +110,7 @@ class TransactionIdAllocator:
         return self._format(next(self._counter))
 
 
-class Transaction:
+class Transaction(SlotState):
     """A client transaction and everything recorded about it along the pipeline.
 
     Deliberately a hand-rolled ``__slots__`` class rather than a dataclass:
@@ -261,73 +255,6 @@ class Transaction:
     def db_call_latency(self, value: Dict[str, float]) -> None:
         self._db_call_latency = value
 
-    # Pickle state ----------------------------------------------------------
-    # One tuple of every slot, in ``__slots__`` order: what crosses the shard
-    # boundary per transaction (and what ``copy`` uses).  The default would be
-    # a ``{slot name: value}`` dict per object.  A slot added above must be
-    # added to both methods; ``tests/test_transaction_pickle.py`` checks.
-    def __getstate__(self) -> tuple:
-        return (
-            self.tx_id,
-            self.client_name,
-            self.chaincode_name,
-            self.function,
-            self.args,
-            self.read_only,
-            self.channel,
-            self.partner_channel,
-            self.attempt,
-            self.origin_tx_id,
-            self.submitted_at,
-            self._endorsements,
-            self.rwset,
-            self.endorsement_mismatch,
-            self.endorsement_completed_at,
-            self.prepare_started_at,
-            self.prepare_completed_at,
-            self.arrived_at_orderer_at,
-            self.ordered_at,
-            self.block_number,
-            self.tx_index,
-            self.validation_code,
-            self.committed_at,
-            self.conflicting_key,
-            self.conflicting_block,
-            self.abort_reason,
-            self._db_call_latency,
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        (
-            self.tx_id,
-            self.client_name,
-            self.chaincode_name,
-            self.function,
-            self.args,
-            self.read_only,
-            self.channel,
-            self.partner_channel,
-            self.attempt,
-            self.origin_tx_id,
-            self.submitted_at,
-            self._endorsements,
-            self.rwset,
-            self.endorsement_mismatch,
-            self.endorsement_completed_at,
-            self.prepare_started_at,
-            self.prepare_completed_at,
-            self.arrived_at_orderer_at,
-            self.ordered_at,
-            self.block_number,
-            self.tx_index,
-            self.validation_code,
-            self.committed_at,
-            self.conflicting_key,
-            self.conflicting_block,
-            self.abort_reason,
-            self._db_call_latency,
-        ) = state
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Transaction(tx_id={self.tx_id!r}, function={self.function!r}, "
@@ -380,7 +307,7 @@ class Transaction:
 
 
 @dataclass(slots=True)
-class Block:
+class Block(SlotState):
     """An ordered batch of transactions delivered to every peer."""
 
     number: int
@@ -389,27 +316,6 @@ class Block:
     created_at: float = 0.0
     consensus_completed_at: float = 0.0
     reordered: bool = False
-
-    # Pickle state: a tuple of the fields in order (see Transaction).
-    def __getstate__(self) -> tuple:
-        return (
-            self.number,
-            self.transactions,
-            self.cut_reason,
-            self.created_at,
-            self.consensus_completed_at,
-            self.reordered,
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        (
-            self.number,
-            self.transactions,
-            self.cut_reason,
-            self.created_at,
-            self.consensus_completed_at,
-            self.reordered,
-        ) = state
 
     @property
     def size(self) -> int:

@@ -15,6 +15,25 @@ from typing import Any, Iterable, List, NamedTuple, Optional, Set
 from repro.ledger.kvstore import Version
 
 
+class SlotState:
+    """Pickle and ``copy`` state as one tuple of the slots, in ``__slots__`` order.
+
+    The default state of a ``__slots__`` class is a ``{slot name: value}``
+    dict per object, and protocols 0 and 1 refuse it.  The chain classes
+    (here and in :mod:`repro.ledger.block`) inherit this instead; a slot added
+    to one of them joins its state by itself.
+    """
+
+    __slots__ = ()
+
+    def __getstate__(self) -> tuple:
+        return tuple([getattr(self, name) for name in type(self).__slots__])
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(type(self).__slots__, state, strict=True):
+            setattr(self, name, value)
+
+
 class KeyRead(NamedTuple):
     """One entry of a read set: a key and the version observed at endorsement.
 
@@ -40,7 +59,7 @@ class KeyWrite(NamedTuple):
 
 
 @dataclass(slots=True)
-class RangeRead:
+class RangeRead(SlotState):
     """A range query executed at endorsement time.
 
     ``reads`` holds the individual key/version observations inside the interval
@@ -67,28 +86,6 @@ class RangeRead:
     rich_query: bool = False
     state_token: Optional[int] = field(default=None, compare=False, repr=False)
 
-    # Pickle state: a tuple of the fields in order, not the default
-    # ``{slot name: value}`` dict (read/write sets cross the shard boundary).
-    def __getstate__(self) -> tuple:
-        return (
-            self.start_key,
-            self.end_key,
-            self.reads,
-            self.phantom_detection,
-            self.rich_query,
-            self.state_token,
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        (
-            self.start_key,
-            self.end_key,
-            self.reads,
-            self.phantom_detection,
-            self.rich_query,
-            self.state_token,
-        ) = state
-
     @property
     def keys(self) -> List[str]:
         """Keys observed by the range read, in scan order."""
@@ -96,19 +93,12 @@ class RangeRead:
 
 
 @dataclass(slots=True)
-class ReadWriteSet:
+class ReadWriteSet(SlotState):
     """The complete read/write set of one endorsement of one transaction."""
 
     reads: List[KeyRead] = field(default_factory=list)
     writes: List[KeyWrite] = field(default_factory=list)
     range_reads: List[RangeRead] = field(default_factory=list)
-
-    # Pickle state: a tuple of the fields in order (see RangeRead).
-    def __getstate__(self) -> tuple:
-        return (self.reads, self.writes, self.range_reads)
-
-    def __setstate__(self, state: tuple) -> None:
-        (self.reads, self.writes, self.range_reads) = state
 
     def read_keys(self) -> Set[str]:
         """All keys read, including keys observed through range reads."""

@@ -5,7 +5,8 @@ observable pipeline:
 
 * :mod:`repro.lifecycle.events` — the :class:`LifecycleBus` and the typed
   event stream (SUBMITTED → ENDORSED/ENDORSEMENT_FAILED → ORDERED →
-  VALIDATED → COMMITTED/ABORTED) every component emits into;
+  VALIDATED → COMMITTED/ABORTED) every component emits into, and every
+  consumer handles: a handler is handed the transaction itself;
 * :mod:`repro.lifecycle.stages` — the stage interfaces the network, channel
   and variant layers are wired through;
 * :mod:`repro.lifecycle.retry` — the client retry/resubmission subsystem
@@ -25,7 +26,6 @@ for :class:`RetryConfig`; its symbols are therefore re-exported lazily
 
 from repro.lifecycle.events import (
     LifecycleBus,
-    LifecycleEvent,
     LifecycleEventType,
     failure_type_of,
 )
@@ -47,7 +47,6 @@ from repro.lifecycle.stages import OrderingStage, ValidationStage
 
 __all__ = [
     "LifecycleBus",
-    "LifecycleEvent",
     "LifecycleEventType",
     "failure_type_of",
     "RETRY_POLICIES",

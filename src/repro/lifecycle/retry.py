@@ -12,10 +12,10 @@ resubmitted.  This module models exactly that client reaction:
 * a :class:`ResubmissionGovernor` enforces a deployment-wide resubmission
   rate cap (a virtual-time token bucket), the defence against retry storms;
 * the :class:`RetryController` ties the three to the
-  :class:`~repro.lifecycle.events.LifecycleBus`: it listens for ``ABORTED``
+  :class:`~repro.lifecycle.events.LifecycleBus`: it handles ``ABORTED``
   events and schedules the originating client's resubmission.
 
-With ``policy="none"`` nothing subscribes, nothing draws randomness and no
+With ``policy="none"`` no controller is built, nothing draws randomness and no
 simulator event is ever scheduled, keeping such runs bit-identical to the
 pre-retry pipeline.
 """
@@ -28,10 +28,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Type
 
 from repro.errors import ConfigurationError
-from repro.lifecycle.events import LifecycleBus, LifecycleEvent, LifecycleEventType
+from repro.lifecycle.events import LifecycleBus, LifecycleEventType
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ledger.block import Transaction
     from repro.network.client_node import ClientNode
 
 
@@ -262,8 +263,8 @@ class RetryController:
     """Drives automatic client resubmission from the lifecycle event stream.
 
     One controller serves one Fabric slice (a
-    :class:`~repro.network.network.Channel`): it
-    subscribes to the slice's bus, and on every ``ABORTED`` event consults the
+    :class:`~repro.network.network.Channel`, which builds it once): it
+    handles the slice's ``ABORTED`` events, and on every one consults the
     policy, the per-client budget and the (possibly shared) governor before
     scheduling ``client.resubmit`` on the simulator.
     """
@@ -278,7 +279,6 @@ class RetryController:
         governor: Optional[ResubmissionGovernor] = None,
     ) -> None:
         self.sim = sim
-        self.bus = bus
         self.policy = policy
         self.rng = rng
         self.budget = budget if budget is not None else RetryBudget(policy.config.budget)
@@ -290,19 +290,18 @@ class RetryController:
         self.retries_exhausted = 0
         self.budget_denied = 0
         self.rate_denied = 0
-        bus.subscribe(LifecycleEventType.ABORTED, self._on_aborted)
+        bus.handle(LifecycleEventType.ABORTED, self._on_aborted)
 
     def register(self, client: "ClientNode") -> None:
-        """Make ``client`` eligible for resubmission of its failed transactions."""
+        """Make ``client`` eligible for resubmission of its failed transactions.
+
+        A client registered under a name already taken replaces the earlier
+        one, so a slice that rebuilds its clients resubmits through the new set.
+        """
         self._clients[client.name] = client
 
-    def detach(self) -> None:
-        """Stop reacting to the bus (used when a run replaces its controller)."""
-        self.bus.unsubscribe(LifecycleEventType.ABORTED, self._on_aborted)
-
     # -------------------------------------------------------------- reaction
-    def _on_aborted(self, event: LifecycleEvent) -> None:
-        tx = event.transaction
+    def _on_aborted(self, tx: "Transaction") -> None:
         client = self._clients.get(tx.client_name)
         if client is None:
             return

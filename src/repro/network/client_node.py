@@ -115,7 +115,7 @@ class ClientNode:
     def _emit(self, event_type: LifecycleEventType, tx: Transaction) -> None:
         bus = self.bus
         if bus is not None:
-            bus.emit_tx(event_type, self.sim.now, tx)
+            bus.emit(event_type, tx)
 
     # ---------------------------------------------------------------- driving
     def start(self, duration: float) -> int:

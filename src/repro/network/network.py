@@ -241,6 +241,7 @@ class Channel:
         label: Optional[int],
         arrival_share: float,
         record_chain: bool = False,
+        retry_governor: Optional[ResubmissionGovernor] = None,
     ) -> None:
         self.variant = variant
         self.config = variant.configure(config.copy())
@@ -313,7 +314,6 @@ class Channel:
         #: :class:`~repro.network.peer.ResultTable`): one per channel, because
         #: a state token names a state of this channel only.
         self.results = ResultTable()
-        self.retry_controller: Optional[RetryController] = None
         #: Streaming isolation checker of this slice (``None`` unless
         #: ``config.checker`` is enabled).  Installed per slice, on the
         #: slice's own bus, so each channel is checked against its own chain
@@ -322,6 +322,22 @@ class Channel:
         self.isolation_checker: Optional[IsolationChecker] = (
             IsolationChecker(self.bus, self.config.checker, channel=label)
             if self.config.checker.enabled
+            else None
+        )
+        #: Resubmits this slice's aborted attempts (``None`` without a retry
+        #: policy).  Built last, so it hears an abort after the tally, the
+        #: recorder and the checker.  ``retry_governor`` optionally injects a
+        #: shared resubmission-rate governor (the group passes the one
+        #: deployment-wide instance so the cap is global across channels).
+        self.retry_controller: Optional[RetryController] = (
+            RetryController(
+                sim=self.sim,
+                bus=self.bus,
+                policy=create_retry_policy(self.config.retry),
+                rng=self.streams.stream("retry"),
+                governor=retry_governor,
+            )
+            if self.config.retry.enabled
             else None
         )
 
@@ -361,7 +377,6 @@ class Channel:
         key_distribution: Optional[KeyDistribution] = None,
         primary_distribution: Optional[KeyDistribution] = None,
         orderer=None,
-        retry_governor: Optional[ResubmissionGovernor] = None,
     ) -> None:
         """Build the client processes and schedule all their arrivals.
 
@@ -373,9 +388,7 @@ class Channel:
         transactions through the coordinator).  ``primary_distribution``
         optionally overrides the key distribution used for each request's
         *primary* entity draw — the hook that restricts a channel's clients to
-        its shard of the key space.  ``retry_governor`` optionally injects a
-        shared resubmission-rate governor (the group passes the one
-        deployment-wide instance so the cap is global across channels).
+        its shard of the key space.
         """
         per_client_rate = arrival_rate / self.config.clients
         self.clients = []
@@ -391,21 +404,6 @@ class Channel:
                     rng=self.streams.stream("faults"),
                     channel=self.faults.channel,
                 )
-            )
-        retry = self.config.retry
-        if self.retry_controller is not None:
-            # A repeated start_clients replaces the client set; the previous
-            # controller must stop listening or every abort would schedule a
-            # second resubmission on the stale clients.
-            self.retry_controller.detach()
-            self.retry_controller = None
-        if retry.enabled:
-            self.retry_controller = RetryController(
-                sim=self.sim,
-                bus=self.bus,
-                policy=create_retry_policy(retry),
-                rng=self.streams.stream("retry"),
-                governor=retry_governor,
             )
         names = [f"client{client_index}" for client_index in range(self.config.clients)]
         self.tally.set_clients(names)

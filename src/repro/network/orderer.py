@@ -24,11 +24,7 @@ from repro.faults.controller import FaultController
 
 from repro.ledger.block import Block, BlockCutReason, Transaction, ValidationCode
 from repro.ledger.ledger import Ledger
-from repro.lifecycle.events import (
-    LifecycleBus,
-    LifecycleEventType,
-    emit_event,
-)
+from repro.lifecycle.events import LifecycleBus, LifecycleEventType
 from repro.network.config import NetworkConfig
 from repro.network.latency import LatencyModel
 from repro.network.peer import Peer
@@ -81,15 +77,6 @@ class OrderingService:
         self._next_block_number = 1
 
     # ---------------------------------------------------------------- events
-    def emit(
-        self,
-        event_type: LifecycleEventType,
-        tx: Transaction,
-        failure_type=None,
-    ) -> None:
-        """Emit one lifecycle event for ``tx`` (no-op without a bus)."""
-        emit_event(self.bus, event_type, self.sim.now, tx, failure_type=failure_type)
-
     def abort_early(
         self,
         tx: Transaction,
@@ -110,7 +97,7 @@ class OrderingService:
         tx.committed_at = self.sim.now
         bus = self.bus
         if bus is not None:
-            bus.emit_failure(LifecycleEventType.ABORTED, self.sim.now, tx)
+            bus.emit(LifecycleEventType.ABORTED, tx)
 
     # ------------------------------------------------------------- submission
     def submit(self, tx: Transaction) -> None:
@@ -186,10 +173,10 @@ class OrderingService:
                 tx.ordered_at = now
         else:
             ordered = LifecycleEventType.ORDERED
-            emit_tx = bus.emit_tx
+            emit = bus.emit
             for tx in block.transactions:
                 tx.ordered_at = now
-                emit_tx(ordered, now, tx)
+                emit(ordered, tx)
         batch = self.validator.validate_block(block)
         self.ledger.append(block)
         self.variant.after_block_validated(block, self)
@@ -215,9 +202,9 @@ class OrderingService:
                 if bus is None:
                     continue
                 if tx.is_committed:
-                    bus.emit_tx(LifecycleEventType.COMMITTED, now, tx)
+                    bus.emit(LifecycleEventType.COMMITTED, tx)
                 else:
-                    bus.emit_failure(LifecycleEventType.ABORTED, now, tx)
+                    bus.emit(LifecycleEventType.ABORTED, tx)
 
     # -------------------------------------------------------------- inspection
     @property

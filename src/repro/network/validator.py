@@ -118,11 +118,7 @@ class BlockValidator:
     def _emit_validated(self, tx: Transaction) -> None:
         bus = self.bus
         if bus is not None:
-            bus.emit_failure(
-                LifecycleEventType.VALIDATED,
-                tx.ordered_at if tx.ordered_at is not None else 0.0,
-                tx,
-            )
+            bus.emit(LifecycleEventType.VALIDATED, tx)
 
     # ----------------------------------------------------------- transactions
     def _validate_transaction(self, tx: Transaction, batch: WriteBatch) -> ValidationCode:

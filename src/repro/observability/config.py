@@ -1,7 +1,7 @@
 """Configuration of the observability subsystem (tracing + metrics).
 
 The default (disabled) configuration installs nothing at all: no bus
-subscription, no sampler event, no profiler — the run is bit-identical to a
+handler, no sampler event, no profiler — the run is bit-identical to a
 build without the :mod:`repro.observability` package.  Because observation
 never influences the simulation, the configuration is also excluded from
 experiment cell hashes entirely (see :meth:`ObservabilityConfig.identity`):

@@ -5,7 +5,7 @@ observed deployment is one :class:`~repro.channels.group.ChannelGroup`, the
 observer's only constructor (:func:`~repro.channels.network.plan_groups`
 never shards it), so nothing it reports is merged.  It is only constructed
 when :class:`~repro.observability.config.ObservabilityConfig` is enabled;
-without it no bus listener, sampler event or profiler exists and the run is
+without it no bus handler, sampler event or profiler exists and the run is
 bit-identical to a build without this package.
 
 Everything the observer does is read-only with respect to the simulation: bus
@@ -20,7 +20,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.lifecycle.events import LifecycleBus, LifecycleEvent, LifecycleEventType
+from repro.core.failures import failure_type_of
+from repro.ledger.block import Transaction
+from repro.lifecycle.events import LifecycleBus, LifecycleEventType, TransactionHandler
 from repro.observability.config import ObservabilityConfig
 from repro.observability.registry import MetricsRegistry, TimeSeriesSampler
 from repro.observability.spans import BlockTimes, SpanNode, SpanTracer
@@ -51,7 +53,7 @@ class RunObserver:
     """Observes one run: lifecycle counters, spans, samples, fault markers.
 
     ``buses`` are the lifecycle buses of the channels on ``sim``'s clock; the
-    observer listens to every event of each.
+    observer counts every event type of each, one handler per type.
     """
 
     def __init__(
@@ -70,7 +72,10 @@ class RunObserver:
         self._committed_origins: set = set()
         self._latency = self.registry.histogram("latency")
         for bus in buses:
-            bus.subscribe(None, self._on_event)
+            for event_type in LifecycleEventType:
+                bus.handle(event_type, self._counting(event_type.value))
+            bus.handle(LifecycleEventType.COMMITTED, self._on_committed)
+            bus.handle(LifecycleEventType.ABORTED, self._on_aborted)
         if self.sampler is not None:
             self.sampler.add_source("pending_events", lambda: float(sim.pending_events))
             self.sampler.add_rate("engine_events_per_s", lambda: float(sim.processed_events))
@@ -79,27 +84,31 @@ class RunObserver:
             self.sampler.add_rate("goodput", self._read_counter("committed_requests"))
             self.sampler.add_rate("abort_rate", self._read_counter("aborted"))
 
-    # -------------------------------------------------------------- listeners
+    # --------------------------------------------------------------- handlers
     def _read_counter(self, name: str) -> Callable[[], float]:
         counter = self.registry.counter(name)
         return lambda: counter.value
 
-    def _on_event(self, event: LifecycleEvent) -> None:
-        self.registry.counter(event.type.value).inc()
-        if event.type is LifecycleEventType.COMMITTED:
-            tx = event.transaction
-            if tx.origin_id not in self._committed_origins:
-                self._committed_origins.add(tx.origin_id)
-                self.registry.counter("committed_requests").inc()
-            latency = tx.total_latency
-            if latency is not None:
-                self._latency.observe(latency)
-        elif event.type is LifecycleEventType.ABORTED:
-            failure = event.failure_type.value if event.failure_type is not None else "unknown"
-            name = f"aborted/{failure}"
-            if self.sampler is not None and name not in self.registry:
-                self.sampler.add_rate(f"abort_rate/{failure}", self._read_counter(name))
-            self.registry.counter(name).inc()
+    def _counting(self, name: str) -> TransactionHandler:
+        """A handler that counts its event type (the counter appears when it first counts)."""
+        counter = self.registry.counter
+        return lambda tx: counter(name).inc()
+
+    def _on_committed(self, tx: Transaction) -> None:
+        if tx.origin_id not in self._committed_origins:
+            self._committed_origins.add(tx.origin_id)
+            self.registry.counter("committed_requests").inc()
+        latency = tx.total_latency
+        if latency is not None:
+            self._latency.observe(latency)
+
+    def _on_aborted(self, tx: Transaction) -> None:
+        failure_type = failure_type_of(tx)
+        failure = failure_type.value if failure_type is not None else "unknown"
+        name = f"aborted/{failure}"
+        if self.sampler is not None and name not in self.registry:
+            self.sampler.add_rate(f"abort_rate/{failure}", self._read_counter(name))
+        self.registry.counter(name).inc()
 
     # ------------------------------------------------------------------ wiring
     def add_queue_probe(self, name: str, read: Callable[[], float]) -> None:

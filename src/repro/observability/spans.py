@@ -1,6 +1,6 @@
 """Span trees: one per transaction attempt, built from the lifecycle stream.
 
-The :class:`SpanTracer` subscribes to its channels'
+The :class:`SpanTracer` handles its channels'
 :class:`~repro.lifecycle.events.LifecycleBus` streams — the bus invariant (emission
 never touches the simulator or any RNG stream) is what makes tracing free of
 side effects: a traced run stays bit-identical to an untraced one.  Stage
@@ -35,8 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.failures import failure_type_of
 from repro.ledger.block import Transaction
-from repro.lifecycle.events import LifecycleBus, LifecycleEvent, LifecycleEventType
+from repro.lifecycle.events import LifecycleBus, LifecycleEventType
 
 STAGE_ENDORSE = "endorse"
 STAGE_SUBMIT = "submit"
@@ -230,45 +231,43 @@ def build_attempt_span(
 class SpanTracer:
     """Builds one span tree per transaction attempt from the lifecycle stream.
 
-    Subscribes to every event of each bus (one per channel of a group);
-    records which attempts exist (in first-submission order, which is
-    deterministic on one clock) and how each terminated.
+    Handles ``SUBMITTED`` (every attempt's first emission), ``COMMITTED``
+    and ``ABORTED`` on each bus (one per channel of a group); records which
+    attempts exist (in submission order, which is deterministic on one
+    clock) and how each terminated, at ``tx.committed_at``.
     The trees themselves are materialized once at :meth:`finalize`, when the
     ledgers' block-cut times are available for the block-wait split.
     """
 
     def __init__(self, buses: Sequence[LifecycleBus]) -> None:
-        self._buses = tuple(buses)
         self._attempts: Dict[str, dict] = {}
         self._order: List[str] = []
-        for bus in self._buses:
-            bus.subscribe(None, self._on_event)
-
-    def detach(self) -> None:
-        """Stop listening (the collected attempts remain available)."""
-        for bus in self._buses:
-            bus.unsubscribe(None, self._on_event)
+        for bus in buses:
+            bus.handle(LifecycleEventType.SUBMITTED, self._on_submitted)
+            bus.handle(LifecycleEventType.COMMITTED, self._on_committed)
+            bus.handle(LifecycleEventType.ABORTED, self._on_aborted)
 
     @property
     def attempts(self) -> int:
         """Number of transaction attempts observed so far."""
         return len(self._order)
 
-    def _on_event(self, event: LifecycleEvent) -> None:
-        tx = event.transaction
-        entry = self._attempts.get(tx.tx_id)
-        if entry is None:
-            entry = {"tx": tx, "status": None, "failure": None, "end": None}
-            self._attempts[tx.tx_id] = entry
-            self._order.append(tx.tx_id)
-        if event.type is LifecycleEventType.COMMITTED:
-            entry["status"] = "committed"
-            entry["end"] = event.time
-        elif event.type is LifecycleEventType.ABORTED:
-            entry["status"] = "aborted"
-            entry["end"] = event.time
-            if event.failure_type is not None:
-                entry["failure"] = event.failure_type.value
+    def _on_submitted(self, tx: Transaction) -> None:
+        self._attempts[tx.tx_id] = {"tx": tx, "status": None, "failure": None, "end": None}
+        self._order.append(tx.tx_id)
+
+    def _on_committed(self, tx: Transaction) -> None:
+        entry = self._attempts[tx.tx_id]
+        entry["status"] = "committed"
+        entry["end"] = tx.committed_at
+
+    def _on_aborted(self, tx: Transaction) -> None:
+        entry = self._attempts[tx.tx_id]
+        entry["status"] = "aborted"
+        entry["end"] = tx.committed_at
+        failure = failure_type_of(tx)
+        if failure is not None:
+            entry["failure"] = failure.value
 
     def finalize(self, block_times: Optional[BlockTimes] = None) -> List[SpanNode]:
         """Materialize every attempt's span tree, in submission order."""

@@ -146,7 +146,7 @@ def test_round_wakes_the_client_once_at_the_last_arrival():
     sim = Simulator()
     bus = LifecycleBus()
     seen = []
-    bus.subscribe(LifecycleEventType.ENDORSED, lambda event: seen.append(event.time))
+    bus.handle(LifecycleEventType.ENDORSED, lambda tx: seen.append(sim.now))
     # Proposals arrive at 1; completions at 2, 3, 4; arrivals at 3.5, 6, 4.25.
     latency = ScriptedLatency([1.0, 1.0, 1.0, 1.5, 3.0, 0.25, 0.5])
     client, orderer = build_client(sim, [1.0, 2.0, 3.0], latency, bus=bus)

@@ -22,6 +22,7 @@ from repro.lifecycle.retry import (
     ResubmissionGovernor,
     RetryBudget,
     RetryConfig,
+    RetryController,
     available_retry_policies,
     create_retry_policy,
 )
@@ -237,8 +238,7 @@ def test_retry_disabled_keeps_run_records_free_of_retry_state():
 
 def test_rate_denied_resubmissions_do_not_burn_the_client_budget():
     from repro.ledger.block import Transaction
-    from repro.lifecycle.events import LifecycleBus, LifecycleEvent, LifecycleEventType
-    from repro.lifecycle.retry import RetryController, create_retry_policy
+    from repro.lifecycle.events import LifecycleBus, LifecycleEventType
     from repro.sim.engine import Simulator
 
     class StubClient:
@@ -261,7 +261,7 @@ def test_rate_denied_resubmissions_do_not_burn_the_client_budget():
         tx = Transaction(
             tx_id=f"t{index}", client_name="c0", chaincode_name="EHR", function="f"
         )
-        bus.emit(LifecycleEvent(type=LifecycleEventType.ABORTED, time=0.0, transaction=tx))
+        bus.emit(LifecycleEventType.ABORTED, tx)
     # One token at t=0: one resubmission is admitted, three are rate-denied —
     # and the rate denials must not consume the client's permanent budget.
     assert controller.resubmissions == 1
@@ -288,7 +288,7 @@ def test_disabled_retry_configs_share_the_retry_free_cell_hash():
     assert enabled.cell_hash() != base.cell_hash()
 
 
-def test_repeated_start_clients_detaches_the_previous_controller():
+def test_repeated_start_clients_keeps_the_one_retry_handler():
     from repro.lifecycle.events import LifecycleEventType
     from repro.lifecycle.pipeline import build_network
     from repro.workload.distributions import make_distribution
@@ -308,11 +308,17 @@ def test_repeated_start_clients_detaches_the_previous_controller():
             duration=1.0,
             key_distribution=make_distribution(1.4),
         )
-    # Only the latest controller listens; a leaked subscription would double
-    # every resubmission (and break the attempts == resubmissions invariant).
-    listeners = network.bus._listeners.get(LifecycleEventType.ABORTED, [])
-    assert listeners == [network.retry_controller._on_aborted]
+    # The slice built its one controller with itself: a second handler would
+    # double every resubmission (and break the attempts == resubmissions
+    # invariant).
+    handlers = network.bus._handlers[LifecycleEventType.ABORTED._bus_index]
+    retry_handlers = [
+        handler
+        for handler in handlers
+        if isinstance(getattr(handler, "__self__", None), RetryController)
+    ]
+    assert retry_handlers == [network.retry_controller._on_aborted]
     network.sim.run_until_empty()
     record = network.collect_record(experiment.arrival_rate, 1.0)
     retries = [tx for tx in record.transactions if tx.attempt > 0]
-    assert len(retries) == record.resubmissions
+    assert len(retries) == record.resubmissions > 0

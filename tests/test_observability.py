@@ -20,11 +20,12 @@ import pytest
 
 from repro.bench.harness import ExperimentConfig, run_experiment
 from repro.bench.runner import ExperimentRunner
+from repro.core.failures import FailureType
 from repro.errors import ConfigurationError
 from repro.faults import FaultConfig
 from repro.ledger.block import EndorsementResponse, Transaction, ValidationCode
 from repro.ledger.rwset import ReadWriteSet
-from repro.lifecycle.events import LifecycleBus, LifecycleEvent, LifecycleEventType
+from repro.lifecycle.events import LifecycleBus, LifecycleEventType
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
 from repro.observability import (
@@ -233,19 +234,15 @@ def test_span_as_dict_round_trips_through_json():
 
 
 # ----------------------------------------------------------------- SpanTracer
-def emit(bus: LifecycleBus, event_type: LifecycleEventType, time: float, tx: Transaction):
-    bus.emit(LifecycleEvent(type=event_type, time=time, transaction=tx))
-
-
 def test_span_tracer_builds_one_tree_per_attempt_in_submission_order():
     bus = LifecycleBus()
     tracer = SpanTracer([bus])
     first = committed_tx()
     second = committed_tx()
     second.tx_id = "tx-9"
-    emit(bus, LifecycleEventType.SUBMITTED, 1.0, first)
-    emit(bus, LifecycleEventType.SUBMITTED, 1.1, second)
-    emit(bus, LifecycleEventType.COMMITTED, 1.55, first)
+    bus.emit(LifecycleEventType.SUBMITTED, first)
+    bus.emit(LifecycleEventType.SUBMITTED, second)
+    bus.emit(LifecycleEventType.COMMITTED, first)
     assert tracer.attempts == 2
     roots = tracer.finalize({None: {3: 1.25}})
     assert [root.args["tx_id"] for root in roots] == ["tx-1", "tx-9"]
@@ -254,13 +251,25 @@ def test_span_tracer_builds_one_tree_per_attempt_in_submission_order():
     assert roots[1].args["status"] == "incomplete"
 
 
-def test_span_tracer_detach_stops_listening():
+def test_span_tracer_reads_the_end_and_the_failure_off_the_transaction():
     buses = [LifecycleBus(), LifecycleBus()]
     tracer = SpanTracer(buses)
-    tracer.detach()
-    for bus in buses:
-        emit(bus, LifecycleEventType.SUBMITTED, 1.0, committed_tx())
-    assert tracer.attempts == 0
+    committed, aborted = committed_tx(), committed_tx()
+    aborted.tx_id, aborted.channel = "tx-c1-00000000", 1
+    aborted.validation_code = ValidationCode.MVCC_READ_CONFLICT
+    aborted.conflicting_block = 3
+    aborted.committed_at = 1.75
+    buses[0].emit(LifecycleEventType.SUBMITTED, committed)
+    buses[1].emit(LifecycleEventType.SUBMITTED, aborted)
+    buses[1].emit(LifecycleEventType.ABORTED, aborted)
+    buses[0].emit(LifecycleEventType.COMMITTED, committed)
+    assert tracer.attempts == 2
+    roots = tracer.finalize()
+    assert [(root.args["status"], root.end) for root in roots] == [
+        ("committed", 1.55),
+        ("aborted", 1.75),
+    ]
+    assert roots[1].args["failure_type"] == FailureType.MVCC_INTRA_BLOCK.value
 
 
 # ------------------------------------------------------------------- registry
@@ -410,7 +419,10 @@ def test_disabled_observability_creates_no_observer():
         seed=7,
     )
     assert network.group.observer is None
-    assert not network.channels[0].bus._listeners
+    # The channel's own tally is the only thing handling its bus.
+    (channel,) = network.channels
+    handlers = [handler for row in channel.bus._handlers for handler in row]
+    assert handlers and all(handler.__self__ is channel.tally for handler in handlers)
     assert network.sim.pending_events == 0
 
 

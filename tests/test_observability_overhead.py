@@ -5,7 +5,8 @@ default test selection:
 
 * **Structural** — building a deployment with the default (disabled)
   :class:`~repro.observability.config.ObservabilityConfig` installs nothing:
-  no observer, no bus listener, no pre-scheduled sampler tick, no profiler.
+  no observer, no bus handler beside the channel's tally, no pre-scheduled
+  sampler tick, no profiler.
   This is the strong form of the guarantee; it catches a regression exactly,
   independent of machine noise.
 * **Same engine, same work** — the disabled deployment's simulator *is* the
@@ -51,7 +52,11 @@ def build_disabled_network() -> MultiChannelNetwork:
 def test_disabled_observability_installs_nothing():
     network = build_disabled_network()
     assert network.group.observer is None
-    assert not network.channels[0].bus._listeners, "a disabled config subscribed a bus listener"
+    (channel,) = network.channels
+    handlers = [handler for row in channel.bus._handlers for handler in row]
+    assert all(
+        handler.__self__ is channel.tally for handler in handlers
+    ), "a disabled config put a handler on the bus"
     assert network.sim.pending_events == 0, "a disabled config pre-scheduled engine events"
     assert not network.sim.profiler_attached
 

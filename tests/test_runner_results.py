@@ -215,6 +215,15 @@ def test_an_unrecorded_record_is_not_missing_anything_else():
     assert pickle.loads(pickle.dumps(record)) == record
 
 
+def test_a_recorded_record_survives_pickle_with_its_fingerprint():
+    # The chain classes pickle by their default slot state; nothing ships them
+    # between processes, but a recorded record still round-trips whole.
+    record = run_repetition(CELLS["one-channel"], 0, record_chain=True).record
+    clone = pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
+    assert clone.transactions and clone.transactions is not record.transactions
+    assert record_fingerprint(clone) == record_fingerprint(record)
+
+
 def test_the_cache_refuses_a_recorded_analysis(tmp_path):
     config = CELLS["one-channel"]
     cache = ResultCache(tmp_path)

@@ -447,7 +447,7 @@ CHECKED = CheckerConfig(enabled=True)
 
 
 def test_checker_verdicts_identical_across_execution_strategies():
-    # The checker subscribes to each channel slice's own bus, so the verdict
+    # The checker handles each channel slice's own bus, so the verdict
     # and every retained witness must be bit-identical no matter how the
     # channels were scheduled: shared clock, in-process shards, or a real
     # worker pool (the report crosses a process boundary).

@@ -23,7 +23,7 @@ from repro.checker.config import CheckerConfig
 from repro.checker.history import history_document
 from repro.core.fingerprint import record_fingerprint
 from repro.faults.spec import FaultConfig
-from repro.lifecycle import events
+from repro.lifecycle.events import LifecycleEventType
 from repro.lifecycle.pipeline import build_network
 from repro.lifecycle.retry import RetryConfig
 from repro.network.config import NetworkConfig
@@ -200,37 +200,44 @@ def test_one_channel_deployment_is_the_one_group_shared_clock_plan(shard_workers
     assert deployment.sim is channel.sim
 
 
-def count_lifecycle_events(monkeypatch) -> list:
-    """Count every :class:`LifecycleEvent` the buses build from here on."""
-    allocated = []
+def hear_every_emission(deployment) -> list:
+    """Register one handler on every event type of every channel bus.
 
-    class CountedEvent(events.LifecycleEvent):
-        def __init__(self, *args, **kwargs):
-            allocated.append(1)
-            super().__init__(*args, **kwargs)
+    Returns one list per channel, in channel order, that its handler appends
+    each transaction it is handed to.
+    """
+    heard = []
+    for channel in deployment.channels:
+        calls: list = []
+        for event_type in LifecycleEventType:
+            channel.bus.handle(event_type, calls.append)
+        heard.append(calls)
+    return heard
 
-    monkeypatch.setattr(events, "LifecycleEvent", CountedEvent)
-    return allocated
 
-
-def test_unobserved_one_channel_run_allocates_no_lifecycle_event(monkeypatch):
-    # The one channel publishes on its own bus, which nobody listens to.
-    allocated = count_lifecycle_events(monkeypatch)
+def test_a_handler_on_the_one_channel_bus_is_handed_every_emission():
     config = CELLS["fabric-1.4/EHR/C1"][0]
-    record = run(build(config), config)
+    deployment = build(config)
+    (heard,) = hear_every_emission(deployment)
+    record = run(deployment, config)
     assert record.lifecycle_counts["committed"] > 0
-    assert allocated == []
+    assert len(heard) == sum(record.lifecycle_counts.values())
 
 
-def test_unobserved_eight_channel_run_allocates_no_lifecycle_event(monkeypatch):
-    # Eight channel buses, one per chain: every emission is counted on its
-    # channel's bus and builds no event while nobody listens.
-    allocated = count_lifecycle_events(monkeypatch)
+def test_a_handler_on_each_of_eight_channel_buses_is_handed_its_channel_emissions():
+    # Eight channel buses, one per chain: each handler hears its own channel
+    # only, once per emission counted there.
     config = CELLS["fabric-1.4/EHR/C1"][0]
     config = config.with_overrides(network=config.network.copy(channels=8))
-    record = run(build(config), config)
+    deployment = build(config)
+    heard = hear_every_emission(deployment)
+    record = run(deployment, config)
     assert record.lifecycle_counts["committed"] > 0
-    assert allocated == []
+    assert [len(calls) for calls in heard] == [
+        sum(channel.record.lifecycle_counts.values()) for channel in record.channel_records
+    ]
+    for index, calls in enumerate(heard):
+        assert {tx.channel for tx in calls} == {index}
     for name, count in record.lifecycle_counts.items():
         assert count == sum(
             channel.record.lifecycle_counts.get(name, 0) for channel in record.channel_records

@@ -1,17 +1,14 @@
-"""Pickle and copy round-trips for the slots pipeline objects (shard boundary).
+"""Pickle and copy round-trips for the slots chain objects.
 
-The sharded plan (``MultiChannelNetwork._drain_shards`` in
-:mod:`repro.channels.network`) ships the per-channel ``RunRecord`` s of the
-shards it does not drain itself — transactions, blocks, read/write sets —
-back from its pool workers through files
-(:func:`repro.channels.group.simulate_group_to_file`, one ``pickle.dump`` per
-group, loaded by the deploying process).  ``Transaction``, ``EndorsementResponse``,
-``ReadWriteSet``, ``RangeRead`` and ``Block`` are ``__slots__`` classes whose
-``__getstate__`` / ``__setstate__`` write and read one fixed-order tuple of
-their slots instead of the default ``{slot name: value}`` dict per object.
+A recorded run keeps its transactions, blocks and read/write sets, and a
+caller may pickle or copy that record.  ``Transaction``, ``EndorsementResponse``,
+``ReadWriteSet``, ``RangeRead`` and ``Block`` are ``__slots__`` classes that
+inherit :class:`repro.ledger.rwset.SlotState`: their state is one tuple of
+their slots in ``__slots__`` order instead of the default
+``{slot name: value}`` dict per object, which protocols 0 and 1 refuse.
 These tests pin that every slot survives, at every pickle protocol and
-through ``copy``; that sharing and the lazy containers survive the boundary;
-and that a slot added later without extending the state fails here.
+through ``copy``; that sharing and the lazy containers survive the round
+trip; and that the state is every slot, in order.
 """
 
 from __future__ import annotations
