@@ -5,9 +5,9 @@ endorsement policy — is :class:`repro.network.network.Channel`, built by its
 :class:`~repro.channels.group.ChannelGroup` on the group's clock.
 
 The :class:`ChannelGateway` sits between a channel's clients and its ordering
-service.  Every endorsed transaction passes through it: the gateway stamps the
-transaction with its home channel's label and, with the configured
-probability, marks it cross-channel and hands it to the
+service.  Every endorsed transaction passes through it (its client stamped it
+with its home channel's label when it built it): with the configured
+probability, the gateway marks it cross-channel and hands it to the
 :class:`~repro.channels.coordinator.CrossChannelCoordinator` instead of the
 local orderer.
 """
@@ -46,7 +46,6 @@ class ChannelGateway:
         # Not the slice itself: that would close a cycle (slice -> clients ->
         # gateway -> slice) and leave a finished deployment's genesis state to
         # the cyclic collector, which runs defer, instead of reference counts.
-        self.label = channel.label
         self.index = channel.index
         self.orderer = channel.orderer
         self.router = router
@@ -57,12 +56,10 @@ class ChannelGateway:
 
     def abort_early(self, tx: Transaction, code: ValidationCode, reason=None) -> None:
         """Terminally fail ``tx`` on this channel (stage-seam delegation)."""
-        tx.channel = self.label
         self.orderer.abort_early(tx, code, reason)
 
     def submit(self, tx: Transaction) -> None:
-        """Stamp the channel, maybe mark cross-channel, and route onwards."""
-        tx.channel = self.label
+        """Maybe mark ``tx`` cross-channel, and route it onwards."""
         if (
             self.coordinator is not None  # given only to an enabled mix
             and self.rng.random() < self.cross_channel.rate

@@ -29,7 +29,7 @@ groups there are and who advances their clocks — is one rule over the config
     partner strategies, ``uniform`` and the ``neighbor`` ring, connect every
     channel to every other through the two-phase prepare), a *global*
     resubmission rate cap (one token bucket cannot be split across
-    processes), an observer (its latency sketches do not merge) or a
+    processes), an observer (its sample grids end where each clock does) or a
     recorded chain (its transactions stay in the process that reads them).
 ``sharded``
     One group (shard) per channel, each drained to completion on its own
@@ -101,7 +101,7 @@ def plan_groups(
     Channels run apart only when nothing couples them: no cross traffic (every
     partner strategy connects all channels), no resubmission rate cap (one
     token bucket across all channels, which a process cannot slice), no
-    observer (one latency sketch and sample grid, which do not merge either)
+    observer (one sample grid on one clock, which per-shard grids are not)
     and no recorded chain (a shard ships its tally, never its transactions).
     """
     rate_capped = config.retry.enabled and config.retry.rate_cap is not None

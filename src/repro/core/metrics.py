@@ -116,7 +116,7 @@ class ExperimentMetrics:
     #: or the last commit time, whichever is later.
     measurement_horizon: float = 0.0
     #: Total-latency quantiles (``p50``/``p95``/``p99``) over all terminated
-    #: transactions, from the constant-memory P² sketch.
+    #: transactions, exact (:func:`~repro.sim.stats.quantiles`).
     latency_quantiles: Dict[str, float] = field(default_factory=dict)
     #: Per-lifecycle-stage latency breakdown: stage name ->
     #: ``{"count", "mean_s", "p95_s"}`` (only stages any transaction reached).

@@ -10,8 +10,8 @@ types they need without the emitting component knowing who listens.
 There is one way to listen: :meth:`LifecycleBus.handle` registers a handler
 for one event type, and every emission hands it the transaction itself.  What
 a consumer needs beyond the type is on the transaction: its channel
-(``tx.channel``, stamped by the channel's gateway before the attempt is
-ordered or aborts; ``None`` on a one-channel deployment), its failure class
+(``tx.channel``, stamped by the client that built the attempt; ``None`` on a
+one-channel deployment), its failure class
 (:func:`failure_type_of`) and, at a ``COMMITTED`` or ``ABORTED`` emission,
 its end time (``tx.committed_at``, stamped with the simulator's clock before
 every terminal emission).

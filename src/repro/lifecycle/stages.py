@@ -25,8 +25,8 @@ class OrderingStage(Protocol):
 
     Implementations: :class:`~repro.network.orderer.OrderingService` and the
     :class:`~repro.channels.channel.ChannelGateway` a deployment puts in front
-    of it (stamps the channel and routes cross-channel transactions through
-    the two-phase coordinator first).
+    of it (routes cross-channel transactions through the two-phase
+    coordinator first).
     """
 
     def submit(self, tx: Transaction) -> None:

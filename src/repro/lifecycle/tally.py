@@ -11,7 +11,7 @@ attempt afterwards.  A :class:`ChannelTally` does that:
   read-only attempts), ``VALIDATED`` (what the chain records, failures in
   block order), ``ABORTED`` before any block (early aborts) and the terminal
   ``COMMITTED`` / ``ABORTED`` (logical requests, the last commit);
-* the floats the metrics average or sketch — the latency, the stage
+* the floats the metrics average or take quantiles of — the latency, the stage
   durations (:func:`~repro.observability.spans.stage_durations`) and the
   per-call DB seconds — go into a compact row per attempt.
 
@@ -22,11 +22,13 @@ the attempt's first DB-call latencies then.  The parse would read that stamp,
 so the endorsing peer reports it (:meth:`ChannelTally.late_stamp`) and it
 joins the attempt's row.
 
-:func:`fold` turns one or more closed tallies into a :class:`Tally`, folding
-the rows in the order the parse walked the attempts: on one channel
-``(submitted_at, client order)``, across several ``(submitted_at, tx_id)``.
-The same samples in the same order give the same P² sketch and the same
-``sum()``, bit for bit.
+:func:`fold` turns one or more closed tallies into a :class:`Tally`.  Counts
+and the latency quantiles (:func:`~repro.sim.stats.quantiles`, exact) are
+statistics of the bag of samples and do not depend on order.  The means do:
+they are one ``sum()`` over the samples, so the rows are folded in the order
+the parse walked the attempts — on one channel ``(submitted_at, client
+order)``, across several ``(submitted_at, tx_id)`` — to give the parse's
+means bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from repro.core.failures import CONFLICT_CODES, FailureType, failure_type_of
 from repro.ledger.block import Transaction
 from repro.lifecycle.events import LifecycleBus, LifecycleEventType
 from repro.observability.spans import LIFECYCLE_STAGES, stage_durations
-from repro.sim.stats import QuantileSketch, percentile
+from repro.sim.stats import percentile, quantiles
 
 #: A row: ``submitted_at``, the latency, then one duration per lifecycle
 #: stage; ``nan`` where the attempt has no such sample.
@@ -284,10 +286,9 @@ def fold(tallies: Sequence[ChannelTally]) -> Tally:
 
     One tally folds in its channel's record order, ``(submitted_at, client
     order)``; several fold as one run's aggregate, in ``(submitted_at,
-    tx_id)`` order.  Counts add up channel by channel; every float sample is
-    fed in that order to the accumulator a chain parse fed it to, so means
-    (``sum()`` over the whole sequence) and the P² sketch are the parse's,
-    bit for bit.
+    tx_id)`` order.  Counts add up channel by channel and the quantiles are
+    exact, so neither depends on that order; the means (``sum()`` over the
+    whole sequence) do, and in that order they are the parse's, bit for bit.
     """
     if len(tallies) == 1:
         rows = _channel_order(tallies[0])
@@ -311,8 +312,6 @@ def fold(tallies: Sequence[ChannelTally]) -> Tally:
         return array("d", [value for value in values if value == value])
 
     latencies = samples(_LATENCY)
-    sketch = QuantileSketch()
-    sketch.extend(latencies)
     stage_samples = {stage: samples(slot) for stage, slot in _STAGE_SLOT.items()}
     call_latency: Dict[str, float] = {}
     for operation in sorted({operation for tally in tallies for operation in tally.calls}):
@@ -345,7 +344,7 @@ def fold(tallies: Sequence[ChannelTally]) -> Tally:
         committed_requests=sum(tally.committed_requests for tally in tallies),
         last_commit=max((tally.last_commit for tally in tallies), default=0.0),
         average_latency=sum(latencies) / len(latencies) if latencies else 0.0,
-        latency_quantiles=sketch.as_dict(),
+        latency_quantiles=quantiles(latencies),
         function_call_latency_ms=call_latency,
         stage_latency={
             stage: {

@@ -83,9 +83,13 @@ class ClientNode:
         bus: Optional[LifecycleBus] = None,
         faults: Optional[FaultController] = None,
         results: Optional[ResultTable] = None,
+        channel: Optional[int] = None,
     ) -> None:
         self.sim = sim
         self.name = name
+        #: The label of the client's channel, stamped on every transaction it
+        #: builds (``None`` on a one-channel deployment).
+        self.channel = channel
         self.config = config
         self.chaincode = chaincode
         self.workload = workload
@@ -141,6 +145,7 @@ class ClientNode:
             args=request.args,
             read_only=request.read_only,
             submitted_at=self.sim.now,
+            channel=self.channel,
         )
         self.submit_transaction(tx)
 
@@ -162,6 +167,7 @@ class ClientNode:
             submitted_at=self.sim.now,
             attempt=failed.attempt + 1,
             origin_tx_id=failed.origin_id,
+            channel=self.channel,
         )
         self.resubmitted_count += 1
         self.submit_transaction(tx)

@@ -384,8 +384,8 @@ class Channel:
         it and ``duration`` before splitting it by :attr:`arrival_share`).
         ``orderer`` defaults to this slice's own ordering service; the group
         passes a :class:`~repro.channels.channel.ChannelGateway` that sits in
-        front of it (stamping the channel and routing cross-channel
-        transactions through the coordinator).  ``primary_distribution``
+        front of it (routing cross-channel transactions through the
+        coordinator).  ``primary_distribution``
         optionally overrides the key distribution used for each request's
         *primary* entity draw — the hook that restricts a channel's clients to
         its shard of the key space.
@@ -432,6 +432,7 @@ class Channel:
                 faults=self.faults,
                 tx_ids=self.tx_ids,
                 results=self.results,
+                channel=self.label,
             )
             if self.retry_controller is not None:
                 self.retry_controller.register(client)

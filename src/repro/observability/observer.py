@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.failures import failure_type_of
 from repro.ledger.block import Transaction
-from repro.lifecycle.events import LifecycleBus, LifecycleEventType, TransactionHandler
+from repro.lifecycle.events import LifecycleBus, LifecycleEventType
 from repro.observability.config import ObservabilityConfig
 from repro.observability.registry import MetricsRegistry, TimeSeriesSampler
 from repro.observability.spans import BlockTimes, SpanNode, SpanTracer
@@ -52,8 +52,11 @@ class ObservabilityData:
 class RunObserver:
     """Observes one run: lifecycle counters, spans, samples, fault markers.
 
-    ``buses`` are the lifecycle buses of the channels on ``sim``'s clock; the
-    observer counts every event type of each, one handler per type.
+    ``buses`` are the lifecycle buses of the channels on ``sim``'s clock.  The
+    lifecycle counters are the buses' own emission counts, summed: the
+    sampler's rate columns read them at each tick and :meth:`collect` for the
+    summary.  A counter is reported once its type was emitted, or when a
+    sampler column reads it.
     """
 
     def __init__(
@@ -69,30 +72,36 @@ class RunObserver:
         )
         self.markers: List[dict] = []
         self._profiler: Optional[EngineProfiler] = None
+        self._buses = tuple(buses)
+        #: The lifecycle counters a sampler column reads.
+        self._sampled: Tuple[LifecycleEventType, ...] = ()
         self._committed_origins: set = set()
         self._latency = self.registry.histogram("latency")
         for bus in buses:
-            for event_type in LifecycleEventType:
-                bus.handle(event_type, self._counting(event_type.value))
             bus.handle(LifecycleEventType.COMMITTED, self._on_committed)
             bus.handle(LifecycleEventType.ABORTED, self._on_aborted)
         if self.sampler is not None:
+            self._sampled = (
+                LifecycleEventType.SUBMITTED,
+                LifecycleEventType.COMMITTED,
+                LifecycleEventType.ABORTED,
+            )
             self.sampler.add_source("pending_events", lambda: float(sim.pending_events))
             self.sampler.add_rate("engine_events_per_s", lambda: float(sim.processed_events))
-            self.sampler.add_rate("submit_rate", self._read_counter("submitted"))
-            self.sampler.add_rate("tps", self._read_counter("committed"))
+            self.sampler.add_rate("submit_rate", self._emitted(LifecycleEventType.SUBMITTED))
+            self.sampler.add_rate("tps", self._emitted(LifecycleEventType.COMMITTED))
             self.sampler.add_rate("goodput", self._read_counter("committed_requests"))
-            self.sampler.add_rate("abort_rate", self._read_counter("aborted"))
+            self.sampler.add_rate("abort_rate", self._emitted(LifecycleEventType.ABORTED))
 
     # --------------------------------------------------------------- handlers
     def _read_counter(self, name: str) -> Callable[[], float]:
         counter = self.registry.counter(name)
         return lambda: counter.value
 
-    def _counting(self, name: str) -> TransactionHandler:
-        """A handler that counts its event type (the counter appears when it first counts)."""
-        counter = self.registry.counter
-        return lambda tx: counter(name).inc()
+    def _emitted(self, event_type: LifecycleEventType) -> Callable[[], float]:
+        """Reads how many ``event_type`` emissions the observed buses counted."""
+        buses = self._buses
+        return lambda: float(sum(bus.count(event_type) for bus in buses))
 
     def _on_committed(self, tx: Transaction) -> None:
         if tx.origin_id not in self._committed_origins:
@@ -157,6 +166,10 @@ class RunObserver:
         """Assemble the run's exportable observability data."""
         if self.sampler is not None:
             self.sampler.sample_now(final_time if final_time is not None else self.sim.now)
+        for event_type in LifecycleEventType:
+            emitted = self._emitted(event_type)()
+            if emitted or event_type in self._sampled:
+                self.registry.counter(event_type.value).value = emitted
         summary = self.registry.snapshot()
         if self._profiler is not None:
             summary["engine"] = self._profiler.report()

@@ -1,9 +1,9 @@
 """Counters, gauges and histograms plus the sim-time series sampler.
 
 The registry is deliberately small: named :class:`Counter`/:class:`Gauge`
-instruments and :class:`Histogram` s built on
-:class:`~repro.sim.stats.OnlineStats` + the :class:`~repro.sim.stats.QuantileSketch`
-(so every histogram reports mean/stdev *and* p50/p95/p99 at O(1) memory).
+instruments and :class:`Histogram` s that keep their samples, so every
+histogram reports mean/stdev and exact p50/p95/p99 — the one quantile
+definition of the metrics layer, :func:`~repro.sim.stats.quantiles`.
 
 The :class:`TimeSeriesSampler` turns instantaneous state into a time series:
 it pre-schedules its ticks over the submission window at construction-time
@@ -14,10 +14,12 @@ therefore leaves a sampled run bit-identical to an unsampled one.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+import math
+from array import array
+from typing import Callable, Dict, List, Tuple
 
 from repro.sim.engine import Simulator
-from repro.sim.stats import DEFAULT_QUANTILES, OnlineStats, QuantileSketch
+from repro.sim.stats import mean, quantiles
 
 
 class Counter:
@@ -47,28 +49,30 @@ class Gauge:
 
 
 class Histogram:
-    """Distribution summary: Welford moments plus a P² quantile sketch."""
+    """Distribution summary of the samples observed, computed when read."""
 
-    def __init__(self, fractions: Sequence[float] = DEFAULT_QUANTILES) -> None:
-        self.stats = OnlineStats()
-        self.sketch = QuantileSketch(fractions)
+    def __init__(self) -> None:
+        self._samples = array("d")
 
     def observe(self, value: float) -> None:
         """Add one sample."""
-        self.stats.add(value)
-        self.sketch.add(value)
+        self._samples.append(value)
 
     def snapshot(self) -> Dict[str, float]:
-        """Moments and quantiles as one JSON-serializable dictionary."""
-        summary: Dict[str, float] = {"count": self.stats.count}
-        if self.stats.count:
+        """Count, moments, extremes and quantiles as one JSON-serializable dictionary."""
+        samples = self._samples
+        count = len(samples)
+        summary: Dict[str, float] = {"count": count}
+        if count:
+            average = mean(samples)
             summary.update(
-                mean=self.stats.mean,
-                min=self.stats.minimum,
-                max=self.stats.maximum,
-                stdev=self.stats.stdev,
+                mean=average,
+                min=min(samples),
+                max=max(samples),
+                # The population standard deviation.
+                stdev=math.sqrt(mean((value - average) ** 2 for value in samples)),
             )
-            summary.update(self.sketch.as_dict())
+            summary.update(quantiles(samples))
         return summary
 
 

@@ -5,7 +5,7 @@ engine on which the Fabric network model is built: a scheduler on one binary
 heap with a virtual clock (:mod:`repro.sim.engine`), an opt-in engine profiler
 (:mod:`repro.sim.profile`), single-server FIFO service stations used to model
 peers and the ordering service (:mod:`repro.sim.resources`), seeded
-random-number streams (:mod:`repro.sim.rng`), online statistics accumulators
+random-number streams (:mod:`repro.sim.rng`), sample statistics
 (:mod:`repro.sim.stats`) and the collector policy every run path enters
 (:mod:`repro.sim.collector`).
 """
@@ -14,7 +14,6 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.profile import EngineProfiler
 from repro.sim.resources import ServiceStation
 from repro.sim.rng import RandomStreams
-from repro.sim.stats import OnlineStats
 
 __all__ = [
     "Event",
@@ -22,5 +21,4 @@ __all__ = [
     "EngineProfiler",
     "ServiceStation",
     "RandomStreams",
-    "OnlineStats",
 ]

@@ -5,9 +5,10 @@ The product takes its metrics from a tally kept as each attempt ends
 module is the independent derivation it is checked against: the pass over a
 *recorded* run's transactions and ledgers that the product made before the
 tally existed, verbatim in its arithmetic — one walk per record in record
-order, each sample fed to its accumulator in that order, every mean a
-``sum()`` over the complete sample sequence.  Imported by bare module name,
-like ``failure_oracle``.
+order, every mean a ``sum()`` over the complete sample sequence in that order
+— except the latency quantiles, which are exact: ``quantiles`` over the
+recorded chain's latencies, the definition the product must meet.  Imported
+by bare module name, like ``failure_oracle``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.core.metrics import ExperimentMetrics, FailureReport
 from repro.ledger.block import Transaction
 from repro.network.network import RunRecord
 from repro.observability.spans import LIFECYCLE_STAGES, BlockTimes, stage_durations
-from repro.sim.stats import QuantileSketch, percentile
+from repro.sim.stats import percentile, quantiles
 
 
 class Walk(NamedTuple):
@@ -58,7 +59,6 @@ def walk(record: RunRecord, block_times: BlockTimes) -> Walk:
     read_only = 0
     committed_by_origin: Dict[str, bool] = {}
     latencies = array("d")
-    sketch = QuantileSketch()
     call_seconds: Dict[str, float] = defaultdict(float)
     call_counts: Dict[str, int] = defaultdict(int)
     stage_samples: Dict[str, array] = defaultdict(partial(array, "d"))
@@ -76,7 +76,6 @@ def walk(record: RunRecord, block_times: BlockTimes) -> Walk:
                 last_commit = committed_at
             latency = committed_at - tx.submitted_at
             latencies.append(latency)
-            sketch.add(latency)
         for operation, seconds in tx.db_call_latency.items():
             call_seconds[operation] += seconds
             call_counts[operation] += 1
@@ -95,7 +94,7 @@ def walk(record: RunRecord, block_times: BlockTimes) -> Walk:
         logical_requests=len(committed_by_origin),
         committed_requests=sum(committed_by_origin.values()),
         average_latency=sum(latencies) / len(latencies) if latencies else 0.0,
-        latency_quantiles=sketch.as_dict(),
+        latency_quantiles=quantiles(latencies),
         function_call_latency_ms={
             operation: 1000.0 * call_seconds[operation] / call_counts[operation]
             for operation in sorted(call_seconds)

@@ -2,8 +2,9 @@
 
 Every field of :class:`~repro.core.metrics.ExperimentMetrics` — the aggregate
 and each channel's — of three cells, generated at the commit *before*
-``compute_metrics`` became one walk over the transactions and ``P2Quantile``
-straight-line code (see ``golden/generate_analysis_pins.py``).  A failure names
+``compute_metrics`` became one walk over the transactions, with the
+``latency_quantiles`` regenerated when they became exact percentiles instead
+of P² estimates (see ``golden/generate_analysis_pins.py``).  A failure names
 the cell, the channel and the field that moved.
 """
 

@@ -1,0 +1,64 @@
+"""The reported latency quantiles are exact: ``percentile`` over the recorded chain.
+
+A quantile of a run is a statistic of the bag of its latencies, so it must
+equal the linear-interpolation percentile of the samples the chain records —
+``committed_at - submitted_at`` of every attempt that ended — and must not
+depend on the order the channels' tallies are folded in.  Checked on the three
+cells of ``golden/analysis_pins.json``, the aggregate and every channel.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).parent / "golden"))
+
+import test_single_channel_pins as single  # noqa: E402
+from generate_analysis_pins import CELLS  # noqa: E402
+
+from repro.channels import merge  # noqa: E402
+from repro.core.analyzer import LedgerAnalyzer  # noqa: E402
+from repro.lifecycle.tally import fold  # noqa: E402
+from repro.sim.stats import percentile  # noqa: E402
+
+FRACTIONS = {"p50": 0.5, "p95": 0.95, "p99": 0.99}
+
+
+def exact_quantiles(transactions) -> dict:
+    latencies = [
+        tx.committed_at - tx.submitted_at for tx in transactions if tx.committed_at is not None
+    ]
+    return {name: percentile(latencies, fraction) for name, fraction in FRACTIONS.items()}
+
+
+@pytest.mark.parametrize("name", list(CELLS))
+def test_latency_quantiles_are_the_percentiles_of_the_recorded_chain(name, monkeypatch):
+    folded = []
+    monkeypatch.setattr(
+        merge, "fold", lambda tallies: folded.append(list(tallies)) or fold(tallies)
+    )
+    config = CELLS[name]
+    analysis = LedgerAnalyzer().analyze(single.run(single.build(config, record_chain=True), config))
+    channel_records = {channel.index: channel.record for channel in analysis.record.channel_records}
+    scopes = [("aggregate", analysis.metrics, analysis.record)] + [
+        (f"channel {channel.index}", channel.metrics, channel_records[channel.index])
+        for channel in analysis.channel_analyses
+    ]
+    for scope, metrics, record in scopes:
+        exact = exact_quantiles(record.transactions)
+        assert metrics.latency_quantiles == exact, f"{name} / {scope}"
+    if channel_records:
+        (tallies,) = folded
+        assert len(tallies) == len(channel_records) == 8
+        # Folded in reverse channel order, the aggregate's quantiles stay.
+        reverse = fold(tallies[::-1]).latency_quantiles
+        assert reverse == analysis.metrics.latency_quantiles, f"{name}: fold order moved them"
+        # And they are those of the channels' samples taken channel by channel.
+        by_channel = [
+            tx for index in sorted(channel_records, reverse=True)
+            for tx in channel_records[index].transactions
+        ]
+        assert exact_quantiles(by_channel) == analysis.metrics.latency_quantiles, name

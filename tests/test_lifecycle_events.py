@@ -115,7 +115,8 @@ def test_failure_type_of_maps_every_terminal_code():
 def test_every_attempt_is_submitted_first_and_terminates_once_at_its_end_time():
     """On 4 coupled channels with faults and jittered retries, each attempt's
     first emission is its one ``SUBMITTED``, it reaches exactly one
-    ``COMMITTED`` or ``ABORTED``, and ``tx.committed_at`` is the clock there."""
+    ``COMMITTED`` or ``ABORTED``, ``tx.committed_at`` is the clock there, and
+    every emission's ``tx.channel`` is the label of the channel it is on."""
     config = ExperimentConfig(
         workload=uniform_workload("EHR", patients=40),
         network=NetworkConfig(
@@ -145,6 +146,8 @@ def test_every_attempt_is_submitted_first_and_terminates_once_at_its_end_time():
             seen = history.setdefault((channel.index, tx.tx_id), [])
             # SUBMITTED exactly when nothing was emitted for the attempt yet.
             first = not seen
+            if tx.channel != channel.label:
+                problems.append(f"{where}: {event_type.value} with tx.channel {tx.channel}")
             if (event_type is LifecycleEventType.SUBMITTED) != first:
                 problems.append(f"{where}: {event_type.value} after {[e.value for e in seen]}")
             if event_type in TERMINAL and tx.committed_at != network.sim.now:
@@ -172,4 +175,33 @@ def test_every_attempt_is_submitted_first_and_terminates_once_at_its_end_time():
     assert len(history) == record.submitted_count
     # The cell exercises both ends, and aborts that are retried.
     assert set(ends) == set(TERMINAL)
+    assert record.resubmissions > 0
+
+
+def test_a_one_channel_deployment_stamps_no_channel_on_any_attempt():
+    """Retried attempts included: a transaction of a one-channel run has no label."""
+    config = ExperimentConfig(
+        workload=uniform_workload("EHR", patients=40),
+        network=NetworkConfig(
+            cluster="C1",
+            database="leveldb",
+            block_size=10,
+            retry=RetryConfig(policy="jittered", max_retries=3),
+        ),
+        arrival_rate=240.0,
+        duration=2.0,
+        seed=11,
+    )
+    network = build_network(config.network, config.build_chaincode, config.variant, seed=11)
+    (channel,) = network.channels
+    assert channel.label is None
+    labels = {}
+    for event_type in LifecycleEventType:
+        channel.bus.handle(
+            event_type, lambda tx, event_type=event_type: labels.setdefault(tx.channel, event_type)
+        )
+    record = network.run(
+        config.workload.mix, config.arrival_rate, config.duration, make_distribution(1.0)
+    )
+    assert labels.keys() == {None}
     assert record.resubmissions > 0

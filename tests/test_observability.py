@@ -13,6 +13,9 @@ The load-bearing contracts live here:
 from __future__ import annotations
 
 import json
+import math
+import random
+import statistics
 import sys
 from pathlib import Path
 
@@ -39,6 +42,7 @@ from repro.observability import (
     STAGE_ENDORSE,
     STAGE_PREPARE,
     STAGE_SUBMIT,
+    Histogram,
     MetricsRegistry,
     ObservabilityConfig,
     SpanTracer,
@@ -55,7 +59,9 @@ from repro.observability import (
     write_metrics,
     write_span_jsonl,
 )
+from repro.observability.observer import RunObserver
 from repro.sim.engine import Simulator
+from repro.sim.stats import percentile
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 sys.path.insert(0, str(GOLDEN_DIR))
@@ -279,17 +285,112 @@ def test_registry_snapshot_is_sorted_and_typed():
     registry.counter("a").inc(2.0)
     registry.gauge("depth").set(4.0)
     histogram = registry.histogram("latency")
-    for value in (1.0, 2.0, 3.0):
-        histogram.observe(value)
+    for value in range(101, 0, -1):
+        histogram.observe(float(value))
+    registry.histogram("empty")
     snapshot = registry.snapshot()
     assert list(snapshot["counters"]) == ["a", "b"]
     assert snapshot["counters"]["a"] == 2.0
     assert snapshot["gauges"]["depth"] == 4.0
-    latency = snapshot["histograms"]["latency"]
-    assert latency["count"] == 3
-    assert latency["mean"] == pytest.approx(2.0)
-    assert {"p50", "p95", "p99"} <= set(latency)
+    assert list(snapshot["histograms"]) == ["empty", "latency"]
+    assert snapshot["histograms"]["empty"] == {"count": 0}
+    # Exact: the quantiles are percentiles of the samples, the stdev the population's.
+    assert snapshot["histograms"]["latency"] == {
+        "count": 101,
+        "mean": 51.0,
+        "min": 1.0,
+        "max": 101.0,
+        "stdev": math.sqrt(850.0),
+        "p50": 51.0,
+        "p95": 96.0,
+        "p99": 100.0,
+    }
 
+
+
+def test_histogram_moments_are_the_population_moments():
+    histogram = MetricsRegistry().histogram("latency")
+    samples = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
+    for value in samples:
+        histogram.observe(value)
+    snapshot = histogram.snapshot()
+    assert snapshot["count"] == len(samples)
+    assert snapshot["mean"] == statistics.fmean(samples) == 5.0
+    assert snapshot["stdev"] == statistics.pstdev(samples) == 2.0
+    assert (snapshot["min"], snapshot["max"]) == (2.0, 9.0)
+
+
+def test_histogram_of_one_sample_is_that_sample_with_no_spread():
+    histogram = MetricsRegistry().histogram("latency")
+    histogram.observe(3.0)
+    assert histogram.snapshot() == {
+        "count": 1,
+        "mean": 3.0,
+        "min": 3.0,
+        "max": 3.0,
+        "stdev": 0.0,
+        "p50": 3.0,
+        "p95": 3.0,
+        "p99": 3.0,
+    }
+
+
+def test_histogram_quantiles_do_not_depend_on_the_order_of_observation():
+    rng = random.Random(17)
+    samples = [rng.expovariate(4.0) for _ in range(999)]
+    forward, shuffled = Histogram(), Histogram()
+    for value in samples:
+        forward.observe(value)
+    rng.shuffle(samples)
+    for value in samples:
+        shuffled.observe(value)
+    # The means go through ``sum()`` and may differ in the last bit; the rest may not.
+    order_free = ("count", "min", "max", "p50", "p95", "p99")
+    first, second = forward.snapshot(), shuffled.snapshot()
+    assert {key: first[key] for key in order_free} == {key: second[key] for key in order_free}
+    assert first["p50"] == percentile(samples, 0.5)
+
+
+# ------------------------------------------------------------ observer counters
+def test_observer_counters_are_the_bus_counts_summed_over_its_buses():
+    buses = [LifecycleBus(), LifecycleBus()]
+    observer = RunObserver(Simulator(), buses, ObservabilityConfig(metrics=True))
+    for _ in range(3):
+        buses[0].emit(LifecycleEventType.SUBMITTED, committed_tx())
+    for _ in range(2):
+        buses[1].emit(LifecycleEventType.SUBMITTED, committed_tx())
+    buses[1].emit(LifecycleEventType.COMMITTED, committed_tx())
+    counters = observer.collect().summary["counters"]
+    assert counters["submitted"] == 5.0 and type(counters["submitted"]) is float
+    assert counters["committed"] == 1.0
+    # Read by a sampler column, so reported though never emitted.
+    assert counters["aborted"] == 0.0
+    # Neither emitted nor sampled: absent.
+    assert "ordered" not in counters and "endorsed" not in counters
+
+
+def test_an_unsampled_observer_reports_only_the_counters_of_emitted_types():
+    bus = LifecycleBus()
+    observer = RunObserver(Simulator(), [bus], ObservabilityConfig(trace=True))
+    bus.emit(LifecycleEventType.SUBMITTED, committed_tx())
+    counters = observer.collect().summary["counters"]
+    assert counters == {"submitted": 1.0}
+
+
+def test_observer_rate_columns_read_the_bus_counts_at_each_tick():
+    buses = [LifecycleBus(), LifecycleBus()]
+    observer = RunObserver(Simulator(), buses, ObservabilityConfig(metrics=True))
+    observer.sampler.sample_now(0.0)
+    for bus in buses:
+        for _ in range(3):
+            bus.emit(LifecycleEventType.SUBMITTED, committed_tx())
+    buses[0].emit(LifecycleEventType.COMMITTED, committed_tx())
+    observer.sampler.sample_now(2.0)
+    row = observer.sampler.samples[-1]
+    assert row["submit_rate"] == pytest.approx(3.0)
+    assert row["tps"] == pytest.approx(0.5)
+    assert row["goodput"] == pytest.approx(0.5)
+    assert row["abort_rate"] == 0.0
 
 def test_an_abort_asks_the_registry_for_a_name_not_for_a_snapshot(monkeypatch):
     # Two coupled channels on the shared clock: one group, one observer.

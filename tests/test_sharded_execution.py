@@ -415,7 +415,7 @@ OBSERVED = ObservabilityConfig(trace=True, metrics=True, sample_interval=0.25)
 
 
 def test_an_observed_deployment_keeps_the_shared_clock(tmp_path):
-    # One run's spans, samples and latency sketch come from one observer on
+    # One run's spans, samples and latency histogram come from one observer on
     # one clock: asked for shards, an observed uncoupled cell runs the
     # shared-clock plan and exports the bytes of ``shard_workers=1``.
     def exports(workers: int):

@@ -1,20 +1,17 @@
-"""Unit tests for the random streams and the statistics accumulators."""
+"""Unit tests for the random streams and the sample statistics."""
 
 from __future__ import annotations
 
 import math
-import statistics
+import random
+from array import array
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sim.rng import RandomStreams
-from repro.sim.stats import (
-    DEFAULT_QUANTILES,
-    OnlineStats,
-    P2Quantile,
-    QuantileSketch,
-    percentile,
-)
+from repro.sim.stats import DEFAULT_QUANTILES, percentile, quantiles
 
 
 # ------------------------------------------------------------------ RandomStreams
@@ -50,27 +47,6 @@ def test_spawn_derives_new_independent_factory():
     assert RandomStreams(7).spawn("rep-1").seed == child_a.seed
 
 
-# ------------------------------------------------------------------ OnlineStats
-def test_online_stats_mean_and_variance():
-    samples = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-    stats = OnlineStats()
-    stats.extend(samples)
-    assert stats.count == len(samples)
-    assert stats.mean == pytest.approx(statistics.fmean(samples))
-    assert stats.variance == pytest.approx(statistics.pvariance(samples))
-    assert stats.stdev == pytest.approx(statistics.pstdev(samples))
-    assert stats.minimum == 2.0
-    assert stats.maximum == 9.0
-
-
-def test_online_stats_empty_and_single_sample():
-    stats = OnlineStats()
-    assert stats.variance == 0.0
-    stats.add(3.0)
-    assert stats.mean == 3.0
-    assert stats.variance == 0.0
-
-
 # ------------------------------------------------------------------- percentile
 def test_percentile_interpolates():
     values = [1.0, 2.0, 3.0, 4.0]
@@ -92,99 +68,86 @@ def test_percentile_rejects_bad_fraction():
         percentile([1.0], 1.5)
 
 
-# ------------------------------------------------------------------- P2Quantile
-def test_p2_quantile_rejects_fractions_outside_unit_interval():
-    for fraction in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            P2Quantile(fraction)
+# -------------------------------------------------------------------- quantiles
+def test_quantiles_of_no_samples_is_empty():
+    assert quantiles([]) == {}
 
 
-def test_p2_quantile_is_nan_before_any_sample():
-    assert math.isnan(P2Quantile(0.5).value)
+def test_quantiles_of_one_sample_is_that_sample_for_every_key():
+    assert quantiles([7.0]) == {"p50": 7.0, "p95": 7.0, "p99": 7.0}
 
 
-def test_p2_quantile_is_exact_for_up_to_five_samples():
-    samples = [9.0, 1.0, 5.0, 3.0, 7.0]
-    for n in range(1, 6):
-        estimator = P2Quantile(0.5)
-        for value in samples[:n]:
-            estimator.add(value)
-        assert estimator.value == percentile(samples[:n], 0.5)
+def test_quantiles_are_keyed_by_percent():
+    assert list(quantiles([1.0, 2.0])) == ["p50", "p95", "p99"]
+    assert list(quantiles([1.0, 2.0], (0.25, 0.999, 1.0))) == ["p25", "p99.9", "p100"]
 
 
-@pytest.mark.parametrize("fraction", [0.5, 0.95, 0.99])
 @pytest.mark.parametrize("seed", [1, 7, 99])
-def test_p2_quantile_tracks_exact_percentile_on_large_streams(fraction, seed):
-    import random
-
+def test_quantiles_are_the_percentiles_of_their_fractions(seed):
     rng = random.Random(seed)
-    samples = [rng.expovariate(1.0) for _ in range(5000)]
-    estimator = P2Quantile(fraction)
-    for value in samples:
-        estimator.add(value)
-    exact = percentile(samples, fraction)
-    # P² is an approximation; for 5k exponential samples it lands within a
-    # few percent of the exact order statistic at every tracked fraction.
-    assert abs(estimator.value - exact) <= 0.05 * max(exact, 1.0)
+    samples = [rng.expovariate(1.0) for _ in range(1001)]
+    summary = quantiles(samples)
+    assert summary == {
+        f"p{fraction * 100:g}": percentile(samples, fraction) for fraction in DEFAULT_QUANTILES
+    }
+    # A statistic of the bag of samples: their order does not matter.
+    rng.shuffle(samples)
+    assert quantiles(samples) == summary
 
 
-def test_p2_quantile_is_deterministic():
-    import random
-
-    samples = [random.Random(3).gauss(0.0, 1.0) for _ in range(1000)]
-    first = P2Quantile(0.95)
-    second = P2Quantile(0.95)
-    for value in samples:
-        first.add(value)
-        second.add(value)
-    assert first.value == second.value
-
-
-def test_p2_quantile_estimates_are_ordered_across_fractions():
-    import random
-
-    rng = random.Random(11)
-    p50, p95, p99 = P2Quantile(0.5), P2Quantile(0.95), P2Quantile(0.99)
-    for _ in range(2000):
-        value = rng.lognormvariate(0.0, 1.0)
-        p50.add(value)
-        p95.add(value)
-        p99.add(value)
-    assert p50.value <= p95.value <= p99.value
+@given(
+    samples=st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=300),
+    # Per-mille fractions: distinct ones never share a ``p`` key.
+    fractions=st.lists(st.integers(0, 1000).map(lambda n: n / 1000), min_size=1, max_size=4),
+    order=st.randoms(use_true_random=False),
+)
+def test_quantiles_are_a_function_of_the_bag_of_samples(samples, fractions, order):
+    summary = quantiles(samples, fractions)
+    for fraction in fractions:
+        assert summary[f"p{fraction * 100:g}"] == percentile(samples, fraction)
+    order.shuffle(samples)
+    assert quantiles(samples, fractions) == summary
 
 
-def test_p2_quantile_handles_constant_streams():
-    estimator = P2Quantile(0.9)
-    for _ in range(100):
-        estimator.add(4.2)
-    assert estimator.value == 4.2
-
-
-# ---------------------------------------------------------------- QuantileSketch
-def test_quantile_sketch_default_fractions_and_empty_dict():
-    sketch = QuantileSketch()
-    assert sketch.fractions == DEFAULT_QUANTILES
-    assert sketch.as_dict() == {}
-    assert sketch.count == 0
-
-
-def test_quantile_sketch_requires_at_least_one_fraction():
+@pytest.mark.parametrize("fraction", [-0.1, 1.5, math.nan])
+def test_quantiles_reject_bad_fractions(fraction):
     with pytest.raises(ValueError):
-        QuantileSketch(())
+        quantiles([1.0], (0.5, fraction))
+    # Checked before the samples are looked at: no samples is no excuse.
+    with pytest.raises(ValueError):
+        quantiles([], (fraction,))
 
 
-def test_quantile_sketch_reports_p_keys():
-    sketch = QuantileSketch()
-    sketch.extend(float(n) for n in range(1, 101))
-    summary = sketch.as_dict()
-    assert sorted(summary) == ["p50", "p95", "p99"]
-    assert summary["p50"] == sketch.quantile(0.5)
-    assert 45.0 <= summary["p50"] <= 55.0
-    assert summary["p95"] >= summary["p50"]
+def test_quantiles_at_zero_and_one_are_the_extremes():
+    samples = [3.0, -2.0, 8.5, 0.0, 4.0]
+    assert quantiles(samples, (0.0, 1.0)) == {"p0": -2.0, "p100": 8.5}
 
 
-def test_quantile_sketch_unknown_fraction_raises():
-    sketch = QuantileSketch((0.5,))
-    sketch.add(1.0)
-    with pytest.raises(KeyError):
-        sketch.quantile(0.95)
+def test_quantiles_are_ordered_across_fractions():
+    rng = random.Random(11)
+    samples = [rng.lognormvariate(0.0, 1.0) for _ in range(2000)]
+    summary = quantiles(samples, (0.01, 0.25, 0.5, 0.95, 0.99))
+    assert list(summary.values()) == sorted(summary.values())
+    assert min(samples) <= summary["p1"] and summary["p99"] <= max(samples)
+
+
+def test_quantiles_of_a_constant_stream_are_that_value():
+    # 101 samples: every default fraction lands on a sample, no interpolation.
+    assert quantiles([4.2] * 101) == {"p50": 4.2, "p95": 4.2, "p99": 4.2}
+    for value in quantiles([4.2] * 100).values():
+        assert value == pytest.approx(4.2, rel=1e-15)
+
+
+def test_quantiles_leave_their_samples_as_they_were():
+    samples = [5.0, 1.0, 3.0, 2.0]
+    tally = array("d", samples)
+    quantiles(samples)
+    quantiles(tally)
+    assert samples == [5.0, 1.0, 3.0, 2.0]
+    assert list(tally) == samples
+
+
+def test_quantiles_of_an_array_are_those_of_its_list():
+    rng = random.Random(5)
+    samples = [rng.expovariate(2.0) for _ in range(257)]
+    assert quantiles(array("d", samples)) == quantiles(samples)
