@@ -54,12 +54,7 @@ def handlers_beside_the_tally(channel) -> dict:
 def test_disabled_checker_installs_nothing():
     config = NetworkConfig(cluster="C1", database="leveldb", block_size=10)
     assert not config.checker.enabled
-    network = build_network(
-        config=config,
-        chaincode_factory=ExperimentConfig().build_chaincode,
-        variant_factory="fabric-1.4",
-        seed=7,
-    )
+    network = build_network(config, "EHR", "fabric-1.4", seed=7)
     (channel,) = network.channels
     assert channel.isolation_checker is None
     assert not handlers_beside_the_tally(channel), "a disabled checker put a handler on the bus"
@@ -80,9 +75,10 @@ def test_disabled_checker_leaves_no_report():
 # ------------------------------------------------------------------- work on
 def test_enabled_checker_is_one_handler_per_terminal_event():
     network = build_network(
-        config=CHECKED_CELL.network,
-        chaincode_factory=CHECKED_CELL.build_chaincode,
-        variant_factory="fabric-1.4",
+        CHECKED_CELL.network,
+        CHECKED_CELL.workload.chaincode,
+        "fabric-1.4",
+        chaincode_kwargs=CHECKED_CELL.workload.chaincode_kwargs,
         seed=7,
     )
     (channel,) = network.channels

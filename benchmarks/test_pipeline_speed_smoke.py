@@ -45,7 +45,7 @@ import hashlib
 import pytest
 
 from repro import ExperimentConfig, ExperimentRunner, SweepPlan, run_repetition
-from repro.chaincode import Chaincode, ChaincodeStub, GenChainChaincode, create_chaincode
+from repro.chaincode import Chaincode, ChaincodeStub, GenChainChaincode
 from repro.chaincode import api as chaincode_api
 from repro.channels.topology import ChannelTopology
 from repro.channels import merge as channel_merge
@@ -136,8 +136,9 @@ def pipeline_cell(
     config = config or smoke_config()
     network = build_network(
         config,
-        lambda: create_chaincode(spec.chaincode, **spec.chaincode_kwargs),
+        spec.chaincode,
         "fabric-1.4",
+        chaincode_kwargs=spec.chaincode_kwargs,
         seed=SMOKE_SEED,
         record_chain=True,
     )
@@ -216,8 +217,9 @@ def eight_channel_cell(monkeypatch, listen: bool = False) -> dict:
     spec = uniform_workload("EHR", patients=40)
     network = build_network(
         NetworkConfig(cluster="C2", database="leveldb", channels=8),
-        lambda: create_chaincode(spec.chaincode, **spec.chaincode_kwargs),
+        spec.chaincode,
         "fabric-1.4",
+        chaincode_kwargs=spec.chaincode_kwargs,
         seed=SMOKE_SEED,
     )
     heard = []

@@ -25,10 +25,8 @@ from __future__ import annotations
 
 import gc
 
-from repro.chaincode import create_chaincode
 from repro.channels.network import MultiChannelNetwork
 from repro.core import LedgerAnalyzer
-from repro.fabric.variant import create_variant
 from repro.network.config import NetworkConfig
 from repro.sim.shard import ExecutionConfig
 from repro.workload.workloads import uniform_workload
@@ -43,16 +41,6 @@ SMOKE_WORKERS = 2
 #: private read/write set each measured 503, one shared with the transaction
 #: 410, and each object as one tuple of its slots 309.  Its tally ships 86.
 SMOKE_TRANSPORT_BYTES_PER_TX_CEILING = 100
-
-
-# Module-level factories so the sharded configuration stays picklable.
-def make_chaincode():
-    spec = uniform_workload("EHR", patients=40)
-    return create_chaincode(spec.chaincode, **spec.chaincode_kwargs)
-
-
-def make_variant():
-    return create_variant("fabric-1.4")
 
 
 def smoke_config(execution: ExecutionConfig) -> NetworkConfig:
@@ -73,20 +61,14 @@ def run_smoke_cell(sharded: bool):
     """Run the smoke deployment; returns ``(network, record, full_collections)``."""
     spec = uniform_workload("EHR", patients=40)
     arrival_rate = SMOKE_ARRIVAL_RATE_PER_CHANNEL * SMOKE_CHANNELS
-    if sharded:
-        network = MultiChannelNetwork(
-            smoke_config(ExecutionConfig(shard_workers=SMOKE_WORKERS)),
-            chaincode_factory=make_chaincode,
-            variant_factory=make_variant,
-            seed=SMOKE_SEED,
-        )
-    else:
-        network = MultiChannelNetwork(
-            smoke_config(ExecutionConfig()),
-            chaincode_factory=make_chaincode,
-            variant_factory=make_variant,
-            seed=SMOKE_SEED,
-        )
+    execution = ExecutionConfig(shard_workers=SMOKE_WORKERS) if sharded else ExecutionConfig()
+    network = MultiChannelNetwork(
+        smoke_config(execution),
+        spec.chaincode,
+        "fabric-1.4",
+        chaincode_kwargs=spec.chaincode_kwargs,
+        seed=SMOKE_SEED,
+    )
     full_collections = []
 
     def count(phase, info):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
-from repro.chaincode.genchain import GenChainChaincode
 from repro.ledger import factory
 from repro.ledger.factory import make_state_store
 from repro.lifecycle import pipeline
@@ -87,8 +86,9 @@ def test_network_build_peak_rss_stays_near_one_state_copy():
         )
         return pipeline.build_network(
             config,
-            lambda: GenChainChaincode(num_keys=STATE_KEYS),
+            "genChain",
             "fabric-1.4",
+            chaincode_kwargs={"num_keys": STATE_KEYS},
             seed=3,
         )
 

@@ -13,7 +13,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import ExperimentConfig, NetworkConfig, TransactionMix, WorkloadSpec, run_experiment
+from repro import ExperimentConfig, NetworkConfig, TransactionMix, run_experiment
 from repro.bench.reporting import format_table, print_report
 from repro.chaincode.generator import ChaincodeGenerator, FunctionSpec
 
@@ -35,10 +35,11 @@ def main() -> None:
     print(generator.source_code())
     print("-" * 72)
 
-    workload = WorkloadSpec(
-        name="asset-transfer-mix",
-        chaincode="asset_transfer",
-        mix=TransactionMix.from_dict(
+    # The workload names the generated chaincode and carries its specification
+    # as data: registry name ``generated`` plus the generator's fields.
+    workload = generator.workload(
+        "asset-transfer-mix",
+        TransactionMix.from_dict(
             {"readAsset": 0.35, "transferAsset": 0.45, "createAsset": 0.15, "auditAssets": 0.05}
         ),
         description="transfer-heavy asset workload",
@@ -48,7 +49,6 @@ def main() -> None:
     for skew in (0.0, 1.0, 2.0):
         config = ExperimentConfig(
             workload=workload,
-            chaincode_factory=generator.generate,
             network=NetworkConfig(cluster="C1", block_size=50, database="leveldb"),
             arrival_rate=80.0,
             duration=10.0,

@@ -23,7 +23,6 @@ import time
 import tracemalloc
 
 from repro.bench.reporting import format_table, print_report
-from repro.chaincode.genchain import GenChainChaincode
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
 from repro.workload.workloads import uniform_workload
@@ -42,10 +41,7 @@ def build_and_run(endorsers_per_org: int):
         block_size=20,
     )
     network = build_network(
-        config,
-        lambda: GenChainChaincode(num_keys=STATE_KEYS),
-        "fabric-1.4",
-        seed=11,
+        config, "genChain", "fabric-1.4", chaincode_kwargs={"num_keys": STATE_KEYS}, seed=11
     )
     spec = uniform_workload("genChain")
     record = network.run(spec.mix, arrival_rate=60.0, duration=3.0, workload_name=spec.name)

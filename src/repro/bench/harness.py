@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -33,8 +33,7 @@ from typing import Callable, Dict, List, Optional
 from repro.sim.collector import quiet_collector
 from repro.sim.rng import derive_seed
 
-from repro.chaincode import CHAINCODE_REGISTRY, create_chaincode
-from repro.chaincode.base import Chaincode
+from repro.chaincode import CHAINCODE_REGISTRY
 from repro.core.analyzer import ExperimentAnalysis, LedgerAnalyzer
 from repro.core.failures import MVCC, FailureType
 from repro.core.metrics import ExperimentMetrics
@@ -53,7 +52,10 @@ def default_workload() -> WorkloadSpec:
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: variant + workload + network + load (paper Table 3)."""
+    """One experiment: variant + workload + network + load (paper Table 3).
+
+    Every field is data, the chaincode a registry name plus ``chaincode_kwargs``.
+    """
 
     variant: str = "fabric-1.4"
     workload: WorkloadSpec = field(default_factory=default_workload)
@@ -63,7 +65,6 @@ class ExperimentConfig:
     zipf_skew: float = 1.0
     repetitions: int = 1
     seed: int = 7
-    chaincode_factory: Optional[Callable[[], Chaincode]] = None
 
     def validate(self) -> None:
         """Reject configurations the harness cannot run.
@@ -78,28 +79,19 @@ class ExperimentConfig:
             )
         if not 0 < self.duration < math.inf:
             raise ConfigurationError(f"duration must be positive and finite, got {self.duration}")
-        if self.repetitions < 1:
-            raise ConfigurationError(f"need at least one repetition, got {self.repetitions}")
+        if type(self.repetitions) is not int or self.repetitions < 1:  # rejects 1.5 and True too
+            raise ConfigurationError(
+                f"repetitions must be a whole number >= 1, got {self.repetitions!r}"
+            )
         if not 0 <= self.zipf_skew < math.inf:
             raise ConfigurationError(
                 f"the Zipfian skew must be >= 0 and finite, got {self.zipf_skew}"
             )
-        if self.chaincode_factory is None and self.workload.chaincode not in CHAINCODE_REGISTRY:
-            known = ", ".join(sorted(CHAINCODE_REGISTRY))
-            raise ConfigurationError(
-                f"workload chaincode {self.workload.chaincode!r} is not registered "
-                f"({known}); pass chaincode_factory for custom chaincodes"
-            )
+        _check_chaincode(self.workload)
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
         """A copy of the configuration with the given fields replaced."""
         return replace(self, **overrides)
-
-    def build_chaincode(self) -> Chaincode:
-        """Instantiate a fresh chaincode for one repetition."""
-        if self.chaincode_factory is not None:
-            return self.chaincode_factory()
-        return create_chaincode(self.workload.chaincode, **self.workload.chaincode_kwargs)
 
     def cell_hash(self) -> str:
         """Stable content hash of this configuration, excluding ``repetitions``.
@@ -116,8 +108,36 @@ class ExperimentConfig:
             for name in sorted(field.name for field in dataclasses.fields(self))
             if name != "repetitions"
         }
+        # Seeds derive from this hash, so its payload is frozen: the retired
+        # field that once held a chaincode callable stays, always null.
+        payload["chaincode_factory"] = None
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _check_chaincode(workload: WorkloadSpec) -> None:
+    """The chaincode is registered, its constructor takes ``chaincode_kwargs``,
+    and each of them is data the cell hash can write — checked here, not at
+    build time in a pool worker."""
+    if workload.chaincode not in CHAINCODE_REGISTRY:
+        known = ", ".join(sorted(CHAINCODE_REGISTRY))
+        raise ConfigurationError(
+            f"workload chaincode {workload.chaincode!r} is not registered ({known})"
+        )
+    for key, value in workload.chaincode_kwargs.items():
+        try:
+            json.dumps(_canonical(value))
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"workload.chaincode_kwargs[{key!r}] must be data (numbers, strings, lists, "
+                f"dicts, dataclasses), got {value!r}"
+            ) from None
+    try:
+        inspect.signature(CHAINCODE_REGISTRY[workload.chaincode]).bind(**workload.chaincode_kwargs)
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"workload.chaincode_kwargs do not fit chaincode {workload.chaincode!r}: {exc}"
+        ) from None
 
 
 def _canonical(value):
@@ -148,66 +168,7 @@ def _canonical(value):
         return {str(key): _canonical(item) for key, item in sorted(value.items(), key=lambda pair: str(pair[0]))}
     if isinstance(value, (list, tuple)):
         return [_canonical(item) for item in value]
-    if callable(value):
-        return _canonical_callable(value)
     return value
-
-
-def _canonical_callable(value):
-    """Canonicalize a callable (``chaincode_factory``) for hashing.
-
-    A module-level function reduces to its import path, which is stable across
-    processes — the form to prefer for factories that should hit the disk
-    cache across runs.  Lambdas and closures additionally hash their bytecode,
-    constants, defaults and captured cell values, so two closures created by
-    the same code over different data do not collide.  Callables without
-    code objects (e.g. callable instances) fall back to ``repr`` and may hash
-    differently in every process, which disables cross-run caching for them
-    but never causes a false cache hit within a run.  A bound method hashes
-    what it is bound to as well — as data when that is a dataclass or declares
-    an ``identity()``, by ``repr`` otherwise.
-    """
-    if isinstance(value, functools.partial):
-        return [
-            "partial",
-            _canonical_callable(value.func),
-            [_canonical(argument) for argument in value.args],
-            {key: _canonical(item) for key, item in sorted(value.keywords.items())},
-        ]
-    qualname = getattr(value, "__qualname__", None)
-    if qualname is None:
-        return repr(value)
-    parts = [getattr(value, "__module__", "?"), qualname]
-    code = getattr(value, "__code__", None)
-    if code is not None:
-        parts.append(hashlib.sha256(code.co_code).hexdigest())
-        parts.append(_constant_repr(code.co_consts))
-        defaults = getattr(value, "__defaults__", None)
-        if defaults:
-            parts.append([repr(item) for item in defaults])
-        closure = getattr(value, "__closure__", None)
-        if closure:
-            parts.append([repr(cell.cell_contents) for cell in closure])
-    owner = getattr(value, "__self__", None)
-    if owner is not None and not isinstance(owner, type) and hasattr(owner, "identity"):
-        parts.append(_canonical(owner.identity()))
-    elif owner is not None:
-        parts.append(_canonical(owner) if dataclasses.is_dataclass(owner) else repr(owner))
-    return parts
-
-
-def _constant_repr(constant) -> str:
-    """``repr`` of a code constant, but the same in every process: a frozenset
-    prints in hash-seed order and a nested code object prints its address."""
-    if isinstance(constant, tuple):
-        items = ", ".join(_constant_repr(item) for item in constant)
-        return f"({items},)" if len(constant) == 1 else f"({items})"
-    if isinstance(constant, frozenset):
-        return "frozenset({" + ", ".join(sorted(_constant_repr(item) for item in constant)) + "})"
-    if hasattr(constant, "co_code"):
-        digest = hashlib.sha256(constant.co_code).hexdigest()
-        return _constant_repr((constant.co_name, digest, constant.co_consts))
-    return repr(constant)
 
 
 def repetition_seed(config: ExperimentConfig, repetition: int, cell_hash: Optional[str] = None) -> int:
@@ -337,9 +298,10 @@ def run_repetition(
     """
     seed = repetition_seed(config, repetition, cell_hash=cell_hash)
     network = build_network(
-        config=config.network,
-        chaincode_factory=config.build_chaincode,
-        variant_factory=config.variant,
+        config.network,
+        config.workload.chaincode,
+        config.variant,
+        chaincode_kwargs=config.workload.chaincode_kwargs,
         seed=seed,
         record_chain=record_chain,
     )

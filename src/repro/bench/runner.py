@@ -355,10 +355,10 @@ class ExperimentRunner:
     progress:
         Optional hook called with a :class:`ProgressEvent` after each task.
 
-    ``stats`` always describes the most recent batch.  Configurations that
-    cannot be pickled (e.g. a lambda ``chaincode_factory``) are detected up
-    front and the batch transparently falls back to in-process execution, so
-    the runner never changes *what* runs — only where.
+    ``stats`` always describes the most recent batch.  A configuration is
+    data — its chaincode a registry name plus constructor arguments — so every
+    one ships to a worker as it is, and the runner never changes *what* runs,
+    only where.
     """
 
     def __init__(
@@ -463,10 +463,6 @@ class ExperimentRunner:
     # -------------------------------------------------------------- internals
     def _effective_workers(self, misses: Sequence[_Task]) -> int:
         if self.workers <= 1 or len(misses) <= 1:
-            return 1
-        try:
-            pickle.dumps([(task.config, task.repetition) for task in misses])
-        except Exception:
             return 1
         return min(self.workers, len(misses), self._budget_cap(misses))
 

@@ -4,7 +4,8 @@ The package provides the Fabric-like chaincode execution API
 (:class:`repro.chaincode.api.ChaincodeStub`), a base class for chaincodes, the
 four use-case chaincodes of the paper's Table 2 (EHR, DV, SCM, DRM), the
 synthetic ``genChain`` chaincode of Section 4.4, and a chaincode generator that
-emits new chaincodes from a declarative specification.
+emits new chaincodes from a declarative specification (registered as
+``generated``, its specification passed as constructor arguments).
 """
 
 from repro.chaincode.api import ChaincodeStub
@@ -16,19 +17,21 @@ from repro.chaincode.generator import ChaincodeGenerator, FunctionSpec, Generate
 from repro.chaincode.genchain import GenChainChaincode
 from repro.chaincode.scm import SupplyChainChaincode
 
-#: Registry of the chaincodes used throughout the paper's experiments, keyed by
-#: the short names used in the figures (EHR, DV, SCM, DRM, genChain).
+#: Registry of the chaincodes an experiment can name, keyed by the short names
+#: used in the figures (EHR, DV, SCM, DRM, genChain), plus the generator's
+#: output, which its ``chaincode_kwargs`` specify.
 CHAINCODE_REGISTRY = {
     "EHR": ElectronicHealthRecordsChaincode,
     "DV": DigitalVotingChaincode,
     "SCM": SupplyChainChaincode,
     "DRM": DigitalRightsChaincode,
     "genChain": GenChainChaincode,
+    "generated": GeneratedChaincode,
 }
 
 
-def create_chaincode(name: str, **kwargs) -> Chaincode:
-    """Instantiate one of the registered chaincodes by its short name."""
+def create_chaincode(name: str, /, **kwargs) -> Chaincode:
+    """Instantiate a registered chaincode (``name`` is positional-only: ``generated`` takes one)."""
     try:
         factory = CHAINCODE_REGISTRY[name]
     except KeyError as exc:

@@ -3,20 +3,25 @@
 The generator takes the total number of chaincode functions and, for each
 function, the number of read, insert, update, delete and range-read actions
 (plus, when CouchDB is selected, optional rich queries).  It produces both a
-runnable :class:`GeneratedChaincode` instance and the source code of an
-equivalent stand-alone chaincode module, mirroring the paper's "final output is
-a syntactically correct chaincode with the user-specified chaincode functions".
+runnable :class:`GeneratedChaincode` and the source code of an equivalent
+stand-alone chaincode module, mirroring the paper's "final output is a
+syntactically correct chaincode with the user-specified chaincode functions".
+
+An experiment names the runnable chaincode like any other, as data: the
+registry name ``generated`` with the generator's fields as ``chaincode_kwargs``
+(:meth:`ChaincodeGenerator.workload`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaincode.api import ChaincodeStub
 from repro.chaincode.base import Chaincode, IndexChooser
 from repro.errors import ConfigurationError
+from repro.workload.spec import TransactionMix, WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -72,23 +77,48 @@ class FunctionSpec:
             raise ConfigurationError(f"function {self.name!r}: range_size must be positive")
 
 
+def _check_functions(functions: Sequence[FunctionSpec], database: str) -> None:
+    """Reject invalid specs, duplicate names and rich queries off CouchDB."""
+    seen = set()
+    for spec in functions:
+        spec.validate()
+        if spec.rich_queries and database.lower() != "couchdb":
+            raise ConfigurationError(
+                f"function {spec.name!r} uses rich queries, which require the "
+                "CouchDB database type"
+            )
+        if spec.name in seen:
+            raise ConfigurationError(f"duplicate generated function name {spec.name!r}")
+        seen.add(spec.name)
+
+
 class GeneratedChaincode(Chaincode):
-    """A chaincode whose functions are synthesised from :class:`FunctionSpec`."""
+    """A chaincode whose functions are synthesised from :class:`FunctionSpec`.
+
+    Registered as ``generated``; every way to build one checks its arguments here.
+    """
 
     def __init__(
         self,
         name: str,
-        specs: List[FunctionSpec],
+        functions: Sequence[FunctionSpec],
         num_keys: int = 10_000,
         database: str = "leveldb",
     ) -> None:
+        if not functions:
+            raise ConfigurationError("a generated chaincode needs at least one function")
+        if database.lower() not in {"leveldb", "couchdb"}:
+            raise ConfigurationError(
+                f"unknown database type {database!r}; expected 'leveldb' or 'couchdb'"
+            )
+        _check_functions(functions, database)
         self.name = name
-        self.specs = {spec.name: spec for spec in specs}
+        self.specs = {spec.name: spec for spec in functions}
         self.num_keys = num_keys
-        self.database = database
+        self.database = database.lower()
         self._insert_counter = num_keys
         super().__init__()
-        for spec in specs:
+        for spec in functions:
             self._functions[spec.name] = self._make_function(spec)
             self._read_only[spec.name] = spec.read_only
 
@@ -171,30 +201,31 @@ class ChaincodeGenerator:
 
     def add_function(self, spec: FunctionSpec) -> "ChaincodeGenerator":
         """Add one function specification (validated immediately)."""
-        spec.validate()
-        if spec.rich_queries and self.database.lower() != "couchdb":
-            raise ConfigurationError(
-                f"function {spec.name!r} uses rich queries, which require the "
-                "CouchDB database type"
-            )
-        if any(existing.name == spec.name for existing in self.functions):
-            raise ConfigurationError(f"duplicate generated function name {spec.name!r}")
+        _check_functions([*self.functions, spec], self.database)
         self.functions.append(spec)
         return self
 
+    def chaincode_kwargs(self) -> Dict[str, Any]:
+        """The ``generated`` chaincode's constructor arguments: this generator's fields."""
+        return {
+            "name": self.name,
+            "database": self.database,
+            "num_keys": self.num_keys,
+            "functions": tuple(self.functions),
+        }
+
     def generate(self) -> GeneratedChaincode:
         """Instantiate the generated chaincode."""
-        if not self.functions:
-            raise ConfigurationError("a generated chaincode needs at least one function")
-        if self.database.lower() not in {"leveldb", "couchdb"}:
-            raise ConfigurationError(
-                f"unknown database type {self.database!r}; expected 'leveldb' or 'couchdb'"
-            )
-        return GeneratedChaincode(
-            name=self.name,
-            specs=list(self.functions),
-            num_keys=self.num_keys,
-            database=self.database.lower(),
+        return GeneratedChaincode(**self.chaincode_kwargs())
+
+    def workload(self, name: str, mix: TransactionMix, description: str = "") -> WorkloadSpec:
+        """A workload of ``mix`` over this chaincode, described by data alone."""
+        return WorkloadSpec(
+            name=name,
+            chaincode="generated",
+            mix=mix,
+            chaincode_kwargs=self.chaincode_kwargs(),
+            description=description,
         )
 
     def source_code(self) -> str:

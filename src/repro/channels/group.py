@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.chaincode.base import Chaincode
+from repro.chaincode import create_chaincode
 from repro.channels.channel import ChannelGateway
 from repro.channels.coordinator import CrossChannelCoordinator
 from repro.channels.topology import ChannelRouter, ChannelTopology, ShardedKeyDistribution
+from repro.fabric.variant import create_variant
 from repro.lifecycle.retry import ResubmissionGovernor
 from repro.lifecycle.tally import ChannelTally
 from repro.network.config import NetworkConfig
@@ -45,8 +46,11 @@ class GroupSpec:
     """Everything it takes to build one group — picklable, so a pool worker can."""
 
     config: NetworkConfig
-    chaincode_factory: Callable[[], Chaincode]
-    variant_factory: Callable[[], object]
+    #: The registered chaincode every channel builds, and its constructor arguments.
+    chaincode: str
+    chaincode_kwargs: Mapping[str, Any]
+    #: The registered Fabric variant every channel builds.
+    variant: str
     seed: int
     topology: ChannelTopology
     router: ChannelRouter
@@ -93,8 +97,8 @@ class ChannelGroup:
         self.channels: List[Channel] = [
             Channel(
                 config=spec.config.copy(),
-                chaincode=spec.chaincode_factory(),
-                variant=spec.variant_factory(),
+                chaincode=create_chaincode(spec.chaincode, **spec.chaincode_kwargs),
+                variant=create_variant(spec.variant),
                 seed=spec.seed,
                 sim=self.sim,
                 streams=streams,

@@ -34,8 +34,9 @@ groups there are and who advances their clocks — is one rule over the config
 ``sharded``
     One group (shard) per channel, each drained to completion on its own
     clock by one of N processes, this one included: it drains shards 0, N,
-    2N, ... and a pool of N - 1 workers the rest.  All of them run here when
-    N is 1 or the factories do not pickle.  With no cross traffic a channel's
+    2N, ... and a pool of N - 1 workers the rest (all of them here when N is
+    1).  A shard is specified by data — the chaincode and variant by registry
+    name — so every shard can ship.  With no cross traffic a channel's
     event sequence is a pure function of its own streams and transaction ids,
     so the merged record is *bit-identical* to the shared clock (asserted by
     the golden bit-identity suite); only ``RunRecord.execution`` /
@@ -68,7 +69,7 @@ import multiprocessing
 import os
 import pickle
 import tempfile
-from typing import Callable, List, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.channels.coordinator import CrossChannelCoordinator
 from repro.channels.group import (
@@ -81,7 +82,6 @@ from repro.channels.group import (
 )
 from repro.channels.merge import merge_group_results
 from repro.channels.topology import ChannelRouter, ChannelTopology
-from repro.chaincode.base import Chaincode
 from repro.errors import ConfigurationError
 from repro.lifecycle.retry import ResubmissionGovernor
 from repro.network.config import NetworkConfig
@@ -137,8 +137,9 @@ class MultiChannelNetwork:
     def __init__(
         self,
         config: NetworkConfig,
-        chaincode_factory: Callable[[], Chaincode],
-        variant_factory: Callable[[], object],
+        chaincode: str,
+        variant: str,
+        chaincode_kwargs: Optional[Mapping[str, Any]] = None,
         seed: int = 7,
         hot_share: float = 0.5,
         partner_strategy: str = "uniform",
@@ -167,8 +168,9 @@ class MultiChannelNetwork:
         self._specs = [
             GroupSpec(
                 config=config,
-                chaincode_factory=chaincode_factory,
-                variant_factory=variant_factory,
+                chaincode=chaincode,
+                chaincode_kwargs=dict(chaincode_kwargs or {}),
+                variant=variant,
                 seed=seed,
                 topology=self.topology,
                 router=self.router,
@@ -240,14 +242,6 @@ class MultiChannelNetwork:
         # This process is one of the ``workers``: it simulates shards 0, N,
         # 2N, ... itself and ships the others to a pool of N - 1.
         shipped = [index for index in range(len(specs)) if index % workers]
-        tasks = [(specs[index], args) for index in shipped]
-        if workers > 1:
-            try:
-                pickle.dumps(tasks)
-            except Exception:
-                # Unpicklable factories (lambdas, closures) run in-process —
-                # same results, no process parallelism; mirrors the runner.
-                workers = 1
         self.shard_workers_used = workers
         if workers == 1:
             return [simulate_group(spec, args, self.retry_governor) for spec in specs]
@@ -260,7 +254,8 @@ class MultiChannelNetwork:
             paths = [os.path.join(directory, f"shard-{index}.pickle") for index in shipped]
             with multiprocessing.Pool(processes=workers - 1) as pool:
                 sizes = pool.imap(
-                    simulate_group_to_file, [(*task, path) for task, path in zip(tasks, paths)]
+                    simulate_group_to_file,
+                    [(specs[index], args, path) for index, path in zip(shipped, paths)],
                 )
                 for index in range(0, len(specs), workers):
                     results[index] = simulate_group(specs[index], args, self.retry_governor)

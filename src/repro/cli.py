@@ -59,7 +59,6 @@ from repro.bench.experiments import EXPERIMENTS, SCALES, regenerate
 from repro.bench.harness import ExperimentConfig, ExperimentResult, pct_column, run_experiment
 from repro.bench.reporting import format_table
 from repro.bench.runner import SWEEP_HEADERS, ExperimentRunner, ResultCache, SweepPlan
-from repro.chaincode import CHAINCODE_REGISTRY
 from repro.checker.checker import LEVEL_SERIALIZABLE, LEVEL_SNAPSHOT_ISOLATION, IsolationReport
 from repro.checker.config import CheckerConfig
 from repro.checker.history import check_history, write_history
@@ -80,7 +79,7 @@ from repro.observability import (
     write_metrics,
 )
 
-from repro.workload.workloads import uniform_workload
+from repro.workload.workloads import UNIFORM_CHAINCODES, uniform_workload
 
 #: The classes ``repro run`` prints a row for whatever ran: the four the
 #: paper's Section 3 defines.  Every other class gets its row when it occurs.
@@ -204,7 +203,7 @@ _EXPERIMENT_FLAGS = (
         "chaincode",
         build=uniform_workload,
         show=operator.attrgetter("chaincode"),
-        type=_choice("chaincode", sorted(CHAINCODE_REGISTRY)),
+        type=_choice("chaincode", UNIFORM_CHAINCODES),
     ),
     _Flag(
         "--cluster", "network.cluster", "cluster", type=_choice("cluster", sorted(CLUSTER_PRESETS))

@@ -167,14 +167,8 @@ def available_variants() -> list[str]:
     return sorted(VARIANT_REGISTRY)
 
 
-def create_variant(name: "str | FabricVariantBehavior") -> FabricVariantBehavior:
-    """Instantiate a variant by (case-insensitive) name.
-
-    Passing an already-instantiated behaviour returns it unchanged, which lets
-    callers hand in pre-configured custom variants.
-    """
-    if isinstance(name, FabricVariantBehavior):
-        return name
+def create_variant(name: str) -> FabricVariantBehavior:
+    """Instantiate a variant by (case-insensitive) name; a custom one is registered first."""
     key = _ALIASES.get(str(name).strip().lower())
     if key is None or key not in VARIANT_REGISTRY:
         known = ", ".join(available_variants())

@@ -209,9 +209,14 @@ def _number(kind: str, key: str, raw: str) -> float:
 
 
 def _channel_index(label: str, value: float) -> int:
-    """A partition's channel index; ``int()`` of NaN or infinity would raise."""
+    """A partition's channel index: finite (``int()`` of NaN or infinity raises)
+    and whole (``int()`` truncates 1.9 to 1, and -0.5 past the ``>= 0`` check)."""
     if not -math.inf < value < math.inf:
         raise ConfigurationError(f"fault spec parameter {label} must be finite, got {value}")
+    if value != int(value):
+        raise ConfigurationError(
+            f"fault spec parameter {label} must be a whole channel index, got {value}"
+        )
     return int(value)
 
 

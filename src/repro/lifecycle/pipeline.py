@@ -1,8 +1,9 @@
 """The one shared build path for every deployment.
 
 Every caller that wants a network — the experiment harness, the CLI, the
-examples, the tests — goes through :func:`build_network`, which resolves the
-variant and returns the one deployment class,
+examples, the tests — goes through :func:`build_network`, which takes the
+chaincode and the variant by their registry names (plain data, which a shard
+worker receives as it is) and returns the one deployment class,
 :class:`~repro.channels.network.MultiChannelNetwork`, each channel wired to
 its own :class:`~repro.lifecycle.events.LifecycleBus` and (when the
 configuration enables it) the retry subsystem, with its
@@ -17,38 +18,28 @@ is the shared-clock plan with one group of one channel.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Union
+from typing import Any, Mapping, Optional
 
-from repro.chaincode.base import Chaincode
-from repro.fabric.variant import FabricVariantBehavior, create_variant
 from repro.network.config import NetworkConfig
 
 
 def build_network(
     config: NetworkConfig,
-    chaincode_factory: Callable[[], Chaincode],
-    variant_factory: Union[str, Callable[[], FabricVariantBehavior]],
+    chaincode: str,
+    variant: str,
+    chaincode_kwargs: Optional[Mapping[str, Any]] = None,
     seed: int = 7,
     record_chain: bool = False,
 ):
     """Build the deployment described by ``config`` — the shared build path.
 
-    ``variant_factory`` accepts either a variant name (resolved through the
-    registry, a fresh behaviour per channel slice) or a zero-argument factory.
+    Every channel slice, in this process or a shard worker, builds its own
+    registered ``chaincode`` (with ``chaincode_kwargs``) and ``variant``.
     ``record_chain`` keeps the run's chain for a consumer that reads it.
     Returns the one :class:`~repro.channels.network.MultiChannelNetwork`.
     """
     from repro.channels.network import MultiChannelNetwork
 
-    if isinstance(variant_factory, str):
-        # A partial, not a closure: the sharded path pickles the factory into
-        # worker processes, and partials of a module-level function pickle.
-        variant_factory = functools.partial(create_variant, variant_factory)
     return MultiChannelNetwork(
-        config=config.copy(),
-        chaincode_factory=chaincode_factory,
-        variant_factory=variant_factory,
-        seed=seed,
-        record_chain=record_chain,
+        config, chaincode, variant, chaincode_kwargs, seed, record_chain=record_chain
     )

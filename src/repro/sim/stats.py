@@ -63,7 +63,7 @@ def _interpolate(ordered: Sequence[float], fraction: float) -> float:
     position = fraction * (len(ordered) - 1)
     lower = int(math.floor(position))
     upper = int(math.ceil(position))
-    if lower == upper:
+    if ordered[lower] == ordered[upper]:
         return ordered[lower]
     weight = position - lower
     return ordered[lower] * (1.0 - weight) + ordered[upper] * weight

@@ -145,6 +145,10 @@ _USE_CASE_FUNCTIONS = {
     "DRM": ["create", "play", "queryRghts", "viewMetaData", "calcRevenue"],
 }
 
+#: The chaincodes :func:`uniform_workload` builds a workload over: every registered
+#: one but ``generated``, which has no functions until a specification gives it some.
+UNIFORM_CHAINCODES = tuple(sorted([*_USE_CASE_FUNCTIONS, "genChain"]))
+
 
 def uniform_workload(chaincode: str, **chaincode_kwargs) -> WorkloadSpec:
     """The default uniform workload over a use-case chaincode's functions.
@@ -157,7 +161,7 @@ def uniform_workload(chaincode: str, **chaincode_kwargs) -> WorkloadSpec:
         mix = TransactionMix.uniform(list(_GENCHAIN_FUNCTIONS.values()))
         return _genchain_spec("genChain-uniform", mix, "uniform over genChain functions", **chaincode_kwargs)
     if chaincode not in _USE_CASE_FUNCTIONS:
-        known = ", ".join(sorted(_USE_CASE_FUNCTIONS) + ["genChain"])
+        known = ", ".join(UNIFORM_CHAINCODES)
         raise WorkloadError(f"unknown chaincode {chaincode!r}; known chaincodes: {known}")
     mix = TransactionMix.uniform(_USE_CASE_FUNCTIONS[chaincode])
     return WorkloadSpec(

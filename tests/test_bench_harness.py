@@ -6,7 +6,9 @@ import pytest
 
 from repro.bench.harness import ExperimentConfig, pct_column, run_experiment
 from repro.bench.reporting import format_series, format_table, format_value
+from repro.chaincode import CHAINCODE_REGISTRY
 from repro.chaincode.genchain import GenChainChaincode
+from repro.chaincode.generator import FunctionSpec
 from repro.core.failures import FailureType
 from repro.errors import ConfigurationError
 from repro.network.config import NetworkConfig
@@ -58,17 +60,54 @@ def test_experiment_config_validation(overrides):
         tiny_config(**overrides).validate()
 
 
-def test_unregistered_chaincode_requires_factory():
+@pytest.mark.parametrize("repetitions", [1.5, True, "2", 0])
+def test_repetitions_must_be_a_whole_number_of_at_least_one(repetitions):
+    # 1.5 used to pass and then fail in ``range``; True used to run once.
+    with pytest.raises(ConfigurationError, match=f"repetitions must be .*got {repetitions!r}"):
+        run_experiment(tiny_config(repetitions=repetitions))
+
+
+def test_an_unregistered_chaincode_is_refused_until_it_is_registered(monkeypatch):
     spec = WorkloadSpec(
-        name="custom", chaincode="custom", mix=TransactionMix.from_dict({"readKey": 1.0})
+        name="custom",
+        chaincode="custom",
+        mix=TransactionMix.from_dict({"readKey": 1.0}),
+        chaincode_kwargs={"num_keys": 100},
     )
     config = tiny_config(workload=spec)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="'custom' is not registered"):
         config.validate()
-    config = tiny_config(workload=spec, chaincode_factory=lambda: GenChainChaincode(num_keys=100))
-    config.validate()
+    monkeypatch.setitem(CHAINCODE_REGISTRY, "custom", GenChainChaincode)
     result = run_experiment(config)
     assert result.value("submitted_transactions") > 0
+
+
+@pytest.mark.parametrize(
+    "chaincode, kwargs, message",
+    [
+        ("EHR", {"bogus": 1}, "unexpected keyword argument 'bogus'"),
+        ("genChain", {"num_keys": 100, "active": 10}, "unexpected keyword argument 'active'"),
+        ("generated", {"name": "assets"}, "missing a required argument: 'functions'"),
+        ("EHR", {"patients": lambda: 30}, r"workload.chaincode_kwargs\['patients'\] must be data"),
+        ("SCM", {"units_per_lsp": [10, {3}]}, r"workload.chaincode_kwargs\['units_per_lsp'\] must be"),
+        (
+            "generated",
+            {"name": "assets", "functions": (FunctionSpec("read", reads=1), print)},
+            r"workload.chaincode_kwargs\['functions'\] must be data",
+        ),
+    ],
+)
+def test_validate_binds_chaincode_kwargs_and_requires_data(chaincode, kwargs, message):
+    # Each used to pass ``validate()`` and fail at build time, possibly in a
+    # pool worker (or, for a callable, to hash by its bytecode).
+    workload = WorkloadSpec(
+        name="w",
+        chaincode=chaincode,
+        mix=TransactionMix.from_dict({"f": 1.0}),
+        chaincode_kwargs=kwargs,
+    )
+    with pytest.raises(ConfigurationError, match=message):
+        tiny_config(workload=workload).validate()
 
 
 def test_with_overrides_returns_modified_copy():

@@ -10,7 +10,6 @@ import sys
 import pytest
 from test_runner_results import ENTRY_CEILING_BYTES
 
-from repro.bench import harness
 from repro.bench.harness import (
     ExperimentConfig,
     repetition_seed,
@@ -25,13 +24,12 @@ from repro.bench.runner import (
 )
 from repro.bench.reporting import format_progress
 from repro.chaincode.generator import ChaincodeGenerator, FunctionSpec
-from repro.chaincode.genchain import GenChainChaincode
 from repro.core.analyzer import ExperimentAnalysis
 from repro.errors import ConfigurationError
 from repro.lifecycle.retry import RetryConfig
 from repro.network.config import NetworkConfig
 from repro.sim.shard import PROCESS_BUDGET_ENV, ExecutionConfig
-from repro.workload.spec import TransactionMix, WorkloadSpec
+from repro.workload.spec import TransactionMix
 from repro.workload.workloads import uniform_workload
 
 
@@ -102,99 +100,38 @@ def test_run_record_carries_derived_seed():
     ]
 
 
-def test_cell_hash_distinguishes_chaincode_factories():
-    spec = WorkloadSpec(
-        name="custom", chaincode="custom", mix=TransactionMix.from_dict({"readKey": 1.0})
-    )
-    plain = tiny_config(workload=spec, chaincode_factory=make_genchain)
-    other = tiny_config(workload=spec, chaincode_factory=make_genchain_large)
-    assert plain.cell_hash() != other.cell_hash()
-
-
-def test_cell_hash_distinguishes_closures_with_shared_code():
-    """Two closures from the same lambda over different data must not collide."""
-    spec = WorkloadSpec(
-        name="custom", chaincode="custom", mix=TransactionMix.from_dict({"readKey": 1.0})
-    )
-
-    def factory_for(num_keys):
-        return lambda: GenChainChaincode(num_keys=num_keys)
-
-    small = tiny_config(workload=spec, chaincode_factory=factory_for(100))
-    large = tiny_config(workload=spec, chaincode_factory=factory_for(200))
-    assert small.cell_hash() != large.cell_hash()
-    # Same captured data -> same hash (lambdas differing only in identity agree).
-    assert small.cell_hash() == tiny_config(
-        workload=spec, chaincode_factory=factory_for(100)
-    ).cell_hash()
-
-
 def generated_cell(*specs: FunctionSpec) -> ExperimentConfig:
-    """A cell whose factory is a bound method: ``generator.generate``."""
+    """A cell over a generated chaincode: the registry name plus its specification."""
     generator = ChaincodeGenerator(name="assets", num_keys=50)
     for spec in specs:
         generator.add_function(spec)
-    workload = WorkloadSpec(
-        name="assets", chaincode="assets", mix=TransactionMix.from_dict({specs[0].name: 1.0})
-    )
-    return tiny_config(workload=workload, chaincode_factory=generator.generate)
+    mix = TransactionMix.uniform([spec.name for spec in specs])
+    return tiny_config(workload=generator.workload("assets", mix))
 
 
-def test_cell_hash_distinguishes_what_a_bound_method_is_bound_to():
+def test_cell_hash_distinguishes_generated_specifications():
     read = FunctionSpec(name="readAsset", reads=1)
-    one, twin = generated_cell(read), generated_cell(read)
-    assert one.chaincode_factory is not twin.chaincode_factory
-    assert one.cell_hash() == twin.cell_hash()
-    # ``generate``'s code is the same for every generator; its specs are not.
-    assert one.cell_hash() != generated_cell(FunctionSpec(name="readAsset", reads=2)).cell_hash()
-    assert one.cell_hash() != generated_cell(read, FunctionSpec(name="put", inserts=1)).cell_hash()
-
-    class Plain:
-        def make(self):
-            return GenChainChaincode(num_keys=100)
-
-    # Not a dataclass and no identity(): hashed by repr, so never a false hit.
-    spec = one.workload
-    plain, other = Plain(), Plain()
-    assert tiny_config(workload=spec, chaincode_factory=plain.make).cell_hash() == tiny_config(
-        workload=spec, chaincode_factory=plain.make
+    assert generated_cell(read).cell_hash() == generated_cell(read).cell_hash()
+    assert generated_cell(read).cell_hash() != generated_cell(
+        FunctionSpec(name="readAsset", reads=2)
     ).cell_hash()
-    assert tiny_config(workload=spec, chaincode_factory=plain.make).cell_hash() != tiny_config(
-        workload=spec, chaincode_factory=other.make
+    assert generated_cell(read).cell_hash() != generated_cell(
+        read, FunctionSpec(name="put", inserts=1)
     ).cell_hash()
+    small, large = (uniform_workload("genChain", num_keys=keys) for keys in (100, 200))
+    assert tiny_config(workload=small).cell_hash() != tiny_config(workload=large).cell_hash()
 
 
-def test_cell_hash_of_a_factory_is_the_same_in_every_interpreter():
-    # ``ChaincodeGenerator.generate`` folds ``{"leveldb", "couchdb"}`` into a
-    # frozenset constant, which prints in hash-seed order; the lambda holds a
-    # nested code object, which prints its address.
-    assert any(isinstance(c, frozenset) for c in ChaincodeGenerator.generate.__code__.co_consts)
+def test_cell_hash_of_a_generated_cell_is_the_same_in_every_interpreter():
     script = (
-        "from test_bench_runner import FunctionSpec, generated_cell, tiny_config\n"
+        "from test_bench_runner import FunctionSpec, generated_cell\n"
         "print(generated_cell(FunctionSpec(name='readAsset', reads=1)).cell_hash())\n"
-        "nested = lambda: [(lambda: index)() for index in range(3)]\n"
-        "print(tiny_config(chaincode_factory=nested).cell_hash())\n"
     )
     outputs = set()
     for hash_seed in ("0", "1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(sys.path))
         outputs.add(subprocess.check_output([sys.executable, "-c", script], env=env, text=True))
-    assert len(outputs) == 1 and len(outputs.pop().split()) == 2
-
-
-def test_constants_without_sets_or_code_hash_as_they_always_did():
-    # Every cell hash ever cached or pinned went through ``repr(co_consts)``.
-    checked = 0
-    for function in vars(harness).values():
-        consts = getattr(getattr(function, "__code__", None), "co_consts", ())
-        if consts and not any(isinstance(c, frozenset) or hasattr(c, "co_code") for c in consts):
-            assert harness._constant_repr(consts) == repr(consts)
-            checked += 1
-    assert checked >= 5
-    assert harness._constant_repr((1.5,)) == "(1.5,)"
-    assert harness._constant_repr((None, ("a", 2), frozenset({"b", "a"}))) == (
-        "(None, ('a', 2), frozenset({'a', 'b'}))"
-    )
+    assert len(outputs) == 1 and len(outputs.pop().split()) == 1
 
 
 # --------------------------------------------------- serial/parallel equivalence
@@ -215,17 +152,15 @@ def test_runner_matches_run_experiment():
     assert _metric_tuples(direct) == _metric_tuples(via_runner)
 
 
-def test_unpicklable_config_falls_back_to_serial():
-    spec = WorkloadSpec(
-        name="custom", chaincode="custom", mix=TransactionMix.from_dict({"readKey": 1.0})
-    )
-    config = tiny_config(
-        workload=spec, chaincode_factory=lambda: GenChainChaincode(num_keys=100), repetitions=2
-    )
-    runner = ExperimentRunner(workers=4)
-    result = runner.run(config)
-    assert runner.stats.workers == 1
-    assert result.value("submitted_transactions") > 0
+def test_a_generated_cell_runs_in_the_pool_as_it_runs_in_process():
+    config = generated_cell(
+        FunctionSpec(name="readAsset", reads=1), FunctionSpec(name="moveAsset", reads=1, updates=1)
+    ).with_overrides(repetitions=2)
+    runner = ExperimentRunner(workers=2)
+    pooled = runner.run(config)
+    assert runner.stats.workers == 2
+    assert pooled.value("submitted_transactions") > 0
+    assert _metric_tuples(pooled) == _metric_tuples(run_experiment(config))
 
 
 # ----------------------------------------------------------------------- cache
@@ -460,15 +395,6 @@ def test_default_worker_count_is_the_cores_this_process_may_use(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert ExperimentRunner(workers=None).workers == 1
-
-
-# Module-level factories so the configs stay picklable in the factory tests.
-def make_genchain():
-    return GenChainChaincode(num_keys=100)
-
-
-def make_genchain_large():
-    return GenChainChaincode(num_keys=200)
 
 
 # ------------------------------------------------------------ process budget

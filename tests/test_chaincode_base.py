@@ -87,8 +87,8 @@ def test_choose_uses_chooser_and_validates_bounds(rng):
         chaincode._choose(rng, 0, None)
 
 
-def test_registry_contains_the_paper_chaincodes():
-    assert set(CHAINCODE_REGISTRY) == {"EHR", "DV", "SCM", "DRM", "genChain"}
+def test_registry_contains_the_paper_chaincodes_and_the_generated_one():
+    assert set(CHAINCODE_REGISTRY) == {"EHR", "DV", "SCM", "DRM", "genChain", "generated"}
 
 
 def test_create_chaincode_by_name_and_kwargs():

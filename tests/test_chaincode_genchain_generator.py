@@ -6,12 +6,14 @@ import random
 
 import pytest
 
+from repro.chaincode import create_chaincode
 from repro.chaincode.api import ChaincodeStub
 from repro.chaincode.genchain import RANGE_WIDTHS, GenChainChaincode
 from repro.chaincode.generator import ChaincodeGenerator, FunctionSpec, genchain_generator
 from repro.errors import ConfigurationError
 from repro.ledger.couchdb import CouchDBStore
 from repro.ledger.leveldb import LevelDBStore
+from repro.workload.spec import TransactionMix
 
 
 def make_store(chaincode):
@@ -143,6 +145,39 @@ def test_generator_requires_at_least_one_function():
         ChaincodeGenerator(name="empty").generate()
     with pytest.raises(ConfigurationError):
         ChaincodeGenerator(name="empty").source_code()
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"functions": ()}, "at least one function"),
+        ({"functions": (FunctionSpec("a", reads=1),), "database": "oracle"}, "unknown database"),
+        ({"functions": (FunctionSpec("a", reads=1), FunctionSpec("a", reads=2))}, "duplicate"),
+        ({"functions": (FunctionSpec("rich", rich_queries=1),)}, "require the CouchDB"),
+        ({"functions": (FunctionSpec("bad name", reads=1),)}, "not a valid identifier"),
+        ({"functions": (FunctionSpec("neg", reads=-1),)}, "reads must be >= 0"),
+    ],
+)
+def test_the_registered_generated_chaincode_checks_what_the_generator_checks(kwargs, message):
+    with pytest.raises(ConfigurationError, match=message):
+        create_chaincode("generated", name="demo", **kwargs)
+
+
+def test_a_generator_workload_names_the_chaincode_it_generates():
+    generator = genchain_generator(num_keys=50, database="leveldb")
+    workload = generator.workload("gen", TransactionMix.uniform(["readKey", "updateKey"]))
+    assert workload.chaincode == "generated"
+    assert workload.chaincode_kwargs == {
+        "name": "genChain",
+        "database": "leveldb",
+        "num_keys": 50,
+        "functions": tuple(generator.functions),
+    }
+    built = create_chaincode(workload.chaincode, **workload.chaincode_kwargs)
+    assert built.operation_profile() == generator.generate().operation_profile()
+    assert built.initial_state(random.Random(0)) == generator.generate().initial_state(
+        random.Random(0)
+    )
 
 
 def test_generated_source_code_is_valid_python():

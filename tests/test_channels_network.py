@@ -193,13 +193,12 @@ def test_aggregate_record_reports_the_variant_configured_parameters():
 
 
 def test_neighbor_partner_strategy_forms_a_ring():
-    from repro.fabric.variant import create_variant
-
     experiment = channel_config(channels=3, cross_channel_rate=0.5, arrival_rate=150.0)
     network = MultiChannelNetwork(
         config=experiment.network.copy(),
-        chaincode_factory=experiment.build_chaincode,
-        variant_factory=lambda: create_variant("fabric-1.4"),
+        chaincode=experiment.workload.chaincode,
+        chaincode_kwargs=experiment.workload.chaincode_kwargs,
+        variant="fabric-1.4",
         seed=5,
         partner_strategy="neighbor",
         record_chain=True,

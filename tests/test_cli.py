@@ -410,6 +410,18 @@ def test_unknown_choices_list_valid_names_and_exit_2(argv, expected, capsys):
     assert expected in captured.err
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_chaincode_choices_are_the_five_a_uniform_workload_is_built_over(command, capsys):
+    # The generated chaincode is registered too, but it has no functions
+    # until a specification gives it some: ``--chaincode`` cannot name it.
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--chaincode", "generated"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(
+        "unknown chaincode 'generated'; valid choices: DRM, DV, EHR, SCM, genChain"
+    )
+
+
 def test_cross_channel_rate_without_channels_exits_2(capsys):
     exit_code = main(["run", "--cross-channel-rate", "0.5", "--duration", "1"])
     captured = capsys.readouterr()

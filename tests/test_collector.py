@@ -15,7 +15,7 @@ import pytest
 from test_sharded_execution import plan_free
 
 from repro.bench.harness import ExperimentConfig, run_repetition
-from repro.chaincode import create_chaincode
+from repro.chaincode import CHAINCODE_REGISTRY
 from repro.checker.config import CheckerConfig
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
@@ -50,8 +50,9 @@ def build_cell(config: ExperimentConfig, record_chain: bool = True):
     """The cell's deployment, its chain recorded unless asked otherwise."""
     return build_network(
         config=config.network,
-        chaincode_factory=config.build_chaincode,
-        variant_factory=config.variant,
+        chaincode=config.workload.chaincode,
+        chaincode_kwargs=config.workload.chaincode_kwargs,
+        variant=config.variant,
         seed=config.seed,
         record_chain=record_chain,
     )
@@ -227,15 +228,17 @@ def test_a_dropped_deployment_frees_its_genesis_state_by_reference_counting():
 # ------------------------------------------------------------ scope hygiene
 def test_collector_state_is_restored_after_a_run_whose_chaincode_raises(monkeypatch):
     spec = uniform_workload("EHR", patients=40)
-    chaincode = create_chaincode(spec.chaincode, **spec.chaincode_kwargs)
 
-    def explode(stub, function, args):
+    def explode(self, stub, function, args):
         assert gc.get_threshold()[2] == DEFERRED_FULL_COLLECTIONS
         raise RuntimeError("chaincode failed")
 
-    monkeypatch.setattr(chaincode, "execute", explode)
+    monkeypatch.setattr(CHAINCODE_REGISTRY[spec.chaincode], "execute", explode)
     network = build_network(
-        NetworkConfig(cluster="C1", database="leveldb"), lambda: chaincode, "fabric-1.4"
+        NetworkConfig(cluster="C1", database="leveldb"),
+        spec.chaincode,
+        "fabric-1.4",
+        chaincode_kwargs=spec.chaincode_kwargs,
     )
     state = collector_state()
     with pytest.raises(RuntimeError, match="chaincode failed"):

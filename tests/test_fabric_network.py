@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaincode import create_chaincode
 from repro.errors import ConfigurationError
 from repro.ledger.couchdb import CouchDBStore
 from repro.ledger.factory import make_state_store
@@ -21,8 +20,9 @@ def build_network(seed=5, **overrides):
     )
     return pipeline.build_network(
         config,
-        lambda: create_chaincode("EHR", patients=30),
+        "EHR",
         "fabric-1.4",
+        chaincode_kwargs={"patients": 30},
         seed=seed,
         record_chain=True,
     )

@@ -57,11 +57,12 @@ def test_create_variant_aliases(alias, expected):
     assert isinstance(create_variant(alias), expected)
 
 
-def test_create_variant_passthrough_and_errors():
-    instance = Fabric14()
-    assert create_variant(instance) is instance
+def test_create_variant_takes_a_registered_name_only():
     with pytest.raises(ConfigurationError):
         create_variant("hyperledger-besu")
+    # An instance would be shared by every channel that names it.
+    with pytest.raises(ConfigurationError):
+        create_variant(Fabric14())
 
 
 def test_policy_requires_configuration():

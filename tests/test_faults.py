@@ -157,6 +157,27 @@ def test_parse_fault_spec_rejects_malformed_input():
     assert not parse_fault_spec("").enabled
 
 
+@pytest.mark.parametrize(
+    "spec, value",
+    [
+        ("partition:channel=1.9,start=0,duration=1", "1.9"),
+        ("partition:channel=-0.5,start=0,duration=1", "-0.5"),
+        ('{"partitions": [[-0.5, 1, 1]]}', "-0.5"),
+        ('{"partitions": [[1.9, 1, 1]]}', "1.9"),
+    ],
+)
+def test_parse_fault_spec_rejects_a_fractional_partition_channel(spec, value):
+    # ``int()`` used to truncate: 1.9 partitioned channel 1, and -0.5 became
+    # channel 0, past the ``>= 0`` check.
+    with pytest.raises(ConfigurationError, match=f"whole channel index, got {value}$"):
+        parse_fault_spec(spec)
+
+
+def test_parse_fault_spec_keeps_a_whole_float_partition_channel():
+    assert parse_fault_spec("partition:channel=1.0,start=0,duration=1").partitions == ((1, 0.0, 1.0),)
+    assert parse_fault_spec('{"partitions": [[2.0, 1, 1]]}').partitions == ((2, 1.0, 1.0),)
+
+
 def test_fault_config_summary_is_json_friendly():
     import json
 

@@ -29,8 +29,8 @@ from test_collector import build_cell, run_cell
 from test_sharded_execution import plan_free
 
 from repro.bench.harness import ExperimentConfig
-from repro.chaincode import CHAINCODE_REGISTRY, Chaincode, chaincode_function
-from repro.chaincode.generator import FunctionSpec, GeneratedChaincode, genchain_generator
+from repro.chaincode import CHAINCODE_REGISTRY, Chaincode, chaincode_function, create_chaincode
+from repro.chaincode.generator import FunctionSpec, genchain_generator
 from repro.core.fingerprint import record_fingerprint
 from repro.errors import ConfigurationError
 from repro.fabric import available_variants
@@ -73,13 +73,12 @@ CONSTRUCTORS = {
         st.fixed_dictionaries(
             {
                 "name": st.sampled_from(["assets", "other"]),
-                "specs": GENERATED_SPECS,
+                "functions": GENERATED_SPECS,
                 "database": st.sampled_from(["leveldb", "couchdb"]),
             }
         ),
     ),
 }
-CLASSES = dict(CHAINCODE_REGISTRY, generated=GeneratedChaincode)
 
 
 @pytest.fixture(autouse=True)
@@ -92,8 +91,8 @@ def fresh_memo():
 
 # ------------------------------------------------------------- the declaration
 def test_every_registered_chaincode_declares_its_genesis():
-    assert set(CONSTRUCTORS) == set(CLASSES)
-    for name, chaincode_class in CLASSES.items():
+    assert set(CONSTRUCTORS) == set(CHAINCODE_REGISTRY)
+    for name, chaincode_class in CHAINCODE_REGISTRY.items():
         assert "genesis_identity" in vars(chaincode_class), name
 
 
@@ -103,7 +102,7 @@ def test_every_registered_chaincode_declares_its_genesis():
 def test_equal_identities_mean_equal_initial_states_built_without_a_draw(name, data, seeds):
     reaching, others = CONSTRUCTORS[name]
     genesis, other_genesis = data.draw(reaching), data.draw(reaching)
-    build = CLASSES[name]
+    build = CHAINCODE_REGISTRY[name]
     one = build(**genesis, **data.draw(others))
     twin = build(**genesis, **data.draw(others))
     other = build(**other_genesis, **data.draw(others))
@@ -148,17 +147,19 @@ class Undeclared(Drawing):
         return None
 
 
-def test_a_chaincode_that_declares_an_identity_and_draws_is_refused_by_name():
+def test_a_chaincode_that_declares_an_identity_and_draws_is_refused_by_name(monkeypatch):
+    monkeypatch.setitem(CHAINCODE_REGISTRY, "drawing", Drawing)
     with pytest.raises(ConfigurationError, match=r"Drawing declares a genesis_identity\(\) but initial_state draws"):
-        build_network(NetworkConfig(cluster="C1", database="leveldb"), Drawing, "fabric-1.4")
+        build_network(NetworkConfig(cluster="C1", database="leveldb"), "drawing", "fabric-1.4")
     assert not factory._shared_genesis
 
 
-def test_an_undeclared_chaincode_builds_one_base_per_channel_as_before():
+def test_an_undeclared_chaincode_builds_one_base_per_channel_as_before(monkeypatch):
     assert Chaincode().genesis_identity() is None
     ehr_base = build_cell(_ehr()).channels[0].state_base
+    monkeypatch.setitem(CHAINCODE_REGISTRY, "undeclared", Undeclared)
     network = build_network(
-        NetworkConfig(cluster="C1", database="leveldb", channels=2), Undeclared, "fabric-1.4"
+        NetworkConfig(cluster="C1", database="leveldb", channels=2), "undeclared", "fabric-1.4"
     )
     first, second = (channel.state_base for channel in network.channels)
     assert first is not second and first.frozen and second.frozen
@@ -266,7 +267,8 @@ def content_hash(base) -> str:
 
 def _generated_workload() -> WorkloadSpec:
     names = ["readKey", "insertKey", "updateKey", "deleteKey", "rangeRead"]
-    return WorkloadSpec(name="generated", chaincode="generated", mix=TransactionMix.uniform(names))
+    generator = genchain_generator(num_keys=120, database="leveldb")
+    return generator.workload("generated", TransactionMix.uniform(names))
 
 
 WORKLOADS = {
@@ -301,12 +303,11 @@ def test_a_run_leaves_the_shared_base_the_genesis_it_was_built_as(name, variant)
         workload = replace(workload, mix=TransactionMix.uniform(kept))
     config = _cell(workload, retry=RetryConfig(policy="jittered", max_retries=2))
     config.variant = variant
-    if name == "generated":
-        config.chaincode_factory = genchain_generator(num_keys=120, database="leveldb").generate
     network = build_cell(config)
     base = network.channels[0].state_base
     assert list(factory._shared_genesis.values()) == [base]
-    genesis = config.build_chaincode().initial_state(random.Random(0))
+    chaincode = create_chaincode(workload.chaincode, **workload.chaincode_kwargs)
+    genesis = chaincode.initial_state(random.Random(0))
     assert {key: entry.value for key, entry in base.items()} == genesis
     assert all(entry.version == GENESIS_VERSION for _, entry in base.items())
     built = content_hash(base)

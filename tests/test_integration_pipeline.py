@@ -108,8 +108,9 @@ def test_committed_state_reflects_only_valid_transactions():
         config = small_config(workload=workload)
         deployment = build_network(
             config.network,
-            config.build_chaincode,
+            config.workload.chaincode,
             config.variant,
+            chaincode_kwargs=config.workload.chaincode_kwargs,
             seed=config.seed,
             record_chain=True,
         )

@@ -136,7 +136,13 @@ def test_every_attempt_is_submitted_first_and_terminates_once_at_its_end_time():
         duration=2.0,
         seed=11,
     )
-    network = build_network(config.network, config.build_chaincode, config.variant, seed=11)
+    network = build_network(
+        config.network,
+        config.workload.chaincode,
+        config.variant,
+        chaincode_kwargs=config.workload.chaincode_kwargs,
+        seed=11,
+    )
     history = {}
     problems = []
 
@@ -192,7 +198,13 @@ def test_a_one_channel_deployment_stamps_no_channel_on_any_attempt():
         duration=2.0,
         seed=11,
     )
-    network = build_network(config.network, config.build_chaincode, config.variant, seed=11)
+    network = build_network(
+        config.network,
+        config.workload.chaincode,
+        config.variant,
+        chaincode_kwargs=config.workload.chaincode_kwargs,
+        seed=11,
+    )
     (channel,) = network.channels
     assert channel.label is None
     labels = {}

@@ -296,8 +296,9 @@ def test_repeated_start_clients_keeps_the_one_retry_handler():
     experiment = retry_experiment("immediate", max_retries=2)
     (network,) = build_network(
         config=experiment.network,
-        chaincode_factory=experiment.build_chaincode,
-        variant_factory="fabric-1.4",
+        chaincode=experiment.workload.chaincode,
+        chaincode_kwargs=experiment.workload.chaincode_kwargs,
+        variant="fabric-1.4",
         seed=3,
         record_chain=True,
     ).channels

@@ -515,8 +515,8 @@ def test_traced_run_metrics_expose_quantiles_and_stage_latency(traced_result):
 def test_disabled_observability_creates_no_observer():
     network = build_network(
         config=NetworkConfig(cluster="C1", database="leveldb", block_size=10),
-        chaincode_factory=ExperimentConfig().build_chaincode,
-        variant_factory="fabric-1.4",
+        chaincode="EHR",
+        variant="fabric-1.4",
         seed=7,
     )
     assert network.group.observer is None

@@ -42,8 +42,8 @@ def build_disabled_network() -> MultiChannelNetwork:
     assert not config.observability.enabled
     return build_network(
         config=config,
-        chaincode_factory=ExperimentConfig().build_chaincode,
-        variant_factory="fabric-1.4",
+        chaincode="EHR",
+        variant="fabric-1.4",
         seed=7,
     )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import statistics
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.stats import DEFAULT_QUANTILES, quantiles
@@ -61,6 +61,8 @@ def test_latency_shaped_streams(samples):
 
 @settings(max_examples=50, deadline=None)
 @given(value=FINITE, length=st.integers(min_value=1, max_value=60))
+# Interpolating between two equal subnormal neighbours underflowed to 0.0.
+@example(value=5e-324, length=2)
 def test_constant_streams(value, length):
     assert_agrees_with_the_reference([value] * length)
 

@@ -105,7 +105,13 @@ def test_pickling_a_group_result_reaches_no_chain_and_no_state_store():
     # what it sends back is the group's records and tallies — never a
     # transaction, a store or an overlay.
     config = cell(channels=2, cross_channel_rate=0.0, execution=ExecutionConfig(shard_workers=2))
-    network = build_network(config.network, config.build_chaincode, config.variant, seed=3)
+    network = build_network(
+        config.network,
+        config.workload.chaincode,
+        config.variant,
+        chaincode_kwargs=config.workload.chaincode_kwargs,
+        seed=3,
+    )
     assert network.execution_mode == "sharded" and len(network._specs) == 2
     args = RunArgs(config.workload.mix, config.arrival_rate, config.duration, None, "EHR")
     result = simulate_group(network._specs[1], args)

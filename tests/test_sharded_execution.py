@@ -20,7 +20,6 @@ import pickle
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,6 +28,7 @@ from export_parts import assert_export_pinned, exported_bytes
 
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.bench.runner import ExperimentRunner
+from repro.chaincode import CHAINCODE_REGISTRY, ElectronicHealthRecordsChaincode
 from repro.channels import merge as channel_merge
 from repro.channels import network as channels_network
 from repro.channels.network import MultiChannelNetwork
@@ -91,8 +91,9 @@ def run_cell(config: ExperimentConfig, record_chain: bool = False):
     """Build and run one cell directly; returns ``(network, record)``."""
     network = build_network(
         config=config.network,
-        chaincode_factory=config.build_chaincode,
-        variant_factory=config.variant,
+        chaincode=config.workload.chaincode,
+        chaincode_kwargs=config.workload.chaincode_kwargs,
+        variant=config.variant,
         seed=config.seed,
         record_chain=record_chain,
     )
@@ -171,8 +172,9 @@ def test_this_process_is_one_of_the_shard_workers():
     config = experiment(ExecutionConfig(shard_workers=3))
     network = build_network(
         config=config.network,
-        chaincode_factory=config.build_chaincode,
-        variant_factory=config.variant,
+        chaincode=config.workload.chaincode,
+        chaincode_kwargs=config.workload.chaincode_kwargs,
+        variant=config.variant,
         seed=config.seed,
     )
     runs = []
@@ -192,17 +194,15 @@ def test_this_process_is_one_of_the_shard_workers():
 
 
 # ------------------------------------------- shard files and channel walks
-@dataclass(frozen=True)
-class ChaincodeOfThisProcess:
-    """A chaincode factory that fails in every process but the one that made it."""
+class ChaincodeOfThisProcess(ElectronicHealthRecordsChaincode):
+    """EHR in the process that imported this module; a failure in every other."""
 
-    config: ExperimentConfig
-    pid: int = field(default_factory=os.getpid)
+    pid = os.getpid()
 
-    def __call__(self):
+    def __init__(self, **kwargs) -> None:
         if os.getpid() != self.pid:
             raise RuntimeError("a shipped shard failed")
-        return self.config.build_chaincode()
+        super().__init__(**kwargs)
 
 
 @pytest.fixture
@@ -222,9 +222,7 @@ def test_pool_shards_come_back_as_files_that_do_not_outlive_the_run(shard_tmp, m
         loaded.append(os.fstat(file.fileno()).st_size)
         return pickle.load(file)
 
-    monkeypatch.setattr(
-        channels_network, "pickle", SimpleNamespace(dumps=pickle.dumps, load=load)
-    )
+    monkeypatch.setattr(channels_network, "pickle", SimpleNamespace(load=load))
     network, pooled = run_cell(experiment(ExecutionConfig(shard_workers=3)))
     assert network.shard_workers_used == 3
     assert len(loaded) == 2  # shards 1 and 2; this process drained 0 and 3
@@ -234,12 +232,15 @@ def test_pool_shards_come_back_as_files_that_do_not_outlive_the_run(shard_tmp, m
     assert plan_free(pooled) == plan_free(shared)
 
 
-def test_a_failed_shipped_shard_leaves_no_shard_file(shard_tmp):
+def test_a_failed_shipped_shard_leaves_no_shard_file(shard_tmp, monkeypatch):
+    # The pool forks, so its workers see the registration made here.
+    monkeypatch.setitem(CHAINCODE_REGISTRY, "EHR-of-this-process", ChaincodeOfThisProcess)
     config = experiment(ExecutionConfig(shard_workers=2))
     network = build_network(
-        config=config.network,
-        chaincode_factory=ChaincodeOfThisProcess(config),
-        variant_factory=config.variant,
+        config.network,
+        "EHR-of-this-process",
+        config.variant,
+        chaincode_kwargs=config.workload.chaincode_kwargs,
         seed=config.seed,
     )
     with pytest.raises(RuntimeError, match="a shipped shard failed"):
@@ -375,39 +376,6 @@ def test_global_retry_rate_cap_forces_the_shared_clock():
     )
     assert network.execution_mode == "shared-clock"
     assert record.execution == "shared-clock"
-
-
-def test_unpicklable_factories_degrade_to_in_process_execution():
-    config = experiment(ExecutionConfig(shard_workers=4))
-    captured = {}
-
-    def chaincode_factory():
-        # A closure over local state: unpicklable, so the pool path must be
-        # skipped — the run still shards, just inside this process.
-        captured.setdefault("builds", 0)
-        captured["builds"] += 1
-        return config.build_chaincode()
-
-    network = MultiChannelNetwork(
-        config=config.network,
-        chaincode_factory=chaincode_factory,
-        variant_factory=lambda: __import__(
-            "repro.fabric.variant", fromlist=["create_variant"]
-        ).create_variant(config.variant),
-        seed=config.seed,
-    )
-    record = network.run(
-        mix=config.workload.mix,
-        arrival_rate=config.arrival_rate,
-        duration=config.duration,
-        key_distribution=make_distribution(config.zipf_skew),
-        workload_name=config.workload.name,
-    )
-    assert network.shard_workers_used == 1
-    assert record.execution == "sharded"
-    assert captured["builds"] == 4
-    _, shared = run_cell(experiment(ExecutionConfig()))
-    assert plan_free(record) == plan_free(shared)
 
 
 # ------------------------------------------------------------ observability

@@ -30,6 +30,7 @@ from test_collector import build_cell, run_cell
 
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.chaincode import CHAINCODE_REGISTRY, create_chaincode
+from repro.chaincode.generator import genchain_generator
 from repro.chaincode.api import ChaincodeStub
 from repro.chaincode.base import Chaincode
 from repro.core.fingerprint import record_fingerprint
@@ -452,7 +453,8 @@ def test_the_table_stays_within_its_caps():
 def test_sampled_arguments_are_ints_and_strings_so_equal_keys_are_identical_calls(name):
     # Keys compare with ==, under which 1 == 1.0 == True: a row is only sound
     # if equal argument tuples are the same call.
-    chaincode = create_chaincode(name)
+    kwargs = genchain_generator(num_keys=100).chaincode_kwargs() if name == "generated" else {}
+    chaincode = create_chaincode(name, **kwargs)
     rng = random.Random(0)
     for function in chaincode.invocable_functions():
         for _ in range(200):

@@ -117,8 +117,9 @@ CHAOS_HISTORY_SHA256 = "867e93239050c1c338dcaf77ac753874136ec5269406a8f1e9b4e10d
 def build(config: ExperimentConfig, record_chain: bool = False):
     return build_network(
         config=config.network,
-        chaincode_factory=config.build_chaincode,
-        variant_factory=config.variant,
+        chaincode=config.workload.chaincode,
+        chaincode_kwargs=config.workload.chaincode_kwargs,
+        variant=config.variant,
         seed=config.seed,
         record_chain=record_chain,
     )
