@@ -34,12 +34,14 @@ from repro.sim.collector import quiet_collector
 from repro.sim.rng import derive_seed
 
 from repro.chaincode import CHAINCODE_REGISTRY
+from repro.chaincode.generator import GeneratedChaincode
 from repro.core.analyzer import ExperimentAnalysis, LedgerAnalyzer
 from repro.core.failures import MVCC, FailureType
 from repro.core.metrics import ExperimentMetrics
 from repro.errors import ConfigurationError
+from repro.fabric.variant import variant_key
 from repro.lifecycle.pipeline import build_network
-from repro.network.config import NetworkConfig
+from repro.network.config import DatabaseType, NetworkConfig
 from repro.workload.distributions import make_distribution
 from repro.workload.spec import WorkloadSpec
 from repro.workload.workloads import uniform_workload
@@ -87,7 +89,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"the Zipfian skew must be >= 0 and finite, got {self.zipf_skew}"
             )
+        variant_key(self.variant)
         _check_chaincode(self.workload)
+        _check_rich_queries(self.workload, self.network)
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
         """A copy of the configuration with the given fields replaced."""
@@ -138,6 +142,27 @@ def _check_chaincode(workload: WorkloadSpec) -> None:
         raise ConfigurationError(
             f"workload.chaincode_kwargs do not fit chaincode {workload.chaincode!r}: {exc}"
         ) from None
+
+
+def _check_rich_queries(workload: WorkloadSpec, network: NetworkConfig) -> None:
+    """A generated chaincode whose drawn functions run rich queries needs a
+    CouchDB network: on any other database the first such call fails the run
+    in the middle of the simulation."""
+    if not issubclass(CHAINCODE_REGISTRY[workload.chaincode], GeneratedChaincode):
+        return
+    rich = [
+        spec.name
+        for spec in workload.chaincode_kwargs.get("functions", ())
+        if getattr(spec, "rich_queries", 0) and workload.mix.probability(spec.name) > 0
+    ]
+    database = DatabaseType.parse(network.database)
+    if rich and database is not DatabaseType.COUCHDB:
+        generated_for = workload.chaincode_kwargs.get("database", "leveldb")
+        raise ConfigurationError(
+            f"functions {', '.join(rich)} of workload.chaincode_kwargs['database'] = "
+            f"{generated_for!r} run rich queries, which need network.database = 'couchdb', "
+            f"got {database.value!r}"
+        )
 
 
 def _canonical(value):

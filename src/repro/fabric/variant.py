@@ -167,10 +167,16 @@ def available_variants() -> list[str]:
     return sorted(VARIANT_REGISTRY)
 
 
-def create_variant(name: str) -> FabricVariantBehavior:
-    """Instantiate a variant by (case-insensitive) name; a custom one is registered first."""
-    key = _ALIASES.get(str(name).strip().lower())
-    if key is None or key not in VARIANT_REGISTRY:
+def variant_key(name: str) -> str:
+    """The registry key of a variant: a key itself, or an accepted spelling of a built-in one."""
+    spelled = str(name).strip()
+    key = _ALIASES.get(spelled.lower(), spelled)
+    if key not in VARIANT_REGISTRY:
         known = ", ".join(available_variants())
         raise ConfigurationError(f"unknown Fabric variant {name!r}; known variants: {known}")
-    return VARIANT_REGISTRY[key]()
+    return key
+
+
+def create_variant(name: str) -> FabricVariantBehavior:
+    """Instantiate a variant by (case-insensitive) name; a custom one is registered first."""
+    return VARIANT_REGISTRY[variant_key(name)]()

@@ -125,13 +125,12 @@ class ClientNode:
     def start(self, duration: float) -> int:
         """Schedule all arrivals of this client in ``[0, duration)``.
 
+        The times are drawn now (the stream is shared with endorser
+        selection) but queued one at a time, each by its predecessor.
         Returns the number of scheduled transactions.
         """
         arrivals = self.arrival.schedule(duration)
-        post_at = self.sim.post_at
-        submit_next = self._submit_next
-        for arrival_time in arrivals:
-            post_at(arrival_time, submit_next)
+        self.sim.post_series(arrivals, self._submit_next)
         return len(arrivals)
 
     def _submit_next(self) -> None:

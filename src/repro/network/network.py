@@ -312,8 +312,10 @@ class Channel:
         self.clients: List[ClientNode] = []
         #: Chaincode results every client of this slice shares (see
         #: :class:`~repro.network.peer.ResultTable`): one per channel, because
-        #: a state token names a state of this channel only.
+        #: a state token names a state of this channel only.  It retires a
+        #: result once no endorser of the channel can read it again.
         self.results = ResultTable()
+        self.results.watch([peer for peer in self.peers if peer.is_endorser])
         #: Streaming isolation checker of this slice (``None`` unless
         #: ``config.checker`` is enabled).  Installed per slice, on the
         #: slice's own bus, so each channel is checked against its own chain

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import functools
 import random
+import weakref
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.chaincode.api import ChaincodeStub
 from repro.chaincode.base import Chaincode
@@ -40,17 +41,17 @@ __all__ = [
     "EndorsementCallback",
     "CommitCallback",
     "ResultTable",
+    "SimulationResult",
     "SimulationResults",
 ]
 
 #: Callback invoked with ``(peer, response)`` once an endorsement completes.
 EndorsementCallback = Callable[["Peer", EndorsementResponse], None]
-#: One call's simulation results on one channel, keyed by the ``state_token``
-#: of the state they were simulated against: ``(read/write set, execution
-#: cost, call latencies)``.  A row of a :class:`ResultTable`.
-SimulationResults = Dict[int, Tuple[ReadWriteSet, float, Dict[str, float]]]
 #: Callback invoked with ``(peer, block)`` once a peer has committed a block.
 CommitCallback = Callable[["Peer", Block], None]
+#: What one simulation computed: ``(read/write set, execution cost, call
+#: latencies)``.
+SimulationResult = Tuple[ReadWriteSet, float, Dict[str, float]]
 
 #: Calls a :class:`ResultTable` keeps a row for; the oldest row goes first.
 RESULT_ROWS = 4096
@@ -58,42 +59,151 @@ RESULT_ROWS = 4096
 RESULT_TOKENS_PER_ROW = 4
 
 
+class SimulationResults(dict):
+    """One call's simulation results on one channel: a row of a :class:`ResultTable`.
+
+    A ``{state_token: SimulationResult}`` dict, read with one ``get(token)``;
+    a result is added through its table's :meth:`ResultTable.keep`, which
+    indexes it.
+    """
+
+    __slots__ = ("key", "table")
+
+    def __init__(self, key: Optional[Tuple[str, Tuple[Any, ...]]], table: "ResultTable") -> None:
+        super().__init__()
+        #: The call ``(function, args)``; ``None`` for a row nobody else sees.
+        self.key = key
+        #: A weak proxy of the table, so that no cycle keeps a dropped
+        #: table's rows — or the replicas it reads — waiting for a full
+        #: collection.
+        self.table = table.proxy
+
+
 class ResultTable:
     """One channel's chaincode results, shared by every endorsement on it.
 
-    One row per call ``(function, args)``, each a :data:`SimulationResults`
-    dict that :meth:`Peer.receive_proposal` reads with one ``get(token)``.
-    Both dimensions are FIFO-bounded (:data:`RESULT_ROWS`,
-    :data:`RESULT_TOKENS_PER_ROW`); an evicted result is recomputed on the
-    next miss, and a pure function recomputes the same one, so eviction is
-    not observable.  Tokens name states of one channel only (see
+    One row per call ``(function, args)``, each a :class:`SimulationResults`
+    that :meth:`Peer.receive_proposal` reads with one ``get(token)``.  Tokens
+    name states of one channel only (see
     :attr:`~repro.ledger.store.OverlayStateStore.state_token`), hence one
     table per channel.
+
+    A result lives while an endorser can still read it.  The channel hands
+    the table its endorsers (:meth:`watch`), and after each of their commits
+    :meth:`retire` drops every result whose token is below the
+    *floor*, the lowest token any of them can still serve, and every row
+    that this empties.  A token an endorser serves never decreases, so a
+    result below the floor is never read again.  Both dimensions are also
+    FIFO-bounded (:data:`RESULT_ROWS`, :data:`RESULT_TOKENS_PER_ROW`), for a
+    floor that stalls: a crashed endorser holds it until it catches up.
+    Neither the floor nor the caps are observable: a dropped result is
+    recomputed on the next miss, and a pure function recomputes the same one.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "by_token", "endorsers", "proxy", "__weakref__")
 
     def __init__(self) -> None:
+        self.proxy = weakref.proxy(self)
         # Ordered for an O(1) oldest-first eviction: ``next(iter(d))`` on a
         # plain dict scans the slots earlier evictions left empty.
         self.rows: OrderedDict[Tuple[str, Tuple[Any, ...]], SimulationResults] = OrderedDict()
+        #: ``{token: {call: row}}``: the rows holding a result at each token,
+        #: exactly those of :attr:`rows`, so retiring a token costs one step
+        #: per result it held.
+        self.by_token: Dict[int, Dict[Tuple[str, Tuple[Any, ...]], SimulationResults]] = {}
+        #: ``(endorsement state, replica)`` of each endorser :meth:`retire` reads.
+        self.endorsers: Tuple[Tuple[StateStore, StateStore], ...] = ()
+
+    def watch(self, endorsers: Sequence["Peer"]) -> None:
+        """:meth:`retire` at the floor of ``endorsers``, after each of their commits.
+
+        Only an endorser's commit moves an overlay's token; a lagged view's
+        also moves with the clock, and its results retire at the next one.
+        """
+        self.endorsers = tuple((peer.endorsement_state(), peer.store) for peer in endorsers)
+        for peer in endorsers:
+            peer.results = self
 
     def row(self, function: str, args: Tuple[Any, ...]) -> SimulationResults:
         """The row of ``function(*args)``, created empty on first use.
 
         Unhashable ``args`` get a fresh row no other transaction sees.
         """
-        rows = self.rows
         key = (function, args)
         try:
-            row = rows.get(key)
+            row = self.rows.get(key)
         except TypeError:
-            return {}
+            return SimulationResults(None, self)
         if row is None:
-            if len(rows) >= RESULT_ROWS:
-                rows.popitem(last=False)
-            row = rows[key] = {}
+            row = SimulationResults(key, self)
+            self._admit(row)
         return row
+
+    def _admit(self, row: SimulationResults) -> None:
+        rows = self.rows
+        if len(rows) >= RESULT_ROWS:
+            key, oldest = rows.popitem(last=False)
+            for token in oldest:
+                self._unindex(token, key)
+        rows[row.key] = row
+
+    def _unindex(self, token: int, key: Tuple[str, Tuple[Any, ...]]) -> None:
+        held = self.by_token[token]
+        del held[key]
+        if not held:
+            del self.by_token[token]
+
+    def keep(self, row: SimulationResults, token: int, result: SimulationResult) -> None:
+        """Store what an endorser at ``token`` computed for ``row``'s call.
+
+        A row the table has dropped while its transaction's proposals were
+        in flight keeps the result to itself, for that transaction's other
+        endorsers.
+        """
+        key = row.key
+        indexed = key is not None and self.rows.get(key) is row
+        if len(row) >= RESULT_TOKENS_PER_ROW:
+            oldest = next(iter(row))
+            del row[oldest]
+            if indexed:
+                self._unindex(oldest, key)
+        row[token] = result
+        if indexed:
+            self.by_token.setdefault(token, {})[key] = row
+
+    def retire(self) -> None:
+        """Drop every result below the endorsers' floor, and every row left empty.
+
+        An endorser's floor is the token its endorsement state serves now.
+        A stale lagged view over a store with native rich queries serves
+        ``None`` for a while and then the store's token, so there the
+        store's token counts; an endorser with neither serves no token again
+        and does not count.  Most commits leave some endorser at or below
+        the lowest token stored, and so stop at that endorser.
+        """
+        by_token = self.by_token
+        if not by_token:
+            return
+        lowest = min(by_token)
+        floor = None
+        for state, store in self.endorsers:
+            token = state.state_token
+            if token is None:
+                token = store.state_token
+                if token is None:
+                    continue
+            if token <= lowest:
+                return
+            if floor is None or token < floor:
+                floor = token
+        if floor is None:
+            return
+        rows = self.rows
+        for token in [token for token in by_token if token < floor]:
+            for key, row in by_token.pop(token).items():
+                del row[token]
+                if not row:
+                    del rows[key]
 
 
 class Peer:
@@ -126,6 +236,9 @@ class Peer:
         #: Told of an attempt whose first execution came after it had ended
         #: (the channel's :meth:`~repro.lifecycle.tally.ChannelTally.late_stamp`).
         self.on_late_stamp = on_late_stamp
+        #: The channel's :class:`ResultTable`, told of each commit of this
+        #: endorser (set by :meth:`ResultTable.watch`).
+        self.results: Optional[ResultTable] = None
         self.committed_height = 0
         self.endorsements_served = 0
         self.blocks_committed = 0
@@ -186,9 +299,7 @@ class Peer:
                     self.on_late_stamp(tx)
             result = (stub.rwset, stub.execution_cost, stub.db_call_latency)
             if token is not None:
-                if len(simulated) >= RESULT_TOKENS_PER_ROW:
-                    del simulated[next(iter(simulated))]
-                simulated[token] = result
+                simulated.table.keep(simulated, token, result)
         elif tx._db_call_latency is None:
             # Another transaction's execution: its dict stays with its owner.
             tx._db_call_latency = dict(result[2])
@@ -262,6 +373,8 @@ class Peer:
             if self._lagged_view is not None:
                 snapshot_delay = self.rng.uniform(0.0, self.timing.sharp_snapshot_delay)
                 self._lagged_view.refresh(visible_after=self.sim.now + snapshot_delay)
+        if self.results is not None:
+            self.results.retire()
         self.committed_height = block.number
         self.blocks_committed += 1
         on_committed(self, block)

@@ -163,10 +163,12 @@ class TimeSeriesSampler:
         if self._started:
             return
         self._started = True
+        ticks = []
         tick = 1
         while tick * self.interval < duration:
-            self.sim.post_at(tick * self.interval, self._sample)
+            ticks.append(tick * self.interval)
             tick += 1
+        self.sim.post_series(ticks, self._sample)
 
     def _sample(self) -> None:
         self.sample_now(self.sim.now)

@@ -15,6 +15,8 @@ cancelled.  Cancelled events are *evicted* — lazily when their entry is
 popped, eagerly by a compaction pass once they outnumber the live events —
 so :attr:`Simulator.pending_events` counts live events only and the queue
 cannot grow without bound under retry/timeout cancellation storms.
+:meth:`Simulator.post_series` posts a sorted run of times but keeps only its
+next entry queued, each dispatch queueing its successor.
 
 There is no wall-clock coupling — simulated seconds are just floating point
 numbers — which is what makes sweeping hundreds of Fabric configurations
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.errors import SimulationError
 
@@ -135,7 +137,9 @@ class Simulator:
 
         ``queued_entries`` counts every entry physically retained (live plus
         cancelled-awaiting-eviction); the compaction bound guarantees it never
-        exceeds ``2 * live + 512``.
+        exceeds ``2 * live + 512``.  It can be below ``live``: a
+        :meth:`post_series` counts all its events as live but queues one at
+        a time.
         """
         return {
             "live": self._live,
@@ -193,6 +197,48 @@ class Simulator:
         self._sequence = sequence + 1
         heappush(self._heap, (time, sequence, callback, args, None))
         self._live += 1
+
+    def post_series(self, times: Sequence[float], callback: Callable[[], None]) -> None:
+        """:meth:`post_at` ``callback`` at every one of ``times``, queueing one at a time.
+
+        ``times`` must be finite, non-decreasing and not before now.  The
+        series takes ``len(times)`` consecutive sequence numbers and counts
+        that many live events at once, but only its next entry sits in the
+        queue: each dispatch queues its successor, then runs ``callback``.
+        An entry's successor has the next sequence number and a time no
+        earlier, so it is queued before anything could be dispatched ahead of
+        it — dispatch order and :attr:`pending_events` are exactly those of
+        a ``post_at`` loop over ``times``, at the memory of one entry.
+        """
+        count = len(times)
+        if not count:
+            return
+        previous = self._now
+        for time in times:
+            if not previous <= time < _INF:
+                if self._now <= time < _INF:
+                    raise SimulationError(
+                        f"a series must be non-decreasing: t={time!r} after t={previous!r}"
+                    )
+                self._reject_time(time)
+            previous = time
+        sequence = self._sequence
+        self._sequence = sequence + count
+        self._live += count
+        heappush(
+            self._heap,
+            (times[0], sequence, self._next_in_series, (times, 0, sequence, callback), None),
+        )
+
+    def _next_in_series(
+        self, times: Sequence[float], index: int, sequence: int, callback: Callable[[], None]
+    ) -> None:
+        index += 1
+        if index < len(times):
+            sequence += 1
+            args = (times, index, sequence, callback)
+            heappush(self._heap, (times[index], sequence, self._next_in_series, args, None))
+        callback()
 
     def _reject_delay(self, delay: float) -> None:
         if not math.isfinite(delay):

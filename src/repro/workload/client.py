@@ -10,6 +10,7 @@ client given its share of the total rate.
 from __future__ import annotations
 
 import random
+from array import array
 from math import log as _log
 
 from repro.errors import WorkloadError
@@ -36,23 +37,26 @@ class ArrivalProcess:
             return self.rng.expovariate(self.rate)
         return 1.0 / self.rate
 
-    def schedule(self, duration: float) -> list[float]:
-        """All arrival times in ``[0, duration)`` for this client.
+    def schedule(self, duration: float) -> array:
+        """All arrival times in ``[0, duration)`` for this client, in order.
 
         The Poisson path inlines ``expovariate`` (CPython:
         ``-log(1.0 - random()) / lambd``) with the uniform source hoisted.
         The number of draws is data-dependent and the stream is shared with
         the owning client's other decisions, so the draws replay the exact
         per-call loop — one uniform per arrival, identical values and final
-        RNG state — rather than over-drawing a buffer.
+        RNG state — rather than over-drawing a buffer.  The times are packed
+        doubles (``array('d')``, 8 bytes each): a client hands them to
+        :meth:`~repro.sim.engine.Simulator.post_series`, which queues one at
+        a time, so the schedule is the only copy a run keeps.
         """
         if duration < 0:
             raise WorkloadError(f"the schedule duration must be >= 0, got {duration}")
-        arrivals: list[float] = []
+        arrivals = array("d")
+        append = arrivals.append
         if self.poisson:
             rate = self.rate
             random_ = self.rng.random
-            append = arrivals.append
             clock = -_log(1.0 - random_()) / rate
             while clock < duration:
                 append(clock)
@@ -60,6 +64,6 @@ class ArrivalProcess:
             return arrivals
         clock = self.next_interarrival()
         while clock < duration:
-            arrivals.append(clock)
+            append(clock)
             clock += self.next_interarrival()
         return arrivals

@@ -8,7 +8,7 @@ from repro.bench.harness import ExperimentConfig, pct_column, run_experiment
 from repro.bench.reporting import format_series, format_table, format_value
 from repro.chaincode import CHAINCODE_REGISTRY
 from repro.chaincode.genchain import GenChainChaincode
-from repro.chaincode.generator import FunctionSpec
+from repro.chaincode.generator import ChaincodeGenerator, FunctionSpec
 from repro.core.failures import FailureType
 from repro.errors import ConfigurationError
 from repro.network.config import NetworkConfig
@@ -108,6 +108,34 @@ def test_validate_binds_chaincode_kwargs_and_requires_data(chaincode, kwargs, me
     )
     with pytest.raises(ConfigurationError, match=message):
         tiny_config(workload=workload).validate()
+
+
+def test_an_unknown_variant_is_refused_before_anything_runs():
+    # ``variant="besu"`` used to pass ``validate()`` and fail in a pool
+    # worker after the pool had started.
+    known = r"'besu'; known variants: fabric\+\+, fabric-1.4, fabricsharp, streamchain"
+    with pytest.raises(ConfigurationError, match=known):
+        tiny_config(variant="besu").validate()
+    tiny_config(variant="Fabric#").validate()
+
+
+def test_rich_queries_on_a_network_without_couchdb_are_refused():
+    # Used to pass ``validate()`` and die with ``UnsupportedFeatureError`` at
+    # the first rich query, in the middle of the simulation.
+    generator = ChaincodeGenerator(name="assets", database="couchdb", num_keys=100)
+    generator.add_function(FunctionSpec("find", rich_queries=1))
+    generator.add_function(FunctionSpec("read", reads=1))
+    both = generator.workload("w", TransactionMix.from_dict({"find": 1.0, "read": 1.0}))
+    with pytest.raises(
+        ConfigurationError,
+        match=r"find of workload.chaincode_kwargs\['database'\] = 'couchdb' run rich queries, "
+        r"which need network.database = 'couchdb', got 'leveldb'",
+    ):
+        tiny_config(workload=both).validate()
+    tiny_config(workload=both, network=tiny_config().network.copy(database="couchdb")).validate()
+    # A function the mix never draws never runs.
+    reads = generator.workload("w", TransactionMix.from_dict({"find": 0.0, "read": 1.0}))
+    assert run_experiment(tiny_config(workload=reads)).value("submitted_transactions") > 0
 
 
 def test_with_overrides_returns_modified_copy():

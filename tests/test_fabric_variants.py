@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError, UnsupportedFeatureError
 from repro.fabric import (
+    VARIANT_REGISTRY,
     Fabric14,
     FabricPlusPlus,
     FabricSharp,
@@ -57,12 +58,16 @@ def test_create_variant_aliases(alias, expected):
     assert isinstance(create_variant(alias), expected)
 
 
-def test_create_variant_takes_a_registered_name_only():
+def test_create_variant_takes_a_registered_name_only(monkeypatch):
     with pytest.raises(ConfigurationError):
         create_variant("hyperledger-besu")
     # An instance would be shared by every channel that names it.
     with pytest.raises(ConfigurationError):
         create_variant(Fabric14())
+    # A variant registered under a key of its own is created by that key (it
+    # used to be listed among the known variants and refused).
+    monkeypatch.setitem(VARIANT_REGISTRY, "mine", Fabric14)
+    assert type(create_variant("mine")) is Fabric14
 
 
 def test_policy_requires_configuration():

@@ -6,12 +6,16 @@ run, far-future timers, and zero-delay and same-time collisions — against
 both :class:`repro.sim.engine.Simulator` and the preserved pre-overhaul ``ReferenceSimulator`` (``reference_engine.py``),
 and asserts the two produce the *exact same trace*: identical callback
 order, identical clock values (float-equal, no tolerance), identical
-processed counts, and identical live pending counts at every pause.
+processed counts, and identical live pending counts after every operation
+and inside every callback.  A ``post_series`` — which queues one entry at a
+time — is replayed on the reference as the ``post_at`` loop it stands for,
+posted from the program or from inside a running callback.
 
 Together with ``tests/test_golden_lifecycle.py`` (bit-identical golden
 records through the full network pipeline) this is the evidence that the
-production heap — with its lazy eviction of cancelled entries and its
-same-timestamp batches — preserves the ``(time, sequence)`` tie-break contract.
+production heap — with its lazy eviction of cancelled entries, its
+same-timestamp batches and its one-at-a-time series — preserves the ``(time,
+sequence)`` tie-break contract.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from repro.sim.engine import Simulator
 DELAYS = st.sampled_from(
     [0.0, 1e-9, 0.0005, 0.001, 0.25, 0.2501, 1.0, 1.0, 5.0, 123.456, 1e6]
 )
+#: Gaps between consecutive times of a series, collisions (0.0) included.
+SERIES_GAPS = st.lists(DELAYS, min_size=0, max_size=6)
 
 OPERATIONS = st.one_of(
     st.tuples(st.just("schedule"), DELAYS),
@@ -36,6 +42,8 @@ OPERATIONS = st.one_of(
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=100)),
     st.tuples(st.just("run_until"), DELAYS),
     st.just(("run_all",)),
+    st.tuples(st.just("series"), DELAYS, SERIES_GAPS),
+    st.tuples(st.just("series_in_callback"), DELAYS, DELAYS, SERIES_GAPS),
 )
 
 PROGRAMS = st.lists(OPERATIONS, min_size=1, max_size=50)
@@ -47,12 +55,27 @@ def execute(engine, program, live_count):
     handles = []
 
     def note(label):
-        trace.append((label, engine.now))
+        trace.append((label, engine.now, live_count(engine)))
 
     def chain(label, depth, delay):
-        trace.append((label, engine.now))
+        note(label)
         if depth > 0:
             engine.post(delay, chain, label + "'", depth - 1, delay)
+
+    def series(label, offset, gaps):
+        times = [engine.now + offset]
+        for gap in gaps:
+            times.append(times[-1] + gap)
+        fired = iter(range(len(times)))
+
+        def callback():
+            note(f"{label}.{next(fired)}")
+
+        if isinstance(engine, ReferenceSimulator):
+            for time in times:
+                engine.post_at(time, callback)
+        else:
+            engine.post_series(times, callback)
 
     for step, operation in enumerate(program):
         kind = operation[0]
@@ -67,6 +90,10 @@ def execute(engine, program, live_count):
         elif kind == "cancel":
             if handles:
                 handles[operation[1] % len(handles)].cancel()
+        elif kind == "series":
+            series(f"q{step}", operation[1], operation[2])
+        elif kind == "series_in_callback":
+            engine.post(operation[1], series, f"r{step}", operation[2], operation[3])
         elif kind == "run_until":
             engine.run(until=engine.now + operation[1])
             trace.append(
@@ -74,6 +101,7 @@ def execute(engine, program, live_count):
             )
         else:  # run_all
             engine.run_until_empty()
+        trace.append(("step", live_count(engine), engine.now, engine.processed_events))
     engine.run_until_empty()
     trace.append(("end", live_count(engine), engine.now, engine.processed_events))
     return trace

@@ -19,9 +19,11 @@ through the channel's bounded result table.  Three kinds of test pin that:
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import random
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -411,30 +413,90 @@ def test_range_scans_are_executed_once_per_state_of_a_call_not_once_per_attempt(
     assert (range_reads, replica_scans) == (150, 36)
 
 
-def test_every_channel_owns_its_table_and_holds_only_its_own_results():
+def test_every_channel_owns_its_table_and_holds_only_its_own_results(monkeypatch):
+    # Every result retires with its state, so the tables are empty once the
+    # run has drained: what each holds is sampled at every endorser commit
+    # (the objects themselves, so no id is reused while the test runs).
+    held = {}
+    retire = ResultTable.retire
+
+    def sampling(table):
+        sample = held.setdefault(id(table), {})
+        for row in table.rows.values():
+            sample.update((id(result[0]), result[0]) for result in row.values())
+        retire(table)
+
+    monkeypatch.setattr(ResultTable, "retire", sampling)
     deployment, _record = run_network(ehr_cell(channels=8).with_overrides(arrival_rate=800.0))
     channels = deployment.channels
     assert len(channels) == 8 and len({id(channel.results) for channel in channels}) == 8
-    held, carried = [], []
+    assert not any(channel.results.rows or channel.results.by_token for channel in channels)
+    tables, carried = [], []
     for channel in channels:
         assert all(client.results is channel.results for client in channel.clients)
-        held.append({
-            id(result[0]) for row in channel.results.rows.values() for result in row.values()
-        })
+        tables.append(set(held[id(channel.results)]))
         carried.append({
             id(rwset)
             for tx in channel.recorder.submitted
             for rwset in (tx.rwset, *(e.rwset for e in tx.endorsements))
             if rwset is not None
         })
-    for index, table in enumerate(held):
+    for index, table in enumerate(tables):
         assert table & carried[index]
         assert not any(table & other for other in carried[:index] + carried[index + 1:])
 
 
-def test_the_table_stays_within_its_caps():
+def assert_index_mirrors_rows(table: ResultTable) -> None:
+    """``by_token`` names exactly the rows holding a result at each token."""
+    expected = {}
+    for key, row in table.rows.items():
+        assert row.key == key
+        for token in row:
+            expected.setdefault(token, {})[key] = row
+    assert table.by_token.keys() == expected.keys()
+    for token, held in expected.items():
+        assert table.by_token[token].keys() == held.keys()
+        assert all(table.by_token[token][key] is row for key, row in held.items())
+
+
+#: Most rows :func:`ehr_cell`'s table holds at once (~400 attempts).
+PEAK_ROWS = {"fabric-1.4": 18, "fabricsharp": 33}
+
+
+@pytest.mark.parametrize("variant", sorted(PEAK_ROWS))
+def test_no_result_outlives_the_lowest_state_an_endorser_serves(variant, monkeypatch):
+    config = ehr_cell(variant)
+    deployment = build_cell(config)
+    (network,) = deployment.channels
+    table = network.results
+    endorsers = [peer for peer in network.peers if peer.is_endorser]
+    commit = Peer._commit_block
+    seen = Counter()
+
+    def checked_commit(peer, *args):
+        if not peer.is_endorser:
+            return commit(peer, *args)
+        # Rows only grow between endorser commits, so the peak is met just
+        # before one.
+        seen["peak_rows"] = max(seen["peak_rows"], len(table.rows))
+        commit(peer, *args)
+        floor = min(endorser.endorsement_state().state_token for endorser in endorsers)
+        assert all(token >= floor for row in table.rows.values() for token in row)
+        assert_index_mirrors_rows(table)
+        seen["commits"] += 1
+
+    monkeypatch.setattr(Peer, "_commit_block", checked_commit)
+    run_cell(config, deployment)
+    assert seen["commits"] > 200
+    assert seen["peak_rows"] == PEAK_ROWS[variant]
+    assert len(table.rows) <= PEAK_ROWS[variant]
+
+
+def test_the_table_stays_within_its_caps(monkeypatch):
     # Uniform keys over 1,000 patients at 200 tx/s: ~6,000 attempts, enough
-    # distinct calls to fill every row the table may keep.
+    # distinct calls to fill every row the table may keep once nothing
+    # retires — as while a crashed endorser holds the floor.
+    monkeypatch.setattr(ResultTable, "retire", lambda table: None)
     config = ehr_cell().with_overrides(
         workload=uniform_workload("EHR", patients=1000),
         arrival_rate=200.0,
@@ -446,6 +508,33 @@ def test_the_table_stays_within_its_caps():
     rows = network.results.rows
     assert len(rows) == RESULT_ROWS
     assert max(map(len, rows.values())) == RESULT_TOKENS_PER_ROW
+    assert_index_mirrors_rows(network.results)
+    # A row refers to its table weakly: a full table dies with its channel by
+    # reference counting, not at the next (deferred) full collection.
+    table = weakref.ref(network.results)
+    gc.disable()
+    try:
+        del deployment, network, rows
+        assert table() is None
+    finally:
+        gc.enable()
+
+
+def test_a_row_dropped_while_its_proposals_are_in_flight_keeps_their_results_to_itself():
+    class Endorser:
+        state_token = 0
+
+    state = Endorser()
+    table = ResultTable()
+    table.endorsers = ((state, state),)
+    row = table.row("f", (1,))
+    table.keep(row, 0, ("rwset", 1.0, {}))
+    state.state_token = 1
+    table.retire()
+    assert table.rows == {} and table.by_token == {}
+    # An endorser that was sent the row before it was dropped stores into it.
+    table.keep(row, 1, ("rwset", 1.0, {}))
+    assert list(row) == [1] and table.rows == {} and table.by_token == {}
 
 
 # --------------------------------------------------------- soundness of the key
@@ -467,6 +556,8 @@ def test_unhashable_arguments_get_a_row_no_other_transaction_sees():
     table = ResultTable()
     row = table.row("f", ([1],))
     assert row == {} and table.rows == {}
+    table.keep(row, 0, ("rwset", 1.0, {}))
+    assert table.rows == {} and table.by_token == {} and 0 in row
     assert table.row("f", ([1],)) is not row
     assert table.row("f", (1,)) is table.row("f", (1,))
 

@@ -349,6 +349,36 @@ def test_queue_stats_reports_live_and_cancelled(sim):
     assert not kept.cancelled and cancelled.cancelled
 
 
+def test_a_series_counts_every_event_as_live_but_queues_one(sim):
+    seen = []
+    sim.post_series([1.0, 1.0, 2.5, 4.0], lambda: seen.append(sim.now))
+    sim.post_at(1.0, seen.append, "after")
+    assert sim.queue_stats() == {"live": 5, "cancelled": 0, "queued_entries": 2}
+    sim.run(until=2.0)
+    # Both series times at 1.0 took their sequence numbers before "after".
+    assert seen == [1.0, 1.0, "after"]
+    assert sim.queue_stats() == {"live": 2, "cancelled": 0, "queued_entries": 1}
+    sim.run_until_empty()
+    assert seen == [1.0, 1.0, "after", 2.5, 4.0] and sim.processed_events == 5
+    sim.post_series([], seen.append)
+    assert sim.pending_events == 0
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ([1.0, 0.5], "non-decreasing: t=0.5 after t=1.0"),
+        ([1.0, float("nan")], "non-finite"),
+        ([1.0, float("inf")], "non-finite"),
+        ([-1.0, 2.0], "before the current time"),
+    ],
+)
+def test_a_series_is_checked_whole_before_anything_is_queued(sim, times, message):
+    with pytest.raises(SimulationError, match=message):
+        sim.post_series(times, lambda: None)
+    assert sim.queue_stats() == {"live": 0, "cancelled": 0, "queued_entries": 0}
+
+
 # ------------------------------------------------------------------- profiler
 def test_engine_profiler_reports_events_and_depth_histogram(sim):
     from repro.sim.profile import EngineProfiler
