@@ -121,6 +121,7 @@ class ChannelGroup:
                 self.sim,
                 [channel.bus for channel in self.channels],
                 spec.config.observability,
+                cut_times=[channel.ledger.cut_time for channel in self.channels],
             )
             for channel in self.channels:
                 self.observer.add_queue_probe(
@@ -191,13 +192,7 @@ class ChannelGroup:
             )
         observability: Optional[ObservabilityData] = None
         if self.observer is not None:
-            block_times = {
-                channel.label: {
-                    header.number: header.created_at for header in channel.ledger.headers
-                }
-                for channel in self.channels
-            }
-            observability = self.observer.collect(block_times, final_time=self.sim.now)
+            observability = self.observer.collect(final_time=self.sim.now)
         return GroupResult(
             records=records,
             tallies={channel.index: channel.tally for channel in self.channels},

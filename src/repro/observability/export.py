@@ -16,7 +16,7 @@ experiment cell, one *thread* per transaction attempt.
 from __future__ import annotations
 
 import json
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.observability.observer import ObservabilityData
 from repro.observability.spans import SpanNode
@@ -59,69 +59,69 @@ def chrome_trace_events(
     data: ObservabilityData, pid: int = 0, process_name: str = "run"
 ) -> List[dict]:
     """All Chrome trace events of one run, under process id ``pid``."""
-    events: List[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": process_name},
-        }
-    ]
+    return list(_run_events(data, pid, process_name))
+
+
+def _run_events(data: ObservabilityData, pid: int, process_name: str) -> Iterator[dict]:
+    yield {
+        "name": "process_name",
+        "ph": "M",
+        "pid": pid,
+        "tid": 0,
+        "args": {"name": process_name},
+    }
     for tid, span in enumerate(data.spans, start=1):
         label = str(span.args.get("tx_id", f"attempt-{tid}"))
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": label},
-            }
-        )
-        events.extend(span_events(span, pid, tid))
+        yield {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": tid,
+            "args": {"name": label},
+        }
+        yield from span_events(span, pid, tid)
     for row in data.samples:
         ts = _us(row["time"])
         for column in sorted(row):
             if column in _COUNTER_EXCLUDED:
                 continue
-            events.append(
-                {
-                    "name": column,
-                    "cat": "metrics",
-                    "ph": "C",
-                    "ts": ts,
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"value": row[column]},
-                }
-            )
-    for marker in data.markers:
-        args = {key: _json_safe(value) for key, value in sorted(marker.items()) if key != "time"}
-        events.append(
-            {
-                "name": f"fault:{marker['kind']}",
-                "cat": "fault",
-                "ph": "i",
-                "s": "g",
-                "ts": _us(marker["time"]),
+            yield {
+                "name": column,
+                "cat": "metrics",
+                "ph": "C",
+                "ts": ts,
                 "pid": pid,
                 "tid": 0,
-                "args": args,
+                "args": {"value": row[column]},
             }
-        )
-    return events
+    for marker in data.markers:
+        args = {key: _json_safe(value) for key, value in sorted(marker.items()) if key != "time"}
+        yield {
+            "name": f"fault:{marker['kind']}",
+            "cat": "fault",
+            "ph": "i",
+            "s": "g",
+            "ts": _us(marker["time"]),
+            "pid": pid,
+            "tid": 0,
+            "args": args,
+        }
+
+
+def _trace_events(
+    runs: Sequence[ObservabilityData], names: Optional[Sequence[str]]
+) -> Iterator[dict]:
+    """Every event of the document for ``runs``, one process id per run."""
+    for pid, data in enumerate(runs):
+        name = names[pid] if names is not None else ("run" if len(runs) == 1 else f"run-{pid}")
+        yield from _run_events(data, pid, name)
 
 
 def chrome_trace_document(
     runs: Sequence[ObservabilityData], names: Optional[Sequence[str]] = None
 ) -> dict:
     """The Trace Event Format document for one or many runs (one pid each)."""
-    events: List[dict] = []
-    for pid, data in enumerate(runs):
-        name = names[pid] if names is not None else ("run" if len(runs) == 1 else f"run-{pid}")
-        events.extend(chrome_trace_events(data, pid=pid, process_name=name))
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    return {"traceEvents": list(_trace_events(runs, names)), "displayTimeUnit": "ms"}
 
 
 #: Engine-profile fields measured in wall-clock time.  Exports carry only
@@ -145,18 +145,34 @@ def metrics_document(data: ObservabilityData) -> dict:
     }
 
 
+#: The canonical encoder: ``json.dumps(document, sort_keys=True,
+#: separators=(",", ":"))``, built once (a streamed trace encodes every event).
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps(document: object) -> str:
     """Canonical (byte-deterministic) JSON text for any export document."""
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(document)
 
 
 def write_chrome_trace(
     path: str, runs: Sequence[ObservabilityData], names: Optional[Sequence[str]] = None
 ) -> None:
-    """Write the Chrome trace of ``runs`` to ``path`` (canonical JSON)."""
+    """Write the Chrome trace of ``runs`` to ``path`` (canonical JSON).
+
+    Streams the document event by event: the bytes are those of
+    ``dumps(chrome_trace_document(runs, names))`` and a newline, and no
+    event list or document string is ever held whole.
+    """
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(chrome_trace_document(runs, names)))
-        handle.write("\n")
+        # ``dumps`` sorts keys: the unit comes before the event array.
+        handle.write('{"displayTimeUnit":"ms","traceEvents":[')
+        separator = ""
+        for event in _trace_events(runs, names):
+            handle.write(separator)
+            handle.write(dumps(event))
+            separator = ","
+        handle.write("]}\n")
 
 
 def write_metrics(path: str, data: ObservabilityData) -> None:

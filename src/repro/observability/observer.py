@@ -25,7 +25,7 @@ from repro.ledger.block import Transaction
 from repro.lifecycle.events import LifecycleBus, LifecycleEventType
 from repro.observability.config import ObservabilityConfig
 from repro.observability.registry import MetricsRegistry, TimeSeriesSampler
-from repro.observability.spans import BlockTimes, SpanNode, SpanTracer
+from repro.observability.spans import CutTime, SpanNode, SpanTracer
 from repro.sim.engine import Simulator
 from repro.sim.profile import EngineProfiler
 
@@ -38,9 +38,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ObservabilityData:
     """Everything one observed run exports — plain, picklable data.
 
-    Rides on :attr:`repro.network.network.RunRecord.observability`, so it
-    travels through the parallel runner and the result cache like any other
-    run artifact.
+    ``spans`` holds each attempt's tree as the tracer built it when the
+    attempt ended: spans only, no transaction, and every ``args`` mapping two
+    spans share is read-only.  Rides on
+    :attr:`repro.network.network.RunRecord.observability`, so it travels
+    through the parallel runner and the result cache like any other run
+    artifact.
     """
 
     spans: List[SpanNode] = field(default_factory=list)
@@ -52,7 +55,9 @@ class ObservabilityData:
 class RunObserver:
     """Observes one run: lifecycle counters, spans, samples, fault markers.
 
-    ``buses`` are the lifecycle buses of the channels on ``sim``'s clock.  The
+    ``buses`` are the lifecycle buses of the channels on ``sim``'s clock, and
+    ``cut_times`` their ledgers' block cut-time lookups, one per bus (the span
+    tracer needs them; an observer that does not trace may omit them).  The
     lifecycle counters are the buses' own emission counts, summed: the
     sampler's rate columns read them at each tick and :meth:`collect` for the
     summary.  A counter is reported once its type was emitted, or when a
@@ -60,13 +65,17 @@ class RunObserver:
     """
 
     def __init__(
-        self, sim: Simulator, buses: Sequence[LifecycleBus], config: ObservabilityConfig
+        self,
+        sim: Simulator,
+        buses: Sequence[LifecycleBus],
+        config: ObservabilityConfig,
+        cut_times: Sequence[CutTime] = (),
     ) -> None:
         config.validate()
         self.sim = sim
         self.config = config
         self.registry = MetricsRegistry()
-        self.tracer: Optional[SpanTracer] = SpanTracer(buses) if config.trace else None
+        self.tracer = SpanTracer(buses, cut_times) if config.trace else None
         self.sampler: Optional[TimeSeriesSampler] = (
             TimeSeriesSampler(sim, config.sample_interval) if config.metrics else None
         )
@@ -160,9 +169,7 @@ class RunObserver:
             yield
 
     # ------------------------------------------------------------- collection
-    def collect(
-        self, block_times: Optional[BlockTimes] = None, final_time: Optional[float] = None
-    ) -> ObservabilityData:
+    def collect(self, final_time: Optional[float] = None) -> ObservabilityData:
         """Assemble the run's exportable observability data."""
         if self.sampler is not None:
             self.sampler.sample_now(final_time if final_time is not None else self.sim.now)
@@ -174,7 +181,7 @@ class RunObserver:
         if self._profiler is not None:
             summary["engine"] = self._profiler.report()
         return ObservabilityData(
-            spans=self.tracer.finalize(block_times) if self.tracer is not None else [],
+            spans=self.tracer.finalize() if self.tracer is not None else [],
             samples=list(self.sampler.samples) if self.sampler is not None else [],
             markers=sorted(self.markers, key=lambda m: (m["time"], m["kind"], str(m["target"]))),
             summary=summary,

@@ -1,13 +1,15 @@
-"""Span trees: one per transaction attempt, built from the lifecycle stream.
+"""Span trees: one per transaction attempt, built when the attempt ends.
 
 The :class:`SpanTracer` handles its channels'
 :class:`~repro.lifecycle.events.LifecycleBus` streams — the bus invariant (emission
 never touches the simulator or any RNG stream) is what makes tracing free of
 side effects: a traced run stays bit-identical to an untraced one.  Stage
 intervals come from the timestamps every :class:`~repro.ledger.block.Transaction`
-already carries through the Execute-Order-Validate pipeline, refined post-run
-with the block-cut times of the ledger (splitting the ordering queue into
-block-cut wait and consensus).
+already carries through the Execute-Order-Validate pipeline, and the block-cut
+time of the channel's ledger (splitting the ordering queue into block-cut
+wait and consensus).  Every one of them is final when the attempt reaches
+``COMMITTED`` or ``ABORTED``, so its tree is built there and the tracer keeps
+the tree, never the transaction.
 
 Stage names are module constants so the exporters, the critical-path analyzer
 and the metrics layer agree on one vocabulary:
@@ -32,8 +34,10 @@ and the metrics layer agree on one vocabulary:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import lru_cache, partial
+from typing import Callable, Dict, ItemsView, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.failures import failure_type_of
 from repro.ledger.block import Transaction
@@ -61,30 +65,83 @@ CATEGORY_TX = "tx"
 CATEGORY_STAGE = "stage"
 CATEGORY_PEER = "peer"
 
-#: ``channel -> block number -> block cut time`` (``None`` keys the classic
-#: single-channel path, where transactions carry no channel index).
-BlockTimes = Dict[Optional[int], Dict[int, float]]
+#: ``block number -> cut time`` on one channel (:meth:`Ledger.cut_time
+#: <repro.ledger.ledger.Ledger.cut_time>`).
+CutTime = Callable[[int], float]
 
 
-@dataclass
+class SpanArgs(Mapping):
+    """A read-only ``args`` mapping, safe to share between spans.
+
+    It has no mutator, so an assignment raises :class:`TypeError`; it is
+    hashable (a dataclass field may default to it) and pickles as its items.
+    """
+
+    __slots__ = ("_items",)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        self._items: Dict[str, object] = dict(*args, **kwargs)
+
+    def __getitem__(self, key: str) -> object:
+        return self._items[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._items.items()))
+
+    def __repr__(self) -> str:
+        return f"SpanArgs({self._items!r})"
+
+    def __reduce__(self) -> tuple:
+        return (SpanArgs, (self._items,))
+
+    def items(self) -> ItemsView[str, object]:
+        return self._items.items()
+
+
+#: The ``args`` of every span that has none.
+_NO_ARGS = SpanArgs()
+
+
+@lru_cache(maxsize=None)
+def _peer_args(org: str) -> SpanArgs:
+    """The ``args`` of a peer leg: one shared mapping per organization."""
+    return SpanArgs(org=org)
+
+
+@dataclass(slots=True)
 class SpanNode:
     """One interval of simulated time, with nested child intervals.
 
     Plain data (no transaction references), so span trees pickle cheaply
-    through the parallel runner and serialize deterministically.
+    through the parallel runner and serialize deterministically.  A tree is
+    built once, children first, and never grows: ``children`` is a tuple
+    (``()`` for a leaf), and a span without ``args`` shares one empty
+    read-only mapping instead of owning a dict.
     """
 
     name: str
     start: float
     end: float
     category: str = CATEGORY_STAGE
-    args: Dict[str, object] = field(default_factory=dict)
-    children: List["SpanNode"] = field(default_factory=list)
+    args: Mapping[str, object] = _NO_ARGS
+    children: Tuple["SpanNode", ...] = ()
 
     @property
     def duration(self) -> float:
         """Length of the interval in simulated seconds."""
         return self.end - self.start
+
+    def __reduce__(self) -> tuple:
+        # The fields as constructor arguments, under every pickle protocol
+        # (the default state of a slotted object is a dict of slot names).
+        fields = (self.name, self.start, self.end, self.category, self.args, self.children)
+        return (SpanNode, fields)
 
     def as_dict(self) -> dict:
         """The span tree as nested JSON-serializable data."""
@@ -173,39 +230,35 @@ def build_attempt_span(
         args["block"] = tx.block_number
     if tx.validation_code is not None:
         args["validation_code"] = tx.validation_code.value
-    root = SpanNode(
-        name=CATEGORY_TX,
-        start=tx.submitted_at,
-        end=end_time,
-        category=CATEGORY_TX,
-        args=args,
-    )
 
+    submitted_at = tx.submitted_at
+    stages: List[SpanNode] = []
     endorsed_at = tx.endorsement_completed_at
-    if endorsed_at is not None or tx.endorsements:
-        endorse_end = endorsed_at if endorsed_at is not None else end_time
-        endorse = SpanNode(STAGE_ENDORSE, tx.submitted_at, endorse_end)
-        for response in tx.endorsements:
-            received = response.received_at if response.received_at is not None else tx.submitted_at
-            endorse.children.append(
+    endorsements = tx.endorsements
+    if endorsed_at is not None or endorsements:
+        peers = tuple(
+            [
                 SpanNode(
-                    name=response.peer_name,
-                    start=received,
-                    end=response.completed_at,
-                    category=CATEGORY_PEER,
-                    args={"org": response.org_name},
+                    response.peer_name,
+                    submitted_at if response.received_at is None else response.received_at,
+                    response.completed_at,
+                    CATEGORY_PEER,
+                    _peer_args(response.org_name),
                 )
-            )
-        root.children.append(endorse)
-    elif end_time > tx.submitted_at:
+                for response in endorsements
+            ]
+        )
+        endorse_end = endorsed_at if endorsed_at is not None else end_time
+        stages.append(SpanNode(STAGE_ENDORSE, submitted_at, endorse_end, children=peers))
+    elif end_time > submitted_at:
         # The attempt died before any endorsement came back.
-        root.children.append(SpanNode(STAGE_ENDORSE, tx.submitted_at, end_time))
+        stages.append(SpanNode(STAGE_ENDORSE, submitted_at, end_time))
 
     arrived_at = tx.arrived_at_orderer_at
     if endorsed_at is not None and arrived_at is not None:
         if tx.prepare_started_at is not None and tx.prepare_completed_at is not None:
-            root.children.append(SpanNode(STAGE_SUBMIT, endorsed_at, tx.prepare_started_at))
-            root.children.append(
+            stages.append(SpanNode(STAGE_SUBMIT, endorsed_at, tx.prepare_started_at))
+            stages.append(
                 SpanNode(
                     STAGE_PREPARE,
                     tx.prepare_started_at,
@@ -214,76 +267,79 @@ def build_attempt_span(
                 )
             )
         else:
-            root.children.append(SpanNode(STAGE_SUBMIT, endorsed_at, arrived_at))
+            stages.append(SpanNode(STAGE_SUBMIT, endorsed_at, arrived_at))
     ordered_at = tx.ordered_at
     if arrived_at is not None and ordered_at is not None:
         if block_created_at is not None:
             cut_at = max(block_created_at, arrived_at)
-            root.children.append(SpanNode(STAGE_BLOCK_WAIT, arrived_at, cut_at))
-            root.children.append(SpanNode(STAGE_CONSENSUS, cut_at, ordered_at))
+            stages.append(SpanNode(STAGE_BLOCK_WAIT, arrived_at, cut_at))
+            stages.append(SpanNode(STAGE_CONSENSUS, cut_at, ordered_at))
         else:
-            root.children.append(SpanNode(STAGE_BLOCK_WAIT, arrived_at, ordered_at))
+            stages.append(SpanNode(STAGE_BLOCK_WAIT, arrived_at, ordered_at))
     if ordered_at is not None:
-        root.children.append(SpanNode(STAGE_COMMIT, ordered_at, end_time))
-    return root
+        stages.append(SpanNode(STAGE_COMMIT, ordered_at, end_time))
+    return SpanNode(CATEGORY_TX, submitted_at, end_time, CATEGORY_TX, args, tuple(stages))
 
 
 class SpanTracer:
     """Builds one span tree per transaction attempt from the lifecycle stream.
 
     Handles ``SUBMITTED`` (every attempt's first emission), ``COMMITTED``
-    and ``ABORTED`` on each bus (one per channel of a group); records which
-    attempts exist (in submission order, which is deterministic on one
-    clock) and how each terminated, at ``tx.committed_at``.
-    The trees themselves are materialized once at :meth:`finalize`, when the
-    ledgers' block-cut times are available for the block-wait split.
+    and ``ABORTED`` on each bus (one per channel of a group).  ``cut_times``
+    are the channels' block cut-time lookups, one per bus in the same order.
+    An attempt's slot is taken at submission (submission order is
+    deterministic on one clock); its tree is built at its terminal event, at
+    ``tx.committed_at`` and with its block's cut time, which the ledger holds
+    from the moment the block is ordered.  The tracer then drops the
+    transaction.  Only attempts still in flight when the run stops are built
+    at :meth:`finalize`.
     """
 
-    def __init__(self, buses: Sequence[LifecycleBus]) -> None:
-        self._attempts: Dict[str, dict] = {}
-        self._order: List[str] = []
-        for bus in buses:
-            bus.handle(LifecycleEventType.SUBMITTED, self._on_submitted)
+    def __init__(self, buses: Sequence[LifecycleBus], cut_times: Sequence[CutTime]) -> None:
+        if len(cut_times) != len(buses):
+            raise ValueError(
+                f"a span tracer needs one cut-time lookup per bus: "
+                f"{len(buses)} buses, {len(cut_times)} lookups"
+            )
+        #: Every attempt's tree in submission order; ``None`` while in flight.
+        self._spans: List[Optional[SpanNode]] = []
+        #: In-flight attempt -> its slot in ``_spans`` and its channel's lookup.
+        self._live: Dict[Transaction, Tuple[int, CutTime]] = {}
+        for bus, cut_time in zip(buses, cut_times):
+            bus.handle(LifecycleEventType.SUBMITTED, partial(self._on_submitted, cut_time))
             bus.handle(LifecycleEventType.COMMITTED, self._on_committed)
             bus.handle(LifecycleEventType.ABORTED, self._on_aborted)
 
     @property
     def attempts(self) -> int:
         """Number of transaction attempts observed so far."""
-        return len(self._order)
+        return len(self._spans)
 
-    def _on_submitted(self, tx: Transaction) -> None:
-        self._attempts[tx.tx_id] = {"tx": tx, "status": None, "failure": None, "end": None}
-        self._order.append(tx.tx_id)
+    def _on_submitted(self, cut_time: CutTime, tx: Transaction) -> None:
+        self._live[tx] = (len(self._spans), cut_time)
+        self._spans.append(None)
 
     def _on_committed(self, tx: Transaction) -> None:
-        entry = self._attempts[tx.tx_id]
-        entry["status"] = "committed"
-        entry["end"] = tx.committed_at
+        self._build(tx, "committed", None, tx.committed_at)
 
     def _on_aborted(self, tx: Transaction) -> None:
-        entry = self._attempts[tx.tx_id]
-        entry["status"] = "aborted"
-        entry["end"] = tx.committed_at
         failure = failure_type_of(tx)
-        if failure is not None:
-            entry["failure"] = failure.value
+        self._build(tx, "aborted", failure.value if failure is not None else None, tx.committed_at)
 
-    def finalize(self, block_times: Optional[BlockTimes] = None) -> List[SpanNode]:
-        """Materialize every attempt's span tree, in submission order."""
-        block_times = block_times or {}
-        roots: List[SpanNode] = []
-        for tx_id in self._order:
-            entry = self._attempts[tx_id]
-            tx: Transaction = entry["tx"]
-            end = entry["end"]
-            status = entry["status"]
-            if end is None:
-                # Never terminated (e.g. still pending when the run stopped).
-                end = tx.committed_at if tx.committed_at is not None else tx.submitted_at
-                status = status or "incomplete"
-            created_at = None
-            if tx.block_number is not None:
-                created_at = block_times.get(tx.channel, {}).get(tx.block_number)
-            roots.append(build_attempt_span(tx, status, entry["failure"], end, created_at))
-        return roots
+    def _build(self, tx: Transaction, status: str, failure: Optional[str], end: float) -> None:
+        """Build ``tx``'s tree into its slot and let the transaction go."""
+        slot, cut_time = self._live.pop(tx)
+        block = tx.block_number
+        created_at = cut_time(block) if block is not None else None
+        self._spans[slot] = build_attempt_span(tx, status, failure, end, created_at)
+
+    def finalize(self) -> List[SpanNode]:
+        """Every attempt's span tree, in submission order.
+
+        Builds the trees of the attempts still in flight (status
+        ``incomplete``, ending where they stood) and drops those attempts.
+        """
+        for tx in list(self._live):
+            end = tx.committed_at if tx.committed_at is not None else tx.submitted_at
+            self._build(tx, "incomplete", None, end)
+        return self._spans

@@ -23,7 +23,12 @@ in-process loop, the repetitions of one experiment) give that schedule no
 room between one scope and the next, so a scope that finds a full collection
 already owed lets the interpreter run it *before* deferring again: at most
 one run's cyclic garbage is ever outstanding, and it is collected when the
-heap is smallest.
+heap is smallest.  Owed means the interpreter's amortisation rule alone — the
+long-lived heap grew by a quarter since the last full pass — not also its
+cadence of ten middle collections: young collections are triggered by
+allocations net of frees, so a run that frees its attempts as they end (a
+traced one builds its span trees as it goes) can leave a whole run of
+garbage after fewer than ten.
 
 One thing is retained between runs on purpose: the frozen genesis population
 the process holds for its next cell (:func:`repro.ledger.factory.genesis_base`).
@@ -44,19 +49,20 @@ from typing import Iterator
 DEFERRED_FULL_COLLECTIONS = 1 << 30
 
 
-def _run_owed_collection(middle: int, oldest: int) -> None:
-    """Let the interpreter run the full collection its own schedule owes.
+def _run_owed_collection(middle: int) -> None:
+    """Let the interpreter run the full collection its amortisation rule owes.
 
     Only an allocation that finds the youngest generation over its threshold
-    makes CPython consult that schedule (oldest generation over *its*
+    makes CPython consult its schedule (oldest generation over *its*
     threshold, and grown by a quarter since the last full pass — the rule
     that keeps full passes amortised when a sweep retains many results), so
-    the threshold is dropped to 1 for the few allocations it takes.  Sets,
+    the youngest threshold is dropped to 1 for the few allocations it takes,
+    and the oldest to 0, which leaves the quarter rule to decide.  Sets,
     because lists, tuples and dicts are recycled from free lists the
     collector never sees.  An explicit ``gc.collect()`` here would walk the
     whole heap on every chained run, owed or not.
     """
-    gc.set_threshold(1, middle, oldest)
+    gc.set_threshold(1, middle, 0)
     _ = (set(), set(), set())
 
 
@@ -74,8 +80,8 @@ def quiet_collector() -> Iterator[None]:
         yield
         return
     try:
-        if gc.get_count()[2] > oldest:
-            _run_owed_collection(middle, oldest)
+        if gc.get_count()[2] > 0:
+            _run_owed_collection(middle)
         gc.set_threshold(young, middle, DEFERRED_FULL_COLLECTIONS)
         yield
     finally:

@@ -21,10 +21,13 @@ shallow or balloons.
 from __future__ import annotations
 
 import time as _time
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
+
+#: Depth buckets: one per bit length of a queue depth below ``2^64``.
+_BUCKETS = 65
 
 
 class EngineProfiler:
@@ -40,10 +43,10 @@ class EngineProfiler:
         self._started: Optional[float] = None
         self._events_at_start = 0
         self.events = 0
-        self.batches = 0
         self.wall_seconds = 0.0
         self.max_depth = 0
-        self._depth_counts: Dict[int, int] = {}
+        #: Batches observed per depth bucket, indexed by ``depth.bit_length()``.
+        self._depth_counts: List[int] = [0] * _BUCKETS
 
     # ------------------------------------------------------------- lifecycle
     def __enter__(self) -> "EngineProfiler":
@@ -68,21 +71,24 @@ class EngineProfiler:
         ``pending_events`` property — a profiled run should perturb the
         events/sec it measures as little as possible.
         """
-        self.batches += 1
         depth = sim._live
         if depth > self.max_depth:
             self.max_depth = depth
-        counts = self._depth_counts
-        bucket = depth.bit_length()
-        counts[bucket] = counts.get(bucket, 0) + 1
+        self._depth_counts[depth.bit_length()] += 1
 
     # -------------------------------------------------------------- reporting
+    @property
+    def batches(self) -> int:
+        """Dispatch batches observed: the sum of the depth buckets."""
+        return sum(self._depth_counts)
+
     @property
     def depth_histogram(self) -> Dict[str, int]:
         """Live-queue-depth histogram over batches, keyed ``"0"``/``"2^k"``."""
         return {
             "0" if bucket == 0 else f"2^{bucket}": count
-            for bucket, count in sorted(self._depth_counts.items())
+            for bucket, count in enumerate(self._depth_counts)
+            if count
         }
 
     @property
@@ -94,12 +100,13 @@ class EngineProfiler:
 
     def report(self) -> dict:
         """All collected metrics as one JSON-serialisable dictionary."""
+        batches = self.batches
         return {
             "events": self.events,
-            "batches": self.batches,
+            "batches": batches,
             "wall_seconds": self.wall_seconds,
             "events_per_sec": self.events_per_sec,
-            "events_per_batch": (self.events / self.batches) if self.batches else 0.0,
+            "events_per_batch": (self.events / batches) if batches else 0.0,
             "max_queue_depth": self.max_depth,
             "depth_histogram": self.depth_histogram,
         }

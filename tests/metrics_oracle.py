@@ -16,15 +16,19 @@ from __future__ import annotations
 from array import array
 from collections import Counter, defaultdict
 from functools import partial
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.analyzer import ExperimentAnalysis
 from repro.core.failures import CONFLICT_CODES, failure_type_of
 from repro.core.metrics import ExperimentMetrics, FailureReport
 from repro.ledger.block import Transaction
 from repro.network.network import RunRecord
-from repro.observability.spans import LIFECYCLE_STAGES, BlockTimes, stage_durations
+from repro.observability.spans import LIFECYCLE_STAGES, stage_durations
 from repro.sim.stats import percentile, quantiles
+
+#: ``channel -> block number -> block cut time`` (``None`` keys the one
+#: channel of a single-channel run, whose transactions carry no label).
+BlockTimes = Dict[Optional[int], Dict[int, float]]
 
 
 class Walk(NamedTuple):

@@ -112,12 +112,9 @@ def test_failure_type_of_maps_every_terminal_code():
 
 
 # ------------------------------------------------------ the per-attempt law
-def test_every_attempt_is_submitted_first_and_terminates_once_at_its_end_time():
-    """On 4 coupled channels with faults and jittered retries, each attempt's
-    first emission is its one ``SUBMITTED``, it reaches exactly one
-    ``COMMITTED`` or ``ABORTED``, ``tx.committed_at`` is the clock there, and
-    every emission's ``tx.channel`` is the label of the channel it is on."""
-    config = ExperimentConfig(
+def coupled_faulted_cell(**network) -> ExperimentConfig:
+    """4 coupled channels with faults and jittered retries."""
+    return ExperimentConfig(
         workload=uniform_workload("EHR", patients=40),
         network=NetworkConfig(
             cluster="C1",
@@ -131,11 +128,20 @@ def test_every_attempt_is_submitted_first_and_terminates_once_at_its_end_time():
                 endorsement_loss_rate=0.02,
             ),
             retry=RetryConfig(policy="jittered", max_retries=3),
+            **network,
         ),
         arrival_rate=240.0,
         duration=2.0,
         seed=11,
     )
+
+
+def test_every_attempt_is_submitted_first_and_terminates_once_at_its_end_time():
+    """On 4 coupled channels with faults and jittered retries, each attempt's
+    first emission is its one ``SUBMITTED``, it reaches exactly one
+    ``COMMITTED`` or ``ABORTED``, ``tx.committed_at`` is the clock there, and
+    every emission's ``tx.channel`` is the label of the channel it is on."""
+    config = coupled_faulted_cell()
     network = build_network(
         config.network,
         config.workload.chaincode,

@@ -14,16 +14,18 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 import random
 import statistics
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from repro.bench.harness import ExperimentConfig, run_experiment
 from repro.bench.runner import ExperimentRunner
-from repro.core.failures import FailureType
+from repro.core.failures import FailureType, failure_type_of
 from repro.errors import ConfigurationError
 from repro.faults import FaultConfig
 from repro.ledger.block import EndorsementResponse, Transaction, ValidationCode
@@ -59,7 +61,7 @@ from repro.observability import (
     write_metrics,
     write_span_jsonl,
 )
-from repro.observability.observer import RunObserver
+from repro.observability.observer import ObservabilityData, RunObserver
 from repro.sim.engine import Simulator
 from repro.sim.stats import percentile
 
@@ -95,9 +97,9 @@ def traced_config(**overrides) -> ExperimentConfig:
     return config
 
 
-def committed_tx() -> Transaction:
+def committed_tx(cls: type = Transaction) -> Transaction:
     """A hand-built committed transaction with every pipeline timestamp set."""
-    tx = Transaction(
+    tx = cls(
         tx_id="tx-1",
         client_name="client-0",
         chaincode_name="smallbank",
@@ -242,7 +244,8 @@ def test_span_as_dict_round_trips_through_json():
 # ----------------------------------------------------------------- SpanTracer
 def test_span_tracer_builds_one_tree_per_attempt_in_submission_order():
     bus = LifecycleBus()
-    tracer = SpanTracer([bus])
+    # A stub cut-time lookup: block 3 of the one channel was cut at 1.25.
+    tracer = SpanTracer([bus], [{3: 1.25}.__getitem__])
     first = committed_tx()
     second = committed_tx()
     second.tx_id = "tx-9"
@@ -250,7 +253,7 @@ def test_span_tracer_builds_one_tree_per_attempt_in_submission_order():
     bus.emit(LifecycleEventType.SUBMITTED, second)
     bus.emit(LifecycleEventType.COMMITTED, first)
     assert tracer.attempts == 2
-    roots = tracer.finalize({None: {3: 1.25}})
+    roots = tracer.finalize()
     assert [root.args["tx_id"] for root in roots] == ["tx-1", "tx-9"]
     assert roots[0].args["status"] == "committed"
     # The second attempt never terminated before the run stopped.
@@ -259,7 +262,7 @@ def test_span_tracer_builds_one_tree_per_attempt_in_submission_order():
 
 def test_span_tracer_reads_the_end_and_the_failure_off_the_transaction():
     buses = [LifecycleBus(), LifecycleBus()]
-    tracer = SpanTracer(buses)
+    tracer = SpanTracer(buses, [{3: 1.25}.__getitem__, {3: 1.5}.__getitem__])
     committed, aborted = committed_tx(), committed_tx()
     aborted.tx_id, aborted.channel = "tx-c1-00000000", 1
     aborted.validation_code = ValidationCode.MVCC_READ_CONFLICT
@@ -276,6 +279,144 @@ def test_span_tracer_reads_the_end_and_the_failure_off_the_transaction():
         ("aborted", 1.75),
     ]
     assert roots[1].args["failure_type"] == FailureType.MVCC_INTRA_BLOCK.value
+
+
+class WeakTransaction(Transaction):
+    """A transaction a test can hold a weak reference to."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_an_ended_attempt_leaves_no_reference_to_its_transaction_in_the_tracer():
+    bus = LifecycleBus()
+    tracer = SpanTracer([bus], [{3: 1.25}.__getitem__])
+    ended = committed_tx(WeakTransaction)
+    in_flight = WeakTransaction("tx-2", "client-0", "smallbank", "transfer", submitted_at=1.0)
+    bus.emit(LifecycleEventType.SUBMITTED, ended)
+    bus.emit(LifecycleEventType.SUBMITTED, in_flight)
+    bus.emit(LifecycleEventType.COMMITTED, ended)
+    gone, pending = weakref.ref(ended), weakref.ref(in_flight)
+    # The channel drops both attempts: only the tracer could keep them alive.
+    del ended, in_flight
+    assert gone() is None
+    assert pending() is not None, "an attempt in flight is built at finalize"
+    roots = tracer.finalize()
+    assert pending() is None
+    assert [(root.args["tx_id"], root.args["status"]) for root in roots] == [
+        ("tx-1", "committed"),
+        ("tx-2", "incomplete"),
+    ]
+    # The ended attempt's tree was built with its block's cut time.
+    assert [child.name for child in roots[0].children][2:4] == [STAGE_BLOCK_WAIT, STAGE_CONSENSUS]
+
+
+def _first_difference(actual: object, expected: object, path: str = "") -> str:
+    """The path of the first key at which two ``as_dict()`` trees differ."""
+    if isinstance(actual, dict) and isinstance(expected, dict):
+        for key in [*actual, *(key for key in expected if key not in actual)]:
+            if key not in actual or key not in expected:
+                return f"{path}/{key}"
+            found = _first_difference(actual[key], expected[key], f"{path}/{key}")
+            if found:
+                return found
+        return ""
+    if isinstance(actual, list) and isinstance(expected, list):
+        for index, (left, right) in enumerate(zip(actual, expected)):
+            found = _first_difference(left, right, f"{path}[{index}]")
+            if found:
+                return found
+        if len(actual) != len(expected):
+            return f"{path}[{min(len(actual), len(expected))}]"
+        return ""
+    return "" if actual == expected else path or "/"
+
+
+def _recorded_attempt_spans(record) -> dict:
+    """``(channel, tx_id) -> tree`` that :func:`build_attempt_span` gives from
+    the recorded chain after the run, with each block's cut time."""
+    trees = {}
+    for channel in record.channel_records or [None]:
+        recorded = record if channel is None else channel.record
+        for tx in recorded.transactions:
+            failure = None
+            if tx.committed_at is None:
+                status, end = "incomplete", tx.submitted_at
+            elif tx.validation_code in (None, ValidationCode.VALID):
+                status, end = "committed", tx.committed_at
+            else:
+                status, end = "aborted", tx.committed_at
+                failure = failure_type_of(tx).value
+            block = tx.block_number
+            cut = recorded.ledger.cut_time(block) if block is not None else None
+            trees[(tx.channel, tx.tx_id)] = build_attempt_span(tx, status, failure, end, cut)
+    return trees
+
+
+def _traced_recorded_runs() -> dict:
+    """The faulted coupled four-channel cell and the chaos pin cells, traced
+    and with their chains recorded."""
+    from test_lifecycle_events import coupled_faulted_cell
+    from test_sharded_execution import chaos_audit_cell, run_cell
+    from test_single_channel_pins import CELLS
+
+    from repro.sim.shard import ExecutionConfig
+
+    cells = {
+        "coupled-faulted-4ch": coupled_faulted_cell(observability=ObservabilityConfig(trace=True)),
+        "chaos/C2": CELLS["chaos/C2"][0],
+        "chaos-audit": chaos_audit_cell(ExecutionConfig()),
+    }
+    return {name: run_cell(config, record_chain=True)[1] for name, config in cells.items()}
+
+
+@pytest.fixture(scope="module")
+def traced_recorded_runs() -> dict:
+    return _traced_recorded_runs()
+
+
+@pytest.mark.parametrize("cell", ["coupled-faulted-4ch", "chaos/C2", "chaos-audit"])
+def test_each_span_is_the_tree_of_its_recorded_attempt(traced_recorded_runs, cell):
+    # Built when the attempt ended, each tree must equal the one built after
+    # the run from the recorded chain: nothing a tree reads moves later.
+    record = traced_recorded_runs[cell]
+    expected = _recorded_attempt_spans(record)
+    spans = record.observability.spans
+    assert len(spans) == len(expected) == record.submitted_count
+    statuses = set()
+    for span in spans:
+        key = (span.args.get("channel"), span.args["tx_id"])
+        actual, wanted = span.as_dict(), expected[key].as_dict()
+        where = _first_difference(actual, wanted)
+        assert not where, f"channel {key[0]} tx {key[1]}: first difference at {where}"
+        statuses.add(span.args["status"])
+    assert {"committed", "aborted"} <= statuses
+
+
+def test_observability_data_pickles_to_equal_trees_and_shared_args_are_read_only(
+    traced_recorded_runs,
+):
+    data = traced_recorded_runs["chaos/C2"].observability
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(data, protocol=protocol))
+        assert isinstance(clone, ObservabilityData)
+        assert clone.spans == data.spans
+        assert [span.as_dict() for span in clone.spans] == [span.as_dict() for span in data.spans]
+    for spans in (data.spans, clone.spans):
+        stages = [stage for root in spans for stage in root.children]
+        legs = [leg for stage in stages for leg in stage.children]
+        assert legs and all(leg.category == CATEGORY_PEER for leg in legs)
+        # One args mapping per organization, shared by all of its peer legs.
+        shared = {}
+        for leg in legs:
+            assert shared.setdefault(leg.args["org"], leg.args) is leg.args
+        with pytest.raises(TypeError):
+            legs[0].args["org"] = "elsewhere"
+        # A leaf without args shares the one empty mapping, read-only too.
+        bare = [stage for stage in stages if not stage.children and not stage.args]
+        assert bare and all(stage.args is bare[0].args for stage in bare)
+        with pytest.raises(TypeError):
+            bare[0].args["note"] = "mutated"
+        assert all(type(stage.children) is tuple for stage in stages)
 
 
 # ------------------------------------------------------------------- registry
@@ -371,7 +512,9 @@ def test_observer_counters_are_the_bus_counts_summed_over_its_buses():
 
 def test_an_unsampled_observer_reports_only_the_counters_of_emitted_types():
     bus = LifecycleBus()
-    observer = RunObserver(Simulator(), [bus], ObservabilityConfig(trace=True))
+    observer = RunObserver(
+        Simulator(), [bus], ObservabilityConfig(trace=True), cut_times=[{3: 1.25}.__getitem__]
+    )
     bus.emit(LifecycleEventType.SUBMITTED, committed_tx())
     counters = observer.collect().summary["counters"]
     assert counters == {"submitted": 1.0}
@@ -583,6 +726,15 @@ def test_repeated_runs_export_byte_identical_documents(tmp_path):
             (trace_path.read_bytes(), metrics_path.read_bytes(), spans_path.read_bytes())
         )
     assert exports[0] == exports[1]
+
+
+@pytest.mark.parametrize("runs, names", [(1, None), (2, None), (2, ["left", "right"]), (0, None)])
+def test_the_streamed_trace_is_the_canonical_document(tmp_path, traced_result, runs, names):
+    data = traced_result.analyses[0].record.observability
+    path = tmp_path / "trace.json"
+    write_chrome_trace(str(path), [data] * runs, names)
+    document = chrome_trace_document([data] * runs, names)
+    assert path.read_text(encoding="utf-8") == dumps(document) + "\n"
 
 
 def test_serial_and_parallel_runners_export_identical_traces():
