@@ -40,7 +40,8 @@ revalidation) — is a wall-clock question, and a wall-clock number is a
 
 from __future__ import annotations
 
-import hashlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +65,11 @@ from repro.sim.profile import EngineProfiler
 from repro.workload.distributions import ZipfianDistribution, cumulative_weights
 from repro.workload.workloads import synthetic_workload, uniform_workload
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "golden"))
+
+import corpus  # noqa: E402
+from corpus import assert_pinned  # noqa: E402
+
 SMOKE_ARRIVAL_RATE = 400.0
 SMOKE_DURATION = 4.0
 SMOKE_SEED = 11
@@ -82,19 +88,18 @@ PAPER_TRANSACTIONS = 401
 
 
 #: The same topology on eight channels of one deployment (hash placement,
-#: Zipf 1.0 over 40 patients, 100 tx/s per channel), unobserved.
-EIGHT_CHANNEL_DURATION = 2.0
+#: Zipf 1.0 over 40 patients, 100 tx/s per channel, two simulated seconds),
+#: unobserved: the corpus's ``8-channel/EHR-C2`` cell.
 EIGHT_CHANNEL_EVENTS = 30_750
 EIGHT_CHANNEL_TRANSACTIONS = 1_553
 #: Lifecycle emissions of the run: the calls of a handler on every type of
 #: every channel bus.
 EIGHT_CHANNEL_EMISSIONS = 7_765
 #: Base-distribution draws the eight shards' rejection loops consume — and the
-#: number of ``channel_of_index`` calls they used to make.
+#: number of ``channel_of_index`` calls they used to make.  Where the run leaves
+#: every workload stream is in the golden corpus, pinned while every draw still
+#: paid a ``sample`` and a ``channel_of_index``.
 EIGHT_CHANNEL_BASE_DRAWS = 15_017
-#: Short digest of every workload stream's ``getstate()`` after the run, taken
-#: while every draw still paid a ``sample`` and a ``channel_of_index``.
-EIGHT_CHANNEL_STREAMS = "2da0244e7055db36"
 
 #: Fabric++ on SCM (cluster C2, 100 tx/s, four simulated seconds): blocks its
 #: ordering service reordered, dependency edges summed over them, and
@@ -214,14 +219,8 @@ def eight_channel_cell(monkeypatch, listen: bool = False) -> dict:
 
     monkeypatch.setattr(ChannelTopology, "channel_of_index", counted_placement)
     ChannelTopology.owners.cache_clear()  # a table an earlier test built is not rebuilt
-    spec = uniform_workload("EHR", patients=40)
-    network = build_network(
-        NetworkConfig(cluster="C2", database="leveldb", channels=8),
-        spec.chaincode,
-        "fabric-1.4",
-        chaincode_kwargs=spec.chaincode_kwargs,
-        seed=SMOKE_SEED,
-    )
+    config = corpus.PAPER_EIGHT_CHANNELS
+    network = corpus.build(config)
     heard = []
     if listen:
         for channel in network.channels:
@@ -231,16 +230,11 @@ def eight_channel_cell(monkeypatch, listen: bool = False) -> dict:
     profiler = EngineProfiler(network.sim)
     with profiler:
         record = network.run(
-            spec.mix,
-            arrival_rate=8 * PAPER_ARRIVAL_RATE,
-            duration=EIGHT_CHANNEL_DURATION,
+            config.workload.mix,
+            arrival_rate=config.arrival_rate,
+            duration=config.duration,
             key_distribution=keys,
         )
-    states = [
-        channel.streams.stream(f"workload-{client}").getstate()
-        for channel in network.channels
-        for client in range(channel.config.clients)
-    ]
     return {
         "record": record,
         "events": profiler.report()["events"],
@@ -249,7 +243,7 @@ def eight_channel_cell(monkeypatch, listen: bool = False) -> dict:
         "events_heard": len(heard),
         "placements": placements,
         "base_draws": keys.draws,
-        "streams": hashlib.sha256(repr(states).encode("ascii")).hexdigest()[:16],
+        "streams": corpus.streams_entry(network),
     }
 
 
@@ -266,7 +260,7 @@ def test_eight_channel_attempt_pays_for_nothing_nobody_reads(monkeypatch):
     assert cell["placements"] == [40] * 40
     assert cell["base_draws"] == EIGHT_CHANNEL_BASE_DRAWS
     # ... while the workload streams are consumed exactly as they were.
-    assert cell["streams"] == EIGHT_CHANNEL_STREAMS
+    assert_pinned("8-channel/EHR-C2", "workload-streams", cell["streams"])
 
 
 def test_one_handler_on_every_type_of_every_channel_bus_is_called_per_emission(monkeypatch):

@@ -5,7 +5,7 @@ variant × skew, each cell repeated several times — and every cell/repetition
 is an independent simulation.  :class:`ExperimentRunner` exploits that: it
 flattens a batch of :class:`~repro.bench.harness.ExperimentConfig`s (or a
 declarative :class:`SweepPlan`) into ``(config, repetition)`` tasks, fans the
-tasks out across a ``multiprocessing`` pool, and reassembles the analyses into
+tasks out across a process pool, and reassembles the analyses into
 :class:`~repro.bench.harness.ExperimentResult`s in deterministic order.
 
 What the runner yields — computed in a worker or in process, deduplicated or
@@ -52,7 +52,6 @@ Typical usage::
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 import pickle
 import tempfile
@@ -64,11 +63,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.bench.harness import ExperimentConfig, ExperimentResult, run_repetition
 from repro.channels.network import plan_groups
 from repro.core.analyzer import ExperimentAnalysis
-from repro.errors import AnalysisError, ConfigurationError
+from repro.errors import AnalysisError, ConfigurationError, SimulationError
 from repro.sim.shard import (
     PROCESS_BUDGET_ENV,
     available_cores,
     process_budget,
+    process_pool,
     resolve_worker_count,
 )
 
@@ -497,17 +497,31 @@ class ExperimentRunner:
             for task in misses:
                 yield task, _execute_task(task.config, task.repetition, task.cell_hash)
             return
-        arguments = [(task.config, task.repetition, task.cell_hash) for task in misses]
+        from concurrent.futures.process import BrokenProcessPool  # loaded with the pool
+
+        columns = zip(*((task.config, task.repetition, task.cell_hash) for task in misses))
         # Each pool worker inherits its slice of the process budget, so a
         # sharded repetition inside a worker cannot fan out past the global
         # cap (workers × shard processes <= budget).
         budget = process_budget()
         previous = os.environ.get(PROCESS_BUDGET_ENV)
         os.environ[PROCESS_BUDGET_ENV] = str(max(1, budget // workers))
+        done = 0
         try:
-            with multiprocessing.Pool(processes=workers) as pool:
-                for task, analysis in zip(misses, pool.imap(_execute_star, arguments)):
+            with process_pool(workers) as pool:
+                for task, analysis in zip(misses, pool.map(_execute_task, *columns)):
                     yield task, analysis
+                    done += 1
+        except BrokenProcessPool as error:
+            # A worker that died (killed, out of memory) breaks the pool: every
+            # repetition not yet returned fails here instead of waiting forever.
+            task = misses[done]
+            raise SimulationError(
+                f"a runner worker process died: cell {task.cell_hash[:16]} "
+                f"({task.config.variant}, {task.config.workload.name}) repetition "
+                f"{task.repetition} and {len(misses) - done - 1} repetition(s) after it "
+                "did not return"
+            ) from error
         finally:
             if previous is None:
                 os.environ.pop(PROCESS_BUDGET_ENV, None)
@@ -526,7 +540,3 @@ class ExperimentRunner:
             )
         )
 
-
-def _execute_star(arguments: Tuple[ExperimentConfig, int, str]) -> ExperimentAnalysis:
-    """Unpack helper for ``Pool.imap`` (which passes a single argument)."""
-    return _execute_task(*arguments)

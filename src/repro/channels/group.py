@@ -210,7 +210,7 @@ def simulate_group(
 
 
 @quiet_collector()
-def simulate_group_to_file(task: Tuple[GroupSpec, RunArgs, str]) -> int:
+def simulate_group_to_file(spec: GroupSpec, args: RunArgs, path: str) -> int:
     """Pool worker entry point (module level, so it pickles across the pool).
 
     Only the shards the deploying process does not drain itself come here.
@@ -222,7 +222,6 @@ def simulate_group_to_file(task: Tuple[GroupSpec, RunArgs, str]) -> int:
     process's own simulation holds — the worker would block until its last
     chunk is read.
     """
-    spec, args, path = task
     result = simulate_group(spec, args)
     with open(path, "wb") as file:
         pickle.dump(result, file, protocol=pickle.HIGHEST_PROTOCOL)

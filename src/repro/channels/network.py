@@ -65,7 +65,6 @@ Modeling notes:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import tempfile
@@ -82,13 +81,13 @@ from repro.channels.group import (
 )
 from repro.channels.merge import merge_group_results
 from repro.channels.topology import ChannelRouter, ChannelTopology
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.lifecycle.retry import ResubmissionGovernor
 from repro.network.config import NetworkConfig
 from repro.network.network import Channel, RunRecord
 from repro.sim.collector import quiet_collector
 from repro.sim.rng import RandomStreams
-from repro.sim.shard import resolve_worker_count
+from repro.sim.shard import process_pool, resolve_worker_count
 from repro.workload.distributions import KeyDistribution
 from repro.workload.spec import CrossChannelMix, TransactionMix
 
@@ -250,17 +249,26 @@ class MultiChannelNetwork:
         # the pool pipe carries each one's size only.  Leaving the ``with``
         # blocks — normally or on a shard's exception — stops the workers
         # first, then removes the directory and whatever is in it.
+        from concurrent.futures.process import BrokenProcessPool  # loaded with the pool
+
         with tempfile.TemporaryDirectory(prefix="repro-shards-") as directory:
             paths = [os.path.join(directory, f"shard-{index}.pickle") for index in shipped]
-            with multiprocessing.Pool(processes=workers - 1) as pool:
-                sizes = pool.imap(
-                    simulate_group_to_file,
-                    [(specs[index], args, path) for index, path in zip(shipped, paths)],
-                )
+            with process_pool(workers - 1) as pool:
+                sizes = [
+                    pool.submit(simulate_group_to_file, specs[index], args, path)
+                    for index, path in zip(shipped, paths)
+                ]
                 for index in range(0, len(specs), workers):
                     results[index] = simulate_group(specs[index], args, self.retry_governor)
                 for index, path, size in zip(shipped, paths, sizes):
-                    self.shard_transport_bytes += size
+                    try:
+                        self.shard_transport_bytes += size.result()
+                    except BrokenProcessPool as error:
+                        channels = ", ".join(map(str, specs[index].channels))
+                        raise SimulationError(
+                            f"the shard worker process of channel(s) {channels} died "
+                            "before returning its shard"
+                        ) from error
                     with open(path, "rb") as file:
                         results[index] = pickle.load(file)
         return results

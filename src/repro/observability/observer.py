@@ -180,9 +180,16 @@ class RunObserver:
         summary = self.registry.snapshot()
         if self._profiler is not None:
             summary["engine"] = self._profiler.report()
-        return ObservabilityData(
+        data = ObservabilityData(
             spans=self.tracer.finalize() if self.tracer is not None else [],
             samples=list(self.sampler.samples) if self.sampler is not None else [],
             markers=sorted(self.markers, key=lambda m: (m["time"], m["kind"], str(m["target"]))),
             summary=summary,
         )
+        # The run is over.  Each bus keeps this observer's handlers for its
+        # lifetime, so drop what reaches back to the channels — the buses and
+        # the sampler's readers — and the deployment dies by reference count.
+        self._buses = ()
+        if self.sampler is not None:
+            self.sampler.close()
+        return data

@@ -173,6 +173,11 @@ class TimeSeriesSampler:
     def _sample(self) -> None:
         self.sample_now(self.sim.now)
 
+    def close(self) -> None:
+        """Forget every column's reader; the samples taken so far stay."""
+        self._sources.clear()
+        self._rates.clear()
+
     def sample_now(self, time: float) -> None:
         """Take one sample row at ``time`` (also used for the final row)."""
         row: Dict[str, float] = {"time": time}

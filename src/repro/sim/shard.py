@@ -17,6 +17,7 @@ traffic, a rate cap or an observer couples them all).  This module decides
   process budget: the experiment runner exports
   :data:`PROCESS_BUDGET_ENV` before fanning cells out, so runner workers ×
   shard workers never oversubscribes the machine.
+* :func:`process_pool` is the one pool both fan-outs use.
 
 The execution strategy never changes *what* a run computes — sharded
 execution with ``cross_channel_rate == 0`` is bit-identical to the
@@ -27,10 +28,14 @@ experiment cell hash.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Environment variable through which a parent process (the experiment
 #: runner) bounds the number of processes of this process tree that
@@ -127,3 +132,27 @@ def resolve_worker_count(requested: int, shard_count: int) -> int:
         if env_cap:
             limit = min(limit, env_cap)
     return max(1, min(limit, shard_count))
+
+
+@contextmanager
+def process_pool(workers: int) -> Iterator["ProcessPoolExecutor"]:
+    """A pool of ``workers`` forked processes, shut down when the block ends.
+
+    Forked, so a worker sees what its parent registered (a test chaincode, the
+    process budget) without pickling it.  A worker that dies — killed, out of
+    memory — breaks the pool: every result not yet returned raises
+    :class:`~concurrent.futures.process.BrokenProcessPool` instead of never
+    arriving.  Leaving the block waits for the tasks running; on an
+    exception, the tasks no worker has started are cancelled first.
+    """
+    # Imported here: a run that starts no pool does not pay for the modules.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool
+    except BaseException:
+        pool.shutdown(wait=True, cancel_futures=True)
+        raise
+    pool.shutdown(wait=True)

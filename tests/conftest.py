@@ -2,12 +2,16 @@
 
 The fixtures provide small, fast network configurations so that end-to-end
 tests finish in well under a second each while still exercising the full
-Execute-Order-Validate pipeline.
+Execute-Order-Validate pipeline.  The golden corpus module
+(``golden/corpus.py``: the pinned cells, their producers and the gate) is
+importable as ``corpus`` from every test module.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,8 @@ from repro.network.config import NetworkConfig
 from repro.sim.engine import Simulator
 from repro.workload.spec import TransactionMix
 from repro.workload.workloads import uniform_workload
+
+sys.path.insert(0, str(Path(__file__).parent / "golden"))
 
 
 @pytest.fixture

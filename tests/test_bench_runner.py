@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from test_runner_results import ENTRY_CEILING_BYTES
@@ -499,66 +501,97 @@ def test_single_over_wide_task_degrades_to_serial(monkeypatch):
     assert runner._effective_workers(misses) == 1
 
 
-def test_pool_execution_exports_a_budget_slice_to_workers(monkeypatch):
-    import os
+def _inline_pool(seen: dict):
+    """Stands in for ``process_pool``: records the worker count and the process
+    budget it was asked under, and runs every task in this process."""
 
+    def pool(workers):
+        seen.update(workers=workers, env=os.environ.get(PROCESS_BUDGET_ENV))
+        return contextlib.nullcontext(SimpleNamespace(map=map))
+
+    return pool
+
+
+def test_pool_execution_exports_a_budget_slice_to_workers(monkeypatch):
     from repro.bench import runner as runner_module
-    from repro.sim.shard import PROCESS_BUDGET_ENV
 
     monkeypatch.setenv(PROCESS_BUDGET_ENV, "8")
     seen = {}
-
-    class _FakePool:
-        def __init__(self, processes):
-            seen["workers"] = processes
-            seen["env"] = os.environ.get(PROCESS_BUDGET_ENV)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, arguments):
-            return [func(argument) for argument in arguments]
-
-    monkeypatch.setattr(runner_module.multiprocessing, "Pool", _FakePool)
+    monkeypatch.setattr(runner_module, "process_pool", _inline_pool(seen))
     runner = ExperimentRunner(workers=2, cache=None)
     misses = [_miss(tiny_config(seed=seed)) for seed in range(2)]
     list(runner._execute(misses, workers=2))
     # The pool saw budget // workers = 4, and the parent's value came back.
-    assert seen["workers"] == 2
-    assert seen["env"] == "4"
+    assert seen == {"workers": 2, "env": "4"}
     assert os.environ.get(PROCESS_BUDGET_ENV) == "8"
 
 
 def test_budget_env_is_removed_after_execution_when_previously_unset(monkeypatch):
-    import os
-
     from repro.bench import runner as runner_module
-    from repro.sim.shard import PROCESS_BUDGET_ENV
 
     monkeypatch.delenv(PROCESS_BUDGET_ENV, raising=False)
-
-    class _FakePool:
-        def __init__(self, processes):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, arguments):
-            assert os.environ.get(PROCESS_BUDGET_ENV) is not None
-            return [func(argument) for argument in arguments]
-
-    monkeypatch.setattr(runner_module.multiprocessing, "Pool", _FakePool)
+    seen = {}
+    monkeypatch.setattr(runner_module, "process_pool", _inline_pool(seen))
     runner = ExperimentRunner(workers=2, cache=None)
     misses = [_miss(tiny_config(seed=seed)) for seed in range(2)]
     list(runner._execute(misses, workers=2))
+    assert seen["env"] is not None
     assert PROCESS_BUDGET_ENV not in os.environ
+
+
+#: pool -> (a script whose pool worker kills itself, what it must print).
+KILLED_WORKERS = {
+    # A batch of two cells: the first cell's runner worker dies.
+    "runner": (
+        """
+import os, signal
+from repro.bench import runner
+from test_bench_runner import tiny_config
+execute = runner._execute_task
+
+def killed(config, repetition, cell_hash):
+    if config.seed == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return execute(config, repetition, cell_hash)
+
+runner._execute_task = killed
+runner.ExperimentRunner(workers=2).run_many([tiny_config(seed=1), tiny_config(seed=2)])
+""",
+        f"a runner worker process died: cell {tiny_config(seed=1).cell_hash()[:16]} ",
+    ),
+    # Four channels on two processes: the pool's worker dies on channel 1.
+    "shards": (
+        """
+import os, signal
+from repro.channels import network
+from repro.sim.shard import ExecutionConfig
+from test_sharded_execution import experiment, run_cell
+simulate = network.simulate_group_to_file
+
+def killed(spec, args, path):
+    if spec.channels == (1,):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return simulate(spec, args, path)
+
+network.simulate_group_to_file = killed
+run_cell(experiment(ExecutionConfig(shard_workers=2)))
+""",
+        "the shard worker process of channel(s) 1 died before returning its shard",
+    ),
+}
+
+
+@pytest.mark.parametrize("pool", list(KILLED_WORKERS))
+def test_a_killed_pool_worker_is_an_error_naming_what_it_ran(pool):
+    # In a fresh interpreter, under a deadline: a pool that waits for a dead
+    # worker forever fails this test instead of hanging the suite.
+    script, message = KILLED_WORKERS[pool]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    completed = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    error = completed.stderr.strip().splitlines()[-1]
+    assert error.startswith(f"repro.errors.SimulationError: {message}"), completed.stderr
 
 
 def test_sharded_repetitions_run_under_the_parallel_runner():

@@ -19,11 +19,8 @@ Three contracts, all tier-1:
 
 from __future__ import annotations
 
-import json
-import sys
-from pathlib import Path
-
 import pytest
+from corpus import assert_pinned, golden_config, golden_metrics, load
 
 from repro.bench.harness import ExperimentConfig, run_experiment, run_repetition
 from repro.checker.checker import (
@@ -36,13 +33,6 @@ from repro.checker.history import check_document, history_document
 from repro.errors import ConfigurationError
 from repro.network.config import NetworkConfig
 from repro.workload.workloads import uniform_workload
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
-sys.path.insert(0, str(GOLDEN_DIR))
-
-from generate_lifecycle_golden import golden_cell, golden_config  # noqa: E402
-
-GOLDEN = json.loads((GOLDEN_DIR / "lifecycle_golden.json").read_text())
 
 
 def checked(config: ExperimentConfig) -> ExperimentConfig:
@@ -69,22 +59,15 @@ def test_disabled_checker_reports_nothing():
 def test_enabling_the_checker_keeps_the_cell_hash():
     config = golden_config("fabric-1.4", 1)
     assert checked(config).cell_hash() == config.cell_hash()
-    assert checked(config).cell_hash() == GOLDEN["fabric-1.4/channels=1"]["cell_hash"]
+    pinned = load()["lifecycle/fabric-1.4/channels=1/metrics"]["cell_hash"]
+    assert checked(config).cell_hash() == pinned
 
 
 @pytest.mark.parametrize("variant,channels", [("fabric-1.4", 1), ("fabricsharp", 4)])
-def test_golden_metrics_stay_bit_identical_with_checking_enabled(variant, channels, monkeypatch):
-    # Rebuild the golden cell with checking on by routing golden_config
-    # through the checked() override, and compare against the pinned record.
-    import generate_lifecycle_golden as golden_module
-
-    original = golden_module.golden_config
-    monkeypatch.setattr(
-        golden_module, "golden_config", lambda v, c: checked(original(v, c))
-    )
-    actual = golden_cell(variant, channels)
-    expected = GOLDEN[f"{variant}/channels={channels}"]
-    assert actual == expected
+def test_golden_metrics_stay_bit_identical_with_checking_enabled(variant, channels):
+    # The lifecycle cell with checking on must reproduce its pinned metrics.
+    actual = golden_metrics(checked(golden_config(variant, channels)))
+    assert_pinned(f"lifecycle/{variant}/channels={channels}", "metrics", actual)
 
 
 # -------------------------------------------------------------- certification

@@ -12,6 +12,7 @@ import weakref
 from contextlib import contextmanager
 
 import pytest
+from corpus import build, run
 from test_sharded_execution import plan_free
 
 from repro.bench.harness import ExperimentConfig, run_repetition
@@ -22,7 +23,6 @@ from repro.network.config import NetworkConfig
 from repro.observability.config import ObservabilityConfig
 from repro.sim.collector import DEFERRED_FULL_COLLECTIONS, quiet_collector
 from repro.sim.shard import PROCESS_BUDGET_ENV, ExecutionConfig
-from repro.workload.distributions import make_distribution
 from repro.workload.workloads import uniform_workload
 
 #: Tracked objects a run may retain per transaction on :func:`ehr_cell` (an
@@ -48,25 +48,11 @@ def ehr_cell(**network) -> ExperimentConfig:
 
 def build_cell(config: ExperimentConfig, record_chain: bool = True):
     """The cell's deployment, its chain recorded unless asked otherwise."""
-    return build_network(
-        config=config.network,
-        chaincode=config.workload.chaincode,
-        chaincode_kwargs=config.workload.chaincode_kwargs,
-        variant=config.variant,
-        seed=config.seed,
-        record_chain=record_chain,
-    )
+    return build(config, record_chain=record_chain)
 
 
 def run_cell(config: ExperimentConfig, network=None):
-    network = network if network is not None else build_cell(config)
-    return network.run(
-        mix=config.workload.mix,
-        arrival_rate=config.arrival_rate,
-        duration=config.duration,
-        key_distribution=make_distribution(config.zipf_skew),
-        workload_name=config.workload.name,
-    )
+    return run(network if network is not None else build_cell(config), config)
 
 
 @contextmanager

@@ -4,25 +4,18 @@ A quantile of a run is a statistic of the bag of its latencies, so it must
 equal the linear-interpolation percentile of the samples the chain records —
 ``committed_at - submitted_at`` of every attempt that ended — and must not
 depend on the order the channels' tallies are folded in.  Checked on the three
-cells of ``golden/analysis_pins.json``, the aggregate and every channel.
+analysis cells of the golden corpus, the aggregate and every channel.
 """
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import pytest
+from corpus import ANALYSIS_CELLS, build, run
 
-sys.path.insert(0, str(Path(__file__).parent / "golden"))
-
-import test_single_channel_pins as single  # noqa: E402
-from generate_analysis_pins import CELLS  # noqa: E402
-
-from repro.channels import merge  # noqa: E402
-from repro.core.analyzer import LedgerAnalyzer  # noqa: E402
-from repro.lifecycle.tally import fold  # noqa: E402
-from repro.sim.stats import percentile  # noqa: E402
+from repro.channels import merge
+from repro.core.analyzer import LedgerAnalyzer
+from repro.lifecycle.tally import fold
+from repro.sim.stats import percentile
 
 FRACTIONS = {"p50": 0.5, "p95": 0.95, "p99": 0.99}
 
@@ -34,14 +27,14 @@ def exact_quantiles(transactions) -> dict:
     return {name: percentile(latencies, fraction) for name, fraction in FRACTIONS.items()}
 
 
-@pytest.mark.parametrize("name", list(CELLS))
+@pytest.mark.parametrize("name", list(ANALYSIS_CELLS))
 def test_latency_quantiles_are_the_percentiles_of_the_recorded_chain(name, monkeypatch):
     folded = []
     monkeypatch.setattr(
         merge, "fold", lambda tallies: folded.append(list(tallies)) or fold(tallies)
     )
-    config = CELLS[name]
-    analysis = LedgerAnalyzer().analyze(single.run(single.build(config, record_chain=True), config))
+    config = ANALYSIS_CELLS[name]
+    analysis = LedgerAnalyzer().analyze(run(build(config, record_chain=True), config))
     channel_records = {channel.index: channel.record for channel in analysis.record.channel_records}
     scopes = [("aggregate", analysis.metrics, analysis.record)] + [
         (f"channel {channel.index}", channel.metrics, channel_records[channel.index])

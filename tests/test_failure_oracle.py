@@ -20,13 +20,11 @@ A disagreement names the cell, the channel, the transaction and the field.
 from __future__ import annotations
 
 import functools
-import sys
-from pathlib import Path
 from typing import Dict, List, Tuple
 from unittest import mock
 
+import corpus
 import pytest
-import test_single_channel_pins as single
 from failure_oracle import CLASS_OF_UNDERIVED_CODE, Verdict, replay_chain, replay_failures
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,35 +41,31 @@ from repro.network.network import RunRecord
 from repro.network.validator import BlockValidator
 from repro.workload.workloads import uniform_workload
 
-sys.path.insert(0, str(Path(__file__).parent / "golden"))
-
-from generate_analysis_pins import eight_channel_cell  # noqa: E402
-from generate_lifecycle_golden import CHANNEL_COUNTS, VARIANTS, golden_config  # noqa: E402
 
 
 def _fabricpp_cell(chaincode: str, seed: int) -> ExperimentConfig:
     """Fabric++ on a chaincode with range scans: phantoms next to reordering aborts."""
-    return single._cell("fabric++", uniform_workload(chaincode), "C1", 150.0, seed)
+    return corpus.pin_cell("fabric++", uniform_workload(chaincode), "C1", 150.0, seed)
 
 
 #: cell name -> the configuration it runs.
 CELLS: Dict[str, ExperimentConfig] = {
     **{
-        f"golden/{variant}/channels={channels}": golden_config(variant, channels)
-        for variant in VARIANTS
-        for channels in CHANNEL_COUNTS
+        f"golden/{variant}/channels={channels}": corpus.golden_config(variant, channels)
+        for variant in corpus.VARIANTS
+        for channels in corpus.CHANNEL_COUNTS
     },
-    **{f"pins/{name}": cell for name, (cell, _attempts, _digest) in single.CELLS.items()},
+    **{f"pins/{name}": cell for name, cell in corpus.PIN_CELLS.items()},
     "fabric++/SCM": _fabricpp_cell("SCM", 31),
     "fabric++/DV": _fabricpp_cell("DV", 37),
-    "8-channel/EHR-C1": eight_channel_cell(),
+    "8-channel/EHR-C1": corpus.ANALYSIS_CELLS["8-channel/EHR-C1"],
 }
 
 
 @functools.lru_cache(maxsize=None)
 def run_cell(name: str) -> RunRecord:
     config = CELLS[name]
-    return single.run(single.build(config, record_chain=True), config)
+    return corpus.run(corpus.build(config, record_chain=True), config)
 
 
 def stamp_of(tx: Transaction) -> Verdict:

@@ -12,15 +12,14 @@ from __future__ import annotations
 from functools import partial
 
 import pytest
+from corpus import build, run
 from failure_oracle import replay_chain
 
 from repro.bench import harness
 from repro.bench.harness import ExperimentConfig
 from repro.core.failures import MVCC, FailureType, failure_type_of
 from repro.ledger.block import ValidationCode
-from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
-from repro.workload.distributions import make_distribution
 from repro.workload.workloads import delete_heavy, synthetic_workload, uniform_workload
 
 #: Every run of this module reads its chain.
@@ -106,21 +105,8 @@ def test_committed_state_reflects_only_valid_transactions():
     deleted = 0
     for workload in (uniform_workload("EHR", patients=40), delete_heavy()):
         config = small_config(workload=workload)
-        deployment = build_network(
-            config.network,
-            config.workload.chaincode,
-            config.variant,
-            chaincode_kwargs=config.workload.chaincode_kwargs,
-            seed=config.seed,
-            record_chain=True,
-        )
-        record = deployment.run(
-            mix=config.workload.mix,
-            arrival_rate=config.arrival_rate,
-            duration=config.duration,
-            key_distribution=make_distribution(config.zipf_skew),
-            workload_name=config.workload.name,
-        )
+        deployment = build(config, record_chain=True)
+        record = run(deployment, config)
         _verdicts, replayed = replay_chain(record.ledger)
         store = deployment.channels[0].validator.store
         written = {

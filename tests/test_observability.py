@@ -12,16 +12,26 @@ The load-bearing contracts live here:
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import pickle
 import random
 import statistics
-import sys
 import weakref
-from pathlib import Path
 
 import pytest
+from corpus import (
+    PIN_CELLS,
+    assert_pinned,
+    build,
+    chaos_audit_cell,
+    describe,
+    golden_config,
+    golden_metrics,
+    recursive_diff,
+    run,
+)
 
 from repro.bench.harness import ExperimentConfig, run_experiment
 from repro.bench.runner import ExperimentRunner
@@ -64,13 +74,6 @@ from repro.observability import (
 from repro.observability.observer import ObservabilityData, RunObserver
 from repro.sim.engine import Simulator
 from repro.sim.stats import percentile
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
-sys.path.insert(0, str(GOLDEN_DIR))
-
-from generate_lifecycle_golden import golden_config  # noqa: E402
-
-GOLDEN = json.loads((GOLDEN_DIR / "lifecycle_golden.json").read_text())
 
 TRACE_ALL = ObservabilityConfig(trace=True, metrics=True)
 
@@ -310,25 +313,27 @@ def test_an_ended_attempt_leaves_no_reference_to_its_transaction_in_the_tracer()
     assert [child.name for child in roots[0].children][2:4] == [STAGE_BLOCK_WAIT, STAGE_CONSENSUS]
 
 
-def _first_difference(actual: object, expected: object, path: str = "") -> str:
-    """The path of the first key at which two ``as_dict()`` trees differ."""
-    if isinstance(actual, dict) and isinstance(expected, dict):
-        for key in [*actual, *(key for key in expected if key not in actual)]:
-            if key not in actual or key not in expected:
-                return f"{path}/{key}"
-            found = _first_difference(actual[key], expected[key], f"{path}/{key}")
-            if found:
-                return found
-        return ""
-    if isinstance(actual, list) and isinstance(expected, list):
-        for index, (left, right) in enumerate(zip(actual, expected)):
-            found = _first_difference(left, right, f"{path}[{index}]")
-            if found:
-                return found
-        if len(actual) != len(expected):
-            return f"{path}[{min(len(actual), len(expected))}]"
-        return ""
-    return "" if actual == expected else path or "/"
+@pytest.mark.parametrize(
+    "observability",
+    [ObservabilityConfig(metrics=True), ObservabilityConfig(trace=True, metrics=True)],
+    ids=["metrics", "traced"],
+)
+def test_an_observed_run_dies_by_reference_count(observability):
+    # Each bus keeps the observer's and the tracer's handlers: once the run is
+    # collected, nothing of theirs may reach back to the channels, or the whole
+    # deployment waits for a full collection.
+    config = PIN_CELLS["fabric-1.4/EHR/C1"]
+    config = config.with_overrides(network=config.network.copy(observability=observability))
+    network = build(config)
+    ledger = weakref.ref(network.channels[0].ledger)
+    record = run(network, config)
+    assert record.observability is not None
+    gc.disable()
+    try:
+        del network, record
+        assert ledger() is None, "the observed deployment is kept alive by a reference cycle"
+    finally:
+        gc.enable()
 
 
 def _recorded_attempt_spans(record) -> dict:
@@ -356,15 +361,12 @@ def _traced_recorded_runs() -> dict:
     """The faulted coupled four-channel cell and the chaos pin cells, traced
     and with their chains recorded."""
     from test_lifecycle_events import coupled_faulted_cell
-    from test_sharded_execution import chaos_audit_cell, run_cell
-    from test_single_channel_pins import CELLS
-
-    from repro.sim.shard import ExecutionConfig
+    from test_sharded_execution import run_cell
 
     cells = {
         "coupled-faulted-4ch": coupled_faulted_cell(observability=ObservabilityConfig(trace=True)),
-        "chaos/C2": CELLS["chaos/C2"][0],
-        "chaos-audit": chaos_audit_cell(ExecutionConfig()),
+        "chaos/C2": PIN_CELLS["chaos/C2"],
+        "chaos-audit": chaos_audit_cell(),
     }
     return {name: run_cell(config, record_chain=True)[1] for name, config in cells.items()}
 
@@ -385,9 +387,8 @@ def test_each_span_is_the_tree_of_its_recorded_attempt(traced_recorded_runs, cel
     statuses = set()
     for span in spans:
         key = (span.args.get("channel"), span.args["tx_id"])
-        actual, wanted = span.as_dict(), expected[key].as_dict()
-        where = _first_difference(actual, wanted)
-        assert not where, f"channel {key[0]} tx {key[1]}: first difference at {where}"
+        changes = recursive_diff(expected[key].as_dict(), span.as_dict())
+        assert not changes, describe(f"channel {key[0]}", f"tx {key[1]}", changes)
         statuses.add(span.args["status"])
     assert {"committed", "aborted"} <= statuses
 
@@ -690,25 +691,7 @@ def test_golden_record_is_bit_identical_with_tracing_enabled(variant, channels):
     golden cell reproduces every pinned metric and the pinned cell hash."""
     config = golden_config(variant, channels)
     config.network.observability = TRACE_ALL
-    expected = GOLDEN[f"{variant}/channels={channels}"]
-    assert config.cell_hash() == expected["cell_hash"]
-    metrics = run_experiment(config).analyses[0].metrics
-    actual = {
-        "cell_hash": config.cell_hash(),
-        "submitted_transactions": metrics.submitted_transactions,
-        "committed_transactions": metrics.committed_transactions,
-        "blocks": metrics.blocks,
-        "average_block_fill": metrics.average_block_fill,
-        "average_latency": metrics.average_latency,
-        "committed_throughput": metrics.committed_throughput,
-        "successful_throughput": metrics.successful_throughput,
-        "orderer_utilization": metrics.orderer_utilization,
-        "validation_utilization": metrics.validation_utilization,
-        "endorsement_utilization": metrics.endorsement_utilization,
-        "failures": metrics.failure_report.as_dict(),
-    }
-    for name in sorted(expected):
-        assert actual[name] == expected[name], f"{name} diverged with tracing enabled"
+    assert_pinned(f"lifecycle/{variant}/channels={channels}", "metrics", golden_metrics(config))
 
 
 # ------------------------------------------------------- export determinism

@@ -11,8 +11,9 @@ and inside every callback.  A ``post_series`` — which queues one entry at a
 time — is replayed on the reference as the ``post_at`` loop it stands for,
 posted from the program or from inside a running callback.
 
-Together with ``tests/test_golden_lifecycle.py`` (bit-identical golden
-records through the full network pipeline) this is the evidence that the
+Together with the golden corpus's lifecycle cells (bit-identical metrics
+through the full network pipeline, ``tests/test_golden_corpus.py``) this is
+the evidence that the
 production heap — with its lazy eviction of cancelled entries, its
 same-timestamp batches and its one-at-a-time series — preserves the ``(time,
 sequence)`` tie-break contract.

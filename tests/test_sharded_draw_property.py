@@ -15,10 +15,10 @@ a run consumes its workload streams exactly as before.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import random
 
 import pytest
+from corpus import assert_pinned, draws_entry
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +28,6 @@ from repro.workload.distributions import (
     UniformDistribution,
     ZipfianDistribution,
     cumulative_weights,
-    make_distribution,
 )
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -216,28 +215,12 @@ def test_owners_of_more_channels_than_a_byte_holds():
     assert topology.channel_of_index(sharded.sample(random.Random(1), 2000), 2000) == 299
 
 
-#: ``sha256(repr(...))[:16]`` of the grid below, drawn through the per-shard
-#: tables of the commit before the topology owned one table for all channels.
-DRAW_GRID = "4c97efbff7a60f7c"
-
-
 def test_draws_are_what_they_were_on_a_pinned_grid():
-    drawn = []
-    for placement in ("hash", "range", "hot"):
-        for channels in (1, 8):
-            topology = ChannelTopology(channels=channels, placement=placement)
-            for skew in (0.0, 1.0):
-                for channel in range(channels):
-                    sharded = ShardedKeyDistribution(
-                        topology, channel, base=make_distribution(skew)
-                    )
-                    for population in (1, 40, 257):
-                        for seed in (1, 2):
-                            rng = random.Random(seed)
-                            drawn.append(sharded.sample_batch(rng, population, 25))
-                            drawn.append(rng.random())  # where the stream was left
-    assert len(drawn) == 648
-    assert hashlib.sha256(repr(drawn).encode("ascii")).hexdigest()[:16] == DRAW_GRID
+    # Pinned in the corpus from the per-shard tables of the commit before the
+    # topology owned one table for all channels.
+    entry = draws_entry()
+    assert len(entry["rows"]) == 324
+    assert_pinned("sharded-draws", "draws", entry)
 
 
 @pytest.mark.parametrize("population", [0, -3])

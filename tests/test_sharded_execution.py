@@ -24,7 +24,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from export_parts import assert_export_pinned, exported_bytes
+from corpus import assert_pinned, build, chaos_audit_cell, export_entries, exported_bytes, run
 
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.bench.runner import ExperimentRunner
@@ -35,7 +35,6 @@ from repro.channels.network import MultiChannelNetwork
 from repro.core import LedgerAnalyzer
 from repro.core.fingerprint import EXECUTION_METADATA_FIELDS, record_fingerprint
 from repro.checker.config import CheckerConfig
-from repro.faults.spec import FaultConfig
 from repro.lifecycle import tally
 from repro.lifecycle.retry import RetryConfig
 from repro.lifecycle.pipeline import build_network
@@ -43,7 +42,6 @@ from repro.network import network as channel_slice
 from repro.network.config import NetworkConfig
 from repro.observability.config import ObservabilityConfig
 from repro.sim.shard import PROCESS_BUDGET_ENV, ExecutionConfig
-from repro.workload.distributions import make_distribution
 from repro.workload.workloads import uniform_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -89,22 +87,8 @@ def experiment(
 
 def run_cell(config: ExperimentConfig, record_chain: bool = False):
     """Build and run one cell directly; returns ``(network, record)``."""
-    network = build_network(
-        config=config.network,
-        chaincode=config.workload.chaincode,
-        chaincode_kwargs=config.workload.chaincode_kwargs,
-        variant=config.variant,
-        seed=config.seed,
-        record_chain=record_chain,
-    )
-    record = network.run(
-        mix=config.workload.mix,
-        arrival_rate=config.arrival_rate,
-        duration=config.duration,
-        key_distribution=make_distribution(config.zipf_skew),
-        workload_name=config.workload.name,
-    )
-    return network, record
+    network = build(config, record_chain=record_chain)
+    return network, run(network, config)
 
 
 def _record_state(record) -> dict:
@@ -152,7 +136,7 @@ def test_bit_identity_holds_for_every_variant_family(variant):
 
 
 def test_multiprocess_shards_match_in_process_shards(monkeypatch):
-    # An explicit worker cap forces the real multiprocessing.Pool path; the
+    # An explicit worker cap forces the real process-pool path; the
     # merge must be byte-equal to every shard drained in this one process
     # (auto-sized workers under a budget of one process).
     monkeypatch.setenv(PROCESS_BUDGET_ENV, "1")
@@ -170,22 +154,10 @@ def test_this_process_is_one_of_the_shard_workers():
     # Three processes on four shards: this one drains shards 0 and 3, a pool
     # of two drains 1 and 2.  The bytes they ship are counted per run.
     config = experiment(ExecutionConfig(shard_workers=3))
-    network = build_network(
-        config=config.network,
-        chaincode=config.workload.chaincode,
-        chaincode_kwargs=config.workload.chaincode_kwargs,
-        variant=config.variant,
-        seed=config.seed,
-    )
+    network = build(config)
     runs = []
     for _ in range(2):
-        record = network.run(
-            mix=config.workload.mix,
-            arrival_rate=config.arrival_rate,
-            duration=config.duration,
-            key_distribution=make_distribution(config.zipf_skew),
-            workload_name=config.workload.name,
-        )
+        record = run(network, config)
         runs.append((plan_free(record), network.shard_transport_bytes))
     assert network.shard_workers_used == 3
     assert runs[0] == runs[1] and runs[0][1] > 0
@@ -442,39 +414,19 @@ def test_fingerprint_covers_the_isolation_digest():
 
 
 # ------------------------------------------------- export bytes, plan by plan
-def chaos_audit_cell(execution: ExecutionConfig) -> ExperimentConfig:
-    """A chaos-audit-shaped cell: 4 coupled channels, faults, retries, exports, checker."""
-    config = experiment(
-        execution, cross_channel_rate=0.05, observability=OBSERVED, checker=CHECKED
-    )
-    config.arrival_rate = 160.0
-    config.network.faults = FaultConfig(
-        peer_crash_rate=0.05,
-        endorser_slowdown_rate=0.1,
-        orderer_outages=((0.5, 0.3),),
-        endorsement_loss_rate=0.01,
-    )
-    config.network.retry = RetryConfig(policy="jittered", max_retries=3)
-    return config
-
-
-#: test id -> (execution plan, pin in ``tests/golden/export_pins.json``)
-CHAOS_AUDIT_EXPORTS = {
-    "shared": (ExecutionConfig(), "chaos-audit/shared-clock"),
+@pytest.mark.parametrize(
+    "execution",
     # Coupled, so the worker request runs the shared-clock plan.
-    "workers-2": (ExecutionConfig(shard_workers=2), "chaos-audit/shared-clock"),
-}
-
-
-@pytest.mark.parametrize("plan", list(CHAOS_AUDIT_EXPORTS))
-def test_chaos_audit_cell_exports_the_pinned_bytes(tmp_path, plan):
+    [ExecutionConfig(), ExecutionConfig(shard_workers=2)],
+    ids=["shared", "workers-2"],
+)
+def test_chaos_audit_cell_exports_the_pinned_bytes(execution):
     # Through the shared-clock plan, asked for and fallen back to.  The
     # simulated system's part of each pin dates from the commit before the
     # deployment classes were collapsed into one: the observer wiring, the
     # merge and the exporters must keep producing the same bytes.
-    execution, pin = CHAOS_AUDIT_EXPORTS[plan]
     _, record = run_cell(chaos_audit_cell(execution))
     assert record.fault_injections and record.resubmissions > 0
     assert record.isolation.verdict == "CERTIFIED-SERIALIZABLE"
-    for kind, exported in exported_bytes(record.observability, tmp_path).items():
-        assert_export_pinned(f"{pin}/{kind}", exported)
+    for part, entry in export_entries(record.observability).items():
+        assert_pinned("chaos-audit/shared-clock", part, entry)

@@ -22,12 +22,12 @@ from __future__ import annotations
 import gc
 import importlib.util
 import random
-import sys
 import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from corpus import CHANNEL_COUNTS, VARIANTS, golden_config
 from test_collector import build_cell, run_cell
 
 from repro.bench.harness import ExperimentConfig, run_repetition
@@ -50,9 +50,6 @@ from repro.observability.config import ObservabilityConfig
 from repro.sim.engine import Simulator
 from repro.workload.workloads import uniform_workload
 
-sys.path.insert(0, str(Path(__file__).parent / "golden"))
-
-from generate_lifecycle_golden import CHANNEL_COUNTS, VARIANTS, golden_config  # noqa: E402
 
 #: Executions a submitted attempt may cost on an eight-endorser cluster: one,
 #: plus the few proposals that arrive across a block commit (8.00 unshared).
