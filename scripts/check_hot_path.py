@@ -2,8 +2,8 @@
 """Custom lint guarding the allocation rules of the transaction hot path.
 
 The per-transaction pipeline (endorse -> order -> validate) allocates a
-handful of objects five-plus times per transaction, so three rules keep it
-lean and a fourth keeps its one shortcut sound (see "Hot path" in
+handful of objects five-plus times per transaction, so rules 1-3 and 5 keep
+it lean and rule 4 keeps its one shortcut sound (see "Hot path" in
 docs/ARCHITECTURE.md):
 
 1. **Slots.**  Every ``@dataclass`` defined in a declared hot-path module
@@ -36,6 +36,12 @@ docs/ARCHITECTURE.md):
    reached through ``self``, and no reference to ``random``, ``rng``,
    ``time`` or ``os``.  The stub is the only thing a function may read or
    write.
+
+5. **Uniform draws replay inline.**  ``random.Random.uniform(a, b)`` is
+   ``a + (b - a) * random()``, one interpreter frame per draw; in the
+   per-event methods of the declared modules (the same build-time functions
+   as rule 2 are exempt) no ``rng.uniform(...)`` or ``<expr>.rng.uniform(...)``
+   call: compute ``a`` and ``b - a`` once and call the bound ``random``.
 
 Run from the repository root (CI runs it in the lint job)::
 
@@ -71,7 +77,8 @@ SLOTS_EXEMPT = {
     "ClientNode",  # one per client process, built once per run
 }
 
-#: Modules whose per-event methods must not resolve RNG streams.
+#: Modules whose per-event methods must not resolve RNG streams (rule 2) nor
+#: call ``uniform`` on one (rule 5).
 STREAM_MODULES = [
     "src/repro/network",
     "src/repro/workload",
@@ -81,8 +88,9 @@ STREAM_MODULES = [
     "src/repro/channels",
 ]
 
-#: Function/method names allowed to call ``.stream(...)``: build-time paths
-#: that run once per deployment (or per experiment repetition), not per event.
+#: Function/method names allowed to call ``.stream(...)`` or ``rng.uniform``:
+#: build-time paths that run once per deployment (or per experiment
+#: repetition), not per event.
 STREAM_ALLOWED_FUNCTIONS = {
     "__init__",
     "__post_init__",
@@ -150,10 +158,26 @@ def check_slots(source: str, label: str, every_class: bool = False) -> list[str]
     return errors
 
 
-class _StreamCallVisitor(ast.NodeVisitor):
-    """Collects ``.stream(...)`` calls with their enclosing function name."""
+def _is_stream_call(func: ast.expr) -> bool:
+    return isinstance(func, ast.Attribute) and func.attr == "stream"
 
-    def __init__(self) -> None:
+
+def _is_uniform_draw(func: ast.expr) -> bool:
+    """``rng.uniform`` or ``<expr>.rng.uniform`` (``TransactionMix.uniform`` is not a draw)."""
+    if not (isinstance(func, ast.Attribute) and func.attr == "uniform"):
+        return False
+    owner = func.value
+    return (isinstance(owner, ast.Name) and owner.id == "rng") or (
+        isinstance(owner, ast.Attribute) and owner.attr == "rng"
+    )
+
+
+class _PerEventCallVisitor(ast.NodeVisitor):
+    """Collects the calls ``matches`` accepts outside the build-time functions,
+    with their enclosing function name."""
+
+    def __init__(self, matches) -> None:
+        self.matches = matches
         self.function_stack: list[str] = []
         self.violations: list[tuple[int, str]] = []
 
@@ -166,8 +190,7 @@ class _StreamCallVisitor(ast.NodeVisitor):
     visit_AsyncFunctionDef = _visit_function
 
     def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "stream":
+        if self.matches(node.func):
             function = self.function_stack[-1] if self.function_stack else "<module>"
             if not (
                 function in STREAM_ALLOWED_FUNCTIONS
@@ -178,12 +201,24 @@ class _StreamCallVisitor(ast.NodeVisitor):
 
 
 def check_stream_calls(path: Path) -> list[str]:
-    visitor = _StreamCallVisitor()
+    visitor = _PerEventCallVisitor(_is_stream_call)
     visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
     return [
         f"{path.relative_to(REPO_ROOT)}:{lineno}: RandomStreams.stream() called in "
         f"{function!r} — resolve streams once at build time and keep the handle "
         "(see 'Hot path' in docs/ARCHITECTURE.md)"
+        for lineno, function in visitor.violations
+    ]
+
+
+def check_uniform_draws(source: str, label: str) -> list[str]:
+    """Rule 5 over one module's source (``label`` names it in the messages)."""
+    visitor = _PerEventCallVisitor(_is_uniform_draw)
+    visitor.visit(ast.parse(source))
+    return [
+        f"{label}:{lineno}: rng.uniform() called in {function!r} — replay it inline "
+        "as low + span * random() with both operands computed once (see 'Exact-replay "
+        "batch draws' in docs/ARCHITECTURE.md)"
         for lineno, function in visitor.violations
     ]
 
@@ -312,6 +347,11 @@ def main() -> int:
         files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         for path in files:
             errors.extend(check_stream_calls(path))
+            errors.extend(
+                check_uniform_draws(
+                    path.read_text(encoding="utf-8"), str(path.relative_to(REPO_ROOT))
+                )
+            )
     for path in sorted((REPO_ROOT / "src").rglob("*.py")):
         if path != REPO_ROOT / COLLECTOR_POLICY_MODULE:
             errors.extend(check_collector_calls(path))

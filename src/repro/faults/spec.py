@@ -139,19 +139,20 @@ class FaultConfig:
                 "the endorsement timeout must be positive and finite, got "
                 f"{self.endorsement_timeout}"
             )
+        # Both non-negative, a finite ``start + duration`` makes both finite: a window must end.
         for start, duration in self.orderer_outages:
-            if not (0 <= start < math.inf and 0 < duration < math.inf):
+            if not (0 <= start and 0 < duration and start + duration < math.inf):
                 raise ConfigurationError(
                     "orderer outage windows need a finite start >= 0 and a finite "
-                    f"duration > 0, got ({start}, {duration})"
+                    f"duration > 0 with a finite end, got ({start}, {duration})"
                 )
         for channel, start, duration in self.partitions:
             if channel < 0:
                 raise ConfigurationError(f"partition channel index must be >= 0, got {channel}")
-            if not (0 <= start < math.inf and 0 < duration < math.inf):
+            if not (0 <= start and 0 < duration and start + duration < math.inf):
                 raise ConfigurationError(
-                    "partition windows need a finite start >= 0 and a finite duration > 0, "
-                    f"got ({start}, {duration}) on channel {channel}"
+                    "partition windows need a finite start >= 0 and a finite duration > 0 "
+                    f"with a finite end, got ({start}, {duration}) on channel {channel}"
                 )
 
     def describe(self) -> str:

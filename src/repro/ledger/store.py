@@ -275,7 +275,7 @@ class OverlayStateStore(EpochCommitState):
         states; a table keyed by tokens is per channel (the endorsers'
         :class:`~repro.network.peer.ResultTable` is).
         """
-        if self._in_sequence and self._base.frozen:
+        if self._in_sequence and self._base._frozen:
             return self._commit_epoch
         return None
 

@@ -180,7 +180,7 @@ class ExponentialJitteredPolicy(RetryPolicy):
             self.config.backoff * self.config.backoff_factor ** (attempt - 1),
             self.config.max_backoff,
         )
-        return rng.uniform(0.0, window)
+        return window * rng.random()  # ``uniform(0.0, window)``, replayed inline
 
 
 #: All retry policies keyed by their canonical name.

@@ -24,18 +24,17 @@ class LatencyModel:
     """
 
     def __init__(self, config: NetworkConfig, rng: random.Random) -> None:
-        self.config = config
-        self.timing = config.timing
-        self.rng = rng
         self._delayed = set(config.delayed_orgs)
         # Precomputed ``uniform(-jitter, jitter)`` operands (CPython's
-        # ``uniform(a, b)`` is ``a + (b - a) * random()``); the timing profile
-        # and the induced-delay settings are fixed for the model's lifetime.
+        # ``uniform(a, b)`` is ``a + (b - a) * random()``, replayed inline by
+        # every draw below); the timing profile and the induced-delay
+        # settings are fixed for the model's lifetime.
         timing = config.timing
         self._random = rng.random
         self._net_one_way = timing.net_one_way
         self._net_low = -timing.net_jitter
         self._net_span = timing.net_jitter - self._net_low
+        self._induced_delay = config.induced_delay
         self._induced_low = -config.induced_delay_jitter
         self._induced_span = config.induced_delay_jitter - self._induced_low
 
@@ -45,10 +44,10 @@ class LatencyModel:
         latency = self._net_one_way + (self._net_low + self._net_span * random_())
         delayed = self._delayed
         if delayed and (src_org in delayed or dst_org in delayed):
-            latency += self.config.induced_delay + (
+            latency += self._induced_delay + (
                 self._induced_low + self._induced_span * random_()
             )
-        return max(0.0, latency)
+        return latency if latency > 0.0 else 0.0
 
     def round_trip(self, src_org: Optional[int] = None, dst_org: Optional[int] = None) -> float:
         """Round-trip latency between two components."""
@@ -65,6 +64,7 @@ class LatencyModel:
         """
         latency = self.one_way(None, dst_org)
         if dst_org in self._delayed:
-            jitter = self.config.induced_delay_jitter
-            latency += self.config.induced_delay + self.rng.uniform(-jitter, jitter)
-        return max(0.0, latency)
+            latency += self._induced_delay + (
+                self._induced_low + self._induced_span * self._random()
+            )
+        return latency if latency > 0.0 else 0.0

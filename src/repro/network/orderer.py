@@ -58,7 +58,6 @@ class OrderingService:
     ) -> None:
         self.sim = sim
         self.config = config
-        self.timing = config.timing
         self.variant = variant
         self.peers = peers
         self.validator = validator
@@ -185,12 +184,13 @@ class OrderingService:
         # after after_block_validated).
         base_time = self.variant.validation_service_time(block, self.config)
         block_delivery = self.latency.block_delivery
-        uniform = self.rng.uniform
-        delivery_jitter = self.timing.delivery_jitter
+        random_ = self.rng.random
+        delivery_jitter = self.config.timing.delivery_jitter
         post = self.sim.post
         on_peer_commit = self._on_peer_commit
         for peer in self.peers:
-            delay = block_delivery(peer.org_index) + uniform(0.0, delivery_jitter)
+            # ``uniform(0.0, delivery_jitter)``, replayed inline (lint rule 5).
+            delay = block_delivery(peer.org_index) + delivery_jitter * random_()
             post(delay, peer.deliver_block, block, on_peer_commit, base_time, batch)
 
     def _on_peer_commit(self, peer: Peer, block: Block) -> None:

@@ -227,7 +227,6 @@ class Peer:
         self.org_index = org_index
         self.org_name = f"org{org_index}"
         self.config = config
-        self.timing = config.timing
         self.variant = variant
         self.rng = rng
         self.store = store
@@ -246,20 +245,27 @@ class Peer:
             sim, name=f"{name}-endorsement", servers=config.timing.endorsement_concurrency
         )
         self.validation_station = ServiceStation(sim, name=f"{name}-validation", servers=1)
-        self._lagged_view = LaggedStateView(store, sim) if store is not None else None
-        #: Lazily cached :meth:`endorsement_state` result — the store, the
-        #: lagged view and the variant's snapshot flag are all fixed for the
-        #: peer's lifetime, so the per-proposal resolution is pure overhead.
-        self._endorse_state: Optional[StateStore] = None
+        # Read per event, fixed for the peer's lifetime: the endorsement cost
+        # terms and the operands of the validation-jitter and snapshot-delay
+        # ``uniform`` draws, which are replayed inline (lint rule 5).
+        timing = config.timing
+        self._endorsement_overhead = timing.endorsement_overhead
+        self._resource_factor = config.resource_factor
+        self._random = rng.random
+        self._jitter_low = -timing.validation_jitter
+        self._jitter_span = timing.validation_jitter - self._jitter_low
+        self._snapshot_delay = timing.sharp_snapshot_delay
+        # Only a replica that endorses from snapshots (FabricSharp) keeps a lagged view.
+        lagged = store is not None and variant.endorse_from_snapshot
+        self._lagged_view = LaggedStateView(store, sim) if lagged else None
+        self._endorse_state = self._lagged_view if lagged else store
 
     # -------------------------------------------------------------- execution
     def endorsement_state(self) -> StateStore:
         """The state the chaincode executes against during endorsement."""
-        if self.store is None:
+        if self._endorse_state is None:
             raise SimulationError(f"peer {self.name} is not an endorser and holds no state")
-        if self.variant.endorse_from_snapshot and self._lagged_view is not None:
-            return self._lagged_view
-        return self.store
+        return self._endorse_state
 
     def receive_proposal(
         self,
@@ -281,45 +287,34 @@ class Peer:
         fault factor, station queueing — is computed here as ever.  A ``None``
         token, and a caller without a row, always execute.
         """
-        if not self.is_endorser:
-            raise SimulationError(f"peer {self.name} received a proposal but is not an endorser")
         state = self._endorse_state
-        if state is None:
-            state = self._endorse_state = self.endorsement_state()
+        if not self.is_endorser or state is None:
+            raise SimulationError(f"peer {self.name} received a proposal but is not an endorser")
         token = state.state_token if simulated is not None else None
         result = simulated.get(token) if token is not None else None
-        if result is None:
+        executed = result is None
+        if executed:
             stub = ChaincodeStub(state, token)
             chaincode.execute(stub, tx.function, tx.args)
-            if tx._db_call_latency is None:
-                # The transaction takes ownership of the stub's latency dict;
-                # the row only ever hands out copies of it.
-                tx._db_call_latency = stub.db_call_latency
-                if tx.committed_at is not None and self.on_late_stamp is not None:
-                    self.on_late_stamp(tx)
             result = (stub.rwset, stub.execution_cost, stub.db_call_latency)
             if token is not None:
                 simulated.table.keep(simulated, token, result)
-        elif tx._db_call_latency is None:
-            # Another transaction's execution: its dict stays with its owner.
-            tx._db_call_latency = dict(result[2])
+        if tx._db_call_latency is None:
+            # The transaction takes ownership of its own execution's latency
+            # dict (the row only ever hands out copies); another
+            # transaction's dict stays with its owner.
+            tx._db_call_latency = result[2] if executed else dict(result[2])
             if tx.committed_at is not None and self.on_late_stamp is not None:
                 self.on_late_stamp(tx)
         rwset, execution_cost, _latency = result
-        service_time = (
-            execution_cost + self.timing.endorsement_overhead
-        ) * self.config.resource_factor
+        service_time = (execution_cost + self._endorsement_overhead) * self._resource_factor
         if self.faults is not None:
             # A slowdown episode (repro.faults) stretches this endorsement;
             # past the client's watchdog it becomes an ENDORSEMENT_TIMEOUT.
             service_time *= self.faults.endorsement_factor(self.name)
-        response = EndorsementResponse(
-            peer_name=self.name,
-            org_name=self.org_name,
-            rwset=rwset,
-            completed_at=0.0,
-            received_at=self.sim.now,
-        )
+        # Positional (peer, org, rwset, completed_at, received_at): one per
+        # endorsement, and keywords cost more per call.
+        response = EndorsementResponse(self.name, self.org_name, rwset, 0.0, self.sim.now)
         self.endorsements_served += 1
         # ``submit`` returns the exact float the clock will hold when it runs
         # the callback, so the response is complete before anyone can see it.
@@ -358,9 +353,10 @@ class Peer:
             return
         if base_time is None:
             base_time = self.variant.validation_service_time(block, self.config)
-        jitter = self.timing.validation_jitter
-        jitter_factor = 1.0 + self.rng.uniform(-jitter, jitter)
-        service_time = max(0.0, base_time * self.config.resource_factor * jitter_factor)
+        jitter_factor = 1.0 + (self._jitter_low + self._jitter_span * self._random())
+        service_time = base_time * self._resource_factor * jitter_factor
+        if not service_time > 0.0:  # ``max(0.0, service_time)``, NaN included
+            service_time = 0.0
         self.validation_station.submit(
             service_time, self._commit_block, block, on_committed, batch
         )
@@ -370,8 +366,10 @@ class Peer:
     ) -> None:
         if self.store is not None:
             self._apply_block(block, batch)
+            # Every replica draws its snapshot delay, lagged view or not: the
+            # draw keeps its stream where the validation jitter expects it.
+            snapshot_delay = self._snapshot_delay * self._random()
             if self._lagged_view is not None:
-                snapshot_delay = self.rng.uniform(0.0, self.timing.sharp_snapshot_delay)
                 self._lagged_view.refresh(visible_after=self.sim.now + snapshot_delay)
         if self.results is not None:
             self.results.retire()

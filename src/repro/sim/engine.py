@@ -96,7 +96,7 @@ class Simulator:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_sequence",
         "_processed",
         "_running",
@@ -107,7 +107,8 @@ class Simulator:
     )
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current virtual time in seconds (a slot every event reads; only ``run`` writes it).
+        self.now = 0.0
         self._sequence = 0
         self._processed = 0
         self._running = False
@@ -117,11 +118,6 @@ class Simulator:
         self._profiler: Optional["EngineProfiler"] = None
 
     # ------------------------------------------------------------- inspection
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
     @property
     def processed_events(self) -> int:
         """Number of events executed so far (cancelled events excluded)."""
@@ -158,11 +154,11 @@ class Simulator:
         """
         if not 0.0 <= delay < _INF:
             self._reject_delay(delay)
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at the absolute virtual time ``time``."""
-        if not self._now <= time < _INF:
+        if not self.now <= time < _INF:
             self._reject_time(time)
         sequence = self._sequence
         self._sequence = sequence + 1
@@ -181,7 +177,7 @@ class Simulator:
         """
         if not 0.0 <= delay < _INF:
             self._reject_delay(delay)
-        time = self._now + delay
+        time = self.now + delay
         if time == _INF:  # overflow of now + delay
             self._reject_time(time)
         sequence = self._sequence
@@ -191,7 +187,7 @@ class Simulator:
 
     def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Hot-path :meth:`schedule_at` without a cancellation handle."""
-        if not self._now <= time < _INF:
+        if not self.now <= time < _INF:
             self._reject_time(time)
         sequence = self._sequence
         self._sequence = sequence + 1
@@ -213,10 +209,10 @@ class Simulator:
         count = len(times)
         if not count:
             return
-        previous = self._now
+        previous = self.now
         for time in times:
             if not previous <= time < _INF:
-                if self._now <= time < _INF:
+                if self.now <= time < _INF:
                     raise SimulationError(
                         f"a series must be non-decreasing: t={time!r} after t={previous!r}"
                     )
@@ -254,7 +250,7 @@ class Simulator:
             )
         raise SimulationError(
             f"cannot schedule an event at t={time:.6f} before the current time "
-            f"t={self._now:.6f}"
+            f"t={self.now:.6f}"
         )
 
     # ------------------------------------------------------------ cancellation
@@ -309,7 +305,7 @@ class Simulator:
                 if time > limit:
                     heappush(heap, entry)
                     break
-                self._now = time
+                self.now = time
                 # Batched same-timestamp dispatch: every queued entry sharing
                 # this timestamp — including ones posted at ``now`` by the
                 # batch itself — drains before the profiler sees the batch.
@@ -332,8 +328,8 @@ class Simulator:
                         break
                 if self._profiler is not None:
                     self._profiler.on_batch(self, time)
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
 

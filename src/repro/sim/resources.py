@@ -34,8 +34,12 @@ class ServiceStation:
         if servers < 1:
             raise SimulationError(f"a service station needs at least one server, got {servers}")
         self.sim = sim
+        # Completion events are never cancelled, so the handle-free fast path
+        # avoids one Event allocation per job; bound once, called per job.
+        self._post_at = sim.post_at
         self.name = name
         self.servers = servers
+        self._single = servers == 1
         self._free_at = [0.0] * servers
         heapq.heapify(self._free_at)
         self.jobs_served = 0
@@ -64,7 +68,7 @@ class ServiceStation:
         else:
             start = now
         completion = start + service_time
-        if len(free_at) == 1:
+        if self._single:
             # Single-server stations (validation, consensus) skip the heap:
             # the lone slot is overwritten in place.
             free_at[0] = completion
@@ -73,9 +77,7 @@ class ServiceStation:
         self.jobs_served += 1
         self.busy_time += service_time
         if callback is not None:
-            # Completion events are never cancelled, so the handle-free fast
-            # path avoids one Event allocation per job.
-            self.sim.post_at(completion, callback, *args)
+            self._post_at(completion, callback, *args)
         return completion
 
     @property

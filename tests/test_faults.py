@@ -137,6 +137,33 @@ def test_parse_fault_spec_json_matches_dsl():
     assert from_json == from_dsl
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"orderer_outages": [[1e308, 1e308]]}',
+        "orderer-outage:start=1e308,duration=1e308",
+    ],
+)
+def test_an_orderer_outage_whose_end_overflows_is_rejected_when_parsed(spec):
+    # Both numbers are finite, their sum is not: the run used to start and
+    # die scheduling the outage's end at t=inf, naming no spec key.
+    with pytest.raises(ConfigurationError, match=r"orderer outage windows .* finite end"):
+        parse_fault_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"partitions": [[0, 1e308, 1e308]]}',
+        "partition:channel=0,start=1e308,duration=1e308",
+    ],
+)
+def test_a_partition_whose_end_overflows_is_rejected_when_parsed(spec):
+    message = r"partition windows .* finite end, got .* on channel 0"
+    with pytest.raises(ConfigurationError, match=message):
+        parse_fault_spec(spec)
+
+
 def test_parse_fault_spec_unknown_kind_lists_valid_choices():
     with pytest.raises(ConfigurationError) as excinfo:
         parse_fault_spec("meteor-strike:rate=1")

@@ -8,17 +8,17 @@ records, so each property below checks both the values *and*
 ``rng.getstate()`` after the batch.
 
 The same promise covers the inlined replays of ``sample`` (the everyone-signs
-selector of :meth:`NOutOf.org_selector`, below) and of ``choice`` (the client's
-endorser pick, ``tests/test_endorsement_round.py``): they mirror private
-CPython code, so they are proved against the stdlib of whichever Python runs
-the suite.
+selector of :meth:`NOutOf.org_selector`, below), of ``choice`` (the client's
+endorser pick, ``tests/test_endorsement_round.py``) and of ``uniform`` (every
+jitter and delay draw of the per-event path, below): they mirror CPython code,
+so they are proved against the stdlib of whichever Python runs the suite.
 """
 
 from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.channels.topology import ChannelTopology, ShardedKeyDistribution
@@ -111,6 +111,30 @@ def test_sharded_sample_batch_matches_per_call(
     percall_values = [percall.sample(percall_rng, population) for _ in range(count)]
     assert batched_values == percall_values
     assert batched_rng.getstate() == percall_rng.getstate()
+
+
+# ----------------------------------------------------------- uniform replay
+BOUNDS = st.floats(min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, jitter=BOUNDS, delay=BOUNDS, count=COUNTS)
+@example(seed=0, jitter=0.0, delay=0.0, count=5)
+def test_uniform_replays_match_the_stdlib(seed, jitter, delay, count):
+    # The two operand shapes the per-event path replays inline, operands
+    # computed once: ``(-j, j)`` as ``low + span * random()`` (validation,
+    # network and induced-delay jitter) and ``(0.0, d)`` as ``d * random()``
+    # (delivery jitter, snapshot delay, jittered backoff), where the stdlib's
+    # ``0.0 +`` leaves a non-negative product as it is.  Compared bit for bit.
+    replayed_rng, stdlib_rng = _paired_rngs(seed)
+    random_ = replayed_rng.random
+    low = -jitter
+    span = jitter - low
+    for _ in range(count):
+        replayed = (low + span * random_(), delay * random_())
+        stdlib = (stdlib_rng.uniform(-jitter, jitter), stdlib_rng.uniform(0.0, delay))
+        assert [value.hex() for value in replayed] == [value.hex() for value in stdlib]
+    assert replayed_rng.getstate() == stdlib_rng.getstate()
 
 
 # ------------------------------------------------------------ sample replay

@@ -39,7 +39,7 @@ from repro.core.fingerprint import record_fingerprint
 from repro.checker.config import CheckerConfig
 from repro.faults import FaultConfig
 from repro.ledger.block import Transaction
-from repro.ledger.kvstore import Version, VersionedKVStore
+from repro.ledger.kvstore import EpochCommitState, Version, VersionedKVStore
 from repro.ledger.store import LaggedStateView, OverlayStateStore, WriteBatch
 from repro.lifecycle import RetryConfig
 from repro.network import peer as peer_module
@@ -335,6 +335,36 @@ def test_a_stale_view_over_a_store_with_native_rich_queries_has_no_token(frozen_
     assert view.state_token == 1
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_only_a_snapshot_endorsing_replica_snapshots(variant, monkeypatch):
+    snapshots: Counter = Counter()
+    take = EpochCommitState.snapshot
+
+    def counting(store, *args, **kwargs):
+        snapshots[id(store)] += 1
+        return take(store, *args, **kwargs)
+
+    monkeypatch.setattr(EpochCommitState, "snapshot", counting)
+    config = ehr_cell(variant, cluster="C1")
+    deployment = build_cell(config)
+    (channel,) = deployment.channels
+    endorsers = [peer for peer in channel.peers if peer.is_endorser]
+    assert len(endorsers) >= 2
+    streams = {peer.name: peer.rng.getstate() for peer in endorsers}
+    run_cell(config, deployment)
+    for peer in endorsers:
+        assert peer.blocks_committed > 0
+        lagged = variant == "fabricsharp"
+        assert snapshots[id(peer.store)] == (peer.blocks_committed if lagged else 0), peer.name
+        # Two draws per commit, snapshot or not: validation jitter and
+        # snapshot delay, so every endorser's stream ends where it did.
+        replay = random.Random()
+        replay.setstate(streams[peer.name])
+        for _ in range(2 * peer.blocks_committed):
+            replay.random()
+        assert replay.getstate() == peer.rng.getstate(), peer.name
+
+
 # ------------------------------------------------------- proxies of the gain
 def run_network(config: ExperimentConfig):
     network = build_cell(config)
@@ -605,6 +635,30 @@ def _make_function(self, spec):
         self.n = 1
     return run
 '''
+
+
+UNIFORM_DRAWS = '''
+class Replica:
+    def __init__(self, rng):
+        self.offset = rng.uniform(0.0, 1.0)
+
+    def deliver_block(self, block):
+        return self.rng.uniform(-0.1, 0.1)
+
+    def backoff(self, rng, window):
+        return rng.uniform(0.0, window)
+
+    def mix(self):
+        return TransactionMix.uniform(["read", "write"])
+'''
+
+
+def test_the_lint_rejects_uniform_draws_in_per_event_methods():
+    lint = load_lint()
+    errors = lint.check_uniform_draws(UNIFORM_DRAWS, "draws.py")
+    assert len(errors) == 2
+    assert "draws.py:7:" in errors[0] and "'deliver_block'" in errors[0]
+    assert "draws.py:10:" in errors[1] and "'backoff'" in errors[1]
 
 
 def test_the_lint_accepts_the_repository_and_rejects_impure_chaincode_functions():
