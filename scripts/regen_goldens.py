@@ -2,9 +2,9 @@
 
 Runs every producer of ``tests/golden/corpus.py`` and writes the corpus to
 ``OUT`` (default: ``tests/golden/corpus.json``).  Tier-1 is the check: its
-gates compare the tree with the committed corpus and name what moved.  Run it
-under Python 3.11; a mean goes through ``sum()``, which is compensated from
-3.12 on.
+gates compare the tree with the committed corpus and name what moved.  Every
+mean is exactly rounded (``math.fsum``), so any interpreter ``src/`` runs on
+writes the same bytes.
 
 Usage::
 

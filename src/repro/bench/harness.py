@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.sim.collector import quiet_collector
 from repro.sim.rng import derive_seed
+from repro.sim.stats import mean
 
 from repro.chaincode import CHAINCODE_REGISTRY
 from repro.chaincode.generator import GeneratedChaincode
@@ -226,12 +227,7 @@ class ExperimentResult:
 
 def _mean(read: Callable[[ExperimentMetrics], float]) -> Callable[[ExperimentResult], float]:
     """A column averaged over the repetitions, as the paper averages its three runs."""
-
-    def column(result: ExperimentResult) -> float:
-        values = [read(metric) for metric in result.metrics]
-        return sum(values) / len(values) if values else 0.0
-
-    return column
+    return lambda result: mean(read(metric) for metric in result.metrics)
 
 
 def _total(read: Callable[[ExperimentMetrics], int]) -> Callable[[ExperimentResult], int]:
@@ -242,16 +238,11 @@ def _total(read: Callable[[ExperimentMetrics], int]) -> Callable[[ExperimentResu
 def _call_latency_ms(operation: str) -> Callable[[ExperimentResult], float]:
     """Mean latency of one state-database call type (Table 4), averaged over
     the repetitions that made such a call."""
-
-    def column(result: ExperimentResult) -> float:
-        values = [
-            metric.function_call_latency_ms[operation]
-            for metric in result.metrics
-            if operation in metric.function_call_latency_ms
-        ]
-        return sum(values) / len(values) if values else 0.0
-
-    return column
+    return lambda result: mean(
+        metric.function_call_latency_ms[operation]
+        for metric in result.metrics
+        if operation in metric.function_call_latency_ms
+    )
 
 
 def pct_column(failure: FailureType) -> str:

@@ -18,9 +18,10 @@ final at ``VALIDATED``, before the reference peer commits it).  The one
 exception is the first execution's DB-call latencies of an attempt that
 ended before any of its proposals had executed; the peer that executes a
 late proposal reports them (:meth:`~repro.lifecycle.tally.ChannelTally.late_stamp`).
-Counts and the exact latency quantiles do not depend on order; the float
-samples are folded in the order the parse walked the attempts, so every mean
-is the parse's, bit for bit.  The parse itself lives on as the test oracle ``tests/metrics_oracle.py``.
+Counts, the exact latency quantiles and the exactly rounded means are
+statistics of the bag of attempts, so the tally's order is not the parse's
+and need not be.  The parse itself lives on as the test oracle
+``tests/metrics_oracle.py``.
 """
 
 from __future__ import annotations

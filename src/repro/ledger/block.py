@@ -96,10 +96,9 @@ class TransactionIdAllocator:
     shared-clock run, bit for bit.
     """
 
-    __slots__ = ("prefix", "_counter", "_format")
+    __slots__ = ("_counter", "_format")
 
     def __init__(self, prefix: str = "tx") -> None:
-        self.prefix = prefix
         self._counter = itertools.count()
         # Precomputed printf template: one C-level format call per id instead
         # of f-string assembly (ids are minted once per transaction).

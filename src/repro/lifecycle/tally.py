@@ -11,47 +11,45 @@ attempt afterwards.  A :class:`ChannelTally` does that:
   read-only attempts), ``VALIDATED`` (what the chain records, failures in
   block order), ``ABORTED`` before any block (early aborts) and the terminal
   ``COMMITTED`` / ``ABORTED`` (logical requests, the last commit);
-* the floats the metrics average or take quantiles of — the latency, the stage
-  durations (:func:`~repro.observability.spans.stage_durations`) and the
-  per-call DB seconds — go into a compact row per attempt.
+* the floats the metrics average or take quantiles of — the latency and the
+  stage durations (:func:`~repro.observability.spans.stage_durations`) — go
+  into a compact row per attempt, and the DB seconds into one column per call
+  type.
 
 One stamp can land after the terminal event: a proposal still in flight when
 its attempt aborted (a crashed peer, a lost endorsement) is executed on
 arrival, and when no earlier proposal of the attempt had executed it stamps
 the attempt's first DB-call latencies then.  The parse would read that stamp,
 so the endorsing peer reports it (:meth:`ChannelTally.late_stamp`) and it
-joins the attempt's row.
+joins the call columns.
 
-:func:`fold` turns one or more closed tallies into a :class:`Tally`.  Counts
-and the latency quantiles (:func:`~repro.sim.stats.quantiles`, exact) are
-statistics of the bag of samples and do not depend on order.  The means do:
-they are one ``sum()`` over the samples, so the rows are folded in the order
-the parse walked the attempts — on one channel ``(submitted_at, client
-order)``, across several ``(submitted_at, tx_id)`` — to give the parse's
-means bit for bit.
+:func:`fold` turns one or more closed tallies into a :class:`Tally`.  Every
+number it reports is a statistic of the bag of samples: counts add up, the
+latency quantiles are exact (:func:`~repro.sim.stats.quantiles`) and every
+mean is exactly rounded (:func:`math.fsum`), so no order of the tallies or of
+their rows moves a bit, and the fold concatenates samples as they were kept.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.failures import CONFLICT_CODES, FailureType, failure_type_of
 from repro.ledger.block import Transaction
 from repro.lifecycle.events import LifecycleBus, LifecycleEventType
 from repro.observability.spans import LIFECYCLE_STAGES, stage_durations
-from repro.sim.stats import percentile, quantiles
+from repro.sim.stats import mean, percentile, quantiles
 
-#: A row: ``submitted_at``, the latency, then one duration per lifecycle
-#: stage; ``nan`` where the attempt has no such sample.
-_ROW = 2 + len(LIFECYCLE_STAGES)
-_LATENCY = 1
-_STAGE_SLOT = {stage: 2 + offset for offset, stage in enumerate(LIFECYCLE_STAGES)}
-_EMPTY_TAIL = array("d", [math.nan] * (_ROW - 1))
+#: A row: the latency, then one duration per lifecycle stage; ``nan`` where
+#: the attempt has no such sample.
+_ROW = 1 + len(LIFECYCLE_STAGES)
+_LATENCY = 0
+_STAGE_SLOT = {stage: 1 + offset for offset, stage in enumerate(LIFECYCLE_STAGES)}
+_EMPTY_ROW = array("d", [math.nan] * _ROW)
 
 
 @dataclass
@@ -87,18 +85,16 @@ class ChannelTally:
     """One channel's attempts as the metrics need them, kept on the channel bus.
 
     ``ledger`` is the channel's chain (its block cut times split the ordering
-    queue into block wait and consensus); ``prefix`` is the channel's
-    transaction-id prefix, which orders channels in an aggregate fold.
-    ``retries`` says whether a failed attempt can be resubmitted: only then
-    does an attempt need the logical request it belongs to looked up —
-    otherwise each attempt is a request of its own.
+    queue into block wait and consensus).  ``retries`` says whether a failed
+    attempt can be resubmitted: only then does an attempt need the logical
+    request it belongs to looked up — otherwise each attempt is a request of
+    its own.
     :meth:`close` ends the run: it takes the attempts still in flight and
     lets go of every live object, after which the tally is plain picklable
     data.
     """
 
-    def __init__(self, bus: LifecycleBus, ledger, prefix: str, retries: bool = False) -> None:
-        self.prefix = prefix
+    def __init__(self, bus: LifecycleBus, ledger, retries: bool = False) -> None:
         self.attempts = 0
         self.read_only = 0
         self.skipped = 0
@@ -115,26 +111,19 @@ class ChannelTally:
         self.requests: Optional[Dict[str, bool]] = {} if retries else None
         self.logical_requests = 0
         self.committed_requests = 0
-        #: ``_ROW`` doubles per attempt, in submission order, and each
-        #: attempt's client rank (the channel's client order).
+        #: ``_ROW`` doubles per attempt, in submission order.
         self.rows = array("d")
-        self.ranks = array("i")
-        #: DB call type -> (rows, seconds), one entry per attempt that made it.
-        self.calls: Dict[str, Tuple[array, array]] = {}
+        #: DB call type -> seconds, one sample per attempt that made it.
+        self.calls: Dict[str, array] = {}
         self.ledger = ledger
-        self._client_rank: Dict[str, int] = {}
         #: Attempts between ``SUBMITTED`` and their terminal event -> row.
         self._live: Dict[Transaction, int] = {}
-        #: Ended attempts no proposal had executed for yet: tx id -> row.
-        self._unstamped: Dict[str, int] = {}
+        #: Ids of ended attempts no proposal had executed for yet.
+        self._unstamped: Set[str] = set()
         bus.handle(LifecycleEventType.SUBMITTED, self._on_submitted)
         bus.handle(LifecycleEventType.VALIDATED, self._on_validated)
         bus.handle(LifecycleEventType.COMMITTED, self._on_committed)
         bus.handle(LifecycleEventType.ABORTED, self._on_aborted)
-
-    def set_clients(self, names: Sequence[str]) -> None:
-        """The channel's clients, in the order a chain parse lists their attempts."""
-        self._client_rank = {name: rank for rank, name in enumerate(names)}
 
     # ---------------------------------------------------------------- events
     def _on_submitted(self, tx: Transaction) -> None:
@@ -142,10 +131,7 @@ class ChannelTally:
         self.attempts = row + 1
         self.read_only += tx.read_only
         self._live[tx] = row
-        self.ranks.append(self._client_rank[tx.client_name])
-        rows = self.rows
-        rows.append(tx.submitted_at)
-        rows.extend(_EMPTY_TAIL)
+        self.rows.extend(_EMPTY_ROW)
 
     def _on_validated(self, tx: Transaction) -> None:
         self.appended += 1
@@ -184,13 +170,13 @@ class ChannelTally:
         self.rows[row * _ROW + _LATENCY] = committed_at - tx.submitted_at
         self._take(tx, row, skipped)
         if tx._db_call_latency is None:
-            self._unstamped[tx.tx_id] = row
+            self._unstamped.add(tx.tx_id)
 
     def late_stamp(self, tx: Transaction) -> None:
-        """An ended attempt's first execution: its DB-call latencies join its row."""
-        row = self._unstamped.pop(tx.tx_id, None)
-        if row is not None:
-            self._add_calls(row, tx._db_call_latency)
+        """An ended attempt's first execution: its DB-call latencies join the columns."""
+        if tx.tx_id in self._unstamped:
+            self._unstamped.remove(tx.tx_id)
+            self._add_calls(tx._db_call_latency)
 
     def _take(self, tx: Transaction, row: int, skipped: bool) -> None:
         """The request, stage and call samples of ``tx`` as they stand now."""
@@ -208,16 +194,15 @@ class ChannelTally:
         for stage, duration in stage_durations(tx, created_at).items():
             rows[base + _STAGE_SLOT[stage]] = duration
         if tx._db_call_latency:
-            self._add_calls(row, tx._db_call_latency)
+            self._add_calls(tx._db_call_latency)
 
-    def _add_calls(self, row: int, latency: Dict[str, float]) -> None:
+    def _add_calls(self, latency: Dict[str, float]) -> None:
         calls = self.calls
         for operation, seconds in latency.items():
             column = calls.get(operation)
             if column is None:
-                column = calls[operation] = (array("i"), array("d"))
-            column[0].append(row)
-            column[1].append(seconds)
+                column = calls[operation] = array("d")
+            column.append(seconds)
 
     # ------------------------------------------------------------------- end
     def close(self) -> "ChannelTally":
@@ -234,94 +219,32 @@ class ChannelTally:
             self.requests = None
         self.ledger = None
         self._live = {}
-        self._unstamped = {}
+        self._unstamped = set()
         return self
-
-
-def _channel_order(tally: ChannelTally) -> Optional[array]:
-    """One channel's rows in its record order, ``(submitted_at, client order)``.
-
-    ``None`` when that is the row order: a tally appends each row as its
-    attempt is submitted, at the current simulated time, so only attempts
-    submitted at one instant can need reordering.
-    """
-    submitted = tally.rows[::_ROW]
-    if all(earlier < later for earlier, later in zip(submitted, submitted[1:])):
-        return None
-    rank = tally.ranks
-    return array("i", sorted(range(tally.attempts), key=lambda row: (submitted[row], rank[row])))
-
-
-def _aggregate_order(tallies: Sequence[ChannelTally]) -> Iterator[Tuple[int, int]]:
-    """``(tally index, row)`` in ``(submitted_at, tx_id)`` order across channels.
-
-    A channel's ids follow its submission order, and its id prefix orders
-    the channels; the channels merge without materializing a key per row.
-    """
-
-    def keyed(index: int, tally: ChannelTally):
-        submitted = tally.rows[::_ROW]
-        rows: Iterable[int] = range(tally.attempts)
-        if any(later < earlier for earlier, later in zip(submitted, submitted[1:])):
-            rows = sorted(rows, key=submitted.__getitem__)
-        for row in rows:
-            yield submitted[row], tally.prefix, index, row
-
-    for _, _, index, row in heapq.merge(*(keyed(*item) for item in enumerate(tallies))):
-        yield index, row
-
-
-def _scatter(tally: ChannelTally, operation: str) -> array:
-    """One DB call type's seconds by row (``nan`` where the attempt made none)."""
-    by_row = array("d", [math.nan]) * tally.attempts
-    column = tally.calls.get(operation)
-    if column is not None:
-        for row, seconds in zip(*column):
-            by_row[row] = seconds
-    return by_row
 
 
 def fold(tallies: Sequence[ChannelTally]) -> Tally:
     """Fold closed tallies into one :class:`Tally`.
 
-    One tally folds in its channel's record order, ``(submitted_at, client
-    order)``; several fold as one run's aggregate, in ``(submitted_at,
-    tx_id)`` order.  Counts add up channel by channel and the quantiles are
-    exact, so neither depends on that order; the means (``sum()`` over the
-    whole sequence) do, and in that order they are the parse's, bit for bit.
+    Counts add up tally by tally; each sample kind is the concatenation of
+    the tallies' samples.  The quantiles are exact and every mean an
+    ``fsum``, so the result depends on the bag of samples only: neither the
+    order of ``tallies`` nor how the attempts are split among them moves it.
     """
-    if len(tallies) == 1:
-        rows = _channel_order(tallies[0])
-
-        def in_order(by_row: Sequence[array]) -> Sequence[float]:
-            (values,) = by_row
-            return values if rows is None else [values[row] for row in rows]
-
-    else:
-        indices, rows = array("i"), array("i")
-        for index, row in _aggregate_order(tallies):
-            indices.append(index)
-            rows.append(row)
-
-        def in_order(by_row: Sequence[array]) -> Sequence[float]:
-            return [by_row[index][row] for index, row in zip(indices, rows)]
 
     def samples(slot: int) -> array:
-        """One row slot's samples, in fold order, where the attempt has one."""
-        values = in_order([tally.rows[slot::_ROW] for tally in tallies])
+        """One row slot's samples, where the attempt has one."""
+        values = chain.from_iterable(tally.rows[slot::_ROW] for tally in tallies)
         return array("d", [value for value in values if value == value])
 
     latencies = samples(_LATENCY)
     stage_samples = {stage: samples(slot) for stage, slot in _STAGE_SLOT.items()}
     call_latency: Dict[str, float] = {}
     for operation in sorted({operation for tally in tallies for operation in tally.calls}):
-        total, count = 0.0, 0
-        for seconds in in_order([_scatter(tally, operation) for tally in tallies]):
-            if seconds == seconds:
-                total += seconds
-                count += 1
+        columns = [tally.calls[operation] for tally in tallies if operation in tally.calls]
+        total = math.fsum(chain.from_iterable(columns))
         # Mean latency per state-database call type, in milliseconds (Table 4).
-        call_latency[operation] = 1000.0 * total / count
+        call_latency[operation] = 1000.0 * total / sum(map(len, columns))
 
     failures: Dict[FailureType, int] = {}
     keys: Dict[str, int] = {}
@@ -343,13 +266,13 @@ def fold(tallies: Sequence[ChannelTally]) -> Tally:
         logical_requests=sum(tally.logical_requests for tally in tallies),
         committed_requests=sum(tally.committed_requests for tally in tallies),
         last_commit=max((tally.last_commit for tally in tallies), default=0.0),
-        average_latency=sum(latencies) / len(latencies) if latencies else 0.0,
+        average_latency=mean(latencies),
         latency_quantiles=quantiles(latencies),
         function_call_latency_ms=call_latency,
         stage_latency={
             stage: {
                 "count": float(len(samples)),
-                "mean_s": sum(samples) / len(samples),
+                "mean_s": mean(samples),
                 "p95_s": percentile(samples, 0.95),
             }
             for stage, samples in stage_samples.items()

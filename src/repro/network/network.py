@@ -266,9 +266,7 @@ class Channel:
         self.sim = sim
         self.ledger = Ledger(keep_blocks=record_chain)
         self.bus = LifecycleBus()
-        self.tally = ChannelTally(
-            self.bus, self.ledger, self.tx_ids.prefix, retries=self.config.retry.enabled
-        )
+        self.tally = ChannelTally(self.bus, self.ledger, retries=self.config.retry.enabled)
         self.recorder: Optional[ChainRecorder] = ChainRecorder(self.bus) if record_chain else None
         #: Fault controller of this slice (``None`` keeps the no-fault path
         #: bit-identical: no stream is drawn, no event scheduled).
@@ -407,9 +405,7 @@ class Channel:
                     channel=self.faults.channel,
                 )
             )
-        names = [f"client{client_index}" for client_index in range(self.config.clients)]
-        self.tally.set_clients(names)
-        for client_index, name in enumerate(names):
+        for client_index in range(self.config.clients):
             rng = self.streams.stream(f"client-{client_index}")
             workload = WorkloadGenerator(
                 chaincode=self.chaincode,
@@ -420,7 +416,7 @@ class Channel:
             )
             client = ClientNode(
                 sim=self.sim,
-                name=name,
+                name=f"client{client_index}",
                 config=self.config,
                 chaincode=self.chaincode,
                 workload=workload,

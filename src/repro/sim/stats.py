@@ -3,20 +3,22 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from collections.abc import Sequence
+from typing import Dict, Iterable, List, Tuple
 
 
 def mean(values: Iterable[float]) -> float:
-    """Plain arithmetic mean; an empty iterable yields 0.0.
+    """Exactly rounded arithmetic mean; an empty iterable yields 0.0.
 
-    The single shared definition behind the record aggregation of
-    :mod:`repro.network.network`, :mod:`repro.channels.merge` and the
-    experiment reports (each used to carry its own copy).
+    The sum is :func:`math.fsum`, so the mean is a statistic of the bag of
+    values: no order of them, and no interpreter, moves its last bit.  The
+    single shared definition behind the tally's means, the channel merge's
+    utilizations and the experiment reports' columns.  A sequence (a tally's
+    sample array) is summed in place, not copied.
     """
-    values = list(values)
-    if not values:
-        return 0.0
-    return sum(values) / len(values)
+    if not isinstance(values, Sequence):
+        values = list(values)
+    return math.fsum(values) / len(values) if values else 0.0
 
 
 def percentile(values: List[float], fraction: float) -> float:

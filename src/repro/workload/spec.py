@@ -11,6 +11,7 @@ fraction of a multi-channel workload spans a second channel (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
@@ -28,7 +29,7 @@ class TransactionMix:
         """Build a mix from ``{function: weight}``; weights need not sum to 1."""
         if not weights:
             raise WorkloadError("a transaction mix needs at least one function")
-        total = float(sum(weights.values()))
+        total = math.fsum(weights.values())
         if total <= 0:
             raise WorkloadError("transaction mix weights must sum to a positive value")
         for function, weight in weights.items():

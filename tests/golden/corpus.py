@@ -11,10 +11,9 @@ whole-record SHA-256 the part used to be pinned by.
 :data:`PRODUCERS` holds one producer per key; ``scripts/regen_goldens.py``
 writes the corpus from them.  A gate (:func:`assert_pinned`) compares a part
 with its entry through one typed diff (:func:`recursive_diff`) and fails naming
-the cell, the part, the first diverging path and both values.  The corpus holds
-the values of Python 3.11: a mean goes through ``sum()``, which is compensated
-from 3.12 on.  This module imports no pytest, so it runs on any interpreter
-``src/`` runs on.
+the cell, the part, the first diverging path and both values.  Every mean is
+exactly rounded (``math.fsum``), so every interpreter ``src/`` runs on writes
+the same bytes.  This module imports no pytest, so it runs on any of them.
 """
 
 from __future__ import annotations

@@ -4,15 +4,16 @@ The product takes its metrics from a tally kept as each attempt ends
 (``repro.lifecycle.tally``) and keeps no transaction it is done with.  This
 module is the independent derivation it is checked against: the pass over a
 *recorded* run's transactions and ledgers that the product made before the
-tally existed, verbatim in its arithmetic — one walk per record in record
-order, every mean a ``sum()`` over the complete sample sequence in that order
-— except the latency quantiles, which are exact: ``quantiles`` over the
-recorded chain's latencies, the definition the product must meet.  Imported
-by bare module name, like ``failure_oracle``.
+tally existed — one walk per record in record order — except in two
+definitions the product must meet: the latency quantiles are exact
+(``quantiles`` over the recorded chain's latencies), and every mean is exactly
+rounded (``math.fsum`` over the complete sample list), so the walk's order is
+not part of any number.  Imported by bare module name, like ``failure_oracle``.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import Counter, defaultdict
 from functools import partial
@@ -63,8 +64,7 @@ def walk(record: RunRecord, block_times: BlockTimes) -> Walk:
     read_only = 0
     committed_by_origin: Dict[str, bool] = {}
     latencies = array("d")
-    call_seconds: Dict[str, float] = defaultdict(float)
-    call_counts: Dict[str, int] = defaultdict(int)
+    call_seconds: Dict[str, List[float]] = defaultdict(list)
     stage_samples: Dict[str, array] = defaultdict(partial(array, "d"))
     for tx in record.transactions:
         read_only += tx.read_only
@@ -81,8 +81,7 @@ def walk(record: RunRecord, block_times: BlockTimes) -> Walk:
             latency = committed_at - tx.submitted_at
             latencies.append(latency)
         for operation, seconds in tx.db_call_latency.items():
-            call_seconds[operation] += seconds
-            call_counts[operation] += 1
+            call_seconds[operation].append(seconds)
         created_at = None
         if tx.block_number is not None:
             try:
@@ -97,16 +96,16 @@ def walk(record: RunRecord, block_times: BlockTimes) -> Walk:
         last_commit=last_commit,
         logical_requests=len(committed_by_origin),
         committed_requests=sum(committed_by_origin.values()),
-        average_latency=sum(latencies) / len(latencies) if latencies else 0.0,
+        average_latency=math.fsum(latencies) / len(latencies) if latencies else 0.0,
         latency_quantiles=quantiles(latencies),
         function_call_latency_ms={
-            operation: 1000.0 * call_seconds[operation] / call_counts[operation]
+            operation: 1000.0 * math.fsum(call_seconds[operation]) / len(call_seconds[operation])
             for operation in sorted(call_seconds)
         },
         stage_latency={
             stage: {
                 "count": float(len(stage_samples[stage])),
-                "mean_s": sum(stage_samples[stage]) / len(stage_samples[stage]),
+                "mean_s": math.fsum(stage_samples[stage]) / len(stage_samples[stage]),
                 "p95_s": percentile(stage_samples[stage], 0.95),
             }
             for stage in stages

@@ -250,7 +250,7 @@ def _group_result(*indices: int):
         for index in indices
     ]
     tallies = {
-        index: ChannelTally(LifecycleBus(), Ledger(keep_blocks=False), f"tx-c{index}").close()
+        index: ChannelTally(LifecycleBus(), Ledger(keep_blocks=False)).close()
         for index in indices
     }
     loads = {index: {"orderer": (0.0, 1), "validation": [], "endorsement": []} for index in indices}

@@ -6,23 +6,32 @@ done with.  The reference is the paper's parse of the chain —
 ``metrics_oracle`` walks a *recorded* run's transactions and ledgers — and
 every :class:`~repro.core.metrics.ExperimentMetrics` field, the order of the
 failure classes, the conflict keys and the read-only share must equal it
-exactly, aggregate and per channel.
+exactly, aggregate and per channel.  And the fold is a function of the bag
+of samples: no order of the closed tallies, and no split of one channel's
+attempts among several tallies, moves a field.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import math
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from metrics_oracle import parse
 from test_sharded_execution import plan_free
 
 from repro.bench.harness import ExperimentConfig, run_repetition
+from repro.core.failures import FailureType
 from repro.core.metrics import ExperimentMetrics
 from repro.faults.spec import FaultConfig
 from repro.ledger.block import EndorsementResponse, Transaction
+from repro.ledger.ledger import Ledger
 from repro.lifecycle import tally as tally_module
+from repro.lifecycle.events import LifecycleBus
 from repro.lifecycle.retry import RetryConfig
 from repro.network.config import NetworkConfig
 from repro.sim.shard import ExecutionConfig
@@ -157,3 +166,92 @@ def test_an_unrecorded_run_keeps_no_transaction():
     assert analysis.metrics.submitted_transactions > 300
     live = [obj for obj in gc.get_objects() if isinstance(obj, kinds) and id(obj) not in before]
     assert len(live) == 0
+
+
+# ------------------------------------------------------ the fold is a bag fold
+#: The counts a closed tally adds up, besides its attempts (one per row).
+COUNTS = (
+    "read_only", "skipped", "appended", "committed", "blocks",
+    "cross_channel_aborted", "logical_requests", "committed_requests",
+)
+OPERATIONS = ("GetState", "PutState", "GetStateByRange")
+#: Samples over eleven orders of magnitude, so a plain sum would round by order.
+SAMPLE = st.floats(min_value=1e-6, max_value=1e5)
+ROW = st.lists(st.one_of(st.just(math.nan), SAMPLE), min_size=tally_module._ROW,
+               max_size=tally_module._ROW)
+ATTEMPT = st.tuples(ROW, st.dictionaries(st.sampled_from(OPERATIONS), SAMPLE))
+COUNTER = st.dictionaries(st.sampled_from(list(FailureType)), st.integers(1, 9), max_size=3)
+KEYS = st.dictionaries(st.sampled_from(["k0", "k1", "k2", "k3"]), st.integers(1, 9), max_size=3)
+
+
+def closed(attempts, counts, in_block, early, keys, last_commit):
+    """A closed tally holding exactly these attempts and counts."""
+    tally = tally_module.ChannelTally(LifecycleBus(), Ledger(keep_blocks=False)).close()
+    tally.attempts = len(attempts)
+    for row, calls in attempts:
+        tally.rows.extend(array("d", row))
+        for operation, seconds in calls.items():
+            tally.calls.setdefault(operation, array("d")).append(seconds)
+    for name, count in counts.items():
+        setattr(tally, name, count)
+    tally.in_block, tally.early, tally.conflicting_keys = in_block, early, keys
+    tally.last_commit = last_commit
+    return tally
+
+
+@st.composite
+def channel(draw):
+    """The parts of one closed tally, as :func:`closed` takes them."""
+    return (
+        draw(st.lists(ATTEMPT, max_size=12)),
+        {name: draw(st.integers(0, 40)) for name in COUNTS},
+        draw(COUNTER),
+        draw(COUNTER),
+        draw(KEYS),
+        draw(st.floats(min_value=0.0, max_value=1e3)),
+    )
+
+
+def split(draw, parts, count):
+    """``count`` cut into ``parts`` non-negative summands."""
+    cuts = sorted(draw(st.lists(st.integers(0, count), min_size=parts - 1, max_size=parts - 1)))
+    return [high - low for low, high in zip([0] + cuts, cuts + [count])]
+
+
+def split_counter(draw, parts, counter):
+    """``counter`` cut into ``parts`` counters that add up to it."""
+    shares = [{} for _ in range(parts)]
+    for key, count in counter.items():
+        for share, amount in zip(shares, split(draw, parts, count)):
+            if amount:
+                share[key] = amount
+    return shares
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(channel(), min_size=1, max_size=4), st.data())
+def test_the_fold_is_a_function_of_the_bag_of_samples(channels, data):
+    folded = tally_module.fold([closed(*parts) for parts in channels])
+    # Any order of the closed tallies: every field stays (the failure classes
+    # are a dict, compared without their first-seen order).
+    order = data.draw(st.permutations(range(len(channels))))
+    assert tally_module.fold([closed(*channels[index]) for index in order]) == folded
+    # One channel's attempts split among several tallies, in any assignment,
+    # its counts cut into summands: every field stays.
+    attempts, counts, in_block, early, keys, last_commit = channels[0]
+    parts = data.draw(st.integers(2, 4))
+    owner = data.draw(st.lists(st.integers(0, parts - 1), min_size=len(attempts),
+                               max_size=len(attempts)))
+    shares = zip(*(split_counter(data.draw, parts, counter)
+                   for counter in (counts, in_block, early, keys)))
+    latest = data.draw(st.integers(0, parts - 1))
+    pieces = [
+        closed(
+            [attempt for attempt, part in zip(attempts, owner) if part == index],
+            *share,
+            last_commit if index == latest else data.draw(st.floats(0.0, last_commit)),
+        )
+        for index, share in enumerate(shares)
+    ]
+    rest = [closed(*parts) for parts in channels[1:]]
+    assert tally_module.fold(pieces + rest) == folded

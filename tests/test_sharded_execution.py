@@ -231,12 +231,13 @@ def test_each_channel_is_folded_where_it_was_simulated(plan, monkeypatch):
     # Shard workers 2 on four channels: this process simulates shards 0 and
     # 2, the pool 1 and 3 — unless every shard runs here, or one clock does.
     # A channel's tally is folded by the process that simulated it; the
-    # merge folds the tallies of all four once, for the aggregate.
+    # merge folds the tallies of all four once, for the aggregate.  A closed
+    # tally carries no name: its attempt count and last commit tell it apart.
     folded = []
 
     def counted(fold):
         def wrapper(tallies):
-            folded.append([channel.prefix for channel in tallies])
+            folded.append([(channel.attempts, channel.last_commit) for channel in tallies])
             return fold(tallies)
 
         return wrapper
@@ -249,7 +250,14 @@ def test_each_channel_is_folded_where_it_was_simulated(plan, monkeypatch):
     network, record = run_cell(experiment(execution))
     assert network.shard_workers_used == (2 if plan == "pooled" else 1)
     here = [0, 2] if plan == "pooled" else [0, 1, 2, 3]
-    assert folded == [[f"tx-c{index}"] for index in here] + [[f"tx-c{index}" for index in range(4)]]
+    channel_of = {
+        (channel.record.tally.attempts, channel.record.tally.last_commit): channel.index
+        for channel in record.channel_records
+    }
+    assert len(channel_of) == 4
+    assert [[channel_of[key] for key in keys] for keys in folded] == [
+        [index] for index in here
+    ] + [list(range(4))]
     assert record.tally.attempts == sum(
         channel.record.tally.attempts for channel in record.channel_records
     )
