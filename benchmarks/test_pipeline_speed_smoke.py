@@ -15,8 +15,9 @@ cell has two endorsers, the paper's default cell (cluster C2, policy P0) has
 eight, and a fan-out regression that costs one event per endorser is four
 times louder there.
 
-A third cell puts the paper topology on eight channels sharing one clock, for
-the per-attempt work *outside* the fan-out (see the second table of "Hot path"):
+A third cell puts the paper topology on eight uncoupled channels, each on its
+own clock, for the per-attempt work *outside* the fan-out (see the second table
+of "Hot path"; the plan moves none of it, so the counts are the shared clock's):
 lifecycle emissions and the handler calls they make, placement asked per
 shard draw, folds of the channels' tallies.  Each is pinned as a count that
 is the same on every machine.
@@ -42,12 +43,14 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro import ExperimentConfig, ExperimentRunner, SweepPlan, run_repetition
 from repro.chaincode import Chaincode, ChaincodeStub, GenChainChaincode
 from repro.chaincode import api as chaincode_api
+from repro.channels.group import ChannelGroup
 from repro.channels.topology import ChannelTopology
 from repro.channels import merge as channel_merge
 from repro.core import LedgerAnalyzer
@@ -221,29 +224,39 @@ def eight_channel_cell(monkeypatch, listen: bool = False) -> dict:
     ChannelTopology.owners.cache_clear()  # a table an earlier test built is not rebuilt
     config = corpus.PAPER_EIGHT_CHANNELS
     network = corpus.build(config)
-    heard = []
-    if listen:
-        for channel in network.channels:
-            for event_type in LifecycleEventType:
-                channel.bus.handle(event_type, heard.append)
+    assert network.execution_mode == "sharded"
+    heard, channels, profilers = [], [], []
+    drain = ChannelGroup.run
+
+    def counted_drain(group, *args):
+        # Each channel's group is built and drained in this process, one at a time.
+        channels.extend(group.channels)
+        if listen:
+            for channel in group.channels:
+                for event_type in LifecycleEventType:
+                    channel.bus.handle(event_type, heard.append)
+        profilers.append(EngineProfiler(group.sim))
+        with profilers[-1]:
+            return drain(group, *args)
+
+    monkeypatch.setattr(ChannelGroup, "run", counted_drain)
     keys = CountedZipfian()
-    profiler = EngineProfiler(network.sim)
-    with profiler:
-        record = network.run(
-            config.workload.mix,
-            arrival_rate=config.arrival_rate,
-            duration=config.duration,
-            key_distribution=keys,
-        )
+    record = network.run(
+        config.workload.mix,
+        arrival_rate=config.arrival_rate,
+        duration=config.duration,
+        key_distribution=keys,
+    )
+    assert [channel.index for channel in channels] == list(range(8))
     return {
         "record": record,
-        "events": profiler.report()["events"],
+        "events": sum(profiler.events for profiler in profilers),
         "transactions": record.submitted_count,
         "emissions": sum(record.lifecycle_counts.values()),
         "events_heard": len(heard),
         "placements": placements,
         "base_draws": keys.draws,
-        "streams": corpus.streams_entry(network),
+        "streams": corpus.streams_entry(SimpleNamespace(channels=channels)),
     }
 
 

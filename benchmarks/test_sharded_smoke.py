@@ -1,7 +1,8 @@
 """Smoke guard for sharded multi-process execution (always-on, tier-1).
 
 One 2-channel, ~30k-transaction deployment with ``cross_channel_rate=0`` runs
-once on the shared clock and once sharded across two processes (an explicit
+once on the shared clock (recorded: an uncoupled deployment shares one clock
+only then) and once sharded across two processes (an explicit
 count, so the real pool runs on single-core CI runners too): this one drains
 channel 0 itself and a pool of one worker drains channel 1.  Every assertion
 is exact on every machine:
@@ -68,6 +69,7 @@ def run_smoke_cell(sharded: bool):
         "fabric-1.4",
         chaincode_kwargs=spec.chaincode_kwargs,
         seed=SMOKE_SEED,
+        record_chain=not sharded,
     )
     full_collections = []
 
@@ -89,6 +91,7 @@ def test_sharded_execution_smoke():
     network, sharded_record, sharded_collections = run_smoke_cell(sharded=True)
 
     # Identity first: cost means nothing if the answer changed.
+    assert shared_record.execution == "shared-clock"
     assert sharded_record.execution == "sharded"
     assert sharded_record.shard_count == SMOKE_CHANNELS
     assert network.shard_workers_used == SMOKE_WORKERS

@@ -21,26 +21,29 @@ groups there are and who advances their clocks — is one rule over the config
 (:func:`plan_groups`):
 
 ``shared-clock``
-    One in-process group holding every channel.  Independent channels simulate
+    One in-process group holding every channel.  Its channels simulate
     concurrently (their events interleave in global virtual-time order) and
-    cross-channel hops are ordinary events on the one clock.  The default,
-    the reference semantics, and what every configuration that cannot
-    partition runs as: one channel, any positive cross-channel rate (both
-    partner strategies, ``uniform`` and the ``neighbor`` ring, connect every
-    channel to every other through the two-phase prepare), a *global*
-    resubmission rate cap (one token bucket cannot be split across
-    processes), an observer (its sample grids end where each clock does) or a
-    recorded chain (its transactions stay in the process that reads them).
+    cross-channel hops are ordinary events on the one clock.  The reference
+    semantics, and what every configuration that couples its channels runs
+    as: one channel, any positive cross-channel rate (both partner
+    strategies, ``uniform`` and the ``neighbor`` ring, connect every channel
+    to every other through the two-phase prepare), a *global* resubmission
+    rate cap (one token bucket cannot be split across clocks), an observer
+    (its sample grids end where each clock does) or a recorded chain (its
+    transactions stay in the process that reads them).
 ``sharded``
     One group (shard) per channel, each drained to completion on its own
-    clock by one of N processes, this one included: it drains shards 0, N,
-    2N, ... and a pool of N - 1 workers the rest (all of them here when N is
-    1).  A shard is specified by data — the chaincode and variant by registry
+    clock: the plan of every multi-channel deployment nothing couples.
+    ``shard_workers`` only counts the processes that drain the shards: with
+    N of them this one drains shards 0, N, 2N, ... and a pool of N - 1
+    workers the rest, so the default 1 drains them all here, one at a time.
+    A shard is specified by data — the chaincode and variant by registry
     name — so every shard can ship.  With no cross traffic a channel's
     event sequence is a pure function of its own streams and transaction ids,
     so the merged record is *bit-identical* to the shared clock (asserted by
     the golden bit-identity suite); only ``RunRecord.execution`` /
-    ``shard_count`` differ: a pure speed-up for unobserved runs.
+    ``shard_count`` differ.  One clock per channel keeps each queue and each
+    channel's working set small, and a group is dropped once it has run.
 
 Both plans drain every group the same way
 (:meth:`~repro.channels.group.ChannelGroup.run`) and end in
@@ -105,8 +108,7 @@ def plan_groups(
     """
     rate_capped = config.retry.enabled and config.retry.rate_cap is not None
     if (
-        config.execution.shard_workers != 1
-        and config.channels > 1
+        config.channels > 1
         and config.cross_channel_rate == 0
         and not rate_capped
         and not config.observability.enabled

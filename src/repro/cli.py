@@ -137,12 +137,12 @@ def _shard_workers(value: str) -> int:
     """argparse ``type`` for ``--shard-workers``.
 
     Valid values: ``0`` (size the simulating processes, this one included,
-    automatically from the process budget), ``1`` (the default shared-clock
-    execution) or a positive cap on them.  Anything else — negatives, floats,
+    automatically from the process budget), ``1`` (the default: this process
+    drains every shard) or a positive cap on them.  Anything else — negatives, floats,
     non-numbers — exits with code 2 and a message listing the valid values,
     matching the other options.
     """
-    valid = "valid values: 0 (auto), 1 (shared clock) or a positive worker cap"
+    valid = "valid values: 0 (auto), 1 (this process only) or a positive worker cap"
     try:
         workers = int(value)
     except ValueError as error:
@@ -269,8 +269,8 @@ _EXPERIMENT_FLAGS = (
         type=_shard_workers,
         help=(
             "processes that simulate independent channel shards, this one included: "
-            "0 sizes the count automatically, 1 (default) keeps the shared simulation "
-            "clock, N >= 2 caps it (needs --channels >= 2; bit-identical results either way)"
+            "0 sizes the count automatically, 1 (default) drains every shard in this "
+            "process, N >= 2 caps it (needs --channels >= 2; bit-identical results either way)"
         ),
     ),
     _Flag(

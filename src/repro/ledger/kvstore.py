@@ -17,7 +17,6 @@ attributes MVCC conflicts to their conflicting block in O(1) per key.
 from __future__ import annotations
 
 import bisect
-import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -52,9 +51,11 @@ def reconcile_sorted_keys(
     """Fold a batch's insertions/deletions into a sorted key list.
 
     Small batches use per-key bisect operations (a memmove each); batches
-    touching a meaningful fraction of the list are folded with one linear
-    merge pass instead.  Both paths yield the identical list; the small-batch
-    path mutates and returns ``sorted_keys`` in place.
+    touching a meaningful fraction of the list are folded with one sort of
+    the two sorted runs instead (new keys are disjoint from kept ones, and
+    timsort merges two runs in one linear pass).  Both paths yield the
+    identical list; the small-batch path mutates and returns ``sorted_keys``
+    in place.
     """
     new_keys.sort()
     if (len(new_keys) + len(removed)) * 16 < len(sorted_keys):
@@ -65,7 +66,9 @@ def reconcile_sorted_keys(
             bisect.insort(sorted_keys, key)
         return sorted_keys
     kept = [key for key in sorted_keys if key not in removed] if removed else sorted_keys
-    return list(heapq.merge(kept, new_keys))
+    merged = kept + new_keys
+    merged.sort()
+    return merged
 
 
 @dataclass(slots=True)

@@ -241,6 +241,10 @@ class OverlayStateStore(EpochCommitState):
         #: False from the first write that makes ``commit_epoch`` stop naming
         #: this replica's state (see :attr:`state_token`).
         self._in_sequence = True
+        #: Batches applied out of block order: a block's batch applied when
+        #: its number is not the epoch it produces (a later block delivered
+        #: first).
+        self.out_of_sequence_batches = 0
 
     @property
     def base(self) -> VersionedKVStore:
@@ -389,6 +393,7 @@ class OverlayStateStore(EpochCommitState):
         self._record_commit(pre_images)
         if batch.block_number != self._commit_epoch:
             self._in_sequence = False
+            self.out_of_sequence_batches += 1
         return pre_images
 
     def last_writer_block(self, key: str) -> Optional[int]:

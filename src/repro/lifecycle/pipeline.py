@@ -10,7 +10,7 @@ configuration enables it) the retry subsystem, with its
 ``run(mix, arrival_rate, duration, ...) -> RunRecord`` surface.
 
 How many channels there are and how they *execute* — one shared clock or
-independent shards in worker processes — is not a build decision: the
+one clock per independent channel — is not a build decision: the
 deployment derives its plan from ``config`` itself (see
 :func:`repro.channels.network.plan_groups`).  A single-channel configuration
 is the shared-clock plan with one group of one channel.

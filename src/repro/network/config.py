@@ -199,11 +199,11 @@ class NetworkConfig:
     #: the checker only observes the committed history, so certifying a cell
     #: keeps its identity, per-repetition seeds and results bit-identical.
     checker: CheckerConfig = field(default_factory=CheckerConfig)
-    #: Parallel-execution strategy for multi-channel runs (see
-    #: :mod:`repro.sim.shard`).  ``shard_workers=1`` (the default) keeps the
-    #: shared-clock path; sharded execution of independent channels is
-    #: bit-identical to it, so the execution config is never part of the
-    #: experiment cell hash.
+    #: How many processes drain a multi-channel run's shards (see
+    #: :mod:`repro.sim.shard`); ``shard_workers=1`` (the default) drains them
+    #: all in this one.  Sharded execution of independent channels is
+    #: bit-identical to the shared clock, so the execution config is never
+    #: part of the experiment cell hash.
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     timing: TimingProfile = field(default_factory=TimingProfile)
 
@@ -311,7 +311,7 @@ class NetworkConfig:
                 f"cross={self.cross_channel_rate:.0%}"
             )
         if self.execution.shard_workers != 1:
-            summary += f" exec=sharded(workers={self.execution.shard_workers})"
+            summary += f" exec=workers({self.execution.shard_workers})"
         if self.retry.enabled:
             summary += f" retry={self.retry.policy}x{self.retry.max_retries}"
         if self.faults.enabled:

@@ -136,9 +136,9 @@ class RunRecord:
     #: Spans, sampled time series and metrics summary of the run (``None``
     #: unless ``config.observability`` is enabled; see :mod:`repro.observability`).
     observability: Optional[ObservabilityData] = None
-    #: How the run executed: ``"shared-clock"`` (one simulator — the default
-    #: and the reference semantics) or ``"sharded"`` (independent channels in
-    #: worker processes, bit-identical to shared-clock by contract).
+    #: How the run executed: ``"shared-clock"`` (one simulator — the
+    #: reference semantics) or ``"sharded"`` (one simulator per independent
+    #: channel, bit-identical to shared-clock by contract).
     #: Execution metadata: excluded, along with ``shard_count``, from
     #: bit-identity comparisons.
     execution: str = "shared-clock"

@@ -194,6 +194,15 @@ class Simulator:
         heappush(self._heap, (time, sequence, callback, args, None))
         self._live += 1
 
+    def post_args_at(self, time: float, callback: Callable[..., None], args: tuple) -> None:
+        """:meth:`post_at` with the arguments as one tuple, queued as it is handed in."""
+        if not self.now <= time < _INF:
+            self._reject_time(time)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        heappush(self._heap, (time, sequence, callback, args, None))
+        self._live += 1
+
     def post_series(self, times: Sequence[float], callback: Callable[[], None]) -> None:
         """:meth:`post_at` ``callback`` at every one of ``times``, queueing one at a time.
 

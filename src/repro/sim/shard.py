@@ -4,15 +4,15 @@ A multi-channel deployment whose channels never talk to each other is an
 embarrassingly parallel simulation: each channel owns its ledger, state
 store, ordering service and RNG stream family, so its event sequence is a
 pure function of its own inputs.  *Which* channels run apart is one rule,
-:func:`repro.channels.network.plan_groups` (a shard per channel unless cross
-traffic, a rate cap or an observer couples them all).  This module decides
-*how many* processes they may occupy:
+:func:`repro.channels.network.plan_groups` (a shard per channel, each on its
+own clock, unless cross traffic, a rate cap, an observer or a recorded chain
+couples them all).  This module decides *how many* processes drain them:
 
 * :class:`ExecutionConfig` is the knob on
-  :class:`~repro.network.config.NetworkConfig` selecting the execution
-  strategy: ``shard_workers=1`` (default) keeps the classic shared-clock
-  path, ``0`` sizes the set of simulating processes (this one included)
-  automatically and ``N >= 2`` caps it (see :mod:`repro.channels.network`).
+  :class:`~repro.network.config.NetworkConfig` counting those processes:
+  ``shard_workers=1`` (default) drains every shard in this process, ``0``
+  sizes the set of simulating processes (this one included) from the
+  process budget and ``N >= 2`` caps it (see :mod:`repro.channels.network`).
 * :func:`resolve_worker_count` / :func:`process_budget` implement the shared
   process budget: the experiment runner exports
   :data:`PROCESS_BUDGET_ENV` before fanning cells out, so runner workers ×
@@ -47,13 +47,15 @@ PROCESS_BUDGET_ENV = "REPRO_PROCESS_BUDGET"
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """Parallel-execution strategy of a multi-channel run.
+    """How many processes drain the shards of a multi-channel run.
 
-    ``shard_workers`` counts the processes that simulate, this one included:
-    ``1`` (the default) is the classic shared-clock simulation, ``0`` shards
-    independent channels across an automatically sized set of processes, and
-    ``N >= 2`` shards over at most ``N`` — this one and a pool of ``N - 1``
-    workers.
+    The plan — a shard per channel or one shared clock — follows from what
+    couples the channels alone (:func:`~repro.channels.network.plan_groups`);
+    ``shard_workers`` only counts the processes that simulate, this one
+    included: ``1`` (the default) drains every shard here, ``0`` leaves the
+    count to :func:`process_budget`, and ``N >= 2`` uses at most ``N`` — this
+    one and a pool of ``N - 1`` workers.  A shared-clock run is one process
+    whatever the count.
     """
 
     shard_workers: int = 1

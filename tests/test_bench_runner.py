@@ -30,6 +30,7 @@ from repro.core.analyzer import ExperimentAnalysis
 from repro.errors import ConfigurationError
 from repro.lifecycle.retry import RetryConfig
 from repro.network.config import NetworkConfig
+from repro.observability.config import ObservabilityConfig
 from repro.sim.shard import PROCESS_BUDGET_ENV, ExecutionConfig
 from repro.workload.spec import TransactionMix
 from repro.workload.workloads import uniform_workload
@@ -426,6 +427,17 @@ def _sharded_config(shard_workers: int = 4) -> ExperimentConfig:
     "budget,network,expected",
     [
         (None, dict(channels=1, execution=ExecutionConfig(shard_workers=0)), 1),
+        # Observed: shared clock, whatever shard_workers asks for.
+        (
+            None,
+            dict(
+                channels=4,
+                execution=ExecutionConfig(shard_workers=0),
+                observability=ObservabilityConfig(trace=True),
+            ),
+            1,
+        ),
+        # Sharded, every shard drained by this one process.
         (None, dict(channels=4), 1),
         # Coupled: shared clock.
         (None, dict(channels=4, cross_channel_rate=0.1, execution=ExecutionConfig(0)), 1),
@@ -449,6 +461,7 @@ def _sharded_config(shard_workers: int = 4) -> ExperimentConfig:
     ids=[
         "one-channel",
         "shared-clock",
+        "default",
         "coupled",
         "two-workers",
         "auto",

@@ -44,7 +44,7 @@ EXPERIMENT_SURFACE = [
     (
         ("--shard-workers",), "shard_workers", None, None, None,
         "processes that simulate independent channel shards, this one included: 0 sizes the "
-        "count automatically, 1 (default) keeps the shared simulation clock, N >= 2 caps it "
+        "count automatically, 1 (default) drains every shard in this process, N >= 2 caps it "
         "(needs --channels >= 2; bit-identical results either way)",
     ),
     (
@@ -1119,14 +1119,14 @@ def test_run_command_shard_workers_auto_shards_the_run(capsys):
     assert document["result"]["shard_count"] == 4
 
 
-def test_run_command_defaults_to_the_shared_clock(capsys):
+def test_run_command_defaults_to_one_clock_per_uncoupled_channel(capsys):
     exit_code = main(RUN_SHARDED_ARGS + ["--json"])
     captured = capsys.readouterr()
     assert exit_code == 0
     document = json.loads(captured.out)
     assert document["config"]["shard_workers"] == 1
-    assert document["result"]["execution"] == "shared-clock"
-    assert document["result"]["shard_count"] == 1
+    assert document["result"]["execution"] == "sharded"
+    assert document["result"]["shard_count"] == 4
 
 
 def test_run_command_text_output_names_the_execution(capsys):
@@ -1143,15 +1143,20 @@ def test_run_command_rejects_invalid_shard_workers(bad, capsys):
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert "shard workers" in captured.err
-    assert "valid values: 0 (auto), 1 (shared clock)" in captured.err
+    assert "valid values: 0 (auto), 1 (this process only)" in captured.err
 
 
-def test_sharded_and_shared_clock_runs_print_identical_metrics(capsys):
-    assert main(RUN_SHARDED_ARGS + ["--json"]) == 0
+def test_sharded_and_shared_clock_runs_print_identical_metrics(capsys, tmp_path):
+    # A recorded run keeps the shared clock; recording implies the checker.
+    history = str(tmp_path / "history.json")
+    assert main(RUN_SHARDED_ARGS + ["--history-out", history, "--json"]) == 0
     shared = json.loads(capsys.readouterr().out)
-    assert main(RUN_SHARDED_ARGS + ["--shard-workers", "0", "--json"]) == 0
+    assert main(RUN_SHARDED_ARGS + ["--check-isolation", "--shard-workers", "0", "--json"]) == 0
     sharded = json.loads(capsys.readouterr().out)
+    assert shared["result"]["execution"] == "shared-clock"
+    assert sharded["result"]["execution"] == "sharded"
     del shared["config"]["shard_workers"], sharded["config"]["shard_workers"]
+    del shared["exports"]  # what the history file adds to the document
     for document in (shared, sharded):
         document["result"].pop("execution")
         document["result"].pop("shard_count")

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 from corpus import build, run
-from test_sharded_execution import plan_free
+from test_sharded_execution import assert_computes, plan_free, unrecorded
 
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.chaincode import CHAINCODE_REGISTRY
@@ -121,19 +121,20 @@ def test_sharing_holds_with_the_checker_on_and_a_shard_ships_no_chain():
     )
     shared_config = ehr_cell(execution=ExecutionConfig(), **options)
     recorded = run_cell(shared_config)
+    assert recorded.execution == "shared-clock"
     assert_rwsets_shared(recorded.transactions)
     # An explicit worker count forces the real pool, whatever the core count.
     config = ehr_cell(execution=ExecutionConfig(shard_workers=2), **options)
     sharded = run_cell(config, build_cell(config, record_chain=False))
     assert sharded.execution == "sharded" and sharded.chain is None
     assert sharded.isolation.summary() == recorded.isolation.summary()
-    shared = run_cell(shared_config, build_cell(shared_config, record_chain=False))
-    assert plan_free(sharded) == plan_free(shared)
+    assert_computes(plan_free(sharded), unrecorded(recorded))
 
 
 # --------------------------------------------------------- full collections
 DEPLOYMENTS = {
     "single-channel": dict(),
+    # Uncoupled channels share one clock only when recorded (below).
     "shared-clock": dict(channels=2, cross_channel_rate=0.0),
     # Cross-channel traffic: the coordinator's two-phase commits on the one clock.
     "coupled": dict(channels=2, cross_channel_rate=0.05),
@@ -151,7 +152,7 @@ def test_no_full_collection_starts_inside_a_run(monkeypatch, deployment):
     # Enough transactions that the interpreter's own schedule would have run
     # full collections (it does, at the parent of this change).
     config = config.with_overrides(duration=20.0)
-    network = build_cell(config, record_chain=False)
+    network = build_cell(config, record_chain=deployment == "shared-clock")
     gc.collect()  # nothing owed from earlier tests: the scope would pay it on entry
     state = collector_state()
     with full_collections() as seen:
@@ -159,6 +160,8 @@ def test_no_full_collection_starts_inside_a_run(monkeypatch, deployment):
     assert record.submitted_count > 1500
     if deployment == "sharded-in-process":
         assert record.execution == "sharded" and network.shard_workers_used == 1
+    if deployment == "shared-clock":
+        assert record.execution == "shared-clock"
     assert seen == []
     assert collector_state() == state
 

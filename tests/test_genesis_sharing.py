@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_collector import build_cell, run_cell
-from test_sharded_execution import plan_free
+from test_sharded_execution import plan_free, unrecorded
 
 from repro.bench.harness import ExperimentConfig
 from repro.chaincode import CHAINCODE_REGISTRY, Chaincode, chaincode_function, create_chaincode
@@ -158,8 +158,12 @@ def test_an_undeclared_chaincode_builds_one_base_per_channel_as_before(monkeypat
     assert Chaincode().genesis_identity() is None
     ehr_base = build_cell(_ehr()).channels[0].state_base
     monkeypatch.setitem(CHAINCODE_REGISTRY, "undeclared", Undeclared)
+    # Recorded, so the two channels share one clock and are built here and now.
     network = build_network(
-        NetworkConfig(cluster="C1", database="leveldb", channels=2), "undeclared", "fabric-1.4"
+        NetworkConfig(cluster="C1", database="leveldb", channels=2),
+        "undeclared",
+        "fabric-1.4",
+        record_chain=True,
     )
     first, second = (channel.state_base for channel in network.channels)
     assert first is not second and first.frozen and second.frozen
@@ -221,8 +225,8 @@ def test_a_cell_is_the_same_bytes_first_after_its_own_genesis_and_after_another(
     if sharded:
         # One base per *process*, and this one drains shards too: its own.
         assert len(factory._shared_genesis) == 1
-        unsharded = _ehr(channels=4)
-        assert plan_free(run_cell(unsharded, build_cell(unsharded, record_chain=False))) == expected
+        # The same four channels on one shared clock: a recorded run.
+        assert unrecorded(run_cell(_ehr(channels=4))) == expected
     # ... borrowed from a cell of the same genesis ...
     held = build_cell(_ehr()).channels[0].state_base
     assert computed(ehr) == expected

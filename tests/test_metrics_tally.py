@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from metrics_oracle import parse
-from test_sharded_execution import plan_free
+from test_sharded_execution import assert_computes, plan_free, unrecorded
 
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.core.failures import FailureType
@@ -127,13 +127,15 @@ def test_a_sharded_cell_is_the_parse_of_its_shared_clock_twin():
     recorded = run_repetition(config, 0, record_chain=True)
     assert recorded.record.execution == "shared-clock"
     assert_matches_the_parse(sharded, recorded)
-    shared = run_repetition(
+    default = run_repetition(
         config.with_overrides(
             network=config.network.copy(execution=ExecutionConfig(shard_workers=1))
         ),
         0,
     )
-    assert plan_free(sharded.record) == plan_free(shared.record)
+    assert default.record.execution == "sharded"
+    assert_computes(plan_free(sharded.record), unrecorded(recorded.record))
+    assert_computes(plan_free(default.record), unrecorded(recorded.record))
 
 
 def test_late_first_executions_join_their_attempt(monkeypatch):

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ledger.kvstore import Version, VersionedKVStore
+from repro.ledger.kvstore import Version, VersionedKVStore, reconcile_sorted_keys
 
 keys = st.text(alphabet="abcdef", min_size=1, max_size=4)
 values = st.integers(min_value=0, max_value=1000)
@@ -96,3 +97,35 @@ def test_populate_matches_bulk_dict(initial):
     assert store.keys() == sorted(initial)
     for key, value in initial.items():
         assert store.get_value(key) == value
+
+
+@st.composite
+def reconcile_cases(draw, bisect_regime):
+    """A sorted key list and a batch (removed keys, new keys) of one size regime.
+
+    The per-key bisect regime needs ``(new + removed) * 16 < len(keys)``; the
+    other regime is everything else.
+    """
+    present = sorted(draw(st.sets(keys, min_size=17 if bisect_regime else 0, max_size=80)))
+    limit = (len(present) - 1) // 16 if bisect_regime else None
+    removed = draw(st.sets(st.sampled_from(present), max_size=limit)) if present else set()
+    needed = 0 if bisect_regime else -(-len(present) // 16) - len(removed)
+    new = draw(
+        st.lists(
+            keys.filter(lambda key: key not in present),
+            unique=True,
+            min_size=max(0, needed),
+            max_size=None if limit is None else limit - len(removed),
+        )
+    )
+    return present, removed, new
+
+
+@pytest.mark.parametrize("bisect_regime", [True, False], ids=["bisect", "sort"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reconcile_sorted_keys_folds_a_batch_in_both_regimes(bisect_regime, data):
+    present, removed, new = data.draw(reconcile_cases(bisect_regime))
+    assert ((len(new) + len(removed)) * 16 < len(present)) == bisect_regime
+    result = reconcile_sorted_keys(list(present), list(new), set(removed))
+    assert result == sorted((set(present) - removed) | set(new))

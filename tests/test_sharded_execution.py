@@ -1,15 +1,18 @@
 """Bit-identity contract of the sharded execution path.
 
-Sharded execution (independent channels in worker processes, merged in
-deterministic channel order) must reproduce the shared-clock run *bit for
-bit* whenever the topology partitions (``cross_channel_rate == 0``): every
-tally, counter and utilization, every derived metric.  A sharded run cannot
-record its chain (a shard ships its tally, never its transactions), so the
-plans are compared as analyses (:func:`plan_free`); the chain of a
-shared-clock run is pinned by the fingerprints of
-``test_single_channel_pins.py``.  These tests pin that contract across
-channel counts, the four variant families, the in-process and multi-process
-shard paths, and the experiment runner's serial and parallel paths — plus the
+A multi-channel deployment nothing couples runs one clock per channel (its
+shards, drained in this process or in worker processes and merged in
+deterministic channel order); it must reproduce the shared-clock run *bit for
+bit*: every tally, counter and utilization, every derived metric.  Such a
+deployment shares one clock only when its chain is recorded, and a sharded
+run cannot record its chain (a shard ships its tally, never its
+transactions), so the plans are compared as analyses (:func:`plan_free`)
+against a recorded shared-clock run without its chain (:func:`shared_clock`);
+the chain of a shared-clock run is pinned by the fingerprints of
+``test_single_channel_pins.py``.  A divergence fails naming the first
+diverging channel and field.  These tests pin that contract across channel
+counts, the four variant families, the in-process and multi-process shard
+paths, and the experiment runner's serial and parallel paths — plus the
 fallback behaviour for topologies that cannot shard.
 """
 
@@ -24,7 +27,16 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from corpus import assert_pinned, build, chaos_audit_cell, export_entries, exported_bytes, run
+from corpus import (
+    assert_pinned,
+    build,
+    canonical,
+    chaos_audit_cell,
+    export_entries,
+    exported_bytes,
+    recursive_diff,
+    run,
+)
 
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.bench.runner import ExperimentRunner
@@ -114,25 +126,70 @@ def plan_free(record) -> dict:
     return {**vars(LedgerAnalyzer().analyze(record)), "record": _record_state(record)}
 
 
+def unrecorded(record) -> dict:
+    """``plan_free`` of a recorded run, without the chain that recording adds."""
+    state = plan_free(record)
+    state["record"]["chain"] = None
+    for channel in state["record"]["channel_records"]:
+        channel["record"]["chain"] = None
+    return state
+
+
+def shared_clock(config: ExperimentConfig) -> dict:
+    """What ``config`` computes on one shared clock: the reference of every plan.
+
+    An uncoupled deployment plans the shared clock only when its chain is
+    recorded.
+    """
+    network, record = run_cell(config, record_chain=True)
+    assert network.execution_mode == "shared-clock" and record.shard_count == 1
+    return unrecorded(record)
+
+
+def assert_computes(state: dict, reference: dict) -> None:
+    """``state == reference``, or a failure naming the first diverging channel and field."""
+    if state == reference:
+        return
+    changes = recursive_diff(canonical(reference), canonical(state))
+    lines = [f"{len(changes)} field(s) differ from the shared clock"]
+    for path, change in list(changes.items())[:5]:
+        where = " / ".join(str(step) for step in path) or "(the whole state)"
+        lines.append(f"  {where}: shared clock {change.old!r}, this plan {change.new!r}")
+    raise AssertionError("\n".join(lines))
+
+
 # ------------------------------------------------------------- bit identity
 @pytest.mark.parametrize("channels", [2, 4, 8])
 def test_sharded_run_is_bit_identical_to_shared_clock(channels):
-    _, shared = run_cell(experiment(ExecutionConfig(), channels=channels))
-    network, sharded = run_cell(
-        experiment(ExecutionConfig(shard_workers=0), channels=channels)
-    )
+    # The default worker count: every channel on its own clock, in this process.
+    config = experiment(ExecutionConfig(), channels=channels)
+    network, sharded = run_cell(config)
     assert isinstance(network, MultiChannelNetwork)
+    assert network.execution_mode == "sharded"
+    assert network.sim is None and network.channels == []
     assert sharded.execution == "sharded"
     assert sharded.shard_count == channels
-    assert shared.execution == "shared-clock"
-    assert plan_free(sharded) == plan_free(shared)
+    assert network.shard_workers_used == 1
+    assert_computes(plan_free(sharded), shared_clock(config))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_bit_identity_holds_for_every_variant_family(variant):
-    _, shared = run_cell(experiment(ExecutionConfig(), variant=variant))
-    _, sharded = run_cell(experiment(ExecutionConfig(shard_workers=0), variant=variant))
-    assert plan_free(sharded) == plan_free(shared)
+    config = experiment(ExecutionConfig(shard_workers=0), variant=variant)
+    _, sharded = run_cell(config)
+    assert_computes(plan_free(sharded), shared_clock(config))
+
+
+def test_a_divergence_names_the_channel_and_the_field():
+    config = experiment(ExecutionConfig(), channels=2)
+    reference = shared_clock(config)
+    diverged = plan_free(run_cell(config)[1])
+    tally = diverged["record"]["channel_records"][1]["record"]["tally"]
+    tally.attempts += 1
+    with pytest.raises(AssertionError) as failure:
+        assert_computes(diverged, reference)
+    first = str(failure.value).splitlines()[1]
+    assert first.startswith("  record / channel_records / 1 / record / tally / attempts: ")
 
 
 def test_multiprocess_shards_match_in_process_shards(monkeypatch):
@@ -144,10 +201,9 @@ def test_multiprocess_shards_match_in_process_shards(monkeypatch):
     assert sequential.execution == "sharded" and network.shard_workers_used == 1
     monkeypatch.delenv(PROCESS_BUDGET_ENV)
     _, pooled = run_cell(experiment(ExecutionConfig(shard_workers=4)))
-    _, shared = run_cell(experiment(ExecutionConfig()))
-    reference = plan_free(shared)
-    assert plan_free(pooled) == reference
-    assert plan_free(sequential) == reference
+    reference = shared_clock(experiment(ExecutionConfig()))
+    assert_computes(plan_free(pooled), reference)
+    assert_computes(plan_free(sequential), reference)
 
 
 def test_this_process_is_one_of_the_shard_workers():
@@ -161,8 +217,7 @@ def test_this_process_is_one_of_the_shard_workers():
         runs.append((plan_free(record), network.shard_transport_bytes))
     assert network.shard_workers_used == 3
     assert runs[0] == runs[1] and runs[0][1] > 0
-    _, shared = run_cell(experiment(ExecutionConfig()))
-    assert runs[0][0] == plan_free(shared)
+    assert_computes(runs[0][0], shared_clock(config))
 
 
 # ------------------------------------------- shard files and channel walks
@@ -200,8 +255,7 @@ def test_pool_shards_come_back_as_files_that_do_not_outlive_the_run(shard_tmp, m
     assert len(loaded) == 2  # shards 1 and 2; this process drained 0 and 3
     assert network.shard_transport_bytes == sum(loaded) > 0
     assert list(shard_tmp.iterdir()) == []
-    _, shared = run_cell(experiment(ExecutionConfig()))
-    assert plan_free(pooled) == plan_free(shared)
+    assert_computes(plan_free(pooled), shared_clock(experiment(ExecutionConfig())))
 
 
 def test_a_failed_shipped_shard_leaves_no_shard_file(shard_tmp, monkeypatch):
@@ -229,7 +283,8 @@ def test_a_failed_shipped_shard_leaves_no_shard_file(shard_tmp, monkeypatch):
 @pytest.mark.parametrize("plan", ["shared-clock", "in-process", "pooled"])
 def test_each_channel_is_folded_where_it_was_simulated(plan, monkeypatch):
     # Shard workers 2 on four channels: this process simulates shards 0 and
-    # 2, the pool 1 and 3 — unless every shard runs here, or one clock does.
+    # 2, the pool 1 and 3 — unless every shard runs here, or one clock does
+    # (a recorded run).
     # A channel's tally is folded by the process that simulated it; the
     # merge folds the tallies of all four once, for the aggregate.  A closed
     # tally carries no name: its attempt count and last commit tell it apart.
@@ -247,7 +302,8 @@ def test_each_channel_is_folded_where_it_was_simulated(plan, monkeypatch):
     if plan == "in-process":
         monkeypatch.setenv(PROCESS_BUDGET_ENV, "1")
     execution = ExecutionConfig() if plan == "shared-clock" else ExecutionConfig(shard_workers=2)
-    network, record = run_cell(experiment(execution))
+    network, record = run_cell(experiment(execution), record_chain=plan == "shared-clock")
+    assert network.execution_mode == ("shared-clock" if plan == "shared-clock" else "sharded")
     assert network.shard_workers_used == (2 if plan == "pooled" else 1)
     here = [0, 2] if plan == "pooled" else [0, 1, 2, 3]
     channel_of = {
@@ -280,27 +336,27 @@ def test_a_recorded_run_keeps_the_shared_clock():
     assert recorded.transactions and recorded.channel_records[0].record.ledger.blocks
     _, sharded = run_cell(experiment(ExecutionConfig(shard_workers=0)))
     assert sharded.execution == "sharded" and sharded.chain is None
-    unrecorded = plan_free(recorded)
-    unrecorded["record"]["chain"] = None
-    for channel in unrecorded["record"]["channel_records"]:
-        channel["record"]["chain"] = None
-    assert unrecorded == plan_free(sharded)
+    assert_computes(plan_free(sharded), unrecorded(recorded))
 
 
 # ------------------------------------------------------- runner equivalence
 def test_runner_paths_agree_on_sharded_cells():
-    shared = experiment(ExecutionConfig())
-    sharded = experiment(ExecutionConfig(shard_workers=0))
+    default = experiment(ExecutionConfig())
+    auto = experiment(ExecutionConfig(shard_workers=0))
     # Identical identity: same cell hash, therefore same repetition seeds.
-    assert shared.cell_hash() == sharded.cell_hash()
-    serial = ExperimentRunner(workers=1, cache=None).run(sharded).analyses[0]
-    parallel = ExperimentRunner(workers=2, cache=None).run(sharded).analyses[0]
-    reference = ExperimentRunner(workers=1, cache=None).run(shared).analyses[0]
+    assert default.cell_hash() == auto.cell_hash()
+    serial = ExperimentRunner(workers=1, cache=None).run(auto).analyses[0]
+    parallel = ExperimentRunner(workers=2, cache=None).run(auto).analyses[0]
+    in_process = ExperimentRunner(workers=1, cache=None).run(default).analyses[0]
     # Whatever path produced it, an analysis is the plan's, declared execution
-    # metadata aside.
+    # metadata aside; the shared clock's is a recorded repetition's.
     assert parallel == serial
-    assert serial.record.execution == "sharded" and reference.record.execution == "shared-clock"
-    assert plan_free(serial.record) == plan_free(reference.record)
+    assert serial.record.execution == in_process.record.execution == "sharded"
+    recorded = run_repetition(default, repetition=0, record_chain=True).record
+    assert recorded.execution == "shared-clock"
+    reference = unrecorded(recorded)
+    assert_computes(plan_free(serial.record), reference)
+    assert_computes(plan_free(in_process.record), reference)
 
 
 def test_run_repetition_reports_the_execution_strategy():
@@ -399,10 +455,10 @@ def test_checker_verdicts_identical_across_execution_strategies():
     # and every retained witness must be bit-identical no matter how the
     # channels were scheduled: shared clock, in-process shards, or a real
     # worker pool (the report crosses a process boundary).
-    _, shared = run_cell(experiment(ExecutionConfig(), checker=CHECKED))
-    _, sharded = run_cell(experiment(ExecutionConfig(shard_workers=0), checker=CHECKED))
+    _, shared = run_cell(experiment(ExecutionConfig(), checker=CHECKED), record_chain=True)
+    _, sharded = run_cell(experiment(ExecutionConfig(), checker=CHECKED))
     _, pooled = run_cell(experiment(ExecutionConfig(shard_workers=4), checker=CHECKED))
-    assert shared.isolation is not None
+    assert shared.execution == "shared-clock" and shared.isolation is not None
     summary = shared.isolation.summary()
     assert summary["verdict"] == "CERTIFIED-SERIALIZABLE"
     assert summary["committed"] > 0
@@ -410,8 +466,8 @@ def test_checker_verdicts_identical_across_execution_strategies():
     assert pooled.isolation.summary() == summary
     # The record carries the isolation report, so the bit-identity contract
     # extends to checker output as well.
-    assert plan_free(sharded) == plan_free(shared)
-    assert plan_free(pooled) == plan_free(shared)
+    assert_computes(plan_free(sharded), unrecorded(shared))
+    assert_computes(plan_free(pooled), unrecorded(shared))
 
 
 def test_fingerprint_covers_the_isolation_digest():

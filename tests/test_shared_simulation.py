@@ -157,6 +157,26 @@ def test_out_of_sequence_commits_share_nothing_they_should_not(variant, monkeypa
         assert everything_computed(config)[0] != shared[0]
 
 
+@pytest.mark.parametrize("jitter", [None, 0.5])
+def test_every_replica_counts_the_batches_it_applied_out_of_block_order(jitter):
+    # At the default delivery jitter no peer applies a block before the one
+    # ahead of it; at half a second most of them do.
+    config = ehr_cell() if jitter is None else ehr_cell(timing=TimingProfile(delivery_jitter=jitter))
+    deployment = build_cell(config, record_chain=False)
+    run_cell(config, deployment)
+    counts = [
+        peer.store.out_of_sequence_batches
+        for channel in deployment.channels
+        for peer in channel.peers
+        if peer.store is not None
+    ]
+    assert len(counts) == 8
+    if jitter is None:
+        assert counts == [0] * 8
+    else:
+        assert min(counts) > 0
+
+
 @pytest.mark.parametrize("channels", CHANNEL_COUNTS)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_golden_cells_do_not_observe_sharing(variant, channels, monkeypatch):
@@ -278,6 +298,8 @@ def test_the_token_is_gone_for_good_after_an_out_of_sequence_batch(frozen_base):
     assert early.state_token is None
     committed(early, 3)
     assert early.state_token is None
+    # Blocks 2 and 1 each landed on an epoch other than their own; 3 did not.
+    assert (early.out_of_sequence_batches, late.out_of_sequence_batches) == (2, 0)
 
 
 @pytest.mark.parametrize(

@@ -55,8 +55,9 @@ def _groups(
 def test_plan_groups_shards_exactly_the_uncoupled_uncapped_deployments(
     channels, rate, capped, workers, observed
 ):
+    # Coupling alone picks the plan: the worker count never does.
     mode, groups = _groups(channels, workers, rate, capped, observed)
-    if workers != 1 and channels > 1 and rate == 0.0 and not capped and observed == "off":
+    if channels > 1 and rate == 0.0 and not capped and observed == "off":
         assert mode == "sharded"
         assert groups == tuple((index,) for index in range(channels))
     else:
@@ -93,10 +94,12 @@ def _plan(execution: ExecutionConfig, cross_channel_rate: float = 0.0) -> str:
     return plan_groups(config)[0]
 
 
-def test_execution_config_defaults_to_shared_clock():
+def test_execution_config_defaults_to_this_process_draining_every_shard():
     config = ExecutionConfig()
     config.validate()
-    assert _plan(config) == "shared-clock"
+    assert config.shard_workers == 1
+    assert _plan(config) == "sharded"
+    assert resolve_worker_count(config.shard_workers, 4) == 1
 
 
 @pytest.mark.parametrize("workers", [0, 2, 16])

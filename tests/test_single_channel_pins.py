@@ -116,10 +116,11 @@ def test_a_handler_on_the_one_channel_bus_is_handed_every_emission():
 
 def test_a_handler_on_each_of_eight_channel_buses_is_handed_its_channel_emissions():
     # Eight channel buses, one per chain: each handler hears its own channel
-    # only, once per emission counted there.
+    # only, once per emission counted there.  Recorded, so the eight share one
+    # clock and are built before the run.
     config = PIN_CELLS["fabric-1.4/EHR/C1"]
     config = config.with_overrides(network=config.network.copy(channels=8))
-    deployment = build(config)
+    deployment = build(config, record_chain=True)
     heard = hear_every_emission(deployment)
     record = run(deployment, config)
     assert record.lifecycle_counts["committed"] > 0
