@@ -67,7 +67,7 @@ class FaultController:
             return
         self.armed = True
         for injection in schedule:
-            self.sim.post_at(injection.time, self._apply, injection)
+            self.sim.post_at(injection.time, self._apply, (injection,))
 
     def _apply(self, injection: FaultInjection) -> None:
         kind = injection.kind

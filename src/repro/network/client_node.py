@@ -276,7 +276,7 @@ class ClientNode:
             # arrival times, which is the (time, sequence) order one event per
             # response would have been dispatched in.
             arrivals.sort(key=_arrival_time)
-            self.sim.post_at(arrivals[-1][0], self._complete_round, round_)
+            self.sim.post_at(arrivals[-1][0], self._complete_round, (round_,))
 
     def _complete_round(self, round_: EndorsementRound) -> None:
         """Execution phase, step 3: collect responses and submit for ordering."""

@@ -185,17 +185,13 @@ class Simulator:
         heappush(self._heap, (time, sequence, callback, args, None))
         self._live += 1
 
-    def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Hot-path :meth:`schedule_at` without a cancellation handle."""
-        if not self.now <= time < _INF:
-            self._reject_time(time)
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        heappush(self._heap, (time, sequence, callback, args, None))
-        self._live += 1
+    def post_at(self, time: float, callback: Callable[..., None], args: tuple = ()) -> None:
+        """Hot-path :meth:`schedule_at` without a cancellation handle.
 
-    def post_args_at(self, time: float, callback: Callable[..., None], args: tuple) -> None:
-        """:meth:`post_at` with the arguments as one tuple, queued as it is handed in."""
+        The arguments come as one tuple, ``callback(*args)``, and are queued
+        as they are handed in: a caller that already holds them packed (a
+        :class:`~repro.sim.resources.ServiceStation` job) builds no second tuple.
+        """
         if not self.now <= time < _INF:
             self._reject_time(time)
         sequence = self._sequence

@@ -37,7 +37,7 @@ class ServiceStation:
         # Completion events are never cancelled, so the handle-free fast path
         # avoids one Event allocation per job; bound once, called per job.
         # ``submit``'s packed ``args`` go to the queue as they are.
-        self._post_args_at = sim.post_args_at
+        self._post_at = sim.post_at
         self.name = name
         self.servers = servers
         self._single = servers == 1
@@ -78,7 +78,7 @@ class ServiceStation:
         self.jobs_served += 1
         self.busy_time += service_time
         if callback is not None:
-            self._post_args_at(completion, callback, args)
+            self._post_at(completion, callback, args)
         return completion
 
     @property

@@ -46,6 +46,7 @@ from repro.channels import network as channels_network
 from repro.channels.network import MultiChannelNetwork
 from repro.core import LedgerAnalyzer
 from repro.core.fingerprint import EXECUTION_METADATA_FIELDS, record_fingerprint
+from repro.faults.spec import FaultConfig
 from repro.checker.config import CheckerConfig
 from repro.lifecycle import tally
 from repro.lifecycle.retry import RetryConfig
@@ -70,7 +71,11 @@ def experiment(
     retry_rate_cap=None,
     duration: float = 2.0,
     checker: CheckerConfig = CheckerConfig(),
+    faults: FaultConfig = FaultConfig(),
+    retry: RetryConfig = RetryConfig(),
 ) -> ExperimentConfig:
+    if retry_rate_cap is not None:
+        retry = RetryConfig(policy="immediate", rate_cap=retry_rate_cap)
     network = NetworkConfig(
         cluster="C1",
         orgs=2,
@@ -83,9 +88,9 @@ def experiment(
         execution=execution,
         observability=observability,
         checker=checker,
+        faults=faults,
+        retry=retry,
     )
-    if retry_rate_cap is not None:
-        network.retry = RetryConfig(policy="immediate", rate_cap=retry_rate_cap)
     return ExperimentConfig(
         variant=variant,
         workload=uniform_workload("EHR", patients=40),
@@ -177,6 +182,38 @@ def test_sharded_run_is_bit_identical_to_shared_clock(channels):
 def test_bit_identity_holds_for_every_variant_family(variant):
     config = experiment(ExecutionConfig(shard_workers=0), variant=variant)
     _, sharded = run_cell(config)
+    assert_computes(plan_free(sharded), shared_clock(config))
+
+
+#: Peer crashes, endorser slowdowns, lost endorsements, an orderer outage and a
+#: partition of channel 2: every fault kind a channel draws from its own streams.
+CHAOS = FaultConfig(
+    peer_crash_rate=0.1,
+    endorser_slowdown_rate=0.2,
+    orderer_outages=((0.5, 0.3),),
+    partitions=((2, 1.0, 0.4),),
+    endorsement_loss_rate=0.02,
+)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_faults_and_uncapped_retries_shard_bit_identically(workers):
+    # Faults and a retry policy without a rate cap couple nothing: such a cell
+    # runs one clock per channel by default and must compute the shared clock.
+    config = experiment(
+        ExecutionConfig(shard_workers=workers),
+        duration=3.0,
+        faults=CHAOS,
+        retry=RetryConfig(policy="jittered", max_retries=3),
+    )
+    _, sharded = run_cell(config)
+    assert sharded.execution == "sharded" and sharded.shard_count == 4
+    # Every fault kind was applied and retries ran, so the comparison is not vacuous.
+    applied = sharded.fault_injections
+    for kind in ("peer_crash", "endorser_slowdown_start", "orderer_outage_start",
+                 "partition_start", "lost_endorsements"):
+        assert applied.get(kind, 0) > 0, (kind, applied)
+    assert sharded.resubmissions > 0
     assert_computes(plan_free(sharded), shared_clock(config))
 
 

@@ -77,6 +77,9 @@ def test_schedule_at_before_now_rejected(sim):
     sim.run_until_empty()
     with pytest.raises(SimulationError):
         sim.schedule_at(1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.post_at(1.0, print, ("never",))
+    assert sim.pending_events == 0
 
 
 def test_cancelled_events_are_skipped(sim):
@@ -200,7 +203,7 @@ def test_property_reentrant_run_raises_and_simulation_continues(trigger_time, us
 def test_post_runs_callback_without_returning_a_handle(sim):
     seen = []
     assert sim.post(1.0, seen.append, "posted") is None
-    assert sim.post_at(2.0, seen.append, "posted-at") is None
+    assert sim.post_at(2.0, seen.append, ("posted-at",)) is None
     sim.run_until_empty()
     assert seen == ["posted", "posted-at"]
     assert sim.processed_events == 2
@@ -210,7 +213,7 @@ def test_post_and_schedule_share_tie_break_order(sim):
     seen = []
     sim.post(1.0, seen.append, "first")
     sim.schedule(1.0, seen.append, "second")
-    sim.post_at(1.0, seen.append, "third")
+    sim.post_at(1.0, seen.append, ("third",))
     sim.run_until_empty()
     assert seen == ["first", "second", "third"]
 
@@ -352,7 +355,7 @@ def test_queue_stats_reports_live_and_cancelled(sim):
 def test_a_series_counts_every_event_as_live_but_queues_one(sim):
     seen = []
     sim.post_series([1.0, 1.0, 2.5, 4.0], lambda: seen.append(sim.now))
-    sim.post_at(1.0, seen.append, "after")
+    sim.post_at(1.0, seen.append, ("after",))
     assert sim.queue_stats() == {"live": 5, "cancelled": 0, "queued_entries": 2}
     sim.run(until=2.0)
     # Both series times at 1.0 took their sequence numbers before "after".
