@@ -33,7 +33,6 @@ from repro.bench.runner import (
 )
 from repro.chaincode import CHAINCODE_REGISTRY, create_chaincode
 from repro.channels import (
-    ChannelRouter,
     ChannelTopology,
     CrossChannelCoordinator,
     MultiChannelNetwork,
@@ -91,7 +90,6 @@ __all__ = [
     "create_chaincode",
     "ChannelAnalysis",
     "ChannelRecord",
-    "ChannelRouter",
     "ChannelTopology",
     "CrossChannelCoordinator",
     "MultiChannelNetwork",

@@ -7,7 +7,9 @@ endorsement policy — is :class:`repro.network.network.Channel`, built by its
 The :class:`ChannelGateway` sits between a channel's clients and its ordering
 service.  Every endorsed transaction passes through it (its client stamped it
 with its home channel's label when it built it): with the configured
-probability, the gateway marks it cross-channel and hands it to the
+probability, the gateway marks it cross-channel — its partner drawn uniformly
+from the coordinator's other channels, so cross traffic connects every
+channel of the group to every other — and hands it to the
 :class:`~repro.channels.coordinator.CrossChannelCoordinator` instead of the
 local orderer.
 """
@@ -17,10 +19,8 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Optional
 
-from repro.channels.topology import ChannelRouter
 from repro.ledger.block import Transaction, ValidationCode
 from repro.network.network import Channel
-from repro.workload.spec import CrossChannelMix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.channels.coordinator import CrossChannelCoordinator
@@ -38,8 +38,7 @@ class ChannelGateway:
     def __init__(
         self,
         channel: Channel,
-        router: ChannelRouter,
-        cross_channel: CrossChannelMix,
+        rate: float,
         rng: random.Random,
         coordinator: Optional["CrossChannelCoordinator"] = None,
     ) -> None:
@@ -48,10 +47,16 @@ class ChannelGateway:
         # the cyclic collector, which runs defer, instead of reference counts.
         self.index = channel.index
         self.orderer = channel.orderer
-        self.router = router
-        self.cross_channel = cross_channel
+        #: The fraction of transactions that span a second channel.
+        self.rate = rate
         self.rng = rng
         self.coordinator = coordinator
+        #: The channels a cross-channel transaction of this one may span.
+        self.partners = (
+            []
+            if coordinator is None
+            else [other.index for other in coordinator.channels if other.index != self.index]
+        )
         self.cross_channel_submitted = 0
 
     def abort_early(self, tx: Transaction, code: ValidationCode, reason=None) -> None:
@@ -61,12 +66,10 @@ class ChannelGateway:
     def submit(self, tx: Transaction) -> None:
         """Maybe mark ``tx`` cross-channel, and route it onwards."""
         if (
-            self.coordinator is not None  # given only to an enabled mix
-            and self.rng.random() < self.cross_channel.rate
+            self.coordinator is not None  # built only when some traffic crosses
+            and self.rng.random() < self.rate
         ):
-            tx.partner_channel = self.router.pick_partner(
-                self.index, self.rng, self.cross_channel.partner_strategy
-            )
+            tx.partner_channel = self.rng.choice(self.partners)
             self.cross_channel_submitted += 1
             partner_faults = self.coordinator.channels[tx.partner_channel].faults
             if partner_faults is not None and not partner_faults.orderer_available():

@@ -1,8 +1,13 @@
 """A channel group: some of a deployment's channels on one clock.
 
 The group is the unit every execution plan of
-:class:`~repro.channels.network.MultiChannelNetwork` is made of.  It knows
-how to *build* its channels' Fabric slices
+:class:`~repro.channels.network.MultiChannelNetwork` is made of, and the one
+place that builds what couples channels: the key-space
+:class:`~repro.channels.topology.ChannelTopology`, the resubmission governor
+(one token bucket for every channel of the group) and, when its channels
+exchange cross traffic, the
+:class:`~repro.channels.coordinator.CrossChannelCoordinator`.  It knows how
+to *build* its channels' Fabric slices
 (:class:`~repro.network.network.Channel`, each with its own lifecycle bus) on
 one :class:`~repro.sim.engine.Simulator`, with one
 :class:`~repro.observability.observer.RunObserver` handling every
@@ -27,7 +32,7 @@ from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 from repro.chaincode import create_chaincode
 from repro.channels.channel import ChannelGateway
 from repro.channels.coordinator import CrossChannelCoordinator
-from repro.channels.topology import ChannelRouter, ChannelTopology, ShardedKeyDistribution
+from repro.channels.topology import ChannelTopology, ShardedKeyDistribution
 from repro.fabric.variant import create_variant
 from repro.lifecycle.retry import ResubmissionGovernor
 from repro.lifecycle.tally import ChannelTally
@@ -38,7 +43,7 @@ from repro.sim.collector import quiet_collector
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workload.distributions import KeyDistribution
-from repro.workload.spec import CrossChannelMix, TransactionMix
+from repro.workload.spec import TransactionMix
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,6 @@ class GroupSpec:
     #: The registered Fabric variant every channel builds.
     variant: str
     seed: int
-    topology: ChannelTopology
-    router: ChannelRouter
-    cross_channel: CrossChannelMix
     #: The channel indices this group builds, ascending.
     channels: Tuple[int, ...]
     #: Keep every channel's chain (see :class:`~repro.lifecycle.recorder.ChainRecorder`).
@@ -89,30 +91,41 @@ class GroupResult:
 class ChannelGroup:
     """The channels ``spec.channels`` of a deployment, on one simulator."""
 
-    def __init__(self, spec: GroupSpec, governor: Optional[ResubmissionGovernor]) -> None:
+    def __init__(self, spec: GroupSpec) -> None:
         self.spec = spec
+        config = spec.config
         self.sim = Simulator()
         streams = RandomStreams(spec.seed)
-        shares = spec.topology.arrival_shares()
+        self.topology = ChannelTopology(config.channels, config.placement)
+        shares = self.topology.arrival_shares()
+        #: One governor for every channel of the group, so a resubmission rate
+        #: cap is one token bucket; a capped deployment is always one group.
+        governor = (
+            ResubmissionGovernor(config.retry.rate_cap) if config.retry.enabled else None
+        )
         self.channels: List[Channel] = [
             Channel(
-                config=spec.config.copy(),
+                config=config.copy(),
                 chaincode=create_chaincode(spec.chaincode, **spec.chaincode_kwargs),
                 variant=create_variant(spec.variant),
                 seed=spec.seed,
                 sim=self.sim,
                 streams=streams,
                 # The one place the single-channel identity is decided.
-                label=None if spec.topology.channels == 1 else index,
+                label=None if config.channels == 1 else index,
                 arrival_share=shares[index],
                 record_chain=spec.record_chain,
-                # The deployment's resubmission governor (``None``: every slice
-                # makes its own, which is only equivalent while there is no
-                # rate cap).
                 retry_governor=governor,
             )
             for index in spec.channels
         ]
+        #: Two-phase commit across the group's channels: ``None`` unless it
+        #: holds two or more of them and some traffic crosses.
+        self.coordinator: Optional[CrossChannelCoordinator] = (
+            CrossChannelCoordinator(self.channels, streams.stream("coordinator"))
+            if len(self.channels) > 1 and config.cross_channel_rate > 0
+            else None
+        )
         self.gateways: List[ChannelGateway] = []
         #: One observer for the whole group: its channels share the clock.
         self.observer: Optional[RunObserver] = None
@@ -131,11 +144,9 @@ class ChannelGroup:
                 if channel.faults is not None:
                     self.observer.watch_faults(channel.faults)
 
-    def run(
-        self, args: RunArgs, coordinator: Optional[CrossChannelCoordinator] = None
-    ) -> GroupResult:
+    def run(self, args: RunArgs) -> GroupResult:
         """Start the clients, drain the clock and collect the group."""
-        self.start_clients(args, coordinator)
+        self.start_clients(args)
         if self.observer is not None:
             with self.observer.profile():
                 self.sim.run_until_empty()
@@ -143,20 +154,16 @@ class ChannelGroup:
             self.sim.run_until_empty()
         return self.collect(args)
 
-    def start_clients(
-        self, args: RunArgs, coordinator: Optional[CrossChannelCoordinator]
-    ) -> None:
+    def start_clients(self, args: RunArgs) -> None:
         """Schedule every channel's client arrivals for the run."""
-        spec = self.spec
         if self.observer is not None:
             self.observer.on_run_start(args.duration)
         self.gateways = [
             ChannelGateway(
                 channel=channel,
-                router=spec.router,
-                cross_channel=spec.cross_channel,
+                rate=self.spec.config.cross_channel_rate,
                 rng=channel.streams.stream("cross-channel"),
-                coordinator=coordinator if spec.cross_channel.enabled else None,
+                coordinator=self.coordinator,
             )
             for channel in self.channels
         ]
@@ -167,7 +174,7 @@ class ChannelGroup:
                 duration=args.duration,
                 key_distribution=args.key_distribution,
                 primary_distribution=ShardedKeyDistribution(
-                    topology=spec.topology, channel=channel.index, base=args.key_distribution
+                    topology=self.topology, channel=channel.index, base=args.key_distribution
                 ),
                 orderer=gateway,
             )
@@ -202,11 +209,9 @@ class ChannelGroup:
         )
 
 
-def simulate_group(
-    spec: GroupSpec, args: RunArgs, governor: Optional[ResubmissionGovernor] = None
-) -> GroupResult:
+def simulate_group(spec: GroupSpec, args: RunArgs) -> GroupResult:
     """Build one independent group, drain it on its own clock and collect it."""
-    return ChannelGroup(spec, governor).run(args)
+    return ChannelGroup(spec).run(args)
 
 
 @quiet_collector()

@@ -1,13 +1,13 @@
 """The Fabric deployment: channel groups, a plan, one merge.
 
 :class:`MultiChannelNetwork` is the one deployment class and the one ``run``:
-it builds one complete Fabric slice per channel
-(:class:`~repro.network.network.Channel`: ledger, state store, ordering
-service, peers), partitions the key space across the channels with a
-:class:`~repro.channels.topology.ChannelTopology`, routes the configured
-fraction of transactions through the
-:class:`~repro.channels.coordinator.CrossChannelCoordinator`, and returns an
-aggregate :class:`~repro.network.network.RunRecord` carrying one
+it plans the channels into groups, has each group build its complete Fabric
+slices (:class:`~repro.network.network.Channel`: ledger, state store,
+ordering service, peers) together with whatever couples them — the key-space
+:class:`~repro.channels.topology.ChannelTopology`, the resubmission governor
+and the :class:`~repro.channels.coordinator.CrossChannelCoordinator` that
+carries the configured fraction of cross-channel transactions — and returns
+an aggregate :class:`~repro.network.network.RunRecord` carrying one
 :class:`~repro.network.network.ChannelRecord` per channel.  The
 single-channel network of the paper is its one-channel plan — ``shared-clock``
 with one group of one channel, no coordinator — whose merged record *is* that
@@ -25,9 +25,9 @@ groups there are and who advances their clocks — is one rule over the config
     concurrently (their events interleave in global virtual-time order) and
     cross-channel hops are ordinary events on the one clock.  The reference
     semantics, and what every configuration that couples its channels runs
-    as: one channel, any positive cross-channel rate (both partner
-    strategies, ``uniform`` and the ``neighbor`` ring, connect every channel
-    to every other through the two-phase prepare), a *global* resubmission
+    as: one channel, any positive cross-channel rate (a partner is drawn
+    uniformly from every other channel, so the two-phase prepare connects
+    every channel to every other), a *global* resubmission
     rate cap (one token bucket cannot be split across clocks), an observer
     (its sample grids end where each clock does) or a recorded chain (its
     transactions stay in the process that reads them).
@@ -73,7 +73,6 @@ import pickle
 import tempfile
 from typing import Any, List, Mapping, Optional, Tuple
 
-from repro.channels.coordinator import CrossChannelCoordinator
 from repro.channels.group import (
     ChannelGroup,
     GroupResult,
@@ -83,16 +82,13 @@ from repro.channels.group import (
     simulate_group_to_file,
 )
 from repro.channels.merge import merge_group_results
-from repro.channels.topology import ChannelRouter, ChannelTopology
 from repro.errors import ConfigurationError, SimulationError
-from repro.lifecycle.retry import ResubmissionGovernor
 from repro.network.config import NetworkConfig
 from repro.network.network import Channel, RunRecord
 from repro.sim.collector import quiet_collector
-from repro.sim.rng import RandomStreams
 from repro.sim.shard import process_pool, resolve_worker_count
 from repro.workload.distributions import KeyDistribution
-from repro.workload.spec import CrossChannelMix, TransactionMix
+from repro.workload.spec import TransactionMix
 
 
 def plan_groups(
@@ -100,11 +96,12 @@ def plan_groups(
 ) -> Tuple[str, Tuple[Tuple[int, ...], ...]]:
     """The execution plan of ``config``: ``(execution mode, channels per group)``.
 
-    Channels run apart only when nothing couples them: no cross traffic (every
-    partner strategy connects all channels), no resubmission rate cap (one
-    token bucket across all channels, which a process cannot slice), no
-    observer (one sample grid on one clock, which per-shard grids are not)
-    and no recorded chain (a shard ships its tally, never its transactions).
+    Channels run apart only when nothing couples them: no cross traffic (a
+    partner is any other channel, so it connects all of them), no
+    resubmission rate cap (one token bucket across all channels, which a
+    process cannot slice), no observer (one sample grid on one clock, which
+    per-shard grids are not) and no recorded chain (a shard ships its tally,
+    never its transactions).
     """
     rate_capped = config.retry.enabled and config.retry.rate_cap is not None
     if (
@@ -126,8 +123,7 @@ class MultiChannelNetwork:
     :class:`~repro.sim.profile.EngineProfiler` attached to ``sim`` before
     :meth:`run` observes the whole run, and each channel's ``bus`` carries
     its events.  On the sharded plan the groups live where they run, so
-    ``sim`` is ``None``, ``channels`` is empty and ``coordinator`` is
-    ``None`` (a topology that partitions has no cross traffic) — what
+    ``group`` and ``sim`` are ``None`` and ``channels`` is empty — what
     happened surfaces in the record.
 
     ``record_chain`` keeps every channel's blocks and attempts for a consumer
@@ -142,29 +138,12 @@ class MultiChannelNetwork:
         variant: str,
         chaincode_kwargs: Optional[Mapping[str, Any]] = None,
         seed: int = 7,
-        hot_share: float = 0.5,
-        partner_strategy: str = "uniform",
         record_chain: bool = False,
     ) -> None:
         config = config.copy()
         config.validate()
         self.config = config
         self.seed = seed
-        self.streams = RandomStreams(seed)
-        self.topology = ChannelTopology(
-            channels=config.channels, placement=config.placement, hot_share=hot_share
-        )
-        self.router = ChannelRouter(self.topology)
-        self.cross_channel = CrossChannelMix(
-            rate=config.cross_channel_rate, partner_strategy=partner_strategy
-        )
-        #: One governor for the whole deployment, handed to every in-process
-        #: group: the resubmission rate cap is global, not per channel slice.
-        #: (Pool workers cannot share it, which is why a capped configuration
-        #: never plans a pool.)
-        self.retry_governor = (
-            ResubmissionGovernor(config.retry.rate_cap) if config.retry.enabled else None
-        )
         self.execution_mode, parts = plan_groups(config, record_chain)
         self._specs = [
             GroupSpec(
@@ -173,9 +152,6 @@ class MultiChannelNetwork:
                 chaincode_kwargs=dict(chaincode_kwargs or {}),
                 variant=variant,
                 seed=seed,
-                topology=self.topology,
-                router=self.router,
-                cross_channel=self.cross_channel,
                 channels=part,
                 record_chain=record_chain,
             )
@@ -186,20 +162,11 @@ class MultiChannelNetwork:
         #: plan, whose groups are built where they run (a pool worker, or
         #: :meth:`run`).
         self.group: Optional[ChannelGroup] = (
-            None
-            if self.execution_mode == "sharded"
-            else ChannelGroup(self._specs[0], self.retry_governor)
+            None if self.execution_mode == "sharded" else ChannelGroup(self._specs[0])
         )
         group = self.group
         self.sim = group.sim if group else None
         self.channels: List[Channel] = list(group.channels) if group else []
-        #: Two-phase commit needs two channels in this process: ``None`` for a
-        #: one-channel deployment and on the sharded plan.
-        self.coordinator: Optional[CrossChannelCoordinator] = (
-            CrossChannelCoordinator(self.channels, self.streams.stream("coordinator"))
-            if len(self.channels) > 1
-            else None
-        )
         #: Filled by :meth:`run`: processes that simulated (this one included)
         #: and the bytes of the result files the pool's shards wrote (0 when
         #: every group ran in-process; this process's own shards cross nothing).
@@ -226,7 +193,7 @@ class MultiChannelNetwork:
             results = self._drain_shards(args)
         else:
             self.shard_workers_used = 1
-            results = [self.group.run(args, self.coordinator)]
+            results = [self.group.run(args)]
         return merge_group_results(
             results,
             config=self.config,
@@ -245,7 +212,7 @@ class MultiChannelNetwork:
         shipped = [index for index in range(len(specs)) if index % workers]
         self.shard_workers_used = workers
         if workers == 1:
-            return [simulate_group(spec, args, self.retry_governor) for spec in specs]
+            return [simulate_group(spec, args) for spec in specs]
         results: List[Optional[GroupResult]] = [None] * len(specs)
         # The pool's shards come back as files in a directory of this run:
         # the pool pipe carries each one's size only.  Leaving the ``with``
@@ -256,21 +223,33 @@ class MultiChannelNetwork:
         with tempfile.TemporaryDirectory(prefix="repro-shards-") as directory:
             paths = [os.path.join(directory, f"shard-{index}.pickle") for index in shipped]
             with process_pool(workers - 1) as pool:
-                sizes = [
-                    pool.submit(simulate_group_to_file, specs[index], args, path)
-                    for index, path in zip(shipped, paths)
-                ]
+                sizes = []
+                try:
+                    for index, path in zip(shipped, paths):
+                        sizes.append(pool.submit(simulate_group_to_file, specs[index], args, path))
+                except BrokenProcessPool as error:
+                    # A worker died while shards were still being queued: name
+                    # the first queued shard it took down, else the refused one.
+                    lost = next(
+                        (index for index, size in zip(shipped, sizes) if size.exception()),
+                        shipped[len(sizes)],
+                    )
+                    raise _lost_shard(specs[lost]) from error
                 for index in range(0, len(specs), workers):
-                    results[index] = simulate_group(specs[index], args, self.retry_governor)
+                    results[index] = simulate_group(specs[index], args)
                 for index, path, size in zip(shipped, paths, sizes):
                     try:
                         self.shard_transport_bytes += size.result()
                     except BrokenProcessPool as error:
-                        channels = ", ".join(map(str, specs[index].channels))
-                        raise SimulationError(
-                            f"the shard worker process of channel(s) {channels} died "
-                            "before returning its shard"
-                        ) from error
+                        raise _lost_shard(specs[index]) from error
                     with open(path, "rb") as file:
                         results[index] = pickle.load(file)
         return results
+
+
+def _lost_shard(spec: GroupSpec) -> SimulationError:
+    """The error of a shard whose pool worker process died."""
+    channels = ", ".join(map(str, spec.channels))
+    return SimulationError(
+        f"the shard worker process of channel(s) {channels} died before returning its shard"
+    )

@@ -17,13 +17,11 @@ workloads: each channel has its own ledger, world state and ordering service.
   the cold tail round-robin.  This models the common anti-pattern of putting
   one popular application on its own channel.
 
-:class:`ChannelRouter` adds the dynamic decisions on top of the static
-topology: which channel a request belongs to and which partner channel a
-cross-channel transaction spans.  :class:`ShardedKeyDistribution` adapts a
-shard to the :class:`~repro.workload.distributions.KeyDistribution` protocol
-so a channel's :class:`~repro.workload.generator.WorkloadGenerator` draws
-primary entities from its shard only (with the base distribution renormalized
-over the shard by rejection sampling).
+:class:`ShardedKeyDistribution` adapts a shard to the
+:class:`~repro.workload.distributions.KeyDistribution` protocol so a
+channel's :class:`~repro.workload.generator.WorkloadGenerator` draws primary
+entities from its shard only (with the base distribution renormalized over
+the shard by rejection sampling).
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.network.config import PLACEMENT_POLICIES
 from repro.workload.distributions import KeyDistribution, SamplerDraws, UniformDistribution
-from repro.workload.generator import TransactionRequest
 
 #: Knuth's multiplicative hash constant; spreads consecutive indices.
 _HASH_MULTIPLIER = 2654435761
@@ -170,28 +167,3 @@ class ShardedKeyDistribution(SamplerDraws):
             f"placement={self.topology.placement!r}, base={self.base!r})"
         )
 
-
-class ChannelRouter:
-    """Routes requests and picks cross-channel partners on a topology."""
-
-    def __init__(self, topology: ChannelTopology) -> None:
-        self.topology = topology
-
-    def route_request(self, request: TransactionRequest, population: int) -> int:
-        """The home channel of ``request`` (channel 0 when no entity was drawn)."""
-        if request.entity_index is None or population <= 0:
-            return 0
-        index = min(request.entity_index, population - 1)
-        return self.topology.channel_of_index(index, population)
-
-    def pick_partner(
-        self, home: int, rng: random.Random, strategy: str = "uniform"
-    ) -> int:
-        """The second channel of a cross-channel transaction starting at ``home``."""
-        self.topology._check_channel(home)
-        if self.topology.channels < 2:
-            raise ConfigurationError("cross-channel routing needs at least two channels")
-        if strategy == "neighbor":
-            return (home + 1) % self.topology.channels
-        others = [index for index in range(self.topology.channels) if index != home]
-        return rng.choice(others)

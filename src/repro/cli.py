@@ -710,6 +710,7 @@ def _command_run(args: argparse.Namespace) -> int:
                 for key, value in (
                     ("trace", args.trace_out),
                     ("metrics", args.metrics_out),
+                    ("history", args.history_out),
                 )
                 if value is not None
             }

@@ -231,8 +231,9 @@ class ResubmissionGovernor:
 
     Tokens replenish at ``rate_cap`` per simulated second up to a burst of
     ``max(1, rate_cap)``; every resubmission costs one token.  A ``None``
-    rate cap admits everything.  Multi-channel deployments share one governor
-    across all channel slices, making the cap genuinely global.
+    rate cap admits everything.  A channel group builds one and shares it
+    across its channel slices; a capped deployment is one group, so the cap is
+    genuinely global.
     """
 
     def __init__(self, rate_cap: Optional[float]) -> None:
@@ -265,8 +266,8 @@ class RetryController:
     One controller serves one Fabric slice (a
     :class:`~repro.network.network.Channel`, which builds it once): it
     handles the slice's ``ABORTED`` events, and on every one consults the
-    policy, the per-client budget and the (possibly shared) governor before
-    scheduling ``client.resubmit`` on the simulator.
+    policy, the per-client budget and the governor its channel group shares
+    among its channels before scheduling ``client.resubmit`` on the simulator.
     """
 
     def __init__(
@@ -275,16 +276,14 @@ class RetryController:
         bus: LifecycleBus,
         policy: RetryPolicy,
         rng: random.Random,
+        governor: ResubmissionGovernor,
         budget: Optional[RetryBudget] = None,
-        governor: Optional[ResubmissionGovernor] = None,
     ) -> None:
         self.sim = sim
         self.policy = policy
         self.rng = rng
+        self.governor = governor
         self.budget = budget if budget is not None else RetryBudget(policy.config.budget)
-        self.governor = (
-            governor if governor is not None else ResubmissionGovernor(policy.config.rate_cap)
-        )
         self._clients: Dict[str, "ClientNode"] = {}
         self.resubmissions = 0
         self.retries_exhausted = 0

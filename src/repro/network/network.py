@@ -240,8 +240,8 @@ class Channel:
         streams: RandomStreams,
         label: Optional[int],
         arrival_share: float,
+        retry_governor: Optional[ResubmissionGovernor],
         record_chain: bool = False,
-        retry_governor: Optional[ResubmissionGovernor] = None,
     ) -> None:
         self.variant = variant
         self.config = variant.configure(config.copy())
@@ -326,9 +326,8 @@ class Channel:
         )
         #: Resubmits this slice's aborted attempts (``None`` without a retry
         #: policy).  Built last, so it hears an abort after the tally, the
-        #: recorder and the checker.  ``retry_governor`` optionally injects a
-        #: shared resubmission-rate governor (the group passes the one
-        #: deployment-wide instance so the cap is global across channels).
+        #: recorder and the checker, around ``retry_governor``: the one its
+        #: group shares among its channels, so a rate cap is one bucket.
         self.retry_controller: Optional[RetryController] = (
             RetryController(
                 sim=self.sim,

@@ -28,8 +28,7 @@ class TransactionRequest:
 
     ``entity_index`` records the primary entity drawn for the request (the
     first index-chooser call of ``sample_args``), or ``None`` for functions
-    that select no entity.  It is diagnostic metadata — e.g. for
-    :meth:`repro.channels.topology.ChannelRouter.route_request` and shard
+    that select no entity.  It is diagnostic metadata — e.g. for shard
     assertions in tests — and does not influence execution.
     """
 

@@ -4,9 +4,7 @@ A :class:`TransactionMix` is a weighted set of chaincode functions; a
 :class:`WorkloadSpec` couples a mix with the chaincode it targets (and the
 constructor arguments of that chaincode) so experiments can be described
 declaratively, exactly like the paper's "read-heavy", "update-heavy" and
-use-case workloads.  A :class:`CrossChannelMix` additionally describes which
-fraction of a multi-channel workload spans a second channel (see
-:mod:`repro.channels`).
+use-case workloads.
 """
 
 from __future__ import annotations
@@ -59,38 +57,6 @@ class TransactionMix:
     def as_dict(self) -> Dict[str, float]:
         """The mix as a plain dict."""
         return dict(self.weights)
-
-
-@dataclass(frozen=True)
-class CrossChannelMix:
-    """The cross-channel component of a multi-channel workload.
-
-    ``rate`` is the fraction of submitted-for-ordering transactions that span
-    a second channel; ``partner_strategy`` selects that second channel —
-    ``uniform`` picks any other channel with equal probability, ``neighbor``
-    always picks the next channel (ring order), which concentrates the 2PC
-    prepare traffic pairwise.
-    """
-
-    rate: float = 0.0
-    partner_strategy: str = "uniform"
-
-    #: The partner-selection strategies understood by the channel router.
-    STRATEGIES = ("uniform", "neighbor")
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise WorkloadError(f"the cross-channel rate must be in [0, 1], got {self.rate}")
-        if self.partner_strategy not in self.STRATEGIES:
-            known = ", ".join(self.STRATEGIES)
-            raise WorkloadError(
-                f"unknown partner strategy {self.partner_strategy!r}; known: {known}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        """True when any cross-channel traffic is generated."""
-        return self.rate > 0.0
 
 
 @dataclass

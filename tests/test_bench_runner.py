@@ -7,10 +7,13 @@ import os
 import pickle
 import subprocess
 import sys
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
 
 import pytest
 from test_runner_results import ENTRY_CEILING_BYTES
+from test_sharded_execution import experiment, run_cell
 
 from repro.bench.harness import (
     ExperimentConfig,
@@ -26,8 +29,9 @@ from repro.bench.runner import (
 )
 from repro.bench.reporting import format_progress
 from repro.chaincode.generator import ChaincodeGenerator, FunctionSpec
+from repro.channels import network as channel_network
 from repro.core.analyzer import ExperimentAnalysis
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.lifecycle.retry import RetryConfig
 from repro.network.config import NetworkConfig
 from repro.observability.config import ObservabilityConfig
@@ -605,6 +609,46 @@ def test_a_killed_pool_worker_is_an_error_naming_what_it_ran(pool):
     )
     error = completed.stderr.strip().splitlines()[-1]
     assert error.startswith(f"repro.errors.SimulationError: {message}"), completed.stderr
+
+
+class PoolBrokenWhileQueueing:
+    """A pool whose worker dies before the second shard is queued."""
+
+    def __init__(self, first_shard_lost: bool) -> None:
+        self.first_shard_lost = first_shard_lost
+        self.queued = 0
+
+    def submit(self, fn, *args):
+        if self.queued:
+            raise BrokenProcessPool("a child process terminated abruptly")
+        self.queued += 1
+        future = Future()
+        if self.first_shard_lost:
+            future.set_exception(BrokenProcessPool("a child process terminated abruptly"))
+        else:
+            future.set_result(0)
+        return future
+
+
+@pytest.mark.parametrize("first_shard_lost, named", [(True, "1"), (False, "3")])
+def test_a_pool_broken_while_shards_are_queued_is_an_error_naming_a_shard(
+    first_shard_lost, named, monkeypatch
+):
+    # Six channels on two processes ship shards 1, 3 and 5; the pool breaks
+    # on queueing shard 3, so the error names the queued shard the dead
+    # worker took down, or, when none was, the shard the pool refused.
+    pool = PoolBrokenWhileQueueing(first_shard_lost)
+    monkeypatch.setattr(
+        channel_network, "process_pool", lambda workers: contextlib.nullcontext(pool)
+    )
+    monkeypatch.delenv(PROCESS_BUDGET_ENV, raising=False)
+    with pytest.raises(SimulationError) as raised:
+        run_cell(experiment(ExecutionConfig(shard_workers=2), channels=6))
+    assert str(raised.value) == (
+        f"the shard worker process of channel(s) {named} died before returning its shard"
+    )
+    assert isinstance(raised.value.__cause__, BrokenProcessPool)
+    assert pool.queued == 1
 
 
 def test_sharded_repetitions_run_under_the_parallel_runner():

@@ -8,7 +8,6 @@ from repro.bench.harness import ExperimentConfig, run_experiment, run_repetition
 from repro.bench.runner import ExperimentRunner, ResultCache
 from repro.channels.group import GroupResult, RunArgs
 from repro.channels.merge import merge_group_results
-from repro.channels.network import MultiChannelNetwork
 from repro.core.failures import MVCC, FailureType
 from repro.errors import ConfigurationError, SimulationError
 from repro.ledger.block import ValidationCode
@@ -190,26 +189,6 @@ def test_aggregate_record_reports_the_variant_configured_parameters():
     assert analysis.metrics.block_size == 1
     for channel in analysis.channel_analyses:
         assert channel.metrics.block_size == 1
-
-
-def test_neighbor_partner_strategy_forms_a_ring():
-    experiment = channel_config(channels=3, cross_channel_rate=0.5, arrival_rate=150.0)
-    network = MultiChannelNetwork(
-        config=experiment.network.copy(),
-        chaincode=experiment.workload.chaincode,
-        chaincode_kwargs=experiment.workload.chaincode_kwargs,
-        variant="fabric-1.4",
-        seed=5,
-        partner_strategy="neighbor",
-        record_chain=True,
-    )
-    record = network.run(
-        mix=experiment.workload.mix, arrival_rate=150.0, duration=2.0
-    )
-    cross = [tx for tx in record.transactions if tx.partner_channel is not None]
-    assert cross
-    for tx in cross:
-        assert tx.partner_channel == (tx.channel + 1) % 3
 
 
 def test_cross_channel_rate_zero_produces_no_cross_traffic():

@@ -1,4 +1,4 @@
-"""Tests for the channel topology, placement policies, router and sharding."""
+"""Tests for the channel topology, placement policies and sharding."""
 
 from __future__ import annotations
 
@@ -6,10 +6,9 @@ import random
 
 import pytest
 
-from repro.channels.topology import ChannelRouter, ChannelTopology, ShardedKeyDistribution
+from repro.channels.topology import ChannelTopology, ShardedKeyDistribution
 from repro.errors import ConfigurationError
 from repro.workload.distributions import ZipfianDistribution
-from repro.workload.generator import TransactionRequest
 
 POPULATION = 1000
 
@@ -118,36 +117,3 @@ def test_sharded_distribution_falls_back_when_the_shard_is_empty():
     rng = random.Random(7)
     index = sharded.sample(rng, 2)
     assert index in (0, 1)
-
-
-# --------------------------------------------------------------------- router
-def test_router_routes_requests_by_primary_entity():
-    topology = ChannelTopology(channels=4, placement="range")
-    router = ChannelRouter(topology)
-    request = TransactionRequest(function="f", args=(), read_only=False, entity_index=900)
-    assert router.route_request(request, POPULATION) == 3
-    no_entity = TransactionRequest(function="f", args=(), read_only=True)
-    assert router.route_request(no_entity, POPULATION) == 0
-
-
-def test_router_picks_a_distinct_uniform_partner():
-    topology = ChannelTopology(channels=4, placement="hash")
-    router = ChannelRouter(topology)
-    rng = random.Random(3)
-    partners = {router.pick_partner(1, rng) for _ in range(50)}
-    assert 1 not in partners
-    assert partners == {0, 2, 3}
-
-
-def test_router_neighbor_strategy_is_a_ring():
-    topology = ChannelTopology(channels=3, placement="hash")
-    router = ChannelRouter(topology)
-    rng = random.Random(3)
-    assert router.pick_partner(0, rng, strategy="neighbor") == 1
-    assert router.pick_partner(2, rng, strategy="neighbor") == 0
-
-
-def test_router_rejects_cross_channel_on_single_channel():
-    router = ChannelRouter(ChannelTopology(channels=1))
-    with pytest.raises(ConfigurationError):
-        router.pick_partner(0, random.Random(1))

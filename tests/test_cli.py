@@ -1156,7 +1156,7 @@ def test_sharded_and_shared_clock_runs_print_identical_metrics(capsys, tmp_path)
     assert shared["result"]["execution"] == "shared-clock"
     assert sharded["result"]["execution"] == "sharded"
     del shared["config"]["shard_workers"], sharded["config"]["shard_workers"]
-    del shared["exports"]  # what the history file adds to the document
+    assert shared.pop("exports") == {"history": history}  # what recording adds
     for document in (shared, sharded):
         document["result"].pop("execution")
         document["result"].pop("shard_count")
@@ -1229,6 +1229,7 @@ def test_run_check_isolation_and_offline_recheck_agree(tmp_path, capsys):
     assert exit_code == 0
     assert document["result"]["isolation"]["verdict"] == "CERTIFIED-SERIALIZABLE"
     assert history.is_file()
+    assert document["exports"] == {"history": str(history)}
     exit_code = main(["check", str(history), "--json"])
     checked = json.loads(capsys.readouterr().out)
     assert exit_code == 0

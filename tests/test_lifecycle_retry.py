@@ -253,7 +253,11 @@ def test_rate_denied_resubmissions_do_not_burn_the_client_budget():
     sim, bus = Simulator(), LifecycleBus()
     config = RetryConfig(policy="immediate", max_retries=9, budget=3, rate_cap=1.0)
     controller = RetryController(
-        sim=sim, bus=bus, policy=create_retry_policy(config), rng=random.Random(1)
+        sim=sim,
+        bus=bus,
+        policy=create_retry_policy(config),
+        rng=random.Random(1),
+        governor=ResubmissionGovernor(config.rate_cap),
     )
     client = StubClient()
     controller.register(client)

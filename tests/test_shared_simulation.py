@@ -27,7 +27,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from corpus import CHANNEL_COUNTS, VARIANTS, golden_config
+from corpus import CHANNEL_COUNTS, PIN_CELLS, VARIANTS, golden_config
 from test_collector import build_cell, run_cell
 
 from repro.bench.harness import ExperimentConfig, run_repetition
@@ -157,6 +157,15 @@ def test_out_of_sequence_commits_share_nothing_they_should_not(variant, monkeypa
         assert everything_computed(config)[0] != shared[0]
 
 
+def out_of_sequence_counts(deployment):
+    return [
+        peer.store.out_of_sequence_batches
+        for channel in deployment.channels
+        for peer in channel.peers
+        if peer.store is not None
+    ]
+
+
 @pytest.mark.parametrize("jitter", [None, 0.5])
 def test_every_replica_counts_the_batches_it_applied_out_of_block_order(jitter):
     # At the default delivery jitter no peer applies a block before the one
@@ -164,17 +173,26 @@ def test_every_replica_counts_the_batches_it_applied_out_of_block_order(jitter):
     config = ehr_cell() if jitter is None else ehr_cell(timing=TimingProfile(delivery_jitter=jitter))
     deployment = build_cell(config, record_chain=False)
     run_cell(config, deployment)
-    counts = [
-        peer.store.out_of_sequence_batches
-        for channel in deployment.channels
-        for peer in channel.peers
-        if peer.store is not None
-    ]
+    counts = out_of_sequence_counts(deployment)
     assert len(counts) == 8
     if jitter is None:
         assert counts == [0] * 8
     else:
         assert min(counts) > 0
+
+
+def test_crashed_replicas_catch_up_on_deferred_blocks_in_block_order():
+    # On the chaos pin cell crashed peers defer the blocks delivered while
+    # they are down and catch up on recovery; the catch-up applies them in
+    # block order, so no replica counts an out-of-sequence batch.
+    config = PIN_CELLS["chaos/C2"]
+    deployment = build_cell(config, record_chain=False)
+    record = run_cell(config, deployment)
+    assert out_of_sequence_counts(deployment) == [0] * 8
+    # Not vacuous: peers did crash, recover and catch up on deferred blocks.
+    faults = record.fault_injections
+    assert faults["peer_crash"] == faults["peer_recover"] > 0
+    assert faults["deferred_block_deliveries"] > 0
 
 
 @pytest.mark.parametrize("channels", CHANNEL_COUNTS)

@@ -8,9 +8,11 @@ import random
 import pytest
 
 from repro.bench.harness import ExperimentConfig
+from repro.channels.channel import ChannelGateway
 from repro.channels.network import plan_groups
-from repro.channels.topology import ChannelRouter, ChannelTopology
 from repro.errors import ConfigurationError
+from repro.ledger.block import Transaction
+from repro.lifecycle.pipeline import build_network
 from repro.lifecycle.retry import RetryConfig
 from repro.network.config import NetworkConfig
 from repro.observability.config import ObservabilityConfig
@@ -20,7 +22,6 @@ from repro.sim.shard import (
     process_budget,
     resolve_worker_count,
 )
-from repro.workload.spec import CrossChannelMix
 from repro.workload.workloads import uniform_workload
 
 
@@ -65,25 +66,35 @@ def test_plan_groups_shards_exactly_the_uncoupled_uncapped_deployments(
         assert groups == (tuple(range(channels)),)
 
 
-@pytest.mark.parametrize("strategy", CrossChannelMix.STRATEGIES)
 @pytest.mark.parametrize("channels", range(2, 9))
-def test_every_partner_strategy_connects_every_channel(strategy, channels):
+def test_a_gateway_draws_every_other_channel_of_its_group_and_never_its_own(channels):
     # The premise of the rule: any cross traffic couples all channels, so a
     # positive rate can never split a deployment into more than one shard.
-    router = ChannelRouter(ChannelTopology(channels=channels))
-    rng = random.Random(channels)
-    neighbours = {home: set() for home in range(channels)}
-    for home in range(channels):
-        for _ in range(64):
-            partner = router.pick_partner(home, rng, strategy)
-            neighbours[home].add(partner)
-            neighbours[partner].add(home)
-    reached, frontier = {0}, [0]
-    while frontier:
-        for partner in neighbours[frontier.pop()] - reached:
-            reached.add(partner)
-            frontier.append(partner)
-    assert reached == set(range(channels))
+    config = _experiment(ExecutionConfig())
+    config = config.with_overrides(
+        network=config.network.copy(channels=channels, cross_channel_rate=0.5)
+    )
+    deployment = build_network(
+        config.network,
+        config.workload.chaincode,
+        config.variant,
+        chaincode_kwargs=config.workload.chaincode_kwargs,
+    )
+    coordinator = deployment.group.coordinator
+    assert coordinator.channels == deployment.channels
+    for channel in deployment.channels:
+        # Rate 1: every submission crosses, so every one draws a partner.
+        gateway = ChannelGateway(channel, 1.0, random.Random(channel.index), coordinator)
+        drawn = set()
+        for attempt in range(64):
+            tx = Transaction(
+                tx_id=f"t{channel.index}-{attempt}", client_name="c",
+                chaincode_name="EHR", function="f",
+            )
+            gateway.submit(tx)
+            drawn.add(tx.partner_channel)
+        assert gateway.cross_channel_submitted == 64
+        assert drawn == set(range(channels)) - {channel.index}
 
 
 # -------------------------------------------------------------- ExecutionConfig

@@ -85,7 +85,7 @@ def test_one_channel_deployment_is_the_one_group_shared_clock_plan(shard_workers
     )
     deployment = build(config)
     assert deployment.execution_mode == "shared-clock"
-    assert deployment.coordinator is None
+    assert deployment.group.coordinator is None
     (channel,) = deployment.channels
     assert deployment.sim is channel.sim
 
