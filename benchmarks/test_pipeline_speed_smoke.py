@@ -76,24 +76,31 @@ from corpus import assert_pinned  # noqa: E402
 SMOKE_ARRIVAL_RATE = 400.0
 SMOKE_DURATION = 4.0
 SMOKE_SEED = 11
-#: What the cell above does, exactly, on any machine.
-SMOKE_EVENTS = 12_657
+#: What the cell above does, exactly, on any machine.  Its two committers
+#: (peer1 of each organization: no replica, not the reference peer) settle
+#: their blocks without events; while they had two events per block, 12,657.
+SMOKE_EVENTS = 12_013
 SMOKE_TRANSACTIONS = 1_601
-#: What it did while every endorsement response was an event of its own.
-SMOKE_EVENTS_PER_RESPONSE = 14_258
+#: What it does with every endorsement response an event of its own.
+SMOKE_EVENTS_PER_RESPONSE = 13_614
 
 #: The paper's default topology (Table 3), cut short: cluster C2, policy P0,
-#: eight endorsers per proposal, 100 tx/s.  19.813 events per attempt:
-#: 2 * 8 + 3, plus 0.813 of block cutting, delivery and commits.
+#: eight endorsers per proposal, 100 tx/s.  19.214 events per attempt:
+#: 2 * 8 + 3, plus 0.214 of block cutting and of the deliveries and commits
+#: of the eight replicas (7,945 while the 24 committers had events too).
 PAPER_ARRIVAL_RATE = 100.0
-PAPER_EVENTS = 7_945
+PAPER_EVENTS = 7_705
 PAPER_TRANSACTIONS = 401
+#: The same cell on Streamchain, a block per transaction: 2 * 8 + 3 per
+#: attempt plus 2 * 8 + 1 per block, 36 per attempt (84, 33,684 events, while
+#: every peer had two events per block).
+STREAMCHAIN_EVENTS = 14_436
 
 
 #: The same topology on eight channels of one deployment (hash placement,
 #: Zipf 1.0 over 40 patients, 100 tx/s per channel, two simulated seconds),
 #: unobserved: the corpus's ``8-channel/EHR-C2`` cell.
-EIGHT_CHANNEL_EVENTS = 30_750
+EIGHT_CHANNEL_EVENTS = 29_838
 EIGHT_CHANNEL_TRANSACTIONS = 1_553
 #: Lifecycle emissions of the run: the calls of a handler on every type of
 #: every channel bus.
@@ -137,7 +144,9 @@ def smoke_config() -> NetworkConfig:
 
 
 def pipeline_cell(
-    config: NetworkConfig | None = None, arrival_rate: float = SMOKE_ARRIVAL_RATE
+    config: NetworkConfig | None = None,
+    arrival_rate: float = SMOKE_ARRIVAL_RATE,
+    variant: str = "fabric-1.4",
 ) -> dict:
     """One short single-channel full-pipeline run, profiled, its chain recorded."""
     spec = uniform_workload("EHR", patients=40)
@@ -145,7 +154,7 @@ def pipeline_cell(
     network = build_network(
         config,
         spec.chaincode,
-        "fabric-1.4",
+        variant,
         chaincode_kwargs=spec.chaincode_kwargs,
         seed=SMOKE_SEED,
         record_chain=True,
@@ -191,6 +200,18 @@ def test_paper_topology_work_is_pinned_per_attempt():
         f"{PAPER_EVENTS:,} / {PAPER_TRANSACTIONS:,} "
         f"({PAPER_EVENTS / PAPER_TRANSACTIONS:.3f} per attempt)"
     )
+
+
+def test_streamchain_work_is_pinned_per_block():
+    cell = pipeline_cell(
+        NetworkConfig(cluster="C2", database="leveldb"),
+        arrival_rate=PAPER_ARRIVAL_RATE,
+        variant="streamchain",
+    )
+    assert cell["transactions"] == PAPER_TRANSACTIONS
+    # The fan-out, then per block a consensus completion and a delivery and a
+    # validation completion for each of the eight replicas.
+    assert cell["events"] == (2 * 8 + 3 + 2 * 8 + 1) * cell["transactions"] == STREAMCHAIN_EVENTS
 
 
 # ------------------------------------------- eight channels, outside the fan-out

@@ -50,9 +50,6 @@ class CrossChannelCoordinator:
         #: ``(home channel index, key) -> tx_id`` of the transaction holding
         #: the prepare lock.
         self._locks: Dict[Tuple[int, str], str] = {}
-        self.prepares_started = 0
-        self.committed = 0
-        self.aborted = 0
 
     # -------------------------------------------------------------- protocol
     def submit(self, tx: Transaction, home: Channel) -> None:
@@ -66,7 +63,6 @@ class CrossChannelCoordinator:
             return
         for key in keys:
             self._locks[(home.index, key)] = tx.tx_id
-        self.prepares_started += 1
         tx.prepare_started_at = home.sim.now
         self._send(home, self._prepare_on_partner, tx, home, partner)
 
@@ -83,7 +79,6 @@ class CrossChannelCoordinator:
     def _commit_on_home(self, tx: Transaction, home: Channel) -> None:
         """Phase 2: release the locks and order the transaction at home."""
         self._release(tx, home)
-        self.committed += 1
         tx.prepare_completed_at = home.sim.now
         home.orderer.submit(tx)
 
@@ -106,7 +101,6 @@ class CrossChannelCoordinator:
                 + (f" (key {conflicting[0]!r})" if conflicting else "")
             ),
         )
-        self.aborted += 1
 
     def _release(self, tx: Transaction, home: Channel) -> None:
         for key in self._lock_keys(tx):

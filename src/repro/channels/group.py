@@ -149,10 +149,21 @@ class ChannelGroup:
         self.start_clients(args)
         if self.observer is not None:
             with self.observer.profile():
-                self.sim.run_until_empty()
+                self._drain()
         else:
-            self.sim.run_until_empty()
+            self._drain()
         return self.collect(args)
+
+    def _drain(self) -> None:
+        """Run the clock empty, then to the last commit of a committer.
+
+        A committer's commits are no events (see
+        :meth:`~repro.network.peer.Peer.settle`), so the clock stops at the
+        last one only when told to: the end time, and with it the horizon of
+        every utilization, is the event path's.
+        """
+        self.sim.run_until_empty()
+        self.sim.run(until=max(channel.settle_committers() for channel in self.channels))
 
     def start_clients(self, args: RunArgs) -> None:
         """Schedule every channel's client arrivals for the run."""

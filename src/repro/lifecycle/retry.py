@@ -277,13 +277,12 @@ class RetryController:
         policy: RetryPolicy,
         rng: random.Random,
         governor: ResubmissionGovernor,
-        budget: Optional[RetryBudget] = None,
     ) -> None:
         self.sim = sim
         self.policy = policy
         self.rng = rng
         self.governor = governor
-        self.budget = budget if budget is not None else RetryBudget(policy.config.budget)
+        self.budget = RetryBudget(policy.config.budget)
         self._clients: Dict[str, "ClientNode"] = {}
         self.resubmissions = 0
         self.retries_exhausted = 0

@@ -17,6 +17,7 @@ this — for one channel or many — is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -307,6 +308,21 @@ class Channel:
             bus=self.bus,
             faults=self.faults,
         )
+        #: Peers that validate without events (see :meth:`Peer.settle`): no
+        #: replica and not the reference peer, whose commits stamp the
+        #: block's transactions.  A channel with faults has none: a crash parks
+        #: a delivery with the fault controller, and only an event replays it.
+        self.committers: List[Peer] = (
+            []
+            if self.faults is not None
+            else [
+                peer
+                for peer in self.peers
+                if peer.store is None and peer is not self.orderer.reference_peer
+            ]
+        )
+        for peer in self.committers:
+            peer.arrivals = []
         self.clients: List[ClientNode] = []
         #: Chaincode results every client of this slice shares (see
         #: :class:`~repro.network.peer.ResultTable`): one per channel, because
@@ -435,6 +451,18 @@ class Channel:
                 self.retry_controller.register(client)
             self.clients.append(client)
             client.start(duration)
+
+    def settle_committers(self) -> float:
+        """Settle every committer's remaining deliveries, once the clock has drained.
+
+        Returns when the last of them completes (0.0 without committers): the
+        time the event path's last commit would have left the clock at.
+        """
+        tail = 0.0
+        for peer in self.committers:
+            peer.settle(math.inf)
+            tail = max(tail, peer.validation_station.free_at)
+        return tail
 
     def station_loads(self) -> dict:
         """Raw service-station accumulators of this slice, for remote merges.

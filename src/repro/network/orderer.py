@@ -27,7 +27,7 @@ from repro.ledger.ledger import Ledger
 from repro.lifecycle.events import LifecycleBus, LifecycleEventType
 from repro.network.config import NetworkConfig
 from repro.network.latency import LatencyModel
-from repro.network.peer import Peer
+from repro.network.peer import SETTLE_BATCH, Peer
 from repro.network.validator import BlockValidator
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import ServiceStation
@@ -188,10 +188,19 @@ class OrderingService:
         delivery_jitter = self.config.timing.delivery_jitter
         post = self.sim.post
         on_peer_commit = self._on_peer_commit
+        number = block.number
         for peer in self.peers:
             # ``uniform(0.0, delivery_jitter)``, replayed inline (lint rule 5).
             delay = block_delivery(peer.org_index) + delivery_jitter * random_()
-            post(delay, peer.deliver_block, block, on_peer_commit, base_time, batch)
+            arrivals = peer.arrivals
+            if arrivals is None:
+                post(delay, peer.deliver_block, block, on_peer_commit, base_time, batch)
+            else:
+                # A committer queues the delivery (see Peer.settle), and
+                # settles what has arrived once a batch has queued up.
+                if len(arrivals) >= SETTLE_BATCH and arrivals[0][0] <= now:
+                    peer.settle(now)
+                arrivals.append((now + delay, base_time, number))
 
     def _on_peer_commit(self, peer: Peer, block: Block) -> None:
         if peer is self.reference_peer:

@@ -20,8 +20,10 @@ from __future__ import annotations
 import functools
 import random
 import weakref
+from bisect import bisect_right
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaincode.api import ChaincodeStub
 from repro.chaincode.base import Chaincode
@@ -57,6 +59,11 @@ SimulationResult = Tuple[ReadWriteSet, float, Dict[str, float]]
 RESULT_ROWS = 4096
 #: Tokens one row keeps; the oldest (an epoch replicas have left) goes first.
 RESULT_TOKENS_PER_ROW = 4
+
+#: Deliveries a committer queues before the ordering service has it settle the
+#: ones that have arrived: one sort and one station charge per batch, not per block.
+SETTLE_BATCH = 32
+_arrival_time = itemgetter(0)
 
 
 class SimulationResults(dict):
@@ -241,6 +248,10 @@ class Peer:
         self.committed_height = 0
         self.endorsements_served = 0
         self.blocks_committed = 0
+        #: A committer's queued deliveries, each ``(arrival time, base
+        #: validation time, block number)`` (see :meth:`settle`); ``None`` for
+        #: a peer whose deliveries are events.
+        self.arrivals: Optional[List[Tuple[float, float, int]]] = None
         self.endorsement_station = ServiceStation(
             sim, name=f"{name}-endorsement", servers=config.timing.endorsement_concurrency
         )
@@ -353,13 +364,45 @@ class Peer:
             return
         if base_time is None:
             base_time = self.variant.validation_service_time(block, self.config)
+        self.validation_station.submit(
+            self._validation_time(base_time), self._commit_block, block, on_committed, batch
+        )
+
+    def _validation_time(self, base_time: float) -> float:
+        """``base_time`` on this peer: one validation-jitter draw, ``max(0.0, ·)``, NaN included."""
         jitter_factor = 1.0 + (self._jitter_low + self._jitter_span * self._random())
         service_time = base_time * self._resource_factor * jitter_factor
-        if not service_time > 0.0:  # ``max(0.0, service_time)``, NaN included
-            service_time = 0.0
-        self.validation_station.submit(
-            service_time, self._commit_block, block, on_committed, batch
+        return service_time if service_time > 0.0 else 0.0
+
+    def settle(self, until: float) -> None:
+        """Validate and commit, without events, every queued delivery arrived by ``until``.
+
+        A *committer* — a peer with no replica that is not the ordering
+        service's reference peer, on a channel without faults — changes
+        nothing anyone reads during the run: its commit applies no batch,
+        retires no result and stamps no transaction.  So the ordering
+        service appends its deliveries to :attr:`arrivals` instead of posting
+        them, and this replays them in arrival order (equal arrivals in
+        delivery order), which is the order the event path dispatches them
+        in: one validation-jitter draw each, the validation station's
+        single-server arithmetic (:meth:`ServiceStation.charge`), then
+        ``committed_height`` and ``blocks_committed``.  A delivery is final
+        once the clock has reached its arrival — every later one arrives no
+        earlier — so ``until`` is at most the current time during the run.
+        """
+        arrivals = self.arrivals
+        arrivals.sort(key=_arrival_time)
+        due = bisect_right(arrivals, until, key=_arrival_time)
+        if not due:
+            return
+        settled = arrivals[:due]
+        del arrivals[:due]
+        validation_time = self._validation_time
+        self.validation_station.charge(
+            [(arrival, validation_time(base_time)) for arrival, base_time, _ in settled]
         )
+        self.committed_height = settled[-1][2]
+        self.blocks_committed += due
 
     def _commit_block(
         self, block: Block, on_committed: CommitCallback, batch: Optional[WriteBatch] = None

@@ -16,7 +16,7 @@ waiting on the external CouchDB database.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
@@ -81,10 +81,42 @@ class ServiceStation:
             self._post_at(completion, callback, args)
         return completion
 
+    def charge(self, jobs: Iterable[Tuple[float, float]]) -> None:
+        """Serve ``(arrival, service time)`` jobs in order, posting no event.
+
+        Charges exactly what :meth:`submit` at each arrival would have —
+        ``waiting_total``, ``busy_time``, ``jobs_served`` and the time the
+        server is free — for a single-server station whose completions
+        nobody waits on.  ``jobs`` must be in arrival order.
+        """
+        if not self._single:
+            raise SimulationError(f"{self.name} has {self.servers} servers; charge serves one")
+        free = self._free_at[0]
+        waiting = self.waiting_total
+        busy = self.busy_time
+        served = self.jobs_served
+        for arrival, service_time in jobs:
+            if free > arrival:
+                waiting += free - arrival
+            else:
+                free = arrival
+            free += service_time
+            busy += service_time
+            served += 1
+        self._free_at[0] = free
+        self.waiting_total = waiting
+        self.busy_time = busy
+        self.jobs_served = served
+
+    @property
+    def free_at(self) -> float:
+        """When the earliest server becomes free (its last completion, 0 if it never ran)."""
+        return min(self._free_at)
+
     @property
     def backlog(self) -> float:
         """Seconds until the earliest server becomes free (0 when idle)."""
-        return max(0.0, min(self._free_at) - self.sim.now)
+        return max(0.0, self.free_at - self.sim.now)
 
     def utilization(self, horizon: float) -> float:
         """Fraction of the station's total capacity used over ``horizon`` seconds."""
