@@ -29,8 +29,7 @@ from repro.chaincode.api import ChaincodeStub
 from repro.chaincode.base import Chaincode
 from repro.errors import SimulationError
 from repro.faults.controller import FaultController
-from repro.ledger.block import Block, EndorsementResponse, Transaction, ValidationCode
-from repro.ledger.kvstore import Version
+from repro.ledger.block import Block, EndorsementResponse, Transaction
 from repro.ledger.rwset import ReadWriteSet
 from repro.ledger.store import LaggedStateView, MutableStateStore, StateStore, WriteBatch
 from repro.network.config import NetworkConfig
@@ -338,8 +337,8 @@ class Peer:
         self,
         block: Block,
         on_committed: CommitCallback,
-        base_time: Optional[float] = None,
-        batch: Optional[WriteBatch] = None,
+        base_time: float,
+        batch: WriteBatch,
     ) -> None:
         """Validation phase, steps 6-8: validate, commit and update the state.
 
@@ -347,8 +346,7 @@ class Peer:
         computes once and shares with every peer: the variant's validation
         service time (identical across peers — only the jitter differs) and
         the canonical validator's staged write batch (read-only after
-        validation).  Both are recomputed locally when absent so direct
-        callers and old call sites keep working.
+        validation).
 
         A crashed peer (see :mod:`repro.faults`) cannot receive blocks; the
         delivery is parked with the fault controller and replayed in arrival
@@ -362,8 +360,6 @@ class Peer:
                 functools.partial(self.deliver_block, block, on_committed, base_time, batch),
             )
             return
-        if base_time is None:
-            base_time = self.variant.validation_service_time(block, self.config)
         self.validation_station.submit(
             self._validation_time(base_time), self._commit_block, block, on_committed, batch
         )
@@ -404,11 +400,13 @@ class Peer:
         self.committed_height = settled[-1][2]
         self.blocks_committed += due
 
-    def _commit_block(
-        self, block: Block, on_committed: CommitCallback, batch: Optional[WriteBatch] = None
-    ) -> None:
+    def _commit_block(self, block: Block, on_committed: CommitCallback, batch: WriteBatch) -> None:
         if self.store is not None:
-            self._apply_block(block, batch)
+            # The canonical validator's batch, shared by every peer (no store
+            # mutates its staged entries).  Its commit bumps the store's epoch
+            # and journals the changed keys' pre-images, which the lagged
+            # snapshot view pins below.
+            self.store.apply_batch(batch)
             # Every replica draws its snapshot delay, lagged view or not: the
             # draw keeps its stream where the validation jitter expects it.
             snapshot_delay = self._snapshot_delay * self._random()
@@ -419,30 +417,6 @@ class Peer:
         self.committed_height = block.number
         self.blocks_committed += 1
         on_committed(self, block)
-
-    def _apply_block(self, block: Block, batch: Optional[WriteBatch] = None) -> None:
-        """Apply the write sets of the valid transactions as one atomic batch.
-
-        When the ordering service shares the canonical validator's batch it is
-        applied directly (its staged entries are identical to the rebuild
-        below and never mutated by any store).  The batch commit bumps the
-        store's epoch and journals the changed keys' pre-images — which is
-        exactly what the lagged snapshot view then pins in
-        :meth:`_commit_block`.
-        """
-        assert self.store is not None
-        if batch is None:
-            batch = WriteBatch(block.number)
-            for index, tx in enumerate(block.transactions):
-                if tx.validation_code is not ValidationCode.VALID or tx.rwset is None:
-                    continue
-                version = Version(block_number=block.number, tx_number=index)
-                for write in tx.rwset.writes:
-                    if write.is_delete:
-                        batch.delete(write.key)
-                    else:
-                        batch.put(write.key, write.value, version)
-        self.store.apply_batch(batch)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         role = "endorser" if self.is_endorser else "committer"

@@ -15,7 +15,6 @@ from repro.observability.critical_path import (
 )
 from repro.observability.export import (
     chrome_trace_document,
-    chrome_trace_events,
     dumps,
     load_trace,
     metrics_document,
@@ -43,6 +42,7 @@ from repro.observability.spans import (
     STAGE_PREPARE,
     STAGE_SUBMIT,
     SpanNode,
+    SpanTable,
     SpanTracer,
     build_attempt_span,
     stage_durations,
@@ -53,6 +53,7 @@ __all__ = [
     "ObservabilityData",
     "RunObserver",
     "SpanNode",
+    "SpanTable",
     "SpanTracer",
     "CATEGORY_TX",
     "CATEGORY_STAGE",
@@ -72,7 +73,6 @@ __all__ = [
     "MetricsRegistry",
     "TimeSeriesSampler",
     "chrome_trace_document",
-    "chrome_trace_events",
     "metrics_document",
     "dumps",
     "load_trace",

@@ -2,8 +2,11 @@
 
 Works from two sources with one shared core:
 
-- in-process, straight from the :class:`~repro.observability.spans.SpanNode`
-  roots an observed run produced (the ``repro run``/``repro sweep`` path);
+- in-process, from the span roots an observed run produced (the ``repro
+  run``/``repro sweep`` path) — read off a
+  :class:`~repro.observability.spans.SpanTable`'s columns without building
+  its trees, or off any iterable of
+  :class:`~repro.observability.spans.SpanNode` roots;
 - offline, from a Chrome trace file written earlier (the
   ``repro trace summary`` path), by regrouping the flat ``X`` events into
   attempts via their ``(pid, tid)`` coordinates.
@@ -23,6 +26,7 @@ from repro.observability.spans import (
     CATEGORY_TX,
     LIFECYCLE_STAGES,
     SpanNode,
+    SpanTable,
 )
 from repro.sim.stats import percentile
 
@@ -101,7 +105,10 @@ def _analyze(attempts: List[_Attempt]) -> dict:
 
 def critical_path_report(spans: Iterable[SpanNode]) -> dict:
     """Per-stage critical-path attribution from in-process span roots."""
-    attempts = [attempt for root in spans if (attempt := _attempt_from_span(root)) is not None]
+    if isinstance(spans, SpanTable):
+        attempts = list(spans.committed_stage_durations())
+    else:
+        attempts = [attempt for root in spans if (attempt := _attempt_from_span(root)) is not None]
     return _analyze(attempts)
 
 

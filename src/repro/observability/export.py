@@ -55,13 +55,6 @@ def _json_safe(value: object) -> object:
     return str(value)
 
 
-def chrome_trace_events(
-    data: ObservabilityData, pid: int = 0, process_name: str = "run"
-) -> List[dict]:
-    """All Chrome trace events of one run, under process id ``pid``."""
-    return list(_run_events(data, pid, process_name))
-
-
 def _run_events(data: ObservabilityData, pid: int, process_name: str) -> Iterator[dict]:
     yield {
         "name": "process_name",

@@ -25,7 +25,7 @@ from repro.ledger.block import Transaction
 from repro.lifecycle.events import LifecycleBus, LifecycleEventType
 from repro.observability.config import ObservabilityConfig
 from repro.observability.registry import MetricsRegistry, TimeSeriesSampler
-from repro.observability.spans import CutTime, SpanNode, SpanTracer
+from repro.observability.spans import CutTime, SpanTable, SpanTracer
 from repro.sim.engine import Simulator
 from repro.sim.profile import EngineProfiler
 
@@ -38,15 +38,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ObservabilityData:
     """Everything one observed run exports — plain, picklable data.
 
-    ``spans`` holds each attempt's tree as the tracer built it when the
-    attempt ended: spans only, no transaction, and every ``args`` mapping two
-    spans share is read-only.  Rides on
-    :attr:`repro.network.network.RunRecord.observability`, so it travels
-    through the parallel runner and the result cache like any other run
-    artifact.
+    ``spans`` holds each attempt's row as the tracer wrote it when the
+    attempt ended (no transaction); reading it builds the attempt's span
+    tree, in which every ``args`` mapping two spans share is read-only.
+    Rides on :attr:`repro.network.network.RunRecord.observability`, so it
+    travels through the parallel runner and the result cache like any other
+    run artifact.
     """
 
-    spans: List[SpanNode] = field(default_factory=list)
+    spans: SpanTable = field(default_factory=SpanTable)
     samples: List[Dict[str, float]] = field(default_factory=list)
     markers: List[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
@@ -181,7 +181,7 @@ class RunObserver:
         if self._profiler is not None:
             summary["engine"] = self._profiler.report()
         data = ObservabilityData(
-            spans=self.tracer.finalize() if self.tracer is not None else [],
+            spans=self.tracer.finalize() if self.tracer is not None else SpanTable(),
             samples=list(self.sampler.samples) if self.sampler is not None else [],
             markers=sorted(self.markers, key=lambda m: (m["time"], m["kind"], str(m["target"]))),
             summary=summary,

@@ -1,4 +1,4 @@
-"""Span trees: one per transaction attempt, built when the attempt ends.
+"""Span trees: one per transaction attempt, kept as a row and built when read.
 
 The :class:`SpanTracer` handles its channels'
 :class:`~repro.lifecycle.events.LifecycleBus` streams — the bus invariant (emission
@@ -8,8 +8,9 @@ intervals come from the timestamps every :class:`~repro.ledger.block.Transaction
 already carries through the Execute-Order-Validate pipeline, and the block-cut
 time of the channel's ledger (splitting the ordering queue into block-cut
 wait and consensus).  Every one of them is final when the attempt reaches
-``COMMITTED`` or ``ABORTED``, so its tree is built there and the tracer keeps
-the tree, never the transaction.
+``COMMITTED`` or ``ABORTED``, so the tracer writes them there and keeps a
+row, never the transaction: a :class:`SpanTable` of unboxed columns that
+builds each attempt's tree only when it is read.
 
 Stage names are module constants so the exporters, the critical-path analyzer
 and the metrics layer agree on one vocabulary:
@@ -34,10 +35,22 @@ and the metrics layer agree on one vocabulary:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import operator
+from array import array
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Dict, ItemsView, Iterator, List, Optional, Sequence, Tuple
+from math import isnan
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    ItemsView,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.core.failures import failure_type_of
 from repro.ledger.block import Transaction
@@ -210,89 +223,357 @@ def build_attempt_span(
     peer (proposal arrival → response completion).  Retry lineage and
     cross-channel linkage travel in the root's ``args`` (``origin_tx_id``,
     ``attempt``, ``partner_channel``), so consumers can join attempts of the
-    same logical request across the trace.
+    same logical request across the trace.  The tree is the one a
+    :class:`SpanTable` row of the attempt reads back as.
     """
-    args: Dict[str, object] = {
-        "tx_id": tx.tx_id,
-        "origin_tx_id": tx.origin_id,
-        "attempt": tx.attempt,
-        "client": tx.client_name,
-        "function": tx.function,
-        "status": status,
-    }
-    if failure is not None:
-        args["failure_type"] = failure
-    if tx.channel is not None:
-        args["channel"] = tx.channel
-    if tx.partner_channel is not None:
-        args["partner_channel"] = tx.partner_channel
-    if tx.block_number is not None:
-        args["block"] = tx.block_number
-    if tx.validation_code is not None:
-        args["validation_code"] = tx.validation_code.value
+    table = SpanTable()
+    table._fill(table._open_row(), tx, status, failure, end_time, block_created_at)
+    return table[0]
 
-    submitted_at = tx.submitted_at
-    stages: List[SpanNode] = []
-    endorsed_at = tx.endorsement_completed_at
-    endorsements = tx.endorsements
-    if endorsed_at is not None or endorsements:
-        peers = tuple(
-            [
-                SpanNode(
-                    response.peer_name,
-                    submitted_at if response.received_at is None else response.received_at,
-                    response.completed_at,
-                    CATEGORY_PEER,
-                    _peer_args(response.org_name),
-                )
-                for response in endorsements
-            ]
+
+#: ``None`` in a time field: every simulated time is finite.
+_NAN = float("nan")
+#: ``None`` in an integer field: channels, blocks and table indices are >= 0.
+_NONE = -1
+
+#: A row's times: submitted, endorsement completed, prepare started, prepare
+#: completed, arrived at the orderer, ordered, end, its block's cut time.
+_TIMES = 8
+#: Where a row's submission and end times sit among its times.
+_SUBMITTED, _END = 0, 6
+#: A row's integers: attempt; the indices of client, function, status,
+#: failure type and validation code in the names; channel, partner channel,
+#: block; its first peer leg and its number of peer legs.
+_INTS = 11
+#: Where a row's status index and its number of peer legs sit among its integers.
+_STATUS, _LEGS = 3, 10
+_BLANK_TIMES = array("d", [_NAN]) * _TIMES
+_BLANK_INTS = array("i", [_NONE]) * _INTS
+
+
+def _stages(times: Sequence[float], legs: int) -> List[Tuple[str, float, float]]:
+    """The stages a row's attempt reached, as ``(name, start, end)`` in pipeline order.
+
+    ``times`` are the row's times, ``legs`` its number of peer legs.
+    """
+    submitted, endorsed, prepare_started, prepare_completed, arrived, ordered, end, cut = times
+    stages: List[Tuple[str, float, float]] = []
+    if not isnan(endorsed) or legs or end > submitted:
+        # An attempt that died before any endorsement came back spent its
+        # whole life in the endorsement stage.
+        stages.append((STAGE_ENDORSE, submitted, end if isnan(endorsed) else endorsed))
+    if not isnan(endorsed) and not isnan(arrived):
+        if not isnan(prepare_started) and not isnan(prepare_completed):
+            stages.append((STAGE_SUBMIT, endorsed, prepare_started))
+            stages.append((STAGE_PREPARE, prepare_started, prepare_completed))
+        else:
+            stages.append((STAGE_SUBMIT, endorsed, arrived))
+    if not isnan(arrived) and not isnan(ordered):
+        if not isnan(cut):
+            cut_at = max(cut, arrived)
+            stages.append((STAGE_BLOCK_WAIT, arrived, cut_at))
+            stages.append((STAGE_CONSENSUS, cut_at, ordered))
+        else:
+            stages.append((STAGE_BLOCK_WAIT, arrived, ordered))
+    if not isnan(ordered):
+        stages.append((STAGE_COMMIT, ordered, end))
+    return stages
+
+
+class _Interned(dict):
+    """Distinct values in first-seen order: a row stores an index, the table each value once.
+
+    ``interned[value]`` is the value's index, a new one on a miss.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: Sequence[Hashable] = ()) -> None:
+        super().__init__((value, index) for index, value in enumerate(values))
+        self.values: List[Hashable] = list(values)
+
+    def __missing__(self, value: Hashable) -> int:
+        index = self[value] = len(self.values)
+        self.values.append(value)
+        return index
+
+
+class SpanTable(Sequence[SpanNode]):
+    """Every attempt of a run, one row each, read back as span trees.
+
+    A row is what :func:`build_attempt_span` reads off a transaction, kept
+    unboxed: its times in a shared ``array('d')`` (NaN for ``None``), its
+    attempt, channels, block and the indices of its names and codes (client,
+    function, status, failure type, validation code, in one intern table) in
+    a shared ``array('i')`` (-1 for ``None``), and ``(first, count)`` into
+    the peer-leg columns: the leg's ``(peer, org)`` index, its received time
+    (submission when the proposal's arrival was not stamped) and its
+    completion.  ``tx_id`` and ``origin_tx_id`` stay string references.
+
+    Read-only once filled: indexing and iteration build each tree on demand,
+    the floats, ``args`` and child order of the tree the attempt's
+    transaction gives, so a tree lives only while it is read.  A table
+    pickles as its columns and compares equal by them.
+    """
+
+    __slots__ = (
+        "_tx_ids",
+        "_origins",
+        "_times",
+        "_ints",
+        "_names",
+        "_peers",
+        "_leg_peer",
+        "_leg_received",
+        "_leg_completed",
+    )
+
+    def __init__(self) -> None:
+        self._tx_ids: List[Optional[str]] = []
+        self._origins: List[Optional[str]] = []
+        self._times = array("d")
+        self._ints = array("i")
+        self._names = _Interned()
+        #: ``(peer name, org name)`` of each peer leg.
+        self._peers = _Interned()
+        self._leg_peer = array("i")
+        self._leg_received = array("d")
+        self._leg_completed = array("d")
+
+    # ------------------------------------------------------------------ rows
+    def _open_row(self) -> int:
+        """Slot a row for an attempt that has just been submitted."""
+        row = len(self._tx_ids)
+        self._tx_ids.append(None)
+        self._origins.append(None)
+        self._times.extend(_BLANK_TIMES)
+        self._ints.extend(_BLANK_INTS)
+        return row
+
+    def _fill(
+        self,
+        row: int,
+        tx: Transaction,
+        status: str,
+        failure: Optional[str],
+        end: float,
+        block_created_at: Optional[float],
+    ) -> None:
+        """Write the ended attempt ``tx`` into its slotted ``row``."""
+        submitted = tx.submitted_at
+        leg_peer = self._leg_peer
+        first_leg = len(leg_peer)
+        if tx.endorsement_count:
+            peer, received_at, completed_at = self._peers, self._leg_received, self._leg_completed
+            for response in tx.endorsements:
+                received = response.received_at
+                leg_peer.append(peer[response.peer_name, response.org_name])
+                received_at.append(submitted if received is None else received)
+                completed_at.append(response.completed_at)
+        endorsed = tx.endorsement_completed_at
+        prepare_started = tx.prepare_started_at
+        prepare_completed = tx.prepare_completed_at
+        arrived = tx.arrived_at_orderer_at
+        ordered = tx.ordered_at
+        start = row * _TIMES
+        self._times[start : start + _TIMES] = array(
+            "d",
+            (
+                submitted,
+                _NAN if endorsed is None else endorsed,
+                _NAN if prepare_started is None else prepare_started,
+                _NAN if prepare_completed is None else prepare_completed,
+                _NAN if arrived is None else arrived,
+                _NAN if ordered is None else ordered,
+                end,
+                _NAN if block_created_at is None else block_created_at,
+            ),
         )
-        endorse_end = endorsed_at if endorsed_at is not None else end_time
-        stages.append(SpanNode(STAGE_ENDORSE, submitted_at, endorse_end, children=peers))
-    elif end_time > submitted_at:
-        # The attempt died before any endorsement came back.
-        stages.append(SpanNode(STAGE_ENDORSE, submitted_at, end_time))
+        name = self._names
+        code = tx.validation_code
+        channel = tx.channel
+        partner = tx.partner_channel
+        block = tx.block_number
+        start = row * _INTS
+        self._ints[start : start + _INTS] = array(
+            "i",
+            (
+                tx.attempt,
+                name[tx.client_name],
+                name[tx.function],
+                name[status],
+                _NONE if failure is None else name[failure],
+                _NONE if code is None else name[code.value],
+                _NONE if channel is None else channel,
+                _NONE if partner is None else partner,
+                _NONE if block is None else block,
+                first_leg,
+                len(leg_peer) - first_leg,
+            ),
+        )
+        self._tx_ids[row] = tx.tx_id
+        self._origins[row] = tx.origin_id
 
-    arrived_at = tx.arrived_at_orderer_at
-    if endorsed_at is not None and arrived_at is not None:
-        if tx.prepare_started_at is not None and tx.prepare_completed_at is not None:
-            stages.append(SpanNode(STAGE_SUBMIT, endorsed_at, tx.prepare_started_at))
-            stages.append(
-                SpanNode(
-                    STAGE_PREPARE,
-                    tx.prepare_started_at,
-                    tx.prepare_completed_at,
-                    args={"partner_channel": tx.partner_channel},
-                )
-            )
-        else:
-            stages.append(SpanNode(STAGE_SUBMIT, endorsed_at, arrived_at))
-    ordered_at = tx.ordered_at
-    if arrived_at is not None and ordered_at is not None:
-        if block_created_at is not None:
-            cut_at = max(block_created_at, arrived_at)
-            stages.append(SpanNode(STAGE_BLOCK_WAIT, arrived_at, cut_at))
-            stages.append(SpanNode(STAGE_CONSENSUS, cut_at, ordered_at))
-        else:
-            stages.append(SpanNode(STAGE_BLOCK_WAIT, arrived_at, ordered_at))
-    if ordered_at is not None:
-        stages.append(SpanNode(STAGE_COMMIT, ordered_at, end_time))
-    return SpanNode(CATEGORY_TX, submitted_at, end_time, CATEGORY_TX, args, tuple(stages))
+    def _row(self, row: int) -> Tuple[array, array]:
+        """The times and the integers of ``row``."""
+        return (
+            self._times[row * _TIMES : (row + 1) * _TIMES],
+            self._ints[row * _INTS : (row + 1) * _INTS],
+        )
+
+    def _tree(self, row: int) -> SpanNode:
+        """The span tree of ``row``: root args, then the stages it reached."""
+        times, ints = self._row(row)
+        (
+            attempt,
+            client,
+            function,
+            status,
+            failure,
+            code,
+            channel,
+            partner,
+            block,
+            first_leg,
+            legs,
+        ) = ints
+        names = self._names.values
+        args: Dict[str, object] = {
+            "tx_id": self._tx_ids[row],
+            "origin_tx_id": self._origins[row],
+            "attempt": attempt,
+            "client": names[client],
+            "function": names[function],
+            "status": names[status],
+        }
+        if failure != _NONE:
+            args["failure_type"] = names[failure]
+        if channel != _NONE:
+            args["channel"] = channel
+        if partner != _NONE:
+            args["partner_channel"] = partner
+        if block != _NONE:
+            args["block"] = block
+        if code != _NONE:
+            args["validation_code"] = names[code]
+
+        stages: List[SpanNode] = []
+        for name, start, end in _stages(times, legs):
+            if name == STAGE_ENDORSE:
+                stages.append(SpanNode(name, start, end, children=self._legs(first_leg, legs)))
+            elif name == STAGE_PREPARE:
+                partner_channel = None if partner == _NONE else partner
+                stages.append(SpanNode(name, start, end, args={"partner_channel": partner_channel}))
+            else:
+                stages.append(SpanNode(name, start, end))
+        return SpanNode(
+            CATEGORY_TX, times[_SUBMITTED], times[_END], CATEGORY_TX, args, tuple(stages)
+        )
+
+    def _legs(self, first: int, count: int) -> Tuple[SpanNode, ...]:
+        """The peer legs ``first`` to ``first + count``: one span per endorsing peer."""
+        peers = self._peers.values
+        leg_peer, received, completed = self._leg_peer, self._leg_received, self._leg_completed
+        legs = []
+        for leg in range(first, first + count):
+            peer, org = peers[leg_peer[leg]]
+            span = SpanNode(peer, received[leg], completed[leg], CATEGORY_PEER, _peer_args(org))
+            legs.append(span)
+        return tuple(legs)
+
+    def committed_stage_durations(self) -> Iterator[Tuple[float, Dict[str, float]]]:
+        """``(latency, {stage: duration})`` of each committed attempt, in row order.
+
+        What the critical-path analyzer reads off each committed tree's root
+        and stage children, read off the columns: no tree is built.
+        """
+        committed = self._names.get("committed")
+        if committed is None:
+            return
+        for row in range(len(self)):
+            times, ints = self._row(row)
+            if ints[_STATUS] != committed:
+                continue
+            stages = {name: end - start for name, start, end in _stages(times, ints[_LEGS])}
+            yield times[_END] - times[_SUBMITTED], stages
+
+    # ------------------------------------------------------------- sequence
+    def __len__(self) -> int:
+        return len(self._tx_ids)
+
+    def __getitem__(self, index: int) -> SpanNode:
+        rows = len(self)
+        row = operator.index(index)
+        if row < 0:
+            row += rows
+        if not 0 <= row < rows:
+            raise IndexError(f"span table index {index} out of range for {rows} attempts")
+        return self._tree(row)
+
+    def __iter__(self) -> Iterator[SpanNode]:
+        for row in range(len(self)):
+            yield self._tree(row)
+
+    def __repr__(self) -> str:
+        return f"SpanTable({len(self)} attempts)"
+
+    # ------------------------------------------------------ equality, pickle
+    def _columns(self) -> tuple:
+        return (
+            self._tx_ids,
+            self._origins,
+            self._times,
+            self._ints,
+            self._names.values,
+            self._peers.values,
+            self._leg_peer,
+            self._leg_received,
+            self._leg_completed,
+        )
+
+    def _compared(self) -> list:
+        # Bytes, not items: a NaN (a ``None`` time) is equal to itself.
+        return [
+            column.tobytes() if isinstance(column, array) else column
+            for column in self._columns()
+        ]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SpanTable):
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __reduce__(self) -> tuple:
+        return (SpanTable, (), self._columns())
+
+    def __setstate__(self, columns: tuple) -> None:
+        (
+            self._tx_ids,
+            self._origins,
+            self._times,
+            self._ints,
+            names,
+            peers,
+            self._leg_peer,
+            self._leg_received,
+            self._leg_completed,
+        ) = columns
+        self._names = _Interned(names)
+        self._peers = _Interned(peers)
 
 
 class SpanTracer:
-    """Builds one span tree per transaction attempt from the lifecycle stream.
+    """Writes one :class:`SpanTable` row per transaction attempt from the lifecycle stream.
 
     Handles ``SUBMITTED`` (every attempt's first emission), ``COMMITTED``
     and ``ABORTED`` on each bus (one per channel of a group).  ``cut_times``
     are the channels' block cut-time lookups, one per bus in the same order.
-    An attempt's slot is taken at submission (submission order is
-    deterministic on one clock); its tree is built at its terminal event, at
+    An attempt's row is slotted at submission (submission order is
+    deterministic on one clock) and filled at its terminal event, at
     ``tx.committed_at`` and with its block's cut time, which the ledger holds
     from the moment the block is ordered.  The tracer then drops the
-    transaction.  Only attempts still in flight when the run stops are built
-    at :meth:`finalize`.
+    transaction.  Only attempts still in flight when the run stops are
+    written at :meth:`finalize`.
     """
 
     def __init__(self, buses: Sequence[LifecycleBus], cut_times: Sequence[CutTime]) -> None:
@@ -301,9 +582,9 @@ class SpanTracer:
                 f"a span tracer needs one cut-time lookup per bus: "
                 f"{len(buses)} buses, {len(cut_times)} lookups"
             )
-        #: Every attempt's tree in submission order; ``None`` while in flight.
-        self._spans: List[Optional[SpanNode]] = []
-        #: In-flight attempt -> its slot in ``_spans`` and its channel's lookup.
+        #: Every attempt's row in submission order; blank while in flight.
+        self._table = SpanTable()
+        #: In-flight attempt -> its row and its channel's lookup.
         self._live: Dict[Transaction, Tuple[int, CutTime]] = {}
         for bus, cut_time in zip(buses, cut_times):
             bus.handle(LifecycleEventType.SUBMITTED, partial(self._on_submitted, cut_time))
@@ -313,33 +594,32 @@ class SpanTracer:
     @property
     def attempts(self) -> int:
         """Number of transaction attempts observed so far."""
-        return len(self._spans)
+        return len(self._table)
 
     def _on_submitted(self, cut_time: CutTime, tx: Transaction) -> None:
-        self._live[tx] = (len(self._spans), cut_time)
-        self._spans.append(None)
+        self._live[tx] = (self._table._open_row(), cut_time)
 
     def _on_committed(self, tx: Transaction) -> None:
-        self._build(tx, "committed", None, tx.committed_at)
+        self._write(tx, "committed", None, tx.committed_at)
 
     def _on_aborted(self, tx: Transaction) -> None:
         failure = failure_type_of(tx)
-        self._build(tx, "aborted", failure.value if failure is not None else None, tx.committed_at)
+        self._write(tx, "aborted", failure.value if failure is not None else None, tx.committed_at)
 
-    def _build(self, tx: Transaction, status: str, failure: Optional[str], end: float) -> None:
-        """Build ``tx``'s tree into its slot and let the transaction go."""
-        slot, cut_time = self._live.pop(tx)
+    def _write(self, tx: Transaction, status: str, failure: Optional[str], end: float) -> None:
+        """Fill ``tx``'s row and let the transaction go."""
+        row, cut_time = self._live.pop(tx)
         block = tx.block_number
         created_at = cut_time(block) if block is not None else None
-        self._spans[slot] = build_attempt_span(tx, status, failure, end, created_at)
+        self._table._fill(row, tx, status, failure, end, created_at)
 
-    def finalize(self) -> List[SpanNode]:
-        """Every attempt's span tree, in submission order.
+    def finalize(self) -> SpanTable:
+        """Every attempt's row, in submission order.
 
-        Builds the trees of the attempts still in flight (status
-        ``incomplete``, ending where they stood) and drops those attempts.
+        Writes the attempts still in flight (status ``incomplete``, ending
+        where they stood) and drops those attempts.
         """
         for tx in list(self._live):
             end = tx.committed_at if tx.committed_at is not None else tx.submitted_at
-            self._build(tx, "incomplete", None, end)
-        return self._spans
+            self._write(tx, "incomplete", None, end)
+        return self._table

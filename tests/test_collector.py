@@ -166,17 +166,35 @@ def test_no_full_collection_starts_inside_a_run(monkeypatch, deployment):
     assert collector_state() == state
 
 
+@contextmanager
+def only_this_heap_counted():
+    """Counts only what the block allocates, whatever heap the process built before.
+
+    CPython owes a full pass once the long-lived heap grew by a quarter since
+    the last one.  The heap built so far is frozen (out of every generation
+    and of ``gc.get_objects()``) and a full pass over what is left sets the
+    long-lived count to about zero, so a suite's earlier tests cannot make
+    the block's runs too small to owe a pass.
+    """
+    gc.freeze()
+    gc.collect()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
 def test_chained_runs_leave_at_most_one_run_of_cyclic_garbage_outstanding():
-    # Span trees and checker graphs are cyclic; with full collections deferred
-    # inside every run and no room between two runs, only the scope's own
-    # entry can let the interpreter reclaim the previous run's.
+    # Checker graphs are cyclic; with full collections deferred inside every
+    # run and no room between two runs, only the scope's own entry can let the
+    # interpreter reclaim the previous run's.
     config = ehr_cell(
         cluster="C1",
         checker=CheckerConfig(enabled=True),
         observability=ObservabilityConfig(trace=True, metrics=True),
     ).with_overrides(duration=25.0)
     tracked = []
-    with full_collections() as seen:
+    with only_this_heap_counted(), full_collections() as seen:
         for repetition in range(5):
             run_repetition(config, repetition)
             tracked.append(len(gc.get_objects()))

@@ -88,16 +88,30 @@ def test_non_endorser_rejects_proposals(sim):
 def test_peer_commit_applies_only_valid_writes(sim):
     config = tiny_config()
     variant = configured_variant(Fabric14(), config)
-    peer, _ = build_peer(sim, config, variant)
-    valid = make_tx(writes=[KeyWrite("gk00000001", {"value": 99})])
-    valid.validation_code = ValidationCode.VALID
-    invalid = make_tx(writes=[KeyWrite("gk00000002", {"value": 77})])
-    invalid.validation_code = ValidationCode.MVCC_READ_CONFLICT
+    peer, chaincode = build_peer(sim, config, variant)
+    # The batch the ordering service hands every peer: the canonical
+    # validator's, over the same genesis as the peer's replica.
+    canonical = LevelDBStore()
+    canonical.populate(chaincode.initial_state(random.Random(0)))
+    validator = BlockValidator(canonical)
+    valid = make_tx(
+        reads=[KeyRead("gk00000001", GENESIS_VERSION)],
+        writes=[KeyWrite("gk00000001", {"value": 99})],
+    )
+    # A read of a version the key never had: an MVCC read conflict.
+    invalid = make_tx(
+        reads=[KeyRead("gk00000002", Version(7, 0))],
+        writes=[KeyWrite("gk00000002", {"value": 77})],
+    )
     from repro.ledger.block import Block
 
     block = Block(number=1, transactions=[valid, invalid])
+    batch = validator.validate_block(block)
+    assert valid.validation_code is ValidationCode.VALID
+    assert invalid.validation_code is ValidationCode.MVCC_READ_CONFLICT
     commits = []
-    peer.deliver_block(block, lambda p, b: commits.append(b))
+    base_time = variant.validation_service_time(block, config)
+    peer.deliver_block(block, lambda p, b: commits.append(b), base_time, batch)
     sim.run_until_empty()
     assert commits == [block]
     assert peer.store.get_value("gk00000001") == {"value": 99}

@@ -18,6 +18,7 @@ import math
 import pickle
 import random
 import statistics
+import sys
 import weakref
 
 import pytest
@@ -57,6 +58,7 @@ from repro.observability import (
     Histogram,
     MetricsRegistry,
     ObservabilityConfig,
+    SpanTable,
     SpanTracer,
     TimeSeriesSampler,
     build_attempt_span,
@@ -420,6 +422,65 @@ def test_observability_data_pickles_to_equal_trees_and_shared_args_are_read_only
         assert all(type(stage.children) is tuple for stage in stages)
 
 
+#: What a traced attempt may keep once its transaction is gone (300 bytes
+#: measured on the chaos C2 pin cell).
+SPAN_BYTES_PER_ATTEMPT = 400
+
+
+def _retained_bytes(root: object) -> int:
+    """``sys.getsizeof`` of everything ``root`` reaches, each object once."""
+    seen, stack, total = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
+def _traced_table_with_a_retry_and_an_attempt_in_flight() -> SpanTable:
+    bus = LifecycleBus()
+    tracer = SpanTracer([bus], [{3: 1.25}.__getitem__])
+    first, retried = committed_tx(), committed_tx()
+    first.validation_code = ValidationCode.MVCC_READ_CONFLICT
+    retried.tx_id, retried.attempt, retried.origin_tx_id = "tx-2", 1, first.tx_id
+    in_flight = Transaction("tx-3", "client-0", "smallbank", "transfer", submitted_at=1.5)
+    for tx in (first, retried, in_flight):
+        bus.emit(LifecycleEventType.SUBMITTED, tx)
+    bus.emit(LifecycleEventType.ABORTED, first)
+    bus.emit(LifecycleEventType.COMMITTED, retried)
+    return tracer.finalize()
+
+
+def test_a_span_table_keeps_a_few_hundred_bytes_per_attempt_and_pickles_as_its_columns(
+    traced_recorded_runs,
+):
+    cell = traced_recorded_runs["chaos/C2"].observability.spans
+    assert isinstance(cell, SpanTable)
+    retained = _retained_bytes(cell) / len(cell)
+    assert retained <= SPAN_BYTES_PER_ATTEMPT, f"{retained:.0f} bytes per attempt"
+    small = _traced_table_with_a_retry_and_an_attempt_in_flight()
+    assert [(root.args["status"], root.args["origin_tx_id"]) for root in small] == [
+        ("aborted", "tx-1"),
+        ("committed", "tx-1"),
+        ("incomplete", "tx-3"),
+    ]
+    assert any(root.args["origin_tx_id"] != root.args["tx_id"] for root in cell)
+    for table in (cell, small):
+        trees = [root.as_dict() for root in table]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(table, protocol=protocol))
+            assert type(clone) is SpanTable and clone == table
+            assert [root.as_dict() for root in clone] == trees
+    # Row by row, index by index: the same trees, built on each read.
+    assert small[-1] == small[2] == list(small)[2] and small[2] is not small[2]
+    with pytest.raises(IndexError):
+        small[3]
+    assert cell != small and SpanTable() == SpanTable() and len(SpanTable()) == 0
+
+
 # ------------------------------------------------------------------- registry
 def test_registry_snapshot_is_sorted_and_typed():
     registry = MetricsRegistry()
@@ -749,6 +810,22 @@ def test_critical_path_agrees_in_process_and_from_trace(traced_result):
     assert sum(row["dominant_count"] for row in in_process["stages"]) == in_process["committed"]
     rendered = format_report(in_process)
     assert "dominant" in rendered
+
+
+@pytest.mark.parametrize("cell", ["coupled-faulted-4ch", "chaos-audit"])
+def test_critical_path_reads_a_span_table_without_building_its_trees(
+    traced_recorded_runs, cell, monkeypatch
+):
+    table = traced_recorded_runs[cell].observability.spans
+    from_trees = critical_path_report(list(table))
+    assert STAGE_PREPARE in [row["stage"] for row in from_trees["stages"]]
+
+    def no_tree(self, row):
+        raise AssertionError(f"row {row}'s span tree was built")
+
+    monkeypatch.setattr(SpanTable, "_tree", no_tree)
+    assert critical_path_report(table) == from_trees
+    assert critical_path_report(SpanTable()) == critical_path_report([])
 
 
 def test_critical_path_report_of_no_spans_is_empty():
