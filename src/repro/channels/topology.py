@@ -13,7 +13,7 @@ workloads: each channel has its own ledger, world state and ordering service.
   index space, and so on).  Under a Zipfian workload the hot ranks are the
   low indices, so channel 0 inherits the hot end of the key space.
 * ``hot`` — an explicit hot-channel placement: channel 0 owns the hottest
-  ``hot_share`` of the index space outright and the remaining channels split
+  :data:`HOT_SHARE` of the index space outright and the remaining channels split
   the cold tail round-robin.  This models the common anti-pattern of putting
   one popular application on its own channel.
 
@@ -38,6 +38,8 @@ from repro.workload.distributions import KeyDistribution, SamplerDraws, UniformD
 #: Knuth's multiplicative hash constant; spreads consecutive indices.
 _HASH_MULTIPLIER = 2654435761
 _HASH_MASK = (1 << 32) - 1
+#: Fraction of the (hottest) index space channel 0 owns under ``hot`` placement.
+HOT_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -46,9 +48,6 @@ class ChannelTopology:
 
     channels: int
     placement: str = "hash"
-    #: Fraction of the (hottest) index space owned by channel 0 under the
-    #: ``hot`` placement; ignored by the other policies.
-    hot_share: float = 0.5
 
     def __post_init__(self) -> None:
         if self.channels < 1:
@@ -58,8 +57,6 @@ class ChannelTopology:
             raise ConfigurationError(
                 f"unknown placement policy {self.placement!r}; known policies: {known}"
             )
-        if not 0.0 < self.hot_share < 1.0:
-            raise ConfigurationError(f"hot_share must be in (0, 1), got {self.hot_share}")
 
     # ------------------------------------------------------------- placement
     def channel_of_index(self, index: int, population: int) -> int:
@@ -73,7 +70,7 @@ class ChannelTopology:
         if self.placement == "range":
             return min(self.channels - 1, index * self.channels // population)
         if self.placement == "hot":
-            hot_count = max(1, int(population * self.hot_share))
+            hot_count = max(1, int(population * HOT_SHARE))
             if index < hot_count:
                 return 0
             return 1 + (index - hot_count) % (self.channels - 1)
@@ -97,14 +94,14 @@ class ChannelTopology:
 
         Traffic is split proportionally to the fraction of the key space each
         channel owns: ``1/N`` under ``hash`` and ``range`` placement,
-        ``hot_share`` for the hot channel (and the rest split evenly) under
+        :data:`HOT_SHARE` for the hot channel (and the rest split evenly) under
         ``hot`` placement.
         """
         if self.channels == 1:
             return (1.0,)
         if self.placement == "hot":
-            cold = (1.0 - self.hot_share) / (self.channels - 1)
-            return (self.hot_share,) + (cold,) * (self.channels - 1)
+            cold = (1.0 - HOT_SHARE) / (self.channels - 1)
+            return (HOT_SHARE,) + (cold,) * (self.channels - 1)
         return (1.0 / self.channels,) * self.channels
 
     def _check_channel(self, channel: int) -> None:

@@ -238,13 +238,9 @@ class OverlayStateStore(EpochCommitState):
         self._delta_keys: List[str] = []
         self._len = len(base)
         self._init_epoch_state()
-        #: False from the first write that makes ``commit_epoch`` stop naming
-        #: this replica's state (see :attr:`state_token`).
-        self._in_sequence = True
-        #: Batches applied out of block order: a block's batch applied when
-        #: its number is not the epoch it produces (a later block delivered
-        #: first).
-        self.out_of_sequence_batches = 0
+        #: False from the first write around :meth:`apply_batch`, which makes
+        #: ``commit_epoch`` stop naming this replica's state (see :attr:`state_token`).
+        self._batches_only = True
 
     @property
     def base(self) -> VersionedKVStore:
@@ -261,25 +257,22 @@ class OverlayStateStore(EpochCommitState):
         """A value two overlays of one base share only if they hold the same state.
 
         That is ``commit_epoch`` for as long as the overlay's whole history is
-        "block 1, block 2, ... block ``commit_epoch``": every batch it applied
-        carried the block number of the epoch it produced, and nothing was
-        written around :meth:`apply_batch`.  Two such overlays over one frozen
-        base applied the same batches in the same order, so they are the same
-        database and a chaincode function reads the same answer from either —
-        endorsing peers simulate a proposal once per token instead of once per
-        endorser.  The bare epoch is *not* enough: block deliveries are
-        jittered per peer, so a replica can apply block N+1 before block N,
-        and two replicas at one epoch can then hold different writes.  From
-        the first out-of-sequence batch or direct ``put``/``delete``/
-        ``populate`` onward — and over a base that was never frozen — the
-        token is ``None``: "shares with nobody".
+        "block 1, block 2, ... block ``commit_epoch``" — :meth:`apply_batch`
+        takes blocks in order only — and nothing was written around
+        :meth:`apply_batch`.  Two such overlays over one frozen base applied
+        the same batches in the same order, so they are the same database and
+        a chaincode function reads the same answer from either — endorsing
+        peers simulate a proposal once per token instead of once per endorser.
+        From the first direct ``put``/``delete``/``populate`` onward — and over
+        a base that was never frozen — the token is ``None``: "shares with
+        nobody".
 
         Scope: one channel.  All channels of a process overlay one genesis
         base, so two channels at one epoch carry equal tokens and different
         states; a table keyed by tokens is per channel (the endorsers'
         :class:`~repro.network.peer.ResultTable` is).
         """
-        if self._in_sequence and self._base._frozen:
+        if self._batches_only and self._base._frozen:
             return self._commit_epoch
         return None
 
@@ -321,7 +314,7 @@ class OverlayStateStore(EpochCommitState):
         self._delete_entry(key)
 
     def _put_entry(self, key: str, entry: StateEntry) -> None:
-        self._in_sequence = False
+        self._batches_only = False
         previous = self._delta.get(key, _MISS)
         if previous is _MISS:
             bisect.insort(self._delta_keys, key)
@@ -332,7 +325,7 @@ class OverlayStateStore(EpochCommitState):
         self._delta[key] = entry
 
     def _delete_entry(self, key: str) -> None:
-        self._in_sequence = False
+        self._batches_only = False
         previous = self._delta.get(key, _MISS)
         if previous is _MISS:
             if self._base.get(key) is not None:
@@ -351,13 +344,19 @@ class OverlayStateStore(EpochCommitState):
             self._len -= 1
 
     def apply_batch(self, batch: WriteBatch) -> Dict[str, Optional[StateEntry]]:
-        """Apply one block's staged writes atomically; return the pre-images.
+        """Apply the next block's staged writes atomically; return the pre-images.
 
-        The sorted delta-key list is reconciled once per batch (the same
-        single-pass/bisect threshold as the flat store) instead of paying a
-        ``bisect.insort`` per first-touch key on the hot commit path.
+        A batch of any other block raises :class:`~repro.errors.LedgerError`
+        and changes nothing.  The sorted delta-key list is reconciled once per
+        batch (the same single-pass/bisect threshold as the flat store)
+        instead of paying a ``bisect.insort`` per first-touch key on the hot
+        commit path.
         """
         self._require_mutable("apply a batch")
+        if batch.block_number != self._commit_epoch + 1:
+            raise LedgerError(
+                f"block {batch.block_number} applied out of order after block {self._commit_epoch}"
+            )
         pre_images: Dict[str, Optional[StateEntry]] = {}
         added: List[str] = []
         dropped: set = set()
@@ -391,9 +390,6 @@ class OverlayStateStore(EpochCommitState):
         if added or dropped:
             self._delta_keys = reconcile_sorted_keys(self._delta_keys, added, dropped)
         self._record_commit(pre_images)
-        if batch.block_number != self._commit_epoch:
-            self._in_sequence = False
-            self.out_of_sequence_batches += 1
         return pre_images
 
     def last_writer_block(self, key: str) -> Optional[int]:

@@ -230,15 +230,16 @@ class ResubmissionGovernor:
     """Deployment-wide resubmission rate cap (virtual-time token bucket).
 
     Tokens replenish at ``rate_cap`` per simulated second up to a burst of
-    ``max(1, rate_cap)``; every resubmission costs one token.  A ``None``
-    rate cap admits everything.  A channel group builds one and shares it
-    across its channel slices; a capped deployment is one group, so the cap is
-    genuinely global.
+    ``max(1, rate_cap)``; every resubmission costs one token.  The burst is
+    one second's worth of the cap: a window no config states and which time
+    dilation does not scale.  A ``None`` rate cap admits everything.  A
+    channel group builds one and shares it across its channel slices; a
+    capped deployment is one group, so the cap is genuinely global.
     """
 
     def __init__(self, rate_cap: Optional[float]) -> None:
         self.rate_cap = rate_cap
-        self._tokens = max(1.0, rate_cap) if rate_cap is not None else 0.0
+        self._tokens = self._burst = max(1.0, rate_cap) if rate_cap is not None else 0.0
         self._last_refill = 0.0
         self.admitted = 0
         self.denied = 0
@@ -248,9 +249,8 @@ class ResubmissionGovernor:
         if self.rate_cap is None:
             self.admitted += 1
             return True
-        burst = max(1.0, self.rate_cap)
         elapsed = max(0.0, now - self._last_refill)
-        self._tokens = min(burst, self._tokens + elapsed * self.rate_cap)
+        self._tokens = min(self._burst, self._tokens + elapsed * self.rate_cap)
         self._last_refill = now
         if self._tokens >= 1.0:
             self._tokens -= 1.0

@@ -7,7 +7,7 @@ transaction (*block timeout*), or the total size of the pending transactions
 exceeds a limit (*block max bytes*).  Consensus (Kafka in the paper's setup) is
 modelled as a per-block plus per-transaction service time on a single FIFO
 station; blocks are then delivered to every peer with independent network
-latencies.
+latencies, each peer's in block order, as Fabric's per-peer block stream is.
 
 Variant behaviours hook into three points: transaction arrival (FabricSharp's
 early aborts), block preparation (Fabric++ / FabricSharp reordering) and the
@@ -186,21 +186,23 @@ class OrderingService:
         block_delivery = self.latency.block_delivery
         random_ = self.rng.random
         delivery_jitter = self.config.timing.delivery_jitter
-        post = self.sim.post
-        on_peer_commit = self._on_peer_commit
+        post_at = self.sim.post_at
+        delivery = (block, self._on_peer_commit, base_time, batch)
         number = block.number
         for peer in self.peers:
             # ``uniform(0.0, delivery_jitter)``, replayed inline (lint rule 5).
-            delay = block_delivery(peer.org_index) + delivery_jitter * random_()
+            arrival = now + (block_delivery(peer.org_index) + delivery_jitter * random_())
+            last = peer.last_arrival  # FIFO: no block overtakes the one before it
+            peer.last_arrival = arrival = last if arrival < last else arrival
             arrivals = peer.arrivals
             if arrivals is None:
-                post(delay, peer.deliver_block, block, on_peer_commit, base_time, batch)
+                post_at(arrival, peer.deliver_block, delivery)
             else:
                 # A committer queues the delivery (see Peer.settle), and
                 # settles what has arrived once a batch has queued up.
                 if len(arrivals) >= SETTLE_BATCH and arrivals[0][0] <= now:
                     peer.settle(now)
-                arrivals.append((now + delay, base_time, number))
+                arrivals.append((arrival, base_time, number))
 
     def _on_peer_commit(self, peer: Peer, block: Block) -> None:
         if peer is self.reference_peer:

@@ -2,9 +2,9 @@
 
 Endorsing peers simulate transactions against their *local* replica of the
 world state during the execution phase; every peer then validates and commits
-the blocks delivered by the ordering service.  Because each peer applies
-blocks at its own pace, the world-state replicas are transiently inconsistent
-— the root cause of endorsement policy failures (Section 3.2.1).
+the blocks delivered by the ordering service, in order but each at its own
+pace: the world-state replicas lag, transiently inconsistent — the root
+cause of endorsement policy failures (Section 3.2.1).
 
 A replica is a copy-on-write :class:`~repro.ledger.store.OverlayStateStore`
 over the deployment's shared frozen genesis base: each peer only stores its
@@ -60,7 +60,7 @@ RESULT_ROWS = 4096
 RESULT_TOKENS_PER_ROW = 4
 
 #: Deliveries a committer queues before the ordering service has it settle the
-#: ones that have arrived: one sort and one station charge per batch, not per block.
+#: ones that have arrived: one station charge per batch, not per block.
 SETTLE_BATCH = 32
 _arrival_time = itemgetter(0)
 
@@ -246,10 +246,11 @@ class Peer:
         self.results: Optional[ResultTable] = None
         self.committed_height = 0
         self.endorsements_served = 0
-        self.blocks_committed = 0
-        #: A committer's queued deliveries, each ``(arrival time, base
-        #: validation time, block number)`` (see :meth:`settle`); ``None`` for
-        #: a peer whose deliveries are events.
+        #: When the last block delivered reaches this peer; the next arrives no earlier.
+        self.last_arrival = 0.0
+        #: A committer's queued deliveries in arrival (= block) order, each
+        #: ``(arrival time, base validation time, block number)`` (see
+        #: :meth:`settle`); ``None`` for a peer whose deliveries are events.
         self.arrivals: Optional[List[Tuple[float, float, int]]] = None
         self.endorsement_station = ServiceStation(
             sim, name=f"{name}-endorsement", servers=config.timing.endorsement_concurrency
@@ -350,7 +351,7 @@ class Peer:
 
         A crashed peer (see :mod:`repro.faults`) cannot receive blocks; the
         delivery is parked with the fault controller and replayed in arrival
-        order at recovery — which is exactly the catch-up lag that widens the
+        (= block) order at recovery — the catch-up lag that widens the
         world-state inconsistency window and with it the endorsement policy
         failure rate.
         """
@@ -378,16 +379,15 @@ class Peer:
         nothing anyone reads during the run: its commit applies no batch,
         retires no result and stamps no transaction.  So the ordering
         service appends its deliveries to :attr:`arrivals` instead of posting
-        them, and this replays them in arrival order (equal arrivals in
-        delivery order), which is the order the event path dispatches them
-        in: one validation-jitter draw each, the validation station's
+        them, and this replays them in the order they were appended — arrival
+        order and block order, which is the order the event path dispatches
+        them in: one validation-jitter draw each, the validation station's
         single-server arithmetic (:meth:`ServiceStation.charge`), then
-        ``committed_height`` and ``blocks_committed``.  A delivery is final
-        once the clock has reached its arrival — every later one arrives no
-        earlier — so ``until`` is at most the current time during the run.
+        ``committed_height``.  A delivery is final once the clock has reached
+        its arrival — every later one arrives no earlier — so ``until`` is at
+        most the current time during the run.
         """
         arrivals = self.arrivals
-        arrivals.sort(key=_arrival_time)
         due = bisect_right(arrivals, until, key=_arrival_time)
         if not due:
             return
@@ -398,7 +398,6 @@ class Peer:
             [(arrival, validation_time(base_time)) for arrival, base_time, _ in settled]
         )
         self.committed_height = settled[-1][2]
-        self.blocks_committed += due
 
     def _commit_block(self, block: Block, on_committed: CommitCallback, batch: WriteBatch) -> None:
         if self.store is not None:
@@ -415,7 +414,6 @@ class Peer:
         if self.results is not None:
             self.results.retire()
         self.committed_height = block.number
-        self.blocks_committed += 1
         on_committed(self, block)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

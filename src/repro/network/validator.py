@@ -170,8 +170,8 @@ class BlockValidator:
     def _written_since(self, token: Optional[int]) -> Optional[List[WriteBatch]]:
         """The batches applied since the state named ``token``, oldest first.
 
-        ``None`` unless the canonical store names its state (its whole history
-        is batches applied in sequence, see
+        ``None`` unless the canonical store names its state (nothing was
+        written around its batches, see
         :attr:`~repro.ledger.store.OverlayStateStore.state_token`) and every
         batch since ``token`` is one this validator applied and still keeps.
         """

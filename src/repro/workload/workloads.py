@@ -29,8 +29,12 @@ _GENCHAIN_FUNCTIONS = {
 }
 
 
-def _heavy_mix(heavy: str, heavy_share: float = 0.8, include_range: bool = True) -> TransactionMix:
-    """80 % of the heavy type, the rest split uniformly over the other types.
+#: Share of the heavy transaction type in a synthetic workload (Section 4.4).
+HEAVY_SHARE = 0.8
+
+
+def _heavy_mix(heavy: str, include_range: bool = True) -> TransactionMix:
+    """:data:`HEAVY_SHARE` of the heavy type, the rest split uniformly over the other types.
 
     ``include_range=False`` drops range reads from the minority share; this is
     needed to run the synthetic workloads on FabricSharp, which does not
@@ -43,9 +47,9 @@ def _heavy_mix(heavy: str, heavy_share: float = 0.8, include_range: bool = True)
         for key, name in _GENCHAIN_FUNCTIONS.items()
         if key != heavy and (include_range or key != "range")
     ]
-    weights: Dict[str, float] = {_GENCHAIN_FUNCTIONS[heavy]: heavy_share}
+    weights: Dict[str, float] = {_GENCHAIN_FUNCTIONS[heavy]: HEAVY_SHARE}
     for name in others:
-        weights[name] = (1.0 - heavy_share) / len(others)
+        weights[name] = (1.0 - HEAVY_SHARE) / len(others)
     return TransactionMix.from_dict(weights)
 
 

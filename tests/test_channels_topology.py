@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.channels.topology import ChannelTopology, ShardedKeyDistribution
+from repro.channels.topology import HOT_SHARE, ChannelTopology, ShardedKeyDistribution
 from repro.errors import ConfigurationError
 from repro.workload.distributions import ZipfianDistribution
 
@@ -49,8 +49,9 @@ def test_range_placement_is_contiguous():
     assert topology.channel_of_index(POPULATION - 1, POPULATION) == 3
 
 
-def test_hot_placement_gives_channel_zero_the_hot_share():
-    topology = ChannelTopology(channels=4, placement="hot", hot_share=0.5)
+def test_hot_placement_gives_channel_zero_half_the_index_space():
+    assert HOT_SHARE == 0.5
+    topology = ChannelTopology(channels=4, placement="hot")
     shard0 = topology.shard_indices(0, POPULATION)
     assert shard0 == list(range(500))
     for channel in range(1, 4):
@@ -69,10 +70,10 @@ def test_arrival_shares_sum_to_one(placement, channels):
 
 
 def test_hot_arrival_shares_favor_channel_zero():
-    topology = ChannelTopology(channels=4, placement="hot", hot_share=0.6)
+    topology = ChannelTopology(channels=4, placement="hot")
     shares = topology.arrival_shares()
-    assert shares[0] == pytest.approx(0.6)
-    assert all(share == pytest.approx(0.4 / 3) for share in shares[1:])
+    assert shares[0] == HOT_SHARE
+    assert all(share == pytest.approx((1.0 - HOT_SHARE) / 3) for share in shares[1:])
 
 
 def test_topology_rejects_bad_parameters():
@@ -80,8 +81,6 @@ def test_topology_rejects_bad_parameters():
         ChannelTopology(channels=0)
     with pytest.raises(ConfigurationError):
         ChannelTopology(channels=2, placement="round-robin")
-    with pytest.raises(ConfigurationError):
-        ChannelTopology(channels=2, placement="hot", hot_share=1.5)
     topology = ChannelTopology(channels=2)
     with pytest.raises(ConfigurationError):
         topology.channel_of_index(5, 3)

@@ -11,7 +11,7 @@ group moves the clock to the last committer completion after the drain.
 Each test here runs a cell twice: as built, and with every committer forced
 back onto the event path (:func:`events_everywhere`).  Both must leave every
 peer's validation station (busy time, waiting time, jobs, free time), committed
-height, committed block count and random stream in the same state, and compute
+height and random stream in the same state, and compute
 the same record and analysis, ``simulated_end`` included — while the settled
 run dispatches fewer events.
 """
@@ -22,6 +22,7 @@ import random
 
 import pytest
 from corpus import build, canonical, recursive_diff, run
+from test_shared_simulation import assert_every_peer_commits_in_order
 
 from repro.bench.harness import ExperimentConfig
 from repro.channels.group import ChannelGroup
@@ -87,7 +88,6 @@ def simulate(monkeypatch, config: ExperimentConfig) -> dict:
                 "jobs_served": station.jobs_served,
                 "free_at": station.free_at,
                 "committed_height": peer.committed_height,
-                "blocks_committed": peer.blocks_committed,
                 "stream": peer.rng.getstate(),
             }
     return {
@@ -121,13 +121,21 @@ def assert_settles_like_events(monkeypatch, config: ExperimentConfig) -> dict:
     return settled
 
 
-def test_out_of_order_arrivals_settle_in_arrival_order(monkeypatch):
-    # Half a second of delivery jitter against a block every tenth of a
-    # second: a committer's blocks arrive out of order all the time.
-    config = cell(timing=TimingProfile(delivery_jitter=0.5), block_size=10)
-    settled = assert_settles_like_events(monkeypatch, config)
+def jittered_cell() -> ExperimentConfig:
+    """Half a second of delivery jitter against a block every tenth of a second."""
+    return cell(timing=TimingProfile(delivery_jitter=0.5), block_size=10)
+
+
+def test_jittered_arrivals_settle_in_arrival_order(monkeypatch):
+    settled = assert_settles_like_events(monkeypatch, jittered_cell())
     assert settled["execution"] == "shared-clock"
     assert settled["committers"] == 24  # 32 peers, 8 replicas
+
+
+def test_jittered_blocks_reach_every_peer_in_block_order(monkeypatch):
+    # Without the per-peer FIFO stream a committer's blocks would arrive out
+    # of order all the time here, and a replica's would apply out of order.
+    assert_every_peer_commits_in_order(jittered_cell(), monkeypatch)
 
 
 def test_streamchain_settles_a_block_per_transaction(monkeypatch):

@@ -78,7 +78,7 @@ def test_peer_overlays_only_store_their_divergence_after_a_run():
             continue
         # The delta holds only written keys, a small fraction of the state.
         assert peer.store.delta_size < base_size
-        assert peer.store.commit_epoch == peer.blocks_committed
+        assert peer.store.commit_epoch == peer.committed_height == network.ledger.height
 
 
 def test_run_produces_record_with_transactions():

@@ -140,8 +140,10 @@ def test_overlay_batch_commit_bumps_epoch_and_last_writer():
     base = populated_base()
     overlay = base.overlay()
     assert overlay.commit_epoch == 0
+    for block in range(1, 7):
+        committed(overlay, block)
     pre_images = committed(overlay, 7, puts=[("a", 10), ("new", 1)], deletes=["b"])
-    assert overlay.commit_epoch == 1
+    assert overlay.commit_epoch == 7
     assert overlay.last_writer_block("a") == 7
     assert overlay.last_writer_block("b") == 7
     assert overlay.last_writer_block("c") is None

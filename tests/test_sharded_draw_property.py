@@ -191,12 +191,9 @@ def test_placement_is_asked_once_per_index_not_once_per_draw(monkeypatch):
     population=POPULATIONS,
     channels=st.integers(min_value=1, max_value=9),
     placement=PLACEMENTS,
-    hot_share=st.floats(min_value=0.01, max_value=0.99),
 )
-def test_owners_table_is_channel_of_index_index_by_index(
-    population, channels, placement, hot_share
-):
-    topology = ChannelTopology(channels=channels, placement=placement, hot_share=hot_share)
+def test_owners_table_is_channel_of_index_index_by_index(population, channels, placement):
+    topology = ChannelTopology(channels=channels, placement=placement)
     owners = topology.owners(population)
     assert isinstance(owners, bytes) and len(owners) == population
     assert list(owners) == [topology.channel_of_index(i, population) for i in range(population)]

@@ -7,8 +7,8 @@ through the channel's bounded result table.  Three kinds of test pin that:
 * **Differential** — a run is byte-identical to the same run with sharing
   switched off.  There is no product switch: "off" is a monkeypatch that makes
   every state token ``None``.  The cells that matter are the ones where the
-  bare commit epoch would *not* identify a state (blocks applied out of
-  sequence), and a third run keyed on the bare epoch shows the test has teeth.
+  replicas lag one another by several blocks (half a second of delivery
+  jitter); a run keyed on one token for every state shows the test has teeth.
   Eviction is differential too: caps of one row and one token change nothing.
 * **Exact proxies of the gain** — executions per attempt, stub constructions,
   range scans, read/write-set identity before the client's equality loop:
@@ -23,7 +23,8 @@ import gc
 import importlib.util
 import random
 import weakref
-from collections import Counter
+from collections import Counter, defaultdict
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ from repro.chaincode.generator import genchain_generator
 from repro.chaincode.api import ChaincodeStub
 from repro.chaincode.base import Chaincode
 from repro.core.fingerprint import record_fingerprint
+from repro.errors import LedgerError
 from repro.checker.config import CheckerConfig
 from repro.faults import FaultConfig
 from repro.ledger.block import Transaction
@@ -60,6 +62,7 @@ EHR_CELL_EXECUTIONS = 440
 
 NO_TOKEN = property(lambda store: None)
 BARE_EPOCH_TOKEN = property(lambda store: store.commit_epoch)
+ONE_TOKEN = property(lambda store: 0)
 
 
 def ehr_cell(variant: str = "fabric-1.4", **network) -> ExperimentConfig:
@@ -142,53 +145,71 @@ def counters(monkeypatch) -> Counter:
 
 # ------------------------------------------------------------- differential
 @pytest.mark.parametrize("variant", ["fabric-1.4", "streamchain"])
-def test_out_of_sequence_commits_share_nothing_they_should_not(variant, monkeypatch, counters):
-    # Half a second of delivery jitter against ~0.1 s between blocks: peers
-    # apply block N+1 before block N, so two replicas at one commit epoch can
-    # hold different writes.
+def test_lagging_replicas_share_nothing_they_should_not(variant, monkeypatch, counters):
+    # Half a second of delivery jitter against ~0.1 s between blocks: the
+    # replicas lag one another by several blocks, and apply each in order.
     config = ehr_cell(variant, timing=TimingProfile(delivery_jitter=0.5))
     shared = assert_sharing_is_unobservable(config, monkeypatch, counters)
-    assert counters["out_of_sequence"] > 100
+    assert counters["out_of_sequence"] == 0
     assert counters["executions"] < counters["proposals"]
-    # The in-sequence rule is what makes that hold: keyed on the bare epoch,
-    # the same run computes something else.
+    # The lag puts many states in play: over two executions per attempt,
+    # where the default jitter costs about one.
+    assert counters["executions"] > 2 * len(shared[2].transactions)
     with monkeypatch.context() as patch:
+        # Blocks in order, the bare epoch names a replica's state...
         patch.setattr(OverlayStateStore, "state_token", BARE_EPOCH_TOKEN)
+        assert everything_computed(config)[0] == shared[0]
+        # ...and a token that ignores the lag computes something else.
+        patch.setattr(OverlayStateStore, "state_token", ONE_TOKEN)
         assert everything_computed(config)[0] != shared[0]
 
 
-def out_of_sequence_counts(deployment):
-    return [
-        peer.store.out_of_sequence_batches
-        for channel in deployment.channels
-        for peer in channel.peers
-        if peer.store is not None
-    ]
+def assert_every_peer_commits_in_order(config: ExperimentConfig, monkeypatch):
+    """Runs ``config`` and returns its record: every peer of every channel
+    commits blocks 1..n in order, and every replica ends at block n with the
+    validator's state."""
+    commits = defaultdict(list)
+    commit_block, settle = Peer._commit_block, Peer.settle
+
+    def committing(peer, block, *rest):
+        commits[peer].append(block.number)
+        commit_block(peer, block, *rest)
+
+    def settling(peer, until):
+        # A committer settles what has arrived by ``until``, in arrival order.
+        due = sorted((entry for entry in peer.arrivals if entry[0] <= until), key=itemgetter(0))
+        commits[peer].extend(number for _, _, number in due)
+        settle(peer, until)
+
+    monkeypatch.setattr(Peer, "_commit_block", committing)
+    monkeypatch.setattr(Peer, "settle", settling)
+    deployment = build_cell(config, record_chain=False)
+    record = run_cell(config, deployment)
+    for channel in deployment.channels:
+        blocks = list(range(1, channel.orderer.blocks_cut + 1))
+        assert len(blocks) > 10
+        validator = channel.validator.store.snapshot_versions()
+        for peer in channel.peers:
+            assert commits[peer] == blocks, peer.name
+            assert peer.committed_height == blocks[-1], peer.name
+            if peer.store is not None:
+                assert peer.store.commit_epoch == peer.committed_height, peer.name
+                assert peer.store.snapshot_versions() == validator, peer.name
+    return record
 
 
 @pytest.mark.parametrize("jitter", [None, 0.5])
-def test_every_replica_counts_the_batches_it_applied_out_of_block_order(jitter):
-    # At the default delivery jitter no peer applies a block before the one
-    # ahead of it; at half a second most of them do.
-    config = ehr_cell() if jitter is None else ehr_cell(timing=TimingProfile(delivery_jitter=jitter))
-    deployment = build_cell(config, record_chain=False)
-    run_cell(config, deployment)
-    counts = out_of_sequence_counts(deployment)
-    assert len(counts) == 8
-    if jitter is None:
-        assert counts == [0] * 8
-    else:
-        assert min(counts) > 0
+def test_every_peer_commits_its_blocks_in_order(jitter, monkeypatch):
+    # At half a second of delivery jitter the blocks leave the ordering
+    # service ~0.1 s apart: each peer's stream keeps them in order anyway.
+    timing = TimingProfile() if jitter is None else TimingProfile(delivery_jitter=jitter)
+    assert_every_peer_commits_in_order(ehr_cell(timing=timing), monkeypatch)
 
 
-def test_crashed_replicas_catch_up_on_deferred_blocks_in_block_order():
+def test_crashed_replicas_catch_up_on_deferred_blocks_in_block_order(monkeypatch):
     # On the chaos pin cell crashed peers defer the blocks delivered while
-    # they are down and catch up on recovery; the catch-up applies them in
-    # block order, so no replica counts an out-of-sequence batch.
-    config = PIN_CELLS["chaos/C2"]
-    deployment = build_cell(config, record_chain=False)
-    record = run_cell(config, deployment)
-    assert out_of_sequence_counts(deployment) == [0] * 8
+    # they are down and catch up on recovery, in block order.
+    record = assert_every_peer_commits_in_order(PIN_CELLS["chaos/C2"], monkeypatch)
     # Not vacuous: peers did crash, recover and catch up on deferred blocks.
     faults = record.fault_injections
     assert faults["peer_crash"] == faults["peer_recover"] > 0
@@ -303,21 +324,30 @@ def test_overlays_over_one_base_agree_on_the_token_after_the_same_batches(frozen
     assert dict(one.items()) == dict(other.items())
 
 
-def test_the_token_is_gone_for_good_after_an_out_of_sequence_batch(frozen_base):
-    early, late = frozen_base.overlay(), frozen_base.overlay()
-    committed(early, 2, key="a")
-    committed(early, 1, key="a")
-    committed(late, 1, key="a")
-    committed(late, 2, key="a")
-    # Same epoch, different databases: the last writer of "a" differs.
-    assert early.commit_epoch == late.commit_epoch == 2
-    assert early.get_value("a") != late.get_value("a")
-    assert late.state_token == 2
-    assert early.state_token is None
-    committed(early, 3)
-    assert early.state_token is None
-    # Blocks 2 and 1 each landed on an epoch other than their own; 3 did not.
-    assert (early.out_of_sequence_batches, late.out_of_sequence_batches) == (2, 0)
+def test_a_block_applied_before_its_predecessor_raises_and_changes_nothing(frozen_base):
+    overlay = frozen_base.overlay()
+
+    def held(store):
+        return (
+            list(store.items()),
+            store.commit_epoch,
+            store.state_token,
+            store.last_writer_block("a"),
+            store.delta_size,
+            len(store),
+        )
+
+    before = held(overlay)
+    with pytest.raises(LedgerError, match="block 2 applied out of order"):
+        committed(overlay, 2)
+    assert held(overlay) == before
+    committed(overlay, 1)
+    after_one = held(overlay)
+    with pytest.raises(LedgerError, match="block 1 applied out of order"):
+        committed(overlay, 1)
+    assert held(overlay) == after_one
+    committed(overlay, 2)
+    assert overlay.state_token == 2 and overlay.get_value("a") == 2
 
 
 @pytest.mark.parametrize(
@@ -357,7 +387,9 @@ def test_a_lagged_view_names_the_epoch_it_serves(frozen_base):
     sim.post_at(2.0, lambda: None)
     sim.run_until_empty()
     assert view.get_value("a") == 1 and view.state_token == 1
-    committed(overlay, 3)
+    # A write around apply_batch takes the store's token, and the view's with it.
+    overlay.put("b", 1, Version(0, 0))
+    committed(overlay, 2)
     view.refresh(visible_after=9.0)
     assert view.state_token is None
 
@@ -393,14 +425,14 @@ def test_only_a_snapshot_endorsing_replica_snapshots(variant, monkeypatch):
     streams = {peer.name: peer.rng.getstate() for peer in endorsers}
     run_cell(config, deployment)
     for peer in endorsers:
-        assert peer.blocks_committed > 0
+        assert peer.committed_height > 0
         lagged = variant == "fabricsharp"
-        assert snapshots[id(peer.store)] == (peer.blocks_committed if lagged else 0), peer.name
+        assert snapshots[id(peer.store)] == (peer.committed_height if lagged else 0), peer.name
         # Two draws per commit, snapshot or not: validation jitter and
         # snapshot delay, so every endorser's stream ends where it did.
         replay = random.Random()
         replay.setstate(streams[peer.name])
-        for _ in range(2 * peer.blocks_committed):
+        for _ in range(2 * peer.committed_height):
             replay.random()
         assert replay.getstate() == peer.rng.getstate(), peer.name
 
