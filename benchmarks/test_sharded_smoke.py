@@ -2,20 +2,18 @@
 
 One 2-channel, ~30k-transaction deployment with ``cross_channel_rate=0`` runs
 once on the shared clock (recorded: an uncoupled deployment shares one clock
-only then) and once sharded across two processes (an explicit
-count, so the real pool runs on single-core CI runners too): this one drains
-channel 0 itself and a pool of one worker drains channel 1.  Every assertion
-is exact on every machine:
+only then) and once sharded across a pool of two workers (an explicit count,
+so the real pool runs on single-core CI runners too), one channel each, while
+this process waits.  Every assertion is exact on every machine:
 
 * **bit identity** — the sharded merge reproduces the shared-clock run's
   analysis, aggregate and per channel;
-* **cost of the process boundary, as integers** — the pickled bytes the pool
-  sends back per transaction of the channels it drained stay under a pinned
-  ceiling (a shard ships its records and its tally — a compact row of floats
-  per attempt — never a transaction); the channels this process drained
-  cross nothing.  And no full garbage collection starts in this process
-  between ``run()`` entry and the returned record (its own shards, unpickling
-  and merging included).
+* **cost of the process boundary, as integers** — the pickled bytes of the
+  shards' results (each a :class:`~repro.channels.group.GroupResult`) per
+  transaction stay under a pinned ceiling (a shard ships its records and its
+  tally — a compact row of floats per attempt — never a transaction).  And no
+  full garbage collection starts in this process between ``run()`` entry and
+  the returned record (waiting, unpickling and merging included).
 
 What sharding buys in wall-clock is the ``ehr-8ch-sharded`` row of
 ``python3 -m perfbench`` against ``ehr-8ch`` (same input, digests equal): a
@@ -25,11 +23,13 @@ ratio of two timings is not a tier-1 assertion.
 from __future__ import annotations
 
 import gc
+import pickle
 
+from repro.channels import network as channel_network
 from repro.channels.network import MultiChannelNetwork
 from repro.core import LedgerAnalyzer
 from repro.network.config import NetworkConfig
-from repro.sim.shard import ExecutionConfig
+from repro.sim.shard import ExecutionConfig, process_pool
 from repro.workload.workloads import uniform_workload
 
 SMOKE_CHANNELS = 2
@@ -40,7 +40,7 @@ SMOKE_WORKERS = 2
 #: Pickled result bytes the pool may send back per transaction it simulated.
 #: While a shard shipped its chain (two endorsements per transaction here): a
 #: private read/write set each measured 503, one shared with the transaction
-#: 410, and each object as one tuple of its slots 309.  Its tally ships 86.
+#: 410, and each object as one tuple of its slots 309.  Its tally ships 68.
 SMOKE_TRANSPORT_BYTES_PER_TX_CEILING = 100
 
 
@@ -86,15 +86,30 @@ def run_smoke_cell(sharded: bool):
     return network, record, len(full_collections)
 
 
-def test_sharded_execution_smoke():
+def test_sharded_execution_smoke(monkeypatch):
     _, shared_record, shared_collections = run_smoke_cell(sharded=False)
+    shipped = []
+
+    def merge(results, **kwargs):
+        shipped.extend(results)
+        return merge_group_results(results, **kwargs)
+
+    pools = []
+
+    def pool(workers):
+        pools.append(workers)
+        return process_pool(workers)
+
+    merge_group_results = channel_network.merge_group_results
+    monkeypatch.setattr(channel_network, "merge_group_results", merge)
+    monkeypatch.setattr(channel_network, "process_pool", pool)
     network, sharded_record, sharded_collections = run_smoke_cell(sharded=True)
 
     # Identity first: cost means nothing if the answer changed.
     assert shared_record.execution == "shared-clock"
     assert sharded_record.execution == "sharded"
     assert sharded_record.shard_count == SMOKE_CHANNELS
-    assert network.shard_workers_used == SMOKE_WORKERS
+    assert pools == [SMOKE_WORKERS]
     shared, sharded = (
         LedgerAnalyzer().analyze(record) for record in (shared_record, sharded_record)
     )
@@ -102,16 +117,13 @@ def test_sharded_execution_smoke():
     assert sharded.channel_analyses == shared.channel_analyses
     assert sharded_record.submitted_count == shared_record.submitted_count
 
-    # This process drains shards 0, N, 2N, ...; only the others cross the pipe.
-    shipped = sum(
-        channel.record.submitted_count
-        for channel in sharded_record.channel_records
-        if channel.index % SMOKE_WORKERS
-    )
-    bytes_per_tx = network.shard_transport_bytes // shipped
+    # Every shard crossed the pool's pipe: what it carried, pickled again here.
+    assert len(shipped) == SMOKE_CHANNELS
+    shipped_bytes = sum(len(pickle.dumps(result, pickle.HIGHEST_PROTOCOL)) for result in shipped)
+    bytes_per_tx = shipped_bytes // sharded_record.submitted_count
     print(
-        f"sharded smoke: {network.shard_transport_bytes:,} pickled bytes for "
-        f"{shipped:,} shipped transactions ({bytes_per_tx} per transaction, "
+        f"sharded smoke: {shipped_bytes:,} pickled bytes for "
+        f"{sharded_record.submitted_count:,} shipped transactions ({bytes_per_tx} per transaction, "
         f"ceiling {SMOKE_TRANSPORT_BYTES_PER_TX_CEILING}); full collections inside run(): "
         f"{sharded_collections} sharded, {shared_collections} shared"
     )

@@ -61,16 +61,9 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.harness import ExperimentConfig, ExperimentResult, run_repetition
-from repro.channels.network import plan_groups
 from repro.core.analyzer import ExperimentAnalysis
 from repro.errors import AnalysisError, ConfigurationError, SimulationError
-from repro.sim.shard import (
-    PROCESS_BUDGET_ENV,
-    available_cores,
-    process_budget,
-    process_pool,
-    resolve_worker_count,
-)
+from repro.sim.shard import available_cores, process_pool, resolve_worker_count
 
 #: A progress hook receives a :class:`ProgressEvent` after every finished task.
 ProgressHook = Callable[["ProgressEvent"], None]
@@ -427,7 +420,7 @@ class ExperimentRunner:
             cache_corrupt=(
                 self.cache.corrupt_entries - corrupt_before if self.cache is not None else 0
             ),
-            workers=self._effective_workers(misses),
+            workers=resolve_worker_count(self.workers, len(misses)),
         )
         self._report_progress(cache_hits, len(tasks), cache_hits, started)
         completed = cache_hits
@@ -461,36 +454,6 @@ class ExperimentRunner:
         return SweepOutcome(cells=cells, results=results, stats=self.stats)
 
     # -------------------------------------------------------------- internals
-    def _effective_workers(self, misses: Sequence[_Task]) -> int:
-        if self.workers <= 1 or len(misses) <= 1:
-            return 1
-        return min(self.workers, len(misses), self._budget_cap(misses))
-
-    @staticmethod
-    def _task_footprint(task: _Task) -> int:
-        """Processes that simulate one repetition of ``task``, itself included."""
-        network = task.config.network
-        mode, groups = plan_groups(network)
-        if mode != "sharded":
-            return 1
-        return resolve_worker_count(network.execution.shard_workers, len(groups))
-
-    def _budget_cap(self, misses: Sequence[_Task]) -> int:
-        """Runner workers allowed under the shared process budget.
-
-        Runner workers multiply with the per-repetition shard workers
-        (:mod:`repro.sim.shard`), so when any task fans out the pool is sized
-        such that ``workers * max(task footprint) <= process_budget()``.  At
-        least one worker always runs — a single over-wide task degrades to
-        serial execution rather than failing.  Batches of plain (footprint 1)
-        tasks are never capped: an explicitly requested worker count is
-        honored even on narrow machines, exactly as before sharding existed.
-        """
-        footprint = max((self._task_footprint(task) for task in misses), default=1)
-        if footprint <= 1:
-            return self.workers
-        return max(1, process_budget() // footprint)
-
     def _execute(self, misses: Sequence[_Task], workers: int):
         """Yield ``(task, analysis)`` pairs in task order."""
         if workers <= 1:
@@ -500,15 +463,12 @@ class ExperimentRunner:
         from concurrent.futures.process import BrokenProcessPool  # loaded with the pool
 
         columns = zip(*((task.config, task.repetition, task.cell_hash) for task in misses))
-        # Each pool worker inherits its slice of the process budget, so a
-        # sharded repetition inside a worker cannot fan out past the global
-        # cap (workers × shard processes <= budget).
-        budget = process_budget()
-        previous = os.environ.get(PROCESS_BUDGET_ENV)
-        os.environ[PROCESS_BUDGET_ENV] = str(max(1, budget // workers))
         done = 0
         try:
-            with process_pool(workers) as pool:
+            # Each worker gets its slice of the cores, and a sharded cell fans
+            # its shards out within it: runner workers × shard workers never
+            # exceed the cores, and fewer cells than cores still use them all.
+            with process_pool(workers, share=max(1, available_cores() // workers)) as pool:
                 for task, analysis in zip(misses, pool.map(_execute_task, *columns)):
                     yield task, analysis
                     done += 1
@@ -522,11 +482,6 @@ class ExperimentRunner:
                 f"{task.repetition} and {len(misses) - done - 1} repetition(s) after it "
                 "did not return"
             ) from error
-        finally:
-            if previous is None:
-                os.environ.pop(PROCESS_BUDGET_ENV, None)
-            else:
-                os.environ[PROCESS_BUDGET_ENV] = previous
 
     def _report_progress(self, completed: int, total: int, cache_hits: int, started: float) -> None:
         if self.progress is None:

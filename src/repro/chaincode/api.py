@@ -165,12 +165,3 @@ class ChaincodeStub:
         """Number of point reads performed so far."""
         return len(self.rwset.reads)
 
-    @property
-    def write_count(self) -> int:
-        """Number of distinct keys written (including deletions)."""
-        return len(self.rwset.writes)
-
-    @property
-    def range_read_count(self) -> int:
-        """Number of range/rich queries performed so far."""
-        return len(self.rwset.range_reads)

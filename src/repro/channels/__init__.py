@@ -14,9 +14,9 @@ network is its one-channel plan).  What couples the channels picks its plan
 (:func:`~repro.channels.network.plan_groups`): channels tied together — by
 cross traffic, a retry rate cap, an observer or a recorded chain — share one
 clock in one group; every other channel runs on a clock of its own, drained
-in this process or, with ``ExecutionConfig(shard_workers=N)``, by N
-processes.  Each
-group (:class:`~repro.channels.group.ChannelGroup`) builds what couples its
+in this process or, with ``ExecutionConfig(shard_workers=N)``, by a pool of N
+worker processes while this one waits.  Each group
+(:class:`~repro.channels.group.ChannelGroup`) builds what couples its
 channels: the :class:`ChannelTopology` of the placement policies, the retry
 governor and the :class:`CrossChannelCoordinator` of the 2PC model.
 """

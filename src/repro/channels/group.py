@@ -25,7 +25,6 @@ computes.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -220,25 +219,11 @@ class ChannelGroup:
         )
 
 
-def simulate_group(spec: GroupSpec, args: RunArgs) -> GroupResult:
-    """Build one independent group, drain it on its own clock and collect it."""
-    return ChannelGroup(spec).run(args)
-
-
 @quiet_collector()
-def simulate_group_to_file(spec: GroupSpec, args: RunArgs, path: str) -> int:
-    """Pool worker entry point (module level, so it pickles across the pool).
+def simulate_group(spec: GroupSpec, args: RunArgs) -> GroupResult:
+    """Build one independent group, drain it on its own clock and collect it.
 
-    Only the shards the deploying process does not drain itself come here.
-
-    The worker pickles its own result into the file ``task`` names and hands
-    the pool only the file's size: a result sent back through the pool's
-    pipe is read by the deploying process's result-handler thread one
-    pipe-sized chunk at a time, each waiting for the interpreter lock that
-    process's own simulation holds — the worker would block until its last
-    chunk is read.
+    Module level, so a shard's pool worker can run it: the result comes back
+    pickled through the pool's pipe.
     """
-    result = simulate_group(spec, args)
-    with open(path, "wb") as file:
-        pickle.dump(result, file, protocol=pickle.HIGHEST_PROTOCOL)
-        return file.tell()
+    return ChannelGroup(spec).run(args)

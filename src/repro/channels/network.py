@@ -34,11 +34,13 @@ groups there are and who advances their clocks — is one rule over the config
 ``sharded``
     One group (shard) per channel, each drained to completion on its own
     clock: the plan of every multi-channel deployment nothing couples.
-    ``shard_workers`` only counts the processes that drain the shards: with
-    N of them this one drains shards 0, N, 2N, ... and a pool of N - 1
-    workers the rest, so the default 1 drains them all here, one at a time.
-    A shard is specified by data — the chaincode and variant by registry
-    name — so every shard can ship.  With no cross traffic a channel's
+    ``shard_workers`` only counts the processes that drain the shards: the
+    default 1 drains them all here, one at a time; N >= 2 hands every shard,
+    in shard order, to a pool of N workers while this process waits for their
+    results (inside a runner worker, N is capped by that worker's share of
+    the cores, :mod:`repro.sim.shard`).  A shard is
+    specified by data — the chaincode and variant by registry name — so every
+    shard can ship.  With no cross traffic a channel's
     event sequence is a pure function of its own streams and transaction ids,
     so the merged record is *bit-identical* to the shared clock (asserted by
     the golden bit-identity suite); only ``RunRecord.execution`` /
@@ -68,9 +70,6 @@ Modeling notes:
 
 from __future__ import annotations
 
-import os
-import pickle
-import tempfile
 from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.channels.group import (
@@ -79,7 +78,6 @@ from repro.channels.group import (
     GroupSpec,
     RunArgs,
     simulate_group,
-    simulate_group_to_file,
 )
 from repro.channels.merge import merge_group_results
 from repro.errors import ConfigurationError, SimulationError
@@ -167,11 +165,6 @@ class MultiChannelNetwork:
         group = self.group
         self.sim = group.sim if group else None
         self.channels: List[Channel] = list(group.channels) if group else []
-        #: Filled by :meth:`run`: processes that simulated (this one included)
-        #: and the bytes of the result files the pool's shards wrote (0 when
-        #: every group ran in-process; this process's own shards cross nothing).
-        self.shard_workers_used = 0
-        self.shard_transport_bytes = 0
 
     # -------------------------------------------------------------------- run
     @quiet_collector()
@@ -192,7 +185,6 @@ class MultiChannelNetwork:
         if self.group is None:
             results = self._drain_shards(args)
         else:
-            self.shard_workers_used = 1
             results = [self.group.run(args)]
         return merge_group_results(
             results,
@@ -205,46 +197,27 @@ class MultiChannelNetwork:
     # --------------------------------------------------------------- shards
     def _drain_shards(self, args: RunArgs) -> List[GroupResult]:
         specs = self._specs
-        self.shard_transport_bytes = 0
         workers = resolve_worker_count(self.config.execution.shard_workers, len(specs))
-        # This process is one of the ``workers``: it simulates shards 0, N,
-        # 2N, ... itself and ships the others to a pool of N - 1.
-        shipped = [index for index in range(len(specs)) if index % workers]
-        self.shard_workers_used = workers
         if workers == 1:
             return [simulate_group(spec, args) for spec in specs]
-        results: List[Optional[GroupResult]] = [None] * len(specs)
-        # The pool's shards come back as files in a directory of this run:
-        # the pool pipe carries each one's size only.  Leaving the ``with``
-        # blocks — normally or on a shard's exception — stops the workers
-        # first, then removes the directory and whatever is in it.
         from concurrent.futures.process import BrokenProcessPool  # loaded with the pool
 
-        with tempfile.TemporaryDirectory(prefix="repro-shards-") as directory:
-            paths = [os.path.join(directory, f"shard-{index}.pickle") for index in shipped]
-            with process_pool(workers - 1) as pool:
-                sizes = []
-                try:
-                    for index, path in zip(shipped, paths):
-                        sizes.append(pool.submit(simulate_group_to_file, specs[index], args, path))
-                except BrokenProcessPool as error:
-                    # A worker died while shards were still being queued: name
-                    # the first queued shard it took down, else the refused one.
-                    lost = next(
-                        (index for index, size in zip(shipped, sizes) if size.exception()),
-                        shipped[len(sizes)],
-                    )
-                    raise _lost_shard(specs[lost]) from error
-                for index in range(0, len(specs), workers):
-                    results[index] = simulate_group(specs[index], args)
-                for index, path, size in zip(shipped, paths, sizes):
-                    try:
-                        self.shard_transport_bytes += size.result()
-                    except BrokenProcessPool as error:
-                        raise _lost_shard(specs[index]) from error
-                    with open(path, "rb") as file:
-                        results[index] = pickle.load(file)
-        return results
+        # The pool simulates every shard and this process only waits, so the
+        # results come back through the pool's pipe as they are ready.
+        with process_pool(workers) as pool:
+            futures = []
+            try:
+                for spec in specs:
+                    futures.append(pool.submit(simulate_group, spec, args))
+                return [future.result() for future in futures]
+            except BrokenProcessPool as error:
+                # A worker died: name the first queued shard it took down, else
+                # (every queued shard returned) the one the pool refused.
+                lost = next(
+                    (index for index, future in enumerate(futures) if future.exception()),
+                    len(futures),
+                )
+                raise _lost_shard(specs[lost]) from error
 
 
 def _lost_shard(spec: GroupSpec) -> SimulationError:

@@ -136,11 +136,11 @@ def _finite_float(kind: str) -> Callable[[str], float]:
 def _shard_workers(value: str) -> int:
     """argparse ``type`` for ``--shard-workers``.
 
-    Valid values: ``0`` (size the simulating processes, this one included,
-    automatically from the process budget), ``1`` (the default: this process
-    drains every shard) or a positive cap on them.  Anything else — negatives, floats,
-    non-numbers — exits with code 2 and a message listing the valid values,
-    matching the other options.
+    Valid values: ``0`` (a pool of a worker per available core drains the
+    shards), ``1`` (the default: this process drains every shard) or a
+    positive cap on the pool.  Anything else — negatives, floats, non-numbers —
+    exits with code 2 and a message listing the valid values, matching the
+    other options.
     """
     valid = "valid values: 0 (auto), 1 (this process only) or a positive worker cap"
     try:
@@ -268,9 +268,10 @@ _EXPERIMENT_FLAGS = (
         "shard_workers",
         type=_shard_workers,
         help=(
-            "processes that simulate independent channel shards, this one included: "
-            "0 sizes the count automatically, 1 (default) drains every shard in this "
-            "process, N >= 2 caps it (needs --channels >= 2; bit-identical results either way)"
+            "processes that simulate independent channel shards: 1 (default) drains "
+            "every shard in this process, N >= 2 a pool of at most N workers while this "
+            "process waits, 0 every available core (needs --channels >= 2; "
+            "bit-identical results either way)"
         ),
     ),
     _Flag(

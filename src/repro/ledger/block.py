@@ -286,10 +286,6 @@ class Transaction(SlotState):
             return None
         return self.committed_at - self.submitted_at
 
-    def has_range_reads(self) -> bool:
-        """True when the endorsement produced at least one range read."""
-        return bool(self.rwset is not None and self.rwset.range_reads)
-
     def estimated_size_bytes(self) -> int:
         """Rough wire size of the transaction, used for the max-bytes block cut."""
         base = 512  # headers, signatures, certificates
@@ -320,15 +316,6 @@ class Block(SlotState):
     def size(self) -> int:
         """Number of transactions in the block (valid and failed)."""
         return len(self.transactions)
-
-    @property
-    def size_bytes(self) -> int:
-        """Approximate serialized size of the block."""
-        return sum(tx.estimated_size_bytes() for tx in self.transactions) + 1024
-
-    def valid_transactions(self) -> List[Transaction]:
-        """Transactions that passed VSCC and MVCC validation."""
-        return [tx for tx in self.transactions if tx.is_committed]
 
     def failed_transactions(self) -> List[Transaction]:
         """Transactions recorded in the block with a failure code."""

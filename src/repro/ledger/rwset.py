@@ -126,13 +126,6 @@ class ReadWriteSet(SlotState):
         """
         return bool(self.read_keys() & other.write_keys())
 
-    def version_of(self, key: str) -> Optional[Version]:
-        """Version recorded for ``key`` in this read set, or None if not read."""
-        for read in self.all_reads():
-            if read.key == key:
-                return read.version
-        return None
-
     def merge_counts(self) -> dict:
         """Operation counts, used for reporting (Table 2 style summaries)."""
         return {

@@ -517,11 +517,6 @@ class EpochSnapshot:
         return not self._pre_images
 
     @property
-    def changed_key_count(self) -> int:
-        """Number of keys that changed after the pinned epoch."""
-        return len(self._pre_images)
-
-    @property
     def latency(self) -> DatabaseLatencyProfile:
         """Latency profile of the underlying store."""
         return self.store.latency

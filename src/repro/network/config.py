@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -133,6 +134,26 @@ class TimingProfile:
     #: up to this many seconds, which is the staleness the paper blames for the
     #: extra endorsement policy failures (Section 5.4.1).
     sharp_snapshot_delay: float = 0.15
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigurationError` naming the first invalid constant.
+
+        Every latency, jitter and factor must be >= 0 and finite (a negative
+        jitter would schedule an event before the current time, mid-run), and
+        the endorsement concurrency an integer of at least 1.  Every bound is
+        written so that NaN fails it too.
+        """
+        for constant in dataclasses.fields(self):
+            value = getattr(self, constant.name)
+            if constant.name == "endorsement_concurrency":
+                if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                    raise ConfigurationError(
+                        f"timing.endorsement_concurrency must be an integer >= 1, got {value!r}"
+                    )
+            elif not 0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"timing.{constant.name} must be >= 0 and finite, got {value}"
+                )
 
 
 #: The key-placement policies understood by the channel subsystem.
@@ -271,6 +292,7 @@ class NetworkConfig:
                 "cross-channel transactions need at least two channels "
                 f"(channels={self.channels}, cross_channel_rate={self.cross_channel_rate})"
             )
+        self.timing.validate()
         self.retry.validate()
         self.faults.validate()
         self.observability.validate()
@@ -284,11 +306,6 @@ class NetworkConfig:
                 )
 
     # ------------------------------------------------------------- accessors
-    @property
-    def total_peers(self) -> int:
-        """Total number of peers in the network."""
-        return self.orgs * self.peers_per_org
-
     @property
     def database_profile(self) -> DatabaseLatencyProfile:
         """The latency profile of the configured state database."""

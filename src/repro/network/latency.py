@@ -49,10 +49,6 @@ class LatencyModel:
             )
         return latency if latency > 0.0 else 0.0
 
-    def round_trip(self, src_org: Optional[int] = None, dst_org: Optional[int] = None) -> float:
-        """Round-trip latency between two components."""
-        return self.one_way(src_org, dst_org) + self.one_way(dst_org, src_org)
-
     def block_delivery(self, dst_org: Optional[int]) -> float:
         """Latency of delivering a block from the ordering service to a peer.
 

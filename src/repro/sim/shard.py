@@ -1,4 +1,4 @@
-"""Execution strategy and process budgeting for parallel multi-channel runs.
+"""Execution strategy for parallel multi-channel runs.
 
 A multi-channel deployment whose channels never talk to each other is an
 embarrassingly parallel simulation: each channel owns its ledger, state
@@ -11,13 +11,16 @@ couples them all).  This module decides *how many* processes drain them:
 * :class:`ExecutionConfig` is the knob on
   :class:`~repro.network.config.NetworkConfig` counting those processes:
   ``shard_workers=1`` (default) drains every shard in this process, ``0``
-  sizes the set of simulating processes (this one included) from the
-  process budget and ``N >= 2`` caps it (see :mod:`repro.channels.network`).
-* :func:`resolve_worker_count` / :func:`process_budget` implement the shared
-  process budget: the experiment runner exports
-  :data:`PROCESS_BUDGET_ENV` before fanning cells out, so runner workers ×
-  shard workers never oversubscribes the machine.
-* :func:`process_pool` is the one pool both fan-outs use.
+  hands them to a pool of a worker per available core and ``N >= 2`` to a
+  pool of at most N, while this process waits (see
+  :mod:`repro.channels.network`).
+* :func:`resolve_worker_count` sizes that count, and :func:`process_pool` is
+  the one pool both fan-outs use — the experiment runner's cells and a run's
+  shards.  Each pool worker gets a share of the cores that caps every count
+  inside it: a shard worker's share is 1, so it starts no pool, and a runner
+  worker's is the available cores split between the runner's workers, so a
+  sharded cell in a runner worker fans out only within its slice and nested
+  fan-out never simulates on more processes than the machine has cores.
 
 The execution strategy never changes *what* a run computes — sharded
 execution with ``cross_channel_rate == 0`` is bit-identical to the
@@ -37,12 +40,9 @@ from repro.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import ProcessPoolExecutor
 
-#: Environment variable through which a parent process (the experiment
-#: runner) bounds the number of processes of this process tree that
-#: simulate, the one that reads it included.  Inherited by forked pool
-#: workers, so nested parallelism (runner workers × shard workers) stays
-#: within one machine-wide budget.
-PROCESS_BUDGET_ENV = "REPRO_PROCESS_BUDGET"
+#: In a worker of :func:`process_pool`: the most processes it may simulate on,
+#: itself or a pool of its own.  0 in a process that is no pool worker.
+_core_share = 0
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,12 @@ class ExecutionConfig:
 
     The plan — a shard per channel or one shared clock — follows from what
     couples the channels alone (:func:`~repro.channels.network.plan_groups`);
-    ``shard_workers`` only counts the processes that simulate, this one
-    included: ``1`` (the default) drains every shard here, ``0`` leaves the
-    count to :func:`process_budget`, and ``N >= 2`` uses at most ``N`` — this
-    one and a pool of ``N - 1`` workers.  A shared-clock run is one process
-    whatever the count.
+    ``shard_workers`` only counts the processes that simulate: ``1`` (the
+    default) drains every shard here, ``0`` means every available core, and
+    ``N >= 2`` a pool of at most ``N`` workers that drains every shard while
+    this process waits.  A shared-clock run is one process whatever the
+    count, and inside a pool worker the count is capped by its share of the
+    cores (:func:`process_pool`).
     """
 
     shard_workers: int = 1
@@ -91,67 +92,48 @@ def available_cores() -> int:
     return max(1, cores)
 
 
-def _env_budget() -> int:
-    """The :data:`PROCESS_BUDGET_ENV` cap, or 0 when unset/invalid."""
-    raw = os.environ.get(PROCESS_BUDGET_ENV)
-    if raw is None:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        return 0
-    return value if value >= 1 else 0
+def _join_pool(share: int) -> None:
+    global _core_share
+    _core_share = share
 
 
-def process_budget() -> int:
-    """How many simulation processes this process tree may use.
+def resolve_worker_count(requested: int, tasks: int) -> int:
+    """The processes that simulate ``tasks`` independent tasks (shards or cells).
 
-    The :data:`PROCESS_BUDGET_ENV` environment variable (set by the
-    experiment runner around its pool) takes precedence; otherwise the
-    machine's available cores.
+    ``requested`` follows :class:`ExecutionConfig` semantics (``0`` = every
+    available core); neither it nor ``tasks`` is ever exceeded, and inside a
+    pool worker neither is its share of the cores (1 in a shard worker).
     """
-    return _env_budget() or available_cores()
-
-
-def resolve_worker_count(requested: int, shard_count: int) -> int:
-    """The processes that simulate a sharded run, this one included.
-
-    The run's pool is one smaller: this process drains shards too.
-    ``requested`` follows :class:`ExecutionConfig` semantics: ``0`` sizes the
-    count from :func:`process_budget`, an explicit ``N`` is honored up to the
-    shard count — except when a parent runner exported
-    :data:`PROCESS_BUDGET_ENV`, which caps explicit requests too (that is the
-    nested-parallelism guard).  Never exceeds ``shard_count`` and never
-    returns less than 1.
-    """
-    if shard_count <= 1:
-        return 1
-    if requested == 0:
-        limit = process_budget()
-    else:
-        limit = requested
-        env_cap = _env_budget()
-        if env_cap:
-            limit = min(limit, env_cap)
-    return max(1, min(limit, shard_count))
+    limit = requested or available_cores()
+    if _core_share:
+        limit = min(limit, _core_share)
+    return max(1, min(limit, tasks))
 
 
 @contextmanager
-def process_pool(workers: int) -> Iterator["ProcessPoolExecutor"]:
+def process_pool(workers: int, share: int = 1) -> Iterator["ProcessPoolExecutor"]:
     """A pool of ``workers`` forked processes, shut down when the block ends.
 
-    Forked, so a worker sees what its parent registered (a test chaincode, the
-    process budget) without pickling it.  A worker that dies — killed, out of
-    memory — breaks the pool: every result not yet returned raises
+    Forked, so a worker sees what its parent registered (a test chaincode)
+    without pickling it.  ``share`` caps every :func:`resolve_worker_count`
+    inside a worker: at the default 1 a worker starts no pool of its own.  A
+    worker that dies — killed, out of memory — breaks the pool: every result
+    not yet returned raises
     :class:`~concurrent.futures.process.BrokenProcessPool` instead of never
-    arriving.  Leaving the block waits for the tasks running; on an
-    exception, the tasks no worker has started are cancelled first.
+    arriving.  Leaving the block waits for the tasks
+    running; on an exception, the tasks no worker has started are cancelled
+    first.
     """
     # Imported here: a run that starts no pool does not pay for the modules.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_join_pool,
+        initargs=(share,),
+    )
     try:
         yield pool
     except BaseException:

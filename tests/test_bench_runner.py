@@ -9,12 +9,12 @@ import subprocess
 import sys
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from types import SimpleNamespace
 
 import pytest
 from test_runner_results import ENTRY_CEILING_BYTES
 from test_sharded_execution import experiment, run_cell
 
+from repro.bench import runner as runner_module
 from repro.bench.harness import (
     ExperimentConfig,
     repetition_seed,
@@ -32,10 +32,9 @@ from repro.chaincode.generator import ChaincodeGenerator, FunctionSpec
 from repro.channels import network as channel_network
 from repro.core.analyzer import ExperimentAnalysis
 from repro.errors import ConfigurationError, SimulationError
-from repro.lifecycle.retry import RetryConfig
 from repro.network.config import NetworkConfig
-from repro.observability.config import ObservabilityConfig
-from repro.sim.shard import PROCESS_BUDGET_ENV, ExecutionConfig
+from repro.sim import shard
+from repro.sim.shard import ExecutionConfig, process_pool
 from repro.workload.spec import TransactionMix
 from repro.workload.workloads import uniform_workload
 
@@ -404,16 +403,8 @@ def test_default_worker_count_is_the_cores_this_process_may_use(monkeypatch):
     assert ExperimentRunner(workers=None).workers == 1
 
 
-# ------------------------------------------------------------ process budget
-def _miss(config) -> "_Task":
-    from repro.bench.runner import _Task
-
-    return _Task(config_index=0, repetition=0, config=config, cell_hash=config.cell_hash())
-
-
+# ---------------------------------------------------------- nested pools
 def _sharded_config(shard_workers: int = 4) -> ExperimentConfig:
-    from repro.sim.shard import ExecutionConfig
-
     return tiny_config(
         network=NetworkConfig(
             cluster="C1",
@@ -427,133 +418,53 @@ def _sharded_config(shard_workers: int = 4) -> ExperimentConfig:
     )
 
 
-@pytest.mark.parametrize(
-    "budget,network,expected",
-    [
-        (None, dict(channels=1, execution=ExecutionConfig(shard_workers=0)), 1),
-        # Observed: shared clock, whatever shard_workers asks for.
-        (
-            None,
-            dict(
-                channels=4,
-                execution=ExecutionConfig(shard_workers=0),
-                observability=ObservabilityConfig(trace=True),
-            ),
-            1,
-        ),
-        # Sharded, every shard drained by this one process.
-        (None, dict(channels=4), 1),
-        # Coupled: shared clock.
-        (None, dict(channels=4, cross_channel_rate=0.1, execution=ExecutionConfig(0)), 1),
-        (None, dict(channels=4, execution=ExecutionConfig(shard_workers=2)), 2),
-        ("2", dict(channels=8, execution=ExecutionConfig(shard_workers=0)), 2),
-        # Sharded, every shard drained by the one process the budget allows.
-        ("1", dict(channels=4, execution=ExecutionConfig(shard_workers=0)), 1),
-        # One global resubmission bucket cannot be split across processes, so
-        # the plan is shared-clock whatever shard_workers asks for; budgeting
-        # one process per channel here would serialise the sweep for nothing.
-        (
-            "8",
-            dict(
-                channels=8,
-                execution=ExecutionConfig(shard_workers=0),
-                retry=RetryConfig(policy="jittered", rate_cap=50.0),
-            ),
-            1,
-        ),
-    ],
-    ids=[
-        "one-channel",
-        "shared-clock",
-        "default",
-        "coupled",
-        "two-workers",
-        "auto",
-        "in-process-shards",
-        "rate-capped",
-    ],
-)
-def test_task_footprint_is_what_the_plan_occupies(budget, network, expected, monkeypatch):
-    if budget is None:
-        monkeypatch.delenv(PROCESS_BUDGET_ENV, raising=False)
-    else:
-        monkeypatch.setenv(PROCESS_BUDGET_ENV, budget)
-    task = _miss(tiny_config(network=NetworkConfig(**network)))
-    assert ExperimentRunner._task_footprint(task) == expected
+def test_a_sharded_cell_in_a_runner_worker_drains_in_that_worker(monkeypatch):
+    # On two cores a 2-worker runner leaves each worker a share of one core,
+    # so its workers drain a sharded cell's shards themselves, while a serial
+    # runner hands them to a shard pool of ``shard_workers``.  The runner's
+    # pool is min(workers, misses).
+    monkeypatch.setattr(runner_module, "available_cores", lambda: 2)
+    deploying = os.getpid()
+    started = []
+
+    def shard_pool(workers):
+        assert os.getpid() == deploying, "a runner worker started a shard pool"
+        started.append(workers)
+        return process_pool(workers)
+
+    monkeypatch.setattr(channel_network, "process_pool", shard_pool)
+    configs = [_sharded_config(shard_workers=4), tiny_config(seed=5)]
+    parallel = ExperimentRunner(workers=8, cache=None)
+    pooled = parallel.run_many(configs)
+    assert parallel.stats.workers == 2 and started == []
+    serial = ExperimentRunner(workers=1, cache=None)
+    in_process = serial.run_many(configs)
+    assert serial.stats.workers == 1 and started == [4]
+    assert [result.analyses for result in pooled] == [result.analyses for result in in_process]
+    assert pooled[0].analyses[0].record.execution == "sharded"
 
 
-def test_worker_pool_is_capped_by_the_shard_footprint(monkeypatch):
-    from repro.sim.shard import PROCESS_BUDGET_ENV
+def test_a_runner_worker_fans_a_sharded_cell_out_within_its_share(tmp_path, monkeypatch):
+    # Two cells on four cores: each of the two runner workers may simulate on
+    # two processes, so each cell's shards go to a shard pool of two.  The
+    # workers are forked, so they report their pools through a file.
+    for module in (runner_module, shard):
+        monkeypatch.setattr(module, "available_cores", lambda: 4)
+    started = tmp_path / "pools"
 
-    monkeypatch.setenv(PROCESS_BUDGET_ENV, "8")
-    runner = ExperimentRunner(workers=8, cache=None)
-    misses = [_miss(_sharded_config(shard_workers=4)) for _ in range(8)]
-    # Each repetition fans out into 4 shard processes, so only 8 // 4 = 2
-    # runner workers fit under the budget of 8 processes.
-    assert runner._budget_cap(misses) == 2
-    assert runner._effective_workers(misses) == 2
+    def shard_pool(workers):
+        with started.open("a") as out:
+            out.write(f"{workers}\n")
+        return process_pool(workers)
 
-
-def test_plain_tasks_do_not_shrink_the_pool(monkeypatch):
-    from repro.sim.shard import PROCESS_BUDGET_ENV
-
-    monkeypatch.setenv(PROCESS_BUDGET_ENV, "2")
-    runner = ExperimentRunner(workers=4, cache=None)
-    misses = [_miss(tiny_config(seed=seed)) for seed in range(4)]
-    # Plain repetitions have footprint 1: the explicit worker request wins,
-    # exactly as it did before sharding existed.
-    assert runner._budget_cap(misses) == 4
-    assert runner._effective_workers(misses) == 4
-
-
-def test_single_over_wide_task_degrades_to_serial(monkeypatch):
-    from repro.sim.shard import PROCESS_BUDGET_ENV
-
-    monkeypatch.setenv(PROCESS_BUDGET_ENV, "2")
-    runner = ExperimentRunner(workers=8, cache=None)
-    misses = [_miss(_sharded_config(shard_workers=8)) for _ in range(4)]
-    # footprint 8 > budget 2: workers * footprint can never fit, so the
-    # runner falls back to one worker instead of refusing to run.
-    assert runner._budget_cap(misses) == 1
-    assert runner._effective_workers(misses) == 1
-
-
-def _inline_pool(seen: dict):
-    """Stands in for ``process_pool``: records the worker count and the process
-    budget it was asked under, and runs every task in this process."""
-
-    def pool(workers):
-        seen.update(workers=workers, env=os.environ.get(PROCESS_BUDGET_ENV))
-        return contextlib.nullcontext(SimpleNamespace(map=map))
-
-    return pool
-
-
-def test_pool_execution_exports_a_budget_slice_to_workers(monkeypatch):
-    from repro.bench import runner as runner_module
-
-    monkeypatch.setenv(PROCESS_BUDGET_ENV, "8")
-    seen = {}
-    monkeypatch.setattr(runner_module, "process_pool", _inline_pool(seen))
-    runner = ExperimentRunner(workers=2, cache=None)
-    misses = [_miss(tiny_config(seed=seed)) for seed in range(2)]
-    list(runner._execute(misses, workers=2))
-    # The pool saw budget // workers = 4, and the parent's value came back.
-    assert seen == {"workers": 2, "env": "4"}
-    assert os.environ.get(PROCESS_BUDGET_ENV) == "8"
-
-
-def test_budget_env_is_removed_after_execution_when_previously_unset(monkeypatch):
-    from repro.bench import runner as runner_module
-
-    monkeypatch.delenv(PROCESS_BUDGET_ENV, raising=False)
-    seen = {}
-    monkeypatch.setattr(runner_module, "process_pool", _inline_pool(seen))
-    runner = ExperimentRunner(workers=2, cache=None)
-    misses = [_miss(tiny_config(seed=seed)) for seed in range(2)]
-    list(runner._execute(misses, workers=2))
-    assert seen["env"] is not None
-    assert PROCESS_BUDGET_ENV not in os.environ
+    monkeypatch.setattr(channel_network, "process_pool", shard_pool)
+    configs = [_sharded_config(shard_workers=0), _sharded_config(0).with_overrides(seed=5)]
+    parallel = ExperimentRunner(workers=None, cache=None)
+    pooled = parallel.run_many(configs)
+    assert parallel.stats.workers == 2
+    assert started.read_text().split() == ["2", "2"]
+    in_process = ExperimentRunner(workers=1, cache=None).run_many(configs)
+    assert [result.analyses for result in pooled] == [result.analyses for result in in_process]
 
 
 #: pool -> (a script whose pool worker kills itself, what it must print).
@@ -576,24 +487,24 @@ runner.ExperimentRunner(workers=2).run_many([tiny_config(seed=1), tiny_config(se
 """,
         f"a runner worker process died: cell {tiny_config(seed=1).cell_hash()[:16]} ",
     ),
-    # Four channels on two processes: the pool's worker dies on channel 1.
+    # Four channels on a pool of two: the worker that runs channel 0 dies.
     "shards": (
         """
 import os, signal
 from repro.channels import network
 from repro.sim.shard import ExecutionConfig
 from test_sharded_execution import experiment, run_cell
-simulate = network.simulate_group_to_file
+simulate = network.simulate_group
 
-def killed(spec, args, path):
-    if spec.channels == (1,):
+def killed(spec, args):
+    if spec.channels == (0,):
         os.kill(os.getpid(), signal.SIGKILL)
-    return simulate(spec, args, path)
+    return simulate(spec, args)
 
-network.simulate_group_to_file = killed
+network.simulate_group = killed
 run_cell(experiment(ExecutionConfig(shard_workers=2)))
 """,
-        "the shard worker process of channel(s) 1 died before returning its shard",
+        "the shard worker process of channel(s) 0 died before returning its shard",
     ),
 }
 
@@ -630,18 +541,17 @@ class PoolBrokenWhileQueueing:
         return future
 
 
-@pytest.mark.parametrize("first_shard_lost, named", [(True, "1"), (False, "3")])
+@pytest.mark.parametrize("first_shard_lost, named", [(True, "0"), (False, "1")])
 def test_a_pool_broken_while_shards_are_queued_is_an_error_naming_a_shard(
     first_shard_lost, named, monkeypatch
 ):
-    # Six channels on two processes ship shards 1, 3 and 5; the pool breaks
-    # on queueing shard 3, so the error names the queued shard the dead
-    # worker took down, or, when none was, the shard the pool refused.
+    # Six channels on a pool of two: the pool breaks on queueing shard 1, so
+    # the error names the queued shard the dead worker took down, or, when
+    # none was, the shard the pool refused.
     pool = PoolBrokenWhileQueueing(first_shard_lost)
     monkeypatch.setattr(
         channel_network, "process_pool", lambda workers: contextlib.nullcontext(pool)
     )
-    monkeypatch.delenv(PROCESS_BUDGET_ENV, raising=False)
     with pytest.raises(SimulationError) as raised:
         run_cell(experiment(ExecutionConfig(shard_workers=2), channels=6))
     assert str(raised.value) == (

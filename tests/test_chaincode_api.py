@@ -140,5 +140,5 @@ def test_operation_counters(populated_store):
     stub.put_state("k3", 1)
     stub.get_state_by_range("k0", "k2")
     assert stub.read_count == 2
-    assert stub.write_count == 1
-    assert stub.range_read_count == 1
+    assert len(stub.rwset.writes) == 1
+    assert len(stub.rwset.range_reads) == 1

@@ -78,7 +78,7 @@ def test_genchain_update_reads_and_writes(rng):
     stub = ChaincodeStub(store)
     chaincode.invoke(stub, "updateKey", (5,))
     assert stub.read_count == 1
-    assert stub.write_count == 1
+    assert len(stub.rwset.writes) == 1
     assert stub.rwset.writes[0].value["writes"] == 1
 
 

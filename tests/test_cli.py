@@ -43,9 +43,9 @@ EXPERIMENT_SURFACE = [
     ),
     (
         ("--shard-workers",), "shard_workers", None, None, None,
-        "processes that simulate independent channel shards, this one included: 0 sizes the "
-        "count automatically, 1 (default) drains every shard in this process, N >= 2 caps it "
-        "(needs --channels >= 2; bit-identical results either way)",
+        "processes that simulate independent channel shards: 1 (default) drains every shard "
+        "in this process, N >= 2 a pool of at most N workers while this process waits, 0 every "
+        "available core (needs --channels >= 2; bit-identical results either way)",
     ),
     (
         ("--retry-policy",), "retry_policy", None, None, None,

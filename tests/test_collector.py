@@ -17,12 +17,13 @@ from test_sharded_execution import assert_computes, plan_free, unrecorded
 
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.chaincode import CHAINCODE_REGISTRY
+from repro.channels import network as channel_network
 from repro.checker.config import CheckerConfig
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
 from repro.observability.config import ObservabilityConfig
 from repro.sim.collector import DEFERRED_FULL_COLLECTIONS, quiet_collector
-from repro.sim.shard import PROCESS_BUDGET_ENV, ExecutionConfig
+from repro.sim.shard import ExecutionConfig
 from repro.workload.workloads import uniform_workload
 
 #: Tracked objects a run may retain per transaction on :func:`ehr_cell` (an
@@ -138,16 +139,21 @@ DEPLOYMENTS = {
     "shared-clock": dict(channels=2, cross_channel_rate=0.0),
     # Cross-channel traffic: the coordinator's two-phase commits on the one clock.
     "coupled": dict(channels=2, cross_channel_rate=0.05),
+    # One shard worker: this process drains every shard of the sharded plan.
     "sharded-in-process": dict(
-        channels=2, cross_channel_rate=0.0, execution=ExecutionConfig(shard_workers=0)
+        channels=2, cross_channel_rate=0.0, execution=ExecutionConfig(shard_workers=1)
     ),
 }
 
 
+def no_pool(workers):
+    raise AssertionError(f"a shard pool of {workers} started")
+
+
 @pytest.mark.parametrize("deployment", DEPLOYMENTS)
-def test_no_full_collection_starts_inside_a_run(monkeypatch, deployment):
-    # A budget of one process drains every shard of the sharded plan here.
-    monkeypatch.setenv(PROCESS_BUDGET_ENV, "1")
+def test_no_full_collection_starts_inside_a_run(deployment, monkeypatch):
+    # Every deployment here simulates in this process: none starts a pool.
+    monkeypatch.setattr(channel_network, "process_pool", no_pool)
     config = ehr_cell(**DEPLOYMENTS[deployment])
     # Enough transactions that the interpreter's own schedule would have run
     # full collections (it does, at the parent of this change).
@@ -159,7 +165,7 @@ def test_no_full_collection_starts_inside_a_run(monkeypatch, deployment):
         record = run_cell(config, network)
     assert record.submitted_count > 1500
     if deployment == "sharded-in-process":
-        assert record.execution == "sharded" and network.shard_workers_used == 1
+        assert record.execution == "sharded" and record.shard_count == 2
     if deployment == "shared-clock":
         assert record.execution == "shared-clock"
     assert seen == []

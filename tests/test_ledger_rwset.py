@@ -51,13 +51,6 @@ def test_depends_on_definition_4():
     assert not writer.depends_on(reader)
 
 
-def test_version_of_returns_recorded_version():
-    version = Version(3, 7)
-    rwset = make_rwset(reads=[KeyRead("a", version)])
-    assert rwset.version_of("a") == version
-    assert rwset.version_of("missing") is None
-
-
 def test_merge_counts():
     rwset = make_rwset(
         reads=[KeyRead("a", None)],

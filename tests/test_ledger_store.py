@@ -195,7 +195,6 @@ def test_snapshot_serves_pre_images_at_o_changed_keys():
     # Epoch 0: genesis state.
     assert snap0.get_value("a") == 1 and snap0.get_value("b") == 2
     assert snap0.get("c") is None
-    assert snap0.changed_key_count == 3  # a, b, c changed since epoch 0
     # Epoch 1: first commit visible, second not.
     assert snap1.get_value("a") == 10 and snap1.get_value("b") == 2
     assert snap1.get("c") is None

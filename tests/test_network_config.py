@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -30,7 +32,6 @@ def test_cluster_defaults_fill_unset_fields():
     assert config.orgs == 8
     assert config.peers_per_org == 4
     assert config.clients == 25
-    assert config.total_peers == 32
 
 
 def test_explicit_values_override_cluster_defaults():
@@ -105,6 +106,27 @@ def test_timing_profile_defaults_are_positive():
     for field_name, value in vars(timing).items():
         if isinstance(value, (int, float)):
             assert value > 0, field_name
+
+
+@pytest.mark.parametrize(
+    "field_name, value",
+    [
+        ("delivery_jitter", -0.5),
+        ("net_jitter", float("nan")),
+        ("orderer_per_block", float("inf")),
+        ("endorsement_concurrency", 0),
+        ("endorsement_concurrency", 2.5),
+    ],
+)
+def test_an_invalid_timing_constant_is_rejected_naming_it(field_name, value):
+    config = NetworkConfig(timing=TimingProfile(**{field_name: value}))
+    with pytest.raises(ConfigurationError, match=f"timing.{field_name} must be"):
+        config.validate()
+
+
+def test_zero_latencies_are_valid_timing():
+    zero = {field.name: 0.0 for field in dataclasses.fields(TimingProfile)}
+    NetworkConfig(timing=TimingProfile(**{**zero, "endorsement_concurrency": 1})).validate()
 
 
 def test_resource_factor_comes_from_cluster():

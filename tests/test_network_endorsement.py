@@ -136,9 +136,3 @@ def test_delayed_org_gets_extra_latency(rng):
     delayed_as_source = model.one_way(1, None)
     assert delayed > normal + 0.05
     assert delayed_as_source > normal + 0.05
-
-
-def test_round_trip_is_sum_of_two_one_ways(rng):
-    config = NetworkConfig(cluster="C1")
-    model = LatencyModel(config, rng)
-    assert model.round_trip(0, 1) > 0

@@ -19,12 +19,10 @@ fallback behaviour for topologies that cannot shard.
 from __future__ import annotations
 
 import os
-import pickle
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from corpus import (
@@ -42,7 +40,8 @@ from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.bench.runner import ExperimentRunner
 from repro.chaincode import CHAINCODE_REGISTRY, ElectronicHealthRecordsChaincode
 from repro.channels import merge as channel_merge
-from repro.channels import network as channels_network
+from repro.channels import network as channel_network
+from repro.channels.group import ChannelGroup
 from repro.channels.network import MultiChannelNetwork
 from repro.core import LedgerAnalyzer
 from repro.core.fingerprint import EXECUTION_METADATA_FIELDS, record_fingerprint
@@ -54,7 +53,8 @@ from repro.lifecycle.pipeline import build_network
 from repro.network import network as channel_slice
 from repro.network.config import NetworkConfig
 from repro.observability.config import ObservabilityConfig
-from repro.sim.shard import PROCESS_BUDGET_ENV, ExecutionConfig
+from repro.sim import shard
+from repro.sim.shard import ExecutionConfig, process_pool
 from repro.workload.workloads import uniform_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -151,6 +151,19 @@ def shared_clock(config: ExperimentConfig) -> dict:
     return unrecorded(record)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The size of every shard pool a deployment starts, in start order."""
+    sizes = []
+
+    def recorded(workers):
+        sizes.append(workers)
+        return process_pool(workers)
+
+    monkeypatch.setattr(channel_network, "process_pool", recorded)
+    return sizes
+
+
 def assert_computes(state: dict, reference: dict) -> None:
     """``state == reference``, or a failure naming the first diverging channel and field."""
     if state == reference:
@@ -165,7 +178,7 @@ def assert_computes(state: dict, reference: dict) -> None:
 
 # ------------------------------------------------------------- bit identity
 @pytest.mark.parametrize("channels", [2, 4, 8])
-def test_sharded_run_is_bit_identical_to_shared_clock(channels):
+def test_sharded_run_is_bit_identical_to_shared_clock(channels, pools):
     # The default worker count: every channel on its own clock, in this process.
     config = experiment(ExecutionConfig(), channels=channels)
     network, sharded = run_cell(config)
@@ -174,7 +187,7 @@ def test_sharded_run_is_bit_identical_to_shared_clock(channels):
     assert network.sim is None and network.channels == []
     assert sharded.execution == "sharded"
     assert sharded.shard_count == channels
-    assert network.shard_workers_used == 1
+    assert pools == []
     assert_computes(plan_free(sharded), shared_clock(config))
 
 
@@ -229,35 +242,80 @@ def test_a_divergence_names_the_channel_and_the_field():
     assert first.startswith("  record / channel_records / 1 / record / tally / attempts: ")
 
 
-def test_multiprocess_shards_match_in_process_shards(monkeypatch):
+def test_multiprocess_shards_match_in_process_shards(pools):
     # An explicit worker cap forces the real process-pool path; the
-    # merge must be byte-equal to every shard drained in this one process
-    # (auto-sized workers under a budget of one process).
-    monkeypatch.setenv(PROCESS_BUDGET_ENV, "1")
-    network, sequential = run_cell(experiment(ExecutionConfig(shard_workers=0)))
-    assert sequential.execution == "sharded" and network.shard_workers_used == 1
-    monkeypatch.delenv(PROCESS_BUDGET_ENV)
+    # merge must be byte-equal to every shard drained in this one process.
+    _, sequential = run_cell(experiment(ExecutionConfig(shard_workers=1)))
+    assert sequential.execution == "sharded" and pools == []
     _, pooled = run_cell(experiment(ExecutionConfig(shard_workers=4)))
+    assert pools == [4]
     reference = shared_clock(experiment(ExecutionConfig()))
     assert_computes(plan_free(pooled), reference)
     assert_computes(plan_free(sequential), reference)
 
 
-def test_this_process_is_one_of_the_shard_workers():
-    # Three processes on four shards: this one drains shards 0 and 3, a pool
-    # of two drains 1 and 2.  The bytes they ship are counted per run.
+#: id -> (experiment overrides, the plan, the shard pools it starts) on a
+#: machine of two cores.  A shared clock simulates in this process whatever
+#: ``shard_workers`` asks for; shards take the count, capped by the shards,
+#: and a count of 1 drains them here.
+POOLS_OF_A_PLAN = {
+    "one-channel": (dict(execution=ExecutionConfig(0), channels=1), "shared-clock", []),
+    "shared-clock": (
+        dict(execution=ExecutionConfig(0), observability=ObservabilityConfig(trace=True)),
+        "shared-clock",
+        [],
+    ),
+    "default": (dict(execution=ExecutionConfig()), "sharded", []),
+    "coupled": (dict(execution=ExecutionConfig(0), cross_channel_rate=0.1), "shared-clock", []),
+    "two-workers": (dict(execution=ExecutionConfig(2)), "sharded", [2]),
+    "auto": (dict(execution=ExecutionConfig(0), channels=8), "sharded", [2]),
+    "in-process-shards": (dict(execution=ExecutionConfig(1), channels=8), "sharded", []),
+    # One global resubmission bucket cannot be split across processes.
+    "rate-capped": (
+        dict(
+            execution=ExecutionConfig(0),
+            channels=8,
+            retry=RetryConfig(policy="jittered", rate_cap=50.0),
+        ),
+        "shared-clock",
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "overrides, plan, started", POOLS_OF_A_PLAN.values(), ids=POOLS_OF_A_PLAN.keys()
+)
+def test_a_plan_simulates_on_the_processes_it_occupies(
+    overrides, plan, started, pools, monkeypatch
+):
+    monkeypatch.setattr(shard, "available_cores", lambda: 2)
+    network, record = run_cell(experiment(duration=0.5, **overrides))
+    assert (network.execution_mode, record.execution) == (plan, plan)
+    assert pools == started
+
+
+def test_the_pool_drains_every_shard_while_this_process_waits(pools, monkeypatch):
+    # A pool of three on four shards: every group is run by a worker (the pool
+    # forks, so its workers see the patch), none by this process.
+    deploying = os.getpid()
+    run_group = ChannelGroup.run
+
+    def run_in_a_worker(group, args):
+        assert os.getpid() != deploying, "the deploying process simulated a shard"
+        return run_group(group, args)
+
+    monkeypatch.setattr(ChannelGroup, "run", run_in_a_worker)
     config = experiment(ExecutionConfig(shard_workers=3))
     network = build(config)
-    runs = []
-    for _ in range(2):
-        record = run(network, config)
-        runs.append((plan_free(record), network.shard_transport_bytes))
-    assert network.shard_workers_used == 3
-    assert runs[0] == runs[1] and runs[0][1] > 0
-    assert_computes(runs[0][0], shared_clock(config))
+    runs = [plan_free(run(network, config)) for _ in range(2)]
+    assert pools == [3, 3]
+    assert runs[0] == runs[1]
+    monkeypatch.setattr(ChannelGroup, "run", run_group)
+    assert_computes(runs[0], shared_clock(config))
 
 
-# ------------------------------------------- shard files and channel walks
+# ------------------------------------------- pool leftovers and channel walks
 class ChaincodeOfThisProcess(ElectronicHealthRecordsChaincode):
     """EHR in the process that imported this module; a failure in every other."""
 
@@ -271,7 +329,7 @@ class ChaincodeOfThisProcess(ElectronicHealthRecordsChaincode):
 
 @pytest.fixture
 def shard_tmp(tmp_path, monkeypatch):
-    """A fresh, empty ``TMPDIR`` for the shard files of the runs of one test."""
+    """A fresh, empty ``TMPDIR`` for the runs of one test: a pooled run leaves nothing there."""
     directory = tmp_path / "tmp"
     directory.mkdir()
     monkeypatch.setenv("TMPDIR", str(directory))
@@ -279,23 +337,15 @@ def shard_tmp(tmp_path, monkeypatch):
     return directory
 
 
-def test_pool_shards_come_back_as_files_that_do_not_outlive_the_run(shard_tmp, monkeypatch):
-    loaded = []
-
-    def load(file):
-        loaded.append(os.fstat(file.fileno()).st_size)
-        return pickle.load(file)
-
-    monkeypatch.setattr(channels_network, "pickle", SimpleNamespace(load=load))
-    network, pooled = run_cell(experiment(ExecutionConfig(shard_workers=3)))
-    assert network.shard_workers_used == 3
-    assert len(loaded) == 2  # shards 1 and 2; this process drained 0 and 3
-    assert network.shard_transport_bytes == sum(loaded) > 0
+def test_a_pooled_run_leaves_tmpdir_empty(shard_tmp, pools):
+    # The pool's shards come back through its pipe: no file is written.
+    _, pooled = run_cell(experiment(ExecutionConfig(shard_workers=3)))
+    assert pools == [3]
     assert list(shard_tmp.iterdir()) == []
     assert_computes(plan_free(pooled), shared_clock(experiment(ExecutionConfig())))
 
 
-def test_a_failed_shipped_shard_leaves_no_shard_file(shard_tmp, monkeypatch):
+def test_a_failed_pool_shard_raises_here_and_leaves_tmpdir_empty(shard_tmp, pools, monkeypatch):
     # The pool forks, so its workers see the registration made here.
     monkeypatch.setitem(CHAINCODE_REGISTRY, "EHR-of-this-process", ChaincodeOfThisProcess)
     config = experiment(ExecutionConfig(shard_workers=2))
@@ -313,15 +363,15 @@ def test_a_failed_shipped_shard_leaves_no_shard_file(shard_tmp, monkeypatch):
             duration=config.duration,
             workload_name=config.workload.name,
         )
-    assert network.shard_workers_used == 2
+    assert pools == [2]
     assert list(shard_tmp.iterdir()) == []
 
 
 @pytest.mark.parametrize("plan", ["shared-clock", "in-process", "pooled"])
-def test_each_channel_is_folded_where_it_was_simulated(plan, monkeypatch):
-    # Shard workers 2 on four channels: this process simulates shards 0 and
-    # 2, the pool 1 and 3 — unless every shard runs here, or one clock does
-    # (a recorded run).
+def test_each_channel_is_folded_where_it_was_simulated(plan, pools, monkeypatch):
+    # Shard workers 2 on four channels: the pool simulates every shard and
+    # this process only merges — unless every shard runs here (one shard
+    # worker), or one clock does (a recorded run).
     # A channel's tally is folded by the process that simulated it; the
     # merge folds the tallies of all four once, for the aggregate.  A closed
     # tally carries no name: its attempt count and last commit tell it apart.
@@ -336,13 +386,11 @@ def test_each_channel_is_folded_where_it_was_simulated(plan, monkeypatch):
 
     for module in (channel_slice, channel_merge):
         monkeypatch.setattr(module, "fold", counted(tally.fold))
-    if plan == "in-process":
-        monkeypatch.setenv(PROCESS_BUDGET_ENV, "1")
-    execution = ExecutionConfig() if plan == "shared-clock" else ExecutionConfig(shard_workers=2)
+    execution = ExecutionConfig(shard_workers=2 if plan == "pooled" else 1)
     network, record = run_cell(experiment(execution), record_chain=plan == "shared-clock")
     assert network.execution_mode == ("shared-clock" if plan == "shared-clock" else "sharded")
-    assert network.shard_workers_used == (2 if plan == "pooled" else 1)
-    here = [0, 2] if plan == "pooled" else [0, 1, 2, 3]
+    assert pools == ([2] if plan == "pooled" else [])
+    here = [] if plan == "pooled" else [0, 1, 2, 3]
     channel_of = {
         (channel.record.tally.attempts, channel.record.tally.last_commit): channel.index
         for channel in record.channel_records

@@ -1,4 +1,4 @@
-"""Unit tests for the shard rule (``plan_groups``) and process budgeting (``repro.sim.shard``)."""
+"""Unit tests for the shard rule (``plan_groups``) and worker counts (``repro.sim.shard``)."""
 
 from __future__ import annotations
 
@@ -16,12 +16,8 @@ from repro.lifecycle.pipeline import build_network
 from repro.lifecycle.retry import RetryConfig
 from repro.network.config import NetworkConfig
 from repro.observability.config import ObservabilityConfig
-from repro.sim.shard import (
-    PROCESS_BUDGET_ENV,
-    ExecutionConfig,
-    process_budget,
-    resolve_worker_count,
-)
+from repro.sim import shard
+from repro.sim.shard import ExecutionConfig, process_pool, resolve_worker_count
 from repro.workload.workloads import uniform_workload
 
 
@@ -147,40 +143,39 @@ def test_describe_names_the_execution_mode():
     assert "exec=" not in NetworkConfig(channels=4).describe()
 
 
-# ------------------------------------------------------------- worker budget
-def test_single_shard_always_runs_in_process():
-    assert resolve_worker_count(0, 1) == 1
-    assert resolve_worker_count(8, 1) == 1
+# -------------------------------------------------------------- worker count
+@pytest.mark.parametrize(
+    "requested, tasks, expected",
+    [
+        (0, 1, 1),  # one shard always runs in this process
+        (8, 1, 1),
+        (0, 8, 3),  # 0 = every available core ...
+        (0, 2, 2),  # ... never more workers than shards
+        (6, 8, 6),  # an explicit count is honored up to the shards
+        (16, 4, 4),
+        (1, 8, 1),
+        (0, 0, 1),  # never below one
+    ],
+)
+def test_worker_count_is_the_request_or_the_cores_capped_by_the_shards(
+    requested, tasks, expected, monkeypatch
+):
+    monkeypatch.setattr(shard, "available_cores", lambda: 3)
+    assert resolve_worker_count(requested, tasks) == expected
 
 
-def test_auto_workers_follow_the_env_budget(monkeypatch):
-    monkeypatch.setenv(PROCESS_BUDGET_ENV, "3")
-    assert process_budget() == 3
-    assert resolve_worker_count(0, 8) == 3
-    assert resolve_worker_count(0, 2) == 2  # never more workers than shards
+def test_a_pool_worker_never_starts_a_pool():
+    with process_pool(2) as pool:
+        counts = list(pool.map(resolve_worker_count, [0, 4, 16], [8, 8, 8]))
+    assert counts == [1, 1, 1]
+    assert resolve_worker_count(4, 8) == 4  # this process is no pool worker
 
 
-def test_explicit_workers_are_capped_by_the_env_budget(monkeypatch):
-    monkeypatch.setenv(PROCESS_BUDGET_ENV, "2")
-    assert resolve_worker_count(6, 8) == 2
-
-
-def test_explicit_workers_without_env_budget_are_honored(monkeypatch):
-    monkeypatch.delenv(PROCESS_BUDGET_ENV, raising=False)
-    assert resolve_worker_count(6, 8) == 6
-
-
-def test_invalid_env_budget_is_ignored(monkeypatch):
-    monkeypatch.setenv(PROCESS_BUDGET_ENV, "zero")
-    assert process_budget() >= 1
-    monkeypatch.setenv(PROCESS_BUDGET_ENV, "0")
-    assert process_budget() >= 1
-
-
-def test_worker_count_never_drops_below_one(monkeypatch):
-    monkeypatch.setenv(PROCESS_BUDGET_ENV, "1")
-    assert resolve_worker_count(0, 8) == 1
-    assert resolve_worker_count(4, 8) == 1
+def test_a_pool_worker_counts_within_its_share_of_the_cores(monkeypatch):
+    monkeypatch.setattr(shard, "available_cores", lambda: 8)
+    with process_pool(2, share=3) as pool:
+        counts = list(pool.map(resolve_worker_count, [0, 2, 16, 0], [8, 8, 8, 1]))
+    assert counts == [3, 2, 3, 1]
 
 
 # ------------------------------------------------------------- cell identity

@@ -129,15 +129,6 @@ def test_arrival_schedule_covers_duration():
     assert list(arrivals) == sorted(arrivals)
 
 
-def test_deterministic_arrivals_are_evenly_spaced():
-    process = ArrivalProcess(rate=10.0, rng=random.Random(0), poisson=False)
-    arrivals = process.schedule(1.0)
-    # Floating point accumulation may or may not include the arrival at ~1.0.
-    assert len(arrivals) in (9, 10)
-    gaps = {round(b - a, 6) for a, b in zip(arrivals, arrivals[1:])}
-    assert gaps == {0.1}
-
-
 def test_arrival_process_validation():
     with pytest.raises(WorkloadError):
         ArrivalProcess(rate=0.0, rng=random.Random(0))
